@@ -9,7 +9,9 @@ packed into per-destination communication buffers as the sweep proceeds, so
 "by the time the computation routine returns, the communication buffers are
 all set up".
 
-Four pipelines are provided:
+Five pipelines are provided; each computes node by node through the node
+function or, with ``bulk=True`` on a struct-of-arrays store, through the
+function's vectorized kernel (same values, same virtual charges):
 
 * :func:`sweep_basic` -- Figure 8: internals, then peripherals (packing),
   commit, then ``Isend`` everything and blocking-receive the shadows.
@@ -58,7 +60,7 @@ from .buffers import CommBuffers
 from .config import PlatformCosts
 from .node import OwnNode
 from .nodestore import NodeStore
-from .soastore import SoAStore
+from .soastore import ChargePlan, SoAStore
 
 __all__ = [
     "NodeView",
@@ -70,12 +72,7 @@ __all__ = [
     "sweep_overlapped",
     "sweep_basic_delta",
     "sweep_overlapped_delta",
-    "sweep_basic_bulk",
-    "sweep_overlapped_bulk",
-    "sweep_basic_delta_bulk",
-    "sweep_overlapped_delta_bulk",
     "sweep_hybrid",
-    "sweep_hybrid_bulk",
     "supports_bulk",
     "TAG_SHADOW",
     "TAG_SHADOW_DELTA",
@@ -89,6 +86,9 @@ TAG_SHADOW = 1
 #: rank's next-sweep sends from matching a slow rank's current-sweep
 #: ``pending_sources`` query.
 TAG_SHADOW_DELTA = (5, 6)
+
+#: The two node classes a sweep computes in separate phases.
+_INTERNAL, _PERIPHERAL = 0, 1
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,48 @@ class ComputeContext:
         #: the quiescence-termination count (set by every sweep variant).
         self.changed_last_sweep = 0
         #: Per-node compute seconds since the last reset -- measured node
-        #: weights for load-aware repartitioning (window-scoped).
+        #: weights for load-aware repartitioning (window-scoped).  The
+        #: scalar sweeps write this dict node by node; the bulk accountant
+        #: adds whole sweeps into a gid-indexed array instead (allocated on
+        #: first use).  One run only ever uses one of the two;
+        #: :meth:`node_loads` is the merged view.
         self.node_compute: dict[int, float] = {}
+        self._bulk_loads: np.ndarray | None = None
+        #: The bulk accountant's list-forming cost table, indexed by degree.
+        self.cost_by_degree = np.empty(0)
+
+    def bulk_loads(self) -> np.ndarray:
+        """The gid-indexed load array the bulk accountant accumulates into."""
+        if self._bulk_loads is None:
+            self._bulk_loads = np.zeros(self.num_nodes + 1)
+        return self._bulk_loads
+
+    def node_loads(self) -> dict[int, float]:
+        """``gid -> compute seconds`` this window, as a plain dict.
+
+        A node has a key iff its load is non-zero: the scalar path only
+        stores non-zero charges, and charges are never negative, so a sum
+        never returns to zero.
+        """
+        loads = dict(self.node_compute)
+        if self._bulk_loads is not None:
+            hot = np.flatnonzero(self._bulk_loads)
+            loads.update(zip(hot.tolist(), self._bulk_loads[hot].tolist()))
+        return loads
+
+    def set_node_loads(self, loads: dict[int, float]) -> None:
+        """Reinstate a window that :meth:`node_loads` captured (rollback)."""
+        self.reset_node_loads()
+        if self._bulk_loads is None:
+            self.node_compute.update(loads)
+        elif loads:
+            self._bulk_loads[list(loads)] = list(loads.values())
 
     def reset_node_loads(self) -> None:
         """Start a new load-measurement window."""
         self.node_compute.clear()
+        if self._bulk_loads is not None:
+            self._bulk_loads.fill(0.0)
 
     @property
     def rank(self) -> int:
@@ -217,6 +253,312 @@ def _pack_node(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -> None
         ctx._comm_overhead(ctx.costs.pack_cost)
 
 
+def _pack_node_delta(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -> None:
+    """Pack only if the freshly computed value differs from the committed
+    one -- receivers treat absent records as "shadow still current"."""
+    data = node.data
+    if data.most_recent_data is None or data.most_recent_data == data.data:
+        return
+    for proc in node.shadow_for_procs:
+        buffers.pack(proc, node.global_id, data.most_recent_data)
+        ctx._comm_overhead(ctx.costs.pack_cost)
+
+
+def _active_nodes(
+    store: NodeStore, active: set[int] | None, part: int | None = None
+) -> tuple[Any, Any]:
+    """The (internal, peripheral) nodes to compute this sweep: list order,
+    or gid order under an active set; ``part`` keeps one class only."""
+    internal, peripheral = store.internal, store.peripheral
+    if active is None:
+        picked = (internal.values(), peripheral.values())
+    else:
+        ordered = sorted(active)
+        picked = (
+            [internal[g] for g in ordered if g in internal],
+            [peripheral[g] for g in ordered if g in peripheral],
+        )
+    if part is None:
+        return picked
+    return (picked[0], ()) if part == _INTERNAL else ((), picked[1])
+
+
+class _ScalarPhases:
+    """One sweep's two compute phases, node by node through the node
+    function.  ``active``/``part`` select the nodes (``None`` = all / both
+    classes); ``changed_only`` packs only changed values (delta exchange).
+    ``count`` is the number of nodes the sweep computes."""
+
+    def __init__(
+        self,
+        store: NodeStore,
+        node_fn: NodeFn,
+        ctx: ComputeContext,
+        buffers: CommBuffers,
+        active: set[int] | None = None,
+        part: int | None = None,
+        changed_only: bool = False,
+    ) -> None:
+        self._args = (store, node_fn, ctx)
+        self._buffers = buffers
+        self._pack = _pack_node_delta if changed_only else _pack_node
+        self._internal, self._peripheral = _active_nodes(store, active, part)
+        self.count = len(self._internal) + len(self._peripheral)
+
+    def internal(self) -> None:
+        """Compute the selected internal nodes."""
+        store, node_fn, ctx = self._args
+        for node in self._internal:
+            _compute_node(store, node, node_fn, ctx)
+
+    def peripheral(self) -> None:
+        """Compute the selected peripheral nodes, packing as it goes."""
+        store, node_fn, ctx = self._args
+        for node in self._peripheral:
+            _compute_node(store, node, node_fn, ctx)
+            self._pack(node, self._buffers, ctx)
+
+
+# --------------------------------------------------------------------- #
+# Bulk (struct-of-arrays) compute phases
+# --------------------------------------------------------------------- #
+#
+# When the store is a SoAStore and the node function carries a *bulk
+# kernel* (``fn.bulk``: a callable ``kernel(view) -> ndarray`` with a
+# ``node_grain`` float attribute), a ``bulk=True`` sweep computes every
+# active node's value in one vectorized pass over a :class:`~repro.core.soastore.BulkView`
+# and hands the scalar path's charge sequence for those nodes to the
+# accountant (:func:`_charge`) as one *charge plan*.  Every virtual-clock
+# addition still happens in the same order with the same amounts, so
+# clocks, phase splits, per-node load measurements, and trace streams stay
+# bit-identical to the object store's scalar sweeps.
+#
+# Bulk kernels must be pure (values from committed neighbour state only)
+# and must cost exactly ``node_grain`` virtual seconds per node; functions
+# with richer cost behaviour simply omit ``.bulk`` and take the scalar
+# path, which is equally conformant on either store.
+
+
+def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:
+    """Whether every node function carries a bulk kernel."""
+    return all(callable(getattr(fn, "bulk", None)) for fn in node_fns)
+
+
+def _node_cost(ctx: ComputeContext, deg: int) -> float:
+    """:func:`_form_view`'s bookkeeping charge for a node of degree ``deg``."""
+    costs = ctx.costs
+    return (
+        costs.list_item_cost * (1 + deg)
+        + costs.hash_lookup_cost * deg
+        + costs.data_scan_item_cost * ctx.num_nodes / 2
+    )
+
+
+def _replay_node(
+    gid: int, deg: int, grain: float, ctx: ComputeContext, book: dict[int, float]
+) -> None:
+    """Charge one node's scalar-path costs (no value computation)."""
+    cost = book.get(deg)
+    if cost is None:
+        cost = book[deg] = _node_cost(ctx, deg)
+    ctx._bookkeeping(cost)
+    before = ctx.compute_time
+    ctx.work(grain)
+    spent = ctx.compute_time - before
+    if spent:
+        ctx.node_compute[gid] = ctx.node_compute.get(gid, 0.0) + spent
+
+
+def _part(plan: ChargePlan, part: int) -> slice:
+    """Where a plan's internal or peripheral nodes sit in its arrays."""
+    return slice(0, plan.split) if part == _INTERNAL else slice(plan.split, None)
+
+
+def _node_costs(ctx: ComputeContext, degrees: np.ndarray) -> np.ndarray:
+    """:func:`_node_cost` per node, through a by-degree table on the context
+    (each entry evaluated by the scalar formula itself)."""
+    try:
+        return ctx.cost_by_degree[degrees]
+    except IndexError:
+        known = len(ctx.cost_by_degree)
+        more = [_node_cost(ctx, deg) for deg in range(known, int(degrees.max()) + 1)]
+        ctx.cost_by_degree = np.append(ctx.cost_by_degree, more)
+        return ctx.cost_by_degree[degrees]
+
+
+def _charge_matrix(
+    node_costs: np.ndarray, grain: float, pack_cost: float, packs: list[int] | None
+) -> tuple[np.ndarray, Any, Any]:
+    """Lay a part's charges out as ``(matrix, cost columns, grain columns)``.
+
+    Column 0 is reserved for the seeds; after it come, per node and in
+    scalar-path order, its bookkeeping cost, its grain and ``packs[i]``
+    pack charges.  Row 0 (the clock) carries every charge; rows 1-3
+    (bookkeeping, compute, communication overhead) carry theirs and ``0.0``
+    elsewhere -- adding ``0.0`` leaves a non-negative sum bit-identical.  A
+    part that packs nothing has no row 3.
+    """
+    count = len(node_costs)
+    if packs is None:
+        matrix = np.zeros((3, 1 + 2 * count))
+        cost_cols: Any = slice(1, None, 2)
+        grain_cols: Any = slice(2, None, 2)
+    else:
+        after = np.cumsum(packs)
+        cost_cols = 1 + 2 * np.arange(count) + after - packs
+        grain_cols = cost_cols + 1
+        matrix = np.zeros((4, 1 + 2 * count + int(after[-1])))
+        matrix[0] = matrix[3] = pack_cost
+        matrix[3, cost_cols] = matrix[3, grain_cols] = 0.0
+    matrix[0, cost_cols] = matrix[1, cost_cols] = node_costs
+    matrix[0, grain_cols] = matrix[2, grain_cols] = grain
+    return matrix, cost_cols, grain_cols
+
+
+def _charge(
+    ctx: ComputeContext,
+    plan: ChargePlan,
+    part: int,
+    grain: float,
+    packed: bool | list[bool] = False,
+) -> None:
+    """The accountant: charge one sweep over a plan's internal or
+    peripheral nodes -- the single seam every bulk-sweep charge goes through.
+
+    Per node, in order, the scalar path charges list-forming bookkeeping,
+    the grain, and (``packed``: ``True`` = every node, or a per-node mask)
+    one ``pack_cost`` per shadow destination.  With no fault scaling these
+    are plain float additions, so the whole sequence is folded into the
+    clock and the three time buckets by ``np.add.accumulate`` seeded with
+    their current values.  ``accumulate`` must produce every prefix, hence
+    adds strictly left to right -- the same IEEE-754 operations as the
+    scalar path, to the last bit -- where ``np.add.reduce``/``reduceat``
+    pair operands up and land an ulp away.  The compute bucket's prefixes
+    also yield each node's measured load.  The static matrices are
+    memoized on the plan, i.e. per surgery epoch (dense) or per geometry
+    LRU slot (sparse); only a delta sweep's changing pack mask is laid out
+    per call.
+
+    An armed slow window (``slow=`` fault) scales each charge by a factor
+    that depends on the clock *at charge time*, so that one case walks the
+    nodes through :func:`_replay_node` instead.
+    """
+    if grain < 0:
+        raise ValueError(f"cannot charge negative work: {grain}")
+    gids = plan.gids[_part(plan, part)]
+    if not len(gids):
+        return
+    pack_cost = ctx.costs.pack_cost
+    packs = None
+    if packed is not False and (packed is True or any(packed)):
+        packs = [len(procs) for procs in plan.dests]
+        if packed is not True:
+            packs = [n if hit else 0 for n, hit in zip(packs, packed)]
+    degrees = plan.degrees[_part(plan, part)]
+    faults = ctx.comm.faults
+    if faults is not None and faults.plan.slow:
+        book: dict[int, float] = {}
+        for i, (gid, deg) in enumerate(zip(gids.tolist(), degrees.tolist())):
+            _replay_node(gid, deg, grain, ctx, book)
+            for _ in range(packs[i] if packs else 0):
+                ctx._comm_overhead(pack_cost)
+        return
+
+    static = packs is None or packed is True
+    key = (ctx.costs, ctx.num_nodes, part, grain, packs is not None)
+    template = plan.templates.get(key) if static else None
+    if template is None:
+        template = _charge_matrix(_node_costs(ctx, degrees), grain, pack_cost, packs)
+        if static:
+            plan.templates[key] = template
+    matrix, cost_cols, grain_cols = template
+    state = ctx.comm._state()
+    seeds = (state.clock, ctx.bookkeeping_time, ctx.compute_time, ctx.comm_overhead_time)
+    matrix[:, 0] = seeds[: len(matrix)]
+    sums = np.add.accumulate(matrix, axis=1)
+    totals = sums[:, -1].tolist()
+    state.clock, ctx.bookkeeping_time, ctx.compute_time = totals[:3]
+    if len(totals) > 3:
+        ctx.comm_overhead_time = totals[3]
+    # The compute row stands still between a node's cost column and its
+    # grain column, so their difference is exactly the scalar path's
+    # ``compute_time - before``.
+    ctx.bulk_loads()[gids] += sums[2, grain_cols] - sums[2, cost_cols]
+
+
+#: The plan of a sweep whose active set selects nothing.
+_NO_NODES = ChargePlan(np.empty(0, np.int64), np.empty(0, np.int64), 0, [])
+
+
+class _BulkPhases:
+    """:class:`_ScalarPhases` over the struct-of-arrays store: the kernel
+    computes every selected node's pending value up front, in one pass (it
+    is not called when an active set selects nothing); the two phases are
+    then pure accounting plus packing of the peripheral nodes' values."""
+
+    def __init__(
+        self,
+        store: SoAStore,
+        node_fn: NodeFn,
+        ctx: ComputeContext,
+        buffers: CommBuffers,
+        active: set[int] | None = None,
+        part: int | None = None,
+        changed_only: bool = False,
+    ) -> None:
+        kernel = node_fn.bulk
+        self._ctx, self._buffers, self._changed_only = ctx, buffers, changed_only
+        self._grain = kernel.node_grain
+        topo = store.bulk_topology()
+        n_int = topo.internal_count
+        if active is not None:
+            pos = topo.pos
+            ordered = [pos[g] for g in sorted(active) if g in pos]
+            internal = [] if part == _PERIPHERAL else [p for p in ordered if p < n_int]
+            peripheral = [] if part == _INTERNAL else [p for p in ordered if p >= n_int]
+            positions = np.array(internal + peripheral, dtype=np.intp)
+        elif part is None:
+            positions = None
+        else:
+            bounds = (0, n_int) if part == _INTERNAL else (n_int, len(topo.order_gids_arr))
+            positions = np.arange(*bounds, dtype=np.intp)
+        if positions is not None and not len(positions):
+            self._plan, self._fresh, self._committed, self.count = _NO_NODES, [], [], 0
+            return
+        view = store.bulk_view(
+            positions, ctx.iteration, ctx.round, key="dense" if positions is None else None
+        )
+        self._plan = view.plan
+        split = view.plan.split
+        # Exact Python objects, as the scalar path puts on the wire.
+        self._fresh = store.scatter_pending(positions, kernel(view), boxed_from=split)
+        self._committed = view.values[split:].tolist() if changed_only else []
+        self.count = len(view)
+
+    def internal(self) -> None:
+        """Charge the internal nodes' share of the sweep."""
+        _charge(self._ctx, self._plan, _INTERNAL, self._grain)
+
+    def peripheral(self) -> None:
+        """Charge the peripheral nodes' share and pack their fresh values --
+        all, or only those differing from the committed value, exactly as
+        :func:`_pack_node_delta` decides."""
+        plan, fresh = self._plan, self._fresh
+        packed: bool | list[bool] = True
+        if self._changed_only:
+            packed = [not (v is None or v == c) for v, c in zip(fresh, self._committed)]
+        _charge(self._ctx, plan, _PERIPHERAL, self._grain, packed)
+        for i, (gid, procs) in enumerate(zip(plan.gids[plan.split :].tolist(), plan.dests)):
+            if packed is True or packed[i]:
+                for proc in procs:
+                    self._buffers.pack(proc, gid, fresh[i])
+
+
+# --------------------------------------------------------------------- #
+# Dense pipelines (Figures 8 and 8a)
+# --------------------------------------------------------------------- #
+
+
 def _commit(store: NodeStore, ctx: ComputeContext) -> None:
     changed = store.commit_owned()
     ctx.changed_last_sweep = len(changed)
@@ -255,19 +597,20 @@ def sweep_basic(
     node_fn: NodeFn,
     ctx: ComputeContext,
     buffers: CommBuffers,
+    bulk: bool = False,
 ) -> None:
     """One Figure-8 compute+communicate sweep.
 
     ``ComputeOverNodes``: internals, then peripherals with packing, then
     commit.  ``CommunicateShadows``: Isend all buffers, blocking-receive
     from each neighbouring processor, unpack into the data node list.
+    ``bulk`` computes through the node function's bulk kernel (every
+    pipeline takes it; see the bulk section above).
     """
     buffers.reset()
-    for node in store.internal.values():
-        _compute_node(store, node, node_fn, ctx)
-    for node in store.peripheral.values():
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node(node, buffers, ctx)
+    phases = (_BulkPhases if bulk else _ScalarPhases)(store, node_fn, ctx, buffers)
+    phases.internal()
+    phases.peripheral()
     _commit(store, ctx)
 
     peers = _send_all(comm, buffers)
@@ -289,6 +632,7 @@ def sweep_overlapped(
     node_fn: NodeFn,
     ctx: ComputeContext,
     buffers: CommBuffers,
+    bulk: bool = False,
 ) -> None:
     """One Figure-8a sweep: communication overlapped with internal compute.
 
@@ -297,16 +641,14 @@ def sweep_overlapped(
     are in flight; finally the receives are waited on and unpacked.
     """
     buffers.reset()
-    for node in store.peripheral.values():
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node(node, buffers, ctx)
+    phases = (_BulkPhases if bulk else _ScalarPhases)(store, node_fn, ctx, buffers)
+    phases.peripheral()
 
     peers = _send_all(comm, buffers)
     ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
     requests = [(q, comm.irecv(source=q, tag=TAG_SHADOW)) for q in peers]
 
-    for node in store.internal.values():
-        _compute_node(store, node, node_fn, ctx)
+    phases.internal()
     _commit(store, ctx)
 
     for _, req in requests:
@@ -406,29 +748,6 @@ class DeltaState:
         ]
 
 
-def _active_nodes(
-    store: NodeStore, active: set[int] | None
-) -> tuple[list[OwnNode], list[OwnNode]]:
-    """The (internal, peripheral) nodes to compute this sweep, in gid order."""
-    if active is None:
-        return list(store.internal.values()), list(store.peripheral.values())
-    ordered = sorted(active)
-    internal = [store.internal[g] for g in ordered if g in store.internal]
-    peripheral = [store.peripheral[g] for g in ordered if g in store.peripheral]
-    return internal, peripheral
-
-
-def _pack_node_delta(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -> None:
-    """Pack only if the freshly computed value differs from the committed
-    one -- receivers treat absent records as "shadow still current"."""
-    data = node.data
-    if data.most_recent_data is None or data.most_recent_data == data.data:
-        return
-    for proc in node.shadow_for_procs:
-        buffers.pack(proc, node.global_id, data.most_recent_data)
-        ctx._comm_overhead(ctx.costs.pack_cost)
-
-
 def _commit_delta(
     store: NodeStore, ctx: ComputeContext, delta: DeltaState, active_count: int
 ) -> None:
@@ -469,6 +788,7 @@ def sweep_basic_delta(
     ctx: ComputeContext,
     buffers: CommBuffers,
     delta: DeltaState,
+    bulk: bool = False,
 ) -> None:
     """The Figure-8 sweep, change-driven.
 
@@ -482,13 +802,12 @@ def sweep_basic_delta(
     buffers.reset()
     tag = TAG_SHADOW_DELTA[delta.parity]
     delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    for node in internal:
-        _compute_node(store, node, node_fn, ctx)
-    for node in peripheral:
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node_delta(node, buffers, ctx)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
+    phases = (_BulkPhases if bulk else _ScalarPhases)(
+        store, node_fn, ctx, buffers, delta.begin_sweep(ctx.round), changed_only=True
+    )
+    phases.internal()
+    phases.peripheral()
+    _commit_delta(store, ctx, delta, phases.count)
 
     _send_all_delta(comm, buffers, tag)
     # Delivery fence: every peer's sends of this sweep happen-before its
@@ -509,6 +828,7 @@ def sweep_overlapped_delta(
     ctx: ComputeContext,
     buffers: CommBuffers,
     delta: DeltaState,
+    bulk: bool = False,
 ) -> None:
     """The Figure-8a sweep, change-driven.
 
@@ -519,287 +839,14 @@ def sweep_overlapped_delta(
     buffers.reset()
     tag = TAG_SHADOW_DELTA[delta.parity]
     delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    for node in peripheral:
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node_delta(node, buffers, ctx)
+    phases = (_BulkPhases if bulk else _ScalarPhases)(
+        store, node_fn, ctx, buffers, delta.begin_sweep(ctx.round), changed_only=True
+    )
+    phases.peripheral()
     _send_all_delta(comm, buffers, tag)
 
-    for node in internal:
-        _compute_node(store, node, node_fn, ctx)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
-
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    for q in sources:
-        _unpack_delta(store, comm.recv(source=q, tag=tag), ctx, delta)
-
-
-# --------------------------------------------------------------------- #
-# Bulk (struct-of-arrays) pipelines
-# --------------------------------------------------------------------- #
-#
-# When the store is a SoAStore and the node function carries a *bulk
-# kernel* (``fn.bulk``: a callable ``kernel(view) -> ndarray`` with a
-# ``node_grain`` float attribute), the sweep computes every active node's
-# value in one vectorized pass over a :class:`~repro.core.soastore.BulkView`
-# -- then *replays* the scalar path's exact per-node charge sequence
-# (bookkeeping, grain) through the communicator.  Every virtual-clock
-# addition happens in the same order with the same amounts, so clocks,
-# phase splits, per-node load measurements, and trace streams stay
-# bit-identical to the object store's scalar sweeps -- even under
-# slow-window fault scaling, which is a deterministic function of the
-# clock at charge time.  The wall-clock win comes from eliminating the
-# per-node view construction, hash lookups, and Python-level arithmetic.
-#
-# Bulk kernels must be pure (values from committed neighbour state only)
-# and must cost exactly ``node_grain`` virtual seconds per node; functions
-# with richer cost behaviour simply omit ``.bulk`` and take the scalar
-# path, which is equally conformant on either store.
-
-
-def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:
-    """Whether every node function carries a bulk kernel."""
-    return all(callable(getattr(fn, "bulk", None)) for fn in node_fns)
-
-
-def _replay_node(
-    node: OwnNode, grain: float, ctx: ComputeContext, book: dict[int, float]
-) -> None:
-    """Charge one node's scalar-path costs (no value computation)."""
-    deg = len(node.neighboring_nodes)
-    cost = book.get(deg)
-    if cost is None:
-        costs = ctx.costs
-        cost = book[deg] = (
-            costs.list_item_cost * (1 + deg)
-            + costs.hash_lookup_cost * deg
-            + costs.data_scan_item_cost * ctx.num_nodes / 2
-        )
-    ctx._bookkeeping(cost)
-    before = ctx.compute_time
-    ctx.work(grain)
-    spent = ctx.compute_time - before
-    if spent:
-        gid = node.global_id
-        ctx.node_compute[gid] = ctx.node_compute.get(gid, 0.0) + spent
-
-
-def _replay_compute(
-    nodes: list[OwnNode], grain: float, ctx: ComputeContext, book: dict[int, float]
-) -> None:
-    """Charge the scalar-path costs for ``nodes`` in sweep order.
-
-    When no slow-window fault scaling can apply (``compute_scale`` would
-    return 1.0 for every charge), the per-node sequence is plain float
-    addition with no data-dependent factors, so it is inlined here against
-    local accumulators -- the same additions in the same order as
-    :func:`_replay_node`, minus six Python calls per node.  Slow windows
-    make each charge a function of the clock at charge time, so that path
-    falls back to the per-node replay.
-    """
-    if grain < 0:
-        raise ValueError(f"cannot charge negative work: {grain}")
-    faults = ctx.comm.faults
-    if faults is not None and faults.plan.slow:
-        for node in nodes:
-            _replay_node(node, grain, ctx, book)
-        return
-    state = ctx.comm._state()
-    clock = state.clock
-    compute_time = ctx.compute_time
-    bookkeeping_time = ctx.bookkeeping_time
-    node_compute = ctx.node_compute
-    costs = ctx.costs
-    half_scan = costs.data_scan_item_cost * ctx.num_nodes / 2
-    for node in nodes:
-        deg = len(node.neighboring_nodes)
-        cost = book.get(deg)
-        if cost is None:
-            cost = book[deg] = (
-                costs.list_item_cost * (1 + deg)
-                + costs.hash_lookup_cost * deg
-                + half_scan
-            )
-        bookkeeping_time += cost
-        clock += cost
-        before = compute_time
-        compute_time += grain
-        clock += grain
-        spent = compute_time - before
-        if spent:
-            gid = node.global_id
-            node_compute[gid] = node_compute.get(gid, 0.0) + spent
-    state.clock = clock
-    ctx.compute_time = compute_time
-    ctx.bookkeeping_time = bookkeeping_time
-
-
-def _bulk_values(
-    store: SoAStore,
-    kernel: Any,
-    ctx: ComputeContext,
-    nodes: list[OwnNode] | None,
-    key: str | None,
-) -> list:
-    """Run the kernel over ``nodes`` (None = all owned) and store results
-    as pending values; returns them as exact Python objects, sweep order."""
-    if nodes is None:
-        positions = None
-    elif nodes:
-        pos = store.bulk_topology().pos
-        positions = np.fromiter(
-            (pos[node.global_id] for node in nodes), dtype=np.intp, count=len(nodes)
-        )
-    else:
-        return []
-    view = store.bulk_view(positions, ctx.iteration, ctx.round, key=key)
-    return store.scatter_pending(positions, kernel(view))
-
-
-def sweep_basic_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-) -> None:
-    """:func:`sweep_basic`, vectorized over the struct-of-arrays store."""
-    kernel = node_fn.bulk
-    buffers.reset()
-    values = _bulk_values(store, kernel, ctx, None, key="dense")
-    internal = list(store.internal.values())
-    peripheral = list(store.peripheral.values())
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    _replay_compute(internal, grain, ctx, book)
-    n_int = len(internal)
-    pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    _commit(store, ctx)
-
-    peers = _send_all(comm, buffers)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    received = [comm.recv(source=q, tag=TAG_SHADOW) for q in peers]
-    comm.barrier()
-    for records in received:
-        _unpack(store, records, ctx)
-
-
-def sweep_overlapped_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-) -> None:
-    """:func:`sweep_overlapped`, vectorized over the struct-of-arrays store."""
-    kernel = node_fn.bulk
-    buffers.reset()
-    values = _bulk_values(store, kernel, ctx, None, key="dense")
-    internal = list(store.internal.values())
-    peripheral = list(store.peripheral.values())
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    n_int = len(internal)
-    pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-
-    peers = _send_all(comm, buffers)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    requests = [(q, comm.irecv(source=q, tag=TAG_SHADOW)) for q in peers]
-
-    _replay_compute(internal, grain, ctx, book)
-    _commit(store, ctx)
-
-    for _, req in requests:
-        records = req.wait()
-        _unpack(store, records, ctx)
-
-
-def sweep_basic_delta_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    delta: DeltaState,
-) -> None:
-    """:func:`sweep_basic_delta`, vectorized: the active set becomes an
-    index array and the sparse sweep a gather-compute-scatter."""
-    kernel = node_fn.bulk
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    values = _bulk_values(store, kernel, ctx, internal + peripheral, key=None)
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    _replay_compute(internal, grain, ctx, book)
-    n_int = len(internal)
-    pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        if value is None or value == node.data.data:
-            continue
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
-
-    _send_all_delta(comm, buffers, tag)
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        _unpack_delta(store, records, ctx, delta)
-
-
-def sweep_overlapped_delta_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    delta: DeltaState,
-) -> None:
-    """:func:`sweep_overlapped_delta`, vectorized (see
-    :func:`sweep_basic_delta_bulk`)."""
-    kernel = node_fn.bulk
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
-    internal, peripheral = _active_nodes(store, delta.begin_sweep(ctx.round))
-    values = _bulk_values(store, kernel, ctx, internal + peripheral, key=None)
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    n_int = len(internal)
-    pack_cost = ctx.costs.pack_cost
-    for i, node in enumerate(peripheral):
-        _replay_node(node, grain, ctx, book)
-        value = values[n_int + i]
-        if value is None or value == node.data.data:
-            continue
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    _send_all_delta(comm, buffers, tag)
-
-    _replay_compute(internal, grain, ctx, book)
-    _commit_delta(store, ctx, delta, len(internal) + len(peripheral))
+    phases.internal()
+    _commit_delta(store, ctx, delta, phases.count)
 
     comm.barrier()
     sources = comm.pending_sources(tag)
@@ -917,20 +964,6 @@ class HybridState:
         self.inner_sweeps = state["inner_sweeps"]
 
 
-def _boundary_nodes(store: NodeStore, active: set[int] | None) -> list[OwnNode]:
-    """The peripheral nodes to compute this boundary phase, gid order."""
-    if active is None:
-        return list(store.peripheral.values())
-    return [store.peripheral[g] for g in sorted(active) if g in store.peripheral]
-
-
-def _interior_nodes(store: NodeStore, active: set[int] | None) -> list[OwnNode]:
-    """The interior nodes to compute this inner sweep, gid order."""
-    if active is None:
-        return list(store.internal.values())
-    return [store.internal[g] for g in sorted(active) if g in store.internal]
-
-
 def sweep_hybrid(
     comm: Communicator,
     store: NodeStore,
@@ -938,6 +971,7 @@ def sweep_hybrid(
     ctx: ComputeContext,
     buffers: CommBuffers,
     hybrid: HybridState,
+    bulk: bool = False,
 ) -> None:
     """One GraphHP-style two-phase superstep.
 
@@ -962,15 +996,16 @@ def sweep_hybrid(
     tag = TAG_SHADOW_DELTA[hybrid.parity]
     hybrid.parity ^= 1
     round_idx = ctx.round
+    make_phases = _BulkPhases if bulk else _ScalarPhases
 
     # ---- Boundary phase (globally synchronous, delta exchange) -------
-    boundary = _boundary_nodes(store, hybrid.begin_boundary(round_idx))
-    for node in boundary:
-        _compute_node(store, node, node_fn, ctx)
-        _pack_node_delta(node, buffers, ctx)
+    boundary = make_phases(
+        store, node_fn, ctx, buffers, hybrid.begin_boundary(round_idx), _PERIPHERAL, True
+    )
+    boundary.peripheral()
     changed = store.commit_owned()
     total_changed = len(changed)
-    ctx._bookkeeping(ctx.costs.update_cost * len(boundary))
+    ctx._bookkeeping(ctx.costs.update_cost * boundary.count)
     # Boundary changes land in the *unconsumed* interior frontier, feeding
     # this superstep's interior phase; interior commits below land in the
     # fresh boundary frontier, feeding the next superstep.
@@ -980,15 +1015,16 @@ def sweep_hybrid(
     # ---- Interior phase (local, asynchronous, overlaps the exchange) --
     sweeps = 0
     while sweeps < hybrid.inner_cap:
-        nodes = _interior_nodes(store, hybrid.begin_interior(round_idx))
-        if not nodes:
+        interior = make_phases(
+            store, node_fn, ctx, buffers, hybrid.begin_interior(round_idx), _INTERNAL
+        )
+        if not interior.count:
             break
         sweeps += 1
-        for node in nodes:
-            _compute_node(store, node, node_fn, ctx)
+        interior.internal()
         changed = store.commit_owned()
         total_changed += len(changed)
-        ctx._bookkeeping(ctx.costs.update_cost * len(nodes))
+        ctx._bookkeeping(ctx.costs.update_cost * interior.count)
         hybrid.record_commit(store, changed, ctx)
     hybrid.inner_sweeps += sweeps
     ctx.changed_last_sweep = total_changed
@@ -1004,70 +1040,3 @@ def sweep_hybrid(
         _unpack_delta(store, records, ctx, hybrid)
 
 
-def sweep_hybrid_bulk(
-    comm: Communicator,
-    store: SoAStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    hybrid: HybridState,
-) -> None:
-    """:func:`sweep_hybrid`, vectorized over the struct-of-arrays store.
-
-    Each phase is one gather-compute-scatter over an anonymous sparse
-    :class:`~repro.core.soastore.BulkView` (boundary set, then the interior
-    frontier of every inner sweep) with the scalar charge sequence
-    replayed, so clocks and values stay bit-identical to the scalar
-    pipeline on either store.  Converging interior frontiers revisit the
-    same position sets, which the store's geometry LRU turns into cache
-    hits.
-    """
-    kernel = node_fn.bulk
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[hybrid.parity]
-    hybrid.parity ^= 1
-    round_idx = ctx.round
-    grain = kernel.node_grain
-    book: dict[int, float] = {}
-    pack_cost = ctx.costs.pack_cost
-
-    # ---- Boundary phase ----------------------------------------------
-    boundary = _boundary_nodes(store, hybrid.begin_boundary(round_idx))
-    values = _bulk_values(store, kernel, ctx, boundary, key=None)
-    for i, node in enumerate(boundary):
-        _replay_node(node, grain, ctx, book)
-        value = values[i]
-        if value is None or value == node.data.data:
-            continue
-        for proc in node.shadow_for_procs:
-            buffers.pack(proc, node.global_id, value)
-            ctx._comm_overhead(pack_cost)
-    changed = store.commit_owned()
-    total_changed = len(changed)
-    ctx._bookkeeping(ctx.costs.update_cost * len(boundary))
-    hybrid.record_commit(store, changed, ctx)
-    _send_all_delta(comm, buffers, tag)
-
-    # ---- Interior phase ----------------------------------------------
-    sweeps = 0
-    while sweeps < hybrid.inner_cap:
-        nodes = _interior_nodes(store, hybrid.begin_interior(round_idx))
-        if not nodes:
-            break
-        sweeps += 1
-        _bulk_values(store, kernel, ctx, nodes, key=None)
-        _replay_compute(nodes, grain, ctx, book)
-        changed = store.commit_owned()
-        total_changed += len(changed)
-        ctx._bookkeeping(ctx.costs.update_cost * len(nodes))
-        hybrid.record_commit(store, changed, ctx)
-    hybrid.inner_sweeps += sweeps
-    ctx.changed_last_sweep = total_changed
-
-    # ---- Exchange completion -----------------------------------------
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        _unpack_delta(store, records, ctx, hybrid)

@@ -23,6 +23,7 @@ seconds of the paper's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..graphs.graph import Graph
@@ -41,15 +42,10 @@ from .compute import (
     NodeFn,
     supports_bulk,
     sweep_basic,
-    sweep_basic_bulk,
     sweep_basic_delta,
-    sweep_basic_delta_bulk,
     sweep_hybrid,
-    sweep_hybrid_bulk,
     sweep_overlapped,
-    sweep_overlapped_bulk,
     sweep_overlapped_delta,
-    sweep_overlapped_delta_bulk,
 )
 from .config import PlatformConfig
 from .integrity import IntegrityGuard, inject_memory_flips
@@ -364,20 +360,18 @@ class ICPlatform:
         store_cls = SoAStore if config.store == "soa" else NodeStore
         bulk = config.store == "soa" and supports_bulk(self.node_fns)
         if hybrid is not None:
-            hybrid_sweep = sweep_hybrid_bulk if bulk else sweep_hybrid
-            sweep = lambda c, s, fn, cx, buf: hybrid_sweep(c, s, fn, cx, buf, hybrid)  # noqa: E731
+            sweep = partial(sweep_hybrid, hybrid=hybrid, bulk=bulk)
         elif delta is not None:
-            if config.overlap_communication:
-                delta_sweep = (
-                    sweep_overlapped_delta_bulk if bulk else sweep_overlapped_delta
-                )
-            else:
-                delta_sweep = sweep_basic_delta_bulk if bulk else sweep_basic_delta
-            sweep = lambda c, s, fn, cx, buf: delta_sweep(c, s, fn, cx, buf, delta)  # noqa: E731
+            delta_sweep = (
+                sweep_overlapped_delta
+                if config.overlap_communication
+                else sweep_basic_delta
+            )
+            sweep = partial(delta_sweep, delta=delta, bulk=bulk)
         elif config.overlap_communication:
-            sweep = sweep_overlapped_bulk if bulk else sweep_overlapped
+            sweep = partial(sweep_overlapped, bulk=bulk)
         else:
-            sweep = sweep_basic_bulk if bulk else sweep_basic
+            sweep = partial(sweep_basic, bulk=bulk)
         quiescing = config.converge == "quiescence"
         # Stable identity: shrink recovery re-ranks the communicator, but
         # outcomes and trace records stay addressed by the original rank.
@@ -458,7 +452,7 @@ class ICPlatform:
                 "window_exec_time": window_exec_time,
                 "migrations": list(migrations),
                 "repartitions": repartitions,
-                "node_compute": dict(ctx.node_compute),
+                "node_compute": ctx.node_loads(),
                 "delta": delta.capture() if delta is not None else None,
                 "hybrid": hybrid.capture() if hybrid is not None else None,
             }
@@ -563,7 +557,7 @@ class ICPlatform:
                     window_exec_time = extras["window_exec_time"]
                     migrations[:] = extras["migrations"]
                     repartitions = extras["repartitions"]
-                    ctx.node_compute = dict(extras["node_compute"])
+                    ctx.set_node_loads(extras["node_compute"])
                     if delta is not None:
                         # The survivor stores were rebuilt from bare values
                         # (fresh version counters), so any saved frontier is
@@ -623,7 +617,7 @@ class ICPlatform:
                     window_exec_time = extras["window_exec_time"]
                     migrations[:] = extras["migrations"]
                     repartitions = extras["repartitions"]
-                    ctx.node_compute = dict(extras["node_compute"])
+                    ctx.set_node_loads(extras["node_compute"])
                     restore_delta(extras)
                     if guard is not None:
                         guard.reset_after_restore()
@@ -694,7 +688,7 @@ class ICPlatform:
                     window_exec_time = extras["window_exec_time"]
                     migrations[:] = extras["migrations"]
                     repartitions = extras["repartitions"]
-                    ctx.node_compute = dict(extras["node_compute"])
+                    ctx.set_node_loads(extras["node_compute"])
                     restore_delta(extras)
                     guard.reset_after_restore()
                     comm.barrier()

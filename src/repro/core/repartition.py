@@ -90,7 +90,7 @@ def repartition_phase(
     graph = store.graph
 
     # ---- 1. gather measured loads ------------------------------------
-    gathered = comm.gather(dict(ctx.node_compute), root=0)
+    gathered = comm.gather(ctx.node_loads(), root=0)
     new_assignment: list[int] | None = None
     if comm.rank == 0:
         merged: dict[int, float] = {}

@@ -52,7 +52,7 @@ import numpy as np
 
 from .nodestore import NodeStore
 
-__all__ = ["SoAStore", "BulkView"]
+__all__ = ["SoAStore", "BulkView", "ChargePlan"]
 
 #: Retained sparse gather geometries per topology epoch, evicted LRU
 #: (delta and hybrid frontiers often alternate between a small number of
@@ -115,6 +115,8 @@ class BulkView:
         cache: Kernel scratch dict.  For dense views it persists across
             sweeps until ownership surgery invalidates the topology, so
             kernels can stash per-node constants (boundary masks etc.).
+        plan: What the sweep's virtual-cost accountant needs to charge for
+            these nodes (:class:`ChargePlan`); kernels ignore it.
     """
 
     gids: np.ndarray
@@ -125,6 +127,7 @@ class BulkView:
     iteration: int
     round: int
     cache: dict[str, Any]
+    plan: "ChargePlan"
 
     def __len__(self) -> int:
         return len(self.gids)
@@ -136,6 +139,32 @@ class BulkView:
     def sum_neighbors(self) -> np.ndarray:
         """``sum(neighbour values)`` per node (0 for isolated nodes)."""
         return _ranges_sum(self.closed_values, self.indptr[:-1] + 1, self.indptr[1:])
+
+
+@dataclass(slots=True)
+class ChargePlan:
+    """The nodes of one bulk view as the virtual-cost accountant sees them.
+
+    Built from arrays the store already holds (never from ``OwnNode``
+    lists) and cached wherever the view's gather geometry is cached, so a
+    geometry hit is a plan hit.  The store knows no cost constants: the
+    compute layer folds them with these arrays into charge matrices and
+    memoizes those in ``templates``.
+
+    Attributes:
+        gids: Global IDs in sweep order -- internal nodes, then peripheral.
+        degrees: Neighbour counts, aligned with ``gids``.
+        split: Number of leading internal nodes.
+        dests: ``shadow_for_procs`` of each peripheral node, aligned with
+            ``gids[split:]``.
+        templates: The compute layer's memo (dies with the plan).
+    """
+
+    gids: np.ndarray
+    degrees: np.ndarray
+    split: int
+    dests: list[tuple[int, ...]]
+    templates: dict[Any, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -150,6 +179,8 @@ class _BulkTopo:
     flat_slots: np.ndarray
     degrees: np.ndarray
     pos: dict[int, int]
+    #: The dense (whole owned set) charge plan.
+    plan: ChargePlan
     view_caches: dict[str, tuple] = field(default_factory=dict)
     #: Anonymous sparse gather geometries keyed by the positions bytes
     #: (bounded LRU over dict insertion order; see
@@ -650,15 +681,22 @@ class SoAStore(NodeStore):
             for v in neighbors:
                 flat.append(slot_of[v])
             indptr[i + 1] = len(flat)
+        gids_arr = np.asarray(gids, dtype=np.int64)
         topo = _BulkTopo(
             order_gids=gids,
-            order_gids_arr=np.asarray(gids, dtype=np.int64),
+            order_gids_arr=gids_arr,
             slot_of_order=slots,
             internal_count=len(self.internal),
             indptr=indptr,
             flat_slots=np.asarray(flat, dtype=np.int64),
             degrees=degrees,
             pos={gid: i for i, gid in enumerate(gids)},
+            plan=ChargePlan(
+                gids_arr,
+                degrees,
+                len(self.internal),
+                [node.shadow_for_procs for node in self.peripheral.values()],
+            ),
         )
         self._topo = topo
         return topo
@@ -672,7 +710,9 @@ class SoAStore(NodeStore):
     ) -> BulkView:
         """Gather a :class:`BulkView` for the given sweep positions.
 
-        ``positions=None`` means the full owned set in sweep order.  When
+        ``positions=None`` means the full owned set in sweep order; explicit
+        positions list internal nodes before peripheral ones, as every sweep
+        does (the view's :class:`ChargePlan` splits them there).  When
         ``key`` is given, the gather geometry and the kernel cache dict are
         memoized on the topology (reused until the next ownership surgery).
         Anonymous sparse views (``positions`` given, no ``key`` -- the
@@ -682,7 +722,8 @@ class SoAStore(NodeStore):
         working sets), the CSR slice geometry is reused across supersteps
         instead of being rebuilt every sweep.  Hybrid execution leans on
         this hardest -- a converging interior frontier revisits the same
-        position sets across inner sweeps.
+        position sets across inner sweeps.  The charge plan rides the same
+        slot as the geometry.
         """
         topo = self.bulk_topology()
         cached = topo.view_caches.get(key) if key is not None else None
@@ -705,6 +746,7 @@ class SoAStore(NodeStore):
                     topo.indptr,
                     topo.degrees,
                     {},
+                    topo.plan,
                 )
             else:
                 positions = np.asarray(positions, dtype=np.intp)
@@ -718,13 +760,29 @@ class SoAStore(NodeStore):
                     - np.repeat(offsets[:-1], lens)
                     + np.repeat(starts, lens)
                 )
+                gids_arr = topo.order_gids_arr[positions]
+                # Internal nodes come first, so the ends tell a pure part.
+                n_int = topo.internal_count
+                if not len(positions) or positions[-1] < n_int:
+                    split = len(positions)
+                elif positions[0] >= n_int:
+                    split = 0
+                else:
+                    split = int(np.count_nonzero(positions < n_int))
+                dests = topo.plan.dests
                 geometry = (
-                    topo.order_gids_arr[positions],
+                    gids_arr,
                     topo.slot_of_order[positions],
                     topo.flat_slots[flat_idx],
                     offsets,
                     lens - 1,
                     {},
+                    ChargePlan(
+                        gids_arr,
+                        lens - 1,
+                        split,
+                        [dests[p - n_int] for p in positions[split:].tolist()],
+                    ),
                 )
             if key is not None:
                 topo.view_caches[key] = geometry
@@ -735,7 +793,7 @@ class SoAStore(NodeStore):
                 topo.sparse_cache[memo_key] = geometry
         else:
             geometry = cached
-        gids_arr, own_slots, flat_slots, indptr, degrees, kernel_cache = geometry
+        gids_arr, own_slots, flat_slots, indptr, degrees, kernel_cache, plan = geometry
         return BulkView(
             gids=gids_arr,
             values=self._values[own_slots],
@@ -745,13 +803,17 @@ class SoAStore(NodeStore):
             iteration=iteration,
             round=round_idx,
             cache=kernel_cache,
+            plan=plan,
         )
 
-    def scatter_pending(self, positions: np.ndarray | None, out: np.ndarray) -> list:
+    def scatter_pending(
+        self, positions: np.ndarray | None, out: np.ndarray, boxed_from: int = 0
+    ) -> list:
         """Install a bulk kernel's results as the pending values.
 
-        Returns the stored values as exact Python objects (the packing
-        path reuses them for wire payloads).
+        Returns the stored values from index ``boxed_from`` on as exact
+        Python objects: the packers put the peripheral tail on the wire and
+        nobody reads the rest, so boxing it would be wasted work.
         """
         topo = self.bulk_topology()
         slots = (
@@ -763,7 +825,7 @@ class SoAStore(NodeStore):
             arr = np.asarray(out, dtype=np.float64)
             self._pending[slots] = arr
             self._pending_mask[slots] = True
-            return arr.tolist()
+            return arr[boxed_from:].tolist()
         normalized = [
             value.item() if isinstance(value, np.generic) else value
             for value in (out.tolist() if isinstance(out, np.ndarray) else out)
@@ -771,4 +833,4 @@ class SoAStore(NodeStore):
         for slot, value in zip(slots.tolist(), normalized):
             self._pending[slot] = value
             self._pending_mask[slot] = value is not None
-        return normalized
+        return normalized[boxed_from:]

@@ -1,0 +1,215 @@
+"""Property tests: the vectorised accountant equals the per-node charge walk.
+
+The bulk sweeps hand a whole sweep's virtual charges to
+``compute._charge`` as one charge plan, folded into the clock and the time
+buckets with ``np.add.accumulate``.  The scalar path performs the same
+additions one node at a time.  Virtual time is the paper's result, so the
+two must agree to the last bit (``float.hex``), for any degree sequence,
+grain (including 0.0), start clock, shadow fan-out and delta "changed"
+mask -- on the clock, on the compute / bookkeeping / communication-overhead
+buckets, and on every node's measured load.
+
+The premise -- ``accumulate`` adds strictly left to right -- is pinned
+separately, so a numpy that breaks it fails loudly here rather than as an
+off-by-one-ulp clock in a conformance suite.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ComputeContext, PlatformCosts
+from repro.core.compute import _INTERNAL, _PERIPHERAL, _charge, _replay_node
+from repro.core.soastore import ChargePlan
+from repro.mpi import IDEAL, FaultPlan, run_mpi
+
+NUM_NODES = 400
+
+#: Armed but never active (the clocks below stay far under 1e300): arms the
+#: accountant's per-node fallback without scaling a single charge.
+INACTIVE_SLOW = FaultPlan.parse("slow=0:3.0:1e300:2e300")
+
+grains = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.3e-3, 3e-3, 1e-9]),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+)
+clocks = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+)
+
+
+@st.composite
+def sweeps(draw):
+    """A plan (internal + peripheral nodes), a grain, seeds and a mask."""
+    n_int = draw(st.integers(min_value=0, max_value=40))
+    n_per = draw(st.integers(min_value=0, max_value=12))
+    total = n_int + n_per
+    gids = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=NUM_NODES),
+            min_size=total,
+            max_size=total,
+            unique=True,
+        )
+    )
+    degrees = draw(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=total, max_size=total)
+    )
+    dests = [
+        tuple(range(draw(st.integers(min_value=1, max_value=4)))) for _ in range(n_per)
+    ]
+    mask = draw(st.lists(st.booleans(), min_size=n_per, max_size=n_per))
+    packed = draw(st.sampled_from([True, False, mask]))
+    seeds = tuple(draw(clocks) for _ in range(4))
+    return gids, degrees, n_int, dests, draw(grains), packed, seeds
+
+
+def make_plan(gids, degrees, n_int, dests) -> ChargePlan:
+    return ChargePlan(
+        np.asarray(gids, dtype=np.int64), np.asarray(degrees, dtype=np.int64), n_int, dests
+    )
+
+
+def seeded_context(comm, seeds) -> ComputeContext:
+    ctx = ComputeContext(comm, PlatformCosts(), NUM_NODES)
+    clock, ctx.bookkeeping_time, ctx.compute_time, ctx.comm_overhead_time = seeds
+    comm._state().clock = clock
+    return ctx
+
+
+def observed(ctx: ComputeContext) -> dict:
+    """Everything the accountant may touch, as exact hex strings."""
+    return {
+        "clock": ctx.comm._state().clock.hex(),
+        "bookkeeping": ctx.bookkeeping_time.hex(),
+        "compute": ctx.compute_time.hex(),
+        "comm_overhead": ctx.comm_overhead_time.hex(),
+        "loads": {gid: load.hex() for gid, load in sorted(ctx.node_loads().items())},
+    }
+
+
+def pack_counts(dests, packed) -> list[int]:
+    if packed is False:
+        return [0] * len(dests)
+    if packed is True:
+        return [len(procs) for procs in dests]
+    return [len(procs) if hit else 0 for procs, hit in zip(dests, packed)]
+
+
+def run_plan(case, faults=None) -> dict:
+    """Two sweeps through the seam (the second hits the memoized matrices
+    and lands on loads the first left behind)."""
+    gids, degrees, n_int, dests, grain, packed, seeds = case
+
+    def fn(comm):
+        ctx = seeded_context(comm, seeds)
+        plan = make_plan(gids, degrees, n_int, dests)
+        for _ in range(2):
+            _charge(ctx, plan, _INTERNAL, grain)
+            _charge(ctx, plan, _PERIPHERAL, grain, packed)
+        return observed(ctx)
+
+    return run_mpi(fn, 1, machine=IDEAL, faults=faults)[0]
+
+
+def run_walk(case) -> dict:
+    """The scalar path's sequence, spelled out node by node."""
+    gids, degrees, n_int, dests, grain, packed, seeds = case
+    packs = [0] * n_int + pack_counts(dests, packed)
+
+    def fn(comm):
+        ctx = seeded_context(comm, seeds)
+        book: dict[int, float] = {}
+        for _ in range(2):
+            for gid, deg, count in zip(gids, degrees, packs):
+                _replay_node(gid, deg, grain, ctx, book)
+                for _ in range(count):
+                    ctx._comm_overhead(ctx.costs.pack_cost)
+        return observed(ctx)
+
+    return run_mpi(fn, 1, machine=IDEAL)[0]
+
+
+class TestPlanEqualsWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweeps())
+    def test_bit_identical_to_replay_node_walk(self, case):
+        assert run_plan(case) == run_walk(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sweeps())
+    def test_armed_slow_window_takes_the_walk(self, case):
+        """With a ``slow=`` window armed the seam itself walks the nodes."""
+        assert run_plan(case, faults=INACTIVE_SLOW) == run_walk(case)
+
+    def test_zero_grain_leaves_no_load_key(self):
+        case = ([3, 1, 2], [2, 2, 1], 2, [(1,)], 0.0, True, (0.0, 0.0, 0.0, 0.0))
+        result = run_plan(case)
+        assert result["loads"] == {}
+        assert result["compute"] == (0.0).hex()
+        assert result == run_walk(case)
+
+    def test_negative_grain_rejected(self):
+        case = ([1], [1], 1, [], -1.0, False, (0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="negative work"):
+            run_plan(case)
+
+
+class TestLoadViews:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        before=st.lists(grains, min_size=1, max_size=4),
+        after=st.lists(grains, min_size=1, max_size=4),
+    )
+    def test_restore_continues_the_same_running_sums(self, before, after):
+        """A rollback reinstates captured loads where the accountant keeps
+        adding to them: capture + restore in mid-window changes no bit."""
+        gids, degrees = [5, 9, 7], [3, 1, 2]
+
+        def fn(comm, interrupted):
+            ctx = seeded_context(comm, (0.0, 0.0, 0.0, 0.0))
+            plan = make_plan(gids, degrees, len(gids), [])
+            for grain in before:
+                _charge(ctx, plan, _INTERNAL, grain)
+            if interrupted:
+                saved, compute_time = ctx.node_loads(), ctx.compute_time
+                assert type(saved) is dict
+                _charge(ctx, plan, _INTERNAL, 1.0)  # a sweep the rollback undoes
+                ctx.compute_time = compute_time
+                ctx.set_node_loads(saved)
+                assert ctx.node_loads() == saved
+            for grain in after:
+                _charge(ctx, plan, _INTERNAL, grain)
+            loads = observed(ctx)["loads"]
+            ctx.reset_node_loads()
+            assert ctx.node_loads() == {}
+            return loads
+
+        straight = run_mpi(fn, 1, False, machine=IDEAL)[0]
+        assert run_mpi(fn, 1, True, machine=IDEAL)[0] == straight
+
+
+class TestAccumulateIsSequential:
+    """The premise: ``np.add.accumulate`` == Python's left-to-right sum."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 17, 1000, 60_000])
+    def test_matches_python_running_sum(self, count):
+        rng = random.Random(count)
+        values = [rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-9, 3) for _ in range(count)]
+        total = 0.0
+        for value in values:
+            total += value
+        assert float(np.add.accumulate(np.asarray(values))[-1]).hex() == total.hex()
+        # The accountant's actual call: rows of a 2-D matrix, along axis 1.
+        matrix = np.asarray([values, values[::-1]])
+        reverse = 0.0
+        for value in values[::-1]:
+            reverse += value
+        sums = np.add.accumulate(matrix, axis=1)[:, -1].tolist()
+        assert [s.hex() for s in sums] == [total.hex(), reverse.hex()]

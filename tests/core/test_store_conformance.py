@@ -22,7 +22,7 @@ import pytest
 from repro.apps.average import make_average_fn
 from repro.apps.battlefield import BattlefieldApp, general_engagement
 from repro.apps.diffusion import hot_edge_plate, make_jacobi_fn
-from repro.core import ICPlatform, PlatformConfig
+from repro.core import Checkpointer, ICPlatform, PlatformConfig, SoAStore
 from repro.graphs import hex32
 from repro.mpi import FaultPlan
 from repro.partitioning import MetisLikePartitioner
@@ -75,7 +75,7 @@ def run_hex(store, *, node_fn=None, iterations=6, faults=None, jitter=None,
     )
 
 
-def run_plate(store, *, iterations=150, jitter=None, **overrides):
+def run_plate(store, *, iterations=150, faults=None, jitter=None, **overrides):
     graph, boundary, init = hot_edge_plate(8, 8)
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
     config = PlatformConfig(
@@ -85,7 +85,31 @@ def run_plate(store, *, iterations=150, jitter=None, **overrides):
         graph, make_jacobi_fn(boundary, quantize=4), init_value=init,
         config=config,
     )
-    return platform.run(partition, sched_jitter=jitter, deadlock_timeout=10.0)
+    return platform.run(
+        partition,
+        faults=FaultPlan.parse(faults) if faults else None,
+        sched_jitter=jitter,
+        deadlock_timeout=10.0,
+    )
+
+
+@pytest.fixture
+def checkpointed_loads(monkeypatch):
+    """``store kind -> {(rank, iteration): node_compute}`` as every checkpoint
+    captured it -- the per-node load window is not part of the result, so
+    the tests read it where the platform itself serializes it."""
+    captured: dict[str, dict] = {"object": {}, "soa": {}}
+    take = Checkpointer.take
+
+    def recording_take(self, iteration, store, **extras):
+        loads = extras["node_compute"]
+        assert type(loads) is dict
+        kind = "soa" if isinstance(store, SoAStore) else "object"
+        captured[kind][store.rank, iteration] = loads
+        return take(self, iteration, store, **extras)
+
+    monkeypatch.setattr(Checkpointer, "take", recording_take)
+    return captured
 
 
 def boundary_gid_of_rank(rank: int) -> int:
@@ -260,6 +284,88 @@ class TestLoadBalancing:
             rebalance_mode="repartition",
         )
         assert_identical(run_hex("object", **kwargs), run_hex("soa", **kwargs))
+
+    def test_repartition_crash_rollback_conformance(self, checkpointed_loads):
+        """The bulk sweeps keep per-node loads in an array; a crash makes
+        them travel through checkpoint capture and restore before the
+        repartitioner weighs the graph with them."""
+        kwargs = dict(
+            iterations=12,
+            dynamic_load_balancing=True,
+            lb_period=6,
+            rebalance_mode="repartition",
+            checkpoint_period=2,
+            faults="seed=3,crash=2@9",
+        )
+        obj = run_hex("object", **kwargs)
+        soa = run_hex("soa", **kwargs)
+        assert_identical(obj, soa)
+        assert obj.recoveries == 1
+        assert obj.repartitions >= 1
+        loads = checkpointed_loads
+        assert loads["soa"] == loads["object"]
+        # Checkpoint 8 (iterations 7-8 of the second window) is the one
+        # restored; checkpoint 10 holds its loads plus two more sweeps.
+        for rank in range(4):
+            restored, extended = (loads["object"][rank, i] for i in (8, 10))
+            assert restored and all(extended[g] > restored[g] for g in restored)
+
+
+class TestSlowWindow:
+    """An armed ``slow=RANK:FACTOR:START:END`` window makes every charge a
+    function of the clock at charge time, so the bulk sweeps' accountant
+    walks the nodes one by one instead of applying a vectorized charge plan
+    -- the one fallback branch it keeps.  The windows open and close in
+    mid-run (and mid-sweep), on a rank that owns boundary nodes."""
+
+    def assert_conforms(self, loads, runner, baseline, **kwargs):
+        obj = runner("object", **kwargs)
+        soa = runner("soa", **kwargs)
+        assert_identical(obj, soa)
+        assert obj.elapsed != baseline.elapsed  # the window really bit
+        assert loads["soa"] == loads["object"]
+        assert any(window for window in loads["object"].values())
+
+    def test_dense(self, checkpointed_loads):
+        self.assert_conforms(
+            checkpointed_loads,
+            run_hex,
+            run_hex("object"),
+            checkpoint_period=2,
+            faults="slow=1:2.5:0.003:0.008",
+        )
+
+    def test_dense_overlapped(self, checkpointed_loads):
+        self.assert_conforms(
+            checkpointed_loads,
+            run_hex,
+            run_hex("object", overlap_communication=True),
+            checkpoint_period=2,
+            overlap_communication=True,
+            faults="slow=1:2.5:0.003:0.008",
+        )
+
+    def test_sparse(self, checkpointed_loads):
+        kwargs = dict(activation="sparse", converge="quiescence")
+        self.assert_conforms(
+            checkpointed_loads,
+            run_plate,
+            run_plate("object", **kwargs),
+            checkpoint_period=20,
+            faults="slow=1:3.0:0.05:0.12",
+            **kwargs,
+        )
+
+    def test_hybrid(self, checkpointed_loads):
+        kwargs = dict(execution="hybrid", converge="quiescence")
+        self.assert_conforms(
+            checkpointed_loads,
+            run_plate,
+            run_plate("object", **kwargs),
+            checkpoint_period=20,
+            faults="slow=1:3.0:0.05:0.3",
+            **kwargs,
+        )
 
 
 class TestSoAScheduleFuzz:
