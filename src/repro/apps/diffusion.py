@@ -67,18 +67,23 @@ def make_jacobi_fn(
             result = round(result, quantize)
         return result
 
+    # The pins as gid-indexed arrays, owned by this function alone (two
+    # Jacobi functions with different boundaries may share one platform).
+    pinned = np.zeros(max(boundary, default=0) + 1, dtype=bool)
+    pinned[list(boundary)] = True
+    pin_values = np.zeros(len(pinned))
+    pin_values[list(boundary)] = list(boundary.values())
+
     def jacobi_bulk(view: BulkView) -> np.ndarray:
-        masks = view.cache.get("jacobi")
-        if masks is None or masks[0] is not view.gids:
-            gids = view.gids.tolist()
-            pin_mask = np.fromiter(
-                (gid in boundary for gid in gids), dtype=bool, count=len(gids)
-            )
-            pin_values = np.asarray(
-                [boundary.get(gid, 0.0) for gid in gids], dtype=np.float64
-            )
-            masks = view.cache["jacobi"] = (view.gids, pin_mask, pin_values)
-        _, pin_mask, pin_values = masks
+        nonlocal pinned, pin_values
+        gids = view.gids
+        try:
+            pin_mask = pinned[gids]
+        except IndexError:  # gids beyond the largest pinned one: none pinned
+            grow = int(gids.max()) + 1 - len(pinned)
+            pinned = np.concatenate([pinned, np.zeros(grow, dtype=bool)])
+            pin_values = np.concatenate([pin_values, np.zeros(grow)])
+            pin_mask = pinned[gids]
         degrees = view.degrees
         safe_degrees = np.where(degrees > 0, degrees, 1)
         mean = view.sum_neighbors() / safe_degrees
@@ -96,7 +101,7 @@ def make_jacobi_fn(
         if isolated.any():
             out[isolated] = view.values[isolated]
         if pin_mask.any():
-            out[pin_mask] = pin_values[pin_mask]
+            out[pin_mask] = pin_values[gids[pin_mask]]
         return out
 
     jacobi_bulk.node_grain = grain

@@ -23,7 +23,7 @@ function's vectorized kernel (same values, same virtual charges):
   (own or neighbour value changed since their last evaluation) are
   recomputed, only *changed* peripheral values are packed, empty sends are
   elided entirely, and receivers discover the actual sender set from the
-  mailbox after the sweep barrier (:class:`DeltaState` holds the per-round
+  mailbox after the sweep barrier (:class:`Frontier` holds the per-round
   active sets and the sweep-parity tag).
 * :func:`sweep_hybrid` -- the GraphHP two-phase superstep
   (``--execution hybrid``): a *boundary phase* computes the active
@@ -60,13 +60,12 @@ from .buffers import CommBuffers
 from .config import PlatformCosts
 from .node import OwnNode
 from .nodestore import NodeStore
-from .soastore import ChargePlan, SoAStore
+from .soastore import ChargePlan, SoAStore, concat_ranges
 
 __all__ = [
     "NodeView",
     "ComputeContext",
-    "DeltaState",
-    "HybridState",
+    "Frontier",
     "NodeFn",
     "sweep_basic",
     "sweep_overlapped",
@@ -264,30 +263,13 @@ def _pack_node_delta(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -
         ctx._comm_overhead(ctx.costs.pack_cost)
 
 
-def _active_nodes(
-    store: NodeStore, active: set[int] | None, part: int | None = None
-) -> tuple[Any, Any]:
-    """The (internal, peripheral) nodes to compute this sweep: list order,
-    or gid order under an active set; ``part`` keeps one class only."""
-    internal, peripheral = store.internal, store.peripheral
-    if active is None:
-        picked = (internal.values(), peripheral.values())
-    else:
-        ordered = sorted(active)
-        picked = (
-            [internal[g] for g in ordered if g in internal],
-            [peripheral[g] for g in ordered if g in peripheral],
-        )
-    if part is None:
-        return picked
-    return (picked[0], ()) if part == _INTERNAL else ((), picked[1])
-
-
 class _ScalarPhases:
     """One sweep's two compute phases, node by node through the node
-    function.  ``active``/``part`` select the nodes (``None`` = all / both
-    classes); ``changed_only`` packs only changed values (delta exchange).
-    ``count`` is the number of nodes the sweep computes."""
+    function.  ``frontier``/``part`` select the nodes: the frontier's active
+    set of the current round, or the ``part`` class of it, is consumed
+    (``None`` = all nodes / both classes); ``changed_only`` packs only
+    changed values (delta exchange).  ``count`` is the number of nodes the
+    sweep computes."""
 
     def __init__(
         self,
@@ -295,14 +277,26 @@ class _ScalarPhases:
         node_fn: NodeFn,
         ctx: ComputeContext,
         buffers: CommBuffers,
-        active: set[int] | None = None,
+        frontier: Frontier | None = None,
         part: int | None = None,
         changed_only: bool = False,
     ) -> None:
         self._args = (store, node_fn, ctx)
         self._buffers = buffers
         self._pack = _pack_node_delta if changed_only else _pack_node
-        self._internal, self._peripheral = _active_nodes(store, active, part)
+        internal, peripheral = store.internal, store.peripheral
+        active = frontier.begin(store, ctx.round, part) if frontier is not None else None
+        if active is None:  # dense: list order
+            picked: list[Any] = [internal.values(), peripheral.values()]
+        else:
+            ordered = frontier.gids(active)
+            picked = [
+                [internal[g] for g in ordered if g in internal],
+                [peripheral[g] for g in ordered if g in peripheral],
+            ]
+        if part is not None:
+            picked[1 - part] = ()
+        self._internal, self._peripheral = picked
         self.count = len(self._internal) + len(self._peripheral)
 
     def internal(self) -> None:
@@ -502,7 +496,7 @@ class _BulkPhases:
         node_fn: NodeFn,
         ctx: ComputeContext,
         buffers: CommBuffers,
-        active: set[int] | None = None,
+        frontier: Frontier | None = None,
         part: int | None = None,
         changed_only: bool = False,
     ) -> None:
@@ -511,12 +505,13 @@ class _BulkPhases:
         self._grain = kernel.node_grain
         topo = store.bulk_topology()
         n_int = topo.internal_count
+        active = frontier.begin(store, ctx.round, part) if frontier is not None else None
         if active is not None:
-            pos = topo.pos
-            ordered = [pos[g] for g in sorted(active) if g in pos]
-            internal = [] if part == _PERIPHERAL else [p for p in ordered if p < n_int]
-            peripheral = [] if part == _INTERNAL else [p for p in ordered if p >= n_int]
-            positions = np.array(internal + peripheral, dtype=np.intp)
+            # Gid order within each class, internal nodes first.
+            positions = topo.by_gid[active]
+            if part is None:
+                internal = positions < n_int
+                positions = np.concatenate((positions[internal], positions[~internal]))
         elif part is None:
             positions = None
         else:
@@ -581,8 +576,7 @@ def _send_all(comm: Communicator, buffers: CommBuffers) -> list[int]:
 
 
 def _unpack(store: NodeStore, records: list[tuple[int, Any]], ctx: ComputeContext) -> None:
-    for gid, value in records:
-        store.update_shadow(gid, value)
+    store.update_shadows(records)
     # Per-record constant plus the appendix's linear scan of the global
     # data node list while locating each record's home.
     ctx._comm_overhead(
@@ -661,102 +655,219 @@ def sweep_overlapped(
 # --------------------------------------------------------------------- #
 
 
-class DeltaState:
-    """Per-rank state of the change-driven execution mode.
+class _FrontierIndex:
+    """What a :class:`Frontier` derives from a store's owned set, rebuilt
+    once per surgery epoch.  *Local* indices number the owned nodes in gid
+    order -- the order active sets are consumed in."""
 
-    Holds one *dirty set* per communication round: the owned nodes whose
-    own or neighbour value changed since the start of that round's last
-    sweep.  ``None`` marks a round as *dense* -- every owned node computes
-    (the first iteration, and after any ownership change: migration,
-    repartition, shrink recovery, rollback to a version-less rebuild).
+    def __init__(self, store: NodeStore) -> None:
+        self.store = store
+        self.epoch = store.surgery_epoch
+        peripheral = store.peripheral
+        owned = sorted([*store.internal, *peripheral])
+        count = len(owned)
+        #: Owned gids, ascending.
+        self.gids = np.array(owned, dtype=np.int64)
+        #: ``gid -> local`` (-1 for a node this rank does not own).
+        self.local_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
+        self.local_of[self.gids] = np.arange(count)
+        is_peripheral = np.fromiter((gid in peripheral for gid in owned), bool, count)
+        #: Membership masks of the two node classes (``None`` = both).
+        self.classes = {
+            None: np.ones(count, dtype=bool),
+            _INTERNAL: ~is_peripheral,
+            _PERIPHERAL: is_peripheral,
+        }
+        neighbors = store.graph.neighbors
+        closed = [(gid, *neighbors(gid)) for gid in owned]
+        #: ``1 + degree`` per owned node, over the *whole* graph.
+        self.items = np.fromiter(map(len, closed), np.int64, count)
+        # CSR of the owned closed neighbourhoods, as locals: row ``i`` is
+        # ``targets[starts[i] : starts[i] + lens[i]]``.
+        flat = self.local_of[[gid for row in closed for gid in row]]
+        kept = np.concatenate(([0], np.cumsum(flat >= 0)))
+        bounds = kept[np.concatenate(([0], np.cumsum(self.items)))]
+        self.starts, self.lens = bounds[:-1], np.diff(bounds)
+        self.targets = flat[flat >= 0]
 
-    Per-round sets (rather than a single frontier) keep multi-round
+    def closed_neighbourhoods(self, local: np.ndarray) -> np.ndarray:
+        """The owned nodes in the closed neighbourhoods of ``local`` (a
+        node once per neighbourhood it lies in)."""
+        lens = self.lens[local]
+        return self.targets[concat_ranges(self.starts[local], lens, np.cumsum(lens))]
+
+
+class Frontier:
+    """Per-rank state of change-driven execution: which owned nodes must
+    recompute, per communication round.
+
+    One boolean mask per round over the rank's owned nodes *in gid order*
+    (a node is set when its own or a neighbour's value changed since the
+    start of that round's last sweep), plus a *dense* flag per (round, node
+    class): a dense class computes every node, in list order (the first
+    iteration, and after any ownership change: migration, repartition,
+    shrink recovery), and discards what was touched into it meanwhile.
+    Dense is a state of its own rather than an all-true mask because the
+    two orders differ after a migration and charges are order-sensitive
+    float sums.
+
+    Per-round masks (rather than a single frontier) keep multi-round
     applications like the battlefield simulation sound: round ``r``'s
     function may move a value even when round ``r-1``'s left it alone, so a
     node may only skip round ``r`` if nothing in its closed neighbourhood
     changed since its last *round-r* evaluation.
 
-    ``parity`` indexes :data:`TAG_SHADOW_DELTA` and flips every sweep; it
-    advances in lockstep on all ranks (sweeps are collective), so it is
-    deliberately *not* checkpointed -- after a rollback the live value is
-    still synchronized, while the dirty sets are restored from the
-    checkpoint so the frontier does not resume empty.
+    The change-driven sweeps consume a round whole (``part=None``); the
+    hybrid sweep consumes it by node class -- the peripheral (*boundary*)
+    nodes once per superstep, the internal (*interior*) nodes repeatedly
+    inside it, up to ``inner_cap`` sweeps (``None`` outside hybrid
+    execution).  A changed node activates its owned neighbours whatever
+    their class; arrivals can only reach peripheral nodes (an owned
+    neighbour of a shadow is peripheral by definition), which is what lets
+    the interior phase run before a superstep's messages are drained.
+
+    ``parity`` indexes :data:`TAG_SHADOW_DELTA` and flips once per exchange;
+    it advances in lockstep on all ranks, so it is deliberately *not*
+    checkpointed.  The active sets and the cumulative ``inner_sweeps``
+    counter are: a rollback must not resume with an empty frontier, and
+    replays to bit-identical telemetry.
     """
 
-    def __init__(self, rounds: int) -> None:
+    def __init__(self, rounds: int, inner_cap: int | None = None) -> None:
         self.rounds = rounds
+        self.inner_cap = inner_cap
         self.parity = 0
-        self.dirty: list[set[int] | None] = [None] * rounds
-
-    def begin_sweep(self, round_idx: int) -> set[int] | None:
-        """Consume round ``round_idx``'s active set (None = dense sweep).
-
-        A fresh empty set replaces it, ready to collect the changes this
-        sweep produces.
-        """
-        active = self.dirty[round_idx]
-        self.dirty[round_idx] = set()
-        return active
-
-    def _touch(self, gid: int) -> None:
-        for dset in self.dirty:
-            if dset is not None:
-                dset.add(gid)
-
-    def record_commit(self, store: NodeStore, changed: list[int], ctx: ComputeContext) -> None:
-        """A committed owned value changed: it and its owned neighbours must
-        recompute in every round."""
-        cost = 0.0
-        for gid in changed:
-            self._touch(gid)
-            neighbors = store.graph.neighbors(gid)
-            for v in neighbors:
-                if store.owns(v):
-                    self._touch(v)
-            cost += ctx.costs.list_item_cost * (1 + len(neighbors))
-        if cost:
-            ctx._bookkeeping(cost)
-
-    def record_arrival(self, store: NodeStore, gid: int, ctx: ComputeContext) -> None:
-        """A shadow value changed: its owned neighbours must recompute."""
-        neighbors = store.graph.neighbors(gid)
-        for v in neighbors:
-            if store.owns(v):
-                self._touch(v)
-        ctx._bookkeeping(ctx.costs.list_item_cost * (1 + len(neighbors)))
+        #: Interior sweeps executed over the whole run (telemetry).
+        self.inner_sweeps = 0
+        self.reset_dense()
 
     def reset_dense(self) -> None:
-        """Fall back to dense sweeps for every round.
+        """Fall back to dense sweeps for every round and class.
 
         Called after any event that changes ownership or rebuilds stores
         from bare values (migration, repartition, shrink recovery) -- a
         dense round is a safe superset of any frontier, and purity makes
         the extra evaluations value-neutral.
         """
-        self.dirty = [None] * self.rounds
+        self._index: _FrontierIndex | None = None
+        #: Active gids per round and class (``None`` = dense) while no index
+        #: is bound: a restore can run before the store it describes exists.
+        self._unbound: list[list[list[int] | None]] = [[None, None]] * self.rounds
 
-    def capture(self) -> dict[str, Any]:
-        """Checkpoint payload: the dirty sets as deterministic lists."""
+    def _bind(self, store: NodeStore) -> _FrontierIndex:
+        """The index for ``store`` as it is now; the active sets carry over
+        by gid when it had to be rebuilt."""
+        index = self._index
+        if index is None or index.store is not store or index.epoch != store.surgery_epoch:
+            active = self._active()
+            index = self._index = _FrontierIndex(store)
+            self._dense = np.array([[part is None for part in parts] for parts in active])
+            self._masks = []
+            for parts in active:
+                local = index.local_of[[gid for part in parts for gid in part or ()]]
+                mask = np.zeros(len(index.gids), dtype=bool)
+                mask[local[local >= 0]] = True
+                self._masks.append(mask)
+        return index
+
+    def _active(self) -> list[list[list[int] | None]]:
+        """Active gids per round and class, ascending (``None`` = dense)."""
+        index = self._index
+        if index is None:
+            return self._unbound
+        return [
+            [
+                None if dense[part] else index.gids[mask & index.classes[part]].tolist()
+                for part in (_INTERNAL, _PERIPHERAL)
+            ]
+            for mask, dense in zip(self._masks, self._dense)
+        ]
+
+    def begin(self, store: NodeStore, round_idx: int, part: int | None = None) -> np.ndarray | None:
+        """Consume round ``round_idx``'s active set, or one class of it: the
+        local indices to compute, ascending -- ``None`` for a dense sweep.
+        The consumed bits clear, ready to collect this sweep's changes."""
+        index = self._bind(store)
+        members = index.classes[part]
+        mask = self._masks[round_idx]
+        parts = slice(None) if part is None else part
+        if self._dense[round_idx, parts].any():
+            self._dense[round_idx, parts] = False
+            mask[members] = False
+            return None
+        active = np.flatnonzero(mask & members)
+        mask[active] = False
+        return active
+
+    def gids(self, active: np.ndarray) -> list[int]:
+        """The gids behind :meth:`begin`'s local indices, ascending."""
+        return self._index.gids[active].tolist()
+
+    def _touch(self, local: np.ndarray) -> None:
+        for mask in self._masks:
+            mask[local] = True
+
+    def record_commit(self, store: NodeStore, changed: list[int], ctx: ComputeContext) -> None:
+        """Committed owned values changed: those nodes and their owned
+        neighbours must recompute in every round."""
+        if not changed:
+            return
+        index = self._bind(store)
+        local = index.local_of[changed]
+        self._touch(index.closed_neighbourhoods(local))
+        # One charge per node in commit order, summed left to right.
+        cost = np.add.accumulate(ctx.costs.list_item_cost * index.items[local])[-1]
+        if cost:
+            ctx._bookkeeping(float(cost))
+
+    def record_arrivals(self, store: NodeStore, changed: list[int], ctx: ComputeContext) -> None:
+        """Shadow values changed: their owned neighbours must recompute."""
+        if not changed:
+            return
+        index = self._bind(store)
+        neighbors = store.graph.neighbors
+        touched: list[int] = []
+        for gid in changed:
+            around = neighbors(gid)
+            # One charge per record: an armed slow window scales each by the
+            # clock at charge time.
+            ctx._bookkeeping(ctx.costs.list_item_cost * (1 + len(around)))
+            touched.extend(around)
+        local = index.local_of[touched]
+        self._touch(local[local >= 0])
+
+    def capture(self, store: NodeStore) -> dict[str, Any]:
+        """Checkpoint payload: the active sets as plain sorted gid lists."""
+        self._bind(store)
+        active = self._active()
+        if self.inner_cap is None:
+            return {"dirty": [None if i is None else sorted(i + p) for i, p in active]}
         return {
-            "dirty": [sorted(d) if d is not None else None for d in self.dirty],
+            "boundary": [peripheral for _, peripheral in active],
+            "interior": [internal for internal, _ in active],
+            "inner_sweeps": self.inner_sweeps,
         }
 
     def restore(self, state: dict[str, Any]) -> None:
-        """Reinstate the frontier a checkpoint captured (rollback path)."""
-        self.dirty = [
-            set(d) if d is not None else None for d in state["dirty"]
-        ]
+        """Reinstate what a checkpoint captured (rollback path)."""
+        self.reset_dense()
+        if "dirty" in state:  # both classes at once; binding takes the union
+            self._unbound = [[dirty, dirty] for dirty in state["dirty"]]
+        else:
+            self._unbound = [list(parts) for parts in zip(state["interior"], state["boundary"])]
+            self.inner_sweeps = state["inner_sweeps"]
 
 
 def _commit_delta(
-    store: NodeStore, ctx: ComputeContext, delta: DeltaState, active_count: int
-) -> None:
+    store: NodeStore, ctx: ComputeContext, frontier: Frontier, active_count: int
+) -> int:
+    """Commit a change-driven sweep; returns how many values changed."""
     changed = store.commit_owned()
-    ctx.changed_last_sweep = len(changed)
     # Only the recomputed nodes carry a pending value, so only they pay the
     # update charge -- part of the sparse mode's virtual-time win.
     ctx._bookkeeping(ctx.costs.update_cost * active_count)
-    delta.record_commit(store, changed, ctx)
+    frontier.record_commit(store, changed, ctx)
+    return len(changed)
 
 
 def _send_all_delta(comm: Communicator, buffers: CommBuffers, tag: int) -> None:
@@ -770,15 +881,28 @@ def _unpack_delta(
     store: NodeStore,
     records: tuple[tuple[int, Any], ...],
     ctx: ComputeContext,
-    delta: DeltaState,
+    frontier: Frontier,
 ) -> None:
-    for gid, value in records:
-        if store.update_shadow(gid, value):
-            delta.record_arrival(store, gid, ctx)
+    frontier.record_arrivals(store, store.update_shadows(records), ctx)
     ctx._comm_overhead(
         len(records)
         * (ctx.costs.unpack_cost + ctx.costs.unpack_scan_item_cost * ctx.num_nodes / 2)
     )
+
+
+def _drain_delta(
+    comm: Communicator, store: NodeStore, ctx: ComputeContext, frontier: Frontier, tag: int
+) -> None:
+    """Fence delivery, then receive and unpack what peers actually sent."""
+    # Every peer's sends of this sweep happen-before its barrier entry
+    # (sends are eagerly buffered), so after release the pending-sources
+    # query is deterministic.
+    comm.barrier()
+    sources = comm.pending_sources(tag)
+    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
+    received = [comm.recv(source=q, tag=tag) for q in sources]
+    for records in received:
+        _unpack_delta(store, records, ctx, frontier)
 
 
 def sweep_basic_delta(
@@ -787,7 +911,7 @@ def sweep_basic_delta(
     node_fn: NodeFn,
     ctx: ComputeContext,
     buffers: CommBuffers,
-    delta: DeltaState,
+    frontier: Frontier,
     bulk: bool = False,
 ) -> None:
     """The Figure-8 sweep, change-driven.
@@ -796,29 +920,22 @@ def sweep_basic_delta(
     changed peripheral values are packed and only nonempty buffers are
     sent.  Elision breaks receive symmetry -- a rank can no longer post one
     receive per graph neighbour -- so the sweep barrier doubles as the
-    delivery fence: afterwards the mailbox is asked which peers actually
-    sent this sweep's tag, and exactly those messages are received.
+    delivery fence (:func:`_drain_delta`): afterwards the mailbox is asked
+    which peers actually sent this sweep's tag, and exactly those messages
+    are received.
     """
     buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
+    tag = TAG_SHADOW_DELTA[frontier.parity]
+    frontier.parity ^= 1
     phases = (_BulkPhases if bulk else _ScalarPhases)(
-        store, node_fn, ctx, buffers, delta.begin_sweep(ctx.round), changed_only=True
+        store, node_fn, ctx, buffers, frontier, changed_only=True
     )
     phases.internal()
     phases.peripheral()
-    _commit_delta(store, ctx, delta, phases.count)
+    ctx.changed_last_sweep = _commit_delta(store, ctx, frontier, phases.count)
 
     _send_all_delta(comm, buffers, tag)
-    # Delivery fence: every peer's sends of this sweep happen-before its
-    # barrier entry (sends are eagerly buffered), so after release the
-    # pending-sources query is deterministic.
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        _unpack_delta(store, records, ctx, delta)
+    _drain_delta(comm, store, ctx, frontier, tag)
 
 
 def sweep_overlapped_delta(
@@ -827,7 +944,7 @@ def sweep_overlapped_delta(
     node_fn: NodeFn,
     ctx: ComputeContext,
     buffers: CommBuffers,
-    delta: DeltaState,
+    frontier: Frontier,
     bulk: bool = False,
 ) -> None:
     """The Figure-8a sweep, change-driven.
@@ -837,131 +954,27 @@ def sweep_overlapped_delta(
     then fences delivery and the discovered senders are drained.
     """
     buffers.reset()
-    tag = TAG_SHADOW_DELTA[delta.parity]
-    delta.parity ^= 1
+    tag = TAG_SHADOW_DELTA[frontier.parity]
+    frontier.parity ^= 1
     phases = (_BulkPhases if bulk else _ScalarPhases)(
-        store, node_fn, ctx, buffers, delta.begin_sweep(ctx.round), changed_only=True
+        store, node_fn, ctx, buffers, frontier, changed_only=True
     )
     phases.peripheral()
     _send_all_delta(comm, buffers, tag)
 
     phases.internal()
-    _commit_delta(store, ctx, delta, phases.count)
+    ctx.changed_last_sweep = _commit_delta(store, ctx, frontier, phases.count)
 
     comm.barrier()
     sources = comm.pending_sources(tag)
     ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
     for q in sources:
-        _unpack_delta(store, comm.recv(source=q, tag=tag), ctx, delta)
+        _unpack_delta(store, comm.recv(source=q, tag=tag), ctx, frontier)
 
 
 # --------------------------------------------------------------------- #
 # Hybrid sync/async (GraphHP) pipeline
 # --------------------------------------------------------------------- #
-
-
-class HybridState:
-    """Per-rank state of the hybrid (GraphHP-style) execution mode.
-
-    Like :class:`DeltaState`, but the per-round frontier is *split by node
-    class*: ``boundary[r]`` holds active peripheral nodes (computed once
-    per superstep, in the globally synchronized boundary phase) and
-    ``interior[r]`` holds active interior nodes (iterated locally to
-    convergence inside the superstep).  ``None`` marks a frontier dense.
-    A changed node activates its owned neighbours into whichever frontier
-    their classification demands, so migration/repartition/shrink (which
-    rebuild the classification) are handled by the same
-    :meth:`reset_dense` fallback the delta mode uses.
-
-    ``parity`` flips once per *superstep* (not per inner sweep -- interior
-    iteration is message-free, so the exchange tags stay lockstep across
-    ranks with different inner-sweep counts) and is deliberately not
-    checkpointed, like :class:`DeltaState.parity`.  The cumulative
-    ``inner_sweeps`` counter *is* checkpointed: it rides snapshots so a
-    rollback replays to bit-identical telemetry.
-    """
-
-    def __init__(self, rounds: int, inner_cap: int) -> None:
-        self.rounds = rounds
-        self.inner_cap = inner_cap
-        self.parity = 0
-        self.boundary: list[set[int] | None] = [None] * rounds
-        self.interior: list[set[int] | None] = [None] * rounds
-        #: Interior sweeps executed over the whole run (telemetry).
-        self.inner_sweeps = 0
-
-    def begin_boundary(self, round_idx: int) -> set[int] | None:
-        """Consume round ``round_idx``'s boundary frontier (None = dense)."""
-        active = self.boundary[round_idx]
-        self.boundary[round_idx] = set()
-        return active
-
-    def begin_interior(self, round_idx: int) -> set[int] | None:
-        """Consume round ``round_idx``'s interior frontier (None = dense)."""
-        active = self.interior[round_idx]
-        self.interior[round_idx] = set()
-        return active
-
-    def _touch(self, store: NodeStore, gid: int) -> None:
-        frontiers = (
-            self.boundary if gid in store.peripheral else self.interior
-        )
-        for fset in frontiers:
-            if fset is not None:
-                fset.add(gid)
-
-    def record_commit(
-        self, store: NodeStore, changed: list[int], ctx: ComputeContext
-    ) -> None:
-        """A committed owned value changed: it and its owned neighbours must
-        recompute in every round, each in its own class's frontier."""
-        cost = 0.0
-        for gid in changed:
-            self._touch(store, gid)
-            neighbors = store.graph.neighbors(gid)
-            for v in neighbors:
-                if store.owns(v):
-                    self._touch(store, v)
-            cost += ctx.costs.list_item_cost * (1 + len(neighbors))
-        if cost:
-            ctx._bookkeeping(cost)
-
-    def record_arrival(self, store: NodeStore, gid: int, ctx: ComputeContext) -> None:
-        """A shadow value changed: its owned neighbours must recompute.
-
-        Every owned neighbour of a shadow is peripheral by definition, so
-        arrivals only ever grow the *boundary* frontier -- the invariant
-        that lets the interior phase run before this superstep's messages
-        are drained.
-        """
-        neighbors = store.graph.neighbors(gid)
-        for v in neighbors:
-            if store.owns(v):
-                self._touch(store, v)
-        ctx._bookkeeping(ctx.costs.list_item_cost * (1 + len(neighbors)))
-
-    def reset_dense(self) -> None:
-        """Fall back to dense phases for every round (ownership changed)."""
-        self.boundary = [None] * self.rounds
-        self.interior = [None] * self.rounds
-
-    def capture(self) -> dict[str, Any]:
-        """Checkpoint payload: both frontiers plus the inner-sweep counter."""
-        return {
-            "boundary": [sorted(d) if d is not None else None for d in self.boundary],
-            "interior": [sorted(d) if d is not None else None for d in self.interior],
-            "inner_sweeps": self.inner_sweeps,
-        }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        """Reinstate the frontiers and counter a checkpoint captured."""
-        self.boundary = [
-            set(d) if d is not None else None for d in state["boundary"]
-        ]
-        self.interior = [
-            set(d) if d is not None else None for d in state["interior"]
-        ]
-        self.inner_sweeps = state["inner_sweeps"]
 
 
 def sweep_hybrid(
@@ -970,7 +983,7 @@ def sweep_hybrid(
     node_fn: NodeFn,
     ctx: ComputeContext,
     buffers: CommBuffers,
-    hybrid: HybridState,
+    frontier: Frontier,
     bulk: bool = False,
 ) -> None:
     """One GraphHP-style two-phase superstep.
@@ -993,50 +1006,31 @@ def sweep_hybrid(
     always has a nonzero change count backing it.
     """
     buffers.reset()
-    tag = TAG_SHADOW_DELTA[hybrid.parity]
-    hybrid.parity ^= 1
-    round_idx = ctx.round
+    tag = TAG_SHADOW_DELTA[frontier.parity]
+    frontier.parity ^= 1
     make_phases = _BulkPhases if bulk else _ScalarPhases
 
     # ---- Boundary phase (globally synchronous, delta exchange) -------
-    boundary = make_phases(
-        store, node_fn, ctx, buffers, hybrid.begin_boundary(round_idx), _PERIPHERAL, True
-    )
+    boundary = make_phases(store, node_fn, ctx, buffers, frontier, _PERIPHERAL, True)
     boundary.peripheral()
-    changed = store.commit_owned()
-    total_changed = len(changed)
-    ctx._bookkeeping(ctx.costs.update_cost * boundary.count)
-    # Boundary changes land in the *unconsumed* interior frontier, feeding
+    # Boundary changes land in the *unconsumed* interior class, feeding
     # this superstep's interior phase; interior commits below land in the
-    # fresh boundary frontier, feeding the next superstep.
-    hybrid.record_commit(store, changed, ctx)
+    # freshly consumed boundary class, feeding the next superstep.
+    total_changed = _commit_delta(store, ctx, frontier, boundary.count)
     _send_all_delta(comm, buffers, tag)
 
     # ---- Interior phase (local, asynchronous, overlaps the exchange) --
     sweeps = 0
-    while sweeps < hybrid.inner_cap:
-        interior = make_phases(
-            store, node_fn, ctx, buffers, hybrid.begin_interior(round_idx), _INTERNAL
-        )
+    while sweeps < frontier.inner_cap:
+        interior = make_phases(store, node_fn, ctx, buffers, frontier, _INTERNAL)
         if not interior.count:
             break
         sweeps += 1
         interior.internal()
-        changed = store.commit_owned()
-        total_changed += len(changed)
-        ctx._bookkeeping(ctx.costs.update_cost * interior.count)
-        hybrid.record_commit(store, changed, ctx)
-    hybrid.inner_sweeps += sweeps
+        total_changed += _commit_delta(store, ctx, frontier, interior.count)
+    frontier.inner_sweeps += sweeps
     ctx.changed_last_sweep = total_changed
 
-    # ---- Exchange completion -----------------------------------------
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        # HybridState.record_arrival matches DeltaState's signature, so the
-        # delta unpacker threads it unchanged.
-        _unpack_delta(store, records, ctx, hybrid)
+    _drain_delta(comm, store, ctx, frontier, tag)
 
 

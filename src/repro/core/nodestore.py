@@ -17,7 +17,7 @@ nodes, and rebuilding ``shadow_for_procs`` after ownership changes.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..graphs.graph import Graph
 from .hashtable import NodeHashTable
@@ -60,6 +60,10 @@ class NodeStore:
         # *and* by halt-flag changes -- see :meth:`set_halted`).
         self._buffer_sizes_cache: dict[int, list[int]] = {}
         self._neighbor_procs_cache: list[int] | None = None
+        #: Bumped by every :meth:`_invalidate_topology_cache`: whoever
+        #: derives arrays from the owned set (the change-driven frontier)
+        #: compares it to tell when they are stale.
+        self.surgery_epoch = 0
         self._build(init_value)
 
     # ------------------------------------------------------------------ #
@@ -246,6 +250,7 @@ class NodeStore:
         """
         self._buffer_sizes_cache.clear()
         self._neighbor_procs_cache = None
+        self.surgery_epoch += 1
 
     # ------------------------------------------------------------------ #
     # Halt flags
@@ -314,6 +319,11 @@ class NodeStore:
         record.data = value
         record.version += 1
         return True
+
+    def update_shadows(self, records: Iterable[tuple[int, Any]]) -> list[int]:
+        """Install one message's ``(gid, value)`` shadow records, in order;
+        returns the gids whose shadow actually changed (record order)."""
+        return [gid for gid, value in records if self.update_shadow(gid, value)]
 
     # ------------------------------------------------------------------ #
     # Task-migration surgery (section 4.3)

@@ -37,8 +37,7 @@ from .buffers import CommBuffers
 from .checkpoint import Checkpointer
 from .compute import (
     ComputeContext,
-    DeltaState,
-    HybridState,
+    Frontier,
     NodeFn,
     supports_bulk,
     sweep_basic,
@@ -339,18 +338,13 @@ class ICPlatform:
     def _rank_main(self, comm: Communicator, partition: Partition) -> RankOutcome:
         config = self.config
         phases = PhaseTimes()
-        # Hybrid execution supersedes the activation switch: its frontiers
-        # are inherently change-driven, so a DeltaState would be redundant.
-        hybrid = (
-            HybridState(len(self.node_fns), config.hybrid_inner_cap)
-            if config.execution == "hybrid"
-            else None
-        )
-        # Change-driven mode threads a DeltaState through the sweeps; the
-        # dense pipelines keep the thesis's exact behaviour.
-        delta = (
-            DeltaState(len(self.node_fns))
-            if hybrid is None and config.activation == "sparse"
+        # Hybrid execution supersedes the activation switch (it is
+        # inherently change-driven).  Both thread one Frontier through the
+        # sweeps; the dense pipelines keep the thesis's exact behaviour.
+        hybrid = config.execution == "hybrid"
+        frontier = (
+            Frontier(len(self.node_fns), config.hybrid_inner_cap if hybrid else None)
+            if hybrid or config.activation == "sparse"
             else None
         )
         # The struct-of-arrays store takes the vectorized pipelines whenever
@@ -359,15 +353,15 @@ class ICPlatform:
         # are equally conformant on either store.
         store_cls = SoAStore if config.store == "soa" else NodeStore
         bulk = config.store == "soa" and supports_bulk(self.node_fns)
-        if hybrid is not None:
-            sweep = partial(sweep_hybrid, hybrid=hybrid, bulk=bulk)
-        elif delta is not None:
+        if hybrid:
+            sweep = partial(sweep_hybrid, frontier=frontier, bulk=bulk)
+        elif frontier is not None:
             delta_sweep = (
                 sweep_overlapped_delta
                 if config.overlap_communication
                 else sweep_basic_delta
             )
-            sweep = partial(delta_sweep, delta=delta, bulk=bulk)
+            sweep = partial(delta_sweep, frontier=frontier, bulk=bulk)
         elif config.overlap_communication:
             sweep = partial(sweep_overlapped, bulk=bulk)
         else:
@@ -448,31 +442,23 @@ class ICPlatform:
 
         def loop_extras() -> dict[str, Any]:
             # Rollback-sensitive loop state that lives outside the store.
+            # The frontier rides under the key of the mode it serves.
+            active = frontier.capture(store) if frontier is not None else None
             return {
                 "window_exec_time": window_exec_time,
                 "migrations": list(migrations),
                 "repartitions": repartitions,
                 "node_compute": ctx.node_loads(),
-                "delta": delta.capture() if delta is not None else None,
-                "hybrid": hybrid.capture() if hybrid is not None else None,
+                "delta": None if hybrid else active,
+                "hybrid": active if hybrid else None,
             }
 
         def restore_delta(extras: dict[str, Any]) -> None:
             # Reinstate the change frontier a checkpoint captured -- a
             # rollback must not resume with an empty frontier (nodes whose
             # pending changes were rolled back would never recompute).
-            if delta is not None:
-                saved = extras.get("delta")
-                if saved is not None:
-                    delta.restore(saved)
-                else:
-                    delta.reset_dense()
-            if hybrid is not None:
-                saved = extras.get("hybrid")
-                if saved is not None:
-                    hybrid.restore(saved)
-                else:
-                    hybrid.reset_dense()
+            if frontier is not None:
+                frontier.restore(extras["hybrid" if hybrid else "delta"])
 
         if has_crashes or (digesting and has_flips) or checkpointer.period:
             # Post-initialization baseline: guarantees a recovery point even
@@ -537,7 +523,7 @@ class ICPlatform:
                             integrity_records=integrity_records,
                             repairs=repairs,
                             inner_sweeps=(
-                                hybrid.inner_sweeps if hybrid is not None else 0
+                                frontier.inner_sweeps if frontier is not None else 0
                             ),
                             sparse_geom_hits=getattr(store, "sparse_geom_hits", 0),
                             sparse_geom_misses=getattr(
@@ -558,16 +544,12 @@ class ICPlatform:
                     migrations[:] = extras["migrations"]
                     repartitions = extras["repartitions"]
                     ctx.set_node_loads(extras["node_compute"])
-                    if delta is not None:
+                    if frontier is not None:
                         # The survivor stores were rebuilt from bare values
-                        # (fresh version counters), so any saved frontier is
-                        # meaningless: fall back to dense sweeps.
-                        delta.reset_dense()
-                    if hybrid is not None:
-                        # Same argument -- and the interior/boundary split was
-                        # recomputed by the rebuild, so dense phases re-derive
-                        # the frontiers from the new classification.
-                        hybrid.reset_dense()
+                        # (fresh version counters, new interior/boundary
+                        # split), so any saved frontier is meaningless: fall
+                        # back to dense sweeps.
+                        frontier.reset_dense()
                     if guard is not None:
                         guard.rebind(comm, store)
                     recovery_elapsed = comm.Wtime() - t_rec
@@ -780,15 +762,12 @@ class ICPlatform:
                     migrations.extend(events)
                 window_exec_time = 0.0  # the thesis resets the window
                 ctx.reset_node_loads()
-                if delta is not None:
-                    # Ownership changed (or stores were rebuilt): saved
-                    # frontiers no longer describe this rank's nodes, so the
-                    # next sweep of every round runs dense.
-                    delta.reset_dense()
-                if hybrid is not None:
-                    # Migration/repartition reclassified interior vs boundary
-                    # nodes wholesale: re-derive both frontiers densely.
-                    hybrid.reset_dense()
+                if frontier is not None:
+                    # Ownership changed (or stores were rebuilt) and interior
+                    # vs boundary nodes were reclassified: the saved frontier
+                    # no longer describes this rank's nodes, so the next
+                    # sweep of every round runs dense.
+                    frontier.reset_dense()
                 comm.barrier()
                 phases.load_balancing += comm.Wtime() - t_lb
                 if config.validate_each_iteration:
@@ -864,7 +843,7 @@ class ICPlatform:
             iterations_executed=(
                 iteration if quiescence_records else config.iterations
             ),
-            inner_sweeps=hybrid.inner_sweeps if hybrid is not None else 0,
+            inner_sweeps=frontier.inner_sweeps if frontier is not None else 0,
             sparse_geom_hits=getattr(store, "sparse_geom_hits", 0),
             sparse_geom_misses=getattr(store, "sparse_geom_misses", 0),
         )

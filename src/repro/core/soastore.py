@@ -46,13 +46,13 @@ against the object store):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from .nodestore import NodeStore
 
-__all__ = ["SoAStore", "BulkView", "ChargePlan"]
+__all__ = ["SoAStore", "BulkView", "ChargePlan", "concat_ranges"]
 
 #: Retained sparse gather geometries per topology epoch, evicted LRU
 #: (delta and hybrid frontiers often alternate between a small number of
@@ -90,6 +90,13 @@ def _ranges_sum(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     return out
 
 
+def concat_ranges(starts: np.ndarray, lens: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Indices of the ranges ``starts[i] : starts[i] + lens[i]``, one after
+    the other (a CSR row gather); ``ends`` is ``np.cumsum(lens)``."""
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.intp) + np.repeat(starts - (ends - lens), lens)
+
+
 # --------------------------------------------------------------------- #
 # Bulk view (what a vectorized node kernel sees)
 # --------------------------------------------------------------------- #
@@ -112,9 +119,6 @@ class BulkView:
         degrees: Neighbour counts, aligned with ``gids``.
         iteration: Current platform iteration (0-based).
         round: Current communication round.
-        cache: Kernel scratch dict.  For dense views it persists across
-            sweeps until ownership surgery invalidates the topology, so
-            kernels can stash per-node constants (boundary masks etc.).
         plan: What the sweep's virtual-cost accountant needs to charge for
             these nodes (:class:`ChargePlan`); kernels ignore it.
     """
@@ -126,7 +130,6 @@ class BulkView:
     degrees: np.ndarray
     iteration: int
     round: int
-    cache: dict[str, Any]
     plan: "ChargePlan"
 
     def __len__(self) -> int:
@@ -178,7 +181,9 @@ class _BulkTopo:
     indptr: np.ndarray
     flat_slots: np.ndarray
     degrees: np.ndarray
-    pos: dict[int, int]
+    #: Sweep position of the ``i``-th smallest owned gid: maps a frontier's
+    #: gid-ordered local indices to positions with one fancy index.
+    by_gid: np.ndarray
     #: The dense (whole owned set) charge plan.
     plan: ChargePlan
     view_caches: dict[str, tuple] = field(default_factory=dict)
@@ -659,6 +664,33 @@ class SoAStore(NodeStore):
         self._versions[slot] += 1
         return True
 
+    def update_shadows(self, records: Iterable[tuple[int, Any]]) -> list[int]:
+        """One message's shadow records in a single compare/write/bump pass.
+
+        Only when that is exactly the per-record loop: every value a plain
+        float on the float64 fast path, every gid known and distinct.
+        Anything else (a demoting value, an unknown gid's ``KeyError``, a
+        repeated gid) takes the loop, record by record.
+        """
+        records = tuple(records)
+        gids, values = zip(*records) if records else ((), ())
+        distinct = set(gids)
+        slot_of = self._slot_of
+        if (
+            not self._float_mode
+            or set(map(type, values)) != {float}
+            or len(distinct) != len(gids)
+            or not slot_of.keys() >= distinct
+        ):
+            return super().update_shadows(records)
+        slots = np.fromiter(map(slot_of.__getitem__, gids), np.intp, len(gids))
+        fresh = np.array(values)
+        changed = self._values[slots] != fresh
+        hit = slots[changed]
+        self._values[hit] = fresh[changed]
+        self._versions[hit] += 1
+        return [gid for gid, moved in zip(gids, changed.tolist()) if moved]
+
     # --------------------------- bulk views --------------------------- #
 
     def bulk_topology(self) -> _BulkTopo:
@@ -690,7 +722,7 @@ class SoAStore(NodeStore):
             indptr=indptr,
             flat_slots=np.asarray(flat, dtype=np.int64),
             degrees=degrees,
-            pos={gid: i for i, gid in enumerate(gids)},
+            by_gid=np.argsort(gids_arr),
             plan=ChargePlan(
                 gids_arr,
                 degrees,
@@ -713,8 +745,8 @@ class SoAStore(NodeStore):
         ``positions=None`` means the full owned set in sweep order; explicit
         positions list internal nodes before peripheral ones, as every sweep
         does (the view's :class:`ChargePlan` splits them there).  When
-        ``key`` is given, the gather geometry and the kernel cache dict are
-        memoized on the topology (reused until the next ownership surgery).
+        ``key`` is given, the gather geometry is memoized on the topology
+        (reused until the next ownership surgery).
         Anonymous sparse views (``positions`` given, no ``key`` -- the
         change-driven sweeps, whose active frontier varies) are memoized
         too, keyed by the positions bytes in a small LRU per topology
@@ -745,7 +777,6 @@ class SoAStore(NodeStore):
                     topo.flat_slots,
                     topo.indptr,
                     topo.degrees,
-                    {},
                     topo.plan,
                 )
             else:
@@ -754,12 +785,7 @@ class SoAStore(NodeStore):
                 lens = topo.indptr[positions + 1] - starts
                 offsets = np.zeros(len(positions) + 1, dtype=np.intp)
                 np.cumsum(lens, out=offsets[1:])
-                total = int(offsets[-1])
-                flat_idx = (
-                    np.arange(total, dtype=np.intp)
-                    - np.repeat(offsets[:-1], lens)
-                    + np.repeat(starts, lens)
-                )
+                flat_idx = concat_ranges(starts, lens, offsets[1:])
                 gids_arr = topo.order_gids_arr[positions]
                 # Internal nodes come first, so the ends tell a pure part.
                 n_int = topo.internal_count
@@ -776,7 +802,6 @@ class SoAStore(NodeStore):
                     topo.flat_slots[flat_idx],
                     offsets,
                     lens - 1,
-                    {},
                     ChargePlan(
                         gids_arr,
                         lens - 1,
@@ -793,7 +818,7 @@ class SoAStore(NodeStore):
                 topo.sparse_cache[memo_key] = geometry
         else:
             geometry = cached
-        gids_arr, own_slots, flat_slots, indptr, degrees, kernel_cache, plan = geometry
+        gids_arr, own_slots, flat_slots, indptr, degrees, plan = geometry
         return BulkView(
             gids=gids_arr,
             values=self._values[own_slots],
@@ -802,7 +827,6 @@ class SoAStore(NodeStore):
             degrees=degrees,
             iteration=iteration,
             round=round_idx,
-            cache=kernel_cache,
             plan=plan,
         )
 

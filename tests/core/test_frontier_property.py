@@ -1,0 +1,184 @@
+"""Property tests: the mask-backed ``Frontier`` equals a per-gid set model.
+
+``compute.Frontier`` keeps the change-driven active sets as boolean masks
+over the rank's owned nodes and updates them with array gathers.  The model
+below is the per-gid bookkeeping it replaced (``DeltaState`` /
+``HybridState``): one Python set per (round, node class), ``None`` while a
+class is dense.  On random graphs, partitions, rounds and operation
+sequences the two must hand out the same active gids in the same order,
+charge the same bookkeeping (``float.hex``, call for call), discard what is
+touched into a dense class, checkpoint to the same plain lists, and agree
+again after ownership surgery rebuilt the index.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import NodeStore, PlatformCosts
+from repro.core.compute import _INTERNAL, _PERIPHERAL, Frontier
+from repro.graphs import random_connected_graph
+
+ITEM = PlatformCosts().list_item_cost
+
+
+class SetModel:
+    """The replaced bookkeeping: gid sets per (round, class), ``None`` = dense."""
+
+    def __init__(self, rounds):
+        self.sets = [[None, None] for _ in range(rounds)]
+
+    def begin(self, store, round_idx, part):
+        parts = (_INTERNAL, _PERIPHERAL) if part is None else (part,)
+        taken = [self.sets[round_idx][p] for p in parts]
+        for p in parts:
+            self.sets[round_idx][p] = set()
+        if None in taken:
+            return None
+        return sorted(g for gids in taken for g in gids if store.owns(g))
+
+    def _touch(self, store, gid):
+        for per_class in self.sets:
+            active = per_class[_PERIPHERAL if gid in store.peripheral else _INTERNAL]
+            if active is not None:
+                active.add(gid)
+
+    def record_commit(self, store, changed, charges):
+        cost = 0.0
+        for gid in changed:
+            for v in (gid, *store.graph.neighbors(gid)):
+                if store.owns(v):
+                    self._touch(store, v)
+            cost += ITEM * (1 + len(store.graph.neighbors(gid)))
+        if cost:
+            charges.append(cost.hex())
+
+    def record_arrivals(self, store, changed, charges):
+        for gid in changed:
+            for v in store.graph.neighbors(gid):
+                if store.owns(v):
+                    self._touch(store, v)
+            charges.append((ITEM * (1 + len(store.graph.neighbors(gid)))).hex())
+
+    def capture(self, split, inner_sweeps):
+        lists = [[None if s is None else sorted(s) for s in pair] for pair in self.sets]
+        if not split:
+            return {"dirty": [None if i is None else sorted(i + p) for i, p in lists]}
+        boundary, interior = [p for _, p in lists], [i for i, _ in lists]
+        return {"boundary": boundary, "interior": interior, "inner_sweeps": inner_sweeps}
+
+
+class RecordingContext:
+    """The slice of ``ComputeContext`` a frontier touches."""
+
+    def __init__(self, charges):
+        self.costs = PlatformCosts()
+        self._bookkeeping = lambda seconds: charges.append(seconds.hex())
+
+
+def build(seed, num_nodes, nprocs):
+    rng = random.Random(seed)
+    graph = random_connected_graph(num_nodes, avg_degree=3.0, seed=seed)
+    assignment = [rng.randrange(nprocs) for _ in range(num_nodes)]
+    assignment[0] = 0  # rank 0 owns something
+    return NodeStore(0, graph, assignment, float), rng
+
+
+def sample(rng, gids):
+    gids = list(gids)
+    return rng.sample(gids, rng.randint(0, len(gids)))
+
+
+operations = st.lists(
+    st.sampled_from(["begin", "commit", "arrive", "checkpoint", "rebuild", "surgery"]),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_nodes=st.integers(2, 24),
+    nprocs=st.integers(1, 3),
+    rounds=st.integers(1, 3),
+    hybrid=st.booleans(),
+    ops=operations,
+)
+def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid, ops):
+    store, rng = build(seed, num_nodes, nprocs)
+    frontier = Frontier(rounds, inner_cap=8 if hybrid else None)
+    model = SetModel(rounds)
+    got, want = [], []
+    ctx = RecordingContext(got)
+    for op in ops:
+        owned = sorted([*store.internal, *store.peripheral])
+        if op == "begin":
+            round_idx = rng.randrange(rounds)
+            part = rng.choice([_INTERNAL, _PERIPHERAL]) if hybrid else None
+            active = frontier.begin(store, round_idx, part)
+            expected = model.begin(store, round_idx, part)
+            assert (None if active is None else frontier.gids(active)) == expected
+        elif op == "commit":
+            changed = sample(rng, owned)  # commit order is list order, not gid order
+            frontier.record_commit(store, changed, ctx)
+            model.record_commit(store, changed, want)
+        elif op == "arrive":
+            changed = sample(rng, store.shadow_gids())
+            frontier.record_arrivals(store, changed, ctx)
+            model.record_arrivals(store, changed, want)
+        elif op == "checkpoint":
+            frontier.inner_sweeps += 1
+            payload = frontier.capture(store)
+            assert payload == model.capture(hybrid, frontier.inner_sweeps)
+            # Plain data in, plain data out: a fresh frontier restored from
+            # the pickled payload captures the same lists.
+            frontier = Frontier(rounds, inner_cap=8 if hybrid else None)
+            frontier.restore(pickle.loads(pickle.dumps(payload)))
+            assert frontier.capture(store) == payload
+        elif op == "rebuild":
+            # A new surgery epoch over the same owned set (a halt flag
+            # flipped): the index is rebuilt, the active sets carry over.
+            store._invalidate_topology_cache()
+        elif op == "surgery" and len(owned) > 1:
+            # Migration as the platform performs it: ownership changes, the
+            # classification is re-derived, the frontier falls back to dense.
+            gid = rng.choice(owned)
+            store.assignment[gid - 1] = 1
+            store.release_node(gid)
+            store.refresh_ownership()
+            frontier.reset_dense()
+            model = SetModel(rounds)
+        assert got == want
+
+
+def test_dense_class_discards_touches():
+    """While a class is dense, what is touched into it is dropped: the dense
+    sweep that consumes it computes every node anyway."""
+    store, _ = build(seed=1, num_nodes=12, nprocs=2)
+    frontier = Frontier(1, inner_cap=4)
+    ctx = RecordingContext([])
+    owned = sorted([*store.internal, *store.peripheral])
+    frontier.record_commit(store, owned, ctx)
+    assert frontier.begin(store, 0, _PERIPHERAL) is None  # dense, touches dropped
+    assert frontier.capture(store)["boundary"] == [[]]
+    assert frontier.capture(store)["interior"] == [None]  # still dense
+    frontier.record_commit(store, owned, ctx)
+    assert frontier.capture(store)["boundary"] == [sorted(store.peripheral)]
+    assert frontier.begin(store, 0, _INTERNAL) is None
+    assert frontier.capture(store)["interior"] == [[]]
+
+
+def test_restore_before_any_store_is_bound():
+    """Rollback restores the frontier first and binds a store later; the
+    lists wait, and gids the store no longer owns are dropped."""
+    store, _ = build(seed=2, num_nodes=10, nprocs=2)
+    owned = sorted([*store.internal, *store.peripheral])
+    foreign = next(gid for gid in store.graph.nodes() if not store.owns(gid))
+    frontier = Frontier(2)
+    frontier.restore({"dirty": [sorted([owned[0], foreign]), None]})
+    assert frontier.gids(frontier.begin(store, 0)) == [owned[0]]
+    assert frontier.begin(store, 1) is None

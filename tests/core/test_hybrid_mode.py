@@ -24,6 +24,8 @@ The invariants pinned here:
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.apps.diffusion import hot_edge_plate, make_jacobi_fn, residual
@@ -143,19 +145,48 @@ class TestHybridDeterminism:
             assert run.elapsed == reference.elapsed, f"schedule {seed}"
 
 
+#: Change-driven modes whose frontier rides checkpoints: ``run_plate`` args.
+ROLLBACK_MODES = {
+    "hybrid": ("hybrid", {}),
+    "sparse": ("bsp", {"activation": "sparse"}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def rollback_pair(mode, store, scheduler):
+    """``(fault-free, crashed-and-rolled-back)`` runs of one configuration."""
+    execution, overrides = ROLLBACK_MODES[mode]
+    kwargs = dict(checkpoint_period=10, store=store, scheduler=scheduler, **overrides)
+    clean, _, _ = run_plate(execution, **kwargs)
+    crashed, _, _ = run_plate(
+        execution, recovery_policy="rollback", faults="seed=3,crash=2@20", **kwargs
+    )
+    return clean, crashed
+
+
 class TestHybridRecoveryAndRebalance:
-    def test_crash_rollback_reproduces_fault_free(self):
-        """Inner-iteration counters ride checkpoint snapshots: the
-        restored run must replay the interrupted supersteps exactly."""
-        clean, _, _ = run_plate("hybrid", checkpoint_period=10)
-        crashed, _, _ = run_plate(
-            "hybrid",
-            checkpoint_period=10,
-            recovery_policy="rollback",
-            faults="seed=3,crash=2@20",
-        )
-        assert crashed.values == clean.values
+    @pytest.mark.parametrize("mode", sorted(ROLLBACK_MODES))
+    @pytest.mark.parametrize(
+        "store,scheduler", [("object", "event"), ("soa", "event"), ("soa", "process")]
+    )
+    def test_crash_rollback_reproduces_fault_free(self, mode, store, scheduler):
+        """The frontier and the inner-iteration counter ride checkpoint
+        snapshots: the restored run replays the interrupted supersteps
+        exactly -- same values, same sweeps, same quiescence point as the
+        fault-free run.  Its clock, barriers and messages also count the
+        detection, the restore and the replayed supersteps, so those are
+        pinned across stores and schedulers instead (worker processes
+        restore their frontiers too)."""
+        clean, crashed = rollback_pair(mode, store, scheduler)
         assert crashed.recoveries >= 1
+        assert crashed.values == clean.values
+        assert crashed.inner_sweeps == clean.inner_sweeps
+        assert crashed.quiesced_at == clean.quiesced_at
+        for run, reference in zip((clean, crashed), rollback_pair(mode, "object", "event")):
+            assert run.elapsed.hex() == reference.elapsed.hex()
+            assert run.inner_sweeps == reference.inner_sweeps
+            assert run.barriers == reference.barriers
+            assert run.messages_delivered == reference.messages_delivered
 
     def test_crash_shrink_converges(self):
         """Shrink recovery rebuilds stores (and hybrid frontiers) on the

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import NodeStore
+from repro.core import NodeStore, SoAStore
 from repro.graphs import Graph, hex32
 
 
@@ -132,6 +132,27 @@ class TestCommitAndShadows:
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
         with pytest.raises(KeyError):
             store.update_shadow(6, 1)
+
+    @pytest.mark.parametrize("store_cls", [NodeStore, SoAStore])
+    def test_update_shadows_is_the_per_record_loop(self, store_cls):
+        """One message at a time (vectorized on the soa store's float path):
+        the changed gids in record order, versions bumped only on change,
+        and an unknown gid raising after the records before it landed."""
+        graph = Graph.from_edges(6, [(1, 4), (1, 5), (1, 6), (2, 3)])
+        store = store_cls(0, graph, [0, 1, 1, 1, 1, 1], float)
+        assert store.update_shadows([(6, 6.0), (4, 0.5), (5, 7.5)]) == [4, 5]
+        assert [store.value_of(g) for g in (4, 5, 6)] == [0.5, 7.5, 6.0]
+        assert [store.data_records[g].version for g in (4, 5, 6)] == [1, 1, 0]
+        assert store.update_shadows([]) == []
+        # A repeated gid compares against the record before it.
+        assert store.update_shadows([(4, 1.5), (4, 0.5)]) == [4, 4]
+        assert store.data_records[4].version == 3
+        with pytest.raises(KeyError):
+            store.update_shadows([(5, 8.5), (3, 1.0), (6, 9.5)])
+        assert [store.value_of(g) for g in (5, 6)] == [8.5, 6.0]
+        # A non-float value takes the scalar path (and demotes the soa arrays).
+        assert store.update_shadows([(6, "x"), (5, 8.5)]) == [6]
+        assert store.value_of(6) == "x" and store.data_records[5].version == 2
 
 
 class TestMigrationSurgery:

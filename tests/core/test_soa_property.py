@@ -3,8 +3,8 @@
 Two stores -- the object reference and the struct-of-arrays subclass --
 are built over the same random graph and assignment, then driven through
 an identical random sequence of operations: pending writes + commits
-(vectorized on the soa side, scalar on the object side), shadow updates,
-halt-flag flips, ownership release/adoption with synthetic migration
+(vectorized on the soa side, scalar on the object side), shadow updates
+one record and one message at a time, halt-flag flips, ownership release/adoption with synthetic migration
 payloads, record creation, shadow pruning, and checkpoint capture/restore
 round-trips *including cross-store restores*.  After every operation the
 stores must agree on every observable: record iteration order, committed
@@ -37,6 +37,18 @@ ops_st = st.lists(
         st.tuples(st.just("sweep"), st.floats(-10, 10, allow_nan=False)),
         st.tuples(st.just("commit")),
         st.tuples(st.just("shadow"), st.integers(0, 63), values_st),
+        # One message's records: mostly floats (the vectorized pass), now and
+        # then a demoting value or a repeated gid (the per-record fallback).
+        st.tuples(
+            st.just("shadows"),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 63),
+                    st.one_of(st.floats(-4, 4, allow_nan=False), values_st),
+                ),
+                max_size=6,
+            ),
+        ),
         st.tuples(st.just("halt"), st.integers(0, 63), st.booleans()),
         st.tuples(st.just("release"), st.integers(0, 63), st.integers(1, NPROCS - 1)),
         st.tuples(st.just("adopt"), st.integers(0, 63), st.floats(-10, 10, allow_nan=False)),
@@ -108,6 +120,12 @@ def apply_op(store, op, graph, nodes):
             return None
         gid = shadows[op[1] % len(shadows)]
         return ("shadow", gid, store.update_shadow(gid, op[2]))
+    if kind == "shadows":
+        shadows = store.shadow_gids()
+        if not shadows:
+            return None
+        records = [(shadows[index % len(shadows)], value) for index, value in op[1]]
+        return ("shadows", store.update_shadows(records))
     if kind == "halt":
         known = sorted(store.data_records)
         if not known:  # a rank owning nothing holds no records at all

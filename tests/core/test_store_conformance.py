@@ -171,6 +171,24 @@ class TestFaultFree:
             run_hex("object", node_fn=scalar), run_hex("soa", node_fn=scalar)
         )
 
+    def test_two_jacobi_functions_keep_their_own_pins(self):
+        """Two Jacobi functions with different boundaries in one platform
+        (``comm_rounds=2``): each bulk kernel pins from its own map.  (The
+        kernels once shared their pin masks through the view.)"""
+        graph, boundary, init = hot_edge_plate(8, 8)
+        west_edge = {gid: 40.0 for gid in range(1, 65, 8)}
+        partition = MetisLikePartitioner(seed=0).partition(graph, 2)
+
+        def run(store):
+            config = PlatformConfig(
+                iterations=3, comm_rounds=2, track_trace=True, store=store
+            )
+            node_fns = (make_jacobi_fn(boundary), make_jacobi_fn(west_edge))
+            platform = ICPlatform(graph, node_fns, init_value=init, config=config)
+            return platform.run(partition, deadlock_timeout=10.0)
+
+        assert_identical(run("object"), run("soa"))
+
     def test_object_values_demote_cleanly(self):
         """Battlefield state dicts force the soa store off its float64 fast
         path; behaviour must be unchanged after the demotion."""
