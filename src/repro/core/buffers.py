@@ -20,6 +20,9 @@ BUFFER_RECORD_TYPE = StructType([(2, INT)], name="buffer_data_node").commit()
 
 ShadowRecord = tuple[int, Any]  # (global_id, value)
 
+_INT_RECORD_NBYTES = BUFFER_RECORD_TYPE.size_of()
+_ID_NBYTES = INT.size_of()
+
 
 class CommBuffers:
     """Per-destination outgoing shadow buffers for one rank.
@@ -34,17 +37,31 @@ class CommBuffers:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
         self.nprocs = nprocs
         self._out: list[list[ShadowRecord]] = [[] for _ in range(nprocs)]
+        # Wire size of each buffer, summed record by record as they are
+        # packed (integers, so the running sum is exact).
+        self._nbytes = [0] * nprocs
 
     def reset(self) -> None:
         """Empty every buffer (start of a sweep)."""
         for buf in self._out:
             buf.clear()
+        self._nbytes = [0] * self.nprocs
 
     def pack(self, proc: int, gid: int, value: Any) -> None:
-        """Append an updated peripheral record to ``proc``'s buffer."""
+        """Append an updated peripheral record to ``proc``'s buffer.
+
+        Integer-valued records cost exactly the committed struct size on
+        the wire; other payloads fall back to the generic estimator (plus 4
+        bytes for the id), so the battlefield's fat hex records are charged
+        realistically.
+        """
         if not 0 <= proc < self.nprocs:
             raise IndexError(f"processor {proc} outside [0, {self.nprocs})")
         self._out[proc].append((gid, value))
+        if isinstance(value, bool | int):
+            self._nbytes[proc] += _INT_RECORD_NBYTES
+        else:
+            self._nbytes[proc] += _ID_NBYTES + estimate_nbytes(value)
 
     def outgoing(self, proc: int) -> list[ShadowRecord]:
         """The records queued for ``proc``."""
@@ -59,19 +76,8 @@ class CommBuffers:
         return sum(len(buf) for buf in self._out)
 
     def nbytes(self, proc: int) -> int:
-        """Wire size of ``proc``'s buffer.
-
-        Integer-valued records cost exactly the committed struct size; other
-        payloads fall back to the generic estimator (plus 4 bytes for the
-        id), so the battlefield's fat hex records are charged realistically.
-        """
-        total = 0
-        for _, value in self._out[proc]:
-            if isinstance(value, bool | int):
-                total += BUFFER_RECORD_TYPE.size_of()
-            else:
-                total += INT.size_of() + estimate_nbytes(value)
-        return total
+        """Wire size of ``proc``'s buffer (see :meth:`pack`)."""
+        return self._nbytes[proc]
 
     def __iter__(self) -> Iterator[tuple[int, list[ShadowRecord]]]:
         for q, buf in enumerate(self._out):

@@ -562,21 +562,33 @@ def _commit(store: NodeStore, ctx: ComputeContext) -> None:
     ctx._bookkeeping(ctx.costs.update_cost * store.num_owned())
 
 
-def _send_all(comm: Communicator, buffers: CommBuffers) -> list[int]:
-    """Isend every nonempty buffer; returns the peer list (symmetric).
+def _send_all(comm: Communicator, buffers: CommBuffers, tag: int) -> list[int]:
+    """Dispatch every nonempty buffer as one neighbourhood exchange; returns
+    the peer list (symmetric on a dense sweep).  Empty sends are elided
+    entirely (no sender CPU, no wire cost, no receive to match).
 
     Buffers are snapshotted into tuples: the in-process transport passes
     payloads by reference, and the next sweep's ``buffers.reset()`` would
     otherwise mutate a list the receiver has not drained yet.
     """
     peers = buffers.nonempty_procs()
-    for q in peers:
-        comm.isend(tuple(buffers.outgoing(q)), q, tag=TAG_SHADOW, nbytes=buffers.nbytes(q))
+    comm.neighbor_send(
+        [(q, tuple(buffers.outgoing(q)), buffers.nbytes(q)) for q in peers], tag
+    )
     return peers
 
 
-def _unpack(store: NodeStore, records: list[tuple[int, Any]], ctx: ComputeContext) -> None:
-    store.update_shadows(records)
+def _unpack(
+    store: NodeStore,
+    records: tuple[tuple[int, Any], ...],
+    ctx: ComputeContext,
+    frontier: Frontier | None = None,
+) -> None:
+    """Write received shadows; a change-driven sweep's ``frontier`` also
+    learns which of them changed."""
+    changed = store.update_shadows(records)
+    if frontier is not None:
+        frontier.record_arrivals(store, changed, ctx)
     # Per-record constant plus the appendix's linear scan of the global
     # data node list while locating each record's home.
     ctx._comm_overhead(
@@ -607,11 +619,11 @@ def sweep_basic(
     phases.peripheral()
     _commit(store, ctx)
 
-    peers = _send_all(comm, buffers)
+    peers = _send_all(comm, buffers, TAG_SHADOW)
     # Per-peer receive-buffer allocation + initialization (appendix mallocs
     # a MAX_SIZE recvbuffer per neighbouring processor every call).
     ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    received = [comm.recv(source=q, tag=TAG_SHADOW) for q in peers]
+    received = comm.neighbor_recv(peers, TAG_SHADOW)
     # The appendix's CommunicateShadows synchronizes all ranks between the
     # receive loop and the buffer unpacking (its MPI_Barrier) -- one of the
     # per-iteration couplings the overlapped Figure-8a variant removes.
@@ -638,16 +650,15 @@ def sweep_overlapped(
     phases = (_BulkPhases if bulk else _ScalarPhases)(store, node_fn, ctx, buffers)
     phases.peripheral()
 
-    peers = _send_all(comm, buffers)
+    peers = _send_all(comm, buffers, TAG_SHADOW)
     ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    requests = [(q, comm.irecv(source=q, tag=TAG_SHADOW)) for q in peers]
 
     phases.internal()
     _commit(store, ctx)
 
-    for _, req in requests:
-        records = req.wait()
-        _unpack(store, records, ctx)
+    # Receives are matched when completed, so nothing needs posting before
+    # the internal phase for the transfers to overlap it.
+    comm.neighbor_recv(peers, TAG_SHADOW, each=lambda records: _unpack(store, records, ctx))
 
 
 # --------------------------------------------------------------------- #
@@ -870,39 +881,31 @@ def _commit_delta(
     return len(changed)
 
 
-def _send_all_delta(comm: Communicator, buffers: CommBuffers, tag: int) -> None:
-    """Isend every nonempty buffer; empty sends are elided entirely (the
-    alpha saving -- no sender CPU, no wire cost, no receive to match)."""
-    for q in buffers.nonempty_procs():
-        comm.isend(tuple(buffers.outgoing(q)), q, tag=tag, nbytes=buffers.nbytes(q))
-
-
-def _unpack_delta(
+def _drain_delta(
+    comm: Communicator,
     store: NodeStore,
-    records: tuple[tuple[int, Any], ...],
     ctx: ComputeContext,
     frontier: Frontier,
+    tag: int,
+    interleaved: bool = False,
 ) -> None:
-    frontier.record_arrivals(store, store.update_shadows(records), ctx)
-    ctx._comm_overhead(
-        len(records)
-        * (ctx.costs.unpack_cost + ctx.costs.unpack_scan_item_cost * ctx.num_nodes / 2)
-    )
-
-
-def _drain_delta(
-    comm: Communicator, store: NodeStore, ctx: ComputeContext, frontier: Frontier, tag: int
-) -> None:
-    """Fence delivery, then receive and unpack what peers actually sent."""
+    """Fence delivery, then receive and unpack what peers actually sent --
+    every message first (Figure 8), or ``interleaved`` one by one (8a)."""
     # Every peer's sends of this sweep happen-before its barrier entry
     # (sends are eagerly buffered), so after release the pending-sources
     # query is deterministic.
     comm.barrier()
     sources = comm.pending_sources(tag)
     ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    received = [comm.recv(source=q, tag=tag) for q in sources]
-    for records in received:
-        _unpack_delta(store, records, ctx, frontier)
+
+    def unpack(records: tuple[tuple[int, Any], ...]) -> None:
+        _unpack(store, records, ctx, frontier)
+
+    if interleaved:
+        comm.neighbor_recv(sources, tag, each=unpack)
+    else:
+        for records in comm.neighbor_recv(sources, tag):
+            unpack(records)
 
 
 def sweep_basic_delta(
@@ -934,7 +937,7 @@ def sweep_basic_delta(
     phases.peripheral()
     ctx.changed_last_sweep = _commit_delta(store, ctx, frontier, phases.count)
 
-    _send_all_delta(comm, buffers, tag)
+    _send_all(comm, buffers, tag)
     _drain_delta(comm, store, ctx, frontier, tag)
 
 
@@ -960,16 +963,12 @@ def sweep_overlapped_delta(
         store, node_fn, ctx, buffers, frontier, changed_only=True
     )
     phases.peripheral()
-    _send_all_delta(comm, buffers, tag)
+    _send_all(comm, buffers, tag)
 
     phases.internal()
     ctx.changed_last_sweep = _commit_delta(store, ctx, frontier, phases.count)
 
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-    for q in sources:
-        _unpack_delta(store, comm.recv(source=q, tag=tag), ctx, frontier)
+    _drain_delta(comm, store, ctx, frontier, tag, interleaved=True)
 
 
 # --------------------------------------------------------------------- #
@@ -1017,7 +1016,7 @@ def sweep_hybrid(
     # this superstep's interior phase; interior commits below land in the
     # freshly consumed boundary class, feeding the next superstep.
     total_changed = _commit_delta(store, ctx, frontier, boundary.count)
-    _send_all_delta(comm, buffers, tag)
+    _send_all(comm, buffers, tag)
 
     # ---- Interior phase (local, asynchronous, overlaps the exchange) --
     sweeps = 0

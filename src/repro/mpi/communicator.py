@@ -12,7 +12,7 @@ replaces the paper's dummy grain loops: ``comm.work(0.3e-3)`` charges a
 Determinism contract: every method reads and writes only the calling
 rank's own ``RankState`` (clock, counters) plus the cluster transport
 entry points (``deliver``/``take_matching``/``wait_for_message``/
-``barrier``).  No cross-rank state is touched directly, which is what
+``barrier``, and the batched ``deliver_batch``/``wait_for_batch``).  No cross-rank state is touched directly, which is what
 lets the process scheduler run communicators in separate OS processes
 (:mod:`repro.mpi.process`) while staying bit-identical to the in-thread
 backends.
@@ -337,6 +337,52 @@ class Communicator:
         """
         return self._cluster.pending_sources(self._world_rank, tag, self._comm_id)
 
+    def neighbor_send(
+        self, outgoing: Iterable[tuple[int, Any, int | None]], tag: int
+    ) -> None:
+        """Isend each ``(dest, payload, nbytes)`` in order -- one
+        fixed-topology exchange's sends (``nbytes=None``: estimated).
+
+        Exactly the ``isend`` loop in values, clocks and message order; the
+        event backend injects the batch in one pass when nothing
+        per-message (faults, checksums, schedule jitter) is armed.
+        """
+        if not self._cluster.deliver_batch(self, outgoing, tag):
+            for dest, payload, nbytes in outgoing:
+                self.isend(payload, dest, tag=tag, nbytes=nbytes)
+
+    def neighbor_recv(
+        self,
+        sources: Sequence[int],
+        tag: int,
+        each: Callable[[Any], Any] | None = None,
+    ) -> list[Any]:
+        """Receive one ``tag`` message from every source, completing them in
+        ``sources`` order; returns the payloads in that order.
+
+        ``each(payload)`` runs right after each completion (Figure 8a's
+        receive-unpack interleaving); it may charge time but must not
+        communicate.  Exactly the ``recv`` loop in values and clocks; the
+        event backend parks the rank once for the whole set instead of once
+        per message.
+        """
+        msgs = self._cluster.wait_for_batch(self, sources, tag)
+        payloads = []
+        if msgs is None:
+            for source in sources:
+                payloads.append(self.recv(source=source, tag=tag))
+                if each is not None:
+                    each(payloads[-1])
+            return payloads
+        state = self._state()
+        receiver_cpu = self._cluster.machine.receiver_cpu
+        for msg in msgs:
+            state.clock = max(state.clock, msg.arrival_time) + receiver_cpu(msg.nbytes)
+            payloads.append(msg.payload)
+            if each is not None:
+                each(msg.payload)
+        return payloads
+
     # ------------------------------------------------------------------ #
     # Collectives (binomial trees over p2p, so clocks propagate naturally)
     # ------------------------------------------------------------------ #
@@ -345,6 +391,10 @@ class Communicator:
         tag = _COLL_TAG_BASE + self._coll_seq
         self._coll_seq += 1
         return tag
+
+    def _peers(self, but: int) -> list[int]:
+        """Every local rank except ``but``, ascending."""
+        return [r for r in range(len(self._group)) if r != but]
 
     def barrier(self) -> None:
         """Synchronize all ranks; clocks jump to the common release time."""
@@ -368,12 +418,13 @@ class Communicator:
             lowbit = 1
             while lowbit < size:
                 lowbit <<= 1
+        children = []
         mask = lowbit >> 1
         while mask >= 1:
             if vrank + mask < size:
-                child = ((vrank + mask) + root) % size
-                self.isend(value, child, tag=tag)
+                children.append((((vrank + mask) + root) % size, value, None))
             mask >>= 1
+        self.neighbor_send(children, tag)
         return value
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
@@ -383,11 +434,8 @@ class Communicator:
         if self._rank != root:
             self.isend(obj, root, tag=tag)
             return None
-        out: list[Any] = [None] * self.size
-        out[root] = obj
-        for r in range(self.size):
-            if r != root:
-                out[r] = self.recv(source=r, tag=tag)
+        out = self.neighbor_recv(self._peers(root), tag)
+        out.insert(root, obj)
         return out
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
@@ -397,9 +445,7 @@ class Communicator:
         if self._rank == root:
             if objs is None or len(objs) != self.size:
                 raise ValueError(f"scatter needs exactly {self.size} items at the root")
-            for r in range(self.size):
-                if r != root:
-                    self.isend(objs[r], r, tag=tag)
+            self.neighbor_send([(r, objs[r], None) for r in self._peers(root)], tag)
             return objs[root]
         return self.recv(source=root, tag=tag)
 
@@ -494,14 +540,10 @@ class Communicator:
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs exactly {self.size} items")
         tag = self._next_coll_tag()
-        for r in range(self.size):
-            if r != self._rank:
-                self.isend(objs[r], r, tag=tag)
-        out: list[Any] = [None] * self.size
-        out[self._rank] = objs[self._rank]
-        for r in range(self.size):
-            if r != self._rank:
-                out[r] = self.recv(source=r, tag=tag)
+        peers = self._peers(self._rank)
+        self.neighbor_send([(r, objs[r], None) for r in peers], tag)
+        out = self.neighbor_recv(peers, tag)
+        out.insert(self._rank, objs[self._rank])
         return out
 
     # ------------------------------------------------------------------ #

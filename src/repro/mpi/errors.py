@@ -25,6 +25,12 @@ class DeadlockError(MPIError):
     """
 
 
+def blocked_recv_text(rank: int, source: int, tag: int) -> str:
+    """The :class:`DeadlockError` text of a rank stuck in a named receive
+    (one wording for every backend: the reports are compared byte for byte)."""
+    return f"deadlock: rank {rank} waiting on (source={source}, tag={tag}) with all ranks blocked"
+
+
 class CommAbortedError(MPIError):
     """The cluster was aborted (peer raised, or ``Communicator.abort``)."""
 

@@ -119,11 +119,29 @@ class Mailbox:
                     yield from stream
 
     def append(self, msg: Message) -> None:
-        """File ``msg`` into its ``(comm_id, src, tag)`` stream."""
-        self._comms.setdefault(msg.comm_id, {}).setdefault(msg.src, {}).setdefault(
-            msg.tag, deque()
-        ).append(msg)
+        """File ``msg`` into its ``(comm_id, src, tag)`` stream.
+
+        Emptied streams are pruned (:meth:`_pop`), so most appends of a
+        steady exchange open a fresh one: each level is looked up first
+        and only created on a miss.
+        """
+        by_src = self._comms.get(msg.comm_id)
+        if by_src is None:
+            by_src = self._comms[msg.comm_id] = {}
+        by_tag = by_src.get(msg.src)
+        if by_tag is None:
+            by_tag = by_src[msg.src] = {}
+        stream = by_tag.get(msg.tag)
+        if stream is None:
+            by_tag[msg.tag] = deque((msg,))
+        else:
+            stream.append(msg)
         self._size += 1
+
+    def has(self, comm_id: Any, source: int, tag: int) -> bool:
+        """Whether the named ``(comm_id, source, tag)`` stream has a message."""
+        by_src = self._comms.get(comm_id)
+        return by_src is not None and tag in by_src.get(source, ())
 
     def clear(self) -> None:
         """Drop every queued message."""

@@ -39,9 +39,11 @@ Determinism argument (why results are bit-identical to ``event``):
   ``conn.recv()``: once every unfinished rank is parked there can be no
   in-flight delivery anywhere, which makes the broker's deadlock
   detection exact, like the event backend's empty-run-queue test.  The
-  victim choice mirrors it too: the rank whose park completed the
-  deadlock (case A), or the lowest-indexed unfinished rank when a
-  finishing rank strands the rest (case B).
+  victim choice mirrors it too: the rank whose receive park completed
+  the deadlock (case A), or the lowest-indexed unfinished rank when a
+  finishing rank strands the rest (case B) -- and also when a *barrier*
+  park completes it, because which member of a barrier parks last is a
+  host race here, not a property of the program.
 
 Known, documented divergence: an abort cannot interrupt a send-only rank
 mid-flight (delivery is fire-and-forget; the parent silently drops
@@ -67,7 +69,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import multiprocessing
 from multiprocessing import connection as mp_connection
 
-from .errors import CommAbortedError, DeadlockError, UnsupportedBackendError
+from .errors import CommAbortedError, DeadlockError, UnsupportedBackendError, blocked_recv_text
 from .message import Message
 from .scheduler import SchedulerBackend, _NullGuard
 from .shm import (
@@ -87,13 +89,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import SimCluster
 
 __all__ = ["ProcessScheduler"]
-
-
-def _recv_describe(rank: int, source: int, tag: int) -> str:
-    return (
-        f"deadlock: rank {rank} waiting on (source={source}, "
-        f"tag={tag}) with all ranks blocked"
-    )
 
 
 def _barrier_describe(rank: int) -> str:
@@ -333,7 +328,7 @@ class _Parked:
             return _barrier_describe(self.rank)
         if self.kind == "flush":  # pragma: no cover - provably transient
             return f"deadlock: rank {self.rank} awaiting deliver flush"
-        return _recv_describe(self.rank, self.source, self.tag)
+        return blocked_recv_text(self.rank, self.source, self.tag)
 
 
 class _Broker:
@@ -508,7 +503,9 @@ class _Broker:
             self._reply(rank, bar.release_clock)
         else:
             self._parked[rank] = _Parked(rank, "barrier", key=key)
-            self._maybe_deadlock(victim=rank)
+            # Which member parks last is a host race: name the lowest
+            # blocked rank instead, so the report repeats.
+            self._maybe_deadlock(victim=None)
 
     def _shm_wait(self, rank: int, gen: int, describe: str) -> None:
         """A worker gave up spinning on shm rendezvous ``gen``: park it.
@@ -523,7 +520,7 @@ class _Broker:
             self._reply(rank, None)
             return
         self._parked[rank] = _Parked(rank, "shmwait", key=gen, text=describe)
-        self._maybe_deadlock(victim=rank)
+        self._maybe_deadlock(victim=None)  # as in _barrier
 
     def _flush(self, rank: int, watermark: int) -> None:
         """Reply once ``watermark`` delivers have been processed.
@@ -643,7 +640,7 @@ class _Broker:
             return
         if any(r not in self._parked for r in self._unfinished):
             return
-        if victim is None:  # case B: lowest unfinished rank, like _pass_baton
+        if victim is None:  # lowest blocked rank (case B's rule in _pass_baton)
             victim = min(self._unfinished)
         reason = self._parked[victim].describe()
         cluster = self._cluster

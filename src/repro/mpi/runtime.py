@@ -45,10 +45,10 @@ Correctness properties the runtime guarantees on either backend:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .communicator import Communicator
-from .errors import CommAbortedError, DeadlockError  # noqa: F401 - re-export
+from .errors import CommAbortedError, DeadlockError, blocked_recv_text  # noqa: F401 - re-export
 from .faults import FaultPlan, FaultState
 from .message import Mailbox, Message
 from .scheduler import make_scheduler, resolve_scheduler_name
@@ -68,6 +68,9 @@ class RankState:
     blocked: bool = False
     result: Any = None
     error: BaseException | None = None
+    #: ``(comm_id, source, tag)`` streams a batched receive is parked on;
+    #: a delivery wakes the rank only when it empties the set.
+    awaiting: set[tuple[Any, int, int]] | None = None
 
 
 class _BarrierState:
@@ -179,6 +182,7 @@ class SimCluster:
         # transport to the parent broker; every transport entry point
         # branches to it.  Always None in the parent / in-thread backends.
         self._worker: Any = None
+        self._batched = False  # decided per run(): see there
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -225,6 +229,7 @@ class SimCluster:
             state.blocked = False
             state.result = None
             state.error = None
+            state.awaiting = None
         self._barriers.clear()
         self.messages_delivered = 0
         self.barriers = 0
@@ -238,6 +243,15 @@ class SimCluster:
         self._quarantined.clear()
         if self.faults is not None:
             self.fault_state = FaultState(self.faults, self.nprocs)
+        # Neighbourhood exchanges take the batched transport only where it
+        # is the per-message loop exactly: one cooperative pass of plain
+        # charges -- no fault draws, checksum legs, jitter hook or workers.
+        self._batched = (
+            self.scheduler == "event"
+            and self.fault_state is None
+            and self._sched_jitter is None
+            and not self.checksums
+        )
 
         backend = self._backend
 
@@ -384,9 +398,60 @@ class SimCluster:
             self._check_abort()
             if (msg.comm_id, msg.src) in self._quarantined:
                 return
-            self._ranks[msg.dest].mailbox.append(msg)
-            self.messages_delivered += 1
-            self._backend.notify((msg.dest,))
+            if self._file(msg):
+                self._backend.notify((msg.dest,))
+
+    def _file(self, msg: Message) -> bool:
+        """Put ``msg`` in its mailbox; whether its rank may now be runnable
+        (a rank parked on several streams is not until the last arrives)."""
+        state = self._ranks[msg.dest]
+        state.mailbox.append(msg)
+        self.messages_delivered += 1
+        awaiting = state.awaiting
+        if awaiting:
+            awaiting.discard((msg.comm_id, msg.src, msg.tag))
+            return not awaiting
+        return True
+
+    def deliver_batch(
+        self, comm: Communicator, outgoing: Iterable[tuple[int, Any, int | None]], tag: int
+    ) -> bool:
+        """Native ``neighbor_send``: inject every ``(dest, payload, nbytes)``
+        in one pass and wake the receivers once.
+
+        Charges and stamps message by message on a local clock -- the same
+        left-to-right additions ``isend`` performs -- so clocks and arrival
+        times are bit-identical to the per-message loop.  Returns ``False``
+        (nothing done) when this run must use that loop instead.
+        """
+        if not self._batched or tag < 0:
+            return False
+        machine, group, src, comm_id = self.machine, comm._group, comm._rank, comm._comm_id
+        me = comm._world_rank
+        state = self._ranks[me]
+        quarantined = (comm_id, src) in self._quarantined
+        clock = state.clock
+        wake: list[int] = []
+        sized = sized_nbytes = None  # the payload last estimated, and its size
+        try:
+            for dest, payload, nbytes in outgoing:
+                if self._aborted or not 0 <= dest < len(group):
+                    self._check_abort()
+                    comm._check_peer(dest)
+                if nbytes is None:
+                    if sized_nbytes is None or payload is not sized:  # fan-out: size once
+                        sized, sized_nbytes = payload, estimate_nbytes(payload)
+                    nbytes = sized_nbytes
+                clock += machine.sender_cpu(nbytes)
+                to = group[dest]
+                arrival = clock + machine.transfer_time_between(nbytes, me, to)
+                msg = Message(src, to, tag, comm_id, payload, nbytes, clock, arrival)
+                if not quarantined and self._file(msg):
+                    wake.append(to)
+        finally:
+            state.clock = clock
+            self._backend.notify(wake)
+        return True
 
     def take_matching(
         self, rank: int, source: int, tag: int, comm_id: Any, consume: bool = True
@@ -423,11 +488,45 @@ class SimCluster:
             return self._backend.wait(
                 rank,
                 lambda: mailbox.take(source, tag, comm_id, consume),
-                lambda: (
-                    f"deadlock: rank {rank} waiting on (source={source}, "
-                    f"tag={tag}) with all ranks blocked"
-                ),
+                lambda: blocked_recv_text(rank, source, tag),
             )
+
+    def wait_for_batch(
+        self, comm: Communicator, sources: Sequence[int], tag: int
+    ) -> list[Message] | None:
+        """Native ``neighbor_recv``: park the rank *once* until every
+        ``(source, tag)`` stream has a message, then pop one per source, in
+        ``sources`` order.  ``None`` when this run (or a wildcard or
+        out-of-range source) must take the per-message loop instead.
+        """
+        if not self._batched or tag < 0:
+            return None
+        if sources:
+            self._check_abort()  # as the loop's first receive would
+        rank, comm_id = comm._world_rank, comm._comm_id
+        state = self._ranks[rank]
+        mailbox = state.mailbox
+        missing = {(comm_id, q, tag) for q in sources if not mailbox.has(comm_id, q, tag)}
+        if missing:
+            if not all(0 <= q < len(comm._group) for _, q, _ in missing):
+                return None
+            state.awaiting = missing
+            try:
+                self._backend.wait(
+                    rank,
+                    lambda: None if missing else True,
+                    lambda: blocked_recv_text(
+                        rank, next(q for q in sources if (comm_id, q, tag) in missing), tag
+                    ),
+                )
+            finally:
+                state.awaiting = None
+        # (A source named twice needs a second message of its stream: the
+        # per-message wait picks up what the park above did not cover.)
+        return [
+            mailbox.take(q, tag, comm_id) or self.wait_for_message(rank, q, tag, comm_id)
+            for q in sources
+        ]
 
     def _all_stuck(self, caller: RankState) -> bool:
         """True when every unfinished rank is blocked (deadlock candidate).

@@ -58,3 +58,71 @@ class TestCommBuffers:
 
     def test_empty_buffer_nbytes_zero(self):
         assert CommBuffers(2).nbytes(1) == 0
+
+
+def _walked_nbytes(records):
+    """The wire size as ``nbytes`` used to compute it: a walk at send time."""
+    from repro.mpi.datatypes import INT
+    from repro.mpi.timing import estimate_nbytes
+
+    total = 0
+    for _, value in records:
+        if isinstance(value, bool | int):
+            total += BUFFER_RECORD_TYPE.size_of()
+        else:
+            total += INT.size_of() + estimate_nbytes(value)
+    return total
+
+
+class TestRunningWireSize:
+    """``pack`` keeps each buffer's wire size as a running integer sum."""
+
+    def _payloads(self):
+        from repro.apps.battlefield.state import Departure, HexState
+
+        fat = HexState(gid=3, red=2.5, blue=1.0, departures=(Departure(4, "red", 0.5),))
+        return [7, -1, True, False, 0.25, float("inf"), HexState(gid=1), fat, (1, 2.0), None]
+
+    def test_equals_the_walk_for_every_payload_kind(self):
+        buffers = CommBuffers(3)
+        for gid, value in enumerate(self._payloads()):
+            buffers.pack(gid % 2 + 1, gid, value)
+            for q in range(3):
+                assert buffers.nbytes(q) == _walked_nbytes(buffers.outgoing(q))
+        assert buffers.nbytes(1) > 0 and buffers.nbytes(2) > 0
+        buffers.reset()
+        assert [buffers.nbytes(q) for q in range(3)] == [0, 0, 0]
+        buffers.pack(2, 9, 0.5)
+        assert buffers.nbytes(2) == _walked_nbytes([(9, 0.5)])
+
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_equals_the_walk_after_a_packing_phase(self, bulk):
+        """Both packing paths -- node by node, and the bulk phase packing a
+        whole sweep's peripherals -- go through ``pack``."""
+        from repro.apps.average import make_average_fn
+        from repro.core import ComputeContext, NodeStore, PlatformCosts, SoAStore
+        from repro.core.compute import _BulkPhases, _ScalarPhases
+        from repro.graphs import hex32
+        from repro.mpi import IDEAL, run_mpi
+
+        graph = hex32()
+        assignment = [gid % 3 for gid in range(32)]
+
+        def fn(comm):
+            make_store = SoAStore if bulk else NodeStore
+            store = make_store(comm.rank, graph, list(assignment), lambda gid: gid / 4)
+            ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
+            buffers = CommBuffers(comm.size)
+            phases = (_BulkPhases if bulk else _ScalarPhases)(
+                store, make_average_fn(), ctx, buffers
+            )
+            phases.peripheral()
+            assert buffers.total_records() > 0
+            return [
+                (buffers.nbytes(q), _walked_nbytes(buffers.outgoing(q)))
+                for q in range(comm.size)
+            ]
+
+        for sizes in run_mpi(fn, 3, machine=IDEAL):
+            assert all(running == walked for running, walked in sizes)
+            assert any(running for running, _ in sizes)
