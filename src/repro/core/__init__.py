@@ -10,8 +10,7 @@ from .compute import (
     NodeFn,
     NodeView,
     TAG_SHADOW,
-    sweep_basic,
-    sweep_overlapped,
+    superstep,
 )
 from .config import PlatformConfig, PlatformCosts
 from .hashtable import DEFAULT_TABLE_LENGTH, NodeHashTable
@@ -116,6 +115,5 @@ __all__ = [
     "select_migrating_node",
     "send_dying_checkpoint",
     "shrink_reconfigure",
-    "sweep_basic",
-    "sweep_overlapped",
+    "superstep",
 ]

@@ -9,40 +9,42 @@ packed into per-destination communication buffers as the sweep proceeds, so
 "by the time the computation routine returns, the communication buffers are
 all set up".
 
-Five pipelines are provided; each computes node by node through the node
-function or, with ``bulk=True`` on a struct-of-arrays store, through the
-function's vectorized kernel (same values, same virtual charges):
+There is one pipeline, :func:`superstep`, in GraphHP's shape -- *boundary
+phase, exchange, interior phase* -- and three choices a caller makes.  It
+computes node by node through the node function or, with ``bulk=True`` on a
+struct-of-arrays store, through the function's vectorized kernel (same
+values, same virtual charges):
 
-* :func:`sweep_basic` -- Figure 8: internals, then peripherals (packing),
-  commit, then ``Isend`` everything and blocking-receive the shadows.
-* :func:`sweep_overlapped` -- Figure 8a: peripherals first, ``Isend`` +
-  ``Irecv``, internals computed *while the transfers are in flight*, then
-  wait and unpack.
-* :func:`sweep_basic_delta` / :func:`sweep_overlapped_delta` -- the
-  change-driven variants (``--activation sparse``): only *active* nodes
-  (own or neighbour value changed since their last evaluation) are
-  recomputed, only *changed* peripheral values are packed, empty sends are
-  elided entirely, and receivers discover the actual sender set from the
-  mailbox after the sweep barrier (:class:`Frontier` holds the per-round
-  active sets and the sweep-parity tag).
-* :func:`sweep_hybrid` -- the GraphHP two-phase superstep
-  (``--execution hybrid``): a *boundary phase* computes the active
-  peripheral nodes and dispatches their deltas exactly like the
-  change-driven sweep, then an *interior phase* iterates the interior
+* **Order** (``overlap``).  Figure 8 computes internals, then peripherals
+  (packing), commits, then ``Isend`` everything and blocking-receives
+  the shadows.  Figure 8a computes the peripherals first and dispatches
+  them, so the internals compute *while the transfers are in flight*, then
+  waits and unpacks.
+* **Activation** (``frontier``).  Without one every owned node computes and
+  every peripheral value travels.  With a :class:`Frontier` the sweep is
+  change-driven (``--activation sparse``): only *active* nodes (own or
+  neighbour value changed since their last evaluation) are recomputed, only
+  *changed* peripheral values are packed, empty sends are elided entirely,
+  and receivers discover the actual sender set from the mailbox after the
+  sweep barrier (the frontier holds the per-round active sets and the
+  sweep-parity tag).
+* **Interior cap** (``frontier.inner_cap``).  Set, the superstep is GraphHP's
+  two-phase one (``--execution hybrid``): the *boundary phase* computes the
+  active peripheral nodes and dispatches their deltas exactly like the
+  change-driven sweep, then the *interior phase* iterates the interior
   active set locally -- no messages, no barrier -- until the frontier
-  drains or the per-superstep inner cap is hit, with every inner sweep
-  charged at full virtual cost.  The interior loop runs between the
-  ``Isend`` and the barrier, so it inherently overlaps the in-flight
-  exchange; arrivals can only activate peripheral nodes (an owned node
-  with a remote neighbour is peripheral by definition), which is what
-  makes the interior phase safely independent of this superstep's
-  traffic.
+  drains or the cap is hit, with every inner sweep charged at full virtual
+  cost.  The interior loop runs between the ``Isend`` and the barrier, so
+  it inherently overlaps the in-flight exchange; arrivals can only
+  activate peripheral nodes (an owned node with a remote neighbour is
+  peripheral by definition), which is what makes the interior phase safely
+  independent of this superstep's traffic.
 
-The sparse pipelines assume the node function is *pure per round*: its
+Change-driven sweeps assume the node function is *pure per round*: its
 return value depends only on the node's own and neighbours' values (cost
 charges may vary freely).  A skipped node then provably recomputes to its
 current value, so sparse results are value-identical to dense.  The
-hybrid pipeline additionally requires the *algorithm* to be
+interior cap additionally requires the *algorithm* to be
 order-insensitive (chaotic relaxation, e.g. Jacobi): interior nodes see
 newer-than-BSP neighbour values, so the trajectory differs while the
 fixed point is preserved.
@@ -67,11 +69,7 @@ __all__ = [
     "ComputeContext",
     "Frontier",
     "NodeFn",
-    "sweep_basic",
-    "sweep_overlapped",
-    "sweep_basic_delta",
-    "sweep_overlapped_delta",
-    "sweep_hybrid",
+    "superstep",
     "supports_bulk",
     "TAG_SHADOW",
     "TAG_SHADOW_DELTA",
@@ -134,9 +132,6 @@ class ComputeContext:
         self.compute_time = 0.0
         self.comm_overhead_time = 0.0
         self.bookkeeping_time = 0.0
-        #: Owned nodes whose committed value changed in the last sweep --
-        #: the quiescence-termination count (set by every sweep variant).
-        self.changed_last_sweep = 0
         #: Per-node compute seconds since the last reset -- measured node
         #: weights for load-aware repartitioning (window-scoped).  The
         #: scalar sweeps write this dict node by node; the bulk accountant
@@ -212,21 +207,26 @@ class ComputeContext:
 NodeFn = Callable[[NodeView, ComputeContext], Any]
 
 
-def _form_view(store: NodeStore, node: OwnNode, ctx: ComputeContext) -> NodeView:
-    """Build the node+neighbours list, charging list-forming overhead."""
+def _node_cost(ctx: ComputeContext, deg: int) -> float:
+    """The list-forming bookkeeping charge for a node of degree ``deg``."""
     costs = ctx.costs
-    neighbors = []
-    for v in node.neighboring_nodes:
-        record = store.hash_table[v]
-        neighbors.append((v, record.data))
-    ctx._bookkeeping(
-        costs.list_item_cost * (1 + len(neighbors))
-        + costs.hash_lookup_cost * len(neighbors)
+    return (
+        costs.list_item_cost * (1 + deg)
+        + costs.hash_lookup_cost * deg
         # The appendix's SimulatorFunction linearly scans the global data
         # node list (which holds *all* graph nodes on every rank) to locate
         # the current node: an average of n/2 items touched per call.
         + costs.data_scan_item_cost * ctx.num_nodes / 2
     )
+
+
+def _form_view(store: NodeStore, node: OwnNode, ctx: ComputeContext) -> NodeView:
+    """Build the node+neighbours list, charging list-forming overhead."""
+    neighbors = []
+    for v in node.neighboring_nodes:
+        record = store.hash_table[v]
+        neighbors.append((v, record.data))
+    ctx._bookkeeping(_node_cost(ctx, len(neighbors)))
     return NodeView(
         global_id=node.global_id,
         value=node.data.data,
@@ -246,17 +246,14 @@ def _compute_node(store: NodeStore, node: OwnNode, node_fn: NodeFn, ctx: Compute
         ctx.node_compute[gid] = ctx.node_compute.get(gid, 0.0) + spent
 
 
-def _pack_node(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -> None:
-    for proc in node.shadow_for_procs:
-        buffers.pack(proc, node.global_id, node.data.most_recent_data)
-        ctx._comm_overhead(ctx.costs.pack_cost)
-
-
-def _pack_node_delta(node: OwnNode, buffers: CommBuffers, ctx: ComputeContext) -> None:
-    """Pack only if the freshly computed value differs from the committed
-    one -- receivers treat absent records as "shadow still current"."""
+def _pack_node(
+    node: OwnNode, buffers: CommBuffers, ctx: ComputeContext, changed_only: bool
+) -> None:
+    """Pack a freshly computed value for every processor shadowing the node
+    -- with ``changed_only``, only if it differs from the committed one
+    (receivers treat absent records as "shadow still current")."""
     data = node.data
-    if data.most_recent_data is None or data.most_recent_data == data.data:
+    if changed_only and (data.most_recent_data is None or data.most_recent_data == data.data):
         return
     for proc in node.shadow_for_procs:
         buffers.pack(proc, node.global_id, data.most_recent_data)
@@ -267,9 +264,9 @@ class _ScalarPhases:
     """One sweep's two compute phases, node by node through the node
     function.  ``frontier``/``part`` select the nodes: the frontier's active
     set of the current round, or the ``part`` class of it, is consumed
-    (``None`` = all nodes / both classes); ``changed_only`` packs only
-    changed values (delta exchange).  ``count`` is the number of nodes the
-    sweep computes."""
+    (``None`` = all nodes / both classes), and only changed values are
+    packed (delta exchange).  ``count`` is the number of nodes the sweep
+    computes."""
 
     def __init__(
         self,
@@ -279,11 +276,9 @@ class _ScalarPhases:
         buffers: CommBuffers,
         frontier: Frontier | None = None,
         part: int | None = None,
-        changed_only: bool = False,
     ) -> None:
         self._args = (store, node_fn, ctx)
-        self._buffers = buffers
-        self._pack = _pack_node_delta if changed_only else _pack_node
+        self._buffers, self._changed_only = buffers, frontier is not None
         internal, peripheral = store.internal, store.peripheral
         active = frontier.begin(store, ctx.round, part) if frontier is not None else None
         if active is None:  # dense: list order
@@ -310,7 +305,7 @@ class _ScalarPhases:
         store, node_fn, ctx = self._args
         for node in self._peripheral:
             _compute_node(store, node, node_fn, ctx)
-            self._pack(node, self._buffers, ctx)
+            _pack_node(node, self._buffers, ctx, self._changed_only)
 
 
 # --------------------------------------------------------------------- #
@@ -336,16 +331,6 @@ class _ScalarPhases:
 def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:
     """Whether every node function carries a bulk kernel."""
     return all(callable(getattr(fn, "bulk", None)) for fn in node_fns)
-
-
-def _node_cost(ctx: ComputeContext, deg: int) -> float:
-    """:func:`_form_view`'s bookkeeping charge for a node of degree ``deg``."""
-    costs = ctx.costs
-    return (
-        costs.list_item_cost * (1 + deg)
-        + costs.hash_lookup_cost * deg
-        + costs.data_scan_item_cost * ctx.num_nodes / 2
-    )
 
 
 def _replay_node(
@@ -498,10 +483,9 @@ class _BulkPhases:
         buffers: CommBuffers,
         frontier: Frontier | None = None,
         part: int | None = None,
-        changed_only: bool = False,
     ) -> None:
         kernel = node_fn.bulk
-        self._ctx, self._buffers, self._changed_only = ctx, buffers, changed_only
+        self._ctx, self._buffers, self._changed_only = ctx, buffers, frontier is not None
         self._grain = kernel.node_grain
         topo = store.bulk_topology()
         n_int = topo.internal_count
@@ -527,7 +511,7 @@ class _BulkPhases:
         split = view.plan.split
         # Exact Python objects, as the scalar path puts on the wire.
         self._fresh = store.scatter_pending(positions, kernel(view), boxed_from=split)
-        self._committed = view.values[split:].tolist() if changed_only else []
+        self._committed = view.values[split:].tolist() if self._changed_only else []
         self.count = len(view)
 
     def internal(self) -> None:
@@ -537,7 +521,7 @@ class _BulkPhases:
     def peripheral(self) -> None:
         """Charge the peripheral nodes' share and pack their fresh values --
         all, or only those differing from the committed value, exactly as
-        :func:`_pack_node_delta` decides."""
+        :func:`_pack_node` decides."""
         plan, fresh = self._plan, self._fresh
         packed: bool | list[bool] = True
         if self._changed_only:
@@ -550,119 +534,7 @@ class _BulkPhases:
 
 
 # --------------------------------------------------------------------- #
-# Dense pipelines (Figures 8 and 8a)
-# --------------------------------------------------------------------- #
-
-
-def _commit(store: NodeStore, ctx: ComputeContext) -> None:
-    changed = store.commit_owned()
-    ctx.changed_last_sweep = len(changed)
-    # Every owned node was recomputed, so every one pays the update charge
-    # (identical to the pre-delta cost model).
-    ctx._bookkeeping(ctx.costs.update_cost * store.num_owned())
-
-
-def _send_all(comm: Communicator, buffers: CommBuffers, tag: int) -> list[int]:
-    """Dispatch every nonempty buffer as one neighbourhood exchange; returns
-    the peer list (symmetric on a dense sweep).  Empty sends are elided
-    entirely (no sender CPU, no wire cost, no receive to match).
-
-    Buffers are snapshotted into tuples: the in-process transport passes
-    payloads by reference, and the next sweep's ``buffers.reset()`` would
-    otherwise mutate a list the receiver has not drained yet.
-    """
-    peers = buffers.nonempty_procs()
-    comm.neighbor_send(
-        [(q, tuple(buffers.outgoing(q)), buffers.nbytes(q)) for q in peers], tag
-    )
-    return peers
-
-
-def _unpack(
-    store: NodeStore,
-    records: tuple[tuple[int, Any], ...],
-    ctx: ComputeContext,
-    frontier: Frontier | None = None,
-) -> None:
-    """Write received shadows; a change-driven sweep's ``frontier`` also
-    learns which of them changed."""
-    changed = store.update_shadows(records)
-    if frontier is not None:
-        frontier.record_arrivals(store, changed, ctx)
-    # Per-record constant plus the appendix's linear scan of the global
-    # data node list while locating each record's home.
-    ctx._comm_overhead(
-        len(records)
-        * (ctx.costs.unpack_cost + ctx.costs.unpack_scan_item_cost * ctx.num_nodes / 2)
-    )
-
-
-def sweep_basic(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    bulk: bool = False,
-) -> None:
-    """One Figure-8 compute+communicate sweep.
-
-    ``ComputeOverNodes``: internals, then peripherals with packing, then
-    commit.  ``CommunicateShadows``: Isend all buffers, blocking-receive
-    from each neighbouring processor, unpack into the data node list.
-    ``bulk`` computes through the node function's bulk kernel (every
-    pipeline takes it; see the bulk section above).
-    """
-    buffers.reset()
-    phases = (_BulkPhases if bulk else _ScalarPhases)(store, node_fn, ctx, buffers)
-    phases.internal()
-    phases.peripheral()
-    _commit(store, ctx)
-
-    peers = _send_all(comm, buffers, TAG_SHADOW)
-    # Per-peer receive-buffer allocation + initialization (appendix mallocs
-    # a MAX_SIZE recvbuffer per neighbouring processor every call).
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-    received = comm.neighbor_recv(peers, TAG_SHADOW)
-    # The appendix's CommunicateShadows synchronizes all ranks between the
-    # receive loop and the buffer unpacking (its MPI_Barrier) -- one of the
-    # per-iteration couplings the overlapped Figure-8a variant removes.
-    comm.barrier()
-    for records in received:
-        _unpack(store, records, ctx)
-
-
-def sweep_overlapped(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    bulk: bool = False,
-) -> None:
-    """One Figure-8a sweep: communication overlapped with internal compute.
-
-    Peripheral nodes are processed and dispatched first; receives are
-    posted nonblocking; internal nodes compute while the shadow messages
-    are in flight; finally the receives are waited on and unpacked.
-    """
-    buffers.reset()
-    phases = (_BulkPhases if bulk else _ScalarPhases)(store, node_fn, ctx, buffers)
-    phases.peripheral()
-
-    peers = _send_all(comm, buffers, TAG_SHADOW)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
-
-    phases.internal()
-    _commit(store, ctx)
-
-    # Receives are matched when completed, so nothing needs posting before
-    # the internal phase for the transfers to overlap it.
-    comm.neighbor_recv(peers, TAG_SHADOW, each=lambda records: _unpack(store, records, ctx))
-
-
-# --------------------------------------------------------------------- #
-# Change-driven (delta / active-set) pipelines
+# Change-driven (delta / active-set) execution
 # --------------------------------------------------------------------- #
 
 
@@ -869,135 +741,81 @@ class Frontier:
             self.inner_sweeps = state["inner_sweeps"]
 
 
-def _commit_delta(
-    store: NodeStore, ctx: ComputeContext, frontier: Frontier, active_count: int
+# --------------------------------------------------------------------- #
+# The superstep
+# --------------------------------------------------------------------- #
+
+
+def _send_all(comm: Communicator, buffers: CommBuffers, tag: int) -> list[int]:
+    """Dispatch every nonempty buffer as one neighbourhood exchange; returns
+    the peer list (symmetric on a dense sweep).  Empty sends are elided
+    entirely (no sender CPU, no wire cost, no receive to match).
+
+    Buffers are snapshotted into tuples: the in-process transport passes
+    payloads by reference, and the next sweep's ``buffers.reset()`` would
+    otherwise mutate a list the receiver has not drained yet.
+    """
+    peers = buffers.nonempty_procs()
+    comm.neighbor_send(
+        [(q, tuple(buffers.outgoing(q)), buffers.nbytes(q)) for q in peers], tag
+    )
+    return peers
+
+
+def _unpack(
+    store: NodeStore,
+    records: tuple[tuple[int, Any], ...],
+    ctx: ComputeContext,
+    frontier: Frontier | None = None,
+) -> None:
+    """Write received shadows; a change-driven sweep's ``frontier`` also
+    learns which of them changed."""
+    changed = store.update_shadows(records)
+    if frontier is not None:
+        frontier.record_arrivals(store, changed, ctx)
+    # Per-record constant plus the appendix's linear scan of the global
+    # data node list while locating each record's home.
+    ctx._comm_overhead(
+        len(records)
+        * (ctx.costs.unpack_cost + ctx.costs.unpack_scan_item_cost * ctx.num_nodes / 2)
+    )
+
+
+def superstep(
+    comm: Communicator,
+    store: NodeStore,
+    node_fn: NodeFn,
+    ctx: ComputeContext,
+    buffers: CommBuffers,
+    frontier: Frontier | None = None,
+    overlap: bool = False,
+    bulk: bool = False,
 ) -> int:
-    """Commit a change-driven sweep; returns how many values changed."""
-    changed = store.commit_owned()
-    # Only the recomputed nodes carry a pending value, so only they pay the
-    # update charge -- part of the sparse mode's virtual-time win.
-    ctx._bookkeeping(ctx.costs.update_cost * active_count)
-    frontier.record_commit(store, changed, ctx)
-    return len(changed)
+    """One compute+communicate superstep; returns how many owned values
+    changed.  The module docstring describes the three choices; in step
+    order they come to:
 
+    * Figure 8 -- ``ComputeOverNodes``: internals, then peripherals with
+      packing, then commit.  ``CommunicateShadows``: Isend all buffers,
+      blocking-receive from each neighbouring processor, unpack into the
+      data node list.
+    * Figure 8a (``overlap``) -- peripherals are processed and dispatched
+      first, internals compute while the shadow messages are in flight,
+      finally the receives are completed and unpacked one by one.
+    * ``frontier`` -- the same two orders over the active nodes (gid order
+      within each class).  Elision breaks receive symmetry -- a rank can no
+      longer post one receive per graph neighbour -- so the sweep barrier
+      doubles as the delivery fence: afterwards the mailbox is asked which
+      peers actually sent this sweep's tag, and exactly those messages are
+      received.
+    * ``frontier.inner_cap`` (``overlap`` is ignored) -- boundary phase: the
+      change-driven sweep restricted to the cut.  Interior phase: the
+      interior frontier is iterated locally, each sweep committing and
+      re-deriving the next frontier, with no communication at all.  Finally
+      the fence and the drain; arrivals activate only boundary nodes, for
+      the *next* superstep.
 
-def _drain_delta(
-    comm: Communicator,
-    store: NodeStore,
-    ctx: ComputeContext,
-    frontier: Frontier,
-    tag: int,
-    interleaved: bool = False,
-) -> None:
-    """Fence delivery, then receive and unpack what peers actually sent --
-    every message first (Figure 8), or ``interleaved`` one by one (8a)."""
-    # Every peer's sends of this sweep happen-before its barrier entry
-    # (sends are eagerly buffered), so after release the pending-sources
-    # query is deterministic.
-    comm.barrier()
-    sources = comm.pending_sources(tag)
-    ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
-
-    def unpack(records: tuple[tuple[int, Any], ...]) -> None:
-        _unpack(store, records, ctx, frontier)
-
-    if interleaved:
-        comm.neighbor_recv(sources, tag, each=unpack)
-    else:
-        for records in comm.neighbor_recv(sources, tag):
-            unpack(records)
-
-
-def sweep_basic_delta(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    frontier: Frontier,
-    bulk: bool = False,
-) -> None:
-    """The Figure-8 sweep, change-driven.
-
-    Active nodes compute (internals then peripherals, gid order); only
-    changed peripheral values are packed and only nonempty buffers are
-    sent.  Elision breaks receive symmetry -- a rank can no longer post one
-    receive per graph neighbour -- so the sweep barrier doubles as the
-    delivery fence (:func:`_drain_delta`): afterwards the mailbox is asked
-    which peers actually sent this sweep's tag, and exactly those messages
-    are received.
-    """
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[frontier.parity]
-    frontier.parity ^= 1
-    phases = (_BulkPhases if bulk else _ScalarPhases)(
-        store, node_fn, ctx, buffers, frontier, changed_only=True
-    )
-    phases.internal()
-    phases.peripheral()
-    ctx.changed_last_sweep = _commit_delta(store, ctx, frontier, phases.count)
-
-    _send_all(comm, buffers, tag)
-    _drain_delta(comm, store, ctx, frontier, tag)
-
-
-def sweep_overlapped_delta(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    frontier: Frontier,
-    bulk: bool = False,
-) -> None:
-    """The Figure-8a sweep, change-driven.
-
-    Active peripherals compute and dispatch first; active internals compute
-    while the (changed-only) shadow messages are in flight; the barrier
-    then fences delivery and the discovered senders are drained.
-    """
-    buffers.reset()
-    tag = TAG_SHADOW_DELTA[frontier.parity]
-    frontier.parity ^= 1
-    phases = (_BulkPhases if bulk else _ScalarPhases)(
-        store, node_fn, ctx, buffers, frontier, changed_only=True
-    )
-    phases.peripheral()
-    _send_all(comm, buffers, tag)
-
-    phases.internal()
-    ctx.changed_last_sweep = _commit_delta(store, ctx, frontier, phases.count)
-
-    _drain_delta(comm, store, ctx, frontier, tag, interleaved=True)
-
-
-# --------------------------------------------------------------------- #
-# Hybrid sync/async (GraphHP) pipeline
-# --------------------------------------------------------------------- #
-
-
-def sweep_hybrid(
-    comm: Communicator,
-    store: NodeStore,
-    node_fn: NodeFn,
-    ctx: ComputeContext,
-    buffers: CommBuffers,
-    frontier: Frontier,
-    bulk: bool = False,
-) -> None:
-    """One GraphHP-style two-phase superstep.
-
-    Boundary phase: active peripherals compute, changed values pack, the
-    (nonempty) delta buffers dispatch -- exactly the change-driven sweep
-    restricted to the cut.  Interior phase: the interior frontier is
-    iterated locally until it drains or ``inner_cap`` sweeps have run,
-    each sweep committing and re-deriving the next frontier, with no
-    communication at all -- it runs between the Isend and the barrier, so
-    it overlaps the exchange for free.  Finally the barrier fences
-    delivery and the discovered senders are drained; arrivals activate
-    only boundary nodes, for the *next* superstep.
-
-    Quiescence safety: ``changed_last_sweep`` counts boundary plus all
+    Quiescence safety: the returned count covers boundary plus all
     interior commits.  Frontier entries are only ever created by a
     *changed* commit (counted here) or a *changed* arrival (counted at
     its sender's commit), so a global all-zero verdict implies every
@@ -1005,31 +823,86 @@ def sweep_hybrid(
     always has a nonzero change count backing it.
     """
     buffers.reset()
-    tag = TAG_SHADOW_DELTA[frontier.parity]
-    frontier.parity ^= 1
     make_phases = _BulkPhases if bulk else _ScalarPhases
+    sparse = frontier is not None
+    inner_cap = frontier.inner_cap if sparse else None
+    tag = TAG_SHADOW
+    if sparse:
+        tag = TAG_SHADOW_DELTA[frontier.parity]
+        frontier.parity ^= 1
 
-    # ---- Boundary phase (globally synchronous, delta exchange) -------
-    boundary = make_phases(store, node_fn, ctx, buffers, frontier, _PERIPHERAL, True)
-    boundary.peripheral()
-    # Boundary changes land in the *unconsumed* interior class, feeding
-    # this superstep's interior phase; interior commits below land in the
-    # freshly consumed boundary class, feeding the next superstep.
-    total_changed = _commit_delta(store, ctx, frontier, boundary.count)
-    _send_all(comm, buffers, tag)
+    def commit(count: int) -> int:
+        changed = store.commit_owned()
+        # Only the ``count`` recomputed nodes carry a pending value, so only
+        # they pay the update charge -- every owned node on a dense sweep
+        # (identical to the pre-delta cost model), the active ones on a
+        # change-driven sweep: part of the sparse mode's virtual-time win.
+        ctx._bookkeeping(ctx.costs.update_cost * count)
+        if sparse:
+            frontier.record_commit(store, changed, ctx)
+        return len(changed)
 
-    # ---- Interior phase (local, asynchronous, overlaps the exchange) --
-    sweeps = 0
-    while sweeps < frontier.inner_cap:
-        interior = make_phases(store, node_fn, ctx, buffers, frontier, _INTERNAL)
-        if not interior.count:
-            break
-        sweeps += 1
-        interior.internal()
-        total_changed += _commit_delta(store, ctx, frontier, interior.count)
-    frontier.inner_sweeps += sweeps
-    ctx.changed_last_sweep = total_changed
+    def dispatch() -> list[int]:
+        peers = _send_all(comm, buffers, tag)
+        if not sparse:
+            # Per-peer receive-buffer allocation + initialization (appendix
+            # mallocs a MAX_SIZE recvbuffer per neighbouring processor every
+            # call).  Receives are matched when completed, so nothing needs
+            # posting before the internal phase for the transfers to overlap
+            # it.
+            ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
+        return peers
 
-    _drain_delta(comm, store, ctx, frontier, tag)
+    if inner_cap is not None:
+        # ---- Boundary phase (globally synchronous, delta exchange) -------
+        boundary = make_phases(store, node_fn, ctx, buffers, frontier, _PERIPHERAL)
+        boundary.peripheral()
+        # Boundary changes land in the *unconsumed* interior class, feeding
+        # this superstep's interior phase; interior commits below land in the
+        # freshly consumed boundary class, feeding the next superstep.
+        changed = commit(boundary.count)
+        sources = dispatch()
+        # ---- Interior phase (local, asynchronous, overlaps the exchange) --
+        sweeps = 0
+        while sweeps < inner_cap:
+            interior = make_phases(store, node_fn, ctx, buffers, frontier, _INTERNAL)
+            if not interior.count:
+                break
+            sweeps += 1
+            interior.internal()
+            changed += commit(interior.count)
+        frontier.inner_sweeps += sweeps
+    else:
+        phases = make_phases(store, node_fn, ctx, buffers, frontier)
+        if overlap:
+            phases.peripheral()
+            sources = dispatch()
+            phases.internal()
+            changed = commit(phases.count)
+        else:
+            phases.internal()
+            phases.peripheral()
+            changed = commit(phases.count)
+            sources = dispatch()
 
+    if sparse:
+        # The senders are whoever had a change to report, not the peers just
+        # sent to.  Every peer's sends of this sweep happen-before its
+        # barrier entry (sends are eagerly buffered), so after release the
+        # pending-sources query is deterministic.
+        comm.barrier()
+        sources = comm.pending_sources(tag)
+        ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
 
+    if overlap and inner_cap is None:
+        comm.neighbor_recv(sources, tag, each=lambda got: _unpack(store, got, ctx, frontier))
+        return changed
+    received = comm.neighbor_recv(sources, tag)
+    if not sparse:
+        # The appendix's CommunicateShadows synchronizes all ranks between
+        # the receive loop and the buffer unpacking (its MPI_Barrier) -- one
+        # of the per-iteration couplings the Figure-8a order removes.
+        comm.barrier()
+    for records in received:
+        _unpack(store, records, ctx, frontier)
+    return changed

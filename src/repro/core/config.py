@@ -196,7 +196,6 @@ class PlatformConfig:
             soon as a global reduction observes that *no* node's committed
             value changed during an iteration -- the computation has reached
             its fixed point and further sweeps cannot alter any value).
-        track_phases: Record per-phase virtual-time breakdowns.
         track_trace: Record a per-iteration :class:`~repro.core.trace.
             ExecutionTrace` (makespans, compute imbalance, migrations).
         validate_each_iteration: Run (expensive) data-structure invariant
@@ -227,7 +226,6 @@ class PlatformConfig:
     hybrid_inner_cap: int = 32
     activation: str = "dense"
     converge: str = "fixed"
-    track_phases: bool = True
     track_trace: bool = False
     validate_each_iteration: bool = False
 

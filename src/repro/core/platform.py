@@ -23,7 +23,6 @@ seconds of the paper's tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..graphs.graph import Graph
@@ -39,12 +38,8 @@ from .compute import (
     ComputeContext,
     Frontier,
     NodeFn,
+    superstep,
     supports_bulk,
-    sweep_basic,
-    sweep_basic_delta,
-    sweep_hybrid,
-    sweep_overlapped,
-    sweep_overlapped_delta,
 )
 from .config import PlatformConfig
 from .integrity import IntegrityGuard, inject_memory_flips
@@ -290,6 +285,10 @@ class ICPlatform:
             if reporter.quiescence_records
             else None
         )
+
+        def gathered(attr: str) -> Any:
+            return (record for outcome in outcomes for record in getattr(outcome, attr))
+
         return PlatformResult(
             elapsed=max(o.elapsed for o in outcomes),
             nprocs=nprocs,
@@ -301,22 +300,10 @@ class ICPlatform:
             migrations=list(reporter.migrations),
             repartitions=reporter.repartitions,
             trace=ExecutionTrace(
-                (record for outcome in outcomes for record in outcome.trace_records),
-                (
-                    record
-                    for outcome in outcomes
-                    for record in outcome.reconfigurations
-                ),
-                (
-                    record
-                    for outcome in outcomes
-                    for record in outcome.integrity_records
-                ),
-                (
-                    record
-                    for outcome in outcomes
-                    for record in outcome.quiescence_records
-                ),
+                gathered("trace_records"),
+                gathered("reconfigurations"),
+                gathered("integrity_records"),
+                gathered("quiescence_records"),
             ),
             recoveries=reporter.recoveries,
             repairs=reporter.repairs,
@@ -336,50 +323,105 @@ class ICPlatform:
     # ------------------------------------------------------------------ #
 
     def _rank_main(self, comm: Communicator, partition: Partition) -> RankOutcome:
-        config = self.config
-        phases = PhaseTimes()
-        # Hybrid execution supersedes the activation switch (it is
-        # inherently change-driven).  Both thread one Frontier through the
-        # sweeps; the dense pipelines keep the thesis's exact behaviour.
-        hybrid = config.execution == "hybrid"
-        frontier = (
-            Frontier(len(self.node_fns), config.hybrid_inner_cap if hybrid else None)
-            if hybrid or config.activation == "sparse"
-            else None
-        )
-        # The struct-of-arrays store takes the vectorized pipelines whenever
-        # every node function ships a bulk kernel; functions without one
-        # (imbalance schedules, battlefield) run the scalar sweeps, which
-        # are equally conformant on either store.
-        store_cls = SoAStore if config.store == "soa" else NodeStore
-        bulk = config.store == "soa" and supports_bulk(self.node_fns)
-        if hybrid:
-            sweep = partial(sweep_hybrid, frontier=frontier, bulk=bulk)
-        elif frontier is not None:
-            delta_sweep = (
-                sweep_overlapped_delta
-                if config.overlap_communication
-                else sweep_basic_delta
-            )
-            sweep = partial(delta_sweep, frontier=frontier, bulk=bulk)
-        elif config.overlap_communication:
-            sweep = partial(sweep_overlapped, bulk=bulk)
-        else:
-            sweep = partial(sweep_basic, bulk=bulk)
-        quiescing = config.converge == "quiescence"
+        """One rank's pass through Figure 6's flow of control, as a loop
+        over :class:`_RankRun`'s named steps."""
+        run = _RankRun(self, comm)
+        run.init(partition)
+        while run.iteration <= self.config.iterations and not run.dead:
+            if run.recover() or run.integrity():
+                continue  # rewound to a checkpoint (or died): start over from there
+            run.sweep()
+            run.vote()
+            run.balance()
+            run.record()
+            if run.quiesced:
+                # Fixed point reached: stop early, skipping the remaining
+                # configured iterations (they could not change any value).
+                break
+            run.checkpoint()
+            run.refresh_digests()
+            run.iteration += 1
+        return run.outcome()
+
+
+class _RankRun:
+    """One rank's loop state plus the steps :meth:`ICPlatform._rank_main`
+    sequences: init, recover (shrink | restart), integrity, sweep, vote,
+    balance, record, checkpoint, refresh_digests, outcome.  A step reads and
+    writes the run's attributes only, so each can be wrapped (timed, traced)
+    from outside.  ``recover`` and ``integrity`` return whether they rewound
+    the run to a checkpoint."""
+
+    def __init__(self, platform: ICPlatform, comm: Communicator) -> None:
+        config = platform.config
+        self.platform, self.config, self.comm = platform, config, comm
         # Stable identity: shrink recovery re-ranks the communicator, but
         # outcomes and trace records stay addressed by the original rank.
-        world_rank = comm.rank
+        self.world_rank = comm.rank
+        self.phases = PhaseTimes()
+        self.ctx = ComputeContext(comm, config.costs, platform.graph.num_nodes)
+        # Hybrid execution supersedes the activation switch (it is
+        # inherently change-driven).  Both thread one Frontier through the
+        # supersteps; without one they keep the thesis's exact behaviour.
+        self.hybrid = config.execution == "hybrid"
+        self.frontier = (
+            Frontier(len(platform.node_fns), config.hybrid_inner_cap if self.hybrid else None)
+            if self.hybrid or config.activation == "sparse"
+            else None
+        )
+        # The struct-of-arrays store computes through the vectorized kernels
+        # whenever every node function ships one; functions without one
+        # (imbalance schedules, battlefield) compute node by node, which is
+        # equally conformant on either store.
+        self.bulk = config.store == "soa" and supports_bulk(platform.node_fns)
+        self.iteration = 0  # the one just completed; 0 = initialization
+        self.dead = False
+        self.quiesced = False
+        self.migrations: list[MigrationEvent] = []
+        self.repartitions = 0
+        self.window_exec_time = 0.0
+        self.trace_records: list[IterationRecord] = []
 
-        # ---- Initialization phase -------------------------------------
+        # Checkpoint/restart machinery (fault-injection support).  Crash
+        # events are declared in the fault plan, so every rank sees the same
+        # ones at the same iteration: detection, rollback, and re-execution
+        # stay collective and deterministic.
+        self.fault_state = comm.faults
+        self.plan = plan = self.fault_state.plan if self.fault_state is not None else None
+        self.has_crashes = plan is not None and bool(plan.crashes)
+        self.checkpointer = Checkpointer(config.checkpoint_period, keep=config.checkpoint_keep)
+        self.recoveries = 0
+        self.attempt = 0
+        self.handled_crashes: set[tuple[int, int]] = set()
+        self.detector = (
+            FailureDetector(plan, comm.machine, comm.size)
+            if self.has_crashes and config.recovery_policy == "shrink"
+            else None
+        )
+        self.reconfigurations: list[ReconfigurationRecord] = []
+
+        # Silent-corruption machinery.  Memory flips fire whenever the plan
+        # schedules them; whether anything *notices* depends on the
+        # configured integrity level (see PlatformConfig.integrity).
+        self.has_flips = plan is not None and bool(plan.flips)
+        self.guard: IntegrityGuard | None = None
+        self.applied_flips: set[tuple[int, int, int | None]] = set()
+        self.integrity_records: list[IntegrityRecord] = []
+        self.repairs = 0
+        self.quiescence_records: list[QuiescenceRecord] = []
+
+    # ---- Initialization phase ------------------------------------------
+
+    def init(self, partition: Partition) -> None:
+        """Build this rank's node lists, then take the recovery baseline."""
+        comm, config, platform = self.comm, self.config, self.platform
         t0 = comm.Wtime()
-        assignment = list(partition.assignment)  # this rank's output_arr copy
-        ctx = ComputeContext(comm, config.costs, self.graph.num_nodes)
-        store = store_cls(
+        store_cls = SoAStore if config.store == "soa" else NodeStore
+        self.store = store = store_cls(
             comm.rank,
-            self.graph,
-            assignment,
-            self.init_value,
+            platform.graph,
+            list(partition.assignment),  # this rank's output_arr copy
+            platform.init_value,
             hash_table_length=config.hash_table_length,
         )
         # Process-backend workers back the SoA arrays with a named
@@ -387,466 +429,402 @@ class ICPlatform:
         allocator = comm._cluster.shared_store_allocator()
         if allocator is not None:
             store.use_shared_arrays(allocator)
-        num_shadows = len(store.shadow_gids())
         comm.work(
             config.costs.init_node_cost * store.num_owned()
-            + config.costs.init_shadow_cost * num_shadows
+            + config.costs.init_shadow_cost * len(store.shadow_gids())
         )
         comm.barrier()
-        phases.initialization = comm.Wtime() - t0
-
-        # ---- Iterate ---------------------------------------------------
-        buffers = CommBuffers(comm.size)
-        migrations: list[MigrationEvent] = []
-        repartitions = 0
-        window_exec_time = 0.0
-
-        trace_records: list[IterationRecord] = []
-
-        # Checkpoint/restart machinery (fault-injection support).  Crash
-        # events are declared in the fault plan, so every rank sees the same
-        # ones at the same iteration: detection, rollback, and re-execution
-        # stay collective and deterministic.
-        fault_state = comm.faults
-        plan = fault_state.plan if fault_state is not None else None
-        has_crashes = plan is not None and bool(plan.crashes)
-        checkpointer = Checkpointer(config.checkpoint_period, keep=config.checkpoint_keep)
-        recoveries = 0
-        attempt = 0
-        handled_crashes: set[tuple[int, int]] = set()
-        shrinking = has_crashes and config.recovery_policy == "shrink"
-        detector = (
-            FailureDetector(plan, comm.machine, comm.size) if shrinking else None
-        )
-        reconfigurations: list[ReconfigurationRecord] = []
-
-        # Silent-corruption machinery.  Memory flips fire whenever the plan
-        # schedules them; whether anything *notices* depends on the
-        # configured integrity level (see PlatformConfig.integrity).
-        has_flips = plan is not None and bool(plan.flips)
-        digesting = config.integrity in ("digest", "full")
-        guard = (
-            IntegrityGuard(
-                comm,
-                store,
-                repair=config.integrity == "full",
-                period=config.integrity_period,
+        self.phases.initialization = comm.Wtime() - t0
+        self.buffers = CommBuffers(comm.size)
+        if config.integrity in ("digest", "full"):
+            self.guard = IntegrityGuard(
+                comm, store, repair=config.integrity == "full", period=config.integrity_period
             )
-            if digesting
-            else None
+        self.checkpoint()
+        self.refresh_digests()
+        self.iteration = 1
+
+    # ---- Recovery from crash faults ------------------------------------
+
+    def recover(self) -> bool:
+        """Handle the crash faults due at this iteration, by the configured
+        policy."""
+        if not self.has_crashes:
+            return False
+        return self._recover_restart() if self.detector is None else self._recover_shrink()
+
+    def _recover_shrink(self) -> bool:
+        comm = self.comm
+        detected = self.detector.poll(self.iteration)
+        if detected is None:
+            return False
+        dead_locals = sorted(
+            local
+            for local in (comm.local_rank_of(e.rank) for e in detected.events)
+            if local is not None
         )
-        applied_flips: set[tuple[int, int, int | None]] = set()
-        integrity_records: list[IntegrityRecord] = []
-        repairs = 0
-        quiescence_records: list[QuiescenceRecord] = []
+        if not dead_locals:
+            return False
+        dead_worlds = tuple(comm.world_rank_of(d) for d in dead_locals)
+        if comm.rank in dead_locals:
+            # This rank dies: hand the last checkpoint to the survivors'
+            # coordinator and leave the computation.
+            self.fault_state.count_crash(self.world_rank)
+            send_dying_checkpoint(comm, self.checkpointer, dead_locals)
+            self.dead = True
+            return True
+        t_rec = comm.Wtime()
+        comm.work(detected.detection_cost)
+        shrunk = shrink_reconfigure(comm, self.store, self.ctx, self.checkpointer, dead_locals)
+        self.store = shrunk.store
+        self.comm = self.ctx.comm = shrunk.comm
+        self.buffers = CommBuffers(shrunk.comm.size)
+        self._reinstate(shrunk.extras)
+        if self.frontier is not None:
+            # The survivor stores were rebuilt from bare values (fresh
+            # version counters, new interior/boundary split), so any saved
+            # frontier is meaningless: fall back to dense sweeps.
+            self.frontier.reset_dense()
+        if self.guard is not None:
+            self.guard.rebind(shrunk.comm, shrunk.store)
+        self._reconfigured(
+            t_rec,
+            detected.detection_cost,
+            shrunk.saved_iteration + 1,
+            policy="shrink",
+            dead_ranks=dead_worlds,
+            survivors=shrunk.survivors,
+            nodes_redistributed=shrunk.nodes_redistributed,
+        )
+        return True
 
-        def loop_extras() -> dict[str, Any]:
-            # Rollback-sensitive loop state that lives outside the store.
-            # The frontier rides under the key of the mode it serves.
-            active = frontier.capture(store) if frontier is not None else None
-            return {
-                "window_exec_time": window_exec_time,
-                "migrations": list(migrations),
-                "repartitions": repartitions,
-                "node_compute": ctx.node_loads(),
-                "delta": None if hybrid else active,
-                "hybrid": active if hybrid else None,
-            }
+    def _recover_restart(self) -> bool:
+        comm, costs = self.comm, self.config.costs
+        crashes = [
+            c
+            for c in self.plan.crashes_at(self.iteration)
+            if (c.rank, c.iteration) not in self.handled_crashes
+        ]
+        if not crashes:
+            return False
+        t_rec = comm.Wtime()
+        crashed_here = False
+        for c in crashes:
+            self.handled_crashes.add((c.rank, c.iteration))
+            if c.rank == comm.rank:
+                crashed_here = True
+                self.fault_state.count_crash(comm.rank)
+        # Every rank pays the failure-detection latency; the crashed rank
+        # additionally pays to respawn.
+        comm.work(costs.crash_detect_cost)
+        if crashed_here:
+            comm.work(costs.restart_fixed_cost)
+        resumed = self._rollback()
+        self._reconfigured(
+            t_rec,
+            costs.crash_detect_cost,
+            resumed,
+            policy="rollback",
+            dead_ranks=tuple(sorted(c.rank for c in crashes)),
+            survivors=comm.group,
+            nodes_redistributed=0,
+        )
+        return True
 
-        def restore_delta(extras: dict[str, Any]) -> None:
-            # Reinstate the change frontier a checkpoint captured -- a
+    def _rollback(self) -> int:
+        """Restore the newest retained checkpoint (collective); returns the
+        iteration to resume at."""
+        comm, store = self.comm, self.store
+        saved_iteration, extras = self.checkpointer.restore(store)
+        comm.work(self.config.costs.restore_item_cost * len(store.data_records))
+        self._reinstate(extras)
+        if self.frontier is not None:
+            # Reinstate the change frontier the checkpoint captured -- a
             # rollback must not resume with an empty frontier (nodes whose
             # pending changes were rolled back would never recompute).
-            if frontier is not None:
-                frontier.restore(extras["hybrid" if hybrid else "delta"])
-
-        if has_crashes or (digesting and has_flips) or checkpointer.period:
-            # Post-initialization baseline: guarantees a recovery point even
-            # before the first periodic checkpoint is due.  Digest-detected
-            # corruption may need it too: rollback is the fallback whenever
-            # surgical repair is impossible.
-            t_ck = comm.Wtime()
-            checkpointer.take(0, store, **loop_extras())
-            comm.work(config.costs.checkpoint_item_cost * len(store.data_records))
-            phases.recovery += comm.Wtime() - t_ck
-
-        if guard is not None:
-            t_ig = comm.Wtime()
-            guard.refresh()
-            phases.recovery += comm.Wtime() - t_ig
-
-        iteration = 1
-        while iteration <= config.iterations:
-            if shrinking:
-                detected = detector.poll(iteration)
-                dead_locals = (
-                    sorted(
-                        local
-                        for local in (
-                            comm.local_rank_of(e.rank) for e in detected.events
-                        )
-                        if local is not None
-                    )
-                    if detected is not None
-                    else []
-                )
-                if dead_locals:
-                    dead_worlds = tuple(comm.world_rank_of(d) for d in dead_locals)
-                    if comm.rank in dead_locals:
-                        # This rank dies: hand the last checkpoint to the
-                        # survivors' coordinator and leave the computation.
-                        # Trace records past the checkpoint describe work
-                        # the survivors will redo without this rank, so
-                        # they are pruned rather than left to shadow the
-                        # re-executed iterations.
-                        if fault_state is not None:
-                            fault_state.count_crash(world_rank)
-                        send_dying_checkpoint(comm, checkpointer, dead_locals)
-                        last_saved = checkpointer.last.iteration
-                        return RankOutcome(
-                            rank=world_rank,
-                            elapsed=comm.Wtime(),
-                            phases=phases,
-                            values={},
-                            owned=[],
-                            migrations=migrations,
-                            repartitions=repartitions,
-                            trace_records=[
-                                r
-                                for r in trace_records
-                                if r.iteration <= last_saved
-                            ],
-                            recoveries=recoveries,
-                            checkpoints=checkpointer.taken,
-                            dead=True,
-                            reconfigurations=reconfigurations,
-                            integrity_records=integrity_records,
-                            repairs=repairs,
-                            inner_sweeps=(
-                                frontier.inner_sweeps if frontier is not None else 0
-                            ),
-                            sparse_geom_hits=getattr(store, "sparse_geom_hits", 0),
-                            sparse_geom_misses=getattr(
-                                store, "sparse_geom_misses", 0
-                            ),
-                        )
-                    t_rec = comm.Wtime()
-                    comm.work(detected.detection_cost)
-                    shrunk = shrink_reconfigure(
-                        comm, store, ctx, checkpointer, dead_locals
-                    )
-                    store = shrunk.store
-                    comm = shrunk.comm
-                    ctx.comm = comm
-                    buffers = CommBuffers(comm.size)
-                    extras = shrunk.extras
-                    window_exec_time = extras["window_exec_time"]
-                    migrations[:] = extras["migrations"]
-                    repartitions = extras["repartitions"]
-                    ctx.set_node_loads(extras["node_compute"])
-                    if frontier is not None:
-                        # The survivor stores were rebuilt from bare values
-                        # (fresh version counters, new interior/boundary
-                        # split), so any saved frontier is meaningless: fall
-                        # back to dense sweeps.
-                        frontier.reset_dense()
-                    if guard is not None:
-                        guard.rebind(comm, store)
-                    recovery_elapsed = comm.Wtime() - t_rec
-                    phases.recovery += recovery_elapsed
-                    reconfigurations.append(
-                        ReconfigurationRecord(
-                            rank=world_rank,
-                            iteration=iteration,
-                            policy="shrink",
-                            dead_ranks=dead_worlds,
-                            survivors=shrunk.survivors,
-                            nodes_redistributed=shrunk.nodes_redistributed,
-                            detection_cost=detected.detection_cost,
-                            reconfiguration_cost=recovery_elapsed
-                            - detected.detection_cost,
-                            resumed_iteration=shrunk.saved_iteration + 1,
-                        )
-                    )
-                    recoveries += 1
-                    attempt += 1
-                    iteration = shrunk.saved_iteration + 1
-                    continue
-            elif has_crashes:
-                crashes = [
-                    c
-                    for c in plan.crashes_at(iteration)
-                    if (c.rank, c.iteration) not in handled_crashes
-                ]
-                if crashes:
-                    t_rec = comm.Wtime()
-                    crashed_here = False
-                    for c in crashes:
-                        handled_crashes.add((c.rank, c.iteration))
-                        if c.rank == comm.rank:
-                            crashed_here = True
-                            if fault_state is not None:
-                                fault_state.count_crash(comm.rank)
-                    # Every rank pays the failure-detection latency; the
-                    # crashed rank additionally pays to respawn.
-                    comm.work(config.costs.crash_detect_cost)
-                    if crashed_here:
-                        comm.work(config.costs.restart_fixed_cost)
-                    saved_iteration, extras = checkpointer.restore(store)
-                    comm.work(
-                        config.costs.restore_item_cost * len(store.data_records)
-                    )
-                    window_exec_time = extras["window_exec_time"]
-                    migrations[:] = extras["migrations"]
-                    repartitions = extras["repartitions"]
-                    ctx.set_node_loads(extras["node_compute"])
-                    restore_delta(extras)
-                    if guard is not None:
-                        guard.reset_after_restore()
-                    comm.barrier()
-                    recovery_elapsed = comm.Wtime() - t_rec
-                    phases.recovery += recovery_elapsed
-                    reconfigurations.append(
-                        ReconfigurationRecord(
-                            rank=world_rank,
-                            iteration=iteration,
-                            policy="rollback",
-                            dead_ranks=tuple(sorted(c.rank for c in crashes)),
-                            survivors=comm.group,
-                            nodes_redistributed=0,
-                            detection_cost=config.costs.crash_detect_cost,
-                            reconfiguration_cost=recovery_elapsed
-                            - config.costs.crash_detect_cost,
-                            resumed_iteration=saved_iteration + 1,
-                        )
-                    )
-                    recoveries += 1
-                    attempt += 1
-                    iteration = saved_iteration + 1
-                    continue
-
-            # ---- Silent corruption: inject, detect, repair/rollback ----
-            if has_flips and fault_state is not None:
-                # The flip itself is free (it is the *fault*); only the
-                # protection machinery below costs virtual time.
-                inject_memory_flips(
-                    store, fault_state, world_rank, iteration, applied_flips
-                )
-            if guard is not None:
-                t_ig = comm.Wtime()
-                decision = guard.check(iteration)
-                if decision is None:
-                    phases.recovery += comm.Wtime() - t_ig
-                elif decision.repair:
-                    guard.repair_from_replicas(decision, fault_state)
-                    event_cost = comm.Wtime() - t_ig
-                    phases.recovery += event_cost
-                    repairs += len(decision.claims)
-                    for claim in decision.claims:
-                        integrity_records.append(
-                            IntegrityRecord(
-                                rank=world_rank,
-                                iteration=iteration,
-                                gid=claim.gid,
-                                owner=comm.world_rank_of(claim.owner),
-                                flip_iteration=claim.flip_iteration,
-                                latency=iteration - claim.flip_iteration,
-                                mode="repair",
-                                replica=comm.world_rank_of(min(claim.holders)),
-                                cost=event_cost,
-                                resumed_iteration=iteration,
-                            )
-                        )
-                    # Fall through: the iteration proceeds on healed state.
-                else:
-                    # Interior node or late detection: checkpoints taken at
-                    # or after the injection are contaminated, so discard
-                    # them and roll back to the newest clean snapshot.
-                    checkpointer.discard_since(decision.min_flip_iteration)
-                    saved_iteration, extras = checkpointer.restore(store)
-                    comm.work(
-                        config.costs.restore_item_cost * len(store.data_records)
-                    )
-                    window_exec_time = extras["window_exec_time"]
-                    migrations[:] = extras["migrations"]
-                    repartitions = extras["repartitions"]
-                    ctx.set_node_loads(extras["node_compute"])
-                    restore_delta(extras)
-                    guard.reset_after_restore()
-                    comm.barrier()
-                    event_cost = comm.Wtime() - t_ig
-                    phases.recovery += event_cost
-                    for claim in decision.claims:
-                        integrity_records.append(
-                            IntegrityRecord(
-                                rank=world_rank,
-                                iteration=iteration,
-                                gid=claim.gid,
-                                owner=comm.world_rank_of(claim.owner),
-                                flip_iteration=claim.flip_iteration,
-                                latency=iteration - claim.flip_iteration,
-                                mode="rollback",
-                                replica=None,
-                                cost=event_cost,
-                                resumed_iteration=saved_iteration + 1,
-                            )
-                        )
-                    recoveries += 1
-                    attempt += 1
-                    iteration = saved_iteration + 1
-                    continue
-
-            ctx.iteration = iteration
-            iter_clock_start = comm.Wtime()
-            iter_compute0 = ctx.compute_time
-            iter_comm_oh0 = ctx.comm_overhead_time
-            migrations_before = len(migrations)
-            iter_changed = 0
-            for round_idx, node_fn in enumerate(self.node_fns):
-                ctx.round = round_idx
-                t_sweep = comm.Wtime()
-                compute0 = ctx.compute_time
-                overhead0 = ctx.comm_overhead_time
-                book0 = ctx.bookkeeping_time
-                sweep(comm, store, node_fn, ctx, buffers)
-                iter_changed += ctx.changed_last_sweep
-                t_end = comm.Wtime()
-                d_compute = ctx.compute_time - compute0
-                d_comm_oh = ctx.comm_overhead_time - overhead0
-                d_book = ctx.bookkeeping_time - book0
-                phases.compute += d_compute
-                phases.communication_overhead += d_comm_oh
-                phases.computation_overhead += d_book
-                # Whatever wall time the counters do not explain is message
-                # injection/drain cost and waiting on peers: "communicate".
-                remainder = (t_end - t_sweep) - d_compute - d_comm_oh - d_book
-                phases.communicate += max(0.0, remainder)
-                # The thesis times *ComputeOverNodes only* as the processor
-                # weight for the load balancer -- waiting inside the
-                # communication step must not equalize the measurements.
-                window_exec_time += d_compute + d_book
-
-            if config.validate_each_iteration:
-                store.check_invariants()
-
-            # Quiescence: fold the changed-node count into the iteration's
-            # collective cadence.  The reduction is collective, so every
-            # rank agrees on the verdict; when nothing changed anywhere the
-            # computation is at its fixed point and further sweeps are
-            # provably no-ops (pure node functions).
-            quiesced = False
-            if quiescing:
-                quiesced = comm.allreduce(iter_changed) == 0
-
-            if (
-                not quiesced
-                and config.dynamic_load_balancing
-                and iteration % config.lb_period == 0
-            ):
-                t_lb = comm.Wtime()
-                if config.rebalance_mode == "repartition":
-                    store, changed = repartition_phase(
-                        comm, store, self.repartitioner, ctx
-                    )
-                    repartitions += int(changed)
-                else:
-                    events = load_balance_phase(
-                        comm,
-                        store,
-                        self.balancer,
-                        window_exec_time,
-                        ctx,
-                        iteration,
-                        max_migrations_per_pair=config.max_migrations_per_pair,
-                    )
-                    migrations.extend(events)
-                window_exec_time = 0.0  # the thesis resets the window
-                ctx.reset_node_loads()
-                if frontier is not None:
-                    # Ownership changed (or stores were rebuilt) and interior
-                    # vs boundary nodes were reclassified: the saved frontier
-                    # no longer describes this rank's nodes, so the next
-                    # sweep of every round runs dense.
-                    frontier.reset_dense()
-                comm.barrier()
-                phases.load_balancing += comm.Wtime() - t_lb
-                if config.validate_each_iteration:
-                    store.check_invariants()
-
-            if config.track_trace:
-                own_moves = sum(
-                    1
-                    for event in migrations[migrations_before:]
-                    if comm.rank in (event.from_proc, event.to_proc)
-                )
-                trace_records.append(
-                    IterationRecord(
-                        rank=world_rank,
-                        iteration=iteration,
-                        start=iter_clock_start,
-                        end=comm.Wtime(),
-                        compute=ctx.compute_time - iter_compute0,
-                        comm_overhead=ctx.comm_overhead_time - iter_comm_oh0,
-                        migrations=own_moves,
-                        attempt=attempt,
-                    )
-                )
-
-            if quiesced:
-                # Fixed point reached: stop early, skipping the remaining
-                # configured iterations (they could not change any value).
-                quiescence_records.append(
-                    QuiescenceRecord(
-                        rank=world_rank,
-                        iteration=iteration,
-                        configured_iterations=config.iterations,
-                        saved_iterations=config.iterations - iteration,
-                    )
-                )
-                break
-
-            if checkpointer.due(iteration):
-                t_ck = comm.Wtime()
-                checkpointer.take(iteration, store, **loop_extras())
-                comm.work(
-                    config.costs.checkpoint_item_cost * len(store.data_records)
-                )
-                phases.recovery += comm.Wtime() - t_ck
-
-            if guard is not None:
-                # Reference digests of the just-committed values: next
-                # iteration's check diffs against these.
-                t_ig = comm.Wtime()
-                guard.refresh()
-                phases.recovery += comm.Wtime() - t_ig
-
-            iteration += 1
-
+            self.frontier.restore(extras["hybrid" if self.hybrid else "delta"])
+        if self.guard is not None:
+            self.guard.reset_after_restore()
         comm.barrier()
-        elapsed = comm.Wtime()
+        return saved_iteration + 1
+
+    def _loop_extras(self) -> dict[str, Any]:
+        """Rollback-sensitive loop state that lives outside the store.  The
+        frontier rides under the key of the mode it serves."""
+        frontier = self.frontier
+        active = frontier.capture(self.store) if frontier is not None else None
+        return {
+            "window_exec_time": self.window_exec_time,
+            "migrations": list(self.migrations),
+            "repartitions": self.repartitions,
+            "node_compute": self.ctx.node_loads(),
+            "delta": None if self.hybrid else active,
+            "hybrid": active if self.hybrid else None,
+        }
+
+    def _reinstate(self, extras: dict[str, Any]) -> None:
+        """Put back what :meth:`_loop_extras` captured (frontier aside)."""
+        self.window_exec_time = extras["window_exec_time"]
+        self.migrations[:] = extras["migrations"]
+        self.repartitions = extras["repartitions"]
+        self.ctx.set_node_loads(extras["node_compute"])
+
+    def _resume(self, iteration: int) -> None:
+        self.recoveries += 1
+        self.attempt += 1
+        self.iteration = iteration
+
+    def _reconfigured(
+        self, t_rec: float, detection_cost: float, resumed_iteration: int, **what: Any
+    ) -> None:
+        """Close a crash recovery begun at ``t_rec``: time it, log it (with
+        ``what`` the policy did), and rewind the loop."""
+        recovery_elapsed = self.comm.Wtime() - t_rec
+        self.phases.recovery += recovery_elapsed
+        self.reconfigurations.append(
+            ReconfigurationRecord(
+                rank=self.world_rank,
+                iteration=self.iteration,
+                detection_cost=detection_cost,
+                reconfiguration_cost=recovery_elapsed - detection_cost,
+                resumed_iteration=resumed_iteration,
+                **what,
+            )
+        )
+        self._resume(resumed_iteration)
+
+    # ---- Silent corruption: inject, detect, repair/rollback ------------
+
+    def integrity(self) -> bool:
+        """Fire this iteration's memory flips, then check the digests and
+        heal what they expose."""
+        iteration = self.iteration
+        if self.has_flips:
+            # The flip itself is free (it is the *fault*); only the
+            # protection machinery below costs virtual time.
+            inject_memory_flips(
+                self.store, self.fault_state, self.world_rank, iteration, self.applied_flips
+            )
+        guard = self.guard
+        if guard is None:
+            return False
+        comm = self.comm
+        t_ig = comm.Wtime()
+        decision = guard.check(iteration)
+        if decision is None:
+            self.phases.recovery += comm.Wtime() - t_ig
+            return False
+        if decision.repair:
+            # The iteration proceeds on healed state.
+            guard.repair_from_replicas(decision, self.fault_state)
+            self.repairs += len(decision.claims)
+            resumed = iteration
+        else:
+            # Interior node or late detection: checkpoints taken at or after
+            # the injection are contaminated, so discard them and roll back
+            # to the newest clean snapshot.
+            self.checkpointer.discard_since(decision.min_flip_iteration)
+            resumed = self._rollback()
+        event_cost = comm.Wtime() - t_ig
+        self.phases.recovery += event_cost
+        for claim in decision.claims:
+            self.integrity_records.append(
+                IntegrityRecord(
+                    rank=self.world_rank,
+                    iteration=iteration,
+                    gid=claim.gid,
+                    owner=comm.world_rank_of(claim.owner),
+                    flip_iteration=claim.flip_iteration,
+                    latency=iteration - claim.flip_iteration,
+                    mode="repair" if decision.repair else "rollback",
+                    replica=comm.world_rank_of(min(claim.holders)) if decision.repair else None,
+                    cost=event_cost,
+                    resumed_iteration=resumed,
+                )
+            )
+        if decision.repair:
+            return False
+        self._resume(resumed)
+        return True
+
+    # ---- Computation & communication phase -----------------------------
+
+    def sweep(self) -> None:
+        """One superstep per communication round."""
+        comm, ctx, phases = self.comm, self.ctx, self.phases
+        overlap = self.config.overlap_communication
+        ctx.iteration = self.iteration
+        times = comm.Wtime(), ctx.compute_time, ctx.comm_overhead_time
+        self._at_start = (*times, len(self.migrations))
+        self.changed = 0
+        for round_idx, node_fn in enumerate(self.platform.node_fns):
+            ctx.round = round_idx
+            t_sweep = comm.Wtime()
+            compute0 = ctx.compute_time
+            overhead0 = ctx.comm_overhead_time
+            book0 = ctx.bookkeeping_time
+            self.changed += superstep(
+                comm, self.store, node_fn, ctx, self.buffers, self.frontier, overlap, self.bulk
+            )
+            t_end = comm.Wtime()
+            d_compute = ctx.compute_time - compute0
+            d_comm_oh = ctx.comm_overhead_time - overhead0
+            d_book = ctx.bookkeeping_time - book0
+            phases.compute += d_compute
+            phases.communication_overhead += d_comm_oh
+            phases.computation_overhead += d_book
+            # Whatever wall time the counters do not explain is message
+            # injection/drain cost and waiting on peers: "communicate".
+            remainder = (t_end - t_sweep) - d_compute - d_comm_oh - d_book
+            phases.communicate += max(0.0, remainder)
+            # The thesis times *ComputeOverNodes only* as the processor
+            # weight for the load balancer -- waiting inside the
+            # communication step must not equalize the measurements.
+            self.window_exec_time += d_compute + d_book
+        if self.config.validate_each_iteration:
+            self.store.check_invariants()
+
+    def vote(self) -> None:
+        """Quiescence: fold the changed-node count into the iteration's
+        collective cadence.  The reduction is collective, so every rank
+        agrees on the verdict; when nothing changed anywhere the computation
+        is at its fixed point and further sweeps are provably no-ops (pure
+        node functions)."""
+        if self.config.converge == "quiescence":
+            self.quiesced = self.comm.allreduce(self.changed) == 0
+
+    # ---- Load balancing & task migration phase -------------------------
+
+    def balance(self) -> None:
+        """Every ``lb_period`` iterations: migrate tasks or repartition."""
+        config, comm, ctx = self.config, self.comm, self.ctx
+        if self.quiesced or not config.dynamic_load_balancing or self.iteration % config.lb_period:
+            return
+        t_lb = comm.Wtime()
+        if config.rebalance_mode == "repartition":
+            self.store, changed = repartition_phase(
+                comm, self.store, self.platform.repartitioner, ctx
+            )
+            self.repartitions += int(changed)
+        else:
+            self.migrations.extend(
+                load_balance_phase(
+                    comm,
+                    self.store,
+                    self.platform.balancer,
+                    self.window_exec_time,
+                    ctx,
+                    self.iteration,
+                    max_migrations_per_pair=config.max_migrations_per_pair,
+                )
+            )
+        self.window_exec_time = 0.0  # the thesis resets the window
+        ctx.reset_node_loads()
+        if self.frontier is not None:
+            # Ownership changed (or stores were rebuilt) and interior vs
+            # boundary nodes were reclassified: the saved frontier no longer
+            # describes this rank's nodes, so the next sweep of every round
+            # runs dense.
+            self.frontier.reset_dense()
+        comm.barrier()
+        self.phases.load_balancing += comm.Wtime() - t_lb
+        if config.validate_each_iteration:
+            self.store.check_invariants()
+
+    # ---- Bookkeeping at the end of an iteration ------------------------
+
+    def record(self) -> None:
+        """Log the iteration (``track_trace``) and a quiescence verdict."""
+        config, comm, ctx = self.config, self.comm, self.ctx
+        if config.track_trace:
+            start, compute0, comm_oh0, migrations_before = self._at_start
+            own_moves = sum(
+                1
+                for event in self.migrations[migrations_before:]
+                if comm.rank in (event.from_proc, event.to_proc)
+            )
+            self.trace_records.append(
+                IterationRecord(
+                    rank=self.world_rank,
+                    iteration=self.iteration,
+                    start=start,
+                    end=comm.Wtime(),
+                    compute=ctx.compute_time - compute0,
+                    comm_overhead=ctx.comm_overhead_time - comm_oh0,
+                    migrations=own_moves,
+                    attempt=self.attempt,
+                )
+            )
+        if self.quiesced:
+            self.quiescence_records.append(
+                QuiescenceRecord(
+                    rank=self.world_rank,
+                    iteration=self.iteration,
+                    configured_iterations=config.iterations,
+                    saved_iterations=config.iterations - self.iteration,
+                )
+            )
+
+    def checkpoint(self) -> None:
+        """Snapshot the store and loop extras when one is owed: every
+        ``checkpoint_period`` iterations, and once after initialization."""
+        iteration, comm, store = self.iteration, self.comm, self.store
+        # Post-initialization baseline: guarantees a recovery point even
+        # before the first periodic checkpoint is due.  Digest-detected
+        # corruption may need it too: rollback is the fallback whenever
+        # surgical repair is impossible.
+        baseline = self.has_crashes or (self.guard is not None and self.has_flips)
+        if not (self.checkpointer.due(iteration) or (iteration == 0 and baseline)):
+            return
+        t_ck = comm.Wtime()
+        self.checkpointer.take(iteration, store, **self._loop_extras())
+        comm.work(self.config.costs.checkpoint_item_cost * len(store.data_records))
+        self.phases.recovery += comm.Wtime() - t_ck
+
+    def refresh_digests(self) -> None:
+        """Reference digests of the just-committed values: next iteration's
+        check diffs against these."""
+        if self.guard is not None:
+            t_ig = self.comm.Wtime()
+            self.guard.refresh()
+            self.phases.recovery += self.comm.Wtime() - t_ig
+
+    def outcome(self) -> RankOutcome:
+        """What this rank reports back.  A dead rank owns nothing any more,
+        and its trace records past the checkpoint describe work the
+        survivors redo without it, so they are pruned rather than left to
+        shadow the re-executed iterations."""
+        dead, store, frontier = self.dead, self.store, self.frontier
+        trace_records = self.trace_records
+        if dead:
+            last_saved = self.checkpointer.last.iteration
+            trace_records = [r for r in trace_records if r.iteration <= last_saved]
+        else:
+            self.comm.barrier()
+        executed = self.iteration if self.quiesced else 0 if dead else self.config.iterations
         return RankOutcome(
-            rank=world_rank,
-            elapsed=elapsed,
-            phases=phases,
-            values=store.owned_values(),
-            owned=[node.global_id for node in store.owned_nodes()],
-            migrations=migrations,
-            versions=store.owned_versions(),
-            repartitions=repartitions,
+            rank=self.world_rank,
+            elapsed=self.comm.Wtime(),
+            phases=self.phases,
+            values={} if dead else store.owned_values(),
+            owned=[] if dead else [node.global_id for node in store.owned_nodes()],
+            migrations=self.migrations,
+            versions={} if dead else store.owned_versions(),
+            repartitions=self.repartitions,
             trace_records=trace_records,
-            recoveries=recoveries,
-            checkpoints=checkpointer.taken,
-            reconfigurations=reconfigurations,
-            integrity_records=integrity_records,
-            repairs=repairs,
-            quiescence_records=quiescence_records,
-            iterations_executed=(
-                iteration if quiescence_records else config.iterations
-            ),
+            recoveries=self.recoveries,
+            checkpoints=self.checkpointer.taken,
+            dead=dead,
+            reconfigurations=self.reconfigurations,
+            integrity_records=self.integrity_records,
+            repairs=self.repairs,
+            quiescence_records=self.quiescence_records,
+            iterations_executed=executed,
             inner_sweeps=frontier.inner_sweeps if frontier is not None else 0,
             sparse_geom_hits=getattr(store, "sparse_geom_hits", 0),
             sparse_geom_misses=getattr(store, "sparse_geom_misses", 0),
         )
+
 
 def run_platform(
     graph: Graph,

@@ -1,4 +1,4 @@
-"""Tests for the compute/communicate sweeps (Figures 8 and 8a)."""
+"""Tests for the compute/communicate superstep (Figures 8 and 8a)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from repro.core import (
     NodeStore,
     NodeView,
     PlatformCosts,
-    sweep_basic,
-    sweep_overlapped,
+    superstep,
 )
 from repro.graphs import Graph, hex32
 from repro.mpi import IDEAL, run_mpi
@@ -34,14 +33,14 @@ def average_fn(node: NodeView, ctx: ComputeContext) -> float:
     return sum(vals) / len(vals)
 
 
-def run_sweeps(graph, assignment, nprocs, iterations, sweep):
+def run_sweeps(graph, assignment, nprocs, iterations, overlap):
     def fn(comm):
         store = NodeStore(comm.rank, graph, list(assignment), lambda gid: float(gid))
         ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
         buffers = CommBuffers(comm.size)
         for i in range(1, iterations + 1):
             ctx.iteration = i
-            sweep(comm, store, average_fn, ctx, buffers)
+            superstep(comm, store, average_fn, ctx, buffers, overlap=overlap)
         return {n.global_id: n.data.data for n in store.owned_nodes()}
 
     results = run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=15.0)
@@ -52,12 +51,16 @@ def run_sweeps(graph, assignment, nprocs, iterations, sweep):
 
 
 class TestSweepCorrectness:
-    @pytest.mark.parametrize("sweep", [sweep_basic, sweep_overlapped])
+    # The ids are the two orders' historical names (test ids are pinned).
+    @pytest.mark.parametrize(
+        "overlap",
+        [pytest.param(False, id="sweep_basic"), pytest.param(True, id="sweep_overlapped")],
+    )
     @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8])
-    def test_matches_sequential_reference(self, sweep, nprocs):
+    def test_matches_sequential_reference(self, overlap, nprocs):
         graph = hex32()
         assignment = [gid % nprocs for gid in range(32)]
-        parallel = run_sweeps(graph, assignment, nprocs, 5, sweep)
+        parallel = run_sweeps(graph, assignment, nprocs, 5, overlap)
         expected = sequential_average(graph, 5)
         assert parallel.keys() == expected.keys()
         for gid in expected:
@@ -66,14 +69,14 @@ class TestSweepCorrectness:
     def test_basic_and_overlapped_agree_exactly(self):
         graph = hex32()
         assignment = [gid % 4 for gid in range(32)]
-        basic = run_sweeps(graph, assignment, 4, 7, sweep_basic)
-        overlapped = run_sweeps(graph, assignment, 4, 7, sweep_overlapped)
+        basic = run_sweeps(graph, assignment, 4, 7, overlap=False)
+        overlapped = run_sweeps(graph, assignment, 4, 7, overlap=True)
         assert basic == overlapped
 
     def test_empty_rank_participates_without_deadlock(self):
         graph = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
         assignment = [0, 0, 1, 1]
-        merged = run_sweeps(graph, assignment, 3, 3, sweep_basic)  # rank 2 idle
+        merged = run_sweeps(graph, assignment, 3, 3, overlap=False)  # rank 2 idle
         assert set(merged) == {1, 2, 3, 4}
 
 
@@ -87,7 +90,7 @@ class TestOverlapPerformance:
         graph = hex32()
         assignment = [gid % 4 for gid in range(32)]
 
-        def runner(sweep):
+        def runner(overlap):
             def fn(comm):
                 store = NodeStore(
                     comm.rank, graph, list(assignment), lambda gid: float(gid)
@@ -97,13 +100,13 @@ class TestOverlapPerformance:
                 for i in range(1, 11):
                     ctx.iteration = i
                     ctx.work(2e-3)  # internal compute to hide latency behind
-                    sweep(comm, store, average_fn, ctx, buffers)
+                    superstep(comm, store, average_fn, ctx, buffers, overlap=overlap)
                 comm.barrier()
                 return comm.Wtime()
 
             return max(run_mpi(fn, 4, machine=machine, deadlock_timeout=15.0))
 
-        assert runner(sweep_overlapped) <= runner(sweep_basic)
+        assert runner(overlap=True) <= runner(overlap=False)
 
 
 class TestContextAccounting:
@@ -126,7 +129,7 @@ class TestContextAccounting:
             store = NodeStore(comm.rank, graph, list(assignment), lambda gid: gid)
             ctx = ComputeContext(comm, PlatformCosts(), 2)
             buffers = CommBuffers(2)
-            sweep_basic(comm, store, average_fn, ctx, buffers)
+            superstep(comm, store, average_fn, ctx, buffers)
             return ctx.comm_overhead_time
 
         overheads = run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
@@ -140,7 +143,7 @@ class TestContextAccounting:
             store = NodeStore(comm.rank, graph, list(assignment), lambda gid: gid)
             ctx = ComputeContext(comm, PlatformCosts(), 32)
             buffers = CommBuffers(1)
-            sweep_basic(comm, store, average_fn, ctx, buffers)
+            superstep(comm, store, average_fn, ctx, buffers)
             return ctx.bookkeeping_time, comm.Wtime()
 
         book, wtime = run_mpi(fn, 1, machine=IDEAL)[0]

@@ -8,11 +8,22 @@ Each pair runs ``benchmarks/perf/run.py --workload W --seed S --seconds 24
 --trace 0`` once in either checkout (what the driver runs), alternating
 which side goes first, with a fresh seed per pair.  Prints, per workload and
 end-to-end metric, each side's median and quartiles, the pairs the change
-won and lost (ties count for neither), and whether the difference of the
+won and lost (ties count for neither), whether the difference of the
 medians exceeds the distance between the parent's own quartiles -- the rule
-of the ``choosing-metrics`` guide, section 8.  ``--quick`` passes
-``--quick`` through instead of ``--seconds 24`` (a smoke run of the tool
-itself: its timings mean nothing).
+of the ``choosing-metrics`` guide, section 8, for a change that claims a
+gain -- and the verdict a change that claims none needs (section 6.5),
+against the metric's ``bound`` in the change's ``BENCHMARK.json``:
+
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+* ``unresolved``: it is not, but the run-to-run spread (the wider of the two
+  sides' quartile distances) exceeds the bound, and not every run of the
+  change reads better than every run of the parent;
+* ``within bound`` otherwise.
+
+Exits 1 when any pairing is ``worse``.  ``--quick`` passes ``--quick``
+through instead of ``--seconds 24`` (a smoke run of the tool itself: its
+timings mean nothing, so it prints the verdicts but always exits 0).
 
 Take the parent checkout with ``git clone`` (or ``git archive``), not
 ``git worktree``: each side must build its samples from its own ``src/``.
@@ -57,24 +68,52 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(workload: str, parent: list[dict], change: list[dict]) -> None:
-    """Print the verdict table of one workload (lower is better throughout)."""
+def end_to_end_metrics(checkout: Path) -> dict[str, dict]:
+    """``name -> {"better", "bound", ...}`` as ``BENCHMARK.json`` declares."""
+    declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {entry["name"]: entry for entry in declared["end_to_end"]}
+
+
+def verdict(before: list[float], after: list[float], bound: float, sign: int) -> str:
+    """``within bound`` / ``worse`` / ``unresolved`` for one metric; ``sign``
+    is +1 when lower is better, -1 when higher is."""
+    (p1, pm, p3), (c1, cm, c3) = quartiles(before), quartiles(after)
+    if sign * (cm - pm) > bound * abs(pm):
+        return "worse"
+    every_run_better = max(sign * a for a in after) < min(sign * b for b in before)
+    if max(p3 - p1, c3 - c1) > bound * abs(pm) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(
+    workload: str, parent: list[dict], change: list[dict], declared: dict[str, dict]
+) -> list[str]:
+    """Print the verdict table of one workload; returns the verdicts."""
     print(f"\n== {workload}: {len(parent)} pairs")
     print(
         f"  {'metric':<12} {'parent q1/med/q3':<26} {'change q1/med/q3':<26} "
-        f"{'delta':>7}  won/lost  beyond parent spread"
+        f"{'delta':>7}  won/lost  beyond parent spread  vs bound"
     )
+    verdicts = []
     for metric in parent[0]:
         before = [run[metric] for run in parent]
         after = [run[metric] for run in change]
         (p1, pm, p3), (c1, cm, c3) = quartiles(before), quartiles(after)
-        won = sum(a < b for a, b in zip(after, before))
-        lost = sum(a > b for a, b in zip(after, before))
+        entry = declared.get(metric)
+        sign = -1 if entry and entry["better"] == "higher" else 1
+        won = sum(sign * a < sign * b for a, b in zip(after, before))
+        lost = sum(sign * a > sign * b for a, b in zip(after, before))
+        against = "-"
+        if entry is not None:
+            verdicts.append(verdict(before, after, entry["bound"], sign))
+            against = f"{verdicts[-1]} ({entry['bound']:.0%})"
         print(
             f"  {metric:<12} {f'{p1:.4f}/{pm:.4f}/{p3:.4f}':<26} "
             f"{f'{c1:.4f}/{cm:.4f}/{c3:.4f}':<26} {(cm - pm) / pm:>+7.1%}  "
-            f"{won:>3}/{lost:<4}  {'yes' if abs(cm - pm) > p3 - p1 else 'no'}"
+            f"{won:>3}/{lost:<4}  {'yes' if abs(cm - pm) > p3 - p1 else 'no':<20}  {against}"
         )
+    return verdicts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,9 +139,13 @@ def main(argv: list[str] | None = None) -> int:
                 runs[workload][side].append(metrics)
                 shown = " ".join(f"{name}={value:.4f}" for name, value in metrics.items())
                 print(f"pair {pair + 1}/{args.pairs} {workload} {side}: {shown}", flush=True)
-    for workload, by_side in runs.items():
-        summarize(workload, by_side["parent"], by_side["change"])
-    return 0
+    declared = end_to_end_metrics(sides["change"])
+    verdicts = [
+        v
+        for workload, by_side in runs.items()
+        for v in summarize(workload, by_side["parent"], by_side["change"], declared)
+    ]
+    return 1 if "worse" in verdicts and not args.quick else 0
 
 
 if __name__ == "__main__":
