@@ -15,7 +15,7 @@ than mutate -- exactly the double-buffering discipline the platform's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = ["Side", "RED", "BLUE", "Departure", "HexState"]
@@ -106,8 +106,22 @@ class HexState:
         raise ValueError(f"unknown side {side!r}")
 
     def with_changes(self, **kwargs) -> "HexState":
-        """Functional update (``dataclasses.replace`` wrapper)."""
-        return replace(self, **kwargs)
+        """Functional update: a new, validated state with the named fields
+        replaced (an unknown name is ``__init__``'s ``TypeError``).  Spelled
+        out because every node update makes one: ``dataclasses.replace``
+        re-introspects the fields on each call, and going through
+        ``__dict__`` would cost every later attribute read its fast path."""
+        pop = kwargs.pop
+        return HexState(
+            pop("gid", self.gid),
+            pop("red", self.red),
+            pop("blue", self.blue),
+            pop("departures", self.departures),
+            pop("destroyed_red", self.destroyed_red),
+            pop("destroyed_blue", self.destroyed_blue),
+            pop("step", self.step),
+            **kwargs,
+        )
 
     def departing(self, side: Side) -> float:
         """Total strength of ``side`` currently marching out."""

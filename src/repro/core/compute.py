@@ -52,15 +52,13 @@ fixed point is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from ..mpi.communicator import Communicator
 from .buffers import CommBuffers
 from .config import PlatformCosts
-from .node import OwnNode
 from .nodestore import NodeStore
 from .soastore import ChargePlan, SoAStore, concat_ranges
 
@@ -88,9 +86,9 @@ TAG_SHADOW_DELTA = (5, 6)
 _INTERNAL, _PERIPHERAL = 0, 1
 
 
-@dataclass(frozen=True)
-class NodeView:
-    """The node+neighbours list handed to the application node function.
+class NodeView(NamedTuple):
+    """The node+neighbours list handed to the application node function
+    (immutable; one is built per node update, hence a named tuple).
 
     Attributes:
         global_id: The node being computed.
@@ -140,8 +138,8 @@ class ComputeContext:
         #: :meth:`node_loads` is the merged view.
         self.node_compute: dict[int, float] = {}
         self._bulk_loads: np.ndarray | None = None
-        #: The bulk accountant's list-forming cost table, indexed by degree.
-        self.cost_by_degree = np.empty(0)
+        #: :meth:`node_cost`'s memo, indexed by degree.
+        self.cost_by_degree: list[float] = []
 
     def bulk_loads(self) -> np.ndarray:
         """The gid-indexed load array the bulk accountant accumulates into."""
@@ -176,6 +174,22 @@ class ComputeContext:
         if self._bulk_loads is not None:
             self._bulk_loads.fill(0.0)
 
+    def node_cost(self, deg: int) -> float:
+        """The list-forming bookkeeping charge for a node of degree ``deg``
+        (evaluated once per degree)."""
+        table, costs = self.cost_by_degree, self.costs
+        for missing in range(len(table), deg + 1):
+            table.append(
+                costs.list_item_cost * (1 + missing)
+                + costs.hash_lookup_cost * missing
+                # The appendix's SimulatorFunction linearly scans the global
+                # data node list (which holds *all* graph nodes on every
+                # rank) to locate the current node: an average of n/2 items
+                # touched per call.
+                + costs.data_scan_item_cost * self.num_nodes / 2
+            )
+        return table[deg]
+
     @property
     def rank(self) -> int:
         """This processor's rank."""
@@ -207,59 +221,6 @@ class ComputeContext:
 NodeFn = Callable[[NodeView, ComputeContext], Any]
 
 
-def _node_cost(ctx: ComputeContext, deg: int) -> float:
-    """The list-forming bookkeeping charge for a node of degree ``deg``."""
-    costs = ctx.costs
-    return (
-        costs.list_item_cost * (1 + deg)
-        + costs.hash_lookup_cost * deg
-        # The appendix's SimulatorFunction linearly scans the global data
-        # node list (which holds *all* graph nodes on every rank) to locate
-        # the current node: an average of n/2 items touched per call.
-        + costs.data_scan_item_cost * ctx.num_nodes / 2
-    )
-
-
-def _form_view(store: NodeStore, node: OwnNode, ctx: ComputeContext) -> NodeView:
-    """Build the node+neighbours list, charging list-forming overhead."""
-    neighbors = []
-    for v in node.neighboring_nodes:
-        record = store.hash_table[v]
-        neighbors.append((v, record.data))
-    ctx._bookkeeping(_node_cost(ctx, len(neighbors)))
-    return NodeView(
-        global_id=node.global_id,
-        value=node.data.data,
-        neighbors=tuple(neighbors),
-        iteration=ctx.iteration,
-        round=ctx.round,
-    )
-
-
-def _compute_node(store: NodeStore, node: OwnNode, node_fn: NodeFn, ctx: ComputeContext) -> None:
-    view = _form_view(store, node, ctx)
-    before = ctx.compute_time
-    node.data.most_recent_data = node_fn(view, ctx)
-    spent = ctx.compute_time - before
-    if spent:
-        gid = node.global_id
-        ctx.node_compute[gid] = ctx.node_compute.get(gid, 0.0) + spent
-
-
-def _pack_node(
-    node: OwnNode, buffers: CommBuffers, ctx: ComputeContext, changed_only: bool
-) -> None:
-    """Pack a freshly computed value for every processor shadowing the node
-    -- with ``changed_only``, only if it differs from the committed one
-    (receivers treat absent records as "shadow still current")."""
-    data = node.data
-    if changed_only and (data.most_recent_data is None or data.most_recent_data == data.data):
-        return
-    for proc in node.shadow_for_procs:
-        buffers.pack(proc, node.global_id, data.most_recent_data)
-        ctx._comm_overhead(ctx.costs.pack_cost)
-
-
 class _ScalarPhases:
     """One sweep's two compute phases, node by node through the node
     function.  ``frontier``/``part`` select the nodes: the frontier's active
@@ -277,8 +238,7 @@ class _ScalarPhases:
         frontier: Frontier | None = None,
         part: int | None = None,
     ) -> None:
-        self._args = (store, node_fn, ctx)
-        self._buffers, self._changed_only = buffers, frontier is not None
+        self._args = (store, node_fn, ctx, buffers, frontier is not None)
         internal, peripheral = store.internal, store.peripheral
         active = frontier.begin(store, ctx.round, part) if frontier is not None else None
         if active is None:  # dense: list order
@@ -296,16 +256,43 @@ class _ScalarPhases:
 
     def internal(self) -> None:
         """Compute the selected internal nodes."""
-        store, node_fn, ctx = self._args
-        for node in self._internal:
-            _compute_node(store, node, node_fn, ctx)
+        self._sweep(self._internal, pack=False)
 
     def peripheral(self) -> None:
         """Compute the selected peripheral nodes, packing as it goes."""
-        store, node_fn, ctx = self._args
-        for node in self._peripheral:
-            _compute_node(store, node, node_fn, ctx)
-            _pack_node(node, self._buffers, ctx, self._changed_only)
+        self._sweep(self._peripheral, pack=True)
+
+    def _sweep(self, nodes: Any, pack: bool) -> None:
+        """Per node, in order: charge the list-forming cost, form the view,
+        call the node function, record the node's load and, with ``pack``,
+        buffer the fresh value for every processor shadowing the node."""
+        store, node_fn, ctx, buffers, changed_only = self._args
+        # The host resolves each neighbourhood once per surgery epoch; the
+        # model's machine still probes its hash table on every update
+        # (``hash_lookup_cost * deg`` inside ``node_cost``).
+        rows = store.neighbor_records()
+        work, node_cost, pack_cost = ctx.comm.work, ctx.node_cost, ctx.costs.pack_cost
+        iteration, round_idx, loads = ctx.iteration, ctx.round, ctx.node_compute
+        for node in nodes:
+            gid, data = node.global_id, node.data
+            records = rows[gid]
+            ctx.bookkeeping_time += work(node_cost(len(records)))
+            value = data.data
+            neighbors = tuple([(v, r.data) for v, r in zip(node.neighboring_nodes, records)])
+            before = ctx.compute_time
+            fresh = node_fn(NodeView(gid, value, neighbors, iteration, round_idx), ctx)
+            data.most_recent_data = fresh
+            # Window-scoped measured load; a key iff the charge is non-zero.
+            spent = ctx.compute_time - before
+            if spent:
+                loads[gid] = loads.get(gid, 0.0) + spent
+            # With ``changed_only`` a value equal to the committed one is not
+            # packed (receivers treat absent records as "shadow still
+            # current").
+            if pack and not (changed_only and (fresh is None or fresh == value)):
+                for proc in node.shadow_for_procs:
+                    buffers.pack(proc, gid, fresh)
+                    ctx.comm_overhead_time += work(pack_cost)
 
 
 # --------------------------------------------------------------------- #
@@ -333,14 +320,9 @@ def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:
     return all(callable(getattr(fn, "bulk", None)) for fn in node_fns)
 
 
-def _replay_node(
-    gid: int, deg: int, grain: float, ctx: ComputeContext, book: dict[int, float]
-) -> None:
+def _replay_node(gid: int, deg: int, grain: float, ctx: ComputeContext) -> None:
     """Charge one node's scalar-path costs (no value computation)."""
-    cost = book.get(deg)
-    if cost is None:
-        cost = book[deg] = _node_cost(ctx, deg)
-    ctx._bookkeeping(cost)
+    ctx._bookkeeping(ctx.node_cost(deg))
     before = ctx.compute_time
     ctx.work(grain)
     spent = ctx.compute_time - before
@@ -354,15 +336,12 @@ def _part(plan: ChargePlan, part: int) -> slice:
 
 
 def _node_costs(ctx: ComputeContext, degrees: np.ndarray) -> np.ndarray:
-    """:func:`_node_cost` per node, through a by-degree table on the context
-    (each entry evaluated by the scalar formula itself)."""
+    """:meth:`ComputeContext.node_cost` per node, as an array."""
     try:
-        return ctx.cost_by_degree[degrees]
+        return np.array(ctx.cost_by_degree)[degrees]
     except IndexError:
-        known = len(ctx.cost_by_degree)
-        more = [_node_cost(ctx, deg) for deg in range(known, int(degrees.max()) + 1)]
-        ctx.cost_by_degree = np.append(ctx.cost_by_degree, more)
-        return ctx.cost_by_degree[degrees]
+        ctx.node_cost(int(degrees.max()))  # fills the memo up to that degree
+        return np.array(ctx.cost_by_degree)[degrees]
 
 
 def _charge_matrix(
@@ -436,9 +415,8 @@ def _charge(
     degrees = plan.degrees[_part(plan, part)]
     faults = ctx.comm.faults
     if faults is not None and faults.plan.slow:
-        book: dict[int, float] = {}
         for i, (gid, deg) in enumerate(zip(gids.tolist(), degrees.tolist())):
-            _replay_node(gid, deg, grain, ctx, book)
+            _replay_node(gid, deg, grain, ctx)
             for _ in range(packs[i] if packs else 0):
                 ctx._comm_overhead(pack_cost)
         return
@@ -521,7 +499,7 @@ class _BulkPhases:
     def peripheral(self) -> None:
         """Charge the peripheral nodes' share and pack their fresh values --
         all, or only those differing from the committed value, exactly as
-        :func:`_pack_node` decides."""
+        :meth:`_ScalarPhases._sweep` decides."""
         plan, fresh = self._plan, self._fresh
         packed: bool | list[bool] = True
         if self._changed_only:

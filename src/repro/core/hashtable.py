@@ -12,7 +12,10 @@ communication.  The hash function follows the appendix code,
 
 A plain dict would do the same job in Python; the explicit bucket structure
 is kept because the thesis treats bucket behaviour as part of the design
-(and the tests exercise it directly).
+(and the tests exercise it directly).  One behaviour of the appendix's hash
+is recorded rather than "fixed": 3 has order ``2**(k-2)`` modulo ``2**k``, so
+a power-of-two length reaches only ``length / 4`` buckets (16 of the default
+64) -- no longer paid per node update, see ``NodeStore.neighbor_records``.
 """
 
 from __future__ import annotations

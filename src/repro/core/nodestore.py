@@ -60,6 +60,8 @@ class NodeStore:
         # *and* by halt-flag changes -- see :meth:`set_halted`).
         self._buffer_sizes_cache: dict[int, list[int]] = {}
         self._neighbor_procs_cache: list[int] | None = None
+        #: :meth:`neighbor_records`' memo (``None`` until a scalar sweep asks).
+        self._neighbor_records: dict[int, tuple[NodeData, ...]] | None = None
         #: Bumped by every :meth:`_invalidate_topology_cache`: whoever
         #: derives arrays from the owned set (the change-driven frontier)
         #: compares it to tell when they are stale.
@@ -131,6 +133,8 @@ class NodeStore:
         through here, so a subclass can swap the record representation
         (the struct-of-arrays store) without touching those flows.
         """
+        if gid in self.data_records:
+            raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
         record = NodeData(gid, value, most_recent, version=version, halted=halted)
         self.data_records[gid] = record
         self.hash_table.insert(record)
@@ -240,8 +244,29 @@ class NodeStore:
             self._neighbor_procs_cache = sorted(procs)
         return list(self._neighbor_procs_cache)
 
+    def neighbor_records(self) -> dict[int, tuple[NodeData, ...]]:
+        """``gid -> its neighbours' data records`` in adjacency order, for
+        every owned node: the list-forming step's hash-table lookups, done
+        once per surgery epoch instead of once per node update.
+
+        Resolved at the first scalar sweep that asks (``_build`` makes the
+        ``OwnNode`` s before the shadow records exist; a bulk run never
+        asks).  Only ownership surgery can stale a row: records enter through
+        :meth:`_add_record` and leave through :meth:`_reset_records` (whose
+        callers invalidate) and :meth:`prune_stale_shadows` (never one an
+        owned node references); all else writes ``record.data`` in place.
+        """
+        rows = self._neighbor_records
+        if rows is None:
+            table = self.hash_table
+            rows = self._neighbor_records = {
+                node.global_id: tuple([table[v] for v in node.neighboring_nodes])
+                for node in self.owned_nodes()
+            }
+        return rows
+
     def _invalidate_topology_cache(self) -> None:
-        """Drop memoized buffer sizes / neighbour procs.
+        """Drop memoized buffer sizes / neighbour procs / neighbour records.
 
         Must run after ownership surgery (release/adopt/refresh/restore)
         *and* after any halt-flag change -- both inputs feed the memoized
@@ -250,6 +275,7 @@ class NodeStore:
         """
         self._buffer_sizes_cache.clear()
         self._neighbor_procs_cache = None
+        self._neighbor_records = None
         self.surgery_epoch += 1
 
     # ------------------------------------------------------------------ #
@@ -512,6 +538,14 @@ class NodeStore:
         assert len(self.hash_table) == len(self.data_records)
         for gid, record in self.data_records.items():
             assert self.hash_table.get(gid) is record, f"hash table desync at {gid}"
-        # OwnNode.data aliases the data record.
+        # OwnNode.data aliases the data record, and so does every resolved
+        # neighbour row.
+        rows = self._neighbor_records
+        assert rows is None or rows.keys() == {n.global_id for n in self.owned_nodes()}
         for node in self.owned_nodes():
             assert node.data is self.data_records[node.global_id]
+            if rows is not None:
+                fresh = [self.data_records[v] for v in node.neighboring_nodes]
+                assert [*map(id, rows[node.global_id])] == [*map(id, fresh)], (
+                    f"rank {self.rank}: stale neighbour row at {node.global_id}"
+                )

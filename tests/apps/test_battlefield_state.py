@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.apps.battlefield import BLUE, Departure, HexState, RED
@@ -48,6 +51,39 @@ class TestHexState:
         t = s.with_changes(red=5.0, step=3)
         assert t.red == 5.0 and t.step == 3
         assert s.red == 2.0  # immutable original
+
+    def test_with_changes_equals_dataclasses_replace(self):
+        """The directly built state is the one ``replace`` would build: equal,
+        same hash, repr and pickle bytes (checkpoints and digests pickle it),
+        and as frozen as any other."""
+        every_field = dict(
+            gid=4,
+            red=2.0,
+            blue=1.5,
+            departures=(Departure(5, RED, 0.5),),
+            destroyed_red=0.125,
+            destroyed_blue=0.75,
+            step=2,
+        )
+        # ``with_changes`` names the fields one by one: a new one goes there
+        # and here.
+        assert set(every_field) == {f.name for f in dataclasses.fields(HexState)}
+        s = HexState(**every_field)
+        changes = dict(red=0.0, departures=(), destroyed_blue=0.25, step=3)
+        ours, theirs = s.with_changes(**changes), dataclasses.replace(s, **changes)
+        assert ours == theirs and hash(ours) == hash(theirs) and repr(ours) == repr(theirs)
+        assert pickle.dumps(ours) == pickle.dumps(theirs)
+        assert s.with_changes() == s and s.with_changes() is not s
+        with pytest.raises(AttributeError):
+            ours.red = 5.0  # type: ignore[misc]
+
+    def test_with_changes_still_validates(self):
+        with pytest.raises(ValueError, match="strengths must be >= 0"):
+            HexState(gid=1, red=2.0).with_changes(red=-1.0)
+
+    def test_with_changes_rejects_unknown_field(self):
+        with pytest.raises(TypeError, match="strenght"):
+            HexState(gid=1).with_changes(strenght=1.0)
 
     def test_departing(self):
         s = HexState(

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ComputeContext, PlatformCosts
-from repro.core.compute import _INTERNAL, _PERIPHERAL, _charge, _replay_node
+from repro.core.compute import _INTERNAL, _PERIPHERAL, _charge, _node_costs, _replay_node
 from repro.core.soastore import ChargePlan
 from repro.mpi import IDEAL, FaultPlan, run_mpi
 
@@ -125,10 +125,9 @@ def run_walk(case) -> dict:
 
     def fn(comm):
         ctx = seeded_context(comm, seeds)
-        book: dict[int, float] = {}
         for _ in range(2):
             for gid, deg, count in zip(gids, degrees, packs):
-                _replay_node(gid, deg, grain, ctx, book)
+                _replay_node(gid, deg, grain, ctx)
                 for _ in range(count):
                     ctx._comm_overhead(ctx.costs.pack_cost)
         return observed(ctx)
@@ -159,6 +158,33 @@ class TestPlanEqualsWalk:
         case = ([1], [1], 1, [], -1.0, False, (0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="negative work"):
             run_plan(case)
+
+
+class TestOneCostTable:
+    """The scalar loop, ``_replay_node`` and the plan's array all read one
+    by-degree memo on the context, each entry the formula itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(degrees=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12))
+    def test_memo_is_the_formula_in_any_asking_order(self, degrees):
+        ctx = ComputeContext(None, PlatformCosts(), NUM_NODES)
+        costs = ctx.costs
+
+        def formula(deg: int) -> float:
+            return (
+                costs.list_item_cost * (1 + deg)
+                + costs.hash_lookup_cost * deg
+                + costs.data_scan_item_cost * NUM_NODES / 2
+            )
+
+        first = degrees[0]
+        assert ctx.node_cost(first).hex() == formula(first).hex()
+        assert len(ctx.cost_by_degree) == first + 1
+        as_array = _node_costs(ctx, np.asarray(degrees, dtype=np.int64))
+        assert [c.hex() for c in as_array.tolist()] == [formula(d).hex() for d in degrees]
+        assert [ctx.node_cost(d).hex() for d in degrees] == [formula(d).hex() for d in degrees]
+        assert all(type(cost) is float for cost in ctx.cost_by_degree)
+        assert len(ctx.cost_by_degree) == max(degrees) + 1
 
 
 class TestLoadViews:

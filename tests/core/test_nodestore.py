@@ -155,6 +155,20 @@ class TestCommitAndShadows:
         assert store.value_of(6) == "x" and store.data_records[5].version == 2
 
 
+    @pytest.mark.parametrize("store_cls", [NodeStore, SoAStore])
+    def test_duplicate_record_is_refused(self, store_cls, path6):
+        """A second record for a held gid would leave ``data_records`` on the
+        new one while the hash table, ``OwnNode.data`` and any resolved
+        neighbour row keep the old (the object store used to allow it)."""
+        store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10.0)
+        for gid in (1, 4):  # owned, shadow
+            with pytest.raises(KeyError, match=f"rank 0 already holds a record for node {gid}"):
+                store._add_record(gid, 999.0)
+            assert store.value_of(gid) == gid * 10.0
+        assert len(store.data_records) == len(store.hash_table) == 4
+        store.check_invariants()
+
+
 class TestMigrationSurgery:
     def test_release_keeps_data_record(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
