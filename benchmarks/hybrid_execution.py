@@ -27,8 +27,8 @@ Acceptance (enforced by ``_check``): hybrid reaches the same fixed
 point as BSP (tolerance-equal values), crosses at least
 ``MIN_BARRIER_REDUCTION``x fewer barriers, delivers at least
 ``MIN_MESSAGE_REDUCTION``x fewer messages, and is bit-identical
-hybrid-vs-hybrid across the event/threads/process backends and
-``JITTER_RUNS`` perturbed host schedules.
+hybrid-vs-hybrid across the event and process backends and
+``SCHEDULE_SEEDS`` seeded host schedules of the event backend.
 
 Run standalone (writes ``benchmarks/results/BENCH_hybrid.json``)::
 
@@ -43,7 +43,6 @@ or through pytest::
 from __future__ import annotations
 
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass, field
@@ -65,24 +64,14 @@ MIN_MESSAGE_REDUCTION = 1.5
 #: Fixed-point agreement tolerance (the workload's quantized residual).
 TOL = 1e-4
 
-#: Perturbed host schedules for the determinism fuzz (threads backend).
-JITTER_RUNS = 10
-JITTER_RUNS_QUICK = 3
+#: Seeded host schedules (``schedule_seed`` 0..N-1) for the determinism fuzz.
+SCHEDULE_SEEDS = 10
+SCHEDULE_SEEDS_QUICK = 3
 
 INNER_CAP = 64
 
 
-def _make_jitter(seed: int, max_sleep: float = 2e-4):
-    rng = random.Random(seed)
-
-    def jitter() -> None:
-        if rng.random() < 0.5:
-            time.sleep(rng.random() * max_sleep)
-
-    return jitter
-
-
-def _run(execution: str, quick: bool, *, scheduler=None, jitter=None,
+def _run(execution: str, quick: bool, *, scheduler=None, seed=None,
          store=None):
     rows = 12 if quick else 16
     graph, boundary, init = hot_edge_plate(rows, rows)
@@ -98,7 +87,7 @@ def _run(execution: str, quick: bool, *, scheduler=None, jitter=None,
         graph, make_jacobi_fn(boundary, quantize=4), init_value=init,
         config=config,
     )
-    outcome = platform.run(partition, scheduler=scheduler, sched_jitter=jitter)
+    outcome = platform.run(partition, scheduler=scheduler, schedule_seed=seed)
     return outcome, graph, boundary
 
 
@@ -205,28 +194,22 @@ def run(results_dir: Path = RESULTS_DIR, quick: bool = False) -> HybridExecution
         abs(values["bsp"][g] - values["hybrid"][g]) for g in values["bsp"]
     )
 
-    # Determinism fuzz: hybrid-vs-hybrid bit identity on every backend
-    # and across perturbed host schedules.
+    # Determinism fuzz: hybrid-vs-hybrid bit identity on both backends
+    # and across seeded host schedules.
     reference = values["hybrid"]
     ref_elapsed = result.modes["hybrid"].virtual_seconds
-    threads, _, _ = _run("hybrid", quick, scheduler="threads")
     process, _, _ = _run("hybrid", quick, scheduler="process", store="soa")
-    result.determinism["threads"] = (
-        threads.values == reference and threads.elapsed == ref_elapsed
-    )
     result.determinism["process"] = (
         process.values == reference and process.elapsed == ref_elapsed
     )
-    runs = JITTER_RUNS_QUICK if quick else JITTER_RUNS
-    jittered_ok = True
-    for seed in range(runs):
-        run_, _, _ = _run(
-            "hybrid", quick, scheduler="threads", jitter=_make_jitter(seed)
-        )
-        jittered_ok = jittered_ok and (
+    seeds = SCHEDULE_SEEDS_QUICK if quick else SCHEDULE_SEEDS
+    seeded_ok = True
+    for seed in range(seeds):
+        run_, _, _ = _run("hybrid", quick, seed=seed)
+        seeded_ok = seeded_ok and (
             run_.values == reference and run_.elapsed == ref_elapsed
         )
-    result.determinism[f"jitter_x{runs}"] = jittered_ok
+    result.determinism[f"schedule_seeds_x{seeds}"] = seeded_ok
 
     results_dir.mkdir(exist_ok=True)
     payload = json.dumps(result.to_dict(), indent=2) + "\n"

@@ -94,7 +94,7 @@ def _diffuse(scheduler: str, side: int, workers: int):
         init_value=init,
         config=config,
     )
-    return platform.run(partition, scheduler=scheduler, deadlock_timeout=60.0)
+    return platform.run(partition, scheduler=scheduler)
 
 
 # --------------------------------------------------------------------- #

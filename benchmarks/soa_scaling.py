@@ -86,7 +86,7 @@ def _diffuse(store: str, side: int):
         init_value=init,
         config=config,
     )
-    return platform.run(partition, deadlock_timeout=60.0)
+    return platform.run(partition)
 
 
 # --------------------------------------------------------------------- #

@@ -230,14 +230,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:  # the Figure-23 rolling imbalance
         node_fn = make_imbalanced_average_fn(PAPER_SCHEDULE)
 
-    if args.checkpoint_keep < 1:
-        print(
-            f"repro run: error: --checkpoint-keep: must be >= 1, "
-            f"got {args.checkpoint_keep}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-
     faults = None
     if args.faults:
         try:
@@ -251,22 +243,32 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     store_override = {"store": args.store} if args.store else {}
     execution_override = {"execution": args.execution} if args.execution else {}
-    config = PlatformConfig(
-        iterations=args.iterations,
-        dynamic_load_balancing=args.dynamic,
-        lb_period=args.lb_period,
-        overlap_communication=args.overlap,
-        rebalance_mode=args.rebalance_mode,
-        checkpoint_period=args.checkpoint_period,
-        checkpoint_keep=args.checkpoint_keep,
-        recovery_policy=args.recovery,
-        integrity=args.integrity,
-        activation=args.activation,
-        converge=args.converge,
-        hybrid_inner_cap=args.hybrid_inner_cap,
-        **store_override,
-        **execution_override,
-    )
+    try:
+        config = PlatformConfig(
+            iterations=args.iterations,
+            dynamic_load_balancing=args.dynamic,
+            lb_period=args.lb_period,
+            overlap_communication=args.overlap,
+            rebalance_mode=args.rebalance_mode,
+            checkpoint_period=args.checkpoint_period,
+            checkpoint_keep=args.checkpoint_keep,
+            recovery_policy=args.recovery,
+            integrity=args.integrity,
+            activation=args.activation,
+            converge=args.converge,
+            hybrid_inner_cap=args.hybrid_inner_cap,
+            **store_override,
+            **execution_override,
+        )
+    except ValueError as exc:
+        # PlatformConfig's messages lead with the field ("lb_period must be
+        # >= 1, got 0"); spell it as the flag it came from.
+        name, _, problem = str(exc).partition(" ")
+        print(
+            f"repro run: error: --{name.replace('_', '-')} {problem}",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
     balancer = _BALANCERS[args.balancer](args.lb_threshold) if args.dynamic else None
     # Seed node values as floats rather than the default int gids: the
     # averaging workloads produce floats after the first sweep either way,
@@ -466,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grain", choices=("fine", "coarse"), default="fine")
     run.add_argument("--iterations", type=int, default=20)
     run.add_argument("--machine", choices=sorted(_MACHINES), default="origin2000")
-    run.add_argument("--scheduler", choices=("event", "threads", "process"), default=None,
+    run.add_argument("--scheduler", choices=("event", "process"), default=None,
                      help="simulated-cluster execution backend (default: event; "
-                          "virtual-time results are identical on all three; "
+                          "virtual-time results are identical on both; "
                           "process runs one worker OS process per rank over "
                           "shared memory and requires --store soa)")
     run.add_argument("--dynamic", action="store_true", help="enable dynamic LB")

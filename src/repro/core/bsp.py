@@ -284,9 +284,7 @@ def run_vertex_program(
         _, supersteps = run_bsp(comm, step, None, max_supersteps=max_supersteps)
         return {gid: get_value(gid) for gid in owned}, supersteps
 
-    cluster = SimCluster(
-        partition.nparts, machine=machine, deadlock_timeout=30.0, scheduler=scheduler
-    )
+    cluster = SimCluster(partition.nparts, machine=machine, scheduler=scheduler)
     results = cluster.run(rank_main)
     values: dict[int, Any] = {}
     supersteps = 0

@@ -225,9 +225,9 @@ class ICPlatform:
         self,
         partition: Partition,
         machine: MachineModel = ORIGIN2000,
-        deadlock_timeout: float = 30.0,
+        deadlock_timeout: float | None = None,
         faults: FaultPlan | None = None,
-        sched_jitter: Callable[[], None] | None = None,
+        schedule_seed: int | None = None,
         scheduler: str | None = None,
     ) -> PlatformResult:
         """Execute the configured number of iterations on the partition.
@@ -235,22 +235,22 @@ class ICPlatform:
         Args:
             partition: Static node-to-processor mapping to start from.
             machine: Virtual-time machine model.
-            deadlock_timeout: Real-seconds watchdog for the simulated
-                cluster.
+            deadlock_timeout: Accepted and ignored (deadlock detection is
+                exact; no backend has a watchdog).  Kept only because
+                ``benchmarks/perf/sample.py`` still passes it.
             faults: Optional deterministic fault-injection plan (message
                 delays/drops, slow ranks, crashes).  Crash events require
                 the platform to recover via checkpoint/restart; a baseline
                 checkpoint is always taken when crashes are scheduled.
-            sched_jitter: Test hook forwarded to :class:`SimCluster` --
-                called at thread scheduling points to perturb the *host*
-                schedule without affecting virtual-time results.
+            schedule_seed: Test hook forwarded to :class:`SimCluster` --
+                fuzzes the *host* schedule of the event backend from this
+                seed without affecting virtual-time results.
             scheduler: Execution backend for the simulated cluster
-                (``"event"``, ``"threads"``, or ``"process"``); ``None``
-                lets the cluster pick (event unless jitter fuzzing is
-                armed).  Virtual-time results are identical on every
-                backend; ``"process"`` additionally runs each rank as a
-                real OS process over shared-memory SoA stores and
-                requires ``config.store == "soa"``.
+                (``"event"``, the default, or ``"process"``).
+                Virtual-time results are identical on both; ``"process"``
+                additionally runs each rank as a real OS process over
+                shared-memory SoA stores and requires
+                ``config.store == "soa"``.
         """
         if partition.graph is not self.graph and partition.graph != self.graph:
             raise ValueError("partition was computed for a different graph")
@@ -259,9 +259,8 @@ class ICPlatform:
         cluster = SimCluster(
             nprocs,
             machine=machine,
-            deadlock_timeout=deadlock_timeout,
             faults=faults,
-            sched_jitter=sched_jitter,
+            schedule_seed=schedule_seed,
             checksums=self.config.integrity in ("checksum", "full"),
             scheduler=scheduler,
         )
@@ -835,7 +834,7 @@ def run_platform(
     init_value: InitValueFn | None = None,
     balancer: LoadBalancer | None = None,
     faults: FaultPlan | None = None,
-    sched_jitter: Callable[[], None] | None = None,
+    schedule_seed: int | None = None,
     scheduler: str | None = None,
 ) -> PlatformResult:
     """One-shot convenience wrapper around :class:`ICPlatform`."""
@@ -846,6 +845,6 @@ def run_platform(
         partition,
         machine=machine,
         faults=faults,
-        sched_jitter=sched_jitter,
+        schedule_seed=schedule_seed,
         scheduler=scheduler,
     )

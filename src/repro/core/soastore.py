@@ -463,7 +463,7 @@ class SoAStore(NodeStore):
                 "its arrays live in a shared-memory segment (process "
                 "backend) that can only hold float64 values; keep node "
                 "values as Python floats, or run with --scheduler "
-                "event/threads for object-valued workloads"
+                "event for object-valued workloads"
             )
         values = np.empty(self._capacity(), dtype=object)
         values[:] = self._values.tolist()

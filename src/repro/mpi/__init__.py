@@ -6,9 +6,9 @@ the thesis.  It provides:
 * :class:`SimCluster` / :func:`run_mpi` -- ``mpirun``-style execution of a
   Python function on N simulated ranks, driven by a pluggable execution
   backend (``scheduler="event"`` for cooperative event-driven switching
-  with exact deadlock detection -- the default -- ``"threads"`` for the
-  preemptive thread-per-rank original used by schedule fuzzing, or
-  ``"process"`` for one worker OS process per rank over shared memory),
+  with exact deadlock detection -- the default, and with a
+  ``schedule_seed`` the schedule fuzzer -- or ``"process"`` for one worker
+  OS process per rank over shared memory),
 * :class:`Communicator` -- an mpi4py-flavoured API (``send``/``recv``/
   ``isend``/``irecv``/``bcast``/``gather``/``barrier``/``Wtime``) whose costs
   are charged to deterministic per-rank *virtual clocks*,
@@ -62,7 +62,6 @@ from .scheduler import (
     SCHEDULERS,
     EventScheduler,
     SchedulerBackend,
-    ThreadedScheduler,
 )
 from .timing import (
     ETHERNET_CLUSTER,
@@ -115,7 +114,6 @@ __all__ = [
     "ShrinkError",
     "SimCluster",
     "Status",
-    "ThreadedScheduler",
     "StructType",
     "TopologyMachineModel",
     "TruncationError",

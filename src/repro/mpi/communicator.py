@@ -345,7 +345,7 @@ class Communicator:
 
         Exactly the ``isend`` loop in values, clocks and message order; the
         event backend injects the batch in one pass when nothing
-        per-message (faults, checksums, schedule jitter) is armed.
+        per-message (faults, checksums) is armed.
         """
         if not self._cluster.deliver_batch(self, outgoing, tag):
             for dest, payload, nbytes in outgoing:

@@ -54,8 +54,8 @@ class UnsupportedBackendError(MPIError):
     """A requested feature cannot run on the selected execution backend.
 
     The multiprocess backend (``scheduler="process"``) keeps node state in
-    shared-memory float arrays and cannot host object-dtype stores,
-    ``sched_jitter`` fuzz hooks (which cannot cross a process boundary), or
+    shared-memory float arrays and cannot host object-dtype stores, a
+    ``schedule_seed`` (the seeded run queue is the event scheduler's), or
     platforms without ``fork``.  The error is raised *early* -- at cluster
     construction or platform launch -- rather than after a partial run has
     diverged from the shared segments."""

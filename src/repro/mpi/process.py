@@ -1,10 +1,10 @@
 """Multiprocess execution backend: one OS process per rank.
 
-The ``event`` and ``threads`` backends run every rank inside one Python
-process, so all compute serializes on the GIL; the simulator can *model*
-32-way parallelism but never exploits real cores.  This backend forks one
-worker process per rank and splits the machinery the way the iC2mpi
-platform splits its data:
+The ``event`` backend runs every rank inside one Python process, so all
+compute serializes on the GIL; the simulator can *model* 32-way
+parallelism but never exploits real cores.  This backend forks one worker
+process per rank and splits the machinery the way the iC2mpi platform
+splits its data:
 
 Data plane (shared memory, no pickling on the hot path)
     Each worker's :class:`~repro.core.soastore.SoAStore` arrays live in a
@@ -25,7 +25,7 @@ Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     advances its own locally and ships the final values home in its
     ``finish`` record; the broker merges clocks, fault counters, and rank
     results so :meth:`SimCluster.run` sees exactly what the in-thread
-    backends produce.
+    backend produces.
 
 Determinism argument (why results are bit-identical to ``event``):
 
@@ -48,15 +48,16 @@ Determinism argument (why results are bit-identical to ``event``):
 Known, documented divergence: an abort cannot interrupt a send-only rank
 mid-flight (delivery is fire-and-forget; the parent silently drops
 post-abort messages), so a rank that never blocks again may ``finish``
-normally where the in-thread backends would raise ``CommAbortedError``
+normally where the in-thread backend would raise ``CommAbortedError``
 in its next ``deliver``.  :meth:`SimCluster.run`'s raised primary error
 is unaffected.
 
 Unsupported features fail *early* with
-:class:`~repro.mpi.errors.UnsupportedBackendError`: ``sched_jitter``
-hooks (nothing to perturb, and a callable cannot meaningfully cross the
-process boundary) and platforms without the ``fork`` start method (the
-rank program is an arbitrary closure; it is inherited, never pickled).
+:class:`~repro.mpi.errors.UnsupportedBackendError`: a ``schedule_seed``
+(the seeded run queue lives in the event scheduler; the interleaving of
+worker processes belongs to the host kernel) and platforms without the
+``fork`` start method (the rank program is an arbitrary closure; it is
+inherited, never pickled).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from multiprocessing import connection as mp_connection
 
 from .errors import CommAbortedError, DeadlockError, UnsupportedBackendError, blocked_recv_text
 from .message import Message
-from .scheduler import SchedulerBackend, _NullGuard
+from .scheduler import SchedulerBackend
 from .shm import (
     DEFAULT_RING_CAPACITY,
     CollectiveBlock,
@@ -444,7 +445,7 @@ class _Broker:
         self._release_flushes()
         cluster = self._cluster
         if cluster._aborted:
-            # The in-thread backends raise CommAbortedError in the sender;
+            # The in-thread backend raises CommAbortedError in the sender;
             # fire-and-forget delivery cannot, so post-abort traffic is
             # dropped (the run's outcome is already decided).
             return
@@ -665,19 +666,18 @@ class ProcessScheduler(SchedulerBackend):
     """One worker OS process per rank over shared-memory stores.
 
     Inside a worker the cluster's transport entry points are proxied to
-    the parent broker, so ``guard``/``notify`` degenerate exactly as on
-    the event backend (single thread, no shared state); ``wait`` is never
-    reached.
+    the parent broker, so ``notify`` has nobody to wake (single thread,
+    no shared state) and ``wait`` is never reached.
     """
 
     name = "process"
 
-    def __init__(self, cluster: "SimCluster", deadlock_timeout: float) -> None:
-        if cluster._sched_jitter is not None:
+    def __init__(self, cluster: "SimCluster", seed: int | None) -> None:
+        if seed is not None:
             raise UnsupportedBackendError(
-                "scheduler='process' cannot host sched_jitter hooks: worker "
-                "ranks run in separate processes with nothing to perturb "
-                "(use scheduler='threads' for schedule fuzzing)"
+                "scheduler='process' cannot take a schedule_seed: worker "
+                "ranks run in separate processes the host kernel interleaves "
+                "(use scheduler='event' for schedule fuzzing)"
             )
         if "fork" not in multiprocessing.get_all_start_methods():
             raise UnsupportedBackendError(
@@ -686,11 +686,7 @@ class ProcessScheduler(SchedulerBackend):
                 "this platform does not support fork"
             )
         self._cluster = cluster
-        self._guard = _NullGuard()
         self.ring_capacity = DEFAULT_RING_CAPACITY
-
-    def guard(self) -> Any:
-        return self._guard
 
     def notify(self, ranks: Iterable[int] | None = None) -> None:
         return None
@@ -754,7 +750,7 @@ class ProcessScheduler(SchedulerBackend):
                 cluster.pipe_requests = broker.requests
             if shm_block is not None:
                 # Fold the rendezvous tallies into the cluster counters the
-                # in-thread backends maintain natively, so the observability
+                # in-thread backend maintains natively, so the observability
                 # surface is backend-independent.
                 cluster.barriers += shm_block.barrier_count
                 cluster.messages_delivered += shm_block.msg_count

@@ -19,11 +19,10 @@ How the rank programs are interleaved on the host is delegated to a
 * ``"event"`` (default) -- cooperative event-driven scheduling: one rank
   runs at a time, blocked ranks are woken precisely by the event that
   unblocks them, and deadlock is detected *exactly* (and instantly) when
-  the run queue empties with unfinished ranks blocked;
-* ``"threads"`` -- the preemptive original with a condition-variable poll
-  and a real-time deadlock watchdog, retained for the ``sched_jitter``
-  schedule-fuzzing suites (and selected automatically when a jitter hook
-  is armed);
+  the run queue empties with unfinished ranks blocked.  With a
+  ``schedule_seed`` the same scheduler fuzzes the host schedule (seeded
+  baton hand-offs and yields at the transport entry points below) for the
+  schedule-independence suites;
 * ``"process"`` -- one worker OS process per rank over shared-memory SoA
   stores (:mod:`repro.mpi.process`): real multi-core execution with the
   parent process as the deterministic control-plane arbiter.  Inside a
@@ -51,7 +50,7 @@ from .communicator import Communicator
 from .errors import CommAbortedError, DeadlockError, blocked_recv_text  # noqa: F401 - re-export
 from .faults import FaultPlan, FaultState
 from .message import Mailbox, Message
-from .scheduler import make_scheduler, resolve_scheduler_name
+from .scheduler import make_scheduler
 from .timing import ORIGIN2000, MachineModel, estimate_nbytes
 
 __all__ = ["RankState", "SimCluster", "run_mpi"]
@@ -65,7 +64,6 @@ class RankState:
     clock: float = 0.0
     mailbox: Mailbox = field(default_factory=Mailbox)
     finished: bool = False
-    blocked: bool = False
     result: Any = None
     error: BaseException | None = None
     #: ``(comm_id, source, tag)`` streams a batched receive is parked on;
@@ -97,20 +95,17 @@ class SimCluster:
     Args:
         nprocs: Number of ranks in ``COMM_WORLD``.
         machine: Cost model used for every communication operation.
-        deadlock_timeout: Real-time seconds of global inactivity after which
-            blocked ranks abort with :class:`DeadlockError` -- only
-            meaningful on the ``"threads"`` backend; the event backend
-            detects deadlock exactly and ignores this knob.
         faults: Optional seeded :class:`~repro.mpi.faults.FaultPlan`; a
             fresh per-run :class:`~repro.mpi.faults.FaultState` is built at
             every :meth:`run`, so re-running the same plan replays the same
             faults.
-        sched_jitter: Test hook: a callable invoked (outside any runtime
-            lock) at every transport entry point -- deliver, receive wait,
-            barrier.  The schedule-fuzzing determinism suite injects small
-            real-time sleeps here to perturb host-thread interleavings
-            without touching virtual time.  Arming it selects the
-            ``"threads"`` backend unless ``scheduler`` says otherwise.
+        schedule_seed: Test hook (event backend only): fuzz the host
+            schedule.  Every baton hand-off goes to a seeded draw from the
+            runnable ranks, and at every transport entry point -- deliver,
+            receive wait, barrier, and their batched forms -- the running
+            rank yields on a seeded coin.  Virtual time must not notice;
+            the schedule-fuzzing suites run seeds 0-9 to prove it, and a
+            failing seed replays alone.  ``None`` is the FIFO schedule.
         checksums: Arm the checksummed transport: every message pays a
             sender-side checksum and receiver-side verify (virtual time),
             and payload corruption injected by a
@@ -121,23 +116,20 @@ class SimCluster:
             rendezvous block instead of the per-worker command pipe
             (cutting two pipe round-trips per platform superstep);
             virtual-time results are identical either way.  Ignored by
-            the in-thread backends.
+            the in-thread backend.
         scheduler: Execution backend: ``"event"`` (cooperative, precise
-            wakeups, exact deadlock detection -- the default),
-            ``"threads"`` (preemptive, polling watchdog), or ``"process"``
-            (one worker OS process per rank over shared-memory stores --
-            real multi-core execution, identical virtual results).
-            ``None`` picks ``"event"``, or ``"threads"`` when
-            ``sched_jitter`` is armed.
+            wakeups, exact deadlock detection -- the default, also for
+            ``None``) or ``"process"`` (one worker OS process per rank
+            over shared-memory stores -- real multi-core execution,
+            identical virtual results).
     """
 
     def __init__(
         self,
         nprocs: int,
         machine: MachineModel = ORIGIN2000,
-        deadlock_timeout: float = 10.0,
         faults: FaultPlan | None = None,
-        sched_jitter: Callable[[], None] | None = None,
+        schedule_seed: int | None = None,
         checksums: bool = False,
         scheduler: str | None = None,
         shm_collectives: bool = True,
@@ -146,16 +138,19 @@ class SimCluster:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
         self.nprocs = nprocs
         self.machine = machine
-        self.deadlock_timeout = deadlock_timeout
         self.faults = faults
         self.checksums = checksums
         self.shm_collectives = shm_collectives
         self.fault_state: FaultState | None = (
             FaultState(faults, nprocs) if faults is not None else None
         )
-        self._sched_jitter = sched_jitter
-        self.scheduler = resolve_scheduler_name(scheduler, sched_jitter)
-        self._backend = make_scheduler(self.scheduler, self, deadlock_timeout)
+        self.scheduler = scheduler or "event"
+        self._backend = make_scheduler(self.scheduler, self, schedule_seed)
+        # The seeded yield every in-thread transport entry point takes
+        # first; None on the FIFO schedule (process rejects a seed).
+        self._preempt: Callable[[], None] | None = (
+            self._backend.preempt if schedule_seed is not None else None
+        )
         self._ranks = [RankState(r) for r in range(nprocs)]
         self._barriers: dict[Any, _BarrierState] = {}
         #: Point-to-point messages accepted into a mailbox this run (host
@@ -166,7 +161,7 @@ class SimCluster:
         #: hybrid-execution benchmark: interior sweeps are barrier-free).
         self.barriers = 0
         #: Pipe request/reply messages the process-backend broker handled
-        #: last run (0 on in-thread backends) -- what shm collectives cut.
+        #: last run (0 on the in-thread backend) -- what shm collectives cut.
         self.pipe_requests = 0
         self._world_group = tuple(range(nprocs))
         # Shared-memory collective rendezvous block (process backend only):
@@ -180,7 +175,7 @@ class SimCluster:
         self._quarantined: set[tuple[Any, int]] = set()
         # Inside a process-backend worker this holds the worker's pipe
         # transport to the parent broker; every transport entry point
-        # branches to it.  Always None in the parent / in-thread backends.
+        # branches to it.  Always None in the parent / in-thread backend.
         self._worker: Any = None
         self._batched = False  # decided per run(): see there
 
@@ -219,14 +214,15 @@ class SimCluster:
             )
         # Every run() starts from a clean machine: zeroed clocks, empty
         # mailboxes, no stale abort/finished flags (a poisoned flag from a
-        # failed run would trip the watchdog), and -- when a fault plan is
-        # armed -- fresh per-rank decision streams, so the same plan replays
-        # the same faults even if the cluster object is reused.
+        # failed run would abort the next one at its first transport call),
+        # and -- when a fault plan is armed -- fresh per-rank decision
+        # streams, so the same plan replays the same faults even if the
+        # cluster object is reused (the backend re-seeds its schedule
+        # generator per run for the same reason).
         for state in self._ranks:
             state.clock = 0.0
             state.mailbox.clear()
             state.finished = False
-            state.blocked = False
             state.result = None
             state.error = None
             state.awaiting = None
@@ -245,11 +241,11 @@ class SimCluster:
             self.fault_state = FaultState(self.faults, self.nprocs)
         # Neighbourhood exchanges take the batched transport only where it
         # is the per-message loop exactly: one cooperative pass of plain
-        # charges -- no fault draws, checksum legs, jitter hook or workers.
+        # charges -- no fault draws, checksum legs or workers.  A schedule
+        # seed does not switch it off: fault-free fuzz runs this path.
         self._batched = (
             self.scheduler == "event"
             and self.fault_state is None
-            and self._sched_jitter is None
             and not self.checksums
         )
 
@@ -263,14 +259,12 @@ class SimCluster:
                 state.result = fn(comm, *args, *extra)
             except BaseException as exc:  # noqa: BLE001 - reraised in run()
                 state.error = exc
-                with backend.guard():
-                    self._aborted = True
-                    self._abort_reason = f"rank {rank} raised {type(exc).__name__}: {exc}"
-                    backend.notify()
+                self._aborted = True
+                self._abort_reason = f"rank {rank} raised {type(exc).__name__}: {exc}"
+                backend.notify()
             finally:
-                with backend.guard():
-                    state.finished = True
-                    backend.notify()
+                state.finished = True
+                backend.notify()
 
         backend.execute(runner, self.nprocs)
 
@@ -318,8 +312,8 @@ class SimCluster:
         Non-``None`` only inside a process-backend worker: the platform
         migrates the freshly built store's arrays into a named
         shared-memory segment so peers (and the parent) address the same
-        bytes.  In-thread backends return ``None`` and the store keeps its
-        private heap arrays.
+        bytes.  The in-thread backend returns ``None`` and the store keeps
+        its private heap arrays.
         """
         if self._worker is None:
             return None
@@ -337,10 +331,9 @@ class SimCluster:
             self._abort_reason = reason
             self._worker.abort(reason)
             return
-        with self._backend.guard():
-            self._aborted = True
-            self._abort_reason = reason
-            self._backend.notify()
+        self._aborted = True
+        self._abort_reason = reason
+        self._backend.notify()
 
     def quarantine(self, rank: int, dead_srcs: frozenset[int], comm_id: Any) -> int:
         """Drop ``rank``'s in-flight messages from dead peers on one comm.
@@ -363,24 +356,14 @@ class SimCluster:
         """
         if self._worker is not None:
             return self._worker.quarantine(dead_srcs, comm_id)
-        with self._backend.guard():
-            for src in dead_srcs:
-                self._quarantined.add((comm_id, src))
-            dropped = self._ranks[rank].mailbox.purge(comm_id, dead_srcs)
-            if dropped:
-                # Removals can unblock nobody; the empty wake set still
-                # re-arms the threaded backend's inactivity watchdog.
-                self._backend.notify(())
-            return dropped
+        for src in dead_srcs:
+            self._quarantined.add((comm_id, src))
+        # Removals can unblock nobody, so there is nothing to notify.
+        return self._ranks[rank].mailbox.purge(comm_id, dead_srcs)
 
     # ------------------------------------------------------------------ #
     # Message transport (called by Communicator)
     # ------------------------------------------------------------------ #
-
-    def _jitter(self) -> None:
-        """Invoke the schedule-fuzzing hook (never while holding the lock)."""
-        if self._sched_jitter is not None:
-            self._sched_jitter()
 
     def deliver(self, msg: Message) -> None:
         """Place ``msg`` into the destination mailbox and wake waiters.
@@ -393,13 +376,13 @@ class SimCluster:
             self._check_abort()
             self._worker.deliver(msg)
             return
-        self._jitter()
-        with self._backend.guard():
-            self._check_abort()
-            if (msg.comm_id, msg.src) in self._quarantined:
-                return
-            if self._file(msg):
-                self._backend.notify((msg.dest,))
+        if self._preempt is not None:
+            self._preempt()
+        self._check_abort()
+        if (msg.comm_id, msg.src) in self._quarantined:
+            return
+        if self._file(msg):
+            self._backend.notify((msg.dest,))
 
     def _file(self, msg: Message) -> bool:
         """Put ``msg`` in its mailbox; whether its rank may now be runnable
@@ -426,6 +409,8 @@ class SimCluster:
         """
         if not self._batched or tag < 0:
             return False
+        if self._preempt is not None:
+            self._preempt()
         machine, group, src, comm_id = self.machine, comm._group, comm._rank, comm._comm_id
         me = comm._world_rank
         state = self._ranks[me]
@@ -465,16 +450,14 @@ class SimCluster:
         """
         if self._worker is not None:
             return self._worker.take(source, tag, comm_id, consume)
-        with self._backend.guard():
-            return self._ranks[rank].mailbox.take(source, tag, comm_id, consume)
+        return self._ranks[rank].mailbox.take(source, tag, comm_id, consume)
 
     def pending_sources(self, rank: int, tag: int, comm_id: Any) -> list[int]:
         """Comm-local sources with a queued ``(comm_id, tag)`` message for
         ``rank`` (the delta halo exchange's post-barrier sender discovery)."""
         if self._worker is not None:
             return self._worker.sources(tag, comm_id)
-        with self._backend.guard():
-            return self._ranks[rank].mailbox.sources_with(comm_id, tag)
+        return self._ranks[rank].mailbox.sources_with(comm_id, tag)
 
     def wait_for_message(
         self, rank: int, source: int, tag: int, comm_id: Any, consume: bool = True
@@ -482,14 +465,14 @@ class SimCluster:
         """Block ``rank`` until a matching message exists, then pop it."""
         if self._worker is not None:
             return self._worker.recv(source, tag, comm_id, consume)
-        self._jitter()
+        if self._preempt is not None:
+            self._preempt()
         mailbox = self._ranks[rank].mailbox
-        with self._backend.guard():
-            return self._backend.wait(
-                rank,
-                lambda: mailbox.take(source, tag, comm_id, consume),
-                lambda: blocked_recv_text(rank, source, tag),
-            )
+        return self._backend.wait(
+            rank,
+            lambda: mailbox.take(source, tag, comm_id, consume),
+            lambda: blocked_recv_text(rank, source, tag),
+        )
 
     def wait_for_batch(
         self, comm: Communicator, sources: Sequence[int], tag: int
@@ -501,6 +484,8 @@ class SimCluster:
         """
         if not self._batched or tag < 0:
             return None
+        if self._preempt is not None:
+            self._preempt()
         if sources:
             self._check_abort()  # as the loop's first receive would
         rank, comm_id = comm._world_rank, comm._comm_id
@@ -528,16 +513,6 @@ class SimCluster:
             for q in sources
         ]
 
-    def _all_stuck(self, caller: RankState) -> bool:
-        """True when every unfinished rank is blocked (deadlock candidate).
-
-        The caller just woke from its own wait (clearing its flag) purely to
-        run this check, so it counts as stuck.  Only the threaded backend's
-        watchdog consults this; the event backend tracks runnability
-        exactly in its own task records.
-        """
-        return all(s.finished or s.blocked or s is caller for s in self._ranks)
-
     def _check_abort(self) -> None:
         if self._aborted:
             raise CommAbortedError(self._abort_reason or "cluster aborted")
@@ -551,8 +526,7 @@ class SimCluster:
 
         All participants' clocks are advanced to
         ``max(entry clocks) + barrier_time(len(group))``.  The last rank to
-        arrive releases exactly the ``group`` members -- a precise wakeup
-        on the event backend, a broadcast re-check on the threaded one.
+        arrive releases exactly the ``group`` members -- a precise wakeup.
         """
         if self._worker is not None:
             state = self._ranks[rank]
@@ -583,30 +557,30 @@ class SimCluster:
             release = self._worker.barrier(group, comm_id, state.clock)
             state.clock = max(state.clock, release)
             return release
-        self._jitter()
+        if self._preempt is not None:
+            self._preempt()
         state = self._ranks[rank]
-        with self._backend.guard():
-            self._check_abort()
-            bar = self._barriers.setdefault((comm_id, group), _BarrierState())
-            my_generation = bar.generation
-            bar.max_clock = max(bar.max_clock, state.clock)
-            bar.count += 1
-            if bar.count == len(group):
-                bar.release_clock = bar.max_clock + self.machine.barrier_time(len(group))
-                bar.count = 0
-                bar.max_clock = 0.0
-                bar.generation += 1
-                self.barriers += 1
-                self._backend.notify(group)
-            else:
-                self._backend.wait(
-                    rank,
-                    lambda: True if bar.generation != my_generation else None,
-                    lambda: f"deadlock: rank {rank} stuck in barrier",
-                )
-            release = bar.release_clock
-            state.clock = max(state.clock, release)
-            return release
+        self._check_abort()
+        bar = self._barriers.setdefault((comm_id, group), _BarrierState())
+        my_generation = bar.generation
+        bar.max_clock = max(bar.max_clock, state.clock)
+        bar.count += 1
+        if bar.count == len(group):
+            bar.release_clock = bar.max_clock + self.machine.barrier_time(len(group))
+            bar.count = 0
+            bar.max_clock = 0.0
+            bar.generation += 1
+            self.barriers += 1
+            self._backend.notify(group)
+        else:
+            self._backend.wait(
+                rank,
+                lambda: True if bar.generation != my_generation else None,
+                lambda: f"deadlock: rank {rank} stuck in barrier",
+            )
+        release = bar.release_clock
+        state.clock = max(state.clock, release)
+        return release
 
     def shm_allreduce(self, comm: Any, value: Any) -> tuple[int] | None:
         """World-communicator integer-sum allreduce over shared memory.
@@ -619,7 +593,7 @@ class SimCluster:
 
         Returns ``(total,)`` (wrapped so a legitimate 0 survives the
         caller's None test), or ``None`` whenever the fast path does not
-        apply: in-thread backends, sub-communicators, non-int payloads, or
+        apply: the in-thread backend, sub-communicators, non-int payloads, or
         an armed fault plan (fault draws live in per-rank PRNG streams the
         replay cannot consult).
         """
@@ -723,10 +697,9 @@ def run_mpi(
     nprocs: int,
     *args: Any,
     machine: MachineModel = ORIGIN2000,
-    deadlock_timeout: float = 10.0,
     per_rank_args: Sequence[tuple[Any, ...]] | None = None,
     faults: FaultPlan | None = None,
-    sched_jitter: Callable[[], None] | None = None,
+    schedule_seed: int | None = None,
     checksums: bool = False,
     scheduler: str | None = None,
 ) -> list[Any]:
@@ -734,9 +707,8 @@ def run_mpi(
     cluster = SimCluster(
         nprocs,
         machine=machine,
-        deadlock_timeout=deadlock_timeout,
         faults=faults,
-        sched_jitter=sched_jitter,
+        schedule_seed=schedule_seed,
         checksums=checksums,
         scheduler=scheduler,
     )

@@ -2,10 +2,9 @@
 
 The simulated cluster runs every rank's program on its own OS thread (rank
 programs are ordinary blocking Python functions, so each needs its own
-stack).  *How* those threads are interleaved is this module's job, and the
-in-thread backends make opposite trade-offs:
+stack).  *How* those threads are interleaved is this module's job:
 
-:class:`EventScheduler` (the default)
+:class:`EventScheduler` (``scheduler="event"``, the default)
     Event-driven cooperative scheduling: exactly one rank thread is
     runnable at any instant, and control is baton-passed directly between
     rank threads through per-task :class:`threading.Event` objects.  There
@@ -15,33 +14,27 @@ in-thread backends make opposite trade-offs:
     back on the run queue.  Deadlock detection is *exact*: the moment the
     run queue empties while unfinished ranks remain blocked, a
     :class:`~repro.mpi.errors.DeadlockError` is raised immediately -- no
-    wall-clock timeout is ever waited out.
+    wall-clock timeout is ever waited out.  Given a ``seed`` the same
+    scheduler fuzzes the host schedule: the baton goes to a seeded draw
+    from the run queue instead of its head, and the running rank yields
+    at transport entry points on a seeded coin -- the schedule-fuzzing
+    suites' way of proving virtual results schedule-independent, with
+    every failing schedule replayable from its seed.
 
-:class:`ThreadedScheduler`
-    The preemptive original: all rank threads run concurrently under the
-    GIL, blocked ranks wait on one shared condition variable with a 50 ms
-    re-check poll, and deadlock is inferred from a real-time inactivity
-    watchdog.  It is kept because its host-level nondeterminism is a
-    *feature* for the schedule-fuzzing conformance suites: the
-    ``sched_jitter`` hook perturbs genuine thread races to prove virtual
-    time results are schedule-independent.  The event backend has no such
-    races to perturb, so fuzzing defaults to this backend.
-
-A third backend escapes the GIL entirely:
 :class:`~repro.mpi.process.ProcessScheduler` (``scheduler="process"``)
-forks one worker OS process per rank over shared-memory SoA stores, with
-the parent as the deterministic control-plane arbiter -- see
-:mod:`repro.mpi.process`.
+    Escapes the GIL: forks one worker OS process per rank over
+    shared-memory SoA stores, with the parent as the deterministic
+    control-plane arbiter -- see :mod:`repro.mpi.process`.
 
-All backends drive the same virtual-clock/mailbox/barrier machinery in
-:mod:`repro.mpi.runtime`, and all must produce bit-identical virtual
-results -- the cross-backend conformance suites in
-``tests/mpi/test_scheduler.py`` and ``tests/mpi/test_process_backend.py``
-hold them to that.
+Both drive the same virtual-clock/mailbox/barrier machinery in
+:mod:`repro.mpi.runtime`, and both must produce bit-identical virtual
+results -- the conformance suites in ``tests/mpi/test_scheduler.py`` and
+``tests/mpi/test_process_backend.py`` hold them to that.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -55,50 +48,26 @@ __all__ = [
     "EventScheduler",
     "SCHEDULERS",
     "SchedulerBackend",
-    "ThreadedScheduler",
     "make_scheduler",
-    "resolve_scheduler_name",
 ]
 
 #: Recognized ``SimCluster(scheduler=...)`` values.
-SCHEDULERS = ("event", "threads", "process")
-
-
-class _NullGuard:
-    """Stand-in lock for the cooperative backend.
-
-    With exactly one runnable rank thread, cluster state needs no mutual
-    exclusion; the guard object only preserves the ``with`` structure of
-    the runtime code shared with the threaded backend.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullGuard":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
+SCHEDULERS = ("event", "process")
 
 
 class SchedulerBackend:
     """Interface the runtime uses to run, block, and wake rank threads.
 
-    The runtime enters ``guard()`` around every cluster-state mutation,
-    calls ``wait`` to block the calling rank until a readiness probe
-    succeeds, and calls ``notify`` after any state change that could
-    unblock the named ranks.  ``wait``/``notify`` are always invoked with
-    the guard held.
+    The runtime calls ``wait`` to block the calling rank until a readiness
+    probe succeeds, and calls ``notify`` after any state change that could
+    unblock the named ranks.  Only the running rank touches cluster state,
+    so neither needs a lock.
     """
 
     name: str
 
     def execute(self, runner: Callable[[int], None], nprocs: int) -> None:
         """Run ``runner(rank)`` for every rank to completion."""
-        raise NotImplementedError
-
-    def guard(self) -> Any:
-        """Context manager protecting cluster state."""
         raise NotImplementedError
 
     def wait(
@@ -117,80 +86,6 @@ class SchedulerBackend:
     def notify(self, ranks: Iterable[int] | None = None) -> None:
         """Record progress that may unblock ``ranks`` (``None`` = anyone)."""
         raise NotImplementedError
-
-
-class ThreadedScheduler(SchedulerBackend):
-    """Preemptive thread-per-rank execution (the legacy backend).
-
-    All ranks run concurrently; a blocked rank re-checks its readiness
-    probe whenever the shared progress counter moves, or every
-    ``poll`` seconds.  Deadlock is detected by the real-time watchdog:
-    ``deadlock_timeout`` seconds of global inactivity with every
-    unfinished rank blocked.  Precision is traded away for genuine host
-    nondeterminism, which the schedule-fuzz suites rely on.
-    """
-
-    name = "threads"
-
-    def __init__(
-        self, cluster: "SimCluster", deadlock_timeout: float, poll: float = 0.05
-    ) -> None:
-        self._cluster = cluster
-        self.deadlock_timeout = deadlock_timeout
-        self.poll = poll
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._progress = 0  # bumped on every event that could unblock a waiter
-
-    def guard(self) -> Any:
-        return self._cond
-
-    def execute(self, runner: Callable[[int], None], nprocs: int) -> None:
-        threads = [
-            threading.Thread(target=runner, args=(r,), name=f"sim-rank-{r}", daemon=True)
-            for r in range(nprocs)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-    def notify(self, ranks: Iterable[int] | None = None) -> None:
-        # Wakeups are broadcast: precision is impossible without knowing
-        # which host thread holds which wait, so every waiter re-checks.
-        self._progress += 1
-        self._cond.notify_all()
-
-    def wait(
-        self,
-        rank: int,
-        ready: Callable[[], Any],
-        describe: Callable[[], str],
-    ) -> Any:
-        cluster = self._cluster
-        state = cluster.state(rank)
-        waited = 0.0
-        while True:
-            cluster._check_abort()
-            value = ready()
-            if value is not None:
-                return value
-            snapshot = self._progress
-            state.blocked = True
-            try:
-                self._cond.wait(timeout=self.poll)
-            finally:
-                state.blocked = False
-            if self._progress != snapshot:
-                waited = 0.0
-                continue
-            waited += self.poll
-            if waited >= self.deadlock_timeout and cluster._all_stuck(state):
-                reason = describe()
-                cluster._aborted = True
-                cluster._abort_reason = reason
-                self._cond.notify_all()
-                raise DeadlockError(reason)
 
 
 class _Task:
@@ -224,11 +119,11 @@ class EventScheduler(SchedulerBackend):
     """Event-driven cooperative execution of the rank threads.
 
     Invariant: at most one rank thread executes at any moment.  The baton
-    is handed directly from the thread that blocks (or finishes) to the
-    head of the FIFO run queue via that task's private event -- the only
+    is handed directly from the thread that blocks (or finishes) to a task
+    on the run queue via that task's private event -- the only
     synchronization primitive in the whole backend.  Consequences:
 
-    * cluster state needs no lock (``guard()`` is a no-op);
+    * cluster state needs no lock;
     * wakeups are precise: ``notify`` enqueues exactly the ranks that a
       delivery or barrier completion could unblock, and nobody else runs;
     * deadlock detection is exact and free: when a rank blocks (or
@@ -236,25 +131,37 @@ class EventScheduler(SchedulerBackend):
       *no* future event can occur -- eager sends never block, so every
       possible wakeup source is itself blocked.  The detecting waiter
       raises :class:`DeadlockError` on the spot and the abort cascade
-      releases the rest.  The wall-clock watchdog and its 50 ms polls are
-      gone entirely.
+      releases the rest.  No wall-clock timeout is involved.
 
-    The run-queue order is deterministic (seeded in rank order, appended
-    in notification order), so execution -- and therefore every virtual
+    Unseeded, the run queue is FIFO (filled in rank order, appended in
+    notification order), so execution -- and therefore every virtual
     outcome -- is bit-for-bit reproducible run over run.
+
+    With a ``seed`` the schedule is fuzzed instead: :meth:`_pass_baton`
+    hands over to a uniformly drawn runnable task, and :meth:`preempt`
+    (called by the runtime at every transport entry point) makes the
+    running rank yield on a fair coin.  A yielding rank stays on the run
+    queue, so the deadlock test above is as exact as before.  The
+    generator is re-seeded at every :meth:`execute`: (program, seed) names
+    one schedule, and a failing seed replays on its own.
     """
 
     name = "event"
 
-    def __init__(self, cluster: "SimCluster") -> None:
+    def __init__(self, cluster: "SimCluster", seed: int | None = None) -> None:
         self._cluster = cluster
-        self._guard = _NullGuard()
+        self._seed = seed
         self._tasks: list[_Task] = []
         self._run_queue: deque[int] = deque()
         self._done = threading.Event()
-
-    def guard(self) -> Any:
-        return self._guard
+        # Chosen once, so the unseeded hand-off never looks at the seed.
+        self._next: Callable[[], int] = (
+            self._run_queue.popleft if seed is None else self._draw
+        )
+        self._rng = random.Random(seed)  # re-seeded per execute() when seeded
+        self._running = 0  # whom _draw last handed the baton (seeded runs)
+        #: Yields :meth:`preempt` took this run (0 on an unseeded run).
+        self.preemptions = 0
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -262,10 +169,14 @@ class EventScheduler(SchedulerBackend):
 
     def execute(self, runner: Callable[[int], None], nprocs: int) -> None:
         self._tasks = [_Task(r) for r in range(nprocs)]
-        self._run_queue = deque(range(nprocs))
+        self._run_queue.clear()
+        self._run_queue.extend(range(nprocs))
         for task in self._tasks:
             task.queued = True
         self._done.clear()
+        if self._seed is not None:
+            self._rng.seed(self._seed)
+        self.preemptions = 0
         threads = [
             threading.Thread(
                 target=self._task_main,
@@ -277,7 +188,7 @@ class EventScheduler(SchedulerBackend):
         ]
         for t in threads:
             t.start()
-        self._pass_baton()  # hand control to rank 0; all switching is task-to-task
+        self._pass_baton()  # hand control to a rank; all switching is task-to-task
         self._done.wait()
         for t in threads:
             t.join()
@@ -310,7 +221,6 @@ class EventScheduler(SchedulerBackend):
     ) -> Any:
         cluster = self._cluster
         task = self._tasks[rank]
-        state = cluster.state(rank)
         while True:
             if task.victim:
                 task.victim = False
@@ -322,12 +232,10 @@ class EventScheduler(SchedulerBackend):
             task.describe = describe
             task.event.clear()
             task.blocked = True
-            state.blocked = True
             if not self._run_queue and self._everyone_stuck():
                 # Exact deadlock: this rank just blocked, nobody is
                 # runnable, and blocked ranks cannot generate events.
                 task.blocked = False
-                state.blocked = False
                 reason = describe()
                 cluster._aborted = True
                 cluster._abort_reason = reason
@@ -336,7 +244,28 @@ class EventScheduler(SchedulerBackend):
             self._pass_baton()
             task.event.wait()
             task.blocked = False
-            state.blocked = False
+
+    def preempt(self) -> None:
+        """Seeded runs only: when someone else is runnable, on a fair coin
+        the running rank re-queues itself and passes the baton on (it stays
+        runnable, never blocked)."""
+        if self._run_queue and self._rng.random() < 0.5:
+            task = self._tasks[self._running]
+            self.preemptions += 1
+            task.event.clear()
+            task.queued = True
+            self._run_queue.append(task.rank)
+            self._pass_baton()
+            task.event.wait()
+
+    def _draw(self) -> int:
+        """The seeded pop: a uniformly drawn runnable rank, remembered as
+        the one running so :meth:`preempt` knows whom to re-queue."""
+        queue = self._run_queue
+        i = self._rng.randrange(len(queue))
+        self._running = rank = queue[i]
+        del queue[i]
+        return rank
 
     def _everyone_stuck(self) -> bool:
         return all(t.finished or t.blocked for t in self._tasks)
@@ -344,7 +273,7 @@ class EventScheduler(SchedulerBackend):
     def _pass_baton(self) -> None:
         """Hand control to the next runnable task, or wind the run down."""
         while self._run_queue:
-            task = self._tasks[self._run_queue.popleft()]
+            task = self._tasks[self._next()]
             task.queued = False
             if task.finished:  # finished while queued (abort races cannot
                 continue       # happen, but stay defensive)
@@ -373,35 +302,13 @@ class EventScheduler(SchedulerBackend):
             self._done.set()
 
 
-def resolve_scheduler_name(
-    scheduler: str | None, sched_jitter: Callable[[], None] | None
-) -> str:
-    """Pick the backend: explicit choice wins; jitter fuzzing needs threads.
-
-    The event backend's interleaving is deterministic by construction, so
-    a ``sched_jitter`` hook would have nothing to perturb -- when the hook
-    is armed and no backend was named, the preemptive backend (whose host
-    races the hook exists to aggravate) is selected.
-    """
-    if scheduler is None:
-        return "threads" if sched_jitter is not None else "event"
-    if scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-        )
-    return scheduler
-
-
-def make_scheduler(
-    name: str, cluster: "SimCluster", deadlock_timeout: float
-) -> SchedulerBackend:
-    """Instantiate the named backend for ``cluster``."""
+def make_scheduler(name: str, cluster: "SimCluster", seed: int | None) -> SchedulerBackend:
+    """Instantiate the named backend for ``cluster`` (``seed``: see
+    :class:`EventScheduler`; the process backend rejects one)."""
     if name == "event":
-        return EventScheduler(cluster)
-    if name == "threads":
-        return ThreadedScheduler(cluster, deadlock_timeout)
+        return EventScheduler(cluster, seed)
     if name == "process":
         from .process import ProcessScheduler  # deferred: import cycle
 
-        return ProcessScheduler(cluster, deadlock_timeout)
+        return ProcessScheduler(cluster, seed)
     raise ValueError(f"unknown scheduler {name!r}; expected one of {SCHEDULERS}")

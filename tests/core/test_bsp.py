@@ -11,7 +11,7 @@ from repro.partitioning import MetisLikePartitioner, RoundRobinPartitioner
 
 
 def run_on_cluster(fn, nprocs):
-    return SimCluster(nprocs, machine=IDEAL, deadlock_timeout=15.0).run(fn)
+    return SimCluster(nprocs, machine=IDEAL).run(fn)
 
 
 class TestRawBsp:

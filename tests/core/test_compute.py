@@ -43,7 +43,7 @@ def run_sweeps(graph, assignment, nprocs, iterations, overlap):
             superstep(comm, store, average_fn, ctx, buffers, overlap=overlap)
         return {n.global_id: n.data.data for n in store.owned_nodes()}
 
-    results = run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=15.0)
+    results = run_mpi(fn, nprocs, machine=IDEAL)
     merged: dict[int, float] = {}
     for r in results:
         merged.update(r)
@@ -104,7 +104,7 @@ class TestOverlapPerformance:
                 comm.barrier()
                 return comm.Wtime()
 
-            return max(run_mpi(fn, 4, machine=machine, deadlock_timeout=15.0))
+            return max(run_mpi(fn, 4, machine=machine))
 
         assert runner(overlap=True) <= runner(overlap=False)
 
@@ -132,7 +132,7 @@ class TestContextAccounting:
             superstep(comm, store, average_fn, ctx, buffers)
             return ctx.comm_overhead_time
 
-        overheads = run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
+        overheads = run_mpi(fn, 2, machine=IDEAL)
         assert all(o > 0 for o in overheads)
 
     def test_bookkeeping_counter_tracks_charges(self):

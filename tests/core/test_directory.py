@@ -24,7 +24,7 @@ class TestHomeHashing:
             directory = DistributedDirectory(comm, store)
             return [directory.home_of(gid) for gid in range(1, 7)]
 
-        results = run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 2, machine=IDEAL)
         assert results[0] == [0, 1, 0, 1, 0, 1]
 
     def test_invalid_gid(self):
@@ -50,7 +50,7 @@ class TestLookup:
             owners = directory.collective_lookup(range(1, 33))
             return homed, owners
 
-        results = run_mpi(fn, 4, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 4, machine=IDEAL)
         all_homed = sorted(gid for homed, _ in results for gid in homed)
         assert all_homed == list(range(1, 33))
         for _, owners in results:
@@ -71,7 +71,7 @@ class TestLookup:
             except KeyError:
                 return "keyerror"
 
-        results = run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 2, machine=IDEAL)
         assert results[0] == "ok"
 
 
@@ -89,7 +89,7 @@ class TestFetch:
             values = directory.collective_fetch(wanted)
             return values
 
-        results = run_mpi(fn, 4, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 4, machine=IDEAL)
         assert results[0] == {8: 80}
         assert results[1] == {}
 
@@ -105,7 +105,7 @@ class TestFetch:
                 return directory.collective_fetch([1, 3, 4])
             return directory.collective_fetch([])
 
-        results = run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 2, machine=IDEAL)
         assert results[0] == {1: 10, 3: 30, 4: 40}
 
     def test_everyone_fetches_everything(self):
@@ -117,7 +117,7 @@ class TestFetch:
             directory = DistributedDirectory(comm, store)
             return directory.collective_fetch(range(1, 33))
 
-        results = run_mpi(fn, 4, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 4, machine=IDEAL)
         expected = {gid: gid * 10 for gid in range(1, 33)}
         assert all(r == expected for r in results)
 
@@ -138,5 +138,5 @@ class TestAfterMigration:
             owners = directory.collective_lookup([3])
             return owners[3]
 
-        results = run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 2, machine=IDEAL)
         assert results == [1, 1]

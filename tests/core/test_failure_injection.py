@@ -9,7 +9,7 @@ from repro.apps import make_average_fn
 from repro.core import ICPlatform, PlatformConfig
 from repro.graphs import hex32
 from repro.mpi import CommAbortedError, DeadlockError, IDEAL, run_mpi
-from repro.partitioning import MetisLikePartitioner, Partition
+from repro.partitioning import MetisLikePartitioner
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,7 @@ class TestNodeFunctionFailures:
 
         platform = ICPlatform(graph, exploding, config=PlatformConfig(iterations=5))
         with pytest.raises(RuntimeError, match="node 17 exploded"):
-            platform.run(partition, deadlock_timeout=5.0)
+            platform.run(partition)
 
     def test_exception_on_one_rank_does_not_hang_peers(self, graph, partition):
         """Ranks blocked on the dead rank's shadows abort instead of
@@ -46,7 +46,7 @@ class TestNodeFunctionFailures:
 
         platform = ICPlatform(graph, exploding, config=PlatformConfig(iterations=10))
         with pytest.raises(ValueError, match="rank down"):
-            platform.run(partition, deadlock_timeout=5.0)
+            platform.run(partition)
 
     def test_negative_work_charge_rejected(self, graph, partition):
         def negative(node, ctx):
@@ -55,7 +55,7 @@ class TestNodeFunctionFailures:
 
         platform = ICPlatform(graph, negative, config=PlatformConfig(iterations=2))
         with pytest.raises(ValueError):
-            platform.run(partition, deadlock_timeout=5.0)
+            platform.run(partition)
 
 
 class TestBalancerFailures:
@@ -73,7 +73,7 @@ class TestBalancerFailures:
             balancer=BrokenBalancer(),
         )
         with pytest.raises(ZeroDivisionError):
-            platform.run(partition, deadlock_timeout=5.0)
+            platform.run(partition)
 
     def test_balancer_nominating_invalid_pair_fails_loudly(self, graph, partition):
         from repro.core import BusyIdlePair
@@ -93,7 +93,7 @@ class TestBalancerFailures:
             ),
             balancer=LyingBalancer(),
         )
-        result = platform.run(partition, deadlock_timeout=5.0)
+        result = platform.run(partition)
         assert len(result.migrations) == 0
 
 
@@ -109,7 +109,7 @@ class TestProtocolFailures:
                 comm.recv(source=0, tag=77)
 
         with pytest.raises((DeadlockError, CommAbortedError)):
-            run_mpi(skewed, 2, machine=IDEAL, deadlock_timeout=1.0)
+            run_mpi(skewed, 2, machine=IDEAL)
 
     def test_wrong_graph_partition_pairing(self, graph):
         from repro.graphs import hex64
@@ -130,7 +130,7 @@ class TestProtocolFailures:
 
         platform = ICPlatform(graph, exploding, config=PlatformConfig(iterations=1))
         with pytest.raises(RuntimeError):
-            platform.run(partition, deadlock_timeout=5.0)
+            platform.run(partition)
         # same platform object, healthy function now
         healthy = ICPlatform(
             graph, make_average_fn(0.0), config=PlatformConfig(iterations=2)

@@ -55,7 +55,6 @@ def run_once(
     return platform.run(
         partition,
         faults=FaultPlan.parse(faults) if faults else None,
-        deadlock_timeout=10.0,
     )
 
 
@@ -241,13 +240,10 @@ class TestConformance:
         )
         gid = boundary_gid(graph, partition, rank=1)
         clean_cfg = config.with_overrides(integrity="off")
-        clean = ICPlatform(graph, make_average_fn(1e-4), config=clean_cfg).run(
-            partition, deadlock_timeout=10.0
-        )
+        clean = ICPlatform(graph, make_average_fn(1e-4), config=clean_cfg).run(partition)
         result = ICPlatform(graph, make_average_fn(1e-4), config=config).run(
             partition,
             faults=FaultPlan.parse(f"flip=1@3:{gid}"),
-            deadlock_timeout=10.0,
         )
         assert result.values == clean.values
         assert result.repairs + result.recoveries >= 1

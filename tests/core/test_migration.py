@@ -80,7 +80,7 @@ class TestMigrateNode:
                 },
             }
 
-        return run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=10.0)
+        return run_mpi(fn, nprocs, machine=IDEAL)
 
     def test_ownership_transfers(self):
         g = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
@@ -118,7 +118,7 @@ class TestMigrateNode:
                 return store.own_node(2).shadow_for_procs
             return None
 
-        results = run_mpi(fn, 3, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 3, machine=IDEAL)
         assert results[2] == (0,)   # node 3 now shadows for proc 0 only
         assert results[0] == (2,)   # node 2's updates now go to proc 2
 
@@ -131,7 +131,7 @@ class TestMigrateNode:
             migrate_node(comm, store, 1, 0, 1, ctx)  # forgot the patch
 
         with pytest.raises(ValueError, match="patched"):
-            run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
+            run_mpi(fn, 2, machine=IDEAL)
 
 
 class TestLoadBalancePhase:
@@ -149,7 +149,7 @@ class TestLoadBalancePhase:
             store.check_invariants()
             return [(e.global_id, e.from_proc, e.to_proc) for e in events], store.num_owned()
 
-        results = run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0)
+        results = run_mpi(fn, 2, machine=IDEAL)
         events0, owned0 = results[0]
         events1, owned1 = results[1]
         assert events0 == events1, "migration log must agree on all ranks"
@@ -170,7 +170,7 @@ class TestLoadBalancePhase:
             )
             return len(events)
 
-        assert run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0) == [0, 0]
+        assert run_mpi(fn, 2, machine=IDEAL) == [0, 0]
 
     def test_multi_task_migration_extension(self):
         g = hex32()
@@ -192,7 +192,7 @@ class TestLoadBalancePhase:
             store.check_invariants()
             return len(events)
 
-        assert run_mpi(fn, 2, machine=IDEAL, deadlock_timeout=10.0) == [4, 4]
+        assert run_mpi(fn, 2, machine=IDEAL) == [4, 4]
 
     def test_repeated_migrations_preserve_invariants(self):
         """Stress: many LB rounds with alternating busy processors."""
@@ -211,5 +211,5 @@ class TestLoadBalancePhase:
             total = comm.allreduce(store.num_owned())
             return total
 
-        results = run_mpi(fn, 4, machine=IDEAL, deadlock_timeout=20.0)
+        results = run_mpi(fn, 4, machine=IDEAL)
         assert results == [32, 32, 32, 32]

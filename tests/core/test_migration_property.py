@@ -86,7 +86,6 @@ def test_migration_round_trip(case):
         assignment,
         moves,
         machine=IDEAL,
-        deadlock_timeout=10.0,
     )
 
     # All ranks executed the same migrations and agree on the final map.

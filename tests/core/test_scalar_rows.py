@@ -396,4 +396,4 @@ class TestProbeCounts:
             return store.surgery_epoch
 
         # Every rank re-derived its kinds; the two ends also released/adopted.
-        assert sorted(run_mpi(fn, 4, machine=IDEAL, deadlock_timeout=15.0)) == [1, 1, 2, 2]
+        assert sorted(run_mpi(fn, 4, machine=IDEAL)) == [1, 1, 2, 2]

@@ -36,9 +36,7 @@ def run(graph, partition, policy, faults=None, iterations=12, **overrides):
         **overrides,
     )
     platform = ICPlatform(graph, make_average_fn(0.3e-3), config=config)
-    return platform.run(
-        partition, machine=ORIGIN2000, faults=faults, deadlock_timeout=10.0
-    )
+    return platform.run(partition, machine=ORIGIN2000, faults=faults)
 
 
 class TestShrinkEndToEnd:

@@ -16,9 +16,6 @@ arrays with vectorized sweeps.
 
 from __future__ import annotations
 
-import random
-import time
-
 import pytest
 
 from repro.apps.average import make_average_fn
@@ -33,19 +30,8 @@ from repro.partitioning import MetisLikePartitioner
 RUNS = 10
 
 
-def make_jitter(seed: int, max_sleep: float = 2e-4):
-    """A jitter hook: sleep a seed-dependent random real-time amount."""
-    rng = random.Random(seed)
-
-    def jitter() -> None:
-        if rng.random() < 0.5:
-            time.sleep(rng.random() * max_sleep)
-
-    return jitter
-
-
 def run_hex(activation, *, overlap=False, iterations=6, faults=None,
-            jitter=None, **overrides):
+            seed=None, **overrides):
     graph = hex32()
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
     config = PlatformConfig(
@@ -59,13 +45,12 @@ def run_hex(activation, *, overlap=False, iterations=6, faults=None,
     return platform.run(
         partition,
         faults=FaultPlan.parse(faults) if faults else None,
-        sched_jitter=jitter,
-        deadlock_timeout=10.0,
+        schedule_seed=seed,
     )
 
 
 def run_plate(activation, *, converge="fixed", iterations=150, faults=None,
-              jitter=None, **overrides):
+              seed=None, **overrides):
     graph, boundary, init = hot_edge_plate(8, 8)
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
     config = PlatformConfig(
@@ -81,8 +66,7 @@ def run_plate(activation, *, converge="fixed", iterations=150, faults=None,
     return platform.run(
         partition,
         faults=FaultPlan.parse(faults) if faults else None,
-        sched_jitter=jitter,
-        deadlock_timeout=10.0,
+        schedule_seed=seed,
     )
 
 
@@ -297,7 +281,7 @@ class TestSparseScheduleFuzz:
                 "sparse",
                 overlap=overlap,
                 iterations=6,
-                jitter=make_jitter(seed=4000 + i),
+                seed=i,
             )
             assert fuzzed.elapsed == reference.elapsed
             assert fuzzed.values == reference.values
@@ -310,9 +294,7 @@ class TestSparseScheduleFuzz:
         reference = run_plate("sparse", converge="quiescence")
         assert reference.quiesced_at is not None
         for i in range(RUNS):
-            fuzzed = run_plate(
-                "sparse", converge="quiescence", jitter=make_jitter(seed=5000 + i)
-            )
+            fuzzed = run_plate("sparse", converge="quiescence", seed=i)
             assert fuzzed.elapsed == reference.elapsed
             assert fuzzed.values == reference.values
             assert fuzzed.quiesced_at == reference.quiesced_at
@@ -334,7 +316,7 @@ class TestSparseScheduleFuzz:
                 checkpoint_period=3,
                 recovery_policy="shrink",
                 faults=plan,
-                jitter=make_jitter(seed=6000 + i),
+                seed=i,
             )
             assert fuzzed.elapsed == reference.elapsed
             assert fuzzed.values == reference.values
@@ -358,7 +340,7 @@ class TestSparseScheduleFuzz:
                 iterations=8,
                 integrity="full",
                 faults=plan,
-                jitter=make_jitter(seed=8000 + i),
+                seed=i,
             )
             assert fuzzed.elapsed == reference.elapsed
             assert fuzzed.values == reference.values

@@ -14,9 +14,6 @@ reports, then fuzz the soa store across 10 perturbed host schedules.
 
 from __future__ import annotations
 
-import random
-import time
-
 import pytest
 
 from repro.apps.average import make_average_fn
@@ -29,16 +26,6 @@ from repro.partitioning import MetisLikePartitioner
 
 #: Distinct host schedules for the perturbed-schedule fuzz (conformance spec).
 RUNS = 10
-
-
-def make_jitter(seed: int, max_sleep: float = 2e-4):
-    rng = random.Random(seed)
-
-    def jitter() -> None:
-        if rng.random() < 0.5:
-            time.sleep(rng.random() * max_sleep)
-
-    return jitter
 
 
 def make_scalar_average_fn(grain: float):
@@ -56,7 +43,7 @@ def make_scalar_average_fn(grain: float):
     return scalar_fn
 
 
-def run_hex(store, *, node_fn=None, iterations=6, faults=None, jitter=None,
+def run_hex(store, *, node_fn=None, iterations=6, faults=None, seed=None,
             **overrides):
     graph = hex32()
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
@@ -70,12 +57,11 @@ def run_hex(store, *, node_fn=None, iterations=6, faults=None, jitter=None,
     return platform.run(
         partition,
         faults=FaultPlan.parse(faults) if faults else None,
-        sched_jitter=jitter,
-        deadlock_timeout=10.0,
+        schedule_seed=seed,
     )
 
 
-def run_plate(store, *, iterations=150, faults=None, jitter=None, **overrides):
+def run_plate(store, *, iterations=150, faults=None, seed=None, **overrides):
     graph, boundary, init = hot_edge_plate(8, 8)
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
     config = PlatformConfig(
@@ -88,8 +74,7 @@ def run_plate(store, *, iterations=150, faults=None, jitter=None, **overrides):
     return platform.run(
         partition,
         faults=FaultPlan.parse(faults) if faults else None,
-        sched_jitter=jitter,
-        deadlock_timeout=10.0,
+        schedule_seed=seed,
     )
 
 
@@ -185,7 +170,7 @@ class TestFaultFree:
             )
             node_fns = (make_jacobi_fn(boundary), make_jacobi_fn(west_edge))
             platform = ICPlatform(graph, node_fns, init_value=init, config=config)
-            return platform.run(partition, deadlock_timeout=10.0)
+            return platform.run(partition)
 
         assert_identical(run("object"), run("soa"))
 
@@ -394,7 +379,7 @@ class TestSoAScheduleFuzz:
     def test_fault_free_is_schedule_independent(self):
         reference = run_hex("object")
         for i in range(RUNS):
-            fuzzed = run_hex("soa", jitter=make_jitter(seed=9000 + i))
+            fuzzed = run_hex("soa", seed=i)
             assert_identical(reference, fuzzed)
 
     def test_shrink_recovery_is_schedule_independent(self):
@@ -406,7 +391,7 @@ class TestSoAScheduleFuzz:
         )
         reference = run_hex("object", **kwargs)
         for i in range(RUNS):
-            fuzzed = run_hex("soa", jitter=make_jitter(seed=9100 + i), **kwargs)
+            fuzzed = run_hex("soa", seed=i, **kwargs)
             assert_identical(reference, fuzzed)
 
     def test_sparse_quiescence_is_schedule_independent(self):
@@ -414,5 +399,5 @@ class TestSoAScheduleFuzz:
         reference = run_plate("object", **kwargs)
         assert reference.quiesced_at is not None
         for i in range(RUNS):
-            fuzzed = run_plate("soa", jitter=make_jitter(seed=9200 + i), **kwargs)
+            fuzzed = run_plate("soa", seed=i, **kwargs)
             assert_identical(reference, fuzzed)

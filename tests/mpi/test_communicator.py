@@ -17,7 +17,6 @@ from repro.mpi import (
 
 def _run(fn, nprocs, **kwargs):
     kwargs.setdefault("machine", IDEAL)
-    kwargs.setdefault("deadlock_timeout", 5.0)
     return run_mpi(fn, nprocs, **kwargs)
 
 
@@ -114,7 +113,7 @@ class TestPointToPoint:
                 comm.recv(source=0)
             return comm.Wtime()
 
-        t0, _ = run_mpi(fn, 2, machine=ORIGIN2000, deadlock_timeout=5.0)
+        t0, _ = run_mpi(fn, 2, machine=ORIGIN2000)
         assert t0 == pytest.approx(ORIGIN2000.sender_cpu(10**6))
 
 
@@ -191,7 +190,7 @@ class TestNonblocking:
             req.wait()
             return comm.Wtime()
 
-        _, t1 = run_mpi(fn, 2, machine=slow, deadlock_timeout=5.0)
+        _, t1 = run_mpi(fn, 2, machine=slow)
         # Transfer (1 s) fully hidden behind the 2 s of compute.
         assert t1 == pytest.approx(2.0 + slow.receiver_cpu(20), rel=0.2)
 

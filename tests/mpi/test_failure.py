@@ -19,7 +19,6 @@ from repro.mpi.faults import FaultPlan
 
 def _run(fn, nprocs, **kwargs):
     kwargs.setdefault("machine", IDEAL)
-    kwargs.setdefault("deadlock_timeout", 5.0)
     return run_mpi(fn, nprocs, **kwargs)
 
 

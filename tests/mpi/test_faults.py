@@ -201,7 +201,7 @@ class TestDropRetry:
                 comm.recv(source=0)
 
         with pytest.raises(MessageLostError):
-            run_mpi(fn, 2, faults=plan, deadlock_timeout=5.0)
+            run_mpi(fn, 2, faults=plan)
 
     def test_lossy_link_delivers_in_order(self):
         plan = FaultPlan(
@@ -217,7 +217,7 @@ class TestDropRetry:
                 return None
             return [comm.recv(source=0, tag=1) for _ in range(50)]
 
-        _, received = run_mpi(fn, 2, faults=plan, deadlock_timeout=10.0)
+        _, received = run_mpi(fn, 2, faults=plan)
         assert received == list(range(50))
 
     def test_retries_cost_virtual_time(self):
@@ -232,7 +232,7 @@ class TestDropRetry:
                 comm.recv(source=0, tag=1)
             return comm.Wtime()
 
-        lossy_times = run_mpi(fn, 2, machine=ORIGIN2000, faults=lossy, deadlock_timeout=10.0)
+        lossy_times = run_mpi(fn, 2, machine=ORIGIN2000, faults=lossy)
         clean_times = run_mpi(fn, 2, machine=ORIGIN2000)
         assert lossy_times[0] > clean_times[0]
         assert lossy_times[1] > clean_times[1]
@@ -273,9 +273,9 @@ class TestDeterminismAndReport:
                 comm.work(1e-4)
             return comm.Wtime()
 
-        first = run_mpi(fn, 4, faults=plan, deadlock_timeout=10.0)
+        first = run_mpi(fn, 4, faults=plan)
         for _ in range(3):
-            assert run_mpi(fn, 4, faults=plan, deadlock_timeout=10.0) == first
+            assert run_mpi(fn, 4, faults=plan) == first
 
     def test_fresh_fault_state_per_run(self):
         """Reusing one cluster must replay identically: run() reseeds."""

@@ -161,7 +161,7 @@ class TestChecksummedTransport:
                 comm.recv(source=0)
 
         with pytest.raises(MessageLostError):
-            SimCluster(2, faults=plan, checksums=True, deadlock_timeout=5.0).run(fn)
+            SimCluster(2, faults=plan, checksums=True).run(fn)
 
     def test_same_plan_same_clocks(self):
         fn = _stream()

@@ -23,7 +23,7 @@ def test_bcast_delivers_payload_everywhere(nprocs, root, payload):
         value = payload if comm.rank == root else None
         return comm.bcast(value, root=root)
 
-    assert run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=10.0) == [payload] * nprocs
+    assert run_mpi(fn, nprocs, machine=IDEAL) == [payload] * nprocs
 
 
 @given(
@@ -36,7 +36,7 @@ def test_allreduce_sum_is_exact(nprocs, values):
         return comm.allreduce(values[comm.rank])
 
     expected = sum(values[:nprocs])
-    assert run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=10.0) == [expected] * nprocs
+    assert run_mpi(fn, nprocs, machine=IDEAL) == [expected] * nprocs
 
 
 @given(
@@ -65,7 +65,7 @@ def test_fifo_per_tag_stream(nprocs, messages):
             return received
         return None
 
-    results = run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=10.0)
+    results = run_mpi(fn, nprocs, machine=IDEAL)
     received = results[1]
     for tag, indices in received.items():
         expected = [i for i, (_, t) in enumerate(messages) if t == tag]
@@ -87,7 +87,7 @@ def test_barrier_clock_is_max_of_entries(nprocs, work_units):
         comm.barrier()
         return comm.Wtime()
 
-    times = run_mpi(fn, nprocs, machine=IDEAL, deadlock_timeout=10.0)
+    times = run_mpi(fn, nprocs, machine=IDEAL)
     expected = max(work_units[:nprocs])
     assert all(abs(t - expected) < 1e-12 for t in times)
 
@@ -111,6 +111,6 @@ def test_virtual_elapsed_is_reproducible(nprocs, seed):
                 comm.allreduce(comm.rank)
         return comm.Wtime()
 
-    first = run_mpi(fn, nprocs, machine=ORIGIN2000, deadlock_timeout=10.0)
-    second = run_mpi(fn, nprocs, machine=ORIGIN2000, deadlock_timeout=10.0)
+    first = run_mpi(fn, nprocs, machine=ORIGIN2000)
+    second = run_mpi(fn, nprocs, machine=ORIGIN2000)
     assert first == second

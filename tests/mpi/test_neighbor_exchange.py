@@ -133,7 +133,7 @@ def _programs(case):
 
 def _outcome(program, nprocs, **cluster_args):
     """Everything observable about one run (or the error that ended it)."""
-    cluster = SimCluster(nprocs, deadlock_timeout=20.0, **cluster_args)
+    cluster = SimCluster(nprocs, **cluster_args)
     try:
         results = cluster.run(program)
     except Exception as exc:  # noqa: BLE001 - compared, not handled
@@ -160,14 +160,17 @@ class TestDifferential:
         machine=st.sampled_from(["flat", "ring"]),
         checksums=st.booleans(),
         faults=FAULT_PLANS,
+        seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_event_and_threads_match_the_loop(self, case, machine, checksums, faults):
+    def test_fifo_and_seeded_schedules_match_the_loop(
+        self, case, machine, checksums, faults, seed
+    ):
         loop, pair = _programs(case)
         args = dict(machine=_machine(machine, case["nprocs"]), checksums=checksums, faults=faults)
-        reference = _outcome(loop, case["nprocs"], scheduler="event", **args)
-        assert _outcome(pair, case["nprocs"], scheduler="event", **args) == reference
-        assert _outcome(pair, case["nprocs"], scheduler="threads", **args) == reference
+        reference = _outcome(loop, case["nprocs"], **args)
+        assert _outcome(pair, case["nprocs"], **args) == reference
+        assert _outcome(pair, case["nprocs"], schedule_seed=seed, **args) == reference
 
     @given(
         case=exchanges(max_procs=3),
@@ -188,8 +191,8 @@ class TestDifferential:
     )
     @settings(max_examples=30, deadline=None)
     def test_collective_trees_match_their_loops(self, nprocs, root, sizes):
-        """The collectives ride the pair; an armed (no-op) jitter hook puts
-        the same event backend back on the per-message loop."""
+        """The collectives ride the pair; a cluster whose batched entries
+        decline puts the same event backend back on the per-message loop."""
         root %= nprocs
 
         def program(comm):
@@ -204,7 +207,10 @@ class TestDifferential:
             return out, comm.Wtime().hex()
 
         native = _outcome(program, nprocs, scheduler="event")
-        per_message = _outcome(program, nprocs, scheduler="event", sched_jitter=lambda: None)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SimCluster, "deliver_batch", lambda *args: False)
+            patch.setattr(SimCluster, "wait_for_batch", lambda *args: None)
+            per_message = _outcome(program, nprocs, scheduler="event")
         assert native == per_message
 
 

@@ -4,9 +4,9 @@ The process backend runs each rank as a real OS process: SoA node arrays
 live in named shared-memory segments, halo payloads travel through
 per-edge shared ring buffers, and everything else (barriers, recv parks,
 fault events, trace records) goes over a command pipe to the parent
-broker.  The contract mirrors the event/threads suite: *virtual* outcomes
+broker.  The contract mirrors the event-scheduler suite: *virtual* outcomes
 -- clocks, values, traces, fault and recovery behaviour -- are
-bit-identical to the in-thread backends.  On top of conformance, this
+bit-identical to the in-thread backend.  On top of conformance, this
 file pins down the backend's hygiene properties: no shared-memory segment
 outlives a run (normal exit, deadlock, or a SIGKILL'd worker), and
 unsupported configurations fail fast with
@@ -430,14 +430,13 @@ class TestProcessGates:
             platform.run(partition, scheduler="process")
         _assert_no_leaked_segments()
 
-    def test_sched_jitter_rejected(self):
-        """Schedule fuzzing perturbs host threads; worker processes have
-        none, so arming it alongside the process backend is an error."""
-        with pytest.raises(UnsupportedBackendError, match="jitter"):
-            cluster = SimCluster(
-                2, sched_jitter=lambda: None, scheduler="process"
-            )
-            cluster.run(lambda comm: comm.barrier())
+    def test_schedule_seed_rejected(self):
+        """The seeded run queue is the event scheduler's; worker processes
+        are interleaved by the host kernel, so a seed alongside the process
+        backend is an error at construction -- nothing forked, no segment."""
+        with pytest.raises(UnsupportedBackendError, match="schedule_seed"):
+            SimCluster(2, schedule_seed=0, scheduler="process")
+        _assert_no_leaked_segments()
 
     def test_demotion_under_shared_arrays_raises(self):
         """Regression: writing a non-float value into a segment-backed

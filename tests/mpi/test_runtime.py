@@ -156,7 +156,7 @@ class TestFailureHandling:
             comm.barrier()
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_mpi(fn, 3, deadlock_timeout=5.0)
+            run_mpi(fn, 3)
 
     def test_peers_blocked_on_dead_rank_are_aborted_not_hung(self):
         def fn(comm):
@@ -165,7 +165,7 @@ class TestFailureHandling:
             comm.recv(source=0)  # would block forever
 
         with pytest.raises(ValueError, match="dead"):
-            run_mpi(fn, 2, deadlock_timeout=5.0)
+            run_mpi(fn, 2)
 
     def test_deadlock_detected(self):
         def fn(comm):
@@ -173,7 +173,7 @@ class TestFailureHandling:
             comm.recv(source=(comm.rank + 1) % comm.size)
 
         with pytest.raises((DeadlockError, CommAbortedError)):
-            run_mpi(fn, 2, deadlock_timeout=0.3)
+            run_mpi(fn, 2)
 
     def test_abort_wakes_blocked_ranks(self):
         def fn(comm):
@@ -183,21 +183,21 @@ class TestFailureHandling:
             comm.recv(source=0)
 
         with pytest.raises(CommAbortedError):
-            run_mpi(fn, 2, deadlock_timeout=5.0)
+            run_mpi(fn, 2)
 
 
 class TestErrorPathConformance:
     """Error paths must carry diagnosable information and release every
-    rank -- the watchdog and abort machinery's contract."""
+    rank -- the deadlock-detection and abort machinery's contract."""
 
     def test_recv_cycle_deadlock_message_names_the_wait(self):
-        """The watchdog's DeadlockError says who is stuck waiting on what."""
+        """The DeadlockError says who is stuck waiting on what."""
 
         def fn(comm):
             comm.recv(source=(comm.rank + 1) % comm.size, tag=9)
 
         with pytest.raises((DeadlockError, CommAbortedError)) as excinfo:
-            run_mpi(fn, 3, deadlock_timeout=0.3)
+            run_mpi(fn, 3)
         text = str(excinfo.value)
         assert "deadlock" in text
         assert "tag=9" in text
@@ -209,7 +209,7 @@ class TestErrorPathConformance:
             comm.barrier()
 
         with pytest.raises((DeadlockError, CommAbortedError)) as excinfo:
-            run_mpi(fn, 2, deadlock_timeout=0.3)
+            run_mpi(fn, 2)
         assert "barrier" in str(excinfo.value)
 
     def test_original_exception_type_survives_propagation(self):
@@ -225,10 +225,10 @@ class TestErrorPathConformance:
             comm.recv(source=2)  # peers block on the dead rank
 
         with pytest.raises(AppSpecificError, match="rank 2's own failure"):
-            run_mpi(fn, 4, deadlock_timeout=5.0)
+            run_mpi(fn, 4)
 
     def test_abort_reason_names_failed_rank(self):
-        cluster = SimCluster(2, deadlock_timeout=5.0)
+        cluster = SimCluster(2)
 
         def fn(comm):
             if comm.rank == 1:
@@ -249,7 +249,7 @@ class TestErrorPathConformance:
             comm.send(comm.rank, peer, tag=4)
             return comm.recv(source=(comm.rank - 1) % comm.size, tag=4)
 
-        assert run_mpi(fn, 4, deadlock_timeout=5.0) == [3, 0, 1, 2]
+        assert run_mpi(fn, 4) == [3, 0, 1, 2]
 
     def test_message_lost_error_reaches_caller(self):
         from repro.mpi import DropSpec, FaultPlan, MessageLostError, RetryPolicy
@@ -267,11 +267,11 @@ class TestErrorPathConformance:
                 comm.recv(source=0)
 
         with pytest.raises(MessageLostError):
-            run_mpi(fn, 2, faults=plan, deadlock_timeout=5.0)
+            run_mpi(fn, 2, faults=plan)
 
     def test_failed_run_leaves_cluster_reusable(self):
         """After an abort, a fresh run() on the same cluster starts clean."""
-        cluster = SimCluster(2, deadlock_timeout=5.0)
+        cluster = SimCluster(2)
 
         def broken(comm):
             if comm.rank == 0:
@@ -292,7 +292,7 @@ class TestErrorPathConformance:
         traffic from dead ranks is dropped; ``run()`` must clear them, or a
         reused cluster silently swallows a reused channel id's messages and
         the receiver hangs."""
-        cluster = SimCluster(2, deadlock_timeout=5.0)
+        cluster = SimCluster(2)
 
         def shrink_like(comm):
             if comm.rank == 0:

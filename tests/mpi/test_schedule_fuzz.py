@@ -1,18 +1,17 @@
 """Schedule-fuzzing conformance suite.
 
 The virtual-time substrate promises that results depend only on the program
-and the (seeded) fault plan -- never on how the host OS happens to schedule
-the rank threads.  These tests *attack* that promise: the ``sched_jitter``
-hook injects randomized real-time sleeps at the runtime's scheduling points
-(message delivery, receive waits, barrier entry), perturbing thread
-interleavings as hard as a loaded CI box would, and every run must still be
-bit-identical -- virtual clocks, execution traces, and node results.
+and the (seeded) fault plan -- never on how the host happens to interleave
+the rank threads.  These tests *attack* that promise: a ``schedule_seed``
+makes the event scheduler hand the baton to a seeded draw from the runnable
+ranks and preempt the running rank on a seeded coin at the runtime's
+scheduling points (message delivery, receive waits, barrier entry, and the
+batched neighbourhood exchange the fault-free runs take), and every run must
+still be bit-identical -- virtual clocks, execution traces, and node
+results.  A failing schedule replays alone from its seed.
 """
 
 from __future__ import annotations
-
-import random
-import time
 
 from repro.apps.average import make_average_fn
 from repro.core import ICPlatform, PlatformConfig
@@ -21,21 +20,9 @@ from repro.graphs import hex32
 from repro.mpi import FaultPlan, IDEAL, run_mpi
 from repro.partitioning import MetisLikePartitioner
 
-#: Distinct host schedules to try per scenario (10 per the conformance spec).
+#: Distinct host schedules to try per scenario (10 per the conformance
+#: spec): schedule seeds 0-9.
 RUNS = 10
-
-
-def make_jitter(seed: int, max_sleep: float = 2e-4):
-    """A jitter hook: sleep a seed-dependent random real-time amount."""
-    rng = random.Random(seed)
-
-    def jitter() -> None:
-        # Skip some sleeps entirely so interleavings differ in *structure*,
-        # not just in pace.
-        if rng.random() < 0.5:
-            time.sleep(rng.random() * max_sleep)
-
-    return jitter
 
 
 class TestBspScheduleFuzz:
@@ -57,9 +44,7 @@ class TestBspScheduleFuzz:
 
         reference = run_mpi(prog, 5, machine=IDEAL)
         for i in range(RUNS):
-            fuzzed = run_mpi(
-                prog, 5, machine=IDEAL, sched_jitter=make_jitter(seed=i)
-            )
+            fuzzed = run_mpi(prog, 5, machine=IDEAL, schedule_seed=i)
             assert fuzzed == reference, f"schedule {i} changed the results"
 
     def test_bsp_with_faults_is_schedule_independent(self):
@@ -76,15 +61,9 @@ class TestBspScheduleFuzz:
             )
             return final, steps, comm.Wtime()
 
-        reference = run_mpi(prog, 4, faults=plan, deadlock_timeout=10.0)
+        reference = run_mpi(prog, 4, faults=plan)
         for i in range(RUNS):
-            fuzzed = run_mpi(
-                prog,
-                4,
-                faults=plan,
-                deadlock_timeout=10.0,
-                sched_jitter=make_jitter(seed=1000 + i),
-            )
+            fuzzed = run_mpi(prog, 4, faults=plan, schedule_seed=i)
             assert fuzzed == reference, f"schedule {i} changed the faulty run"
 
 
@@ -96,13 +75,13 @@ class TestPlatformScheduleFuzz:
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         config = PlatformConfig(iterations=4, track_trace=True)
 
-        def run(jitter=None):
+        def run(seed=None):
             platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
-            return platform.run(partition, sched_jitter=jitter)
+            return platform.run(partition, schedule_seed=seed)
 
         reference = run()
         for i in range(RUNS):
-            fuzzed = run(jitter=make_jitter(seed=2000 + i))
+            fuzzed = run(seed=i)
             assert fuzzed.elapsed == reference.elapsed
             assert fuzzed.values == reference.values
             assert fuzzed.trace.records == reference.trace.records
@@ -121,7 +100,7 @@ class TestPlatformScheduleFuzz:
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         plan = "seed=3,crash=2@5"
 
-        def run(faults=None, jitter=None):
+        def run(faults=None, seed=None):
             config = PlatformConfig(
                 iterations=8,
                 checkpoint_period=3,
@@ -132,8 +111,7 @@ class TestPlatformScheduleFuzz:
             return platform.run(
                 partition,
                 faults=FaultPlan.parse(faults) if faults else None,
-                sched_jitter=jitter,
-                deadlock_timeout=10.0,
+                schedule_seed=seed,
             )
 
         clean = run()
@@ -147,7 +125,7 @@ class TestPlatformScheduleFuzz:
         assert reference.dead_ranks == (2,)
         assert reference.trace.reconfiguration_events()
         for i in range(RUNS):
-            fuzzed = run(faults=plan, jitter=make_jitter(seed=3000 + i))
+            fuzzed = run(faults=plan, seed=i)
             assert fuzzed.elapsed == reference.elapsed
             assert fuzzed.values == reference.values
             assert fuzzed.final_assignment == reference.final_assignment
@@ -179,14 +157,13 @@ class TestPlatformScheduleFuzz:
         )
         plan = f"seed=11,flipmsg=0.05,flip=1@4:{gid}"
 
-        def run(faults=None, jitter=None):
+        def run(faults=None, seed=None):
             config = PlatformConfig(iterations=8, integrity="full", track_trace=True)
             platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
             return platform.run(
                 partition,
                 faults=FaultPlan.parse(faults) if faults else None,
-                sched_jitter=jitter,
-                deadlock_timeout=10.0,
+                schedule_seed=seed,
             )
 
         clean = run()
@@ -200,7 +177,7 @@ class TestPlatformScheduleFuzz:
         events = reference.trace.integrity_events()
         assert [(e.gid, e.mode, e.latency) for e in events] == [(gid, "repair", 0)]
         for i in range(RUNS):
-            fuzzed = run(faults=plan, jitter=make_jitter(seed=7000 + i))
+            fuzzed = run(faults=plan, seed=i)
             assert fuzzed.elapsed == reference.elapsed
             assert fuzzed.values == reference.values
             assert fuzzed.trace.records == reference.trace.records

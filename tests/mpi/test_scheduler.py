@@ -1,12 +1,16 @@
-"""Cross-backend conformance suite for the execution schedulers.
+"""Conformance suite for the event scheduler and its seeded schedules.
 
-The ``event`` and ``threads`` backends make opposite host-level trade-offs
-(cooperative baton-passing vs preemptive polling), but the contract is that
-*virtual* outcomes are bit-identical: clocks, results, traces, fault and
-recovery behaviour.  Every scenario here runs on both backends and compares
-field by field; the exact-deadlock tests additionally pin down the event
-backend's headline property -- deadlock surfaces immediately instead of
-after a 10 s wall-clock watchdog.
+The event scheduler hands the baton round a FIFO run queue; given a
+``schedule_seed`` it draws the next rank from the queue and preempts the
+running one on a seeded coin instead.  The contract is that *virtual*
+outcomes are bit-identical either way: clocks, results, traces, fault and
+recovery behaviour.  Every conformance scenario here runs on the FIFO and on
+a seeded schedule and compares field by field; the seeded-schedule tests pin
+the fuzzer itself (replayable, never a silent no-op, still exact about
+deadlock); the exact-deadlock tests pin the scheduler's headline property --
+deadlock surfaces immediately, no wall-clock timeout is waited out.
+(``tests/mpi/test_process_backend.py`` holds the process backend to the
+same outcomes.)
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ from repro.mpi import (
     run_mpi,
 )
 from repro.mpi.communicator import Communicator
-from repro.mpi.scheduler import resolve_scheduler_name
+from repro.mpi.scheduler import SCHEDULERS
 from repro.partitioning import MetisLikePartitioner
 
-BACKENDS = ("event", "threads")
+#: ``schedule_seed`` of the two host schedules every scenario must agree on.
+SCHEDULES = {"fifo": None, "seeded": 5}
+#: Seeds the seeded-schedule tests sweep (as the schedule-fuzz suites do).
+SEEDS = range(10)
 
 
 # --------------------------------------------------------------------- #
@@ -46,24 +53,14 @@ class TestBackendSelection:
     def test_default_is_event(self):
         assert SimCluster(2).scheduler == "event"
 
-    def test_jitter_defaults_to_threads(self):
-        """Schedule fuzzing perturbs host races; the event backend has
-        none, so an armed jitter hook flips the default."""
-        assert SimCluster(2, sched_jitter=lambda: None).scheduler == "threads"
-
-    def test_explicit_choice_wins_over_jitter(self):
-        cluster = SimCluster(2, sched_jitter=lambda: None, scheduler="event")
-        assert cluster.scheduler == "event"
-
     def test_unknown_backend_rejected(self):
+        assert SCHEDULERS == ("event", "process")
         with pytest.raises(ValueError, match="unknown scheduler"):
             SimCluster(2, scheduler="fibers")
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler_name("green-threads", None)
 
 
 # --------------------------------------------------------------------- #
-# Cross-backend conformance: identical virtual outcomes
+# Cross-schedule conformance: identical virtual outcomes
 # --------------------------------------------------------------------- #
 
 
@@ -82,16 +79,19 @@ def _bsp_prog(comm):
 
 
 class TestCrossBackendConformance:
+    """FIFO schedule vs a seeded one on the in-process backend (the class
+    and test names predate the seeded scheduler; ids kept stable)."""
+
     def test_bsp_program_identical(self):
         results = {
-            backend: run_mpi(_bsp_prog, 5, machine=IDEAL, scheduler=backend)
-            for backend in BACKENDS
+            name: run_mpi(_bsp_prog, 5, machine=IDEAL, schedule_seed=seed)
+            for name, seed in SCHEDULES.items()
         }
-        assert results["event"] == results["threads"]
+        assert results["fifo"] == results["seeded"]
 
     def test_bsp_with_faults_identical(self):
         """Fault decisions are drawn per rank in program order, so delay,
-        drop/retry, and crash outcomes must not depend on the backend."""
+        drop/retry, and crash outcomes must not depend on the schedule."""
         plan = FaultPlan.parse(
             "seed=11,delay=0.2:0.002,drop=0.1,retry=12:1e-4,crash=1@4"
         )
@@ -105,35 +105,35 @@ class TestCrossBackendConformance:
             return final, steps, comm.Wtime()
 
         results = {
-            backend: run_mpi(prog, 4, faults=plan, scheduler=backend)
-            for backend in BACKENDS
+            name: run_mpi(prog, 4, faults=plan, schedule_seed=seed)
+            for name, seed in SCHEDULES.items()
         }
-        assert results["event"] == results["threads"]
+        assert results["fifo"] == results["seeded"]
 
-    def _platform_run(self, config, faults, backend):
+    def _platform_run(self, config, faults, seed):
         graph = hex32()
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
         return platform.run(
             partition,
             faults=FaultPlan.parse(faults) if faults else None,
-            scheduler=backend,
+            schedule_seed=seed,
         )
 
     def _assert_platform_identical(self, config, faults=None):
         results = {
-            backend: self._platform_run(config, faults, backend)
-            for backend in BACKENDS
+            name: self._platform_run(config, faults, seed)
+            for name, seed in SCHEDULES.items()
         }
-        event, threads = results["event"], results["threads"]
-        assert event.elapsed == threads.elapsed
-        assert event.values == threads.values
-        assert event.final_assignment == threads.final_assignment
-        assert event.trace.records == threads.trace.records
-        assert [p.as_dict() for p in event.phases] == [
-            p.as_dict() for p in threads.phases
+        fifo, seeded = results["fifo"], results["seeded"]
+        assert fifo.elapsed == seeded.elapsed
+        assert fifo.values == seeded.values
+        assert fifo.final_assignment == seeded.final_assignment
+        assert fifo.trace.records == seeded.trace.records
+        assert [p.as_dict() for p in fifo.phases] == [
+            p.as_dict() for p in seeded.phases
         ]
-        return event
+        return fifo
 
     @pytest.mark.parametrize("store", ["object", "soa"])
     def test_platform_fault_free_identical(self, store):
@@ -145,8 +145,8 @@ class TestCrossBackendConformance:
     def test_platform_crash_shrink_identical(self, store):
         """The shrink-recovery acceptance scenario -- failure detection,
         survivor re-ranking, quarantine, checkpoint hand-off, and
-        redistribution -- plays out identically on both backends."""
-        event = self._assert_platform_identical(
+        redistribution -- plays out identically on both schedules."""
+        fifo = self._assert_platform_identical(
             PlatformConfig(
                 iterations=8,
                 checkpoint_period=3,
@@ -156,14 +156,14 @@ class TestCrossBackendConformance:
             ),
             faults="seed=3,crash=2@5",
         )
-        assert event.dead_ranks == (2,)
-        assert event.trace.reconfiguration_events()
+        assert fifo.dead_ranks == (2,)
+        assert fifo.trace.reconfiguration_events()
 
     @pytest.mark.parametrize("store", ["object", "soa"])
     def test_platform_integrity_repair_identical(self, store):
         """Checksummed transport + shadow-replica repair of a boundary-node
         memory flip: the priced NACK/retransmit rounds and the repair event
-        land on the same virtual clocks on both backends."""
+        land on the same virtual clocks on both schedules."""
         graph = hex32()
         assignment = MetisLikePartitioner(seed=0).partition(graph, 4).assignment
         gid = next(
@@ -172,14 +172,14 @@ class TestCrossBackendConformance:
             if assignment[g - 1] == 1
             and any(assignment[m - 1] != 1 for m in graph.neighbors(g))
         )
-        event = self._assert_platform_identical(
+        fifo = self._assert_platform_identical(
             PlatformConfig(
                 iterations=8, integrity="full", track_trace=True, store=store
             ),
             faults=f"seed=11,flipmsg=0.05,flip=1@4:{gid}",
         )
-        assert event.repairs == 1
-        assert event.recoveries == 0
+        assert fifo.repairs == 1
+        assert fifo.recoveries == 0
 
 
 # --------------------------------------------------------------------- #
@@ -190,8 +190,8 @@ class TestCrossBackendConformance:
 class TestExactDeadlock:
     def test_recv_cycle_detected_immediately(self):
         """A two-rank receive cycle must surface well under 1 s of real
-        time even with the default 10 s watchdog budget -- the event
-        backend proves the deadlock from its run queue, it never waits."""
+        time -- the event backend proves the deadlock from its run queue,
+        it never waits."""
 
         def stuck(comm):
             peer = 1 - comm.rank
@@ -247,14 +247,137 @@ class TestExactDeadlock:
             "DeadlockError",
         ]
 
-    def test_threads_backend_still_uses_watchdog(self):
-        """The legacy watchdog path stays intact (short timeout here)."""
 
-        def stuck(comm):
-            comm.recv(source=1 - comm.rank, tag=9)
+# --------------------------------------------------------------------- #
+# The seeded schedule: replayable, never a no-op, still exact
+# --------------------------------------------------------------------- #
 
-        with pytest.raises(DeadlockError, match="tag=9"):
-            run_mpi(stuck, 2, scheduler="threads", deadlock_timeout=0.3)
+
+def _handoff_order(cluster):
+    """Run a ring exchange on ``cluster``; the order its ranks got to run
+    in (a host-side observation no virtual result may depend on)."""
+    order = []
+
+    def prog(comm):
+        for round_no in range(3):
+            comm.send(round_no, dest=(comm.rank + 1) % comm.size, tag=0)
+            order.append(comm.rank)
+            comm.recv(source=(comm.rank - 1) % comm.size, tag=0)
+            order.append(comm.rank)
+            comm.barrier()
+        return comm.Wtime()
+
+    clocks = cluster.run(prog)
+    return tuple(order), clocks
+
+
+def _error_types(program, nprocs, seed):
+    """``(what run_mpi raised, sorted per-rank exception type names)``."""
+    seen = []
+
+    def recording(comm):
+        try:
+            return program(comm)
+        except BaseException as exc:  # noqa: BLE001 - recording for assert
+            seen.append(type(exc).__name__)
+            raise
+
+    start = time.perf_counter()
+    with pytest.raises(Exception) as excinfo:  # type compared by the caller
+        run_mpi(recording, nprocs, schedule_seed=seed)
+    assert time.perf_counter() - start < 1.0
+    return type(excinfo.value), sorted(seen)
+
+
+def _recv_cycle(comm):
+    comm.recv(source=(comm.rank + 1) % comm.size, tag=4)
+
+
+def _partial_barrier(comm):
+    if comm.rank == 0:
+        comm.recv(source=1, tag=5)  # never sent
+    else:
+        comm.barrier()
+
+
+class TestSeededSchedule:
+    def test_same_seed_replays_the_same_handoffs(self):
+        """(program, seed) names one schedule: a second cluster, and the
+        same cluster reused after a failed run, repeat it exactly."""
+        cluster = SimCluster(4, schedule_seed=3)
+        first = _handoff_order(cluster)
+
+        def bad(comm):
+            comm.barrier()
+            if comm.rank == 2:
+                raise RuntimeError("boom")
+            comm.recv(source=2, tag=1)
+
+        with pytest.raises(RuntimeError, match="boom"):
+            cluster.run(bad)
+        assert _handoff_order(cluster) == first
+        assert _handoff_order(SimCluster(4, schedule_seed=3)) == first
+
+    def test_seeds_perturb_the_schedule_and_nothing_else(self):
+        """Ten seeds give several hand-off orders and every one preempts --
+        the hook can never be a silent no-op -- yet the clocks are the
+        unseeded run's."""
+        fifo = SimCluster(4)
+        fifo_order, clocks = _handoff_order(fifo)
+        assert fifo._backend.preemptions == 0
+        orders = set()
+        for seed in SEEDS:
+            cluster = SimCluster(4, schedule_seed=seed)
+            order, seeded_clocks = _handoff_order(cluster)
+            assert seeded_clocks == clocks, f"seed {seed}"
+            assert sorted(order) == sorted(fifo_order)
+            assert cluster._backend.preemptions > 0, f"seed {seed}"
+            orders.add(order)
+        assert len(orders) >= 2
+
+    def test_schedule_dependent_program_is_caught(self):
+        """A program that leaks host order into its result (arrival order
+        at a barrier, via a host-side list) gets one outcome per seed and
+        several across seeds -- which is how the fuzz suites catch one."""
+
+        def outcome(seed):
+            arrivals = []
+
+            def racy(comm):
+                arrivals.append(comm.rank)
+                comm.barrier()
+                return tuple(arrivals)
+
+            return run_mpi(racy, 4, schedule_seed=seed)[0]
+
+        assert outcome(None) == (0, 1, 2, 3)
+        outcomes = {seed: outcome(seed) for seed in SEEDS}
+        assert outcomes == {seed: outcome(seed) for seed in SEEDS}
+        assert len(set(outcomes.values())) >= 2
+
+    @pytest.mark.parametrize("stuck", [_recv_cycle, _partial_barrier])
+    def test_deadlock_is_exact_under_any_seed(self, stuck):
+        """Which rank completes the deadlock is the schedule's choice; that
+        one rank raises DeadlockError at once and its peers are aborted is
+        not."""
+        for seed in SEEDS:
+            assert _error_types(stuck, 3, seed) == (
+                DeadlockError,
+                ["CommAbortedError", "CommAbortedError", "DeadlockError"],
+            ), f"seed {seed}"
+
+    def test_rank_failure_stays_the_primary_error(self):
+        def prog(comm):
+            comm.send(comm.rank, dest=(comm.rank + 1) % 4, tag=0)
+            comm.recv(source=(comm.rank - 1) % 4, tag=0)
+            if comm.rank == 1:
+                raise KeyError("rank1-bug")
+            comm.barrier()
+
+        for seed in SEEDS:
+            raised, seen = _error_types(prog, 4, seed)
+            assert raised is KeyError, f"seed {seed}"
+            assert seen == ["CommAbortedError"] * 3 + ["KeyError"], f"seed {seed}"
 
 
 # --------------------------------------------------------------------- #
@@ -286,6 +409,8 @@ class TestBarrierGroupKeying:
         assert times[2] == times[3] >= 1.0
 
     def test_identical_on_both_backends(self):
+        """...that is, on the FIFO and a seeded schedule (id kept stable)."""
+
         def prog(comm):
             cluster = comm._cluster
             world = comm.rank
@@ -296,10 +421,10 @@ class TestBarrierGroupKeying:
             return comm.Wtime()
 
         results = {
-            backend: run_mpi(prog, 4, machine=IDEAL, scheduler=backend)
-            for backend in BACKENDS
+            name: run_mpi(prog, 4, machine=IDEAL, schedule_seed=seed)
+            for name, seed in SCHEDULES.items()
         }
-        assert results["event"] == results["threads"]
+        assert results["fifo"] == results["seeded"]
 
 
 # --------------------------------------------------------------------- #

@@ -147,6 +147,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert "--checkpoint-keep" in err and "0" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--hybrid-inner-cap", "0"),
+            ("--lb-period", "0"),
+            ("--iterations", "-1"),
+            ("--checkpoint-period", "-1"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_2_naming_flag(self, hexfile, capsys, flag, value):
+        """PlatformConfig's own range checks surface as the one-line usage
+        error every other bad flag gets, not as a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--graph", str(hexfile), "--np", "2", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro run: error: {flag} must be >= ")
+        assert err.rstrip().endswith(f"got {value}")
+
     def test_run_shrink_recovery(self, hexfile, capsys):
         assert main(["run", "--graph", str(hexfile), "--np", "4",
                      "--iterations", "8", "--checkpoint-period", "3",
