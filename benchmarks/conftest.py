@@ -1,19 +1,25 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(section 5) on the virtual-time substrate, prints it next to the paper's
-numbers, writes the rendering to ``benchmarks/results/``, and asserts the
-*shape* claims (who wins, where scaling saturates) rather than absolute
-times.
+(section 5), or one claim of a platform extension, on the virtual-time
+substrate, asserts its *shape* claims (who wins, where scaling saturates),
+and hands a rendering plus its measured cells to ``record``, which writes
+``benchmarks/results/<id>.txt``.  That committed file is the pinned
+expectation: the rendering for readers, the trailing ``exact:`` lines
+(every cell as ``float.hex``) for the diff.  Wall-clock numbers are
+asserted but never rendered, so the files do not depend on the host.
 
-Run with::
+Run with (CI does, then fails on any difference)::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/perf -q
+    git diff --exit-code -- benchmarks/results
 """
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -26,15 +32,27 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+def write_rendering(
+    results_dir: Path,
+    experiment_id: str,
+    rendered: str,
+    cells: Mapping[object, Sequence[float]],
+) -> None:
+    """Write ``<id>.txt``: the rendering, then its cells bit for bit."""
+    # Imported here: this conftest is also loaded for ``benchmarks/perf``,
+    # whose tests run without ``src`` on the path.
+    from repro.bench.tables import exact_lines
+
+    text = "\n".join([rendered, *exact_lines(cells)])
+    (results_dir / f"{experiment_id}.txt").write_text(text + "\n")
+    print(f"\n{text}\n")
+
+
 @pytest.fixture(scope="session")
 def record(results_dir):
-    """Persist a rendered table/figure and echo it to stdout."""
-
-    def _record(experiment_id: str, rendered: str) -> None:
-        (results_dir / f"{experiment_id}.txt").write_text(rendered + "\n")
-        print(f"\n{rendered}\n")
-
-    return _record
+    """``record(experiment_id, rendered, cells)``: persist one result (a
+    pure function of its arguments) and echo it to stdout."""
+    return functools.partial(write_rendering, results_dir)
 
 
 @pytest.fixture(scope="session")

@@ -57,7 +57,7 @@ def test_ablation_balancers(benchmark, record):
         return fig
 
     fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     static = fig.series["static"]
     greedy = fig.series["greedy-0.25"]

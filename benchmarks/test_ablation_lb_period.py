@@ -44,7 +44,7 @@ def test_ablation_lb_period(benchmark, record):
         return fig
 
     fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     times = dict(zip(periods, fig.series["elapsed"]))
     migrations = dict(zip(periods, fig.series["migrations"]))

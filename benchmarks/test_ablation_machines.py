@@ -45,7 +45,7 @@ def test_ablation_machines(benchmark, record):
         return fig
 
     fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     # Network quality orders the speedups at every parallel point.
     for idx in range(1, len(procs)):

@@ -47,7 +47,7 @@ def test_ablation_migration_batch(benchmark, record):
         return fig
 
     fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     times = dict(zip(batches, fig.series["elapsed"]))
     moved = dict(zip(batches, fig.series["migrations"]))

@@ -51,7 +51,7 @@ def test_ablation_overlap(benchmark, record):
         return fig
 
     fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     # The overlapped pipeline never loses, and wins a few percent on the
     # calibrated Origin (its latency is small relative to the grain).

@@ -54,7 +54,7 @@ def test_ablation_partitioners(benchmark, record):
         return fig
 
     fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     # Locality-aware partitioners (metis, jostle, spectral, bfsgreedy) beat
     # the locality-blind ones (random, roundrobin) at every processor count.

@@ -55,7 +55,7 @@ def test_ablation_repartition(benchmark, record):
         return fig
 
     fig = benchmark.pedantic(run, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     static = fig.series["static"]
     repart = fig.series["repartition"]

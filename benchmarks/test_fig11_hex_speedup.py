@@ -16,7 +16,7 @@ def test_fig11_hex_speedup(benchmark, record):
         )
 
     fig = benchmark.pedantic(build, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     s32 = fig.series["32-node hexagonal grids"]
     s64 = fig.series["64-node hexagonal grids"]

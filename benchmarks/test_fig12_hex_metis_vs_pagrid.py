@@ -14,7 +14,7 @@ def test_fig12_hex_metis_vs_pagrid(benchmark, record):
         rounds=1,
         iterations=1,
     )
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     # Headline of the figure: coarse grain scales considerably better than
     # fine grain for BOTH partitioners (paper: ~10-11 vs ~6-7 at p=16).

@@ -38,7 +38,7 @@ def test_static_vs_dynamic_hex(benchmark, record, nodes, experiment_id):
         rounds=1,
         iterations=1,
     )
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     static = fig.series["static"]
     centralized = fig.series["dynamic-centralized"]

@@ -18,7 +18,7 @@ def test_fig16_random_speedup(benchmark, record):
         )
 
     fig = benchmark.pedantic(build, rounds=1, iterations=1)
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     (label32, s32), (label64, s64) = fig.series.items()
     # The figure's note: "the speed-up dips slightly when the number of

@@ -16,7 +16,7 @@ def test_fig17_rand_metis_vs_pagrid(benchmark, record):
         rounds=1,
         iterations=1,
     )
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     # Coarse beats fine for both partitioners.
     assert fig.series["coarse-metis"][-1] > fig.series["fine-metis"][-1]

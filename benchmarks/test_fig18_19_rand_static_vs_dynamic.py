@@ -28,7 +28,7 @@ def test_static_vs_dynamic_random(benchmark, record, nodes, experiment_id):
         rounds=1,
         iterations=1,
     )
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     static = fig.series["static"]
     greedy = fig.series["dynamic-greedy"]

@@ -9,7 +9,7 @@ def test_fig20_battlefield_speedup(benchmark, record):
     fig = benchmark.pedantic(
         lambda: run_battlefield_speedups(steps=25), rounds=1, iterations=1
     )
-    record(fig.experiment_id, fig.render())
+    record(fig.experiment_id, fig.render(), fig.series)
 
     at16 = {name: series[-1] for name, series in fig.series.items()}
     # The gray-code BF partition is by far the worst (paper: below 1x until

@@ -24,7 +24,7 @@ def test_overheads(benchmark, record, which, experiment_id):
         rounds=1,
         iterations=1,
     )
-    record(result.experiment_id, result.render())
+    record(result.experiment_id, result.render(), result.cells())
 
     p2, p16 = result.phases[2], result.phases[16]
     # "the compute and computation overhead comes down with the number of

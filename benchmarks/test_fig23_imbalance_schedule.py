@@ -32,7 +32,11 @@ def test_fig23_imbalance_schedule(benchmark, record):
              "iter   heavy-nodes   injected-compute (ms)"]
     for iteration, heavy, total in profile:
         lines.append(f"{iteration:4d}   {heavy:11d}   {total * 1e3:10.2f}")
-    record("fig23_imbalance_schedule", "\n".join(lines))
+    record(
+        "fig23_imbalance_schedule",
+        "\n".join(lines),
+        {"injected-compute": [total for _, _, total in profile]},
+    )
 
     by_iter = {it: (heavy, total) for it, heavy, total in profile}
     # Three 10-iteration windows, each with ~half the nodes heavy.

@@ -8,7 +8,7 @@ from repro.bench.paperdata import PAPER_TABLES
 
 def test_table02_hex32(benchmark, record):
     table = benchmark.pedantic(lambda: run_hex_table(32), rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
 
     paper = PAPER_TABLES["table2_hex32"]
     # Single-processor cells are pure grain + bookkeeping: tight match.

@@ -8,7 +8,7 @@ from repro.bench.paperdata import PAPER_TABLES
 
 def test_table03_hex64(benchmark, record):
     table = benchmark.pedantic(lambda: run_hex_table(64), rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
 
     paper = PAPER_TABLES["table3_hex64"]
     for iters in (10, 15, 20):

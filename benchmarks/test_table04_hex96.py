@@ -8,7 +8,7 @@ from repro.bench.paperdata import PAPER_TABLES
 
 def test_table04_hex96(benchmark, record):
     table = benchmark.pedantic(lambda: run_hex_table(96), rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
 
     paper = PAPER_TABLES["table4_hex96"]
     for iters in (10, 15, 20):

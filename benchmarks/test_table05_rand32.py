@@ -8,7 +8,7 @@ from repro.bench.paperdata import PAPER_TABLES
 
 def test_table05_rand32(benchmark, record):
     table = benchmark.pedantic(lambda: run_random_table(32), rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
 
     paper = PAPER_TABLES["table5_rand32"]
     for iters in (10, 15, 20):

@@ -21,7 +21,7 @@ def tables(battlefield_app):
 
 def test_table07_battlefield_metis(benchmark, record, tables):
     table = benchmark.pedantic(lambda: tables["metis"], rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
     paper = PAPER_TABLES["table7_bf_metis"]
     # Sequential column: calibrated (per-step cost decays as attrition bites).
     for steps in (5, 15, 25):
@@ -33,7 +33,7 @@ def test_table07_battlefield_metis(benchmark, record, tables):
 
 def test_table08_battlefield_graycode(benchmark, record, tables):
     table = benchmark.pedantic(lambda: tables["bf"], rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
     # The headline: the fine-grained gray-code embedding is CATASTROPHIC --
     # 2 processors run slower than 1 (paper: 5.75 s vs 2.26 s at 25 steps).
     row = table.rows[25]
@@ -44,7 +44,7 @@ def test_table08_battlefield_graycode(benchmark, record, tables):
 
 def test_table09_battlefield_rowband(benchmark, record, tables):
     table = benchmark.pedantic(lambda: tables["rowband"], rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
     row = table.rows[25]
     assert row[4] < row[0]  # still profitable at p=16
     # Bands are worse than Metis at scale.
@@ -53,7 +53,7 @@ def test_table09_battlefield_rowband(benchmark, record, tables):
 
 def test_table10_battlefield_colband(benchmark, record, tables):
     table = benchmark.pedantic(lambda: tables["colband"], rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
     row = table.rows[25]
     assert row[4] < row[0]
     assert row[4] > tables["metis"].rows[25][4] * 0.95
@@ -61,7 +61,7 @@ def test_table10_battlefield_colband(benchmark, record, tables):
 
 def test_table11_battlefield_rectband(benchmark, record, tables):
     table = benchmark.pedantic(lambda: tables["rectband"], rounds=1, iterations=1)
-    record(table.experiment_id, table.render())
+    record(table.experiment_id, table.render(), table.rows)
     row = table.rows[25]
     # Rectangular blocks beat both band schemes (lower perimeter), as in
     # the paper's Figure 20 top tier.

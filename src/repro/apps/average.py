@@ -9,6 +9,9 @@ On the virtual-time substrate the dummy loop becomes ``ctx.work(grain)``.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
 from ..core.compute import ComputeContext, NodeFn, NodeView
@@ -26,7 +29,10 @@ COARSE_GRAIN = 3.0e-3
 def neighbor_average(node: NodeView) -> float:
     """Average of the node's own value and its neighbours' values."""
     values = [node.value, *node.neighbor_values()]
-    return sum(values) / len(values)
+    # Strictly left to right from 0, like the bulk twin's ``sum_closed()``:
+    # builtin ``sum()`` over floats is compensated from Python 3.12 on, so
+    # it is neither this sequence nor the same on every interpreter.
+    return reduce(operator.add, values, 0) / len(values)
 
 
 def make_average_fn(grain: float = FINE_GRAIN) -> NodeFn:
@@ -45,7 +51,7 @@ def make_average_fn(grain: float = FINE_GRAIN) -> NodeFn:
 
     def average_bulk(view: BulkView) -> np.ndarray:
         # The closed-segment sum reduces [own, n1, n2, ...] left to right,
-        # matching the scalar ``sum([node.value, *neighbours])`` exactly.
+        # matching the scalar path's left-to-right reduction exactly.
         return view.sum_closed() / (1 + view.degrees)
 
     average_bulk.node_grain = grain

@@ -9,6 +9,8 @@ reference and a residual metric so convergence is testable.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Mapping
 
 import numpy as np
@@ -61,7 +63,9 @@ def make_jacobi_fn(
         values = node.neighbor_values()
         if not values:
             return node.value
-        mean = sum(values) / len(values)
+        # Left to right from 0 like ``sum_neighbors()``, not ``sum()``
+        # (compensated, hence a different float sequence, from 3.12 on).
+        mean = reduce(operator.add, values, 0) / len(values)
         result = (1.0 - omega) * node.value + omega * mean
         if quantize is not None:
             result = round(result, quantize)

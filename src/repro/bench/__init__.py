@@ -3,13 +3,7 @@
 from .harness import (
     PERSISTENT_IMBALANCE,
     PROCS,
-    RECOVERY_IMBALANCE,
-    IntegrityComparison,
-    IntegrityRun,
-    IntegrityWorkload,
     OverheadResult,
-    RecoveryComparison,
-    RecoveryRun,
     battlefield_partitioners,
     hex_graph,
     run_average_once,
@@ -18,9 +12,7 @@ from .harness import (
     run_hex_table,
     run_metis_vs_pagrid,
     run_overheads,
-    run_integrity_comparison,
     run_random_table,
-    run_recovery_comparison,
     run_speedup_figure,
     run_static_vs_dynamic,
 )
@@ -31,14 +23,8 @@ __all__ = [
     "ExperimentTable",
     "OverheadResult",
     "PAPER_TABLES",
-    "IntegrityComparison",
-    "IntegrityRun",
-    "IntegrityWorkload",
     "PERSISTENT_IMBALANCE",
     "PROCS",
-    "RECOVERY_IMBALANCE",
-    "RecoveryComparison",
-    "RecoveryRun",
     "SeriesFigure",
     "battlefield_partitioners",
     "format_seconds",
@@ -47,11 +33,9 @@ __all__ = [
     "run_battlefield_speedups",
     "run_battlefield_table",
     "run_hex_table",
-    "run_integrity_comparison",
     "run_metis_vs_pagrid",
     "run_overheads",
     "run_random_table",
-    "run_recovery_comparison",
     "run_speedup_figure",
     "run_static_vs_dynamic",
 ]

@@ -1,7 +1,9 @@
-"""Experiment runners: one function per family of tables/figures.
+"""Experiment runners: one function per family of the paper's tables/figures.
 
-These are what the ``benchmarks/`` suite calls; they are also directly
-usable from a REPL to regenerate any piece of the paper's evaluation::
+These are what the ``benchmarks/test_*.py`` suite calls (it pins each
+rendering, with its exact cells, under ``benchmarks/results/``); they are
+also directly usable from a REPL to regenerate any piece of the paper's
+evaluation::
 
     from repro.bench import run_hex_table
     print(run_hex_table(64).render())
@@ -16,9 +18,8 @@ from ..apps.average import COARSE_GRAIN, FINE_GRAIN, make_average_fn
 from ..apps.battlefield import BattlefieldApp, general_engagement
 from ..apps.imbalance import ImbalanceSchedule, make_imbalanced_average_fn
 from ..core.config import PlatformConfig
-from ..mpi.faults import FaultPlan
 from ..core.loadbalance import CentralizedHeuristicBalancer, GreedyPairBalancer
-from ..core.phases import PhaseTimes
+from ..core.phases import PHASE_NAMES, PhaseTimes
 from ..core.platform import ICPlatform, PlatformResult
 from ..graphs.generators import random_connected_graph
 from ..graphs.graph import Graph
@@ -49,16 +50,8 @@ __all__ = [
     "run_battlefield_table",
     "run_battlefield_speedups",
     "run_overheads",
-    "run_recovery_comparison",
-    "run_integrity_comparison",
-    "RecoveryComparison",
-    "RecoveryRun",
-    "IntegrityComparison",
-    "IntegrityWorkload",
-    "IntegrityRun",
     "battlefield_partitioners",
     "PERSISTENT_IMBALANCE",
-    "RECOVERY_IMBALANCE",
 ]
 
 #: Persistent-imbalance schedule used by the static-vs-dynamic figures: the
@@ -68,18 +61,6 @@ __all__ = [
 #: rolling schedule cannot be rebalanced by its own one-task migrations).
 PERSISTENT_IMBALANCE = ImbalanceSchedule(
     windows=((10**9, 0.0, 0.5),), heavy_grain=COARSE_GRAIN, light_grain=FINE_GRAIN
-)
-
-#: Imbalance schedule for the recovery-cost comparison: same persistent
-#: heavy band, but fine-grained (heavy = the paper's fine grain, light a
-#: third of it).  With per-iteration compute this small, the cost of
-#: finishing on ``nprocs - 1`` survivors is tiny next to the fixed price
-#: of acquiring and restarting a replacement processor -- the regime where
-#: shrinking recovery is the right call.  (With coarse grain the verdict
-#: flips: capacity loss dominates and rollback-with-restart wins; the
-#: comparison harness lets you measure either by passing a schedule.)
-RECOVERY_IMBALANCE = ImbalanceSchedule(
-    windows=((10**9, 0.0, 0.5),), heavy_grain=FINE_GRAIN, light_grain=0.1e-3
 )
 
 
@@ -410,404 +391,21 @@ class OverheadResult:
     procs: Sequence[int]
     phases: dict[int, PhaseTimes]
 
-    def render(self) -> str:
-        from ..core.phases import PHASE_NAMES
+    def cells(self) -> dict[str, list[float]]:
+        """``phase -> [seconds per processor count]``, the measured cells."""
+        return {
+            name: [getattr(self.phases[p], name) for p in self.procs]
+            for name in PHASE_NAMES
+        }
 
+    def render(self) -> str:
         lines = [self.title, "-" * len(self.title)]
         header = "phase".ljust(26) + "".join(f"p={p}".ljust(12) for p in self.procs)
         lines.append(header)
-        for name in PHASE_NAMES:
-            cells = [f"{getattr(self.phases[p], name) * 1e3:.2f}ms" for p in self.procs]
+        for name, row in self.cells().items():
+            cells = [f"{seconds * 1e3:.2f}ms" for seconds in row]
             lines.append(name.ljust(26) + "".join(c.ljust(12) for c in cells))
         return "\n".join(lines)
-
-
-@dataclass
-class RecoveryRun:
-    """Cost accounting for one platform run under one recovery policy."""
-
-    policy: str
-    elapsed: float
-    recoveries: int
-    dead_ranks: tuple[int, ...]
-    recovery_phase_time: float
-    detection_cost: float
-    reconfiguration_cost: float
-    nodes_redistributed: int
-    values_match_baseline: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "elapsed_s": self.elapsed,
-            "recoveries": self.recoveries,
-            "dead_ranks": list(self.dead_ranks),
-            "recovery_phase_time_s": self.recovery_phase_time,
-            "detection_cost_s": self.detection_cost,
-            "reconfiguration_cost_s": self.reconfiguration_cost,
-            "nodes_redistributed": self.nodes_redistributed,
-            "values_match_baseline": self.values_match_baseline,
-        }
-
-
-@dataclass
-class RecoveryComparison:
-    """Rollback vs shrink on the same faulty workload.
-
-    ``baseline`` is the fault-free run of the identical configuration;
-    both policies must reproduce its final node values bit-for-bit (the
-    transparency claim), they just pay for the crash differently.
-    """
-
-    experiment_id: str
-    title: str
-    baseline_elapsed: float
-    runs: dict[str, RecoveryRun]
-
-    @property
-    def shrink_beats_rollback(self) -> bool:
-        return self.runs["shrink"].elapsed < self.runs["rollback"].elapsed
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "baseline_elapsed_s": self.baseline_elapsed,
-            "policies": {name: run.to_dict() for name, run in self.runs.items()},
-            "shrink_beats_rollback": self.shrink_beats_rollback,
-        }
-
-    def render(self) -> str:
-        lines = [self.title, "-" * len(self.title)]
-        lines.append(f"fault-free baseline: {self.baseline_elapsed:.4f}s")
-        header = (
-            "policy".ljust(10)
-            + "elapsed".ljust(12)
-            + "recovery".ljust(12)
-            + "detect".ljust(12)
-            + "reconfig".ljust(12)
-            + "redistributed".ljust(15)
-            + "values ok"
-        )
-        lines.append(header)
-        for name, run in self.runs.items():
-            lines.append(
-                name.ljust(10)
-                + f"{run.elapsed:.4f}s".ljust(12)
-                + f"{run.recovery_phase_time * 1e3:.2f}ms".ljust(12)
-                + f"{run.detection_cost * 1e3:.2f}ms".ljust(12)
-                + f"{run.reconfiguration_cost * 1e3:.2f}ms".ljust(12)
-                + str(run.nodes_redistributed).ljust(15)
-                + ("yes" if run.values_match_baseline else "NO")
-            )
-        winner = "shrink" if self.shrink_beats_rollback else "rollback"
-        lines.append(f"winner: {winner}")
-        return "\n".join(lines)
-
-
-def run_recovery_comparison(
-    graph: Graph | None = None,
-    nprocs: int = 4,
-    iterations: int = 40,
-    crash_rank: int = 2,
-    crash_iteration: int | None = None,
-    checkpoint_period: int = 5,
-    schedule: ImbalanceSchedule = RECOVERY_IMBALANCE,
-    seed: int = 1,
-    machine: MachineModel = ORIGIN2000,
-    experiment_id: str = "recovery_cost",
-) -> RecoveryComparison:
-    """Recovery-cost accounting: rollback vs shrink on one mid-run crash.
-
-    Runs the imbalanced-average application three times on identical
-    partitions -- fault-free, rollback, shrink -- with a single permanent
-    crash (default: at ~50 % progress) and collects per-policy cost
-    breakdowns from the execution trace.
-    """
-    graph = graph or hex_graph(64)
-    if crash_iteration is None:
-        crash_iteration = iterations // 2
-    partition = MetisLikePartitioner(seed=seed).partition(graph, nprocs)
-    node_fn = make_imbalanced_average_fn(schedule)
-
-    def run_once(policy: str, plan: FaultPlan | None) -> PlatformResult:
-        config = PlatformConfig(
-            iterations=iterations,
-            checkpoint_period=checkpoint_period,
-            recovery_policy=policy,
-            track_trace=True,
-        )
-        platform = ICPlatform(graph, node_fn, config=config)
-        return platform.run(partition, machine=machine, faults=plan)
-
-    baseline = run_once("rollback", None)
-    plan = FaultPlan.parse(f"seed={seed},crash={crash_rank}@{crash_iteration}")
-    runs: dict[str, RecoveryRun] = {}
-    for policy in ("rollback", "shrink"):
-        result = run_once(policy, plan)
-        events = result.trace.reconfiguration_events()
-        runs[policy] = RecoveryRun(
-            policy=policy,
-            elapsed=result.elapsed,
-            recoveries=result.recoveries,
-            dead_ranks=result.dead_ranks,
-            recovery_phase_time=max(p.recovery for p in result.phases),
-            detection_cost=sum(e.detection_cost for e in events),
-            reconfiguration_cost=sum(e.reconfiguration_cost for e in events),
-            nodes_redistributed=sum(e.nodes_redistributed for e in events),
-            values_match_baseline=result.values == baseline.values,
-        )
-    return RecoveryComparison(
-        experiment_id=experiment_id,
-        title=(
-            f"Recovery cost on {graph.name}: crash rank {crash_rank} @ "
-            f"iteration {crash_iteration}/{iterations} ({nprocs} procs)"
-        ),
-        baseline_elapsed=baseline.elapsed,
-        runs=runs,
-    )
-
-
-@dataclass
-class IntegrityRun:
-    """One platform run at one integrity level, fault-free or with a flip."""
-
-    level: str
-    elapsed: float
-    overhead_pct: float | None
-    repairs: int
-    rollbacks: int
-    values_match_baseline: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "elapsed_s": self.elapsed,
-            "overhead_pct": self.overhead_pct,
-            "repairs": self.repairs,
-            "rollbacks": self.rollbacks,
-            "values_match_baseline": self.values_match_baseline,
-        }
-
-
-@dataclass
-class IntegrityWorkload:
-    """Integrity-protection accounting for one application workload.
-
-    ``protection`` holds fault-free runs (the steady-state price of each
-    integrity level); ``flip`` holds runs with one boundary-node memory
-    flip injected mid-run (what each level does about it).
-    """
-
-    name: str
-    flip_gid: int
-    flip_iteration: int
-    protection: dict[str, IntegrityRun]
-    flip: dict[str, IntegrityRun]
-
-    @property
-    def repair_beats_rollback(self) -> bool:
-        """Surgical replica repair must undercut the checkpoint rollback."""
-        return self.flip["full"].elapsed < self.flip["digest"].elapsed
-
-    @property
-    def zero_escapes(self) -> bool:
-        """Every digest-protected run lands on the fault-free values."""
-        return (
-            self.flip["digest"].values_match_baseline
-            and self.flip["full"].values_match_baseline
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "flip_gid": self.flip_gid,
-            "flip_iteration": self.flip_iteration,
-            "protection": {k: r.to_dict() for k, r in self.protection.items()},
-            "flip": {k: r.to_dict() for k, r in self.flip.items()},
-            "repair_beats_rollback": self.repair_beats_rollback,
-            "zero_escapes": self.zero_escapes,
-        }
-
-
-@dataclass
-class IntegrityComparison:
-    """Unprotected vs checksum-only vs full integrity, across workloads."""
-
-    experiment_id: str
-    title: str
-    workloads: dict[str, IntegrityWorkload]
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "workloads": {k: w.to_dict() for k, w in self.workloads.items()},
-        }
-
-    def render(self) -> str:
-        lines = [self.title, "-" * len(self.title)]
-        for workload in self.workloads.values():
-            lines.append("")
-            lines.append(f"[{workload.name}] protection overhead (fault-free):")
-            for run in workload.protection.values():
-                pct = (
-                    f"+{run.overhead_pct:.2f}%"
-                    if run.overhead_pct is not None
-                    else "baseline"
-                )
-                lines.append(
-                    f"  {run.level:<10} {run.elapsed:.4f}s  {pct}"
-                )
-            lines.append(
-                f"[{workload.name}] boundary flip: node {workload.flip_gid} "
-                f"@ iteration {workload.flip_iteration}:"
-            )
-            for run in workload.flip.values():
-                outcome = (
-                    f"{run.repairs} repaired"
-                    if run.repairs
-                    else f"{run.rollbacks} rollbacks"
-                    if run.rollbacks
-                    else "undetected"
-                )
-                values = "values ok" if run.values_match_baseline else "CORRUPTED"
-                lines.append(
-                    f"  {run.level:<10} {run.elapsed:.4f}s  {outcome:<14} {values}"
-                )
-            verdict = "yes" if workload.repair_beats_rollback else "NO"
-            lines.append(f"  repair beats rollback: {verdict}")
-        return "\n".join(lines)
-
-
-def _boundary_gid(graph: Graph, assignment: Sequence[int], rank: int) -> int:
-    """Lowest node owned by ``rank`` with a neighbour on another rank."""
-    for gid in sorted(graph.nodes()):
-        if assignment[gid - 1] != rank:
-            continue
-        if any(assignment[nbr - 1] != rank for nbr in graph.neighbors(gid)):
-            return gid
-    raise ValueError(f"rank {rank} owns no boundary node")
-
-
-def run_integrity_comparison(
-    nprocs: int = 4,
-    battlefield_steps: int = 10,
-    plate_dims: tuple[int, int] = (16, 16),
-    plate_iterations: int = 30,
-    flip_rank: int = 1,
-    checkpoint_period: int = 5,
-    seed: int = 1,
-    machine: MachineModel = ORIGIN2000,
-    experiment_id: str = "integrity_overhead",
-) -> IntegrityComparison:
-    """End-to-end integrity accounting on two workloads.
-
-    For the 1024-hex battlefield and a fine-grain Jacobi diffusion plate:
-
-    * fault-free runs at ``off`` / ``checksum`` / ``full`` give the
-      steady-state protection overhead of the checksummed transport and the
-      per-superstep digests + claim exchange;
-    * a single boundary-node memory flip mid-run, handled at ``off``
-      (silent escape), ``digest`` (checkpoint rollback), and ``full``
-      (surgical replica repair), gives the repair-vs-rollback cost gap.
-    """
-    from ..apps.diffusion import hot_edge_plate, make_jacobi_fn
-
-    workloads: dict[str, IntegrityWorkload] = {}
-
-    app = BattlefieldApp(general_engagement())
-    bf_graph = app.graph()
-    bf_config = app.platform_config(steps=battlefield_steps)
-    bf_partition = MetisLikePartitioner(seed=seed).partition(bf_graph, nprocs)
-
-    def run_battlefield(level: str, faults: FaultPlan | None) -> PlatformResult:
-        config = bf_config.with_overrides(
-            integrity=level,
-            checkpoint_period=checkpoint_period if faults is not None else 0,
-        )
-        platform = ICPlatform(
-            bf_graph, app.node_fns(), init_value=app.init_value, config=config
-        )
-        return platform.run(bf_partition, machine=machine, faults=faults)
-
-    plate_graph, plate_boundary, plate_init = hot_edge_plate(*plate_dims)
-    plate_partition = MetisLikePartitioner(seed=seed).partition(plate_graph, nprocs)
-
-    def run_plate(level: str, faults: FaultPlan | None) -> PlatformResult:
-        config = PlatformConfig(
-            iterations=plate_iterations,
-            integrity=level,
-            checkpoint_period=checkpoint_period if faults is not None else 0,
-        )
-        platform = ICPlatform(
-            plate_graph,
-            make_jacobi_fn(plate_boundary),
-            init_value=plate_init,
-            config=config,
-        )
-        return platform.run(plate_partition, machine=machine, faults=faults)
-
-    for name, run_once, graph, partition, iterations in (
-        ("battlefield-1024hex", run_battlefield, bf_graph, bf_partition,
-         bf_config.iterations),
-        (f"diffusion-plate{plate_dims[0]}x{plate_dims[1]}", run_plate,
-         plate_graph, plate_partition, plate_iterations),
-    ):
-        baseline = run_once("off", None)
-        protection: dict[str, IntegrityRun] = {
-            "off": IntegrityRun(
-                level="off",
-                elapsed=baseline.elapsed,
-                overhead_pct=None,
-                repairs=0,
-                rollbacks=0,
-                values_match_baseline=True,
-            )
-        }
-        for level in ("checksum", "full"):
-            result = run_once(level, None)
-            protection[level] = IntegrityRun(
-                level=level,
-                elapsed=result.elapsed,
-                overhead_pct=(result.elapsed / baseline.elapsed - 1.0) * 100.0,
-                repairs=result.repairs,
-                rollbacks=result.recoveries,
-                values_match_baseline=result.values == baseline.values,
-            )
-
-        gid = _boundary_gid(graph, partition.assignment, flip_rank)
-        flip_iteration = max(2, iterations // 2)
-        plan = FaultPlan.parse(
-            f"seed={seed},flip={flip_rank}@{flip_iteration}:{gid}"
-        )
-        flip: dict[str, IntegrityRun] = {}
-        for level in ("off", "digest", "full"):
-            result = run_once(level, plan)
-            flip[level] = IntegrityRun(
-                level=level,
-                elapsed=result.elapsed,
-                overhead_pct=None,
-                repairs=result.repairs,
-                rollbacks=result.recoveries,
-                values_match_baseline=result.values == baseline.values,
-            )
-        workloads[name] = IntegrityWorkload(
-            name=name,
-            flip_gid=gid,
-            flip_iteration=flip_iteration,
-            protection=protection,
-            flip=flip,
-        )
-
-    return IntegrityComparison(
-        experiment_id=experiment_id,
-        title=(
-            f"Integrity protection: unprotected vs checksum vs "
-            f"checksum+digest+replica ({nprocs} procs)"
-        ),
-        workloads=workloads,
-    )
 
 
 def run_overheads(

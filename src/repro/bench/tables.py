@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-__all__ = ["ExperimentTable", "SeriesFigure", "format_seconds"]
+__all__ = ["ExperimentTable", "SeriesFigure", "exact_lines", "format_seconds"]
 
 
 def format_seconds(value: float) -> str:
@@ -13,6 +13,18 @@ def format_seconds(value: float) -> str:
     if value >= 1.0:
         return f"{value:.3f}"
     return f"{value:.4f}"
+
+
+def exact_lines(cells: Mapping[object, Sequence[float]]) -> list[str]:
+    """One ``exact: <label> = <float.hex> ...`` line per row of measured cells.
+
+    A rendering rounds to three or four figures; appended to it, these lines
+    make the committed text pin every virtual-time cell to the last bit.
+    """
+    return [
+        f"exact: {label} = " + " ".join(float(v).hex() for v in values)
+        for label, values in cells.items()
+    ]
 
 
 @dataclass

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .apps.average import COARSE_GRAIN, FINE_GRAIN, make_average_fn
 from .apps.imbalance import PAPER_SCHEDULE, make_imbalanced_average_fn
@@ -211,18 +211,29 @@ def _run_with_host_profile(path: str, fn):
     return result
 
 
+#: Range-check messages lead with the offending parameter; these two are
+#: spelled differently from the ``repro run`` flag they arrive through.
+_FLAG_OF = {"nparts": "np", "threshold": "lb_threshold"}
+
+
+def _usage_error(message: str) -> NoReturn:
+    """One line on stderr and exit code 2 -- argparse's own convention for a
+    bad command line, not a traceback."""
+    print(f"repro run: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    graph = read_chaco(args.graph)
-    if args.partition:
-        assignment = read_partition(args.partition, num_nodes=graph.num_nodes)
-        partition = Partition.from_assignment(
-            graph, assignment, args.np, method="from-file"
+    try:
+        graph = read_chaco(args.graph)
+        assignment = (
+            read_partition(args.partition, num_nodes=graph.num_nodes)
+            if args.partition
+            else None
         )
-    else:
-        partitioner = make_partitioner(
-            args.scheme, args.np, args.seed, graph, args.rows, args.cols, args.rref
-        )
-        partition = partitioner.partition(graph, args.np)
+    except FileNotFoundError as exc:
+        flag = "--partition" if str(exc.filename) == args.partition else "--graph"
+        _usage_error(f"{flag}: no such file: {exc.filename}")
 
     grain = {"fine": FINE_GRAIN, "coarse": COARSE_GRAIN}[args.grain]
     if args.workload == "average":
@@ -235,15 +246,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             faults = FaultPlan.parse(args.faults)
             faults.validate_ranks(args.np)
-        except ValueError as exc:
-            # One line naming the bad clause, exit code 2 (usage error) --
-            # matching argparse's own convention, not a traceback.
-            print(f"repro run: error: --faults: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+        except ValueError as exc:  # names the bad clause
+            _usage_error(f"--faults: {exc}")
 
     store_override = {"store": args.store} if args.store else {}
     execution_override = {"execution": args.execution} if args.execution else {}
     try:
+        if assignment is not None:
+            partition = Partition.from_assignment(
+                graph, assignment, args.np, method="from-file"
+            )
+        else:
+            partitioner = make_partitioner(
+                args.scheme, args.np, args.seed, graph, args.rows, args.cols,
+                args.rref,
+            )
+            partition = partitioner.partition(graph, args.np)
         config = PlatformConfig(
             iterations=args.iterations,
             dynamic_load_balancing=args.dynamic,
@@ -260,16 +278,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             **store_override,
             **execution_override,
         )
-    except ValueError as exc:
-        # PlatformConfig's messages lead with the field ("lb_period must be
-        # >= 1, got 0"); spell it as the flag it came from.
-        name, _, problem = str(exc).partition(" ")
-        print(
-            f"repro run: error: --{name.replace('_', '-')} {problem}",
-            file=sys.stderr,
+        balancer = (
+            _BALANCERS[args.balancer](args.lb_threshold) if args.dynamic else None
         )
-        raise SystemExit(2)
-    balancer = _BALANCERS[args.balancer](args.lb_threshold) if args.dynamic else None
+    except ValueError as exc:
+        # The range checks' messages lead with the parameter ("lb_period
+        # must be >= 1, got 0"); spell it as the flag it came from.  Any
+        # other ValueError is not a usage error and keeps its traceback.
+        name, _, problem = str(exc).partition(" ")
+        name = _FLAG_OF.get(name, name)
+        if not hasattr(args, name):
+            raise
+        _usage_error(f"--{name.replace('_', '-')} {problem}")
     # Seed node values as floats rather than the default int gids: the
     # averaging workloads produce floats after the first sweep either way,
     # and float-valued stores are what lets --scheduler process back the
@@ -293,10 +313,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             result = execute()
     except UnsupportedBackendError as exc:
-        # A one-line usage-style error (exit 2), not a traceback: the
-        # scheduler/store combination is wrong, not the platform.
-        print(f"repro run: error: --scheduler: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        # The scheduler/store combination is wrong, not the platform.
+        _usage_error(f"--scheduler: {exc}")
 
     print(f"graph         {graph.name} ({graph.num_nodes} nodes)")
     print(f"partition     {partition.method} (cut {partition.edge_cut()})")

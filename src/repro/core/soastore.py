@@ -73,11 +73,12 @@ def _ranges_sum(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     ``((a+b)+c)+d`` in the last ulp -- enough to flip a ``round()`` and
     break the differential oracle.  Instead the segments are accumulated
     column by column: pass ``k`` adds the ``k``-th element of every range
-    still that long, so each range is summed strictly left to right, bit
-    for bit like the scalar path's ``sum([...])``.  The pass count is the
-    maximum range length (a graph degree), while each pass is one
-    vectorized gather-add over all ranges.  Empty ranges sum to ``0.0``
-    (matching ``sum([]) == 0``).
+    still that long, so each range is summed strictly left to right from
+    zero, bit for bit like the scalar path's ``reduce(add, [...], 0)``
+    (builtin ``sum()`` stopped being that sequence in Python 3.12, which
+    compensates float sums).  The pass count is the maximum range length
+    (a graph degree), while each pass is one vectorized gather-add over
+    all ranges.  Empty ranges sum to ``0.0``.
     """
     k = len(starts)
     out = np.zeros(k, dtype=flat.dtype)
@@ -108,7 +109,7 @@ class BulkView:
 
     The neighbourhood is a *closed* CSR: segment ``i`` of
     ``closed_values`` is ``[own value, neighbour 1, neighbour 2, ...]`` --
-    exactly the list the scalar path passes to ``sum(...)``, in the same
+    exactly the list the scalar path reduces left to right, in the same
     order, so segmented sums match the scalar results bit-for-bit.
 
     Attributes:
@@ -136,7 +137,7 @@ class BulkView:
         return len(self.gids)
 
     def sum_closed(self) -> np.ndarray:
-        """``sum([own value, *neighbour values])`` per node, scalar order."""
+        """Own value plus neighbour values per node, added in scalar order."""
         return _ranges_sum(self.closed_values, self.indptr[:-1], self.indptr[1:])
 
     def sum_neighbors(self) -> np.ndarray:
@@ -416,8 +417,8 @@ class SoAStore(NodeStore):
         # at a time), else None and the arrays are private heap numpy.
         self._shared_allocator: Any = None
         self._block: Any = None
-        # Sparse gather-geometry memo telemetry (benchmarked by
-        # benchmarks/soa_scaling.py).
+        # Sparse gather-geometry memo telemetry (pinned by
+        # benchmarks/test_extensions.py::test_soa_store).
         self.sparse_geom_hits = 0
         self.sparse_geom_misses = 0
         self.data_records = _SoARecords(self)  # type: ignore[assignment]

@@ -22,7 +22,7 @@ saturation the thesis observed.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from math import ceil, log2
 from typing import Any
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.apps import COARSE_GRAIN, FINE_GRAIN, make_average_fn, neighbor_average
@@ -32,6 +34,19 @@ class TestNeighborAverage:
 
     def test_isolated_node_keeps_value(self):
         assert neighbor_average(view(7.0, [])) == 7.0
+
+    def test_reduces_strictly_left_to_right(self):
+        """The bulk twin adds ``[own, n1, n2, ...]`` in order from zero; the
+        scalar path must be that same float sequence on every interpreter
+        (builtin ``sum()`` is compensated from Python 3.12 on and is not)."""
+        rng = random.Random(2007)
+        for _ in range(2000):
+            xs = [rng.uniform(25, 75) for _ in range(rng.randint(3, 7))]
+            total = 0.0
+            for x in xs:
+                total += x
+            node = view(xs[0], list(enumerate(xs[1:], start=2)))
+            assert neighbor_average(node) == total / len(xs)
 
     def test_matches_paper_grain_constants(self):
         assert FINE_GRAIN == pytest.approx(0.3e-3)

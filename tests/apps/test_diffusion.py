@@ -50,6 +50,29 @@ class TestJacobiFn:
         )
         assert fn(view, Ctx()) == 15.0
 
+    def test_mean_reduces_strictly_left_to_right(self):
+        """Same float sequence as the bulk twin's ``sum_neighbors()`` on every
+        interpreter (builtin ``sum()`` is compensated from Python 3.12 on)."""
+        import random
+
+        from repro.core import NodeView
+
+        class Ctx:
+            def work(self, s):
+                pass
+
+        fn = make_jacobi_fn({}, omega=1.0, grain=0.0)
+        rng = random.Random(2007)
+        for _ in range(2000):
+            xs = [rng.uniform(25, 75) for _ in range(rng.randint(3, 7))]
+            total = 0.0
+            for x in xs:
+                total += x
+            view = NodeView(
+                global_id=1, value=0.0, neighbors=tuple(enumerate(xs, 2)), iteration=1
+            )
+            assert fn(view, Ctx()) == total / len(xs)
+
 
 class TestPlateProblem:
     @pytest.fixture(scope="class")

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.graphs import Graph, hex32, hex64
 from repro.mpi import IDEAL
-from repro.partitioning import MetisLikePartitioner, Partition
+from repro.partitioning import MetisLikePartitioner
 
 
 def sequential_average(graph: Graph, iterations: int) -> dict[int, float]:

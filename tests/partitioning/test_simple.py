@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs import hex32, hex64, random_connected_graph
+from repro.graphs import random_connected_graph
 from repro.partitioning import (
     BfsGreedyPartitioner,
     RandomPartitioner,

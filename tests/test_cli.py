@@ -154,18 +154,36 @@ class TestRun:
             ("--lb-period", "0"),
             ("--iterations", "-1"),
             ("--checkpoint-period", "-1"),
+            # Range checks outside PlatformConfig: the partitioner's and the
+            # balancer's (built under --dynamic only), whose parameter names
+            # are not the flag names.
+            ("--np", "0"),
+            ("--lb-threshold", "-1.0"),
         ],
     )
     def test_bad_numeric_flag_exits_2_naming_flag(self, hexfile, capsys, flag, value):
-        """PlatformConfig's own range checks surface as the one-line usage
-        error every other bad flag gets, not as a traceback."""
+        """Every range check on the way to a run surfaces as the one-line
+        usage error every other bad flag gets, not as a traceback."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--graph", str(hexfile), "--np", "2", flag, value])
+            main(["run", "--graph", str(hexfile), "--np", "2", "--dynamic",
+                  flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"repro run: error: {flag} must be >= ")
         assert err.rstrip().endswith(f"got {value}")
+
+    @pytest.mark.parametrize("flag", ["--graph", "--partition"])
+    def test_missing_input_file_exits_2_naming_flag(
+        self, hexfile, tmp_path, capsys, flag
+    ):
+        missing = str(tmp_path / "nowhere.txt")
+        argv = ["run", "--graph", str(hexfile), "--np", "2", flag, missing]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err == f"repro run: error: {flag}: no such file: {missing}\n"
 
     def test_run_shrink_recovery(self, hexfile, capsys):
         assert main(["run", "--graph", str(hexfile), "--np", "4",
