@@ -56,11 +56,12 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from ..graphs.graph import concat_ranges
 from ..mpi.communicator import Communicator
 from .buffers import CommBuffers
 from .config import PlatformCosts
 from .nodestore import NodeStore
-from .soastore import ChargePlan, SoAStore, concat_ranges
+from .soastore import ChargePlan, SoAStore
 
 __all__ = [
     "NodeView",
@@ -524,28 +525,27 @@ class _FrontierIndex:
     def __init__(self, store: NodeStore) -> None:
         self.store = store
         self.epoch = store.surgery_epoch
-        peripheral = store.peripheral
-        owned = sorted([*store.internal, *peripheral])
-        count = len(owned)
+        internal = np.fromiter(store.internal, np.int64, len(store.internal))
+        peripheral = np.fromiter(store.peripheral, np.int64, len(store.peripheral))
         #: Owned gids, ascending.
-        self.gids = np.array(owned, dtype=np.int64)
+        self.gids = np.sort(np.concatenate((internal, peripheral)))
+        count = len(self.gids)
         #: ``gid -> local`` (-1 for a node this rank does not own).
         self.local_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
         self.local_of[self.gids] = np.arange(count)
-        is_peripheral = np.fromiter((gid in peripheral for gid in owned), bool, count)
+        is_peripheral = np.zeros(count, dtype=bool)
+        is_peripheral[self.local_of[peripheral]] = True
         #: Membership masks of the two node classes (``None`` = both).
         self.classes = {
             None: np.ones(count, dtype=bool),
             _INTERNAL: ~is_peripheral,
             _PERIPHERAL: is_peripheral,
         }
-        neighbors = store.graph.neighbors
-        closed = [(gid, *neighbors(gid)) for gid in owned]
         #: ``1 + degree`` per owned node, over the *whole* graph.
-        self.items = np.fromiter(map(len, closed), np.int64, count)
+        self.items, closed = store.graph.csr().rows(self.gids - 1, closed=True)
         # CSR of the owned closed neighbourhoods, as locals: row ``i`` is
         # ``targets[starts[i] : starts[i] + lens[i]]``.
-        flat = self.local_of[[gid for row in closed for gid in row]]
+        flat = self.local_of[closed]
         kept = np.concatenate(([0], np.cumsum(flat >= 0)))
         bounds = kept[np.concatenate(([0], np.cumsum(self.items)))]
         self.starts, self.lens = bounds[:-1], np.diff(bounds)

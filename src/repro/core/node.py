@@ -77,7 +77,7 @@ class NodeData:
         return f"NodeData(gid={self.global_id}, data={self.data!r}, v{self.version})"
 
 
-@dataclass
+@dataclass(slots=True)
 class OwnNode:
     """One entry of the internal or peripheral node list.
 

@@ -19,7 +19,9 @@ from __future__ import annotations
 import copy
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..graphs.graph import Graph
+import numpy as np
+
+from ..graphs.graph import Graph, sorted_unique
 from .hashtable import NodeHashTable
 from .node import INTERNAL, PERIPHERAL, NodeData, OwnNode
 
@@ -95,19 +97,46 @@ class NodeStore:
         )
 
     def _build(self, init_value: InitValueFn) -> None:
-        owned = [gid for gid in self.graph.nodes() if self.assignment[gid - 1] == self.rank]
-        # Data records for owned nodes first (the global data list pass).
-        for gid in owned:
-            self._add_record(gid, init_value(gid))
-        # Internal / peripheral classification.
-        for gid in owned:
-            node = self._make_own_node(gid)
-            (self.peripheral if node.is_peripheral else self.internal)[gid] = node
-        # Shadow records: remote neighbours of peripheral nodes.
-        for node in self.peripheral.values():
-            for v in node.neighboring_nodes:
-                if self.assignment[v - 1] != self.rank and v not in self.data_records:
-                    self._add_record(v, init_value(v))
+        """Figure 6's initialisation as array passes over the graph's CSR:
+        which nodes are owned, which of their adjacency entries name a
+        remote neighbour, hence which nodes are peripheral, for whom, and
+        which shadows they need.  Python touches a node once, to make its
+        :class:`OwnNode`."""
+        rank = self.rank
+        procs = np.asarray(self.assignment, dtype=np.int64)
+        owned = np.flatnonzero(procs == rank)
+        lens, flat = self.graph.csr().rows(owned)
+        flat_procs = procs[flat - 1]
+        crossing = np.flatnonzero(flat_procs != rank)
+        remote = flat[crossing]
+        # Shadows in first-discovery order: peripheral nodes ascending, each
+        # one's remote neighbours in adjacency order, a gid once.
+        by_gid = np.argsort(remote, kind="stable")
+        ranked = remote[by_gid]
+        shadows = remote[np.sort(by_gid[np.flatnonzero(np.diff(ranked, prepend=0))])]
+        # ``shadow_for_procs``: the distinct (owned position, remote
+        # processor) pairs, grouped by position.
+        width = int(procs.max(initial=0)) + 1
+        at = np.searchsorted(np.cumsum(lens), crossing, side="right")
+        pairs = sorted_unique(at * width + flat_procs[crossing])
+        positions, pair_procs = np.divmod(pairs, width)
+        cuts = np.flatnonzero(np.diff(positions, prepend=-1)).tolist()
+        pair_procs = pair_procs.tolist()
+        shadow_for = {
+            position: tuple(pair_procs[a:b])
+            for position, a, b in zip(positions[cuts].tolist(), cuts, [*cuts[1:], None])
+        }
+
+        gids = (owned + 1).tolist()
+        held = gids + shadows.tolist()
+        records = self._add_records(held, list(map(init_value, held)))
+        rows = self.graph.neighbor_rows(gids)
+        for position, (gid, record, row) in enumerate(zip(gids, records, rows)):
+            for_procs = shadow_for.get(position)
+            if for_procs is None:
+                self.internal[gid] = OwnNode(gid, INTERNAL, rank, record, row)
+            else:
+                self.peripheral[gid] = OwnNode(gid, PERIPHERAL, rank, record, row, for_procs)
 
     # ------------------------------------------------------------------ #
     # Record layer (overridden by the struct-of-arrays store)
@@ -139,6 +168,13 @@ class NodeStore:
         self.data_records[gid] = record
         self.hash_table.insert(record)
         return record
+
+    def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> list[NodeData]:
+        """:meth:`_add_record` for a batch of fresh records (default
+        ``most_recent``/``version``/``halted``), returning them in order:
+        the seam the initialisation phase fills a store through, which the
+        struct-of-arrays store overrides with one array write."""
+        return [self._add_record(gid, value) for gid, value in zip(gids, values)]
 
     def _reset_records(self, hash_table_length: int) -> None:
         """Drop every record and start empty (checkpoint restore)."""
@@ -177,6 +213,10 @@ class NodeStore:
     def owns(self, gid: int) -> bool:
         """Whether this rank owns ``gid``."""
         return gid in self.internal or gid in self.peripheral
+
+    def num_shadows(self) -> int:
+        """Count of shadow records (every owned node holds a record too)."""
+        return len(self.data_records) - self.num_owned()
 
     def shadow_gids(self) -> list[int]:
         """Global IDs present as shadows (data held, not owned)."""

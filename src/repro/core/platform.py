@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from ..graphs.graph import Graph
 from ..mpi.communicator import Communicator
 from ..mpi.failure import FailureDetector
@@ -256,6 +258,9 @@ class ICPlatform:
             raise ValueError("partition was computed for a different graph")
         self.config.validate_for_scheduler(scheduler)
         nprocs = partition.nparts
+        # Built here, once, so every rank's initialisation reads the same
+        # arrays (rank threads share them, forked workers inherit them).
+        self.graph.csr()
         cluster = SimCluster(
             nprocs,
             machine=machine,
@@ -271,10 +276,9 @@ class ICPlatform:
         for outcome in outcomes:
             values.update(outcome.values)
             versions.update(outcome.versions)
-        final_assignment = [0] * self.graph.num_nodes
+        final_assignment = np.zeros(self.graph.num_nodes + 1, dtype=np.int64)
         for outcome in outcomes:
-            for gid in outcome.owned:
-                final_assignment[gid - 1] = outcome.rank
+            final_assignment[np.array(outcome.owned, dtype=np.intp)] = outcome.rank
         # Migration/repartition/recovery logs are recorded collectively, so
         # any *surviving* rank's copy is authoritative (rank 0 itself may be
         # the one the fault plan killed).
@@ -295,7 +299,7 @@ class ICPlatform:
             phases=[o.phases for o in outcomes],
             values=values,
             versions=versions,
-            final_assignment=tuple(final_assignment),
+            final_assignment=tuple(final_assignment[1:].tolist()),
             migrations=list(reporter.migrations),
             repartitions=reporter.repartitions,
             trace=ExecutionTrace(
@@ -430,7 +434,7 @@ class _RankRun:
             store.use_shared_arrays(allocator)
         comm.work(
             config.costs.init_node_cost * store.num_owned()
-            + config.costs.init_shadow_cost * len(store.shadow_gids())
+            + config.costs.init_shadow_cost * store.num_shadows()
         )
         comm.barrier()
         self.phases.initialization = comm.Wtime() - t0
@@ -806,7 +810,7 @@ class _RankRun:
             elapsed=self.comm.Wtime(),
             phases=self.phases,
             values={} if dead else store.owned_values(),
-            owned=[] if dead else [node.global_id for node in store.owned_nodes()],
+            owned=[] if dead else [*store.internal, *store.peripheral],
             migrations=self.migrations,
             versions={} if dead else store.owned_versions(),
             repartitions=self.repartitions,

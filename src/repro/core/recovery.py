@@ -236,7 +236,7 @@ def shrink_reconfigure(
     adopted = sum(1 for r in placed.values() if r == new_comm.rank)
     comm.work(
         costs.init_node_cost * new_store.num_owned()
-        + costs.init_shadow_cost * len(new_store.shadow_gids())
+        + costs.init_shadow_cost * new_store.num_shadows()
         + costs.migrate_item_cost * adopted
     )
     new_comm.barrier()

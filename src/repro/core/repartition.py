@@ -130,7 +130,7 @@ def repartition_phase(
         costs = ctx.costs
         comm.work(
             costs.init_node_cost * new_store.num_owned()
-            + costs.init_shadow_cost * len(new_store.shadow_gids())
+            + costs.init_shadow_cost * new_store.num_shadows()
         )
     comm.barrier()
     return new_store, True

@@ -46,13 +46,15 @@ against the object store):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from itertools import repeat
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..graphs.graph import concat_ranges
 from .nodestore import NodeStore
 
-__all__ = ["SoAStore", "BulkView", "ChargePlan", "concat_ranges"]
+__all__ = ["SoAStore", "BulkView", "ChargePlan"]
 
 #: Retained sparse gather geometries per topology epoch, evicted LRU
 #: (delta and hybrid frontiers often alternate between a small number of
@@ -89,13 +91,6 @@ def _ranges_sum(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
         sel = np.nonzero(lens > col)[0]
         out[sel] += flat[starts[sel] + col]
     return out
-
-
-def concat_ranges(starts: np.ndarray, lens: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Indices of the ranges ``starts[i] : starts[i] + lens[i]``, one after
-    the other (a CSR row gather); ``ends`` is ``np.cumsum(lens)``."""
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total, dtype=np.intp) + np.repeat(starts - (ends - lens), lens)
 
 
 # --------------------------------------------------------------------- #
@@ -597,6 +592,39 @@ class SoAStore(NodeStore):
         self._topo = None
         return self._proxy(gid)
 
+    def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> list[_ArrayRecord]:
+        """One array write per column -- when that is exactly the
+        per-record loop: plain floats only (anything else demotes, at the
+        record the loop would demote at), fresh distinct gids (a held one
+        is the loop's ``KeyError``), no freed slot to reuse first."""
+        count = len(gids)
+        if (
+            not self._float_mode
+            or self._free
+            or set(map(type, values)) - {float}
+            or len(set(gids)) != count
+            or not self._slot_of.keys().isdisjoint(gids)
+        ):
+            return super()._add_records(gids, values)
+        start, stop = self._high_water, self._high_water + count
+        if stop > self._capacity():
+            # The capacity the loop's doublings would have reached.
+            capacity = max(64, self._capacity())
+            while capacity < stop:
+                capacity *= 2
+            self._grow(capacity)
+        self._high_water = stop
+        self._slot_of.update(zip(gids, range(start, stop)))
+        self._order.extend(gids)
+        # Slots past the high-water mark were never handed out: version 0,
+        # not halted, nothing pending, as allocated.
+        self._gids[start:stop] = gids
+        self._values[start:stop] = values
+        self._topo = None
+        proxies = list(map(_ArrayRecord, repeat(self), gids))
+        self._proxies.update(zip(gids, proxies))
+        return proxies
+
     def _remove_record(self, gid: int) -> None:
         slot = self._slot_of.pop(gid)
         self._order.remove(gid)
@@ -655,6 +683,18 @@ class SoAStore(NodeStore):
         self._versions[bumped] += 1
         return topo.order_gids_arr[sel[changed_here]].tolist()
 
+    def _owned_column(self, column: np.ndarray) -> dict[int, Any]:
+        """``gid -> column[slot]`` over the owned set in sweep order, boxed
+        by ``tolist`` into the exact objects the per-record reads return."""
+        topo = self.bulk_topology()
+        return dict(zip(topo.order_gids, column[topo.slot_of_order].tolist()))
+
+    def owned_values(self) -> dict[int, Any]:
+        return self._owned_column(self._values)
+
+    def owned_versions(self) -> dict[int, int]:
+        return self._owned_column(self._versions)
+
     def update_shadow(self, gid: int, value: Any) -> bool:
         slot = self._slot_of.get(gid)
         if slot is None:
@@ -700,28 +740,27 @@ class SoAStore(NodeStore):
         if topo is not None:
             return topo
         gids = [*self.internal, *self.peripheral]
-        slot_of = self._slot_of
-        slots = np.fromiter(
-            (slot_of[gid] for gid in gids), dtype=np.int64, count=len(gids)
-        )
+        gids_arr = np.array(gids, dtype=np.int64)
+        # gid -> slot as an array, so the owned rows of the graph's CSR
+        # (each behind its own gid) translate in one fancy index.
+        held = np.fromiter(self._slot_of.values(), np.int64, len(self._slot_of))
+        slot_of = np.full(self.graph.num_nodes + 1, -1, dtype=np.int64)
+        slot_of[self._gids[held]] = held
+        closed_lens, closed = self.graph.csr().rows(gids_arr - 1, closed=True)
+        flat_slots = slot_of[closed]
+        if len(flat_slots) and flat_slots.min() < 0:
+            raise KeyError(int(closed[np.argmin(flat_slots)]))
+        slots = slot_of[gids_arr]
         indptr = np.zeros(len(gids) + 1, dtype=np.intp)
-        flat: list[int] = []
-        degrees = np.zeros(len(gids), dtype=np.int64)
-        for i, gid in enumerate(gids):
-            neighbors = self.graph.neighbors(gid)
-            degrees[i] = len(neighbors)
-            flat.append(slot_of[gid])
-            for v in neighbors:
-                flat.append(slot_of[v])
-            indptr[i + 1] = len(flat)
-        gids_arr = np.asarray(gids, dtype=np.int64)
+        np.cumsum(closed_lens, out=indptr[1:])
+        degrees = closed_lens - 1
         topo = _BulkTopo(
             order_gids=gids,
             order_gids_arr=gids_arr,
             slot_of_order=slots,
             internal_count=len(self.internal),
             indptr=indptr,
-            flat_slots=np.asarray(flat, dtype=np.int64),
+            flat_slots=flat_slots,
             degrees=degrees,
             by_gid=np.argsort(gids_arr),
             plan=ChargePlan(

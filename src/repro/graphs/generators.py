@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .graph import Graph
 
 __all__ = [
@@ -87,34 +89,34 @@ def random64(seed: int = 0) -> Graph:
     return random_connected_graph(64, avg_degree=4.0, seed=seed, name=f"random64-s{seed}")
 
 
+def _lattice(rows: int, cols: int, wrap: bool) -> np.ndarray:
+    """The ``(m, 2)`` edge array of a row-major ``rows x cols`` mesh: every
+    cell to its right and lower neighbour, ``wrap`` closing both axes."""
+    gids = np.arange(1, rows * cols + 1, dtype=np.int64).reshape(rows, cols)
+    if wrap:
+        right, below = np.roll(gids, -1, axis=1), np.roll(gids, -1, axis=0)
+        pairs = [(gids, right), (gids, below)]
+    else:
+        pairs = [(gids[:, :-1], gids[:, 1:]), (gids[:-1], gids[1:])]
+    return np.concatenate([np.stack((a.ravel(), b.ravel()), axis=1) for a, b in pairs])
+
+
 def grid2d(rows: int, cols: int, name: str | None = None) -> Graph:
     """A rows x cols 4-neighbour mesh."""
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
-    edges = []
-    def gid(r: int, c: int) -> int:
-        return r * cols + c + 1
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((gid(r, c), gid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((gid(r, c), gid(r + 1, c)))
-    return Graph.from_edges(rows * cols, edges, name=name or f"grid{rows}x{cols}")
+    return Graph.from_edges(
+        rows * cols, _lattice(rows, cols, wrap=False), name=name or f"grid{rows}x{cols}"
+    )
 
 
 def torus2d(rows: int, cols: int, name: str | None = None) -> Graph:
     """A rows x cols mesh with wraparound links (rows, cols >= 3)."""
     if rows < 3 or cols < 3:
         raise ValueError("torus needs rows, cols >= 3 to avoid duplicate edges")
-    edges = []
-    def gid(r: int, c: int) -> int:
-        return r * cols + c + 1
-    for r in range(rows):
-        for c in range(cols):
-            edges.append((gid(r, c), gid(r, (c + 1) % cols)))
-            edges.append((gid(r, c), gid((r + 1) % rows, c)))
-    return Graph.from_edges(rows * cols, edges, name=name or f"torus{rows}x{cols}")
+    return Graph.from_edges(
+        rows * cols, _lattice(rows, cols, wrap=True), name=name or f"torus{rows}x{cols}"
+    )
 
 
 def path_graph(num_nodes: int) -> Graph:

@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-from .graph import Graph
+import numpy as np
+
+from .graph import Graph, sorted_unique
 
 __all__ = [
     "validate_assignment",
@@ -36,23 +38,40 @@ def validate_assignment(graph: Graph, assignment: Sequence[int], nparts: int) ->
         raise ValueError(
             f"assignment covers {len(assignment)} nodes, graph has {graph.num_nodes}"
         )
-    for gid, proc in enumerate(assignment, start=1):
-        if not 0 <= proc < nparts:
-            raise ValueError(f"node {gid} assigned to processor {proc} outside [0, {nparts})")
+    procs = np.asarray(assignment)
+    stray = np.flatnonzero((procs < 0) | (procs >= nparts))
+    if len(stray):
+        gid = int(stray[0]) + 1
+        raise ValueError(
+            f"node {gid} assigned to processor {assignment[gid - 1]} outside [0, {nparts})"
+        )
+
+
+def _cut_entries(
+    graph: Graph, assignment: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gids, home, remote)`` of the adjacency entries that cross
+    processors: the node each sits at, its processor, and the processor of
+    the neighbour it names.  A cut edge appears once from each end."""
+    csr = graph.csr()
+    procs = np.asarray(assignment, dtype=np.int64)
+    gids = csr.sources()
+    home, remote = procs[gids - 1], procs[csr.indices - 1]
+    cut = home != remote
+    return gids[cut], home[cut], remote[cut]
 
 
 def edge_cut(graph: Graph, assignment: Sequence[int]) -> int:
     """Number of edges whose endpoints live on different processors."""
-    return sum(
-        1 for u, v in graph.edges() if assignment[u - 1] != assignment[v - 1]
-    )
+    return len(_cut_entries(graph, assignment)[0]) // 2
 
 
 def weighted_edge_cut(graph: Graph, assignment: Sequence[int]) -> int:
     """Edge cut counting edge weights."""
-    return sum(
-        graph.edge_weight(u, v)
-        for u, v in graph.edges()
+    # The graph stores only the weights other than 1: they correct the count.
+    return edge_cut(graph, assignment) + sum(
+        weight - 1
+        for (u, v), weight in graph._edge_weights.items()
         if assignment[u - 1] != assignment[v - 1]
     )
 
@@ -65,20 +84,17 @@ def communication_volume(graph: Graph, assignment: Sequence[int]) -> int:
     buffer lengths, and therefore the quantity its load balancer uses as
     processor-graph edge weights.
     """
-    volume = 0
-    for gid in graph.nodes():
-        own = assignment[gid - 1]
-        remote = {assignment[v - 1] for v in graph.neighbors(gid)} - {own}
-        volume += len(remote)
-    return volume
+    gids, _, remote = _cut_entries(graph, assignment)
+    if not len(gids):
+        return 0
+    return len(sorted_unique(gids * (int(remote.max()) + 1) + remote))
 
 
 def part_loads(graph: Graph, assignment: Sequence[int], nparts: int) -> list[int]:
     """Total node weight hosted by each processor."""
-    loads = [0] * nparts
-    for gid in graph.nodes():
-        loads[assignment[gid - 1]] += graph.node_weight(gid)
-    return loads
+    loads = np.zeros(nparts, dtype=np.int64)
+    np.add.at(loads, np.asarray(assignment, dtype=np.intp), graph.node_weights)
+    return loads.tolist()
 
 
 def load_imbalance(graph: Graph, assignment: Sequence[int], nparts: int) -> float:
@@ -93,27 +109,15 @@ def load_imbalance(graph: Graph, assignment: Sequence[int], nparts: int) -> floa
 
 def boundary_nodes(graph: Graph, assignment: Sequence[int]) -> set[int]:
     """Global IDs of peripheral nodes (>= 1 neighbour on another processor)."""
-    return {
-        gid
-        for gid in graph.nodes()
-        if any(assignment[v - 1] != assignment[gid - 1] for v in graph.neighbors(gid))
-    }
+    return set(_cut_entries(graph, assignment)[0].tolist())
 
 
 def neighbor_processors(
     graph: Graph, assignment: Sequence[int], proc: int
 ) -> set[int]:
     """Processors that share at least one cut edge with ``proc``."""
-    out: set[int] = set()
-    for u, v in graph.edges():
-        pu, pv = assignment[u - 1], assignment[v - 1]
-        if pu == pv:
-            continue
-        if pu == proc:
-            out.add(pv)
-        elif pv == proc:
-            out.add(pu)
-    return out
+    _, home, remote = _cut_entries(graph, assignment)
+    return set(remote[home == proc].tolist())
 
 
 def parts_used(assignment: Sequence[int]) -> Counter:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from math import sqrt
 
+import numpy as np
+
 from ..graphs.graph import Graph
 from .base import Partition, Partitioner
 
@@ -53,13 +55,15 @@ class _GridBandPartitioner(Partitioner):
                 f"needs {self.rows * self.cols}"
             )
 
-    def _rc(self, gid: int) -> tuple[int, int]:
-        return divmod(gid - 1, self.cols)
+    def _bands(self, nrow_bands: int, ncol_bands: int) -> np.ndarray:
+        """Every node's ``(row band) * ncol_bands + (column band)``, bands
+        being contiguous and equal up to rounding (the last takes the rest)."""
+        def band(extent: int, nbands: int) -> np.ndarray:
+            return np.minimum(np.arange(extent) * nbands // extent, nbands - 1)
 
-    @staticmethod
-    def _band(index: int, extent: int, nbands: int) -> int:
-        """Contiguous band id of ``index`` among ``nbands`` equal bands."""
-        return min(index * nbands // extent, nbands - 1)
+        return np.add.outer(
+            band(self.rows, nrow_bands) * ncol_bands, band(self.cols, ncol_bands)
+        ).ravel()
 
 
 class RowBandPartitioner(_GridBandPartitioner):
@@ -72,10 +76,7 @@ class RowBandPartitioner(_GridBandPartitioner):
         self._check_graph(graph)
         if (trivial := self._trivial(graph, nparts)) is not None:
             return trivial
-        nbands = min(nparts, self.rows)
-        assignment = [
-            self._band(self._rc(gid)[0], self.rows, nbands) for gid in graph.nodes()
-        ]
+        assignment = self._bands(min(nparts, self.rows), 1)
         return Partition.from_assignment(graph, assignment, nparts, method=self.name)
 
 
@@ -89,10 +90,7 @@ class ColumnBandPartitioner(_GridBandPartitioner):
         self._check_graph(graph)
         if (trivial := self._trivial(graph, nparts)) is not None:
             return trivial
-        nbands = min(nparts, self.cols)
-        assignment = [
-            self._band(self._rc(gid)[1], self.cols, nbands) for gid in graph.nodes()
-        ]
+        assignment = self._bands(1, min(nparts, self.cols))
         return Partition.from_assignment(graph, assignment, nparts, method=self.name)
 
 
@@ -115,12 +113,5 @@ class RectangularPartitioner(_GridBandPartitioner):
         # Orient the factor pair with the grid: more bands along the longer axis.
         if (self.rows >= self.cols) != (pr >= pc):
             pr, pc = pc, pr
-        pr = min(pr, self.rows)
-        pc = min(pc, self.cols)
-        assignment = []
-        for gid in graph.nodes():
-            r, c = self._rc(gid)
-            assignment.append(
-                self._band(r, self.rows, pr) * pc + self._band(c, self.cols, pc)
-            )
+        assignment = self._bands(min(pr, self.rows), min(pc, self.cols))
         return Partition.from_assignment(graph, assignment, nparts, method=self.name)

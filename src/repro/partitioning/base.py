@@ -14,6 +14,8 @@ import abc
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..graphs.graph import Graph
 from ..graphs import metrics
 
@@ -50,8 +52,10 @@ class Partition:
         nparts: int,
         method: str = "unknown",
     ) -> "Partition":
-        """Build from any integer sequence (copied to a tuple)."""
-        return cls(graph, tuple(int(p) for p in assignment), nparts, method)
+        """Build from any integer sequence or array (copied to a tuple of
+        Python ints)."""
+        procs = np.asarray(assignment).astype(np.int64, copy=False)
+        return cls(graph, tuple(procs.tolist()), nparts, method)
 
     # ------------------------------------------------------------------ #
     # Quality metrics
