@@ -2,13 +2,6 @@
 workloads (fine/coarse grain, dynamic imbalance) and the battlefield
 management simulation."""
 
-from .automata import (
-    glider_board,
-    life_step_reference,
-    make_life_fn,
-    make_majority_fn,
-    moore_grid,
-)
 from .average import COARSE_GRAIN, FINE_GRAIN, make_average_fn, neighbor_average
 from .diffusion import (
     hot_edge_plate,
@@ -23,16 +16,11 @@ __all__ = [
     "FINE_GRAIN",
     "ImbalanceSchedule",
     "PAPER_SCHEDULE",
-    "glider_board",
     "hot_edge_plate",
     "jacobi_step_reference",
-    "life_step_reference",
     "make_average_fn",
     "make_imbalanced_average_fn",
     "make_jacobi_fn",
-    "make_life_fn",
-    "make_majority_fn",
-    "moore_grid",
     "neighbor_average",
     "residual",
 ]

@@ -14,8 +14,10 @@ plus subcommands for the rest of the workflow:
 * ``partition`` -- run a partitioner plug-in, write the node-to-processor
   mapping (the ``*_out_Np.txt`` files of Appendix A), print quality stats,
 * ``run``       -- execute the neighbour-average workload on the platform,
-* ``bench``     -- regenerate a named table/figure of the paper,
 * ``info``      -- inspect a graph file.
+
+(The paper's tables and figures are regenerated by ``python -m pytest
+benchmarks``, which also asserts them.)
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NoReturn, Sequence
 
 from .apps.average import COARSE_GRAIN, FINE_GRAIN, make_average_fn
 from .apps.imbalance import PAPER_SCHEDULE, make_imbalanced_average_fn
-from .core.config import PlatformConfig
+from .core.config import CHOICES, ConfigError, PlatformConfig
 from .core.loadbalance import (
     CentralizedHeuristicBalancer,
     DiffusionBalancer,
@@ -169,53 +171,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_with_host_profile(path: str, fn):
-    """Execute ``fn()`` with every host thread profiled; dump merged stats.
-
-    ``cProfile`` is per-thread, and the simulated cluster runs one OS
-    thread per rank -- so a profiler is bootstrapped into every new thread
-    via :func:`threading.setprofile` (the hook fires on the thread's first
-    call event and replaces itself with a thread-local ``cProfile.Profile``)
-    and the per-thread stats are merged with the main thread's at the end.
-    """
-    import cProfile
-    import pstats
-    import threading
-
-    profiles: list[cProfile.Profile] = []
-    lock = threading.Lock()
-
-    def bootstrap(frame, event, arg):
-        prof = cProfile.Profile()
-        with lock:
-            profiles.append(prof)
-        prof.enable()
-
-    main_prof = cProfile.Profile()
-    threading.setprofile(bootstrap)
-    try:
-        main_prof.enable()
-        result = fn()
-    finally:
-        main_prof.disable()
-        threading.setprofile(None)
-    stats = pstats.Stats(main_prof)
-    with lock:
-        for prof in profiles:
-            try:
-                stats.add(prof)
-            except Exception:
-                pass  # thread died before recording anything measurable
-    stats.dump_stats(path)
-    print(f"host profile  {path} ({len(profiles) + 1} threads merged)")
-    return result
-
-
-#: Range-check messages lead with the offending parameter; these two are
-#: spelled differently from the ``repro run`` flag they arrive through.
-_FLAG_OF = {"nparts": "np", "threshold": "lb_threshold"}
-
-
 def _usage_error(message: str) -> NoReturn:
     """One line on stderr and exit code 2 -- argparse's own convention for a
     bad command line, not a traceback."""
@@ -224,16 +179,29 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.np < 1:
+        _usage_error(f"--np must be >= 1, got {args.np}")
     try:
         graph = read_chaco(args.graph)
-        assignment = (
-            read_partition(args.partition, num_nodes=graph.num_nodes)
-            if args.partition
-            else None
+    except FileNotFoundError:
+        _usage_error(f"--graph: no such file: {args.graph}")
+    if args.partition:
+        try:
+            partition = Partition.from_assignment(
+                graph,
+                read_partition(args.partition, num_nodes=graph.num_nodes),
+                args.np,
+                method="from-file",
+            )
+        except FileNotFoundError:
+            _usage_error(f"--partition: no such file: {args.partition}")
+        except ValueError as exc:  # wrong length, or a rank outside [0, np)
+            _usage_error(f"--partition: {exc}")
+    else:
+        partitioner = make_partitioner(
+            args.scheme, args.np, args.seed, graph, args.rows, args.cols, args.rref
         )
-    except FileNotFoundError as exc:
-        flag = "--partition" if str(exc.filename) == args.partition else "--graph"
-        _usage_error(f"{flag}: no such file: {exc.filename}")
+        partition = partitioner.partition(graph, args.np)
 
     grain = {"fine": FINE_GRAIN, "coarse": COARSE_GRAIN}[args.grain]
     if args.workload == "average":
@@ -252,20 +220,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     store_override = {"store": args.store} if args.store else {}
     execution_override = {"execution": args.execution} if args.execution else {}
     try:
-        if assignment is not None:
-            partition = Partition.from_assignment(
-                graph, assignment, args.np, method="from-file"
-            )
-        else:
-            partitioner = make_partitioner(
-                args.scheme, args.np, args.seed, graph, args.rows, args.cols,
-                args.rref,
-            )
-            partition = partitioner.partition(graph, args.np)
         config = PlatformConfig(
             iterations=args.iterations,
             dynamic_load_balancing=args.dynamic,
             lb_period=args.lb_period,
+            lb_threshold=args.lb_threshold,
             overlap_communication=args.overlap,
             rebalance_mode=args.rebalance_mode,
             checkpoint_period=args.checkpoint_period,
@@ -278,40 +237,25 @@ def cmd_run(args: argparse.Namespace) -> int:
             **store_override,
             **execution_override,
         )
-        balancer = (
-            _BALANCERS[args.balancer](args.lb_threshold) if args.dynamic else None
-        )
-    except ValueError as exc:
-        # The range checks' messages lead with the parameter ("lb_period
-        # must be >= 1, got 0"); spell it as the flag it came from.  Any
-        # other ValueError is not a usage error and keeps its traceback.
-        name, _, problem = str(exc).partition(" ")
-        name = _FLAG_OF.get(name, name)
-        if not hasattr(args, name):
-            raise
-        _usage_error(f"--{name.replace('_', '-')} {problem}")
+    except ConfigError as exc:
+        # Any field that can arrive out of range is a flag of the same name
+        # (argparse's choices= has vetted the enumerated ones already).
+        _usage_error(f"--{exc.field.replace('_', '-')} {exc.problem}")
     # Seed node values as floats rather than the default int gids: the
     # averaging workloads produce floats after the first sweep either way,
     # and float-valued stores are what lets --scheduler process back the
     # node arrays with shared-memory segments.
     platform = ICPlatform(
         graph, node_fn, init_value=lambda gid: float(gid), config=config,
-        balancer=balancer,
+        balancer=_BALANCERS[args.balancer](config.lb_threshold),
     )
-
-    def execute():
-        return platform.run(
+    try:
+        result = platform.run(
             partition,
             machine=_MACHINES[args.machine],
             faults=faults,
             scheduler=args.scheduler,
         )
-
-    try:
-        if args.profile_host:
-            result = _run_with_host_profile(args.profile_host, execute)
-        else:
-            result = execute()
     except UnsupportedBackendError as exc:
         # The scheduler/store combination is wrong, not the platform.
         _usage_error(f"--scheduler: {exc}")
@@ -389,43 +333,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import harness
-
-    name = args.experiment
-    if name == "all":
-        from .bench.report import generate_report
-
-        print(generate_report(quick=args.quick))
-    elif name.startswith("table") and "hex" in name:
-        nodes = int(name.split("hex")[1])
-        print(harness.run_hex_table(nodes).render())
-    elif name.startswith("table") and "rand" in name:
-        nodes = int(name.split("rand")[1])
-        print(harness.run_random_table(nodes, seeds=tuple(range(args.seeds))).render())
-    elif name.startswith("table") and "bf" in name:
-        scheme = name.split("bf_")[1]
-        print(harness.run_battlefield_table(scheme).render())
-    elif name == "fig11":
-        tables = [harness.run_hex_table(n, iterations_list=(20,)) for n in (32, 64, 96)]
-        print(harness.run_speedup_figure(tables, title="Hex-grid speedups").render())
-    elif name == "fig20":
-        print(harness.run_battlefield_speedups().render())
-    elif name in ("fig21", "fig22"):
-        graph = (
-            harness.hex_graph(64)
-            if name == "fig21"
-            else random_connected_graph(64, 4.0, seed=0, name="rand64")
-        )
-        print(harness.run_overheads(graph).render())
-    else:
-        raise SystemExit(
-            f"unknown experiment {name!r}; try table2_hex32, table6_rand64, "
-            "table7_bf_metis, fig11, fig20, fig21, fig22"
-        )
-    return 0
-
-
 def cmd_info(args: argparse.Namespace) -> int:
     graph = read_chaco(args.graph)
     degrees = [graph.degree(v) for v in graph.nodes()]
@@ -478,6 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print the full partition diagnostics report")
     part.set_defaults(fn=cmd_partition)
 
+    def choice(switch: str) -> dict:
+        """``choices=`` and ``default=`` of an enumerated switch, from its
+        one declaration (``core.config.CHOICES``, default first)."""
+        return {"choices": CHOICES[switch], "default": CHOICES[switch][0]}
+
     run = sub.add_parser("run", help="execute a workload on the platform")
     run.add_argument("--graph", required=True)
     add_partitioner_args(run)
@@ -486,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--grain", choices=("fine", "coarse"), default="fine")
     run.add_argument("--iterations", type=int, default=20)
     run.add_argument("--machine", choices=sorted(_MACHINES), default="origin2000")
-    run.add_argument("--scheduler", choices=("event", "process"), default=None,
+    run.add_argument("--scheduler", choices=CHOICES["scheduler"], default=None,
                      help="simulated-cluster execution backend (default: event; "
                           "virtual-time results are identical on both; "
                           "process runs one worker OS process per rank over "
@@ -495,17 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--balancer", choices=sorted(_BALANCERS), default="centralized")
     run.add_argument("--lb-period", type=int, default=10)
     run.add_argument("--lb-threshold", type=float, default=0.25)
-    run.add_argument("--rebalance-mode", choices=("migrate", "repartition"),
-                     default="migrate")
+    run.add_argument("--rebalance-mode", **choice("rebalance_mode"))
     run.add_argument("--overlap", action="store_true",
                      help="use the Figure-8a overlapped pipeline")
-    run.add_argument("--store", choices=("object", "soa"), default=None,
+    run.add_argument("--store", choices=CHOICES["store"], default=None,
                      help="node-state representation: object (one NodeData "
                           "per node, the conformance oracle) or soa "
                           "(struct-of-arrays with vectorized sweeps; "
                           "bit-identical results).  Default: the REPRO_STORE "
                           "environment variable, else 'object'")
-    run.add_argument("--execution", choices=("bsp", "hybrid"), default=None,
+    run.add_argument("--execution", choices=CHOICES["execution"], default=None,
                      help="superstep structure: bsp (every node recomputed "
                           "between consecutive global barriers) or hybrid "
                           "(boundary nodes synchronize as usual, interior "
@@ -515,24 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--hybrid-inner-cap", type=int, default=32,
                      help="max interior sweeps per superstep under "
                           "--execution hybrid")
-    run.add_argument("--activation", choices=("dense", "sparse"), default="dense",
+    run.add_argument("--activation", **choice("activation"),
                      help="sparse = change-driven execution: recompute only "
                           "nodes whose neighbourhood changed, exchange only "
                           "changed shadow values, elide empty sends")
-    run.add_argument("--converge", choices=("fixed", "quiescence"),
-                     default="fixed",
+    run.add_argument("--converge", **choice("converge"),
                      help="quiescence = stop early once a global reduction "
                           "sees an iteration in which no node's value changed")
-    run.add_argument("--profile-host", metavar="PATH",
-                     help="profile the host Python process (all rank threads) "
-                          "and dump merged cProfile stats to PATH")
     run.add_argument("--phases", action="store_true", help="print phase breakdown")
     run.add_argument("--faults",
                      help="deterministic fault-injection spec, e.g. "
                           "'seed=7,delay=0.05,drop=0.01,slow=1:3.0,crash=2@40,"
                           "flipmsg=0.01,flip=1@5:37'")
-    run.add_argument("--integrity", choices=("off", "checksum", "digest", "full"),
-                     default="off",
+    run.add_argument("--integrity", **choice("integrity"),
                      help="silent-corruption protection: checksum (verified "
                           "transport), digest (partition-state digests + "
                           "rollback), full (digests + shadow-replica repair)")
@@ -540,19 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="checkpoint every K iterations (0 = baseline only)")
     run.add_argument("--checkpoint-keep", type=int, default=2,
                      help="snapshots retained per rank (older ones pruned)")
-    run.add_argument("--recovery", choices=("rollback", "shrink"),
-                     default="rollback",
+    run.add_argument("--recovery", **choice("recovery_policy"),
                      help="crash recovery policy: rollback (restore everyone, "
                           "resurrect the dead rank) or shrink (continue on "
                           "the survivors)")
     run.set_defaults(fn=cmd_run)
-
-    bench = sub.add_parser("bench", help="regenerate a paper table/figure ('all' for the full report)")
-    bench.add_argument("experiment")
-    bench.add_argument("--seeds", type=int, default=5, help="random-graph averaging")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced axes for 'all' (seconds, not minutes)")
-    bench.set_defaults(fn=cmd_bench)
 
     info = sub.add_parser("info", help="inspect a Chaco graph file")
     info.add_argument("--graph", required=True)

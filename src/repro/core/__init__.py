@@ -4,7 +4,6 @@ dynamic load balancing, task migration, and the platform driver."""
 from .bsp import VertexContext, VertexProgram, run_bsp, run_vertex_program
 from .buffers import BUFFER_RECORD_TYPE, CommBuffers
 from .checkpoint import Checkpoint, CheckpointError, Checkpointer
-from .directory import DistributedDirectory
 from .compute import (
     ComputeContext,
     NodeFn,
@@ -12,7 +11,7 @@ from .compute import (
     TAG_SHADOW,
     superstep,
 )
-from .config import PlatformConfig, PlatformCosts
+from .config import ConfigError, PlatformConfig, PlatformCosts
 from .hashtable import DEFAULT_TABLE_LENGTH, NodeHashTable
 from .integrity import (
     TAG_INTEGRITY,
@@ -66,10 +65,10 @@ __all__ = [
     "Checkpointer",
     "CommBuffers",
     "ComputeContext",
+    "ConfigError",
     "CorruptionClaim",
     "DEFAULT_TABLE_LENGTH",
     "DiffusionBalancer",
-    "DistributedDirectory",
     "ExecutionTrace",
     "IntegrityDecision",
     "IntegrityGuard",

@@ -26,8 +26,6 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
-import numpy as np
-
 from ..graphs.graph import Graph
 from ..mpi.communicator import Communicator
 from ..mpi.runtime import SimCluster
@@ -180,7 +178,6 @@ def run_vertex_program(
     machine: MachineModel = ORIGIN2000,
     compute_grain: float = 0.0,
     scheduler: str | None = None,
-    store: str = "object",
 ) -> tuple[dict[int, Any], int]:
     """Execute a vertex program over a partitioned graph.
 
@@ -194,62 +191,17 @@ def run_vertex_program(
         compute_grain: Seconds charged per vertex compute call.
         scheduler: Simulated-cluster execution backend (see
             :class:`~repro.mpi.runtime.SimCluster`).
-        store: Vertex-state representation: ``"object"`` (one
-            :class:`_VertexState` per vertex) or ``"soa"`` (struct of
-            arrays: an object-dtype value array plus a boolean halt-flag
-            array indexed by owned position).  Iteration order, message
-            traffic, and results are identical.
 
     Returns:
         ``(gid -> final value, supersteps executed)``.
     """
-    if store not in ("object", "soa"):
-        raise ValueError(f"store must be 'object' or 'soa', got {store!r}")
     assignment = partition.assignment
 
     def rank_main(comm: Communicator):
         owned = [gid for gid in graph.nodes() if assignment[gid - 1] == comm.rank]
-        if store == "soa":
-            pos = {gid: i for i, gid in enumerate(owned)}
-            value_arr = np.empty(len(owned), dtype=object)
-            for i, gid in enumerate(owned):
-                value_arr[i] = program.initial_value(gid, graph)
-            halted_arr = np.zeros(len(owned), dtype=bool)
-
-            def get_value(gid):
-                return value_arr[pos[gid]]
-
-            def set_value(gid, value):
-                value_arr[pos[gid]] = value
-
-            def is_halted(gid):
-                return bool(halted_arr[pos[gid]])
-
-            def set_halted(gid, halted):
-                halted_arr[pos[gid]] = halted
-
-            def is_owned(gid):
-                return gid in pos
-        else:
-            states = {
-                gid: _VertexState(program.initial_value(gid, graph))
-                for gid in owned
-            }
-
-            def get_value(gid):
-                return states[gid].value
-
-            def set_value(gid, value):
-                states[gid].value = value
-
-            def is_halted(gid):
-                return states[gid].halted
-
-            def set_halted(gid, halted):
-                states[gid].halted = halted
-
-            def is_owned(gid):
-                return gid in states
+        states = {
+            gid: _VertexState(program.initial_value(gid, graph)) for gid in owned
+        }
         # Sparse inboxes: only vertices with pending messages hold an entry,
         # so the halted-vertex fast path below is a dict-membership test --
         # no per-vertex empty-list churn on supersteps where most of the
@@ -260,19 +212,20 @@ def run_vertex_program(
             # deliver messages that arrived last superstep
             for gid, payload in rank_inbox:
                 inboxes.setdefault(gid, []).append(payload)
-                if is_owned(gid):
-                    set_halted(gid, False)
+                if gid in states:
+                    states[gid].halted = False
             outgoing: list[BspMessage] = []
             active = False
             for gid in owned:
-                if is_halted(gid) and gid not in inboxes:
+                vertex = states[gid]
+                if vertex.halted and gid not in inboxes:
                     continue
                 inbox = inboxes.pop(gid, [])
                 ctx = VertexContext(gid, superstep, graph.neighbors(gid))
                 if compute_grain:
                     comm_.work(compute_grain)
-                set_value(gid, program.compute(get_value(gid), inbox, ctx))
-                set_halted(gid, ctx._halted)
+                vertex.value = program.compute(vertex.value, inbox, ctx)
+                vertex.halted = ctx._halted
                 if not ctx._halted:
                     active = True
                 for target_gid, payload in ctx._outgoing:
@@ -282,7 +235,7 @@ def run_vertex_program(
             return state, outgoing, active
 
         _, supersteps = run_bsp(comm, step, None, max_supersteps=max_supersteps)
-        return {gid: get_value(gid) for gid in owned}, supersteps
+        return {gid: states[gid].value for gid in owned}, supersteps
 
     cluster = SimCluster(partition.nparts, machine=machine, scheduler=scheduler)
     results = cluster.run(rank_main)

@@ -15,9 +15,95 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["PlatformCosts", "PlatformConfig"]
+from ..mpi.errors import UnsupportedBackendError
+from ..mpi.scheduler import SCHEDULERS, SEED_NEEDS_EVENT
+
+__all__ = [
+    "AT_LEAST",
+    "CHOICES",
+    "ConfigError",
+    "INERT",
+    "PlatformConfig",
+    "PlatformCosts",
+    "REQUIRES",
+    "check_run",
+]
+
+#: The one declaration of every enumerated switch: its legal values, the
+#: default first.  :class:`PlatformConfig` takes its defaults from it and
+#: validates against it, ``cli.build_parser`` takes its ``choices=`` from it,
+#: and ``tests/core/test_config_oracle.py`` draws configurations from it.
+#: ``scheduler`` is the one switch that is an argument of
+#: :meth:`ICPlatform.run <repro.core.platform.ICPlatform.run>`, not a field.
+CHOICES: dict[str, tuple[str, ...]] = {
+    "rebalance_mode": ("migrate", "repartition"),
+    "recovery_policy": ("rollback", "shrink"),
+    "integrity": ("off", "checksum", "digest", "full"),
+    "store": ("object", "soa"),
+    "execution": ("bsp", "hybrid"),
+    "activation": ("dense", "sparse"),
+    "converge": ("fixed", "quiescence"),
+    "scheduler": SCHEDULERS,
+}
+
+#: Lower limit of every bounded :class:`PlatformConfig` field.
+AT_LEAST: dict[str, int] = {
+    "iterations": 0,
+    "lb_period": 1,
+    "lb_threshold": 0,
+    "comm_rounds": 1,
+    "max_migrations_per_pair": 1,
+    "checkpoint_period": 0,
+    "checkpoint_keep": 1,
+    "integrity_period": 1,
+    "hybrid_inner_cap": 1,
+}
+
+#: What a switch value requires of the rest of the run, as ``(switch, value,
+#: fact, needed, reason)``: when ``switch`` is ``value``, ``fact`` must equal
+#: ``needed``, or :func:`check_run` raises ``UnsupportedBackendError(reason)``
+#: before any worker forks or segment exists.  (The process backend's other
+#: need, the ``fork`` start method, is a property of the host and is probed
+#: by ``ProcessScheduler`` itself.)
+REQUIRES: tuple[tuple[str, str, str, Any, str], ...] = (
+    (
+        "scheduler", "process", "store", "soa",
+        "scheduler='process' requires store='soa': worker processes share "
+        "the node arrays through float64 shared-memory segments, which only "
+        "the struct-of-arrays store can inhabit",
+    ),
+    ("scheduler", "process", "schedule_seed", None, SEED_NEEDS_EVENT),
+    (
+        "scheduler", "process", "value_type", float,
+        "scheduler='process' supports float node values only: init_value "
+        "must return Python floats for the store to be backed by a float64 "
+        "shared-memory segment (use scheduler='event' for object-valued "
+        "workloads)",
+    ),
+)
+
+#: Switches a switch value makes inert: under ``execution="hybrid"`` the run
+#: is change-driven and overlapped by construction, so neither ``activation``
+#: nor ``overlap_communication`` moves any result.
+INERT: dict[tuple[str, str], tuple[str, ...]] = {
+    ("execution", "hybrid"): ("activation", "overlap_communication"),
+}
+
+
+class ConfigError(ValueError):
+    """A :class:`PlatformConfig` field outside its declared range.
+
+    Attributes:
+        field: Name of the offending field.
+        problem: What is wrong with it (``"must be >= 1, got 0"``).
+    """
+
+    def __init__(self, field: str, problem: str) -> None:
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -190,7 +276,7 @@ class PlatformConfig:
             execution backend (``scheduler="process"``) requires ``"soa"``:
             worker processes share the store arrays through named
             shared-memory segments, which only the float64 array layout
-            can inhabit (see :meth:`validate_for_scheduler`).
+            can inhabit (see :data:`REQUIRES`).
         converge: Termination rule: ``"fixed"`` (run exactly
             ``iterations`` sweeps) or ``"quiescence"`` (additionally stop as
             soon as a global reduction observes that *no* node's committed
@@ -211,104 +297,58 @@ class PlatformConfig:
     hash_table_length: int = 64
     costs: PlatformCosts = field(default_factory=PlatformCosts)
     max_migrations_per_pair: int = 1
-    rebalance_mode: str = "migrate"
+    rebalance_mode: str = CHOICES["rebalance_mode"][0]
     checkpoint_period: int = 0
     checkpoint_keep: int = 2
-    recovery_policy: str = "rollback"
-    integrity: str = "off"
+    recovery_policy: str = CHOICES["recovery_policy"][0]
+    integrity: str = CHOICES["integrity"][0]
     integrity_period: int = 1
     store: str = field(
-        default_factory=lambda: os.environ.get("REPRO_STORE", "object")
+        default_factory=lambda: os.environ.get("REPRO_STORE", CHOICES["store"][0])
     )
     execution: str = field(
-        default_factory=lambda: os.environ.get("REPRO_EXECUTION", "bsp")
+        default_factory=lambda: os.environ.get("REPRO_EXECUTION", CHOICES["execution"][0])
     )
     hybrid_inner_cap: int = 32
-    activation: str = "dense"
-    converge: str = "fixed"
+    activation: str = CHOICES["activation"][0]
+    converge: str = CHOICES["converge"][0]
     track_trace: bool = False
     validate_each_iteration: bool = False
 
     def __post_init__(self) -> None:
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.lb_period < 1:
-            raise ValueError(f"lb_period must be >= 1, got {self.lb_period}")
-        if self.lb_threshold < 0:
-            raise ValueError(f"lb_threshold must be >= 0, got {self.lb_threshold}")
-        if self.comm_rounds < 1:
-            raise ValueError(f"comm_rounds must be >= 1, got {self.comm_rounds}")
-        if self.max_migrations_per_pair < 1:
-            raise ValueError(
-                f"max_migrations_per_pair must be >= 1, got {self.max_migrations_per_pair}"
-            )
-        if self.checkpoint_period < 0:
-            raise ValueError(
-                f"checkpoint_period must be >= 0, got {self.checkpoint_period}"
-            )
-        if self.checkpoint_keep < 1:
-            raise ValueError(
-                f"checkpoint_keep must be >= 1, got {self.checkpoint_keep}"
-            )
-        if self.recovery_policy not in ("rollback", "shrink"):
-            raise ValueError(
-                f"recovery_policy must be 'rollback' or 'shrink', "
-                f"got {self.recovery_policy!r}"
-            )
-        if self.integrity not in ("off", "checksum", "digest", "full"):
-            raise ValueError(
-                f"integrity must be 'off', 'checksum', 'digest', or 'full', "
-                f"got {self.integrity!r}"
-            )
-        if self.integrity_period < 1:
-            raise ValueError(
-                f"integrity_period must be >= 1, got {self.integrity_period}"
-            )
-        if self.store not in ("object", "soa"):
-            raise ValueError(
-                f"store must be 'object' or 'soa', got {self.store!r}"
-            )
-        if self.execution not in ("bsp", "hybrid"):
-            raise ValueError(
-                f"execution must be 'bsp' or 'hybrid', got {self.execution!r}"
-            )
-        if self.hybrid_inner_cap < 1:
-            raise ValueError(
-                f"hybrid_inner_cap must be >= 1, got {self.hybrid_inner_cap}"
-            )
-        if self.activation not in ("dense", "sparse"):
-            raise ValueError(
-                f"activation must be 'dense' or 'sparse', got {self.activation!r}"
-            )
-        if self.converge not in ("fixed", "quiescence"):
-            raise ValueError(
-                f"converge must be 'fixed' or 'quiescence', got {self.converge!r}"
-            )
-        if self.rebalance_mode not in ("migrate", "repartition"):
-            raise ValueError(
-                f"rebalance_mode must be 'migrate' or 'repartition', "
-                f"got {self.rebalance_mode!r}"
-            )
-
-    def validate_for_scheduler(self, scheduler: str | None) -> None:
-        """Reject switch combinations the execution backend cannot honour.
-
-        The multiprocess backend keeps node state in shared float64
-        segments, so only the struct-of-arrays store can run on it.  The
-        platform calls this before building the cluster, so an unsupported
-        pairing fails fast -- no workers forked, no segments allocated --
-        with :class:`~repro.mpi.errors.UnsupportedBackendError` instead of
-        a mid-run divergence.
-        """
-        if scheduler == "process" and self.store != "soa":
-            from ..mpi.errors import UnsupportedBackendError
-
-            raise UnsupportedBackendError(
-                "scheduler='process' requires store='soa': worker processes "
-                "share the node arrays through float64 shared-memory "
-                f"segments, which the {self.store!r} store cannot inhabit"
-            )
+        for name, value in vars(self).items():
+            if name in AT_LEAST and value < AT_LEAST[name]:
+                raise ConfigError(name, f"must be >= {AT_LEAST[name]}, got {value}")
+            if name in CHOICES and value not in CHOICES[name]:
+                legal = ", ".join(map(repr, CHOICES[name]))
+                raise ConfigError(name, f"must be one of {legal}, got {value!r}")
 
     def with_overrides(self, **kwargs: Any) -> "PlatformConfig":
         """Copy with selected fields replaced."""
         return replace(self, **kwargs)
+
+
+def check_run(
+    config: PlatformConfig,
+    scheduler: str | None,
+    schedule_seed: int | None,
+    first_value: Callable[[], Any],
+) -> None:
+    """Reject a run whose switches :data:`REQUIRES` rules out.
+
+    :meth:`ICPlatform.run <repro.core.platform.ICPlatform.run>` calls this
+    before it builds the cluster, so an unsupported combination fails with
+    :class:`~repro.mpi.errors.UnsupportedBackendError` and the rule's reason
+    while nothing has been forked or allocated.  ``first_value`` returns the
+    initial value of the graph's first node; it is called only when a rule
+    that applies asks for the node value type.
+    """
+    facts: dict[str, Callable[[], Any]] = {
+        "scheduler": lambda: scheduler or SCHEDULERS[0],
+        "store": lambda: config.store,
+        "schedule_seed": lambda: schedule_seed,
+        "value_type": lambda: type(first_value()),
+    }
+    for switch, value, fact, needed, reason in REQUIRES:
+        if facts[switch]() == value and facts[fact]() != needed:
+            raise UnsupportedBackendError(reason)

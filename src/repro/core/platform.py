@@ -43,7 +43,7 @@ from .compute import (
     superstep,
     supports_bulk,
 )
-from .config import PlatformConfig
+from .config import PlatformConfig, check_run
 from .integrity import IntegrityGuard, inject_memory_flips
 from .loadbalance import CentralizedHeuristicBalancer, LoadBalancer
 from .migration import MigrationEvent, load_balance_phase
@@ -251,12 +251,15 @@ class ICPlatform:
                 (``"event"``, the default, or ``"process"``).
                 Virtual-time results are identical on both; ``"process"``
                 additionally runs each rank as a real OS process over
-                shared-memory SoA stores and requires
-                ``config.store == "soa"``.
+                shared-memory SoA stores, under the rules of
+                :data:`~repro.core.config.REQUIRES` (checked here, before
+                anything forks).
         """
         if partition.graph is not self.graph and partition.graph != self.graph:
             raise ValueError("partition was computed for a different graph")
-        self.config.validate_for_scheduler(scheduler)
+        # Node ids are 1-based: the first node's value stands for them all
+        # here, and the stores refuse a stray non-float on the worker side.
+        check_run(self.config, scheduler, schedule_seed, lambda: self.init_value(1))
         nprocs = partition.nparts
         # Built here, once, so every rank's initialisation reads the same
         # arrays (rank threads share them, forked workers inherit them).

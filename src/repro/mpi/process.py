@@ -72,7 +72,7 @@ from multiprocessing import connection as mp_connection
 
 from .errors import CommAbortedError, DeadlockError, UnsupportedBackendError, blocked_recv_text
 from .message import Message
-from .scheduler import SchedulerBackend
+from .scheduler import SEED_NEEDS_EVENT, SchedulerBackend
 from .shm import (
     DEFAULT_RING_CAPACITY,
     CollectiveBlock,
@@ -674,11 +674,7 @@ class ProcessScheduler(SchedulerBackend):
 
     def __init__(self, cluster: "SimCluster", seed: int | None) -> None:
         if seed is not None:
-            raise UnsupportedBackendError(
-                "scheduler='process' cannot take a schedule_seed: worker "
-                "ranks run in separate processes the host kernel interleaves "
-                "(use scheduler='event' for schedule fuzzing)"
-            )
+            raise UnsupportedBackendError(SEED_NEEDS_EVENT)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise UnsupportedBackendError(
                 "scheduler='process' requires the fork start method (rank "

@@ -47,12 +47,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "EventScheduler",
     "SCHEDULERS",
+    "SEED_NEEDS_EVENT",
     "SchedulerBackend",
     "make_scheduler",
 ]
 
-#: Recognized ``SimCluster(scheduler=...)`` values.
+#: Recognized ``SimCluster(scheduler=...)`` values, the default first.
 SCHEDULERS = ("event", "process")
+
+#: Why a ``schedule_seed`` rules out the process backend: the reason string of
+#: that rule in ``repro.core.config.REQUIRES``, kept here because a
+#: ``SimCluster`` built without a platform refuses the pair with it too.
+SEED_NEEDS_EVENT = (
+    "scheduler='process' cannot take a schedule_seed: worker ranks run in "
+    "separate processes the host kernel interleaves (use scheduler='event' "
+    "for schedule fuzzing)"
+)
 
 
 class SchedulerBackend:

@@ -160,36 +160,3 @@ class TestVertexPrograms:
         values, _ = run_vertex_program(graph, partition, PointToPoint(), machine=IDEAL)
         assert values[6] == "hello from 1"
         assert values[2] is None
-
-
-class TestVertexStoreBackends:
-    """``store="soa"`` keeps vertex state in arrays; results must match."""
-
-    def test_soa_store_matches_object_store(self):
-        graph = hex32()
-        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-        results = {
-            store: run_vertex_program(
-                graph, partition, _MaxValueProgram(), machine=IDEAL, store=store
-            )
-            for store in ("object", "soa")
-        }
-        assert results["soa"] == results["object"]
-
-    def test_soa_store_halting_semantics(self):
-        """Halt flags live in a bool array; waking on message arrival and
-        the final value gather must behave identically."""
-        graph = path_graph(10)
-        partition = RoundRobinPartitioner().partition(graph, 3)
-        obj = run_vertex_program(graph, partition, _DistanceProgram(),
-                                 machine=IDEAL, store="object")
-        soa = run_vertex_program(graph, partition, _DistanceProgram(),
-                                 machine=IDEAL, store="soa")
-        assert soa == obj
-        assert soa[0] == {gid: gid - 1 for gid in graph.nodes()}
-
-    def test_unknown_store_rejected(self):
-        graph = path_graph(4)
-        partition = RoundRobinPartitioner().partition(graph, 2)
-        with pytest.raises(ValueError, match="store"):
-            run_vertex_program(graph, partition, _DistanceProgram(), store="aos")

@@ -1,0 +1,138 @@
+"""The configuration oracle: random configurations drawn from the one
+declaration of the platform's switches (``repro.core.config``).
+
+* A *legal* configuration -- every enumerated switch sampled from
+  ``CHOICES``, plus dynamic balancing, a fault plan and a host-schedule seed
+  on or off, kept if ``REQUIRES`` allows it -- must be indistinguishable from
+  its reference: the same run on the event scheduler and the object store,
+  unseeded, with every switch ``INERT`` calls inert put back to its default.
+  So one comparison covers the scheduler, the store, the schedule fuzzer and
+  the inertness claims, across whatever the other switches happen to be.
+* An *illegal* one -- a legal draw with one ``REQUIRES`` rule broken -- must
+  raise ``UnsupportedBackendError`` with that rule's reason while nothing
+  has been forked, opened or allocated.
+
+Every switch is passed explicitly, so neither ``REPRO_STORE`` nor
+``REPRO_EXECUTION`` moves a result here.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.average import FINE_GRAIN, make_average_fn
+from repro.core import ICPlatform, PlatformConfig
+from repro.core.config import CHOICES, INERT, REQUIRES
+from repro.graphs.hexgrid import hex_grid
+from repro.mpi import FaultPlan, UnsupportedBackendError
+from repro.partitioning.base import Partition
+
+from ..mpi.test_process_backend import host_untouched
+
+GRAPH = hex_grid(6, 6)
+#: Three ranks holding 18 / 12 / 6 nodes (row bands), so the balancer has
+#: busy-idle pairs to find whenever it is switched on.
+PARTITION = Partition.from_assignment(GRAPH, [0] * 18 + [1] * 12 + [2] * 6, 3)
+#: Delays and drops on the wire, a memory flip, and a crash after the first
+#: periodic checkpoint.  (No ``flipmsg``: without checksums a flipped payload
+#: is garbage in the platform's own control messages, on every backend.)
+FAULTS = "seed=7,delay=0.05,drop=0.02,flip=0@3:15,crash=1@6"
+
+#: A run, as ``{switch or fact named in REQUIRES: value}``.  The node value
+#: type doubles as ``init_value``: ``float(gid)`` / ``int(gid)``.
+runs = st.fixed_dictionaries(
+    {
+        **{switch: st.sampled_from(values) for switch, values in CHOICES.items()},
+        "overlap_communication": st.booleans(),
+        "dynamic_load_balancing": st.booleans(),
+        "faults": st.booleans(),
+        "schedule_seed": st.none() | st.integers(0, 9),
+        "value_type": st.just(float),
+    }
+)
+
+
+def broken_rule(run: dict):
+    """The first ``REQUIRES`` row the run violates (``check_run``'s order)."""
+    for rule in REQUIRES:
+        switch, value, fact, needed, _reason = rule
+        if run[switch] == value and run[fact] != needed:
+            return rule
+    return None
+
+
+def execute(run: dict):
+    config = PlatformConfig(
+        iterations=10,
+        lb_period=3,
+        checkpoint_period=4,
+        track_trace=True,
+        overlap_communication=run["overlap_communication"],
+        dynamic_load_balancing=run["dynamic_load_balancing"],
+        **{name: run[name] for name in CHOICES if name != "scheduler"},
+    )
+    platform = ICPlatform(
+        GRAPH, make_average_fn(FINE_GRAIN), init_value=run["value_type"], config=config
+    )
+    return platform.run(
+        PARTITION,
+        faults=FaultPlan.parse(FAULTS) if run["faults"] else None,
+        scheduler=run["scheduler"],
+        schedule_seed=run["schedule_seed"],
+    )
+
+
+def observed(run: dict) -> tuple:
+    result = execute(run)
+    trace = result.trace
+    return (
+        float.hex(result.elapsed),
+        result.values,
+        result.messages_delivered,
+        result.barriers,
+        trace.records,
+        trace.reconfigurations,
+        trace.integrity,
+        trace.quiescence,
+    )
+
+
+@lru_cache(maxsize=None)
+def _observed_reference(items: tuple) -> tuple:
+    return observed(dict(items))
+
+
+def reference_of(run: dict) -> tuple:
+    """What the run's reference shows (many draws share one reference)."""
+    ref = {**run, "scheduler": "event", "store": "object", "schedule_seed": None}
+    for (switch, value), inert in INERT.items():
+        if run[switch] == value:
+            for name in inert:
+                ref[name] = CHOICES[name][0] if name in CHOICES else False
+    return _observed_reference(tuple(ref.items()))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(runs.filter(lambda run: broken_rule(run) is None))
+def test_legal_configuration_matches_its_reference(run):
+    assert observed(run) == reference_of(run)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(runs, st.sampled_from(REQUIRES), st.data())
+def test_illegal_configuration_is_refused_before_anything_forks(run, rule, data):
+    switch, value, fact, needed, _reason = rule
+    run[switch] = value
+    if fact in CHOICES:
+        run[fact] = data.draw(st.sampled_from([v for v in CHOICES[fact] if v != needed]))
+    elif needed is None:
+        run[fact] = data.draw(st.integers(0, 9))
+    else:
+        run[fact] = int
+    with host_untouched(), pytest.raises(UnsupportedBackendError) as excinfo:
+        execute(run)
+    assert str(excinfo.value) == broken_rule(run)[4]

@@ -16,14 +16,18 @@ a segment mid-run.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import signal
 import time
+from unittest import mock
 
 import pytest
 
 from repro.apps.average import make_average_fn
 from repro.core import ICPlatform, PlatformConfig
+from repro.core.config import REQUIRES, check_run
 from repro.core.soastore import SoAStore
 from repro.graphs import hex32
 from repro.graphs.generators import cycle_graph
@@ -37,6 +41,7 @@ from repro.mpi import (
 )
 from repro.mpi.shm import (
     ShadowRing,
+    SharedSegment,
     SharedStoreAllocator,
     is_shadow_payload,
     leaked_segments,
@@ -52,6 +57,22 @@ def _assert_no_leaked_segments():
     """Every test ends with /dev/shm clean of this platform's segments."""
     leaks = leaked_segments()
     assert not leaks, f"leaked shared-memory segments: {leaks}"
+
+
+@contextlib.contextmanager
+def host_untouched():
+    """The body may not fork a child or create a shared-memory segment, and
+    must leave no child process, descriptor (pipe) or segment behind."""
+    descriptors = len(os.listdir("/proc/self/fd"))
+    with mock.patch("os.fork", side_effect=AssertionError("forked a worker")) as fork, \
+            mock.patch.object(
+                SharedSegment, "__init__", side_effect=AssertionError("created a segment")
+            ) as segment:
+        yield
+    assert not fork.called and not segment.called
+    assert not multiprocessing.active_children()
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    _assert_no_leaked_segments()
 
 
 # --------------------------------------------------------------------- #
@@ -406,19 +427,19 @@ class TestProcessGates:
         before any worker is forked."""
         config = PlatformConfig(iterations=2, store="object")
         with pytest.raises(UnsupportedBackendError, match="store"):
-            config.validate_for_scheduler("process")
+            check_run(config, "process", None, lambda: 0.0)
 
         graph = hex32()
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
-        with pytest.raises(UnsupportedBackendError):
+        with host_untouched(), pytest.raises(UnsupportedBackendError):
             platform.run(partition, scheduler="process")
-        _assert_no_leaked_segments()
 
     def test_object_valued_workload_rejected_early(self):
-        """store=soa but int-valued nodes: the store demotes to object
-        dtype during init, and attaching the shared allocator refuses
-        rather than silently falling back to a private heap store."""
+        """store=soa but int-valued nodes: the store would demote to object
+        dtype during init and refuse the shared allocator inside every
+        worker.  The parent probes the first node's value instead and
+        refuses with the declared reason before anything is forked."""
         graph = hex32()
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         platform = ICPlatform(  # default init_value: int gids -> demotion
@@ -426,9 +447,10 @@ class TestProcessGates:
             make_average_fn(1e-4),
             config=PlatformConfig(iterations=2, store="soa"),
         )
-        with pytest.raises(UnsupportedBackendError, match="float"):
+        reason = next(row[4] for row in REQUIRES if row[2] == "value_type")
+        with host_untouched(), pytest.raises(UnsupportedBackendError) as excinfo:
             platform.run(partition, scheduler="process")
-        _assert_no_leaked_segments()
+        assert str(excinfo.value) == reason and "float" in reason
 
     def test_schedule_seed_rejected(self):
         """The seeded run queue is the event scheduler's; worker processes

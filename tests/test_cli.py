@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main, make_partitioner
+from repro.cli import build_parser, main, make_partitioner
 from repro.graphs import hex32, read_chaco, read_partition
 
 
@@ -154,10 +157,7 @@ class TestRun:
             ("--lb-period", "0"),
             ("--iterations", "-1"),
             ("--checkpoint-period", "-1"),
-            # Range checks outside PlatformConfig: the partitioner's and the
-            # balancer's (built under --dynamic only), whose parameter names
-            # are not the flag names.
-            ("--np", "0"),
+            ("--np", "0"),  # not a PlatformConfig field: cmd_run's own check
             ("--lb-threshold", "-1.0"),
         ],
     )
@@ -172,6 +172,38 @@ class TestRun:
         assert err.count("\n") == 1
         assert err.startswith(f"repro run: error: {flag} must be >= ")
         assert err.rstrip().endswith(f"got {value}")
+
+    @pytest.mark.parametrize("dynamic", [[], ["--dynamic"]])
+    def test_bad_lb_threshold_exits_2_with_or_without_dynamic(
+        self, hexfile, capsys, dynamic
+    ):
+        """Regression: the flag used to reach only a balancer built under
+        --dynamic, so without it a negative threshold ran silently."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--graph", str(hexfile), "--np", "2",
+                  "--lb-threshold", "-1", *dynamic])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro run: error: --lb-threshold must be >= 0, got -1.0\n"
+        )
+
+    def test_partition_file_naming_a_rank_outside_np_exits_2(
+        self, tmp_path, hexfile, capsys
+    ):
+        """Regression: a partition file written for more ranks than --np
+        used to traceback out of ``validate_assignment``."""
+        part = tmp_path / "p.txt"
+        main(["partition", "--graph", str(hexfile), "--scheme", "roundrobin",
+              "--np", "5", "--output", str(part)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--graph", str(hexfile), "--partition", str(part),
+                  "--np", "4"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro run: error: --partition: node 5 assigned to processor 4 "
+            "outside [0, 4)\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--graph", "--partition"])
     def test_missing_input_file_exits_2_naming_flag(
@@ -209,16 +241,6 @@ class TestBenchAndInfo:
         assert "vertices   32" in out
         assert "connected  True" in out
 
-    def test_bench_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "nosuchthing"])
-
-    def test_bench_table(self, capsys):
-        assert main(["bench", "table5_rand32", "--seeds", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "random graphs" in out
-        assert "(paper)" in out
-
 
 class TestPartitionAnalyze:
     def test_analyze_flag_prints_diagnostics(self, tmp_path, hexfile, capsys):
@@ -228,3 +250,28 @@ class TestPartitionAnalyze:
         text = capsys.readouterr().out
         assert "surface/volume" in text
         assert "interfaces" in text
+
+
+class TestFlagTable:
+    """Docs drift guard: README's table of ``run`` options is the parser's."""
+
+    def test_readme_lists_exactly_the_run_options(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a.choices, dict)
+        )
+        parsed = {
+            flag
+            for action in subparsers.choices["run"]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("Every `run` option:")[1].split("\n\n")[1]
+        flag_cells = [row.split("|")[1] for row in table.splitlines()[2:]]
+        documented = {f for cell in flag_cells for f in re.findall(r"`(--[a-z-]+)", cell)}
+        assert documented == parsed
+
+    def test_argument_count_does_not_grow(self):
+        """The flag diet's ratchet (45 before the capability table)."""
+        source = Path(build_parser.__code__.co_filename).read_text()
+        assert sum("add_argument" in line for line in source.splitlines()) <= 41
