@@ -39,7 +39,7 @@ from .graphs.chaco import read_chaco, read_partition, write_chaco, write_partiti
 from .graphs.generators import grid2d, random_connected_graph, torus2d
 from .graphs.graph import Graph
 from .graphs.hexgrid import HexGrid, hex_grid
-from .mpi.errors import UnsupportedBackendError
+from .mpi.errors import MPIError, UnsupportedBackendError
 from .mpi.faults import FaultPlan
 from .mpi.timing import ETHERNET_CLUSTER, IDEAL, ORIGIN2000
 from .partitioning.bands import (
@@ -259,6 +259,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except UnsupportedBackendError as exc:
         # The scheduler/store combination is wrong, not the platform.
         _usage_error(f"--scheduler: {exc}")
+    except MPIError as exc:
+        # The simulated machine aborted the run (a message lost past its
+        # retry budget, a deadlock): an outcome to report, not a crash.
+        print(f"repro run: failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     print(f"graph         {graph.name} ({graph.num_nodes} nodes)")
     print(f"partition     {partition.method} (cut {partition.edge_cut()})")

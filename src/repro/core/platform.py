@@ -431,7 +431,7 @@ class _RankRun:
             hash_table_length=config.hash_table_length,
         )
         # Process-backend workers back the SoA arrays with a named
-        # shared-memory segment (no-op on the in-thread backends).
+        # shared-memory segment (no-op on the in-thread backend).
         allocator = comm._cluster.shared_store_allocator()
         if allocator is not None:
             store.use_shared_arrays(allocator)

@@ -38,7 +38,6 @@ from .errors import (
     MessageLostError,
     MPIError,
     ShrinkError,
-    TruncationError,
     UnsupportedBackendError,
 )
 from .failure import DetectedFailure, FailureDetector
@@ -116,7 +115,6 @@ __all__ = [
     "Status",
     "StructType",
     "TopologyMachineModel",
-    "TruncationError",
     "UnsupportedBackendError",
     "corrupt_value",
     "estimate_nbytes",

@@ -11,11 +11,12 @@ replaces the paper's dummy grain loops: ``comm.work(0.3e-3)`` charges a
 
 Determinism contract: every method reads and writes only the calling
 rank's own ``RankState`` (clock, counters) plus the cluster transport
-entry points (``deliver``/``take_matching``/``wait_for_message``/
-``barrier``, and the batched ``deliver_batch``/``wait_for_batch``).  No cross-rank state is touched directly, which is what
-lets the process scheduler run communicators in separate OS processes
+entry points (``deliver_all`` for every send; ``wait_for_all``,
+``wait_for_message`` and ``take_matching`` for every receive;
+``barrier``).  No cross-rank state is touched directly, which is what lets
+the process scheduler run communicators in separate OS processes
 (:mod:`repro.mpi.process`) while staying bit-identical to the in-thread
-backends.
+backend.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 
 #: Tags at or above this value are reserved for internal collective traffic.
 _COLL_TAG_BASE = 1 << 30
+
+
+def _unscaled(rank: int, clock: float) -> float:
+    """``FaultState.compute_scale`` of a run with no fault plan."""
+    return 1.0
 
 
 class Communicator:
@@ -50,6 +56,7 @@ class Communicator:
         self._group = group
         self._comm_id = comm_id
         self._rank = group.index(world_rank)
+        self._own = cluster.state(world_rank)  # this rank's RankState
         self._coll_seq = 0
         self._child_seq = 0
 
@@ -111,7 +118,7 @@ class Communicator:
 
     def Wtime(self) -> float:  # noqa: N802 - mpi4py spelling
         """This rank's virtual clock, seconds."""
-        return self._state().clock
+        return self._own.clock
 
     def work(self, seconds: float) -> float:
         """Charge ``seconds`` of pure computation to this rank's clock.
@@ -131,11 +138,11 @@ class Communicator:
     charge = work  # alias
 
     def _state(self):
-        return self._cluster.state(self._world_rank)
+        return self._own
 
     def _charge_cpu(self, seconds: float) -> float:
         """Charge CPU time, inflated by any active slow-rank fault window."""
-        state = self._state()
+        state = self._own
         faults = self._cluster.fault_state
         if faults is not None:
             seconds *= faults.compute_scale(self._world_rank, state.clock)
@@ -163,86 +170,7 @@ class Communicator:
 
     def isend(self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None) -> Request:
         """Nonblocking send; the returned request is already complete."""
-        self._check_peer(dest)
-        if tag < 0:
-            raise InvalidTagError(f"tag must be >= 0, got {tag}")
-        return self._inject(obj, dest, tag, nbytes)
-
-    def _inject(self, obj: Any, dest: int, tag: int, nbytes: int | None) -> Request:
-        size = estimate_nbytes(obj) if nbytes is None else nbytes
-        state = self._state()
-        machine = self._cluster.machine
-        faults = self._cluster.fault_state
-        checksums = self._cluster.checksums
-        self._charge_cpu(machine.sender_cpu(size))
-        if checksums:
-            # Checksummed transport: the sender pays to checksum every
-            # payload, fault plan or not -- that is the protection overhead.
-            self._charge_cpu(machine.checksum_time(size))
-        extra_flight = 0.0
-        corrupt_attempts = 0
-        if faults is not None and faults.plan.perturbs_messages:
-            faults.count_message(self._world_rank)
-            if faults.plan.drop is not None:
-                # Send-side reliable delivery: every lost transmission
-                # attempt costs an ack timeout (exponential backoff) plus
-                # the resend CPU, all in virtual time.
-                retry = faults.plan.retry
-                attempt = 1
-                while faults.next_drop(self._world_rank):
-                    if attempt >= retry.max_attempts:
-                        faults.count_lost(self._world_rank)
-                        raise MessageLostError(
-                            f"message to rank {dest} (tag {tag}) lost after "
-                            f"{attempt} transmission attempts"
-                        )
-                    state.clock += retry.attempt_timeout(
-                        attempt, machine.ack_timeout(size)
-                    )
-                    self._charge_cpu(machine.sender_cpu(size))
-                    faults.count_retry(self._world_rank)
-                    attempt += 1
-            extra_flight = faults.next_delay(self._world_rank)
-            if faults.plan.flip_msg is not None:
-                # Silent-corruption draws happen on the *sending* rank in
-                # program order (like drops), so outcomes are independent of
-                # the host schedule.  On a checksummed link each corrupted
-                # attempt is NACKed and retransmitted (the decision redraws
-                # per attempt); unprotected, the flipped payload is simply
-                # delivered.
-                if checksums:
-                    retry = faults.plan.retry
-                    while corrupt_attempts < retry.max_attempts and faults.next_corrupt(
-                        self._world_rank
-                    ):
-                        corrupt_attempts += 1
-                    if corrupt_attempts >= retry.max_attempts:
-                        faults.count_lost(self._world_rank)
-                        raise MessageLostError(
-                            f"message to rank {dest} (tag {tag}) corrupted on "
-                            f"all {corrupt_attempts} transmission attempts"
-                        )
-                elif faults.next_corrupt(self._world_rank):
-                    obj = corrupt_value(obj, faults.corrupt_token(self._world_rank))
-        # src is the communicator-local rank (what the receiver matches on);
-        # dest is the world rank (which mailbox to drop the message into).
-        msg = Message(
-            src=self._rank,
-            dest=self._group[dest],
-            tag=tag,
-            comm_id=self._comm_id,
-            payload=obj,
-            nbytes=size,
-            send_time=state.clock,
-            arrival_time=state.clock
-            + machine.transfer_time_between(
-                size, self._group[self._rank], self._group[dest]
-            )
-            + extra_flight,
-            corrupt_attempts=corrupt_attempts,
-        )
-        self._cluster.deliver(msg)
-        return SendRequest(msg)
+        return SendRequest(self.neighbor_send(((dest, obj, nbytes),), tag)[0])
 
     def recv(
         self,
@@ -268,33 +196,53 @@ class Communicator:
         if source != ANY_SOURCE:
             self._check_peer(source)
         msg = self._cluster.wait_for_message(self._world_rank, source, tag, self._comm_id)
-        return self._finish_recv(msg, status)
+        if status is not None:
+            status.update_from(msg)
+        return self._complete_all((msg,))[0]
 
     def _try_recv(self, source: int, tag: int, status: Status | None) -> tuple[Any, bool]:
         msg = self._cluster.take_matching(self._world_rank, source, tag, self._comm_id)
         if msg is None:
             return None, False
-        return self._finish_recv(msg, status), True
-
-    def _finish_recv(self, msg: Message, status: Status | None) -> Any:
-        state = self._state()
-        machine = self._cluster.machine
-        state.clock = max(state.clock, msg.arrival_time)
-        if self._cluster.checksums:
-            # Verify-and-retransmit: each corrupted attempt costs a failed
-            # verify, a NACK round trip, and the full resend (all waited out
-            # on the receiver's clock -- sends are eager, so the sender has
-            # long moved on); then one clean verify accepts the payload.
-            faults = self._cluster.fault_state
-            for _ in range(msg.corrupt_attempts):
-                state.clock += machine.retransmit_penalty(msg.nbytes)
-                if faults is not None:
-                    faults.count_retransmit(self._world_rank)
-            self._charge_cpu(machine.checksum_time(msg.nbytes))
-        self._charge_cpu(machine.receiver_cpu(msg.nbytes))
         if status is not None:
             status.update_from(msg)
-        return msg.payload
+        return self._complete_all((msg,))[0], True
+
+    def _complete_all(
+        self, msgs: Iterable[Message], each: Callable[[Any], Any] | None = None
+    ) -> list[Any]:
+        """The one receiver routine: complete ``msgs`` in order, returning
+        their payloads; ``each(payload)`` runs right after each completion
+        and may charge time (so the clock is re-read per message)."""
+        cluster = self._cluster
+        machine, faults, checksums = cluster.machine, cluster.fault_state, cluster.checksums
+        receiver_cpu, me = machine.receiver_cpu, self._world_rank
+        plain = faults is None and not checksums  # no leg below is armed
+        if not plain:
+            scale = _unscaled if faults is None else faults.compute_scale
+        state = self._own
+        payloads = []
+        for msg in msgs:
+            clock = max(state.clock, msg.arrival_time)
+            cpu = receiver_cpu(msg.nbytes)
+            if not plain:
+                if checksums:
+                    # Verify-and-retransmit: each corrupted attempt costs a
+                    # failed verify, a NACK round trip, and the full resend
+                    # (all waited out on the receiver's clock -- sends are
+                    # eager, so the sender has long moved on); then one clean
+                    # verify accepts the payload.
+                    for _ in range(msg.corrupt_attempts):
+                        clock += machine.retransmit_penalty(msg.nbytes)
+                        if faults is not None:
+                            faults.count_retransmit(me)
+                    clock += machine.checksum_time(msg.nbytes) * scale(me, clock)
+                cpu *= scale(me, clock)
+            state.clock = clock + cpu
+            payloads.append(msg.payload)
+            if each is not None:
+                each(msg.payload)
+        return payloads
 
     def sendrecv(
         self,
@@ -339,17 +287,108 @@ class Communicator:
 
     def neighbor_send(
         self, outgoing: Iterable[tuple[int, Any, int | None]], tag: int
-    ) -> None:
+    ) -> list[Message]:
         """Isend each ``(dest, payload, nbytes)`` in order -- one
-        fixed-topology exchange's sends (``nbytes=None``: estimated).
+        fixed-topology exchange's sends (``nbytes=None``: estimated) -- and
+        return the stamped messages.
 
-        Exactly the ``isend`` loop in values, clocks and message order; the
-        event backend injects the batch in one pass when nothing
-        per-message (faults, checksums) is armed.
+        This is the one sender routine (``isend`` is a batch of one).
+        Charges are made message by message on a *local* clock -- sender
+        CPU, the checksum leg, every lost attempt's ack timeout and resend,
+        the delay and flip draws -- which is exact because each is a
+        function of this rank's clock and its private fault streams only;
+        the cluster then takes the lot in one ``deliver_all``.  An error
+        part-way (bad destination, retry budget exhausted) leaves the clock
+        where the failed message put it and the messages before it
+        delivered.  ``outgoing`` must not charge time while iterated.
         """
-        if not self._cluster.deliver_batch(self, outgoing, tag):
+        if tag < 0:
+            raise InvalidTagError(f"tag must be >= 0, got {tag}")
+        cluster = self._cluster
+        machine, faults, checksums = cluster.machine, cluster.fault_state, cluster.checksums
+        group, src, comm_id, me = self._group, self._rank, self._comm_id, self._world_rank
+        size = len(group)
+        sender_cpu, transfer = machine.sender_cpu, machine.transfer_time_between
+        plain = faults is None and not checksums  # no leg below is armed
+        if not plain:
+            scale = _unscaled if faults is None else faults.compute_scale
+            perturbed = faults is not None and faults.plan.perturbs_messages
+        state = self._own
+        clock = state.clock
+        msgs: list[Message] = []
+        sized = sized_nbytes = None  # the payload last estimated, and its size
+        extra_flight, corrupt_attempts = 0.0, 0  # moved by the fault legs only
+        try:
             for dest, payload, nbytes in outgoing:
-                self.isend(payload, dest, tag=tag, nbytes=nbytes)
+                if not 0 <= dest < size:
+                    self._check_peer(dest)
+                if nbytes is None:
+                    if sized_nbytes is None or payload is not sized:  # fan-out: size once
+                        sized, sized_nbytes = payload, estimate_nbytes(payload)
+                    nbytes = sized_nbytes
+                cpu = sender_cpu(nbytes)
+                if plain:
+                    clock += cpu
+                else:
+                    clock += cpu * scale(me, clock)
+                    if checksums:
+                        # Checksummed transport: the sender pays to checksum
+                        # every payload, fault plan or not -- that is the
+                        # protection overhead.
+                        clock += machine.checksum_time(nbytes) * scale(me, clock)
+                    if perturbed:
+                        faults.count_message(me)
+                        retry = faults.plan.retry
+                        if faults.plan.drop is not None:
+                            # Send-side reliable delivery: every lost
+                            # transmission attempt costs an ack timeout
+                            # (exponential backoff) plus the resend CPU, all
+                            # in virtual time.
+                            attempt = 1
+                            while faults.next_drop(me):
+                                if attempt >= retry.max_attempts:
+                                    faults.count_lost(me)
+                                    raise MessageLostError(
+                                        f"message to rank {dest} (tag {tag}) lost after "
+                                        f"{attempt} transmission attempts"
+                                    )
+                                clock += retry.attempt_timeout(attempt, machine.ack_timeout(nbytes))
+                                clock += sender_cpu(nbytes) * scale(me, clock)
+                                faults.count_retry(me)
+                                attempt += 1
+                        extra_flight = faults.next_delay(me)
+                        if faults.plan.flip_msg is not None:
+                            # Silent-corruption draws happen on the *sending*
+                            # rank in program order (like drops), so outcomes
+                            # are independent of the host schedule.  On a
+                            # checksummed link each corrupted attempt is
+                            # NACKed and retransmitted (the decision redraws
+                            # per attempt); unprotected, the flipped payload
+                            # is simply delivered.
+                            corrupt_attempts = 0
+                            if checksums:
+                                budget = retry.max_attempts
+                                while corrupt_attempts < budget and faults.next_corrupt(me):
+                                    corrupt_attempts += 1
+                                if corrupt_attempts >= budget:
+                                    faults.count_lost(me)
+                                    raise MessageLostError(
+                                        f"message to rank {dest} (tag {tag}) corrupted on "
+                                        f"all {corrupt_attempts} transmission attempts"
+                                    )
+                            elif faults.next_corrupt(me):
+                                payload = corrupt_value(payload, faults.corrupt_token(me))
+                # src is the communicator-local rank (what the receiver
+                # matches on); dest the world rank (whose mailbox it is).
+                to = group[dest]
+                arrive = clock + transfer(nbytes, me, to) + extra_flight
+                msgs.append(
+                    Message(src, to, tag, comm_id, payload, nbytes, clock, arrive, corrupt_attempts)
+                )
+        finally:
+            state.clock = clock
+            cluster.deliver_all(msgs)
+        return msgs
 
     def neighbor_recv(
         self,
@@ -362,26 +401,15 @@ class Communicator:
 
         ``each(payload)`` runs right after each completion (Figure 8a's
         receive-unpack interleaving); it may charge time but must not
-        communicate.  Exactly the ``recv`` loop in values and clocks; the
+        communicate.  Exactly ``recv`` per source in values and clocks; the
         event backend parks the rank once for the whole set instead of once
         per message.
         """
-        msgs = self._cluster.wait_for_batch(self, sources, tag)
-        payloads = []
-        if msgs is None:
-            for source in sources:
-                payloads.append(self.recv(source=source, tag=tag))
-                if each is not None:
-                    each(payloads[-1])
-            return payloads
-        state = self._state()
-        receiver_cpu = self._cluster.machine.receiver_cpu
-        for msg in msgs:
-            state.clock = max(state.clock, msg.arrival_time) + receiver_cpu(msg.nbytes)
-            payloads.append(msg.payload)
-            if each is not None:
-                each(msg.payload)
-        return payloads
+        size = len(self._group)
+        for source in sources:
+            if not 0 <= source < size and source != ANY_SOURCE:
+                self._check_peer(source)
+        return self._complete_all(self._cluster.wait_for_all(self, sources, tag), each)
 
     # ------------------------------------------------------------------ #
     # Collectives (binomial trees over p2p, so clocks propagate naturally)

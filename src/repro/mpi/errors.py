@@ -18,10 +18,10 @@ class InvalidTagError(MPIError):
 class DeadlockError(MPIError):
     """Every live rank is blocked and no message can make progress.
 
-    The runtime watches a global progress counter; when all unfinished ranks
-    sit in a blocking wait and the counter stops moving for the configured
-    timeout, the wait is aborted with this error instead of hanging the
-    test suite forever.
+    Detection is exact on both schedulers, never timed: ``event`` raises the
+    moment a rank blocks (or finishes) with an empty run queue while
+    unfinished ranks remain, ``process`` the moment every unfinished worker
+    is parked in the broker -- sends are eager, so nothing is in flight.
     """
 
 
@@ -31,12 +31,13 @@ def blocked_recv_text(rank: int, source: int, tag: int) -> str:
     return f"deadlock: rank {rank} waiting on (source={source}, tag={tag}) with all ranks blocked"
 
 
+def blocked_barrier_text(rank: int) -> str:
+    """The :class:`DeadlockError` text of a rank stuck in a barrier."""
+    return f"deadlock: rank {rank} stuck in barrier"
+
+
 class CommAbortedError(MPIError):
     """The cluster was aborted (peer raised, or ``Communicator.abort``)."""
-
-
-class TruncationError(MPIError):
-    """A received message was larger than the posted receive allows."""
 
 
 class ShrinkError(MPIError):

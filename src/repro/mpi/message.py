@@ -46,13 +46,13 @@ class Message:
         send_time: Sender's virtual clock when the message was injected.
         arrival_time: Virtual time at which the payload is available at the
             destination (``send_time + transfer_time``).
-        seq: Global injection sequence number; used only as a deterministic
-            tie-break for ``ANY_SOURCE`` matching.
         corrupt_attempts: On a checksummed transport, how many consecutive
             transmission attempts of this message were corrupted in flight
             (each one costs the receiver a verify + NACK + retransmit round
             before the clean copy is accepted).  The payload itself stays
             clean -- corruption never escapes a checksummed link.
+        seq: Global injection sequence number; used only as a deterministic
+            tie-break for ``ANY_SOURCE`` matching.
     """
 
     src: int
@@ -63,8 +63,8 @@ class Message:
     nbytes: int
     send_time: float
     arrival_time: float
-    seq: int = field(default_factory=lambda: next(_seq))
     corrupt_attempts: int = 0
+    seq: int = field(default_factory=lambda: next(_seq))
 
     def matches(self, source: int, tag: int, comm_id: int) -> bool:
         """Whether this message satisfies a receive posted with the triple."""

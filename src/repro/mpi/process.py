@@ -19,8 +19,8 @@ Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     Message-queue mutations, barriers, quarantine, and abort flow through
     the parent :class:`_Broker`, which owns the *authoritative* mailboxes
     and barrier states and replays exactly the same logic as
-    :meth:`SimCluster.deliver <repro.mpi.runtime.SimCluster.deliver>` /
-    :meth:`~repro.mpi.runtime.SimCluster.barrier`.  Virtual clocks and
+    :meth:`SimCluster.deliver_all <repro.mpi.runtime.SimCluster.deliver_all>`
+    / :meth:`~repro.mpi.runtime.SimCluster.barrier`.  Virtual clocks and
     fault-decision PRNG streams are strictly per-rank, so each worker
     advances its own locally and ships the final values home in its
     ``finish`` record; the broker merges clocks, fault counters, and rank
@@ -70,7 +70,13 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import multiprocessing
 from multiprocessing import connection as mp_connection
 
-from .errors import CommAbortedError, DeadlockError, UnsupportedBackendError, blocked_recv_text
+from .errors import (
+    CommAbortedError,
+    DeadlockError,
+    UnsupportedBackendError,
+    blocked_barrier_text,
+    blocked_recv_text,
+)
 from .message import Message
 from .scheduler import SEED_NEEDS_EVENT, SchedulerBackend
 from .shm import (
@@ -90,10 +96,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import SimCluster
 
 __all__ = ["ProcessScheduler"]
-
-
-def _barrier_describe(rank: int) -> str:
-    return f"deadlock: rank {rank} stuck in barrier"
 
 
 # --------------------------------------------------------------------- #
@@ -326,7 +328,7 @@ class _Parked:
             # byte-identically to a pipe barrier park).
             return self.text
         if self.kind == "barrier":
-            return _barrier_describe(self.rank)
+            return blocked_barrier_text(self.rank)
         if self.kind == "flush":  # pragma: no cover - provably transient
             return f"deadlock: rank {self.rank} awaiting deliver flush"
         return blocked_recv_text(self.rank, self.source, self.tag)
@@ -337,7 +339,8 @@ class _Broker:
 
     Single-threaded event loop over the worker pipes; every handler is a
     transcription of the corresponding ``SimCluster`` method with
-    ``backend.wait`` replaced by parking the requesting worker.
+    ``backend.wait`` replaced by parking the requesting worker (the
+    barrier arithmetic itself is shared: ``_BarrierState.arrive``).
     """
 
     def __init__(
@@ -488,20 +491,15 @@ class _Broker:
             return
         key = (comm_id, group)
         bar = cluster._barriers.setdefault(key, _BarrierState())
-        bar.max_clock = max(bar.max_clock, clock)
-        bar.count += 1
-        if bar.count == len(group):
-            bar.release_clock = bar.max_clock + cluster.machine.barrier_time(len(group))
-            bar.count = 0
-            bar.max_clock = 0.0
-            bar.generation += 1
+        release = bar.arrive(clock, len(group), cluster.machine)
+        if release is not None:
             cluster.barriers += 1
             for member in group:
                 parked = self._parked.get(member)
                 if parked is not None and parked.kind == "barrier" and parked.key == key:
                     del self._parked[member]
-                    self._reply(member, bar.release_clock)
-            self._reply(rank, bar.release_clock)
+                    self._reply(member, release)
+            self._reply(rank, release)
         else:
             self._parked[rank] = _Parked(rank, "barrier", key=key)
             # Which member parks last is a host race: name the lowest

@@ -44,12 +44,12 @@ Correctness properties the runtime guarantees on either backend:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .communicator import Communicator
-from .errors import CommAbortedError, DeadlockError, blocked_recv_text  # noqa: F401 - re-export
+from .errors import CommAbortedError, blocked_barrier_text, blocked_recv_text
 from .faults import FaultPlan, FaultState
-from .message import Mailbox, Message
+from .message import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from .scheduler import make_scheduler
 from .timing import ORIGIN2000, MachineModel, estimate_nbytes
 
@@ -66,7 +66,7 @@ class RankState:
     finished: bool = False
     result: Any = None
     error: BaseException | None = None
-    #: ``(comm_id, source, tag)`` streams a batched receive is parked on;
+    #: ``(comm_id, source, tag)`` streams ``wait_for_all`` has parked it on;
     #: a delivery wakes the rank only when it empties the set.
     awaiting: set[tuple[Any, int, int]] | None = None
 
@@ -88,6 +88,21 @@ class _BarrierState:
         self.max_clock = 0.0
         self.release_clock = 0.0
 
+    def arrive(self, clock: float, size: int, machine: MachineModel) -> float | None:
+        """One member enters at ``clock``.  The last of ``size`` completes
+        the rendezvous -- next generation, release clock ``max(entry clocks)
+        + barrier_time(size)`` -- and gets that clock back; the others get
+        ``None`` and wait for the generation to move."""
+        self.max_clock = max(self.max_clock, clock)
+        self.count += 1
+        if self.count < size:
+            return None
+        self.release_clock = self.max_clock + machine.barrier_time(size)
+        self.count = 0
+        self.max_clock = 0.0
+        self.generation += 1
+        return self.release_clock
+
 
 class SimCluster:
     """A simulated MPI machine with ``nprocs`` ranks.
@@ -101,8 +116,8 @@ class SimCluster:
             faults.
         schedule_seed: Test hook (event backend only): fuzz the host
             schedule.  Every baton hand-off goes to a seeded draw from the
-            runnable ranks, and at every transport entry point -- deliver,
-            receive wait, barrier, and their batched forms -- the running
+            runnable ranks, and at every transport entry point --
+            ``deliver_all``, the two receive waits, ``barrier`` -- the running
             rank yields on a seeded coin.  Virtual time must not notice;
             the schedule-fuzzing suites run seeds 0-9 to prove it, and a
             failing seed replays alone.  ``None`` is the FIFO schedule.
@@ -177,7 +192,6 @@ class SimCluster:
         # transport to the parent broker; every transport entry point
         # branches to it.  Always None in the parent / in-thread backend.
         self._worker: Any = None
-        self._batched = False  # decided per run(): see there
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -239,16 +253,6 @@ class SimCluster:
         self._quarantined.clear()
         if self.faults is not None:
             self.fault_state = FaultState(self.faults, self.nprocs)
-        # Neighbourhood exchanges take the batched transport only where it
-        # is the per-message loop exactly: one cooperative pass of plain
-        # charges -- no fault draws, checksum legs or workers.  A schedule
-        # seed does not switch it off: fault-free fuzz runs this path.
-        self._batched = (
-            self.scheduler == "event"
-            and self.fault_state is None
-            and not self.checksums
-        )
-
         backend = self._backend
 
         def runner(rank: int) -> None:
@@ -365,78 +369,41 @@ class SimCluster:
     # Message transport (called by Communicator)
     # ------------------------------------------------------------------ #
 
-    def deliver(self, msg: Message) -> None:
-        """Place ``msg`` into the destination mailbox and wake waiters.
+    def deliver_all(self, msgs: list[Message]) -> None:
+        """Place one sender's ``msgs`` (one communicator's, in send order)
+        into their destination mailboxes and wake the receivers once.
 
-        Messages from quarantined (comm, source) pairs are dropped on the
+        Messages from a quarantined (comm, source) pair are dropped on the
         floor: a condemned rank's thread can still execute sends after the
         survivors shrank, and those stragglers must never reach a mailbox.
         """
+        if not msgs:
+            return
         if self._worker is not None:
             self._check_abort()
-            self._worker.deliver(msg)
+            for msg in msgs:
+                self._worker.deliver(msg)
             return
         if self._preempt is not None:
             self._preempt()
-        self._check_abort()
-        if (msg.comm_id, msg.src) in self._quarantined:
+        if self._aborted:
+            self._check_abort()
+        if (msgs[0].comm_id, msgs[0].src) in self._quarantined:
             return
-        if self._file(msg):
-            self._backend.notify((msg.dest,))
-
-    def _file(self, msg: Message) -> bool:
-        """Put ``msg`` in its mailbox; whether its rank may now be runnable
-        (a rank parked on several streams is not until the last arrives)."""
-        state = self._ranks[msg.dest]
-        state.mailbox.append(msg)
-        self.messages_delivered += 1
-        awaiting = state.awaiting
-        if awaiting:
-            awaiting.discard((msg.comm_id, msg.src, msg.tag))
-            return not awaiting
-        return True
-
-    def deliver_batch(
-        self, comm: Communicator, outgoing: Iterable[tuple[int, Any, int | None]], tag: int
-    ) -> bool:
-        """Native ``neighbor_send``: inject every ``(dest, payload, nbytes)``
-        in one pass and wake the receivers once.
-
-        Charges and stamps message by message on a local clock -- the same
-        left-to-right additions ``isend`` performs -- so clocks and arrival
-        times are bit-identical to the per-message loop.  Returns ``False``
-        (nothing done) when this run must use that loop instead.
-        """
-        if not self._batched or tag < 0:
-            return False
-        if self._preempt is not None:
-            self._preempt()
-        machine, group, src, comm_id = self.machine, comm._group, comm._rank, comm._comm_id
-        me = comm._world_rank
-        state = self._ranks[me]
-        quarantined = (comm_id, src) in self._quarantined
-        clock = state.clock
-        wake: list[int] = []
-        sized = sized_nbytes = None  # the payload last estimated, and its size
-        try:
-            for dest, payload, nbytes in outgoing:
-                if self._aborted or not 0 <= dest < len(group):
-                    self._check_abort()
-                    comm._check_peer(dest)
-                if nbytes is None:
-                    if sized_nbytes is None or payload is not sized:  # fan-out: size once
-                        sized, sized_nbytes = payload, estimate_nbytes(payload)
-                    nbytes = sized_nbytes
-                clock += machine.sender_cpu(nbytes)
-                to = group[dest]
-                arrival = clock + machine.transfer_time_between(nbytes, me, to)
-                msg = Message(src, to, tag, comm_id, payload, nbytes, clock, arrival)
-                if not quarantined and self._file(msg):
-                    wake.append(to)
-        finally:
-            state.clock = clock
-            self._backend.notify(wake)
-        return True
+        ranks = self._ranks
+        wake = []
+        for msg in msgs:
+            state = ranks[msg.dest]
+            state.mailbox.append(msg)
+            awaiting = state.awaiting
+            if awaiting:
+                # Parked on several streams: runnable once the last is in.
+                awaiting.discard((msg.comm_id, msg.src, msg.tag))
+                if awaiting:
+                    continue
+            wake.append(msg.dest)
+        self.messages_delivered += len(msgs)
+        self._backend.notify(wake)
 
     def take_matching(
         self, rank: int, source: int, tag: int, comm_id: Any, consume: bool = True
@@ -474,27 +441,32 @@ class SimCluster:
             lambda: blocked_recv_text(rank, source, tag),
         )
 
-    def wait_for_batch(
+    def wait_for_all(
         self, comm: Communicator, sources: Sequence[int], tag: int
-    ) -> list[Message] | None:
-        """Native ``neighbor_recv``: park the rank *once* until every
-        ``(source, tag)`` stream has a message, then pop one per source, in
-        ``sources`` order.  ``None`` when this run (or a wildcard or
-        out-of-range source) must take the per-message loop instead.
+    ) -> list[Message]:
+        """Pop one ``tag`` message per source, in ``sources`` order, parking
+        the rank *once* until every named ``(source, tag)`` stream has one.
+
+        A list with a wildcard source, or ``ANY_TAG``, names no set of
+        streams to park on, and a source named twice needs a second message
+        of its stream: the per-message wait below picks up whatever the
+        park did not cover.  A worker asks its broker source by source.
         """
-        if not self._batched or tag < 0:
-            return None
+        rank, comm_id = comm._world_rank, comm._comm_id
+        if self._worker is not None:
+            return [self._worker.recv(q, tag, comm_id, True) for q in sources]
         if self._preempt is not None:
             self._preempt()
         if sources:
-            self._check_abort()  # as the loop's first receive would
-        rank, comm_id = comm._world_rank, comm._comm_id
+            self._check_abort()  # as the first per-message wait would
         state = self._ranks[rank]
         mailbox = state.mailbox
-        missing = {(comm_id, q, tag) for q in sources if not mailbox.has(comm_id, q, tag)}
+        missing = (
+            {(comm_id, q, tag) for q in sources if not mailbox.has(comm_id, q, tag)}
+            if tag != ANY_TAG and ANY_SOURCE not in sources
+            else None
+        )
         if missing:
-            if not all(0 <= q < len(comm._group) for _, q, _ in missing):
-                return None
             state.awaiting = missing
             try:
                 self._backend.wait(
@@ -506,8 +478,6 @@ class SimCluster:
                 )
             finally:
                 state.awaiting = None
-        # (A source named twice needs a second message of its stream: the
-        # per-message wait picks up what the park above did not cover.)
         return [
             mailbox.take(q, tag, comm_id) or self.wait_for_message(rank, q, tag, comm_id)
             for q in sources
@@ -547,7 +517,7 @@ class SimCluster:
                     state.clock,
                     0,
                     self._worker,
-                    describe=f"deadlock: rank {rank} stuck in barrier",
+                    describe=blocked_barrier_text(rank),
                     barriers=1,
                     messages=0,
                 )
@@ -563,20 +533,14 @@ class SimCluster:
         self._check_abort()
         bar = self._barriers.setdefault((comm_id, group), _BarrierState())
         my_generation = bar.generation
-        bar.max_clock = max(bar.max_clock, state.clock)
-        bar.count += 1
-        if bar.count == len(group):
-            bar.release_clock = bar.max_clock + self.machine.barrier_time(len(group))
-            bar.count = 0
-            bar.max_clock = 0.0
-            bar.generation += 1
+        if bar.arrive(state.clock, len(group), self.machine) is not None:
             self.barriers += 1
             self._backend.notify(group)
         else:
             self._backend.wait(
                 rank,
                 lambda: True if bar.generation != my_generation else None,
-                lambda: f"deadlock: rank {rank} stuck in barrier",
+                lambda: blocked_barrier_text(rank),
             )
         release = bar.release_clock
         state.clock = max(state.clock, release)

@@ -2,15 +2,21 @@
 
 The pair's contract is that it *is* the ``isend``/``recv`` loop -- in
 payloads, virtual clocks, message and barrier counts, fault draws and
-error text -- on every backend; the event backend merely gets there with
-one pass and one park.  Program A below spells the loop out, program B
-uses the pair, and everything observable must match.
+error text -- on every backend, under every fault plan and with checksums
+armed; it merely gets there with one hand-over and one park.  Since
+``isend`` and ``recv`` are now the pair's own routines on a batch of one,
+the loop side of every comparison runs on :class:`ReferenceCommunicator`:
+the per-message transport as it stood before the two were fused, kept here
+verbatim so the suite still has an independent derivation of the charge
+sequence.  Program A below spells the loop out on it, program B uses the
+pair, and everything observable must match.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
@@ -19,15 +25,20 @@ from hypothesis import strategies as st
 import repro.mpi.scheduler as scheduler_module
 from repro.mpi import (
     ANY_SOURCE,
+    ANY_TAG,
     ORIGIN2000,
     CommAbortedError,
+    Communicator,
     DeadlockError,
     FaultPlan,
+    RetryPolicy,
     SimCluster,
     TopologyMachineModel,
 )
-from repro.mpi.errors import InvalidRankError, InvalidTagError
-from repro.mpi.faults import DelaySpec, DropSpec, MessageFlipSpec
+from repro.mpi.errors import InvalidRankError, InvalidTagError, MessageLostError
+from repro.mpi.faults import DelaySpec, DropSpec, MessageFlipSpec, corrupt_value
+from repro.mpi.message import Message, Request, SendRequest, Status
+from repro.mpi.timing import estimate_nbytes
 
 UNPACK_COST = 3e-6
 
@@ -46,6 +57,171 @@ def _machine(kind: str, nprocs: int):
     if kind == "flat":
         return ORIGIN2000
     return TopologyMachineModel.wrap(ORIGIN2000, _Ring(nprocs))
+
+
+class ReferenceCommunicator(Communicator):
+    """The per-message transport deleted from ``repro.mpi``: ``isend`` with
+    ``_inject``, ``_complete_recv``/``_try_recv`` with ``_finish_recv``, and
+    the in-thread ``SimCluster.deliver`` with ``_file`` -- bodies verbatim.
+    The pair here is the loop over them, which is what it used to fall back
+    to; the collectives it inherits therefore run on the loop as well.
+    In-thread only (the process rows put the reference on ``event``)."""
+
+    @classmethod
+    def of(cls, comm: Communicator) -> "ReferenceCommunicator":
+        return cls(comm._cluster, comm._world_rank, comm._group, comm._comm_id)
+
+    def isend(self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None) -> Request:
+        """Nonblocking send; the returned request is already complete."""
+        self._check_peer(dest)
+        if tag < 0:
+            raise InvalidTagError(f"tag must be >= 0, got {tag}")
+        return self._inject(obj, dest, tag, nbytes)
+
+    def _inject(self, obj: Any, dest: int, tag: int, nbytes: int | None) -> Request:
+        size = estimate_nbytes(obj) if nbytes is None else nbytes
+        state = self._state()
+        machine = self._cluster.machine
+        faults = self._cluster.fault_state
+        checksums = self._cluster.checksums
+        self._charge_cpu(machine.sender_cpu(size))
+        if checksums:
+            # Checksummed transport: the sender pays to checksum every
+            # payload, fault plan or not -- that is the protection overhead.
+            self._charge_cpu(machine.checksum_time(size))
+        extra_flight = 0.0
+        corrupt_attempts = 0
+        if faults is not None and faults.plan.perturbs_messages:
+            faults.count_message(self._world_rank)
+            if faults.plan.drop is not None:
+                # Send-side reliable delivery: every lost transmission
+                # attempt costs an ack timeout (exponential backoff) plus
+                # the resend CPU, all in virtual time.
+                retry = faults.plan.retry
+                attempt = 1
+                while faults.next_drop(self._world_rank):
+                    if attempt >= retry.max_attempts:
+                        faults.count_lost(self._world_rank)
+                        raise MessageLostError(
+                            f"message to rank {dest} (tag {tag}) lost after "
+                            f"{attempt} transmission attempts"
+                        )
+                    state.clock += retry.attempt_timeout(
+                        attempt, machine.ack_timeout(size)
+                    )
+                    self._charge_cpu(machine.sender_cpu(size))
+                    faults.count_retry(self._world_rank)
+                    attempt += 1
+            extra_flight = faults.next_delay(self._world_rank)
+            if faults.plan.flip_msg is not None:
+                # Silent-corruption draws happen on the *sending* rank in
+                # program order (like drops), so outcomes are independent of
+                # the host schedule.  On a checksummed link each corrupted
+                # attempt is NACKed and retransmitted (the decision redraws
+                # per attempt); unprotected, the flipped payload is simply
+                # delivered.
+                if checksums:
+                    retry = faults.plan.retry
+                    while corrupt_attempts < retry.max_attempts and faults.next_corrupt(
+                        self._world_rank
+                    ):
+                        corrupt_attempts += 1
+                    if corrupt_attempts >= retry.max_attempts:
+                        faults.count_lost(self._world_rank)
+                        raise MessageLostError(
+                            f"message to rank {dest} (tag {tag}) corrupted on "
+                            f"all {corrupt_attempts} transmission attempts"
+                        )
+                elif faults.next_corrupt(self._world_rank):
+                    obj = corrupt_value(obj, faults.corrupt_token(self._world_rank))
+        # src is the communicator-local rank (what the receiver matches on);
+        # dest is the world rank (which mailbox to drop the message into).
+        msg = Message(
+            src=self._rank,
+            dest=self._group[dest],
+            tag=tag,
+            comm_id=self._comm_id,
+            payload=obj,
+            nbytes=size,
+            send_time=state.clock,
+            arrival_time=state.clock
+            + machine.transfer_time_between(
+                size, self._group[self._rank], self._group[dest]
+            )
+            + extra_flight,
+            corrupt_attempts=corrupt_attempts,
+        )
+        self._deliver(msg)
+        return SendRequest(msg)
+
+
+    def _deliver(self, msg: Message) -> None:
+        cluster = self._cluster
+        if cluster._preempt is not None:
+            cluster._preempt()
+        cluster._check_abort()
+        if (msg.comm_id, msg.src) in cluster._quarantined:
+            return
+        state = cluster._ranks[msg.dest]
+        state.mailbox.append(msg)
+        cluster.messages_delivered += 1
+        awaiting = state.awaiting
+        if awaiting:
+            awaiting.discard((msg.comm_id, msg.src, msg.tag))
+            if awaiting:
+                return
+        cluster._backend.notify((msg.dest,))
+
+    def _complete_recv(self, source: int, tag: int, status: Status | None) -> Any:
+        if source != ANY_SOURCE:
+            self._check_peer(source)
+        msg = self._cluster.wait_for_message(self._world_rank, source, tag, self._comm_id)
+        return self._finish_recv(msg, status)
+
+    def _try_recv(self, source: int, tag: int, status: Status | None) -> tuple[Any, bool]:
+        msg = self._cluster.take_matching(self._world_rank, source, tag, self._comm_id)
+        if msg is None:
+            return None, False
+        return self._finish_recv(msg, status), True
+
+    def _finish_recv(self, msg: Message, status: Status | None) -> Any:
+        state = self._state()
+        machine = self._cluster.machine
+        state.clock = max(state.clock, msg.arrival_time)
+        if self._cluster.checksums:
+            # Verify-and-retransmit: each corrupted attempt costs a failed
+            # verify, a NACK round trip, and the full resend (all waited out
+            # on the receiver's clock -- sends are eager, so the sender has
+            # long moved on); then one clean verify accepts the payload.
+            faults = self._cluster.fault_state
+            for _ in range(msg.corrupt_attempts):
+                state.clock += machine.retransmit_penalty(msg.nbytes)
+                if faults is not None:
+                    faults.count_retransmit(self._world_rank)
+            self._charge_cpu(machine.checksum_time(msg.nbytes))
+        self._charge_cpu(machine.receiver_cpu(msg.nbytes))
+        if status is not None:
+            status.update_from(msg)
+        return msg.payload
+
+
+    def neighbor_send(self, outgoing, tag):
+        for dest, payload, nbytes in outgoing:
+            self.isend(payload, dest, tag=tag, nbytes=nbytes)
+
+    def neighbor_recv(self, sources, tag, each=None):
+        payloads = []
+        for source in sources:
+            payloads.append(self.recv(source=source, tag=tag))
+            if each is not None:
+                each(payloads[-1])
+        return payloads
+
+
+def on_reference(program):
+    """``program`` with its world communicator swapped for the reference."""
+    return lambda comm: program(ReferenceCommunicator.of(comm))
+
 
 
 @st.composite
@@ -128,7 +304,7 @@ def _programs(case):
             for payload in comm.neighbor_recv(sources, tag):
                 unpack(payload)
 
-    return (lambda comm: run(comm, loop)), (lambda comm: run(comm, pair))
+    return on_reference(lambda comm: run(comm, loop)), (lambda comm: run(comm, pair))
 
 
 def _outcome(program, nprocs, **cluster_args):
@@ -191,8 +367,8 @@ class TestDifferential:
     )
     @settings(max_examples=30, deadline=None)
     def test_collective_trees_match_their_loops(self, nprocs, root, sizes):
-        """The collectives ride the pair; a cluster whose batched entries
-        decline puts the same event backend back on the per-message loop."""
+        """The collectives ride the pair; on the reference communicator the
+        same trees run on the per-message loop."""
         root %= nprocs
 
         def program(comm):
@@ -207,11 +383,7 @@ class TestDifferential:
             return out, comm.Wtime().hex()
 
         native = _outcome(program, nprocs, scheduler="event")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SimCluster, "deliver_batch", lambda *args: False)
-            patch.setattr(SimCluster, "wait_for_batch", lambda *args: None)
-            per_message = _outcome(program, nprocs, scheduler="event")
-        assert native == per_message
+        assert native == _outcome(on_reference(program), nprocs, scheduler="event")
 
 
 def _deadlock_text(program, nprocs):
@@ -237,7 +409,7 @@ class TestFailureSemantics:
 
         batch = _deadlock_text(program(lambda comm: comm.neighbor_recv(sources, 7)), 4)
         loop = _deadlock_text(
-            program(lambda comm: [comm.recv(source=q, tag=7) for q in sources]), 4
+            on_reference(program(lambda comm: [comm.recv(source=q, tag=7) for q in sources])), 4
         )
         assert batch == loop
         assert batch == (
@@ -285,7 +457,11 @@ class TestFailureSemantics:
         assert batch.messages_delivered == 0
         loop = SimCluster(3, scheduler="event")
         expected = loop.run(
-            program(lambda comm: [comm.isend("a", 1, tag=9), comm.isend("b", 2, tag=9, nbytes=64)])
+            on_reference(
+                program(
+                    lambda comm: [comm.isend("a", 1, tag=9), comm.isend("b", 2, tag=9, nbytes=64)]
+                )
+            )
         )
         assert results == expected  # the sender still paid for both
         assert loop.messages_delivered == 0
@@ -340,7 +516,65 @@ class TestFailureSemantics:
 
         results = SimCluster(2, scheduler="event").run(program)
         assert results[1][0] == ["a", "b", "c"]
-        assert results == SimCluster(2, scheduler="event").run(loop)
+        assert results == SimCluster(2, scheduler="event").run(on_reference(loop))
+
+    def test_generators_wildcards_and_any_tag_on_a_checksummed_link(self):
+        def program(comm):
+            if comm.rank == 0:
+                comm.neighbor_send(((1, payload, None) for payload in "abcd"), 1)
+                return comm.Wtime().hex()
+            got = comm.neighbor_recv([0, 0], 1)  # one stream, two messages
+            got += comm.neighbor_recv([ANY_SOURCE], 1)
+            got += comm.neighbor_recv([0], ANY_TAG)
+            return got, comm.Wtime().hex()
+
+        def loop(comm):
+            if comm.rank == 0:
+                for payload in "abcd":
+                    comm.isend(payload, 1, tag=1)
+                return comm.Wtime().hex()
+            got = [comm.recv(source=0, tag=1), comm.recv(source=0, tag=1)]
+            got.append(comm.recv(source=ANY_SOURCE, tag=1))
+            got.append(comm.recv(source=0, tag=ANY_TAG))
+            return got, comm.Wtime().hex()
+
+        results = SimCluster(2, checksums=True).run(program)
+        assert results[1][0] == ["a", "b", "c", "d"]
+        assert results == SimCluster(2, checksums=True).run(on_reference(loop))
+
+    def test_message_lost_mid_batch_keeps_the_prefix_and_the_loops_clock(self):
+        """The second of three sends exhausts its retry budget: the error is
+        the loop's, the first message is delivered, the third never stamped,
+        and the local clock is written back where the loop's stood."""
+        # Rank 0's drop draws under seed 3: kept, dropped (the precondition
+        # is what the mailbox assertions below check).
+        plan = FaultPlan(seed=3, drop=DropSpec(prob=0.5), retry=RetryPolicy(max_attempts=1))
+
+        def program(send):
+            def run(comm):
+                error = None
+                if comm.rank == 0:
+                    try:
+                        send(comm, [(1, "first", None), (2, "second", 64), (3, "third", None)], 4)
+                    except MessageLostError as exc:
+                        error = str(exc)
+                comm.barrier()
+                return error, comm.iprobe(source=0, tag=4), comm.Wtime().hex()
+
+            return run
+
+        def loop(comm, outgoing, tag):
+            for dest, payload, nbytes in outgoing:
+                comm.isend(payload, dest, tag=tag, nbytes=nbytes)
+
+        batch = SimCluster(4, faults=plan)
+        results = batch.run(program(lambda comm, outgoing, tag: comm.neighbor_send(outgoing, tag)))
+        assert results[0][0] == "message to rank 2 (tag 4) lost after 1 transmission attempts"
+        assert [got for _, got, _ in results] == [False, True, False, False]
+        assert batch.messages_delivered == 1
+        reference = SimCluster(4, faults=plan)
+        assert results == reference.run(on_reference(program(loop)))
+        assert batch.fault_state.report() == reference.fault_state.report()
 
 
 class _CountingEvent(threading.Event):
@@ -359,39 +593,54 @@ class _CountingTask(scheduler_module._Task):
         self.event = _CountingEvent()
 
 
+ARMED = {
+    "checksums": dict(checksums=True),
+    "faults": dict(faults=FaultPlan(seed=1, delay=DelaySpec(prob=0.5))),
+}
+
+
 class TestOnePark:
+    @staticmethod
+    def _batons(receive, order, **cluster_args):
+        """How often rank 0 is handed the baton while it receives from three
+        sources whose sends are chained in ``order``."""
+
+        def run(comm):
+            if comm.rank == 0:
+                got = receive(comm)
+            else:
+                turn = order.index(comm.rank)
+                if turn > 0:
+                    comm.recv(source=order[turn - 1], tag=8)
+                comm.isend(f"from {comm.rank}", 0, tag=5)
+                if turn + 1 < len(order):
+                    comm.isend("next", order[turn + 1], tag=8)
+                got = None
+            comm.barrier()  # nobody finishes (and wakes everyone) early
+            return got
+
+        cluster = SimCluster(4, scheduler="event", **cluster_args)
+        results = cluster.run(run)
+        assert results[0] == ["from 1", "from 2", "from 3"]
+        return cluster._backend._tasks[0].event.sets
+
     @pytest.mark.parametrize("order", list(itertools.permutations([1, 2, 3])))
     def test_k_sources_take_one_baton(self, monkeypatch, order):
         """Rank 0 parks on three sources whose sends are chained in
         ``order``; whatever the order, it is handed the baton twice: to
         start, and once when the last of the three is in."""
         monkeypatch.setattr(scheduler_module, "_Task", _CountingTask)
-
-        def program(receive):
-            def run(comm):
-                if comm.rank == 0:
-                    got = receive(comm)
-                else:
-                    turn = order.index(comm.rank)
-                    if turn > 0:
-                        comm.recv(source=order[turn - 1], tag=8)
-                    comm.isend(f"from {comm.rank}", 0, tag=5)
-                    if turn + 1 < len(order):
-                        comm.isend("next", order[turn + 1], tag=8)
-                    got = None
-                comm.barrier()  # nobody finishes (and wakes everyone) early
-                return got
-
-            return run
-
-        def batons(receive):
-            cluster = SimCluster(4, scheduler="event")
-            results = cluster.run(program(receive))
-            assert results[0] == ["from 1", "from 2", "from 3"]
-            return cluster._backend._tasks[0].event.sets
-
-        assert batons(lambda comm: comm.neighbor_recv([1, 2, 3], 5)) == 2
+        assert self._batons(lambda comm: comm.neighbor_recv([1, 2, 3], 5), order) == 2
         # The loop is woken by every delivery and re-parks until its next
         # source is in: at least once more unless they arrive in order.
-        loop = batons(lambda comm: [comm.recv(source=q, tag=5) for q in (1, 2, 3)])
+        loop = self._batons(lambda comm: [comm.recv(source=q, tag=5) for q in (1, 2, 3)], order)
         assert loop >= 2 and (loop > 2 or order == (1, 2, 3))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations([1, 2, 3])))
+    @pytest.mark.parametrize("armed", list(ARMED))
+    def test_k_sources_take_one_baton_when_armed(self, monkeypatch, armed, order):
+        """The same two batons with checksums on and under a fault plan:
+        nothing a cluster can arm takes the exchange off the one park."""
+        monkeypatch.setattr(scheduler_module, "_Task", _CountingTask)
+        receive = lambda comm: comm.neighbor_recv([1, 2, 3], 5)  # noqa: E731
+        assert self._batons(receive, order, **ARMED[armed]) == 2

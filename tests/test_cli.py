@@ -119,6 +119,24 @@ class TestRun:
         assert "recoveries    1" in out
         assert "rank 1 crashes at iteration 5" in out
 
+    def test_lost_message_is_a_one_line_failure_exit_1(self, hexfile, capsys):
+        assert main(["run", "--graph", str(hexfile), "--np", "3", "--iterations", "6",
+                     "--faults", "drop=0.9,retry=1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro run: failed: MessageLostError: message to rank 1 (tag 1) "
+            "lost after 1 transmission attempts\n"
+        )
+
+    def test_corrupted_past_retry_budget_is_a_one_line_failure_exit_1(self, hexfile, capsys):
+        assert main(["run", "--graph", str(hexfile), "--np", "3", "--iterations", "6",
+                     "--integrity", "full", "--faults", "flipmsg=0.5,retry=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro run: failed: MessageLostError: message to rank ")
+        assert "corrupted on all 1 transmission attempts" in err
+
     def test_run_rejects_bad_fault_spec(self, hexfile, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--graph", str(hexfile), "--np", "2",
