@@ -23,6 +23,7 @@ benchmarks``, which also asserts them.)
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import NoReturn, Sequence
 
@@ -243,8 +244,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         _usage_error(f"--{exc.field.replace('_', '-')} {exc.problem}")
     # Seed node values as floats rather than the default int gids: the
     # averaging workloads produce floats after the first sweep either way,
-    # and float-valued stores are what lets --scheduler process back the
-    # node arrays with shared-memory segments.
+    # and a float-valued SoA store keeps its float64 fast path instead of
+    # demoting to object dtype.
     platform = ICPlatform(
         graph, node_fn, init_value=lambda gid: float(gid), config=config,
         balancer=_BALANCERS[args.balancer](config.lb_threshold),
@@ -257,7 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             scheduler=args.scheduler,
         )
     except UnsupportedBackendError as exc:
-        # The scheduler/store combination is wrong, not the platform.
+        # The host cannot run --scheduler process (no fork start method).
         _usage_error(f"--scheduler: {exc}")
     except MPIError as exc:
         # The simulated machine aborted the run (a message lost past its
@@ -395,23 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
         one declaration (``core.config.CHOICES``, default first)."""
         return {"choices": CHOICES[switch], "default": CHOICES[switch][0]}
 
+    # ``default=`` of every other switch: its ``PlatformConfig`` field's.
+    defaults = {f.name: f.default for f in dataclasses.fields(PlatformConfig)}
+
     run = sub.add_parser("run", help="execute a workload on the platform")
     run.add_argument("--graph", required=True)
     add_partitioner_args(run)
     run.add_argument("--partition", help="partition file (skips the partitioner)")
     run.add_argument("--workload", choices=("average", "imbalance"), default="average")
     run.add_argument("--grain", choices=("fine", "coarse"), default="fine")
-    run.add_argument("--iterations", type=int, default=20)
+    run.add_argument("--iterations", type=int, default=defaults["iterations"])
     run.add_argument("--machine", choices=sorted(_MACHINES), default="origin2000")
     run.add_argument("--scheduler", choices=CHOICES["scheduler"], default=None,
                      help="simulated-cluster execution backend (default: event; "
                           "virtual-time results are identical on both; "
-                          "process runs one worker OS process per rank over "
-                          "shared memory and requires --store soa)")
+                          "process runs one worker OS process per rank)")
     run.add_argument("--dynamic", action="store_true", help="enable dynamic LB")
     run.add_argument("--balancer", choices=sorted(_BALANCERS), default="centralized")
-    run.add_argument("--lb-period", type=int, default=10)
-    run.add_argument("--lb-threshold", type=float, default=0.25)
+    run.add_argument("--lb-period", type=int, default=defaults["lb_period"])
+    run.add_argument("--lb-threshold", type=float, default=defaults["lb_threshold"])
     run.add_argument("--rebalance-mode", **choice("rebalance_mode"))
     run.add_argument("--overlap", action="store_true",
                      help="use the Figure-8a overlapped pipeline")
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "nodes iterate asynchronously to local convergence "
                           "inside each superstep).  Default: the "
                           "REPRO_EXECUTION environment variable, else 'bsp'")
-    run.add_argument("--hybrid-inner-cap", type=int, default=32,
+    run.add_argument("--hybrid-inner-cap", type=int, default=defaults["hybrid_inner_cap"],
                      help="max interior sweeps per superstep under "
                           "--execution hybrid")
     run.add_argument("--activation", **choice("activation"),
@@ -447,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="silent-corruption protection: checksum (verified "
                           "transport), digest (partition-state digests + "
                           "rollback), full (digests + shadow-replica repair)")
-    run.add_argument("--checkpoint-period", type=int, default=0,
+    run.add_argument("--checkpoint-period", type=int, default=defaults["checkpoint_period"],
                      help="checkpoint every K iterations (0 = baseline only)")
-    run.add_argument("--checkpoint-keep", type=int, default=2,
+    run.add_argument("--checkpoint-keep", type=int, default=defaults["checkpoint_keep"],
                      help="snapshots retained per rank (older ones pruned)")
     run.add_argument("--recovery", **choice("recovery_policy"),
                      help="crash recovery policy: rollback (restore everyone, "

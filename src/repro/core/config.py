@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any
 
-from ..mpi.errors import UnsupportedBackendError
-from ..mpi.scheduler import SCHEDULERS, SEED_NEEDS_EVENT
+from ..mpi.scheduler import SCHEDULERS
 
 __all__ = [
     "AT_LEAST",
@@ -27,8 +26,6 @@ __all__ = [
     "INERT",
     "PlatformConfig",
     "PlatformCosts",
-    "REQUIRES",
-    "check_run",
 ]
 
 #: The one declaration of every enumerated switch: its legal values, the
@@ -60,29 +57,6 @@ AT_LEAST: dict[str, int] = {
     "integrity_period": 1,
     "hybrid_inner_cap": 1,
 }
-
-#: What a switch value requires of the rest of the run, as ``(switch, value,
-#: fact, needed, reason)``: when ``switch`` is ``value``, ``fact`` must equal
-#: ``needed``, or :func:`check_run` raises ``UnsupportedBackendError(reason)``
-#: before any worker forks or segment exists.  (The process backend's other
-#: need, the ``fork`` start method, is a property of the host and is probed
-#: by ``ProcessScheduler`` itself.)
-REQUIRES: tuple[tuple[str, str, str, Any, str], ...] = (
-    (
-        "scheduler", "process", "store", "soa",
-        "scheduler='process' requires store='soa': worker processes share "
-        "the node arrays through float64 shared-memory segments, which only "
-        "the struct-of-arrays store can inhabit",
-    ),
-    ("scheduler", "process", "schedule_seed", None, SEED_NEEDS_EVENT),
-    (
-        "scheduler", "process", "value_type", float,
-        "scheduler='process' supports float node values only: init_value "
-        "must return Python floats for the store to be backed by a float64 "
-        "shared-memory segment (use scheduler='event' for object-valued "
-        "workloads)",
-    ),
-)
 
 #: Switches a switch value makes inert: under ``execution="hybrid"`` the run
 #: is change-driven and overlapped by construction, so neither ``activation``
@@ -272,11 +246,9 @@ class PlatformConfig:
             vectorized sweeps whenever the node functions carry bulk
             kernels).  Results are bit-identical across stores.  The
             default honours the ``REPRO_STORE`` environment variable, so a
-            CI matrix axis can flip the whole suite.  The multiprocess
-            execution backend (``scheduler="process"``) requires ``"soa"``:
-            worker processes share the store arrays through named
-            shared-memory segments, which only the float64 array layout
-            can inhabit (see :data:`REQUIRES`).
+            CI matrix axis can flip the whole suite.  Either store runs on
+            either scheduler: a ``"process"`` worker keeps its store in
+            private memory.
         converge: Termination rule: ``"fixed"`` (run exactly
             ``iterations`` sweeps) or ``"quiescence"`` (additionally stop as
             soon as a global reduction observes that *no* node's committed
@@ -326,29 +298,3 @@ class PlatformConfig:
     def with_overrides(self, **kwargs: Any) -> "PlatformConfig":
         """Copy with selected fields replaced."""
         return replace(self, **kwargs)
-
-
-def check_run(
-    config: PlatformConfig,
-    scheduler: str | None,
-    schedule_seed: int | None,
-    first_value: Callable[[], Any],
-) -> None:
-    """Reject a run whose switches :data:`REQUIRES` rules out.
-
-    :meth:`ICPlatform.run <repro.core.platform.ICPlatform.run>` calls this
-    before it builds the cluster, so an unsupported combination fails with
-    :class:`~repro.mpi.errors.UnsupportedBackendError` and the rule's reason
-    while nothing has been forked or allocated.  ``first_value`` returns the
-    initial value of the graph's first node; it is called only when a rule
-    that applies asks for the node value type.
-    """
-    facts: dict[str, Callable[[], Any]] = {
-        "scheduler": lambda: scheduler or SCHEDULERS[0],
-        "store": lambda: config.store,
-        "schedule_seed": lambda: schedule_seed,
-        "value_type": lambda: type(first_value()),
-    }
-    for switch, value, fact, needed, reason in REQUIRES:
-        if facts[switch]() == value and facts[fact]() != needed:
-            raise UnsupportedBackendError(reason)

@@ -180,16 +180,6 @@ class NodeStore:
         """Drop every record and start empty (checkpoint restore)."""
         self._init_record_storage(hash_table_length)
 
-    def adopt_runtime_policy(self, other: "NodeStore") -> None:
-        """Carry execution-backend policy from ``other`` into this store.
-
-        Recovery rebuilds stores via ``type(store)(...)`` and then calls
-        this hook so backend plumbing that is not part of the logical node
-        state -- e.g. the struct-of-arrays store's shared-segment
-        allocator under the process backend -- survives the rebuild.  The
-        object store has no such policy; this is a no-op seam.
-        """
-
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #

@@ -43,7 +43,7 @@ from .compute import (
     superstep,
     supports_bulk,
 )
-from .config import PlatformConfig, check_run
+from .config import PlatformConfig
 from .integrity import IntegrityGuard, inject_memory_flips
 from .loadbalance import CentralizedHeuristicBalancer, LoadBalancer
 from .migration import MigrationEvent, load_balance_phase
@@ -250,16 +250,12 @@ class ICPlatform:
             scheduler: Execution backend for the simulated cluster
                 (``"event"``, the default, or ``"process"``).
                 Virtual-time results are identical on both; ``"process"``
-                additionally runs each rank as a real OS process over
-                shared-memory SoA stores, under the rules of
-                :data:`~repro.core.config.REQUIRES` (checked here, before
-                anything forks).
+                additionally runs each rank as a real OS process with a
+                private node store, and refuses a ``schedule_seed``
+                before anything forks.
         """
         if partition.graph is not self.graph and partition.graph != self.graph:
             raise ValueError("partition was computed for a different graph")
-        # Node ids are 1-based: the first node's value stands for them all
-        # here, and the stores refuse a stray non-float on the worker side.
-        check_run(self.config, scheduler, schedule_seed, lambda: self.init_value(1))
         nprocs = partition.nparts
         # Built here, once, so every rank's initialisation reads the same
         # arrays (rank threads share them, forked workers inherit them).
@@ -430,11 +426,6 @@ class _RankRun:
             platform.init_value,
             hash_table_length=config.hash_table_length,
         )
-        # Process-backend workers back the SoA arrays with a named
-        # shared-memory segment (no-op on the in-thread backend).
-        allocator = comm._cluster.shared_store_allocator()
-        if allocator is not None:
-            store.use_shared_arrays(allocator)
         comm.work(
             config.costs.init_node_cost * store.num_owned()
             + config.costs.init_shadow_cost * store.num_shadows()

@@ -230,9 +230,6 @@ def shrink_reconfigure(
         init_value=lambda gid: all_values[gid],
         hash_table_length=store.hash_table.length,
     )
-    # Backend plumbing (e.g. the process backend's shared-segment
-    # allocator) is not logical node state; carry it across the rebuild.
-    new_store.adopt_runtime_policy(store)
     adopted = sum(1 for r in placed.values() if r == new_comm.rank)
     comm.work(
         costs.init_node_cost * new_store.num_owned()

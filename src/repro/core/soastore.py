@@ -407,11 +407,6 @@ class SoAStore(NodeStore):
         self._gids = np.zeros(0, dtype=np.int64)
         self._proxies: dict[int, _ArrayRecord] = {}
         self._topo: _BulkTopo | None = None
-        # Process-backend plumbing: a SharedStoreAllocator when the arrays
-        # live in a named shared-memory segment (one StoreBlock generation
-        # at a time), else None and the arrays are private heap numpy.
-        self._shared_allocator: Any = None
-        self._block: Any = None
         # Sparse gather-geometry memo telemetry (pinned by
         # benchmarks/test_extensions.py::test_soa_store).
         self.sparse_geom_hits = 0
@@ -424,9 +419,6 @@ class SoAStore(NodeStore):
 
     def _grow(self, minimum: int) -> None:
         new_cap = max(64, 2 * self._capacity(), minimum)
-        if self._shared_allocator is not None:
-            self._grow_shared(new_cap)
-            return
         pad = new_cap - self._capacity()
         value_dtype = self._values.dtype
         self._values = np.concatenate([self._values, np.zeros(pad, dtype=value_dtype)])
@@ -451,16 +443,6 @@ class SoAStore(NodeStore):
         """Switch from the float64 fast path to object dtype, preserving
         every stored value exactly (float64 entries become Python floats,
         as the object store would hold them)."""
-        if self._shared_allocator is not None:
-            from ..mpi.errors import UnsupportedBackendError
-
-            raise UnsupportedBackendError(
-                f"rank {self.rank} store would demote to object dtype, but "
-                "its arrays live in a shared-memory segment (process "
-                "backend) that can only hold float64 values; keep node "
-                "values as Python floats, or run with --scheduler "
-                "event for object-valued workloads"
-            )
         values = np.empty(self._capacity(), dtype=object)
         values[:] = self._values.tolist()
         pending = np.empty(self._capacity(), dtype=object)
@@ -471,72 +453,6 @@ class SoAStore(NodeStore):
         self._values = values
         self._pending = pending
         self._float_mode = False
-
-    # --------------------- shared-segment backing ---------------------- #
-
-    def array_specs(self, capacity: int) -> list[tuple[str, str, int]]:
-        """``(name, dtype, count)`` layout of the record arrays at
-        ``capacity`` slots -- the construct-over-existing-buffer contract
-        shared with :class:`~repro.mpi.shm.StoreBlock`."""
-        return [
-            ("values", "float64", capacity),
-            ("pending", "float64", capacity),
-            ("pending_mask", "bool", capacity),
-            ("versions", "int64", capacity),
-            ("halted", "bool", capacity),
-            ("gids", "int64", capacity),
-        ]
-
-    def use_shared_arrays(self, allocator: Any) -> None:
-        """Migrate the record arrays into a shared-memory segment.
-
-        ``allocator`` is a :class:`~repro.mpi.shm.SharedStoreAllocator`
-        (or anything with ``allocate(specs) -> block`` yielding named
-        arrays); every later growth step allocates a fresh generation
-        through it and releases the previous one.  Only the float64 fast
-        path can be shared -- a store already demoted to object dtype is
-        rejected up front, and any later demotion attempt raises
-        :class:`~repro.mpi.errors.UnsupportedBackendError` instead of
-        silently diverging from the segment peers read.
-        """
-        if not self._float_mode:
-            from ..mpi.errors import UnsupportedBackendError
-
-            raise UnsupportedBackendError(
-                f"rank {self.rank} store holds object-dtype values and "
-                "cannot be backed by a shared-memory segment (process "
-                "backend supports float node values only)"
-            )
-        self._shared_allocator = allocator
-        self._grow_shared(max(self._capacity(), 64))
-
-    def _grow_shared(self, new_cap: int) -> None:
-        """Allocate a new shared generation and copy the live arrays in."""
-        old_block = self._block
-        block = self._shared_allocator.allocate(self.array_specs(new_cap))
-        arrays = block.arrays
-        n = self._capacity()
-        arrays["values"][:n] = self._values
-        arrays["pending"][:n] = self._pending
-        arrays["pending_mask"][:n] = self._pending_mask
-        arrays["versions"][:n] = self._versions
-        arrays["halted"][:n] = self._halted
-        arrays["gids"][:n] = self._gids
-        self._values = arrays["values"]
-        self._pending = arrays["pending"]
-        self._pending_mask = arrays["pending_mask"]
-        self._versions = arrays["versions"]
-        self._halted = arrays["halted"]
-        self._gids = arrays["gids"]
-        self._block = block
-        if old_block is not None:
-            old_block.release()
-
-    def adopt_runtime_policy(self, other: NodeStore) -> None:
-        """Carry a rebuild source's shared-segment allocator (recovery)."""
-        allocator = getattr(other, "_shared_allocator", None)
-        if allocator is not None:
-            self.use_shared_arrays(allocator)
 
     def _read_value(self, slot: int) -> Any:
         value = self._values[slot]
@@ -636,17 +552,6 @@ class SoAStore(NodeStore):
             self._pending[slot] = None
         self._proxies.pop(gid, None)
         self._topo = None
-
-    def _reset_records(self, hash_table_length: int) -> None:
-        # The shared-segment policy survives a checkpoint-restore wipe: the
-        # old generation is released and the next growth reallocates
-        # through the same allocator.
-        allocator = self._shared_allocator
-        block = self._block
-        self._init_record_storage(hash_table_length)
-        self._shared_allocator = allocator
-        if block is not None:
-            block.release()
 
     def _invalidate_topology_cache(self) -> None:
         super()._invalidate_topology_cache()

@@ -54,9 +54,8 @@ class MessageLostError(MPIError):
 class UnsupportedBackendError(MPIError):
     """A requested feature cannot run on the selected execution backend.
 
-    The multiprocess backend (``scheduler="process"``) keeps node state in
-    shared-memory float arrays and cannot host object-dtype stores, a
-    ``schedule_seed`` (the seeded run queue is the event scheduler's), or
-    platforms without ``fork``.  The error is raised *early* -- at cluster
-    construction or platform launch -- rather than after a partial run has
-    diverged from the shared segments."""
+    The multiprocess backend (``scheduler="process"``) cannot take a
+    ``schedule_seed`` (the seeded run queue is the event scheduler's) or
+    run on a platform without ``fork``.  Its constructor raises this at
+    cluster construction, before any worker forks; every store kind and
+    node value runs on both backends."""

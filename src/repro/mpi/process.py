@@ -6,14 +6,15 @@ parallelism but never exploits real cores.  This backend forks one worker
 process per rank and splits the machinery the way the iC2mpi platform
 splits its data:
 
-Data plane (shared memory, no pickling on the hot path)
-    Each worker's :class:`~repro.core.soastore.SoAStore` arrays live in a
-    named ``multiprocessing.shared_memory`` segment handed out by a
-    :class:`~repro.mpi.shm.SharedStoreAllocator`, and halo-exchange
-    payloads travel through per-edge :class:`~repro.mpi.shm.ShadowRing`
-    buffers: the sender copies its ``(gid, value)`` batch into the ring
-    and ships only a 3-field :class:`~repro.mpi.shm.RingRef` descriptor;
-    the receiver slice-copies the span back out and retires it.
+Data plane (private stores, halo values by message)
+    Each worker builds and keeps its own node store -- either kind, any
+    picklable node value -- in private memory, as each processor of the
+    paper keeps its own data node list; final values go home pickled in
+    the ``finish`` record.  Only shadow values cross processes: a float
+    halo batch is copied into a per-edge :class:`~repro.mpi.shm.ShadowRing`
+    and the pipe carries just a 3-field :class:`~repro.mpi.shm.RingRef`
+    descriptor (the receiver slice-copies the span back out and retires
+    it); any other payload is pickled through the pipe.
 
 Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     Message-queue mutations, barriers, quarantine, and abort flow through
@@ -52,8 +53,9 @@ normally where the in-thread backend would raise ``CommAbortedError``
 in its next ``deliver``.  :meth:`SimCluster.run`'s raised primary error
 is unaffected.
 
-Unsupported features fail *early* with
-:class:`~repro.mpi.errors.UnsupportedBackendError`: a ``schedule_seed``
+Two things fail *early*, in :class:`ProcessScheduler`'s constructor and so
+before anything forks, with :class:`~repro.mpi.errors.UnsupportedBackendError`
+-- the only places that raise it: a ``schedule_seed``
 (the seeded run queue lives in the event scheduler; the interleaving of
 worker processes belongs to the host kernel) and platforms without the
 ``fork`` start method (the rank program is an arbitrary closure; it is
@@ -84,7 +86,6 @@ from .shm import (
     CollectiveBlock,
     RingRef,
     ShadowRing,
-    SharedStoreAllocator,
     ensure_tracker,
     force_unlink,
     is_shadow_payload,
@@ -141,12 +142,6 @@ class _WorkerTransport:
     def register_segment(self, name: str) -> None:
         """Tell the parent to reap ``name`` at run end (crash-safe)."""
         self._conn.send(("segment", name))
-
-    def store_allocator(self) -> SharedStoreAllocator:
-        """Allocator that backs this rank's SoA store with shared segments."""
-        return SharedStoreAllocator(
-            self.prefix, self.rank, register=self.register_segment
-        )
 
     # --------------------------- ring fast path ------------------------ #
 
@@ -661,7 +656,7 @@ class _Broker:
 
 
 class ProcessScheduler(SchedulerBackend):
-    """One worker OS process per rank over shared-memory stores.
+    """One worker OS process per rank, each with a private node store.
 
     Inside a worker the cluster's transport entry points are proxied to
     the parent broker, so ``notify`` has nobody to wake (single thread,

@@ -23,8 +23,8 @@ How the rank programs are interleaved on the host is delegated to a
   ``schedule_seed`` the same scheduler fuzzes the host schedule (seeded
   baton hand-offs and yields at the transport entry points below) for the
   schedule-independence suites;
-* ``"process"`` -- one worker OS process per rank over shared-memory SoA
-  stores (:mod:`repro.mpi.process`): real multi-core execution with the
+* ``"process"`` -- one worker OS process per rank, each with a private
+  node store (:mod:`repro.mpi.process`): real multi-core execution with the
   parent process as the deterministic control-plane arbiter.  Inside a
   worker, the transport entry points below branch to the worker's pipe
   transport (``self._worker``) instead of the local mailboxes.
@@ -134,9 +134,10 @@ class SimCluster:
             the in-thread backend.
         scheduler: Execution backend: ``"event"`` (cooperative, precise
             wakeups, exact deadlock detection -- the default, also for
-            ``None``) or ``"process"`` (one worker OS process per rank
-            over shared-memory stores -- real multi-core execution,
-            identical virtual results).
+            ``None``) or ``"process"`` (one worker OS process per rank,
+            each with a private node store -- real multi-core execution,
+            identical virtual results; it refuses a ``schedule_seed``
+            here, at construction).
     """
 
     def __init__(
@@ -309,19 +310,6 @@ class SimCluster:
     def max_clock(self) -> float:
         """Maximum virtual clock across all ranks (the makespan so far)."""
         return max(state.clock for state in self._ranks)
-
-    def shared_store_allocator(self) -> Any:
-        """Shared-segment allocator for this rank's SoA store, or ``None``.
-
-        Non-``None`` only inside a process-backend worker: the platform
-        migrates the freshly built store's arrays into a named
-        shared-memory segment so peers (and the parent) address the same
-        bytes.  The in-thread backend returns ``None`` and the store keeps
-        its private heap arrays.
-        """
-        if self._worker is None:
-            return None
-        return self._worker.store_allocator()
 
     def abort(self, reason: str) -> None:
         """Abort the whole cluster; wakes all blocked ranks.

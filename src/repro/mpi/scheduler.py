@@ -22,8 +22,8 @@ stack).  *How* those threads are interleaved is this module's job:
     every failing schedule replayable from its seed.
 
 :class:`~repro.mpi.process.ProcessScheduler` (``scheduler="process"``)
-    Escapes the GIL: forks one worker OS process per rank over
-    shared-memory SoA stores, with the parent as the deterministic
+    Escapes the GIL: forks one worker OS process per rank, each with a
+    private node store, with the parent as the deterministic
     control-plane arbiter -- see :mod:`repro.mpi.process`.
 
 Both drive the same virtual-clock/mailbox/barrier machinery in
@@ -55,9 +55,8 @@ __all__ = [
 #: Recognized ``SimCluster(scheduler=...)`` values, the default first.
 SCHEDULERS = ("event", "process")
 
-#: Why a ``schedule_seed`` rules out the process backend: the reason string of
-#: that rule in ``repro.core.config.REQUIRES``, kept here because a
-#: ``SimCluster`` built without a platform refuses the pair with it too.
+#: Why a ``schedule_seed`` rules out the process backend: the one switch
+#: combination refused, by ``ProcessScheduler`` at cluster construction.
 SEED_NEEDS_EVENT = (
     "scheduler='process' cannot take a schedule_seed: worker ranks run in "
     "separate processes the host kernel interleaves (use scheduler='event' "

@@ -28,13 +28,11 @@ segments:
   tag A); the consumer retires spans and advances ``tail`` over the
   contiguous completed prefix.
 
-* :class:`StoreBlock` / :class:`SharedStoreAllocator` -- one segment
-  holding all of a rank's :class:`~repro.core.soastore.SoAStore` arrays,
-  laid out back to back from the store's exported array specs.  The store
-  constructs its numpy arrays directly over the segment buffer
-  (construct-over-existing-buffer mode); growth allocates a new
-  generation, copies, and releases the old one.  :meth:`StoreBlock.attach`
-  rebuilds the same views from another process for inspection.
+* :class:`CollectiveBlock` -- one segment shared by every worker in which
+  world barriers and integer allreduces rendezvous without the pipe.
+
+Node stores are not among them: each worker keeps its store in private
+memory, and only halo values cross processes.
 
 Crash safety: every creator registers its segment names with the parent
 broker, and the parent force-unlinks every registered name (plus anything
@@ -50,7 +48,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -60,9 +58,7 @@ __all__ = [
     "CollectiveBlock",
     "RingRef",
     "SharedSegment",
-    "SharedStoreAllocator",
     "ShadowRing",
-    "StoreBlock",
     "ensure_tracker",
     "force_unlink",
     "is_shadow_payload",
@@ -330,105 +326,6 @@ class ShadowRing:
     def release(self) -> None:
         self._drop_views()
         self.segment.release()
-
-
-# --------------------------------------------------------------------- #
-# SoA store backing
-# --------------------------------------------------------------------- #
-
-
-def _spec_layout(
-    specs: Iterable[tuple[str, str, int]]
-) -> tuple[list[tuple[str, str, int, int]], int]:
-    """Append byte offsets to ``(name, dtype, count)`` specs (16-aligned)."""
-    laid = []
-    offset = 0
-    for name, dtype, count in specs:
-        itemsize = np.dtype(dtype).itemsize
-        offset = (offset + 15) & ~15
-        laid.append((name, dtype, count, offset))
-        offset += itemsize * count
-    return laid, max(offset, 1)
-
-
-class StoreBlock:
-    """All of one store generation's arrays in a single segment."""
-
-    def __init__(
-        self,
-        segment: SharedSegment,
-        layout: list[tuple[str, str, int, int]],
-    ) -> None:
-        self.segment = segment
-        self.layout = layout
-        self.arrays: dict[str, np.ndarray] = {
-            name: np.frombuffer(
-                segment.buf, dtype=dtype, count=count, offset=offset
-            )
-            for name, dtype, count, offset in layout
-        }
-
-    @classmethod
-    def create(
-        cls, name: str, specs: Iterable[tuple[str, str, int]]
-    ) -> "StoreBlock":
-        layout, nbytes = _spec_layout(specs)
-        block = cls(SharedSegment(name, size=nbytes, create=True), layout)
-        for arr in block.arrays.values():
-            arr[:] = 0
-        return block
-
-    @classmethod
-    def attach(
-        cls, name: str, specs: Iterable[tuple[str, str, int]]
-    ) -> "StoreBlock":
-        layout, _ = _spec_layout(specs)
-        return cls(SharedSegment(name, create=False), layout)
-
-    def release(self) -> None:
-        self.arrays.clear()
-        self.segment.release()
-
-    def close(self) -> None:
-        self.arrays.clear()
-        self.segment.close()
-
-
-class SharedStoreAllocator:
-    """Hands a :class:`~repro.core.soastore.SoAStore` shared-segment arrays.
-
-    Each :meth:`allocate` call is one store *generation* (initial layout or
-    a growth step) in its own named segment; the store copies and releases
-    the previous generation.  ``register`` (the worker transport's
-    segment-registration hook) tells the parent broker every name so a
-    crashed worker's segments still get reaped.
-
-    The allocator also decides the demotion policy: arrays living in a
-    shared segment are necessarily ``float64``, so a store backed by one
-    must refuse the object-dtype demotion path instead of silently
-    diverging from the segment (:attr:`forbids_demotion`).
-    """
-
-    forbids_demotion = True
-
-    def __init__(
-        self,
-        prefix: str,
-        rank: int,
-        register: Callable[[str], None] | None = None,
-    ) -> None:
-        self.prefix = prefix
-        self.rank = rank
-        self._register = register
-        self._generation = 0
-
-    def allocate(self, specs: Iterable[tuple[str, str, int]]) -> StoreBlock:
-        name = f"{self.prefix}-soa{self.rank}g{self._generation}"
-        self._generation += 1
-        block = StoreBlock.create(name, specs)
-        if self._register is not None:
-            self._register(name)
-        return block
 
 
 # --------------------------------------------------------------------- #

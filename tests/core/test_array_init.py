@@ -37,7 +37,7 @@ from repro.apps.battlefield.state import HexState
 from repro.core import ICPlatform, NodeStore, PlatformConfig, PlatformCosts, SoAStore
 from repro.core.compute import _INTERNAL, _PERIPHERAL, _FrontierIndex
 from repro.graphs import Graph, grid2d, random_connected_graph
-from repro.mpi.shm import SharedStoreAllocator, leaked_segments, make_run_prefix, unlink_prefix
+from repro.mpi.shm import leaked_segments
 from repro.partitioning import (
     ColumnBandPartitioner,
     Partition,
@@ -341,20 +341,6 @@ class TestOneShotFill:
         (record,) = store._add_records([3], [9.0])
         assert store._slot_of[3] == freed[-1] and record.data == 9.0
 
-    def test_shared_arrays_after_a_one_shot_fill(self):
-        prefix = make_run_prefix()
-        allocator = SharedStoreAllocator(prefix, rank=0)
-        try:
-            graph = grid2d(6, 6)
-            built, ref = both_builds(SoAStore, graph, [0] * 18 + [1] * 18, 0, float)
-            built.use_shared_arrays(allocator)
-            assert_same_build(built, ref)
-            assert built._block is not None
-            built._block.release()
-        finally:
-            unlink_prefix(prefix)
-        assert not leaked_segments()
-
 
 # --------------------------------------------------------------------- #
 # What is derived from the owned set
@@ -493,8 +479,8 @@ def test_run_builds_the_csr_before_any_rank_starts(monkeypatch):
 
 
 def test_process_workers_build_the_same_stores():
-    """Forked workers inherit the CSR, build their stores from it and move
-    the one-shot fill into shared segments: same run as the event backend."""
+    """Forked workers inherit the CSR and build their private stores from
+    it with the one-shot fill: same run as the event backend."""
     graph = grid2d(8, 8)
     partition = scattered_partition(graph, 3)
     config = PlatformConfig(iterations=4, store="soa", track_trace=True)

@@ -224,7 +224,6 @@ class TestRowsFollowSurgery:
 
         # A shrink rebuild is a new store of the same type.
         rebuilt = type(left)(0, path6, [0] * 6, init_value=float, hash_table_length=8)
-        rebuilt.adopt_runtime_policy(left)
         assert_fresh(rebuilt)
 
     @pytest.mark.parametrize("store_cls", STORES)

@@ -1,17 +1,17 @@
 """Conformance and hygiene suite for the ``process`` scheduler backend.
 
-The process backend runs each rank as a real OS process: SoA node arrays
-live in named shared-memory segments, halo payloads travel through
-per-edge shared ring buffers, and everything else (barriers, recv parks,
-fault events, trace records) goes over a command pipe to the parent
-broker.  The contract mirrors the event-scheduler suite: *virtual* outcomes
--- clocks, values, traces, fault and recovery behaviour -- are
-bit-identical to the in-thread backend.  On top of conformance, this
-file pins down the backend's hygiene properties: no shared-memory segment
-outlives a run (normal exit, deadlock, or a SIGKILL'd worker), and
-unsupported configurations fail fast with
-:class:`~repro.mpi.errors.UnsupportedBackendError` instead of corrupting
-a segment mid-run.
+The process backend runs each rank as a real OS process with a private
+node store of either kind: float halo payloads travel through per-edge
+shared ring buffers, and everything else (other payloads, barriers, recv
+parks, fault events, trace records) goes over a command pipe to the
+parent broker.  The contract mirrors the event-scheduler suite: *virtual*
+outcomes -- clocks, values, traces, fault and recovery behaviour -- are
+bit-identical to the in-thread backend, for any store and any picklable
+node value.  On top of conformance, this file pins down the backend's
+hygiene properties: no shared-memory segment outlives a run (normal exit,
+deadlock, or a SIGKILL'd worker), and the one refused combination -- a
+``schedule_seed`` -- fails with
+:class:`~repro.mpi.errors.UnsupportedBackendError` before anything forks.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from unittest import mock
 import pytest
 
 from repro.apps.average import make_average_fn
+from repro.apps.battlefield import BattlefieldApp, general_engagement
 from repro.core import ICPlatform, PlatformConfig
-from repro.core.config import REQUIRES, check_run
 from repro.core.soastore import SoAStore
 from repro.graphs import hex32
 from repro.graphs.generators import cycle_graph
@@ -39,14 +39,13 @@ from repro.mpi import (
     UnsupportedBackendError,
     run_mpi,
 )
+from repro.graphs import HexGrid
 from repro.mpi.shm import (
     ShadowRing,
     SharedSegment,
-    SharedStoreAllocator,
     is_shadow_payload,
     leaked_segments,
     make_run_prefix,
-    unlink_prefix,
 )
 from repro.partitioning import MetisLikePartitioner
 
@@ -80,41 +79,39 @@ def host_untouched():
 # --------------------------------------------------------------------- #
 
 
-class TestProcessConformance:
-    def _platform_run(self, config, faults, backend):
-        graph = hex32()
-        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-        platform = ICPlatform(
-            graph,
-            make_average_fn(1e-4),
-            # The process backend holds node values in float64 segments,
-            # so the workload must start from floats (the default int
-            # gids would demote the store to object dtype).
-            init_value=lambda gid: float(gid),
-            config=config,
-        )
-        return platform.run(
+def _assert_identical_to_event(platform, partition, faults=None):
+    """Run ``platform`` on both schedulers; every virtual outcome matches
+    and no segment is left behind.  Returns the event run."""
+    event, process = (
+        platform.run(
             partition,
             faults=FaultPlan.parse(faults) if faults else None,
             scheduler=backend,
         )
+        for backend in BACKENDS
+    )
+    assert float.hex(event.elapsed) == float.hex(process.elapsed)
+    assert event.values == process.values
+    assert event.final_assignment == process.final_assignment
+    assert event.messages_delivered == process.messages_delivered
+    assert event.barriers == process.barriers
+    assert event.trace.records == process.trace.records
+    assert [p.as_dict() for p in event.phases] == [
+        p.as_dict() for p in process.phases
+    ]
+    assert event.dead_ranks == process.dead_ranks
+    _assert_no_leaked_segments()
+    return event
 
-    def _assert_platform_identical(self, config, faults=None):
-        results = {
-            backend: self._platform_run(config, faults, backend)
-            for backend in BACKENDS
-        }
-        event, process = results["event"], results["process"]
-        assert event.elapsed == process.elapsed
-        assert event.values == process.values
-        assert event.final_assignment == process.final_assignment
-        assert event.trace.records == process.trace.records
-        assert [p.as_dict() for p in event.phases] == [
-            p.as_dict() for p in process.phases
-        ]
-        assert event.dead_ranks == process.dead_ranks
-        _assert_no_leaked_segments()
-        return event
+
+class TestProcessConformance:
+    def _assert_platform_identical(self, config, faults=None, init_value=float):
+        graph = hex32()
+        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
+        platform = ICPlatform(
+            graph, make_average_fn(1e-4), init_value=init_value, config=config
+        )
+        return _assert_identical_to_event(platform, partition, faults)
 
     def test_fault_free_identical(self):
         self._assert_platform_identical(
@@ -159,10 +156,8 @@ class TestProcessConformance:
         )
 
     def test_crash_shrink_identical(self):
-        """Shrink recovery rebuilds every survivor's store from scratch;
-        the rebuilt SoA arrays must land in fresh shared segments (via
-        ``adopt_runtime_policy``) and the reconfiguration must be
-        bit-identical."""
+        """Shrink recovery rebuilds every survivor's store from scratch
+        inside its worker; the reconfiguration must be bit-identical."""
         event = self._assert_platform_identical(
             PlatformConfig(
                 iterations=8,
@@ -175,6 +170,43 @@ class TestProcessConformance:
         )
         assert event.dead_ranks == (2,)
         assert event.trace.reconfiguration_events()
+
+    def test_crash_shrink_object_store_identical(self):
+        """The same shrink with every worker rebuilding an object store."""
+        event = self._assert_platform_identical(
+            PlatformConfig(
+                iterations=8,
+                checkpoint_period=3,
+                recovery_policy="shrink",
+                track_trace=True,
+                store="object",
+            ),
+            faults="seed=3,crash=2@5",
+        )
+        assert event.dead_ranks == (2,)
+
+    def test_int_valued_soa_store_identical(self):
+        """Int initial values demote each worker's SoA store to object
+        dtype, exactly as they do on the event scheduler."""
+        self._assert_platform_identical(
+            PlatformConfig(iterations=4, track_trace=True, store="soa"),
+            init_value=int,
+        )
+
+    @pytest.mark.parametrize("store", ["object", "soa"])
+    def test_battlefield_identical(self, store):
+        """The paper's battlefield: structured HexState node values and two
+        node functions per step, so every halo batch takes the pipe."""
+        app = BattlefieldApp(general_engagement(grid=HexGrid(12, 12)))
+        graph = app.graph()
+        platform = ICPlatform(
+            graph,
+            app.node_fns(),
+            init_value=app.init_value,
+            config=app.platform_config(steps=4, store=store, track_trace=True),
+        )
+        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
+        _assert_identical_to_event(platform, partition)
 
     def test_bsp_program_identical(self):
         """Raw run_mpi (no platform, no store): the command-pipe control
@@ -422,63 +454,12 @@ class TestProcessDeadlock:
 
 
 class TestProcessGates:
-    def test_object_store_rejected_before_spawn(self):
-        """--store object cannot be segment-backed; the config gate fires
-        before any worker is forked."""
-        config = PlatformConfig(iterations=2, store="object")
-        with pytest.raises(UnsupportedBackendError, match="store"):
-            check_run(config, "process", None, lambda: 0.0)
-
-        graph = hex32()
-        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-        platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
-        with host_untouched(), pytest.raises(UnsupportedBackendError):
-            platform.run(partition, scheduler="process")
-
-    def test_object_valued_workload_rejected_early(self):
-        """store=soa but int-valued nodes: the store would demote to object
-        dtype during init and refuse the shared allocator inside every
-        worker.  The parent probes the first node's value instead and
-        refuses with the declared reason before anything is forked."""
-        graph = hex32()
-        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-        platform = ICPlatform(  # default init_value: int gids -> demotion
-            graph,
-            make_average_fn(1e-4),
-            config=PlatformConfig(iterations=2, store="soa"),
-        )
-        reason = next(row[4] for row in REQUIRES if row[2] == "value_type")
-        with host_untouched(), pytest.raises(UnsupportedBackendError) as excinfo:
-            platform.run(partition, scheduler="process")
-        assert str(excinfo.value) == reason and "float" in reason
-
     def test_schedule_seed_rejected(self):
         """The seeded run queue is the event scheduler's; worker processes
         are interleaved by the host kernel, so a seed alongside the process
         backend is an error at construction -- nothing forked, no segment."""
         with pytest.raises(UnsupportedBackendError, match="schedule_seed"):
             SimCluster(2, schedule_seed=0, scheduler="process")
-        _assert_no_leaked_segments()
-
-    def test_demotion_under_shared_arrays_raises(self):
-        """Regression: writing a non-float value into a segment-backed
-        SoAStore must raise UnsupportedBackendError, not demote (the
-        object arrays could not live in the shared segment)."""
-        graph = cycle_graph(8)
-        assignment = [0] * 8
-        store = SoAStore(0, graph, assignment, init_value=lambda gid: float(gid))
-        prefix = make_run_prefix()
-        try:
-            store.use_shared_arrays(SharedStoreAllocator(prefix, 0))
-            record = store.data_records[1]
-            record.most_recent_data = 2.5  # floats stay on the fast path
-            with pytest.raises(UnsupportedBackendError, match="demote"):
-                record.most_recent_data = "not-a-float"
-            # The store is still intact and float-valued after the refusal.
-            assert record.most_recent_data == 2.5
-            assert store.value_of(1) == 1.0
-        finally:
-            unlink_prefix(prefix)
         _assert_no_leaked_segments()
 
 

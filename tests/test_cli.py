@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main, make_partitioner
+from repro.core import PlatformConfig
 from repro.graphs import hex32, read_chaco, read_partition
 
 
@@ -245,6 +246,16 @@ class TestRun:
         assert "dead ranks" in out and "1" in out
         assert "reconfigured  iter 5" in out
 
+    @pytest.mark.parametrize("store", ["object", "soa"])
+    def test_process_scheduler_prints_what_event_prints(self, hexfile, capsys, store):
+        """Either store runs on worker processes, with the event run's output."""
+        outputs = []
+        for scheduler in ("event", "process"):
+            assert main(["run", "--graph", str(hexfile), "--np", "3", "--iterations", "4",
+                         "--store", store, "--scheduler", scheduler]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_run_overlap_and_machines(self, hexfile):
         for machine in ("ideal", "ethernet"):
             assert main(["run", "--graph", str(hexfile), "--np", "2",
@@ -293,3 +304,10 @@ class TestFlagTable:
         """The flag diet's ratchet (45 before the capability table)."""
         source = Path(build_parser.__code__.co_filename).read_text()
         assert sum("add_argument" in line for line in source.splitlines()) <= 41
+
+    def test_numeric_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["run", "--graph", "g.txt", "--np", "2"])
+        config = PlatformConfig()
+        for name in ("iterations", "lb_period", "lb_threshold", "checkpoint_period",
+                     "checkpoint_keep", "hybrid_inner_cap"):
+            assert getattr(args, name) == getattr(config, name), name
