@@ -13,16 +13,27 @@ Determinism contract: every method reads and writes only the calling
 rank's own ``RankState`` (clock, counters) plus the cluster transport
 entry points (``deliver_all`` for every send; ``wait_for_all``,
 ``wait_for_message`` and ``take_matching`` for every receive;
-``barrier``).  No cross-rank state is touched directly, which is what lets
-the process scheduler run communicators in separate OS processes
-(:mod:`repro.mpi.process`) while staying bit-identical to the in-thread
-backend.
+``collective`` for every barrier and fault-free collective).  No cross-rank
+state is touched directly, which is what lets the process scheduler run
+communicators in separate OS processes (:mod:`repro.mpi.process`) while
+staying bit-identical to the in-thread backend.
+
+Collectives: without a fault plan, ``bcast``, ``gather``, ``scatter``,
+``allgather``, ``reduce`` and ``allreduce`` are one rendezvous each, and
+:mod:`repro.mpi.collectives` replays the exact charges of their trees of
+point-to-point messages over the published clocks and payloads; counters
+and the collective tag sequence advance as if the trees ran.  A fault plan
+keeps the trees (fault draws are per message); ``alltoall``, ``scan`` and
+``exscan`` are always point-to-point.  So a fault-free collective's traffic
+never enters a mailbox: an ``iprobe`` or ``ANY_TAG`` receive around it
+sees only user messages.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
+from . import collectives
 from .errors import InvalidRankError, InvalidTagError, MessageLostError, ShrinkError
 from .faults import corrupt_value
 from .message import ANY_SOURCE, ANY_TAG, Message, RecvRequest, Request, SendRequest, Status
@@ -412,7 +423,7 @@ class Communicator:
         return self._complete_all(self._cluster.wait_for_all(self, sources, tag), each)
 
     # ------------------------------------------------------------------ #
-    # Collectives (binomial trees over p2p, so clocks propagate naturally)
+    # Collectives: one rendezvous plus a charge-exact replay of the tree
     # ------------------------------------------------------------------ #
 
     def _next_coll_tag(self) -> int:
@@ -424,16 +435,93 @@ class Communicator:
         """Every local rank except ``but``, ascending."""
         return [r for r in range(len(self._group)) if r != but]
 
+    def _replayed(self, name: str, payload: Any, root: int = 0, op: Any = None) -> Any:
+        """Run collective ``name`` as one rendezvous of the group, replayed
+        by :func:`~repro.mpi.collectives.replay`.  It stands for one or
+        (``all*``) two trees of ``size - 1`` messages, and consumes as many
+        collective tags and counts as many messages."""
+        rounds = 2 if name.startswith("all") else 1
+        self._coll_seq += rounds
+        link = self._cluster.machine, self._cluster.checksums, self._group
+
+        def complete(clocks: list[float], payloads: list[Any]) -> tuple[list[float], Any]:
+            return collectives.replay(name, link, root, clocks, payloads, op)
+
+        messages = rounds * (len(self._group) - 1)
+        return self._cluster.collective(self, name, payload, complete, messages=messages)
+
     def barrier(self) -> None:
         """Synchronize all ranks; clocks jump to the common release time."""
-        key = (self._comm_id, "barrier")
-        self._cluster.barrier(self._world_rank, self._group, key)
+        self._cluster.collective(self, "barrier", 0, self._release, barriers=1)
 
     Barrier = barrier  # mpi4py spelling
+
+    def _release(self, clocks: list[float], payloads: list[Any]) -> tuple[list[float], None]:
+        release = max(clocks) + self._cluster.machine.barrier_time(len(clocks))
+        return [release] * len(clocks), None
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root`` to everyone (binomial tree)."""
         self._check_peer(root)
+        if self._cluster._collective_trees:
+            return self._tree_bcast(obj, root)
+        return self._replayed("bcast", obj if self._rank == root else None, root)
+
+    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
+        """Gather one object per rank at ``root`` (rank order)."""
+        self._check_peer(root)
+        return self._gather(obj, root, "gather")
+
+    def _gather(self, obj: Any, root: int, name: str) -> list[Any] | None:
+        if self._cluster._collective_trees:
+            return self._tree_gather(obj, root)
+        gathered = self._replayed(name, obj, root)
+        return gathered if self._rank == root else None
+
+    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
+        """Scatter ``objs[i]`` to rank ``i`` from ``root``."""
+        self._check_peer(root)
+        if self._rank == root and (objs is None or len(objs) != self.size):
+            raise ValueError(f"scatter needs exactly {self.size} items at the root")
+        if self._cluster._collective_trees:
+            return self._tree_scatter(objs, root)
+        return self._replayed("scatter", objs if self._rank == root else None, root)[self._rank]
+
+    def allgather(self, obj: Any) -> list[Any]:
+        """Gather at rank 0 then broadcast the assembled list."""
+        if self._cluster._collective_trees:
+            return self._tree_bcast(self._tree_gather(obj, 0), 0)
+        return self._replayed("allgather", obj)
+
+    def reduce(
+        self,
+        obj: Any,
+        op: Callable[[Any, Any], Any] | None = None,
+        root: int = 0,
+    ) -> Any | None:
+        """Reduce values to ``root`` with ``op`` (default: addition).
+
+        The combine order is fixed (ascending rank), so non-commutative
+        operators behave deterministically.
+        """
+        self._check_peer(root)
+        gathered = self._gather(obj, root, "reduce")
+        return None if gathered is None else collectives.fold(gathered, op)
+
+    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
+        """Reduce to rank 0 then broadcast the result to all ranks.
+
+        Every member folds the same values in the same ascending order, so
+        ``op`` must be the same on every rank (as MPI requires).
+        """
+        if self._cluster._collective_trees:
+            return self._tree_bcast(self.reduce(obj, op=op, root=0), 0)
+        return self._replayed("allreduce", obj, op=op)
+
+    # The point-to-point trees the replays transcribe; fault-armed runs keep
+    # them, because fault draws are made message by message.
+
+    def _tree_bcast(self, obj: Any, root: int) -> Any:
         tag = self._next_coll_tag()
         size = self.size
         vrank = (self._rank - root) % size
@@ -455,9 +543,7 @@ class Communicator:
         self.neighbor_send(children, tag)
         return value
 
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Gather one object per rank at ``root`` (rank order)."""
-        self._check_peer(root)
+    def _tree_gather(self, obj: Any, root: int) -> list[Any] | None:
         tag = self._next_coll_tag()
         if self._rank != root:
             self.isend(obj, root, tag=tag)
@@ -466,58 +552,12 @@ class Communicator:
         out.insert(root, obj)
         return out
 
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``objs[i]`` to rank ``i`` from ``root``."""
-        self._check_peer(root)
+    def _tree_scatter(self, objs: Sequence[Any] | None, root: int) -> Any:
         tag = self._next_coll_tag()
         if self._rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(f"scatter needs exactly {self.size} items at the root")
             self.neighbor_send([(r, objs[r], None) for r in self._peers(root)], tag)
             return objs[root]
         return self.recv(source=root, tag=tag)
-
-    def allgather(self, obj: Any) -> list[Any]:
-        """Gather at rank 0 then broadcast the assembled list."""
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
-    def reduce(
-        self,
-        obj: Any,
-        op: Callable[[Any, Any], Any] | None = None,
-        root: int = 0,
-    ) -> Any | None:
-        """Reduce values to ``root`` with ``op`` (default: addition).
-
-        The combine order is fixed (ascending rank), so non-commutative
-        operators behave deterministically.
-        """
-        self._check_peer(root)
-        combine = op if op is not None else (lambda a, b: a + b)
-        gathered = self.gather(obj, root=root)
-        if self._rank != root:
-            return None
-        assert gathered is not None
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = combine(acc, item)
-        return acc
-
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Reduce then broadcast the result to all ranks.
-
-        Integer sums on the world communicator take the process backend's
-        shared-memory fast path when available (bit-identical clocks and
-        result, no pipe traffic); every other case runs the gather+bcast
-        trees above.
-        """
-        if op is None:
-            fast = self._cluster.shm_allreduce(self, obj)
-            if fast is not None:
-                return fast[0]
-        result = self.reduce(obj, op=op, root=0)
-        return self.bcast(result, root=0)
 
     def scan(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """Inclusive prefix reduction: rank i receives ``op`` over ranks 0..i.
@@ -556,12 +596,7 @@ class Communicator:
         receives the reduction of everyone's ``objs[i]``."""
         if len(objs) != self.size:
             raise ValueError(f"reduce_scatter needs exactly {self.size} items")
-        combine = op if op is not None else (lambda a, b: a + b)
-        incoming = self.alltoall(list(objs))
-        acc = incoming[0]
-        for item in incoming[1:]:
-            acc = combine(acc, item)
-        return acc
+        return collectives.fold(self.alltoall(list(objs)), op)
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalized all-to-all: rank i receives ``objs[i]`` of each peer."""

@@ -31,9 +31,11 @@ def blocked_recv_text(rank: int, source: int, tag: int) -> str:
     return f"deadlock: rank {rank} waiting on (source={source}, tag={tag}) with all ranks blocked"
 
 
-def blocked_barrier_text(rank: int) -> str:
-    """The :class:`DeadlockError` text of a rank stuck in a barrier."""
-    return f"deadlock: rank {rank} stuck in barrier"
+def blocked_collective_text(rank: int, name: str) -> str:
+    """The :class:`DeadlockError` text of a group stuck in collective
+    ``name`` (a barrier included); ``rank`` is the lowest member that
+    entered it, so every backend and schedule names the same one."""
+    return f"deadlock: rank {rank} stuck in {name}"
 
 
 class CommAbortedError(MPIError):

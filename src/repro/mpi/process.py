@@ -17,11 +17,12 @@ Data plane (private stores, halo values by message)
     it); any other payload is pickled through the pipe.
 
 Control plane (one duplex pipe per worker, parent = deterministic arbiter)
-    Message-queue mutations, barriers, quarantine, and abort flow through
-    the parent :class:`_Broker`, which owns the *authoritative* mailboxes
-    and barrier states and replays exactly the same logic as
+    Message-queue mutations, collective rendezvous, quarantine, and abort
+    flow through the parent :class:`_Broker`, which owns the
+    *authoritative* mailboxes and rendezvous states and replays exactly the
+    same logic as
     :meth:`SimCluster.deliver_all <repro.mpi.runtime.SimCluster.deliver_all>`
-    / :meth:`~repro.mpi.runtime.SimCluster.barrier`.  Virtual clocks and
+    / :meth:`~repro.mpi.runtime.SimCluster.collective`.  Virtual clocks and
     fault-decision PRNG streams are strictly per-rank, so each worker
     advances its own locally and ships the final values home in its
     ``finish`` record; the broker merges clocks, fault counters, and rank
@@ -35,15 +36,16 @@ Determinism argument (why results are bit-identical to ``event``):
   scheduling;
 * wildcard receives match on ``(arrival_time, src)`` (virtual time), so
   the order in which the broker happens to file deliveries is irrelevant;
-* barrier release clocks are ``max`` over entry clocks -- order-free;
+* a collective's exit clocks are a pure replay over every member's
+  published entry clock and payload -- order-free;
 * a worker's pipe is FIFO and a *parked* worker is blocked in
   ``conn.recv()``: once every unfinished rank is parked there can be no
   in-flight delivery anywhere, which makes the broker's deadlock
   detection exact, like the event backend's empty-run-queue test.  The
   victim choice mirrors it too: the rank whose receive park completed
   the deadlock (case A), or the lowest-indexed unfinished rank when a
-  finishing rank strands the rest (case B) -- and also when a *barrier*
-  park completes it, because which member of a barrier parks last is a
+  finishing rank strands the rest (case B) -- and also when a
+  *collective* park completes it, because which member parks last is a
   host race here, not a property of the program.
 
 Known, documented divergence: an abort cannot interrupt a send-only rank
@@ -76,7 +78,6 @@ from .errors import (
     CommAbortedError,
     DeadlockError,
     UnsupportedBackendError,
-    blocked_barrier_text,
     blocked_recv_text,
 )
 from .message import Message
@@ -109,7 +110,7 @@ class _WorkerTransport:
     ``cluster._worker``; the runtime's transport entry points branch to it).
 
     Protocol: ``deliver``/``abort``/``segment``/``finish`` are
-    fire-and-forget; ``take``/``sources``/``recv``/``barrier``/
+    fire-and-forget; ``take``/``sources``/``recv``/``collective``/
     ``quarantine`` are strict request/reply (``("ok", value)`` or
     ``("err", exc)``), so after sending a request the next object on the
     pipe is always its reply.
@@ -215,8 +216,11 @@ class _WorkerTransport:
         msg = self._request(("recv", source, tag, comm_id, consume))
         return self._resolve(msg, consume)
 
-    def barrier(self, group: tuple[int, ...], comm_id: Any, clock: float) -> float:
-        return self._request(("barrier", group, comm_id, clock))
+    def collective(self, *args: Any) -> tuple[list[float], list[Any]]:
+        """Join a rendezvous in the broker (``args``: see
+        ``_Broker._collective``); every member's published ``(clocks,
+        payloads)``, local-rank order."""
+        return self._request(("collective", *args))
 
     def shm_wait(self, gen: int, describe: str) -> None:
         """Park in the broker until shm rendezvous ``gen`` is released."""
@@ -303,7 +307,7 @@ def _worker_main(
 
 
 class _Parked:
-    """One worker blocked in the broker (recv, barrier, or shm rendezvous)."""
+    """One worker blocked in the broker (recv, collective, or shm rendezvous)."""
 
     __slots__ = ("rank", "kind", "source", "tag", "comm_id", "consume", "key", "text")
 
@@ -319,11 +323,11 @@ class _Parked:
 
     def describe(self) -> str:
         if self.kind == "shmwait":
-            # The worker supplies the message (a shm barrier park must read
-            # byte-identically to a pipe barrier park).
+            # The worker supplies the message (a shm park must read
+            # byte-identically to a broker collective park).
             return self.text
-        if self.kind == "barrier":
-            return blocked_barrier_text(self.rank)
+        if self.kind == "collective":
+            return self.key.describe()  # the _Rendezvous it waits in
         if self.kind == "flush":  # pragma: no cover - provably transient
             return f"deadlock: rank {self.rank} awaiting deliver flush"
         return blocked_recv_text(self.rank, self.source, self.tag)
@@ -335,7 +339,7 @@ class _Broker:
     Single-threaded event loop over the worker pipes; every handler is a
     transcription of the corresponding ``SimCluster`` method with
     ``backend.wait`` replaced by parking the requesting worker (the
-    barrier arithmetic itself is shared: ``_BarrierState.arrive``).
+    rendezvous itself is shared: ``_Rendezvous``).
     """
 
     def __init__(
@@ -395,8 +399,8 @@ class _Broker:
             self._reply(rank, self._mailbox(rank).sources_with(comm_id, tag))
         elif kind == "recv":
             self._recv(rank, *req[1:])
-        elif kind == "barrier":
-            self._barrier(rank, *req[1:])
+        elif kind == "collective":
+            self._collective(rank, *req[1:])
         elif kind == "shmwait":
             self._shm_wait(rank, *req[1:])
         elif kind == "shmrelease":
@@ -475,31 +479,32 @@ class _Broker:
         )
         self._maybe_deadlock(victim=rank)
 
-    def _barrier(
-        self, rank: int, group: tuple[int, ...], comm_id: Any, clock: float
+    def _collective(
+        self, rank: int, group: tuple[int, ...], comm_id: Any, name: str, clock: float,
+        payload: Any, messages: int = 0, barriers: int = 0,
     ) -> None:
-        from .runtime import _BarrierState
+        from .runtime import _Rendezvous
 
         cluster = self._cluster
         if cluster._aborted:
             self._reply_err(rank, CommAbortedError(self._abort_reason()))
             return
         key = (comm_id, group)
-        bar = cluster._barriers.setdefault(key, _BarrierState())
-        release = bar.arrive(clock, len(group), cluster.machine)
-        if release is not None:
-            cluster.barriers += 1
-            for member in group:
-                parked = self._parked.get(member)
-                if parked is not None and parked.kind == "barrier" and parked.key == key:
-                    del self._parked[member]
-                    self._reply(member, release)
-            self._reply(rank, release)
-        else:
-            self._parked[rank] = _Parked(rank, "barrier", key=key)
+        rv = cluster._rendezvous.get(key)
+        if rv is None:
+            rv = cluster._rendezvous[key] = _Rendezvous(group)
+        if not rv.arrive(group.index(rank), name, clock, payload):
+            self._parked[rank] = _Parked(rank, "collective", key=rv)
             # Which member parks last is a host race: name the lowest
             # blocked rank instead, so the report repeats.
             self._maybe_deadlock(victim=None)
+            return
+        published = rv.close()
+        cluster.messages_delivered += messages
+        cluster.barriers += barriers
+        for member in group:  # every other member is parked in rv
+            self._parked.pop(member, None)
+            self._reply(member, published)
 
     def _shm_wait(self, rank: int, gen: int, describe: str) -> None:
         """A worker gave up spinning on shm rendezvous ``gen``: park it.
@@ -514,7 +519,7 @@ class _Broker:
             self._reply(rank, None)
             return
         self._parked[rank] = _Parked(rank, "shmwait", key=gen, text=describe)
-        self._maybe_deadlock(victim=None)  # as in _barrier
+        self._maybe_deadlock(victim=None)  # as in _collective
 
     def _flush(self, rank: int, watermark: int) -> None:
         """Reply once ``watermark`` delivers have been processed.
@@ -697,10 +702,10 @@ class ProcessScheduler(SchedulerBackend):
         broker = None
         shm_block = None
         cluster = self._cluster
-        if cluster.shm_collectives and nprocs > 1:
+        if cluster.shm_collectives and nprocs > 1 and cluster.faults is None:
             # Created before forking so every worker inherits the mapping
             # and the lock; installed on the cluster so the runtime's
-            # barrier/allreduce fast paths find it inside the workers.
+            # world-collective fast path finds it inside the workers.
             shm_block = CollectiveBlock(f"{prefix}-coll", nprocs, ctx)
             cluster._shm_coll = shm_block
         try:

@@ -47,13 +47,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .communicator import Communicator
-from .errors import CommAbortedError, blocked_barrier_text, blocked_recv_text
+from .errors import CommAbortedError, blocked_collective_text, blocked_recv_text
 from .faults import FaultPlan, FaultState
 from .message import ANY_SOURCE, ANY_TAG, Mailbox, Message
 from .scheduler import make_scheduler
-from .timing import ORIGIN2000, MachineModel, estimate_nbytes
+from .timing import ORIGIN2000, MachineModel
 
 __all__ = ["RankState", "SimCluster", "run_mpi"]
+
+#: Bound of the int payloads the shared-memory block carries inline; the
+#: value itself marks a member whose payload must take the pipe.
+_NOT_INLINE = 2**62
 
 
 @dataclass
@@ -71,37 +75,47 @@ class RankState:
     awaiting: set[tuple[Any, int, int]] | None = None
 
 
-class _BarrierState:
-    """Rendezvous bookkeeping for one ``(comm_id, group)`` barrier.
+class _Rendezvous:
+    """One group's collective rendezvous, run by ``SimCluster.collective``
+    and the process broker alike: every member publishes its entry clock
+    and payload, and the last to arrive closes the generation.  Keyed by
+    ``(comm_id, group)``, so sub-communicators sharing a channel id never
+    count each other's arrivals."""
 
-    Keyed by the *group* as well as the channel id: two sub-communicators
-    that happen to share a channel id (hand-built communicators, or
-    disjoint groups on a reused id) must never count each other's arrivals
-    or cross-release.
-    """
+    __slots__ = ("group", "name", "arrived", "clocks", "payloads", "generation", "outcome")
 
-    __slots__ = ("count", "generation", "max_clock", "release_clock")
-
-    def __init__(self) -> None:
-        self.count = 0
+    def __init__(self, group: tuple[int, ...]) -> None:
+        self.group = group
         self.generation = 0
-        self.max_clock = 0.0
-        self.release_clock = 0.0
+        self.outcome: Any = None  # what the last generation's members take home
+        self._open()
 
-    def arrive(self, clock: float, size: int, machine: MachineModel) -> float | None:
-        """One member enters at ``clock``.  The last of ``size`` completes
-        the rendezvous -- next generation, release clock ``max(entry clocks)
-        + barrier_time(size)`` -- and gets that clock back; the others get
-        ``None`` and wait for the generation to move."""
-        self.max_clock = max(self.max_clock, clock)
-        self.count += 1
-        if self.count < size:
-            return None
-        self.release_clock = self.max_clock + machine.barrier_time(size)
-        self.count = 0
-        self.max_clock = 0.0
+    def _open(self) -> None:
+        n = len(self.group)
+        self.name = ""
+        self.arrived: list[int] = []
+        self.clocks = [0.0] * n
+        self.payloads: list[Any] = [None] * n
+
+    def arrive(self, local: int, name: str, clock: float, payload: Any) -> bool:
+        """Member ``local`` enters collective ``name``; True when it is the
+        last, i.e. the generation is ready to :meth:`close`."""
+        self.name = name
+        self.arrived.append(local)
+        self.clocks[local] = clock
+        self.payloads[local] = payload
+        return len(self.arrived) == len(self.group)
+
+    def close(self) -> tuple[list[float], list[Any]]:
+        """The published ``(clocks, payloads)``, local-rank order; the next
+        generation starts on fresh lists."""
+        published = self.clocks, self.payloads
         self.generation += 1
-        return self.release_clock
+        self._open()
+        return published
+
+    def describe(self) -> str:
+        return blocked_collective_text(self.group[min(self.arrived)], self.name)
 
 
 class SimCluster:
@@ -117,7 +131,7 @@ class SimCluster:
         schedule_seed: Test hook (event backend only): fuzz the host
             schedule.  Every baton hand-off goes to a seeded draw from the
             runnable ranks, and at every transport entry point --
-            ``deliver_all``, the two receive waits, ``barrier`` -- the running
+            ``deliver_all``, the two receive waits, ``collective`` -- the running
             rank yields on a seeded coin.  Virtual time must not notice;
             the schedule-fuzzing suites run seeds 0-9 to prove it, and a
             failing seed replays alone.  ``None`` is the FIFO schedule.
@@ -126,10 +140,10 @@ class SimCluster:
             and payload corruption injected by a
             :class:`~repro.mpi.faults.MessageFlipSpec` is absorbed by a
             priced NACK + retransmit path instead of escaping silently.
-        shm_collectives: On the ``"process"`` backend, arbitrate world
-            barriers and integer-sum allreduces through a shared-memory
-            rendezvous block instead of the per-worker command pipe
-            (cutting two pipe round-trips per platform superstep);
+        shm_collectives: On the ``"process"`` backend without a fault
+            plan, rendezvous world-communicator collectives in a shared-memory
+            block instead of the parent broker: a barrier, or a collective
+            whose payloads are all small ints, then costs no pipe traffic;
             virtual-time results are identical either way.  Ignored by
             the in-thread backend.
         scheduler: Execution backend: ``"event"`` (cooperative, precise
@@ -160,6 +174,10 @@ class SimCluster:
         self.fault_state: FaultState | None = (
             FaultState(faults, nprocs) if faults is not None else None
         )
+        # Collectives run as their point-to-point trees, message by message,
+        # when fault draws must be made per message; otherwise as one
+        # rendezvous each (see Communicator).  Tests set it to reach the trees.
+        self._collective_trees = faults is not None
         self.scheduler = scheduler or "event"
         self._backend = make_scheduler(self.scheduler, self, schedule_seed)
         # The seeded yield every in-thread transport entry point takes
@@ -168,7 +186,7 @@ class SimCluster:
             self._backend.preempt if schedule_seed is not None else None
         )
         self._ranks = [RankState(r) for r in range(nprocs)]
-        self._barriers: dict[Any, _BarrierState] = {}
+        self._rendezvous: dict[Any, _Rendezvous] = {}
         #: Point-to-point messages accepted into a mailbox this run (host
         #: observability for the delta-exchange benchmark; quarantined and
         #: dropped messages never count).
@@ -241,7 +259,7 @@ class SimCluster:
             state.result = None
             state.error = None
             state.awaiting = None
-        self._barriers.clear()
+        self._rendezvous.clear()
         self.messages_delivered = 0
         self.barriers = 0
         self.pipe_requests = 0
@@ -476,172 +494,73 @@ class SimCluster:
             raise CommAbortedError(self._abort_reason or "cluster aborted")
 
     # ------------------------------------------------------------------ #
-    # Barrier (native, for efficiency and exact max-clock semantics)
+    # Collectives: one rendezvous per call (called by Communicator)
     # ------------------------------------------------------------------ #
 
-    def barrier(self, rank: int, group: tuple[int, ...], comm_id: Any) -> float:
-        """Synchronize ``group``; returns the common release clock.
+    def collective(
+        self, comm: Communicator, name: str, payload: Any,
+        complete: Callable[[list[float], list[Any]], tuple[list[float], Any]],
+        messages: int = 0, barriers: int = 0,
+    ) -> Any:
+        """Run collective ``name`` over ``comm``'s group as one rendezvous.
 
-        All participants' clocks are advanced to
-        ``max(entry clocks) + barrier_time(len(group))``.  The last rank to
-        arrive releases exactly the ``group`` members -- a precise wakeup.
+        Every member publishes its clock and ``payload``; ``complete(clocks,
+        payloads)`` (both in local-rank order) maps them to every member's
+        exit clock and the result, which this rank takes home.  The
+        rendezvous counts the ``messages`` and ``barriers`` the operation
+        models, and the last rank to arrive releases exactly the group.
         """
+        rank, local, group = comm._world_rank, comm._rank, comm._group
+        state = self._ranks[rank]
         if self._worker is not None:
-            state = self._ranks[rank]
+            clocks, result = complete(*self._exchange(comm, name, payload, messages, barriers))
+        else:
+            if self._preempt is not None:
+                self._preempt()
             self._check_abort()
-            block = self._shm_coll
-            if (
-                block is not None
-                and comm_id == (0, "barrier")
-                and group == self._world_group
-                and self.fault_state is None
-            ):
-                # Shared-memory rendezvous: publish the entry clock, wait
-                # for the generation to flip, and derive the release clock
-                # locally from the published clocks -- identical to the
-                # broker's max+barrier_time, without the pipe round-trip.
-                clocks, _ = block.exchange(
-                    rank,
-                    state.clock,
-                    0,
-                    self._worker,
-                    describe=blocked_barrier_text(rank),
-                    barriers=1,
-                    messages=0,
+            key = (comm._comm_id, group)
+            rv = self._rendezvous.get(key)
+            if rv is None:
+                rv = self._rendezvous[key] = _Rendezvous(group)
+            generation = rv.generation
+            if rv.arrive(local, name, state.clock, payload):
+                rv.outcome = complete(*rv.close())
+                self.messages_delivered += messages
+                self.barriers += barriers
+                self._backend.notify(group)
+            else:
+                self._backend.wait(
+                    rank, lambda: True if rv.generation != generation else None, rv.describe
                 )
-                release = max(clocks) + self.machine.barrier_time(len(group))
-                state.clock = max(state.clock, release)
-                return release
-            release = self._worker.barrier(group, comm_id, state.clock)
-            state.clock = max(state.clock, release)
-            return release
-        if self._preempt is not None:
-            self._preempt()
-        state = self._ranks[rank]
+            clocks, result = rv.outcome
+        state.clock = clocks[local]
+        return result
+
+    def _exchange(
+        self, comm: Communicator, name: str, payload: Any, messages: int, barriers: int
+    ) -> tuple[list[float], list[Any]]:
+        """A worker's side of :meth:`collective`: every member's published
+        ``(clocks, payloads)``.  On the world communicator of a fault-free
+        run the shared-memory block carries the clocks, and the payloads
+        too when all are small ints (a barrier's are 0); the broker's
+        ``collective`` verb carries the rest.  Every member takes one path."""
         self._check_abort()
-        bar = self._barriers.setdefault((comm_id, group), _BarrierState())
-        my_generation = bar.generation
-        if bar.arrive(state.clock, len(group), self.machine) is not None:
-            self.barriers += 1
-            self._backend.notify(group)
-        else:
-            self._backend.wait(
-                rank,
-                lambda: True if bar.generation != my_generation else None,
-                lambda: blocked_barrier_text(rank),
-            )
-        release = bar.release_clock
-        state.clock = max(state.clock, release)
-        return release
-
-    def shm_allreduce(self, comm: Any, value: Any) -> tuple[int] | None:
-        """World-communicator integer-sum allreduce over shared memory.
-
-        The process-backend fast path: every rank publishes its (clock,
-        value) pair into the collective block, the rendezvous completes,
-        and each rank *replays* the pipe implementation's exact charge
-        sequence (gather-to-root-0 + binomial bcast) locally over the
-        published clocks -- bit-identical virtual time, zero pipe traffic.
-
-        Returns ``(total,)`` (wrapped so a legitimate 0 survives the
-        caller's None test), or ``None`` whenever the fast path does not
-        apply: the in-thread backend, sub-communicators, non-int payloads, or
-        an armed fault plan (fault draws live in per-rank PRNG streams the
-        replay cannot consult).
-        """
+        rank, group = comm._world_rank, comm._group
+        clock = self._ranks[rank].clock
         block = self._shm_coll
-        if (
-            block is None
-            or self._worker is None
-            or comm._comm_id != 0
-            or comm._group != self._world_group
-            or self.fault_state is not None
-            or type(value) is not int
-            or not -(2**62) < value < 2**62
-        ):
-            return None
-        self._check_abort()
-        rank = comm._world_rank
-        state = self._ranks[rank]
-        n = len(self._world_group)
-        clocks, values = block.exchange(
-            rank,
-            state.clock,
-            value,
-            self._worker,
-            describe=f"deadlock: rank {rank} stuck in allreduce",
-            barriers=0,
-            messages=2 * (n - 1),
+        if block is not None and comm._comm_id == 0 and group == self._world_group:
+            inline = type(payload) is int and -_NOT_INLINE < payload < _NOT_INLINE
+            clocks, values = block.exchange(
+                rank, clock, payload if inline else _NOT_INLINE, self._worker,
+                blocked_collective_text(rank, name), barriers, messages,
+            )
+            if _NOT_INLINE not in values:
+                return clocks, values
+            # Clocks and counts are in; only the payloads still need moving.
+            return clocks, self._worker.collective(group, comm._comm_id, name, 0.0, payload)[1]
+        return self._worker.collective(
+            group, comm._comm_id, name, clock, payload, messages, barriers
         )
-        new_clocks, total = _replay_world_allreduce(
-            self.machine, self.checksums, clocks, values
-        )
-        state.clock = new_clocks[rank]
-        # The pipe path consumes two collective tags (reduce + bcast);
-        # stay in lockstep so later collectives match across backends.
-        comm._coll_seq += 2
-        return (total,)
-
-
-def _replay_world_allreduce(
-    machine: MachineModel,
-    checksums: bool,
-    clocks: Sequence[float],
-    values: Sequence[int],
-) -> tuple[list[float], int]:
-    """Charge-exact replay of ``allreduce`` on the world communicator.
-
-    Transcribes :meth:`Communicator.reduce` (gather to root 0: non-roots
-    isend, root receives ranks 1..n-1 in source order, combine ascending)
-    followed by :meth:`Communicator.bcast` (binomial tree from root 0,
-    children messaged in decreasing-mask order), with the world-rank
-    identity mapping (local rank == world rank).  Returns the post-call
-    clock of every rank plus the summed total.
-    """
-    n = len(clocks)
-    c = list(clocks)
-    sizes = [estimate_nbytes(v) for v in values]
-    arrival = [0.0] * n
-    # reduce: gather to root 0 (eager isends, then ordered receives).
-    for r in range(1, n):
-        c[r] += machine.sender_cpu(sizes[r])
-        if checksums:
-            c[r] += machine.checksum_time(sizes[r])
-        arrival[r] = c[r] + machine.transfer_time_between(sizes[r], r, 0)
-    for r in range(1, n):
-        if arrival[r] > c[0]:
-            c[0] = arrival[r]
-        if checksums:
-            c[0] += machine.checksum_time(sizes[r])
-        c[0] += machine.receiver_cpu(sizes[r])
-    total = values[0]
-    for r in range(1, n):
-        total = total + values[r]
-    # bcast from root 0: ascending vrank order is a valid execution order
-    # because every parent index is smaller than its children's.
-    bsize = estimate_nbytes(total)
-    for v in range(n):
-        if v == 0:
-            lowbit = 1
-            while lowbit < n:
-                lowbit <<= 1
-        else:
-            lowbit = v & -v
-            if arrival[v] > c[v]:
-                c[v] = arrival[v]
-            if checksums:
-                c[v] += machine.checksum_time(bsize)
-            c[v] += machine.receiver_cpu(bsize)
-        mask = lowbit >> 1
-        while mask >= 1:
-            child = v + mask
-            if child < n:
-                c[v] += machine.sender_cpu(bsize)
-                if checksums:
-                    c[v] += machine.checksum_time(bsize)
-                arrival[child] = c[v] + machine.transfer_time_between(bsize, v, child)
-            mask >>= 1
-    return c, total
 
 
 def run_mpi(

@@ -350,14 +350,14 @@ _COLL_PARK_AFTER = 0.05
 
 
 class CollectiveBlock:
-    """Sense-reversing rendezvous for world-communicator collectives.
+    """Sense-reversing rendezvous for fault-free world-communicator collectives.
 
     One segment shared by every worker: a header of atomic-enough int64
     counters (all mutated under one fork-inherited lock) plus
     double-buffered per-rank ``(clock, value, parked)`` arrays indexed by
     generation parity.  Each rank's Nth call joins the Nth rendezvous;
     SPMD programs hit collectives in one global order, so a single
-    generation stream serves barriers and allreduces alike.
+    generation stream serves every collective alike.
 
     Arrival publishes the caller's clock and payload under the lock; the
     last arriver bumps the shared generation (the sense flip), folds the

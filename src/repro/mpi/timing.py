@@ -10,8 +10,8 @@ decide how much virtual time each operation costs:
 * message transfers follow the classic alpha-beta (latency + size/bandwidth)
   model, plus small per-message CPU overheads on the sender and receiver
   (the "communication overhead" the thesis measures in section 5.4),
-* collectives are built from point-to-point messages, so their cost emerges
-  from the same model.
+* collectives cost what their trees of point-to-point messages cost under
+  the same model (:mod:`repro.mpi.collectives` replays those charges).
 
 ``ORIGIN2000`` is calibrated so that single-processor runtimes match the
 paper's tables (those are pure ``grain x nodes x iterations``) and so that

@@ -307,9 +307,12 @@ def _programs(case):
     return on_reference(lambda comm: run(comm, loop)), (lambda comm: run(comm, pair))
 
 
-def _outcome(program, nprocs, **cluster_args):
-    """Everything observable about one run (or the error that ended it)."""
+def _outcome(program, nprocs, trees=False, **cluster_args):
+    """Everything observable about one run (or the error that ended it);
+    ``trees`` runs the collectives as trees even without a fault plan."""
     cluster = SimCluster(nprocs, **cluster_args)
+    if trees:
+        cluster._collective_trees = True
     try:
         results = cluster.run(program)
     except Exception as exc:  # noqa: BLE001 - compared, not handled
@@ -367,8 +370,8 @@ class TestDifferential:
     )
     @settings(max_examples=30, deadline=None)
     def test_collective_trees_match_their_loops(self, nprocs, root, sizes):
-        """The collectives ride the pair; on the reference communicator the
-        same trees run on the per-message loop."""
+        """The collectives' rendezvous replays the trees the reference
+        communicator runs on the per-message loop."""
         root %= nprocs
 
         def program(comm):
@@ -383,7 +386,7 @@ class TestDifferential:
             return out, comm.Wtime().hex()
 
         native = _outcome(program, nprocs, scheduler="event")
-        assert native == _outcome(on_reference(program), nprocs, scheduler="event")
+        assert native == _outcome(on_reference(program), nprocs, trees=True, scheduler="event")
 
 
 def _deadlock_text(program, nprocs):

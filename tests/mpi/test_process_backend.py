@@ -302,16 +302,16 @@ class TestShmCollectives:
 
     def test_pipe_traffic_reduced(self):
         """The whole point: arbitration moves off the command pipe.  Every
-        barrier saves one round-trip per rank and every allreduce the
-        2(n-1) gather+bcast hops, so the broker handles strictly fewer
-        requests with the block enabled."""
+        barrier and every int allreduce saves each rank its one broker
+        round trip, so the broker handles strictly fewer requests with the
+        block enabled."""
         _, shm_on = self._run("process", True)
         _, shm_off = self._run("process", False)
         assert shm_on.pipe_requests < shm_off.pipe_requests
-        # 8 supersteps x 4 ranks x (1 barrier + 1 allreduce>=2 requests)
-        # all leave the pipe; flush syncs add back at most 1 per rank per
-        # rendezvous.
-        assert shm_off.pipe_requests - shm_on.pipe_requests > 32
+        # 8 supersteps x 4 ranks x (1 barrier + 1 allreduce) leave the
+        # pipe; flush syncs add back at most 1 per rank per superstep (the
+        # probe after the barrier).
+        assert shm_off.pipe_requests - shm_on.pipe_requests >= 64 - 32
         _assert_no_leaked_segments()
 
     def test_send_visible_after_shm_barrier(self):
@@ -356,8 +356,8 @@ class TestShmCollectives:
         _assert_no_leaked_segments()
 
     def test_float_allreduce_stays_on_pipe(self):
-        """Only int payloads replay exactly through the block; float
-        votes fall back to the pipe path and still conform."""
+        """Only int payloads ride in the block; a float vote moves its
+        payloads through the broker's collective verb and still conforms."""
 
         def prog(comm):
             comm.barrier()
