@@ -4,8 +4,9 @@
 "We will also explore extending it to applications that use the BSP model
 [HMS98], as this model essentially divides the computation from
 communication phases as iC2mpi does."  This example runs Pregel-style
-PageRank on the BSP layer built over the same simulated MPI substrate and
-the same partitioner plug-ins the platform uses.
+PageRank as a vertex program, which executes as an ordinary node function
+on the platform (sparse activation, quiescence termination) over the same
+partitioner plug-ins.
 
 Run:  python examples/bsp_pagerank.py
 """
@@ -67,7 +68,9 @@ def main() -> None:
         else:
             drift = max(abs(values[g] - reference[g]) for g in graph.nodes())
             print(f"  max drift vs sequential run: {drift:.2e}")
-            assert drift < 1e-12
+            # Inboxes arrive in adjacency order whatever the partition, so
+            # every rank's float sums are the sequential run's.
+            assert drift == 0.0
 
     # Sanity: high-degree hubs rank highest on a preferential-attachment graph.
     hub = max(graph.nodes(), key=graph.degree)

@@ -1,7 +1,7 @@
 """The iC2mpi platform core: node stores, compute/communicate sweeps,
 dynamic load balancing, task migration, and the platform driver."""
 
-from .bsp import VertexContext, VertexProgram, run_bsp, run_vertex_program
+from .bsp import VertexContext, VertexProgram, run_vertex_program
 from .buffers import BUFFER_RECORD_TYPE, CommBuffers
 from .checkpoint import Checkpoint, CheckpointError, Checkpointer
 from .compute import (
@@ -106,7 +106,6 @@ __all__ = [
     "measured_node_weights",
     "redistribute_lost_nodes",
     "repartition_phase",
-    "run_bsp",
     "run_vertex_program",
     "load_balance_phase",
     "migrate_node",

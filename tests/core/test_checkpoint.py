@@ -19,6 +19,8 @@ from repro.graphs import HexGrid, hex32, hex64
 from repro.mpi import FaultPlan, IDEAL
 from repro.partitioning import MetisLikePartitioner
 
+from ..mpi.bsp_workload import run_bsp
+
 
 def make_store(graph, assignment, init_value, rank=0):
     return NodeStore(rank, graph, list(assignment), init_value)
@@ -348,7 +350,6 @@ class TestAcceptanceDeterminism:
 
 class TestBspCheckpointing:
     def test_bsp_crash_rollback_matches_clean_run(self):
-        from repro.core.bsp import run_bsp
         from repro.mpi import run_mpi
 
         def prog(comm):
@@ -364,7 +365,6 @@ class TestBspCheckpointing:
         assert crashed == clean
 
     def test_bsp_crash_before_first_checkpoint_uses_baseline(self):
-        from repro.core.bsp import run_bsp
         from repro.mpi import run_mpi
 
         def prog(comm):

@@ -49,6 +49,8 @@ from repro.mpi.shm import (
 )
 from repro.partitioning import MetisLikePartitioner
 
+from .bsp_workload import run_bsp
+
 BACKENDS = ("event", "process")
 
 
@@ -217,8 +219,6 @@ class TestProcessConformance:
                 out = [((c.rank + 1) % c.size, float(c.rank + superstep))]
                 c.work((c.rank + 1) * 1e-4)
                 return state + sum(inbox), out, superstep < 6
-
-            from repro.core.bsp import run_bsp
 
             final, steps = run_bsp(comm, step, 0.0, max_supersteps=10)
             return final, steps, comm.Wtime()

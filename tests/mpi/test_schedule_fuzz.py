@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from repro.apps.average import make_average_fn
 from repro.core import ICPlatform, PlatformConfig
-from repro.core.bsp import run_bsp
 from repro.graphs import hex32
 from repro.mpi import FaultPlan, IDEAL, run_mpi
 from repro.partitioning import MetisLikePartitioner
+
+from .bsp_workload import run_bsp
 
 #: Distinct host schedules to try per scenario (10 per the conformance
 #: spec): schedule seeds 0-9.

@@ -22,7 +22,6 @@ import pytest
 
 from repro.apps.average import make_average_fn
 from repro.core import ICPlatform, PlatformConfig
-from repro.core.bsp import run_bsp
 from repro.graphs import hex32
 from repro.mpi import (
     IDEAL,
@@ -37,6 +36,8 @@ from repro.mpi import (
 from repro.mpi.communicator import Communicator
 from repro.mpi.scheduler import SCHEDULERS
 from repro.partitioning import MetisLikePartitioner
+
+from .bsp_workload import run_bsp
 
 #: ``schedule_seed`` of the two host schedules every scenario must agree on.
 SCHEDULES = {"fifo": None, "seeded": 5}
