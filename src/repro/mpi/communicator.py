@@ -42,7 +42,7 @@ from .timing import estimate_nbytes
 __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 
 #: Tags at or above this value are reserved for internal collective traffic.
-_COLL_TAG_BASE = 1 << 30
+_COLLECTIVE_TAG_BASE = 1 << 30
 
 
 def _unscaled(rank: int, clock: float) -> float:
@@ -427,7 +427,7 @@ class Communicator:
     # ------------------------------------------------------------------ #
 
     def _next_coll_tag(self) -> int:
-        tag = _COLL_TAG_BASE + self._coll_seq
+        tag = _COLLECTIVE_TAG_BASE + self._coll_seq
         self._coll_seq += 1
         return tag
 

@@ -27,7 +27,12 @@ Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     advances its own locally and ships the final values home in its
     ``finish`` record; the broker merges clocks, fault counters, and rank
     results so :meth:`SimCluster.run` sees exactly what the in-thread
-    backend produces.
+    backend produces.  This is the only control plane: every rendezvous
+    -- world or sub-communicator, a barrier on any run and every other
+    collective on a fault-free one -- is one ``_Rendezvous`` in the
+    broker.  Because a worker's pipe is FIFO and
+    the broker handles it in order, every deliver a member sent before
+    entering a collective is filed before that collective is released.
 
 Determinism argument (why results are bit-identical to ``event``):
 
@@ -84,7 +89,6 @@ from .message import Message
 from .scheduler import SEED_NEEDS_EVENT, SchedulerBackend
 from .shm import (
     DEFAULT_RING_CAPACITY,
-    CollectiveBlock,
     RingRef,
     ShadowRing,
     ensure_tracker,
@@ -125,11 +129,6 @@ class _WorkerTransport:
         self.ring_capacity = ring_capacity
         self._out_rings: dict[int, ShadowRing] = {}  # dest world rank -> ring
         self._in_rings: dict[str, ShadowRing] = {}  # segment name -> ring
-        #: Fire-and-forget delivers piped so far (published at each shm
-        #: rendezvous so peers can sync the broker past them).
-        self.delivers_sent = 0
-        self._deliver_watermark = 0  # global delivers known complete
-        self._deliver_synced = 0  # watermark the broker last confirmed
 
     # ---------------------------- plumbing ----------------------------- #
 
@@ -179,35 +178,15 @@ class _WorkerTransport:
             ref = self._ring_to(msg.dest).try_put(msg.payload)
             if ref is not None:  # ring full -> fall back to pickling
                 msg = dataclasses.replace(msg, payload=ref)
-        self.delivers_sent += 1
         self._conn.send(("deliver", msg))
-
-    def note_deliver_watermark(self, total: int) -> None:
-        """A shm rendezvous proved ``total`` delivers precede this point.
-
-        The pipe barrier used to serialize every deliver before the
-        release reply; the shm path restores that ordering lazily -- the
-        next mailbox *query* first makes the broker confirm it has
-        processed ``total`` delivers.  Blocking receives need no sync
-        (the broker parks them until the message lands).
-        """
-        if total > self._deliver_watermark:
-            self._deliver_watermark = total
-
-    def _sync_delivers(self) -> None:
-        if self._deliver_watermark > self._deliver_synced:
-            self._request(("flush", self._deliver_watermark))
-            self._deliver_synced = self._deliver_watermark
 
     def take(
         self, source: int, tag: int, comm_id: Any, consume: bool
     ) -> Message | None:
-        self._sync_delivers()
         msg = self._request(("take", source, tag, comm_id, consume))
         return self._resolve(msg, consume)
 
     def sources(self, tag: int, comm_id: Any) -> list[int]:
-        self._sync_delivers()
         return self._request(("sources", tag, comm_id))
 
     def recv(
@@ -222,16 +201,7 @@ class _WorkerTransport:
         payloads)``, local-rank order."""
         return self._request(("collective", *args))
 
-    def shm_wait(self, gen: int, describe: str) -> None:
-        """Park in the broker until shm rendezvous ``gen`` is released."""
-        self._request(("shmwait", gen, describe))
-
-    def shm_release(self, gen: int) -> None:
-        """Fire-and-forget: rendezvous ``gen`` completed, unpark waiters."""
-        self._conn.send(("shmrelease", gen))
-
     def quarantine(self, dead_srcs: frozenset[int], comm_id: Any) -> int:
-        self._sync_delivers()
         return self._request(("quarantine", dead_srcs, comm_id))
 
     def abort(self, reason: str) -> None:
@@ -307,9 +277,9 @@ def _worker_main(
 
 
 class _Parked:
-    """One worker blocked in the broker (recv, collective, or shm rendezvous)."""
+    """One worker blocked in the broker (a receive or a collective)."""
 
-    __slots__ = ("rank", "kind", "source", "tag", "comm_id", "consume", "key", "text")
+    __slots__ = ("rank", "kind", "source", "tag", "comm_id", "consume", "key")
 
     def __init__(self, rank: int, kind: str, **fields: Any) -> None:
         self.rank = rank
@@ -319,17 +289,10 @@ class _Parked:
         self.comm_id = fields.get("comm_id")
         self.consume = fields.get("consume", True)
         self.key = fields.get("key")
-        self.text = fields.get("text")
 
     def describe(self) -> str:
-        if self.kind == "shmwait":
-            # The worker supplies the message (a shm park must read
-            # byte-identically to a broker collective park).
-            return self.text
         if self.kind == "collective":
             return self.key.describe()  # the _Rendezvous it waits in
-        if self.kind == "flush":  # pragma: no cover - provably transient
-            return f"deadlock: rank {self.rank} awaiting deliver flush"
         return blocked_recv_text(self.rank, self.source, self.tag)
 
 
@@ -347,33 +310,32 @@ class _Broker:
         cluster: "SimCluster",
         conns: list[Any],
         procs: list[Any],
-        shm_block: Any = None,
     ) -> None:
         self._cluster = cluster
         self._conns = conns
         self._procs = procs
-        self._shm_block = shm_block
-        self._shm_gen_done = -1
-        self._delivers_processed = 0
         self._parked: dict[int, _Parked] = {}
         self._unfinished = set(range(cluster.nprocs))
         self.segments: list[str] = []
         self._seen_segments: set[str] = set()
-        #: Worker->broker pipe messages handled (the traffic the
-        #: shared-memory collective path eliminates).
+        #: Worker->broker pipe messages handled (``cluster.pipe_requests``).
         self.requests = 0
 
     # ----------------------------- event loop -------------------------- #
 
     def loop(self) -> None:
+        """Service only the pipes and sentinels that woke the wait."""
+        by_conn = {conn: r for r, conn in enumerate(self._conns)}
+        by_sentinel = {proc.sentinel: r for r, proc in enumerate(self._procs)}
         while self._unfinished:
-            waitees: list[Any] = [self._conns[r] for r in sorted(self._unfinished)]
-            waitees += [self._procs[r].sentinel for r in sorted(self._unfinished)]
-            mp_connection.wait(waitees)
-            for r in sorted(self._unfinished):
+            live = sorted(self._unfinished)
+            ready = mp_connection.wait(
+                [self._conns[r] for r in live] + [self._procs[r].sentinel for r in live]
+            )
+            for r in sorted(by_conn[h] for h in ready if h in by_conn):
                 self._drain(r)
-            for r in sorted(self._unfinished):
-                if not self._procs[r].is_alive():
+            for r in sorted(by_sentinel[h] for h in ready if h in by_sentinel):
+                if r in self._unfinished and not self._procs[r].is_alive():
                     self._drain(r)  # a finish may have landed just before death
                     if r in self._unfinished:
                         self._worker_died(r)
@@ -401,12 +363,6 @@ class _Broker:
             self._recv(rank, *req[1:])
         elif kind == "collective":
             self._collective(rank, *req[1:])
-        elif kind == "shmwait":
-            self._shm_wait(rank, *req[1:])
-        elif kind == "shmrelease":
-            self._shm_release(req[1])
-        elif kind == "flush":
-            self._flush(rank, req[1])
         elif kind == "quarantine":
             self._quarantine(rank, *req[1:])
         elif kind == "abort":
@@ -440,11 +396,6 @@ class _Broker:
     # ----------------------------- transport --------------------------- #
 
     def _deliver(self, msg: Message) -> None:
-        # Dropped delivers (abort, quarantine) still count: the sender
-        # counted the pipe write, and flush watermarks track processing,
-        # not mailbox appends.
-        self._delivers_processed += 1
-        self._release_flushes()
         cluster = self._cluster
         if cluster._aborted:
             # The in-thread backend raises CommAbortedError in the sender;
@@ -481,7 +432,7 @@ class _Broker:
 
     def _collective(
         self, rank: int, group: tuple[int, ...], comm_id: Any, name: str, clock: float,
-        payload: Any, messages: int = 0, barriers: int = 0,
+        payload: Any, messages: int, barriers: int,
     ) -> None:
         from .runtime import _Rendezvous
 
@@ -505,56 +456,6 @@ class _Broker:
         for member in group:  # every other member is parked in rv
             self._parked.pop(member, None)
             self._reply(member, published)
-
-    def _shm_wait(self, rank: int, gen: int, describe: str) -> None:
-        """A worker gave up spinning on shm rendezvous ``gen``: park it.
-
-        The release may already have arrived (shmrelease and shmwait race
-        on different pipes); the generation watermark disambiguates.
-        """
-        if self._cluster._aborted:
-            self._reply_err(rank, CommAbortedError(self._abort_reason()))
-            return
-        if gen <= self._shm_gen_done:
-            self._reply(rank, None)
-            return
-        self._parked[rank] = _Parked(rank, "shmwait", key=gen, text=describe)
-        self._maybe_deadlock(victim=None)  # as in _collective
-
-    def _flush(self, rank: int, watermark: int) -> None:
-        """Reply once ``watermark`` delivers have been processed.
-
-        A shm rendezvous proved that many delivers were piped before every
-        rank passed it, so they are all in flight already: the park below
-        is always released by pipe traffic and can never join a deadlock
-        (any rank that parks for good has its prior delivers processed
-        first -- pipe FIFO -- so an all-parked state satisfies every
-        flush watermark).
-        """
-        if self._cluster._aborted:
-            self._reply_err(rank, CommAbortedError(self._abort_reason()))
-            return
-        if self._delivers_processed >= watermark:
-            self._reply(rank, None)
-            return
-        self._parked[rank] = _Parked(rank, "flush", key=watermark)
-
-    def _release_flushes(self) -> None:
-        for rank in list(self._parked):
-            parked = self._parked[rank]
-            if parked.kind == "flush" and parked.key <= self._delivers_processed:
-                del self._parked[rank]
-                self._reply(rank, None)
-
-    def _shm_release(self, gen: int) -> None:
-        """Rendezvous ``gen`` completed in shared memory: unpark waiters."""
-        if gen > self._shm_gen_done:
-            self._shm_gen_done = gen
-        for rank in list(self._parked):
-            parked = self._parked[rank]
-            if parked.kind == "shmwait" and parked.key <= self._shm_gen_done:
-                del self._parked[rank]
-                self._reply(rank, None)
 
     def _quarantine(
         self, rank: int, dead_srcs: frozenset[int], comm_id: Any
@@ -620,8 +521,6 @@ class _Broker:
         if not cluster._aborted:
             cluster._aborted = True
             cluster._abort_reason = reason
-        if self._shm_block is not None:
-            self._shm_block.set_abort()  # wake spinners in shm rendezvous
         exc = CommAbortedError(self._abort_reason())
         for rank in list(self._parked):
             del self._parked[rank]
@@ -645,8 +544,6 @@ class _Broker:
         cluster = self._cluster
         cluster._aborted = True
         cluster._abort_reason = reason
-        if self._shm_block is not None:
-            self._shm_block.set_abort()
         del self._parked[victim]
         self._reply_err(victim, DeadlockError(reason))
         peer_exc = CommAbortedError(reason)
@@ -700,14 +597,6 @@ class ProcessScheduler(SchedulerBackend):
         pipes = [ctx.Pipe(duplex=True) for _ in range(nprocs)]
         procs = []
         broker = None
-        shm_block = None
-        cluster = self._cluster
-        if cluster.shm_collectives and nprocs > 1 and cluster.faults is None:
-            # Created before forking so every worker inherits the mapping
-            # and the lock; installed on the cluster so the runtime's
-            # world-collective fast path finds it inside the workers.
-            shm_block = CollectiveBlock(f"{prefix}-coll", nprocs, ctx)
-            cluster._shm_coll = shm_block
         try:
             for rank in range(nprocs):
                 proc = ctx.Process(
@@ -727,9 +616,7 @@ class ProcessScheduler(SchedulerBackend):
                 procs.append(proc)
             for _, child_end in pipes:
                 child_end.close()
-            broker = _Broker(
-                self._cluster, [p for p, _ in pipes], procs, shm_block=shm_block
-            )
+            broker = _Broker(self._cluster, [p for p, _ in pipes], procs)
             broker.loop()
             for proc in procs:
                 proc.join(timeout=10.0)
@@ -740,20 +627,11 @@ class ProcessScheduler(SchedulerBackend):
                     proc.join(timeout=5.0)
             for parent_end, _ in pipes:
                 parent_end.close()
-            if broker is not None:
-                cluster.pipe_requests = broker.requests
-            if shm_block is not None:
-                # Fold the rendezvous tallies into the cluster counters the
-                # in-thread backend maintains natively, so the observability
-                # surface is backend-independent.
-                cluster.barriers += shm_block.barrier_count
-                cluster.messages_delivered += shm_block.msg_count
-                cluster._shm_coll = None
-                shm_block.release()
             # Reap every shared segment, registered or stray: workers never
             # unlink (a receiver may attach after the producer exited), so
             # the parent is the single point of truth for cleanup.
             if broker is not None:
+                self._cluster.pipe_requests = broker.requests
                 for name in broker.segments:
                     force_unlink(name)
             unlink_prefix(prefix)

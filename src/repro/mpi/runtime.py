@@ -55,10 +55,6 @@ from .timing import ORIGIN2000, MachineModel
 
 __all__ = ["RankState", "SimCluster", "run_mpi"]
 
-#: Bound of the int payloads the shared-memory block carries inline; the
-#: value itself marks a member whose payload must take the pipe.
-_NOT_INLINE = 2**62
-
 
 @dataclass
 class RankState:
@@ -140,18 +136,13 @@ class SimCluster:
             and payload corruption injected by a
             :class:`~repro.mpi.faults.MessageFlipSpec` is absorbed by a
             priced NACK + retransmit path instead of escaping silently.
-        shm_collectives: On the ``"process"`` backend without a fault
-            plan, rendezvous world-communicator collectives in a shared-memory
-            block instead of the parent broker: a barrier, or a collective
-            whose payloads are all small ints, then costs no pipe traffic;
-            virtual-time results are identical either way.  Ignored by
-            the in-thread backend.
         scheduler: Execution backend: ``"event"`` (cooperative, precise
             wakeups, exact deadlock detection -- the default, also for
             ``None``) or ``"process"`` (one worker OS process per rank,
-            each with a private node store -- real multi-core execution,
-            identical virtual results; it refuses a ``schedule_seed``
-            here, at construction).
+            each with a private node store and every collective held by
+            the parent broker -- real multi-core execution, identical
+            virtual results; it refuses a ``schedule_seed`` here, at
+            construction).
     """
 
     def __init__(
@@ -162,7 +153,6 @@ class SimCluster:
         schedule_seed: int | None = None,
         checksums: bool = False,
         scheduler: str | None = None,
-        shm_collectives: bool = True,
     ) -> None:
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
@@ -170,7 +160,6 @@ class SimCluster:
         self.machine = machine
         self.faults = faults
         self.checksums = checksums
-        self.shm_collectives = shm_collectives
         self.fault_state: FaultState | None = (
             FaultState(faults, nprocs) if faults is not None else None
         )
@@ -194,13 +183,11 @@ class SimCluster:
         #: Barrier releases executed this run (host observability for the
         #: hybrid-execution benchmark: interior sweeps are barrier-free).
         self.barriers = 0
-        #: Pipe request/reply messages the process-backend broker handled
-        #: last run (0 on the in-thread backend) -- what shm collectives cut.
+        #: Worker-to-broker pipe messages the process backend handled last
+        #: run (0 on the in-thread backend): delivers, receive-side
+        #: queries, one per collective per member, segment registrations
+        #: and finishes.
         self.pipe_requests = 0
-        self._world_group = tuple(range(nprocs))
-        # Shared-memory collective rendezvous block (process backend only):
-        # created by ProcessScheduler before forking so workers inherit it.
-        self._shm_coll: Any = None
         self._aborted = False
         self._abort_reason: str | None = None
         # (comm_id, local src) pairs condemned by quarantine(): a dead rank's
@@ -509,11 +496,15 @@ class SimCluster:
         exit clock and the result, which this rank takes home.  The
         rendezvous counts the ``messages`` and ``barriers`` the operation
         models, and the last rank to arrive releases exactly the group.
+        Inside a process worker the rendezvous is the parent broker's.
         """
         rank, local, group = comm._world_rank, comm._rank, comm._group
         state = self._ranks[rank]
         if self._worker is not None:
-            clocks, result = complete(*self._exchange(comm, name, payload, messages, barriers))
+            self._check_abort()
+            clocks, result = complete(*self._worker.collective(
+                group, comm._comm_id, name, state.clock, payload, messages, barriers
+            ))
         else:
             if self._preempt is not None:
                 self._preempt()
@@ -535,32 +526,6 @@ class SimCluster:
             clocks, result = rv.outcome
         state.clock = clocks[local]
         return result
-
-    def _exchange(
-        self, comm: Communicator, name: str, payload: Any, messages: int, barriers: int
-    ) -> tuple[list[float], list[Any]]:
-        """A worker's side of :meth:`collective`: every member's published
-        ``(clocks, payloads)``.  On the world communicator of a fault-free
-        run the shared-memory block carries the clocks, and the payloads
-        too when all are small ints (a barrier's are 0); the broker's
-        ``collective`` verb carries the rest.  Every member takes one path."""
-        self._check_abort()
-        rank, group = comm._world_rank, comm._group
-        clock = self._ranks[rank].clock
-        block = self._shm_coll
-        if block is not None and comm._comm_id == 0 and group == self._world_group:
-            inline = type(payload) is int and -_NOT_INLINE < payload < _NOT_INLINE
-            clocks, values = block.exchange(
-                rank, clock, payload if inline else _NOT_INLINE, self._worker,
-                blocked_collective_text(rank, name), barriers, messages,
-            )
-            if _NOT_INLINE not in values:
-                return clocks, values
-            # Clocks and counts are in; only the payloads still need moving.
-            return clocks, self._worker.collective(group, comm._comm_id, name, 0.0, payload)[1]
-        return self._worker.collective(
-            group, comm._comm_id, name, clock, payload, messages, barriers
-        )
 
 
 def run_mpi(

@@ -1,6 +1,6 @@
 """Shared-memory primitives for the multiprocess execution backend.
 
-Three building blocks, all over named POSIX ``multiprocessing.shared_memory``
+Two building blocks, both over named POSIX ``multiprocessing.shared_memory``
 segments:
 
 * :class:`SharedSegment` -- segment lifecycle.  The creator owns the name
@@ -28,11 +28,9 @@ segments:
   tag A); the consumer retires spans and advances ``tail`` over the
   contiguous completed prefix.
 
-* :class:`CollectiveBlock` -- one segment shared by every worker in which
-  world barriers and integer allreduces rendezvous without the pipe.
-
-Node stores are not among them: each worker keeps its store in private
-memory, and only halo values cross processes.
+Node stores and collectives are not among them: each worker keeps its
+store in private memory, only halo values cross processes, and every
+collective rendezvous is held by the parent broker (:mod:`repro.mpi.process`).
 
 Crash safety: every creator registers its segment names with the parent
 broker, and the parent force-unlinks every registered name (plus anything
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import os
 import secrets
-import time
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -52,10 +49,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import CommAbortedError
-
 __all__ = [
-    "CollectiveBlock",
     "RingRef",
     "SharedSegment",
     "ShadowRing",
@@ -318,192 +312,6 @@ class ShadowRing:
 
     def _drop_views(self) -> None:
         self._ctl = self._gids = self._vals = None  # type: ignore[assignment]
-
-    def close(self) -> None:
-        self._drop_views()
-        self.segment.close()
-
-    def release(self) -> None:
-        self._drop_views()
-        self.segment.release()
-
-
-# --------------------------------------------------------------------- #
-# Shared-memory collective rendezvous
-# --------------------------------------------------------------------- #
-
-_COLL_GEN = 0  # completed-rendezvous counter (the "sense")
-_COLL_ABORT = 1  # sticky abort flag; wakes every spinner
-_COLL_BARRIERS = 2  # barrier releases completed here (parent folds in)
-_COLL_MESSAGES = 3  # virtual messages the replayed collectives stand for
-_COLL_COUNT0 = 4  # arrival count, even generations
-_COLL_COUNT1 = 5  # arrival count, odd generations
-_COLL_HDR_SLOTS = 6
-
-#: Busy-spin iterations before the waiter starts sleeping between polls.
-_COLL_HOT_SPINS = 2000
-#: Poll sleep once the hot spin is exhausted.
-_COLL_POLL_SLEEP = 0.0002
-#: Real seconds of polling before the waiter parks in the broker (the
-#: park is what makes all-parked deadlock detection see this rank).
-_COLL_PARK_AFTER = 0.05
-
-
-class CollectiveBlock:
-    """Sense-reversing rendezvous for fault-free world-communicator collectives.
-
-    One segment shared by every worker: a header of atomic-enough int64
-    counters (all mutated under one fork-inherited lock) plus
-    double-buffered per-rank ``(clock, value, parked)`` arrays indexed by
-    generation parity.  Each rank's Nth call joins the Nth rendezvous;
-    SPMD programs hit collectives in one global order, so a single
-    generation stream serves every collective alike.
-
-    Arrival publishes the caller's clock and payload under the lock; the
-    last arriver bumps the shared generation (the sense flip), folds the
-    rendezvous's barrier/message tallies into the header, and -- only if
-    some peer already gave up spinning and parked in the broker -- sends
-    one fire-and-forget ``shmrelease`` so the broker unparks them.  The
-    fast path therefore costs *zero* pipe traffic.  Waiters spin on the
-    generation word, decaying to sleeps, and finally park via a
-    ``shmwait`` request so the broker's exact all-parked deadlock proof
-    still covers ranks stuck in a shared-memory barrier.
-
-    Double buffering is safe without further handshakes: a buffer is
-    reused at generation ``g+2``, which no rank can reach before every
-    rank finished ``g+1``, which requires every rank to have consumed its
-    ``g`` snapshot first.
-    """
-
-    def __init__(self, name: str, nranks: int, ctx: Any) -> None:
-        self.nranks = nranks
-        nbytes = 8 * (_COLL_HDR_SLOTS + 8 * nranks)
-        self.segment = SharedSegment(name, size=nbytes, create=True)
-        buf = self.segment.buf
-        self._hdr = np.frombuffer(buf, dtype=np.int64, count=_COLL_HDR_SLOTS)
-        offset = 8 * _COLL_HDR_SLOTS
-        self._clocks = np.frombuffer(
-            buf, dtype=np.float64, count=2 * nranks, offset=offset
-        )
-        offset += 16 * nranks
-        self._values = np.frombuffer(
-            buf, dtype=np.int64, count=2 * nranks, offset=offset
-        )
-        offset += 16 * nranks
-        self._parked = np.frombuffer(
-            buf, dtype=np.int64, count=2 * nranks, offset=offset
-        )
-        offset += 16 * nranks
-        self._delivs = np.frombuffer(
-            buf, dtype=np.int64, count=2 * nranks, offset=offset
-        )
-        self._hdr[:] = 0
-        self._clocks[:] = 0.0
-        self._values[:] = 0
-        self._parked[:] = 0
-        self._delivs[:] = 0
-        self._lock = ctx.Lock()
-        # Per-process rendezvous counter: forked workers each start at the
-        # parent's 0 and count their own collective calls.
-        self._gen = 0
-
-    @property
-    def barrier_count(self) -> int:
-        return int(self._hdr[_COLL_BARRIERS])
-
-    @property
-    def msg_count(self) -> int:
-        return int(self._hdr[_COLL_MESSAGES])
-
-    def set_abort(self) -> None:
-        """Sticky-abort the block; spinning waiters raise on next poll."""
-        self._hdr[_COLL_ABORT] = 1
-
-    def _snapshot(self, sl: slice, transport: Any) -> tuple[list[float], list[int]]:
-        # The fire-and-forget delivers counted here were all piped before
-        # their senders joined this rendezvous; telling the transport the
-        # global total lets it sync the broker past them before its next
-        # mailbox query (the ordering the pipe barrier used to provide).
-        transport.note_deliver_watermark(int(self._delivs[sl].sum()))
-        return self._clocks[sl].tolist(), self._values[sl].tolist()
-
-    def exchange(
-        self,
-        rank: int,
-        clock: float,
-        value: int,
-        transport: Any,
-        describe: str,
-        barriers: int,
-        messages: int,
-    ) -> tuple[list[float], list[int]]:
-        """Join the next rendezvous; return every rank's (clocks, values).
-
-        Args:
-            rank: This worker's world rank.
-            clock: Entry virtual clock to publish.
-            value: Integer payload to publish (0 for plain barriers).
-            transport: The worker's pipe transport (park/release channel).
-            describe: Deadlock message should this rank end up the victim
-                while parked.
-            barriers: Barrier releases this rendezvous represents.
-            messages: Virtual point-to-point messages it replaces.
-        """
-        gen = self._gen
-        self._gen = gen + 1
-        n = self.nranks
-        base = (gen & 1) * n
-        sl = slice(base, base + n)
-        hdr = self._hdr
-        last = False
-        woken = False
-        with self._lock:
-            if hdr[_COLL_ABORT]:
-                raise CommAbortedError("cluster aborted")
-            self._clocks[base + rank] = clock
-            self._values[base + rank] = value
-            self._delivs[base + rank] = transport.delivers_sent
-            count_slot = _COLL_COUNT0 + (gen & 1)
-            hdr[count_slot] += 1
-            if hdr[count_slot] == n:
-                last = True
-                hdr[count_slot] = 0
-                hdr[_COLL_BARRIERS] += barriers
-                hdr[_COLL_MESSAGES] += messages
-                woken = bool(self._parked[sl].any())
-                self._parked[sl] = 0
-                hdr[_COLL_GEN] = gen + 1
-        if last:
-            if woken:
-                transport.shm_release(gen)
-            return self._snapshot(sl, transport)
-        deadline = time.monotonic() + _COLL_PARK_AFTER
-        spins = 0
-        while True:
-            if hdr[_COLL_GEN] > gen:
-                return self._snapshot(sl, transport)
-            if hdr[_COLL_ABORT]:
-                raise CommAbortedError("cluster aborted")
-            spins += 1
-            if spins < _COLL_HOT_SPINS:
-                continue
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(_COLL_POLL_SLEEP)
-        with self._lock:
-            if hdr[_COLL_GEN] > gen:
-                return self._snapshot(sl, transport)
-            if hdr[_COLL_ABORT]:
-                raise CommAbortedError("cluster aborted")
-            self._parked[base + rank] = 1
-        # Blocks until the broker replies: released by the completer's
-        # shmrelease, or raised as the deadlock victim / an abort peer.
-        transport.shm_wait(gen, describe)
-        return self._snapshot(sl, transport)
-
-    def _drop_views(self) -> None:
-        self._hdr = self._clocks = self._values = None  # type: ignore[assignment]
-        self._parked = self._delivs = None  # type: ignore[assignment]
 
     def close(self) -> None:
         self._drop_views()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import re
 import signal
 import time
 from unittest import mock
@@ -246,20 +247,24 @@ class TestProcessConformance:
 
 
 # --------------------------------------------------------------------- #
-# Shared-memory collectives (world barrier + quiescence allreduce)
+# The collective plane: every rendezvous is one broker verb
 # --------------------------------------------------------------------- #
 
 
+_STEPS = 8
+
+
 def _collective_traffic(comm):
-    """Exercise every shm fast-path surface in one program.
+    """Sends, probes and collectives interleaved in one program.
 
     Each superstep isends to a neighbour, barriers on the world
-    communicator, discovers the sender via ``pending_sources`` (the probe
-    the deliver-flush watermark protects), and votes with an integer
-    allreduce -- the same shape as a change-driven platform superstep.
+    communicator, discovers the sender via ``pending_sources`` (a probe
+    that must see every send made before the barrier), and votes with an
+    integer allreduce -- the same shape as a change-driven platform
+    superstep.
     """
     total = float(comm.rank)
-    for step in range(8):
+    for step in range(_STEPS):
         peer = (comm.rank + 1) % comm.size
         comm.isend(total + step, dest=peer, tag=7)
         comm.work((comm.rank + 1) * 1e-5)
@@ -270,54 +275,77 @@ def _collective_traffic(comm):
     return total, comm.Wtime()
 
 
-class TestShmCollectives:
-    """Satellite: barriers and int allreduces on the world communicator
-    rendezvous in a shared CollectiveBlock instead of the command pipe."""
+class TestCollectivePlane:
+    """On ``process`` every collective -- barrier, int or float vote --
+    is one rendezvous in the parent broker, with results, counters and
+    deadlock reports equal to ``event``'s."""
 
-    def _run(self, scheduler, shm):
-        cluster = SimCluster(4, scheduler=scheduler, shm_collectives=shm)
+    def _run(self, scheduler):
+        cluster = SimCluster(4, scheduler=scheduler)
         results = cluster.run(_collective_traffic)
         return results, cluster
 
-    def test_identity_and_counters_vs_event(self):
-        event, _ = self._run("event", True)
-        for shm in (True, False):
-            process, _ = self._run("process", shm)
-            assert process == event, f"shm_collectives={shm}"
+    def test_identity_vs_event(self):
+        event, _ = self._run("event")
+        process, _ = self._run("process")
+        assert process == event
         _assert_no_leaked_segments()
 
     def test_observability_counters_conform(self):
-        """cluster.barriers and messages_delivered are backend- and
-        path-independent: the parent folds the block's tallies in."""
-        _, ev = self._run("event", True)
-        _, shm_on = self._run("process", True)
-        _, shm_off = self._run("process", False)
-        assert shm_on.barriers == ev.barriers == shm_off.barriers
-        assert (
-            shm_on.messages_delivered
-            == ev.messages_delivered
-            == shm_off.messages_delivered
+        """cluster.barriers and messages_delivered are backend-independent."""
+        _, ev = self._run("event")
+        _, proc = self._run("process")
+        assert proc.barriers == ev.barriers
+        assert proc.messages_delivered == ev.messages_delivered
+        _assert_no_leaked_segments()
+
+    def test_pipe_requests_exact(self):
+        """Every worker-to-broker message is counted, and nothing else."""
+        _, cluster = self._run("process")
+        ranks = cluster.nprocs
+        delivers = _STEPS * ranks  # one isend per rank per step
+        queries = _STEPS * ranks * 2  # pending_sources + one recv
+        collectives = _STEPS * ranks * 2  # barrier + allreduce, per member
+        rings = 0  # a lone float is pickled through the pipe, no ring
+        finishes = ranks
+        assert cluster.pipe_requests == (
+            delivers + queries + collectives + rings + finishes
         )
         _assert_no_leaked_segments()
 
-    def test_pipe_traffic_reduced(self):
-        """The whole point: arbitration moves off the command pipe.  Every
-        barrier and every int allreduce saves each rank its one broker
-        round trip, so the broker handles strictly fewer requests with the
-        block enabled."""
-        _, shm_on = self._run("process", True)
-        _, shm_off = self._run("process", False)
-        assert shm_on.pipe_requests < shm_off.pipe_requests
-        # 8 supersteps x 4 ranks x (1 barrier + 1 allreduce) leave the
-        # pipe; flush syncs add back at most 1 per rank per superstep (the
-        # probe after the barrier).
-        assert shm_off.pipe_requests - shm_on.pipe_requests >= 64 - 32
+    def test_fault_free_run_creates_only_ring_segments(self, tmp_path):
+        """A fault-free platform run (quiescence votes, float halos) maps
+        nothing but the per-edge ``-r{a}to{b}`` rings: no collective
+        segment.  Workers are forked, so names are logged to a file."""
+        log = tmp_path / "segments"
+        log.touch()
+        original = SharedSegment.__init__
+
+        def recording(segment, name, size=0, create=False):
+            if create:
+                with open(log, "a") as fh:
+                    fh.write(name + "\n")
+            original(segment, name, size, create)
+
+        graph = hex32()
+        platform = ICPlatform(
+            graph,
+            make_average_fn(1e-4),
+            config=PlatformConfig(iterations=6, converge="quiescence", store="soa"),
+        )
+        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
+        with mock.patch.object(SharedSegment, "__init__", recording):
+            platform.run(partition, scheduler="process")
+        names = log.read_text().split()
+        assert names
+        for name in names:
+            match = re.fullmatch(r"ic2mpi-\d+-[0-9a-f]+-r(\d+)to(\d+)", name)
+            assert match and match[1] != match[2], name
         _assert_no_leaked_segments()
 
-    def test_send_visible_after_shm_barrier(self):
-        """Regression: fire-and-forget delivers race the shm barrier on
-        separate pipes; the deliver watermark published through the
-        rendezvous must make them visible to post-barrier probes."""
+    def test_send_visible_after_barrier(self):
+        """Pipe FIFO orders a worker's delivers before its next collective,
+        so a probe after the barrier sees every send made before it."""
 
         def prog(comm):
             seen = 0
@@ -337,27 +365,26 @@ class TestShmCollectives:
         _assert_no_leaked_segments()
 
     def test_barrier_deadlock_message_identical(self):
-        """A rank parked in a shm barrier must surface in the deadlock
-        report byte-identically to a pipe-barrier park."""
+        """A rank parked in a barrier surfaces in the deadlock report
+        byte-identically on both backends.  The last rank skips the
+        barrier, so the report cannot depend on which member parks last
+        (a host race on ``process``): both backends name the lowest
+        blocked rank."""
 
         def stuck(comm):
-            if comm.rank == 0:
-                comm.recv(source=1, tag=5)  # never sent
-            else:
+            if comm.rank != comm.size - 1:
                 comm.barrier()
 
         messages = {}
-        for shm in (True, False):
-            cluster = SimCluster(3, scheduler="process", shm_collectives=shm)
+        for scheduler in BACKENDS:
             with pytest.raises(DeadlockError) as excinfo:
-                cluster.run(stuck)
-            messages[shm] = str(excinfo.value)
-        assert messages[True] == messages[False]
+                SimCluster(3, scheduler=scheduler).run(stuck)
+            messages[scheduler] = str(excinfo.value)
+        assert messages["process"] == messages["event"]
         _assert_no_leaked_segments()
 
-    def test_float_allreduce_stays_on_pipe(self):
-        """Only int payloads ride in the block; a float vote moves its
-        payloads through the broker's collective verb and still conforms."""
+    def test_float_allreduce(self):
+        """A float vote's payloads travel in the rendezvous and conform."""
 
         def prog(comm):
             comm.barrier()
