@@ -8,7 +8,7 @@ struct datatype gives the exact wire size the cost model charges.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from ..mpi.datatypes import INT, StructType
 from ..mpi.timing import estimate_nbytes
@@ -22,6 +22,16 @@ ShadowRecord = tuple[int, Any]  # (global_id, value)
 
 _INT_RECORD_NBYTES = BUFFER_RECORD_TYPE.size_of()
 _ID_NBYTES = INT.size_of()
+
+
+def _record_nbytes(value: Any) -> int:
+    """Wire size of one ``(global_id, value)`` record (see :meth:`CommBuffers.pack`)."""
+    if isinstance(value, bool | int):
+        return _INT_RECORD_NBYTES
+    return _ID_NBYTES + estimate_nbytes(value)
+
+
+_FLOAT_RECORD_NBYTES = _record_nbytes(0.0)
 
 
 class CommBuffers:
@@ -58,10 +68,19 @@ class CommBuffers:
         if not 0 <= proc < self.nprocs:
             raise IndexError(f"processor {proc} outside [0, {self.nprocs})")
         self._out[proc].append((gid, value))
-        if isinstance(value, bool | int):
-            self._nbytes[proc] += _INT_RECORD_NBYTES
+        self._nbytes[proc] += _record_nbytes(value)
+
+    def pack_all(self, proc: int, gids: Sequence[int], values: Sequence[Any]) -> None:
+        """:meth:`pack` each ``(gids[i], values[i])`` in order, as one
+        extend of ``proc``'s buffer (a batch of plain floats is sized in
+        one multiplication)."""
+        if not 0 <= proc < self.nprocs:
+            raise IndexError(f"processor {proc} outside [0, {self.nprocs})")
+        self._out[proc].extend(zip(gids, values))
+        if set(map(type, values)) <= {float}:
+            self._nbytes[proc] += len(values) * _FLOAT_RECORD_NBYTES
         else:
-            self._nbytes[proc] += _ID_NBYTES + estimate_nbytes(value)
+            self._nbytes[proc] += sum(map(_record_nbytes, values))
 
     def outgoing(self, proc: int) -> list[ShadowRecord]:
         """The records queued for ``proc``."""

@@ -52,7 +52,8 @@ fixed point is preserved.
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple
+from itertools import compress
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -345,33 +346,32 @@ def _node_costs(ctx: ComputeContext, degrees: np.ndarray) -> np.ndarray:
         return np.array(ctx.cost_by_degree)[degrees]
 
 
-def _charge_matrix(
+def _charge_rows(
     node_costs: np.ndarray, grain: float, pack_cost: float, packs: list[int] | None
-) -> tuple[np.ndarray, Any, Any]:
-    """Lay a part's charges out as ``(matrix, cost columns, grain columns)``.
-
-    Column 0 is reserved for the seeds; after it come, per node and in
-    scalar-path order, its bookkeeping cost, its grain and ``packs[i]``
-    pack charges.  Row 0 (the clock) carries every charge; rows 1-3
-    (bookkeeping, compute, communication overhead) carry theirs and ``0.0``
-    elsewhere -- adding ``0.0`` leaves a non-negative sum bit-identical.  A
-    part that packs nothing has no row 3.
-    """
+) -> list[np.ndarray]:
+    """Lay a part's charges out as one row per accumulator, each holding
+    only its own charges in scalar-path order after a column 0 reserved for
+    the seed: the clock (per node its bookkeeping cost, its grain and
+    ``packs[i]`` pack charges), bookkeeping (the costs), compute (the
+    grains) and, unless the part packs nothing, communication overhead
+    (the pack charges)."""
     count = len(node_costs)
     if packs is None:
-        matrix = np.zeros((3, 1 + 2 * count))
+        clock = np.empty(1 + 2 * count)
         cost_cols: Any = slice(1, None, 2)
         grain_cols: Any = slice(2, None, 2)
     else:
-        after = np.cumsum(packs)
-        cost_cols = 1 + 2 * np.arange(count) + after - packs
+        cost_cols = 1 + 2 * np.arange(count) + np.cumsum(packs) - packs
         grain_cols = cost_cols + 1
-        matrix = np.zeros((4, 1 + 2 * count + int(after[-1])))
-        matrix[0] = matrix[3] = pack_cost
-        matrix[3, cost_cols] = matrix[3, grain_cols] = 0.0
-    matrix[0, cost_cols] = matrix[1, cost_cols] = node_costs
-    matrix[0, grain_cols] = matrix[2, grain_cols] = grain
-    return matrix, cost_cols, grain_cols
+        clock = np.full(1 + 2 * count + sum(packs), pack_cost, dtype=float)
+    clock[cost_cols] = node_costs
+    clock[grain_cols] = grain
+    bookkeeping = np.empty(1 + count)
+    bookkeeping[1:] = node_costs
+    rows = [clock, bookkeeping, np.full(1 + count, grain, dtype=float)]
+    if packs is not None:
+        rows.append(np.full(1 + sum(packs), pack_cost, dtype=float))
+    return rows
 
 
 def _charge(
@@ -387,16 +387,17 @@ def _charge(
     Per node, in order, the scalar path charges list-forming bookkeeping,
     the grain, and (``packed``: ``True`` = every node, or a per-node mask)
     one ``pack_cost`` per shadow destination.  With no fault scaling these
-    are plain float additions, so the whole sequence is folded into the
-    clock and the three time buckets by ``np.add.accumulate`` seeded with
-    their current values.  ``accumulate`` must produce every prefix, hence
+    are plain float additions, so each accumulator's own charges -- every
+    one for the clock, its bucket's for each of the three time buckets --
+    are folded into it by ``np.add.accumulate`` over one row seeded with
+    its current value.  ``accumulate`` must produce every prefix, hence
     adds strictly left to right -- the same IEEE-754 operations as the
     scalar path, to the last bit -- where ``np.add.reduce``/``reduceat``
     pair operands up and land an ulp away.  The compute bucket's prefixes
-    also yield each node's measured load.  The static matrices are
-    memoized on the plan, i.e. per surgery epoch (dense) or per geometry
-    LRU slot (sparse); only a delta sweep's changing pack mask is laid out
-    per call.
+    also yield each node's measured load.  The static rows are memoized on
+    the plan, i.e. per surgery epoch (dense) or per geometry LRU slot
+    (sparse); only a delta sweep's changing pack mask is laid out per
+    call.
 
     An armed slow window (``slow=`` fault) scales each charge by a factor
     that depends on the clock *at charge time*, so that one case walks the
@@ -426,22 +427,23 @@ def _charge(
     key = (ctx.costs, ctx.num_nodes, part, grain, packs is not None)
     template = plan.templates.get(key) if static else None
     if template is None:
-        template = _charge_matrix(_node_costs(ctx, degrees), grain, pack_cost, packs)
+        template = _charge_rows(_node_costs(ctx, degrees), grain, pack_cost, packs)
         if static:
             plan.templates[key] = template
-    matrix, cost_cols, grain_cols = template
     state = ctx.comm._state()
     seeds = (state.clock, ctx.bookkeeping_time, ctx.compute_time, ctx.comm_overhead_time)
-    matrix[:, 0] = seeds[: len(matrix)]
-    sums = np.add.accumulate(matrix, axis=1)
-    totals = sums[:, -1].tolist()
+    sums = []
+    for row, seed in zip(template, seeds):
+        row[0] = seed
+        sums.append(np.add.accumulate(row))
+    totals = [float(row[-1]) for row in sums]
     state.clock, ctx.bookkeeping_time, ctx.compute_time = totals[:3]
     if len(totals) > 3:
         ctx.comm_overhead_time = totals[3]
-    # The compute row stands still between a node's cost column and its
-    # grain column, so their difference is exactly the scalar path's
-    # ``compute_time - before``.
-    ctx.bulk_loads()[gids] += sums[2, grain_cols] - sums[2, cost_cols]
+    # Consecutive compute prefixes differ by exactly one node's grain as
+    # the scalar path measures it (``compute_time - before``).
+    compute = sums[2]
+    ctx.bulk_loads()[gids] += compute[1:] - compute[:-1]
 
 
 #: The plan of a sweep whose active set selects nothing.
@@ -506,10 +508,29 @@ class _BulkPhases:
         if self._changed_only:
             packed = [not (v is None or v == c) for v, c in zip(fresh, self._committed)]
         _charge(self._ctx, plan, _PERIPHERAL, self._grain, packed)
-        for i, (gid, procs) in enumerate(zip(plan.gids[plan.split :].tolist(), plan.dests)):
-            if packed is True or packed[i]:
-                for proc in procs:
-                    self._buffers.pack(proc, gid, fresh[i])
+        for proc, rows, gids in _destinations(plan):
+            if packed is not True:
+                hits = [packed[i] for i in rows]
+                rows, gids = list(compress(rows, hits)), list(compress(gids, hits))
+            self._buffers.pack_all(proc, gids, [fresh[i] for i in rows])
+
+
+def _destinations(plan: ChargePlan) -> list[tuple[int, list[int], list[int]]]:
+    """Per shadow destination of a plan's peripheral nodes: the rows (into
+    ``plan.dests``) and gids of the nodes it shadows, in plan order --
+    each buffer's record order under per-node packing.  Memoized on the
+    plan."""
+    by_dest = plan.templates.get("destinations")
+    if by_dest is None:
+        rows: dict[int, list[int]] = {}
+        for i, procs in enumerate(plan.dests):
+            for proc in procs:
+                rows.setdefault(proc, []).append(i)
+        gids = plan.gids[plan.split :]
+        by_dest = plan.templates["destinations"] = [
+            (proc, idx, gids[idx].tolist()) for proc, idx in rows.items()
+        ]
+    return by_dest
 
 
 # --------------------------------------------------------------------- #
@@ -668,10 +689,11 @@ class Frontier:
         for mask in self._masks:
             mask[local] = True
 
-    def record_commit(self, store: NodeStore, changed: list[int], ctx: ComputeContext) -> None:
-        """Committed owned values changed: those nodes and their owned
-        neighbours must recompute in every round."""
-        if not changed:
+    def record_commit(self, store: NodeStore, changed: Sequence[int], ctx: ComputeContext) -> None:
+        """Committed owned values changed (``commit_owned``'s list or
+        array): those nodes and their owned neighbours must recompute in
+        every round."""
+        if not len(changed):
             return
         index = self._bind(store)
         local = index.local_of[changed]

@@ -346,12 +346,13 @@ class NodeStore:
     # Commit (end of a compute sweep)
     # ------------------------------------------------------------------ #
 
-    def commit_owned(self) -> list[int]:
+    def commit_owned(self) -> Sequence[int]:
         """Promote ``most_recent_data`` for every owned node.
 
         Returns the gids whose committed value actually *changed* (in sweep
         order) -- the raw material of the delta halo exchange and the
         quiescence count.  Each change bumps the node's version counter.
+        This store returns a list; the struct-of-arrays store an array.
         """
         changed: list[int] = []
         for node in self.owned_nodes():

@@ -37,14 +37,16 @@ against the object store):
   application values (battlefield dicts, ints, numpy scalars) behave
   exactly as in the object store.
 * Bulk kernels (:class:`BulkView`) sum neighbour segments over a *closed*
-  adjacency (self value prepended per segment) with a column-sweep
-  accumulation that reproduces the scalar left-to-right summation order
-  bit-for-bit (``np.add.reduceat`` would reduce pairwise -- off by an
-  ulp).
+  adjacency (self value prepended per segment) with a column sweep --
+  one contiguous gather per column, added unmasked while every segment
+  is that long and masked to the longer ones after -- that reproduces
+  the scalar left-to-right summation order bit-for-bit
+  (``np.add.reduceat`` would reduce pairwise -- off by an ulp).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
@@ -79,17 +81,23 @@ def _ranges_sum(flat: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     zero, bit for bit like the scalar path's ``reduce(add, [...], 0)``
     (builtin ``sum()`` stopped being that sequence in Python 3.12, which
     compensates float sums).  The pass count is the maximum range length
-    (a graph degree), while each pass is one vectorized gather-add over
-    all ranges.  Empty ranges sum to ``0.0``.
+    (a graph degree), while each pass is one contiguous gather-add over
+    all ranges: a plain ``+=`` while every range is still that long, then
+    an add masked to the ranges that are (the gather clamped into
+    ``flat`` for the others, whose sums the mask leaves alone).  Empty
+    ranges sum to ``0.0``.
     """
     k = len(starts)
     out = np.zeros(k, dtype=flat.dtype)
     if k == 0:
         return out
     lens = np.asarray(ends) - np.asarray(starts)
+    shortest, last = int(lens.min()), len(flat) - 1
     for col in range(int(lens.max())):
-        sel = np.nonzero(lens > col)[0]
-        out[sel] += flat[starts[sel] + col]
+        if col < shortest:
+            out += flat[starts + col]
+        else:
+            np.add(out, flat[np.minimum(starts + col, last)], out=out, where=lens > col)
     return out
 
 
@@ -147,8 +155,8 @@ class ChargePlan:
     Built from arrays the store already holds (never from ``OwnNode``
     lists) and cached wherever the view's gather geometry is cached, so a
     geometry hit is a plan hit.  The store knows no cost constants: the
-    compute layer folds them with these arrays into charge matrices and
-    memoizes those in ``templates``.
+    compute layer folds them with these arrays into charge rows and
+    memoizes those, and each destination's pack list, in ``templates``.
 
     Attributes:
         gids: Global IDs in sweep order -- internal nodes, then peripheral.
@@ -559,34 +567,30 @@ class SoAStore(NodeStore):
 
     # ------------------------- vectorized ops ------------------------- #
 
-    def commit_owned(self) -> list[int]:
+    def commit_owned(self) -> np.ndarray:
+        """:meth:`NodeStore.commit_owned` on the arrays; the changed gids
+        come back as an int64 array (in sweep order), not a list."""
         topo = self.bulk_topology()
-        slots = topo.slot_of_order
-        if len(slots) == 0:
-            return []
-        pending_here = self._pending_mask[slots]
-        if not pending_here.any():
-            return []
-        sel = np.flatnonzero(pending_here)
-        sel_slots = slots[sel]
+        slots, gids = topo.slot_of_order, topo.order_gids_arr
+        pending = self._pending_mask[slots]
+        if not pending.any():
+            return gids[:0]
+        # After a dense sweep every owned slot is pending: no gathers.
+        if not pending.all():
+            slots, gids = slots[pending], gids[pending]
+        fresh = self._pending[slots]
         if self._float_mode:
-            changed_here = self._pending[sel_slots] != self._values[sel_slots]
+            changed = fresh != self._values[slots]
         else:
-            changed_here = np.fromiter(
-                (
-                    self._pending[slot] != self._values[slot]
-                    for slot in sel_slots.tolist()
-                ),
-                dtype=bool,
-                count=len(sel_slots),
+            changed = np.fromiter(
+                map(operator.ne, fresh, self._values[slots]), dtype=bool, count=len(slots)
             )
-        self._values[sel_slots] = self._pending[sel_slots]
-        self._pending_mask[sel_slots] = False
+        self._values[slots] = fresh
+        self._pending_mask[slots] = False
         if not self._float_mode:
-            self._pending[sel_slots] = None
-        bumped = sel_slots[changed_here]
-        self._versions[bumped] += 1
-        return topo.order_gids_arr[sel[changed_here]].tolist()
+            self._pending[slots] = None
+        self._versions[slots] += changed
+        return gids[changed]
 
     def _owned_column(self, column: np.ndarray) -> dict[int, Any]:
         """``gid -> column[slot]`` over the owned set in sweep order, boxed

@@ -126,3 +126,80 @@ class TestRunningWireSize:
         for sizes in run_mpi(fn, 3, machine=IDEAL):
             assert all(running == walked for running, walked in sizes)
             assert any(running for running, _ in sizes)
+
+
+class TestPackAll:
+    """``pack_all`` is a loop of ``pack`` calls done as one extend."""
+
+    def _batches(self):
+        from repro.apps.battlefield.state import Departure, HexState
+
+        fat = HexState(gid=3, red=2.5, blue=1.0, departures=(Departure(4, "red", 0.5),))
+        return {
+            "floats": [0.25, -0.0, float("inf"), 1e308],
+            "ints": [7, -1, 2**40],
+            "bools": [True, False],
+            "none": [None, None],
+            "tuples": [(1, 2.0), ()],
+            "hexstate": [HexState(gid=1), fat],
+            "mixed": [0.5, 3, None, True, (1.0,), fat, 2.0],
+            "empty": [],
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["floats", "ints", "bools", "none", "tuples", "hexstate", "mixed", "empty"]
+    )
+    def test_equals_a_loop_of_pack(self, kind):
+        values = self._batches()[kind]
+        gids = list(range(10, 10 + len(values)))
+        batched, looped = CommBuffers(3), CommBuffers(3)
+        for buffers in (batched, looped):
+            buffers.pack(2, 1, 0.5)  # a batch extends what is already there
+        batched.pack_all(2, gids, values)
+        for gid, value in zip(gids, values):
+            looped.pack(2, gid, value)
+        for q in range(3):
+            assert batched.outgoing(q) == looped.outgoing(q)
+            assert batched.nbytes(q) == looped.nbytes(q)
+        assert [type(v) for _, v in batched.outgoing(2)] == [type(v) for _, v in looped.outgoing(2)]
+
+    @pytest.mark.parametrize("proc", [3, -1])
+    def test_invalid_proc_rejected_before_appending(self, proc):
+        buffers = CommBuffers(3)
+        with pytest.raises(IndexError):
+            buffers.pack_all(proc, [1, 2], [0.5, 0.25])
+        assert buffers.total_records() == 0
+        assert [buffers.nbytes(q) for q in range(3)] == [0, 0, 0]
+
+    def test_delta_sweep_packs_like_the_scalar_phases(self):
+        """A change-driven peripheral phase with a mixed pack mask (pinned
+        nodes keep their value and are not packed) and nodes shadowed by
+        two ranks: the bulk phase's buffers, record for record, are the
+        scalar phase's."""
+        from repro.apps.diffusion import make_jacobi_fn
+        from repro.core import ComputeContext, NodeStore, PlatformCosts, SoAStore
+        from repro.core.compute import Frontier, _BulkPhases, _ScalarPhases
+        from repro.graphs import hex32
+        from repro.mpi import IDEAL, run_mpi
+
+        graph = hex32()
+        assignment = [gid % 3 for gid in range(32)]
+        boundary = {gid: gid / 4 for gid in graph.nodes() if gid % 4 == 0}
+        node_fn = make_jacobi_fn(boundary)
+
+        def fn(comm):
+            out = []
+            for make_store, make_phases in ((NodeStore, _ScalarPhases), (SoAStore, _BulkPhases)):
+                store = make_store(comm.rank, graph, list(assignment), lambda gid: gid / 4)
+                ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
+                buffers = CommBuffers(comm.size)
+                make_phases(store, node_fn, ctx, buffers, Frontier(1)).peripheral()
+                out.append([(buffers.outgoing(q), buffers.nbytes(q)) for q in range(comm.size)])
+            scalar, bulk = out
+            assert bulk == scalar
+            packed = {gid for records, _ in bulk for gid, _ in records}
+            periph = set(store.peripheral)
+            multi = {gid for gid, node in store.peripheral.items() if len(node.shadow_for_procs) > 1}
+            return packed < periph and bool(packed & multi)
+
+        assert all(run_mpi(fn, 3, machine=IDEAL))

@@ -111,9 +111,9 @@ def apply_op(store, op, graph, nodes):
         base = op[1]
         for node in store.owned_nodes():
             node.data.most_recent_data = base + node.global_id * 0.5
-        return store.commit_owned()
+        return list(store.commit_owned())
     if kind == "commit":
-        return store.commit_owned()
+        return list(store.commit_owned())
     if kind == "shadow":
         shadows = store.shadow_gids()
         if not shadows:
@@ -213,5 +213,5 @@ def test_mixed_type_commits_demote_identically(n, seed, pendings):
         gid = nodes[i % len(nodes)]
         obj.data_records[gid].most_recent_data = value
         soa.data_records[gid].most_recent_data = value
-        assert obj.commit_owned() == soa.commit_owned()
+        assert obj.commit_owned() == list(soa.commit_owned())
         assert_mirrored(obj, soa)
