@@ -151,13 +151,20 @@ def test_soa_store(benchmark, record):
     charge replay -- amortise over few nodes); the 320x320 figure is the repo
     benchmark's ``plate320_event``."""
     side, ranks, calls = 120, 4, 50
-    plate = graph, _, init = _plate(side)[0]
+    plate = graph, node_fn, init = _plate(side)[0]
     partition = RowBandPartitioner(side, side).partition(graph, ranks)
 
+    def scalar_twin(node, ctx):
+        # The Jacobi function without its ``.bulk`` kernel: the platform then
+        # keeps the object store and sweeps node by node.  A copy of
+        # ``tests/twins.py::scalar_twin``, which this directory does not
+        # import; like it, a plain closure (``functools.wraps`` would copy
+        # ``.bulk``).
+        return node_fn(node, ctx)
+
     def run(store):
-        # hash_table_length: same for both stores, so probe charges cancel.
-        config = PlatformConfig(iterations=10, store=store, hash_table_length=4096)
-        return _run(plate, config, partition)
+        workload = plate if store == "soa" else (graph, scalar_twin, init)
+        return _run(workload, PlatformConfig(iterations=10), partition)
 
     runs = benchmark.pedantic(lambda: {
         name: _best_wall(lambda: run(name)) for name in ("soa", "object")

@@ -218,7 +218,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:  # names the bad clause
             _usage_error(f"--faults: {exc}")
 
-    store_override = {"store": args.store} if args.store else {}
     execution_override = {"execution": args.execution} if args.execution else {}
     try:
         config = PlatformConfig(
@@ -235,7 +234,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             activation=args.activation,
             converge=args.converge,
             hybrid_inner_cap=args.hybrid_inner_cap,
-            **store_override,
             **execution_override,
         )
     except ConfigError as exc:
@@ -244,8 +242,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         _usage_error(f"--{exc.field.replace('_', '-')} {exc.problem}")
     # Seed node values as floats rather than the default int gids: the
     # averaging workloads produce floats after the first sweep either way,
-    # and a float-valued SoA store keeps its float64 fast path instead of
-    # demoting to object dtype.
+    # and where the average kernel runs on the struct-of-arrays store (graphs
+    # large enough for the rank count) it keeps its float64 fast path
+    # instead of demoting to object dtype.
     platform = ICPlatform(
         graph, node_fn, init_value=lambda gid: float(gid), config=config,
         balancer=_BALANCERS[args.balancer](config.lb_threshold),
@@ -272,13 +271,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"iterations    {result.iterations}")
     print(f"machine       {args.machine}")
     print(f"elapsed       {result.elapsed:.6f} virtual seconds")
-    if config.store != "object":
-        print(f"store         {config.store}")
+    if platform.vectorized(args.np):
+        print("store         soa (bulk kernels)")
         if result.sparse_geom_hits or result.sparse_geom_misses:
             print(
                 f"sparse geom   {result.sparse_geom_hits} hits, "
                 f"{result.sparse_geom_misses} misses (CSR memo)"
             )
+    else:
+        print("store         object")
     if config.execution != "bsp":
         print(f"execution     {config.execution} (inner cap {config.hybrid_inner_cap})")
         print(f"inner sweeps  {result.inner_sweeps} (summed over ranks)")
@@ -418,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rebalance-mode", **choice("rebalance_mode"))
     run.add_argument("--overlap", action="store_true",
                      help="use the Figure-8a overlapped pipeline")
-    run.add_argument("--store", choices=CHOICES["store"], default=None,
-                     help="node-state representation: object (one NodeData "
-                          "per node, the conformance oracle) or soa "
-                          "(struct-of-arrays with vectorized sweeps; "
-                          "bit-identical results).  Default: the REPRO_STORE "
-                          "environment variable, else 'object'")
     run.add_argument("--execution", choices=CHOICES["execution"], default=None,
                      help="superstep structure: bsp (every node recomputed "
                           "between consecutive global barriers) or hybrid "

@@ -12,7 +12,6 @@ from .compute import (
     superstep,
 )
 from .config import ConfigError, PlatformConfig, PlatformCosts
-from .hashtable import DEFAULT_TABLE_LENGTH, NodeHashTable
 from .integrity import (
     TAG_INTEGRITY,
     CorruptionClaim,
@@ -67,7 +66,6 @@ __all__ = [
     "ComputeContext",
     "ConfigError",
     "CorruptionClaim",
-    "DEFAULT_TABLE_LENGTH",
     "DiffusionBalancer",
     "ExecutionTrace",
     "IntegrityDecision",
@@ -81,7 +79,6 @@ __all__ = [
     "MigrationEvent",
     "NodeData",
     "NodeFn",
-    "NodeHashTable",
     "NodeStore",
     "NodeView",
     "OwnNode",

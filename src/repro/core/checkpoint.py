@@ -1,8 +1,8 @@
 """Checkpoint/restart layer for the platform's BSP loop.
 
 Every ``checkpoint_period`` iterations each rank serializes its
-:class:`~repro.core.nodestore.NodeStore` (data node list + hash table
-geometry + node-to-processor map), the iteration counter, and the platform
+:class:`~repro.core.nodestore.NodeStore` (data node list, halt flags and
+node-to-processor map), the iteration counter, and the platform
 loop's rollback-sensitive extras (load window, migration log) into an
 in-memory pickle.  When the fault plan crashes a rank, *every* rank restores
 the last checkpoint and the loop re-runs from there -- coordinated rollback

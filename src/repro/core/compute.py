@@ -313,8 +313,9 @@ class _ScalarPhases:
 #
 # Bulk kernels must be pure (values from committed neighbour state only)
 # and must cost exactly ``node_grain`` virtual seconds per node; functions
-# with richer cost behaviour simply omit ``.bulk`` and take the scalar
-# path, which is equally conformant on either store.
+# with richer cost behaviour simply omit ``.bulk``, and the platform then
+# runs them node by node on the object store (as it does kernels on graphs
+# too small per rank for the arrays to pay off).
 
 
 def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:

@@ -38,7 +38,6 @@ CHOICES: dict[str, tuple[str, ...]] = {
     "rebalance_mode": ("migrate", "repartition"),
     "recovery_policy": ("rollback", "shrink"),
     "integrity": ("off", "checksum", "digest", "full"),
-    "store": ("object", "soa"),
     "execution": ("bsp", "hybrid"),
     "activation": ("dense", "sparse"),
     "converge": ("fixed", "quiescence"),
@@ -171,7 +170,11 @@ class PlatformConfig:
         comm_rounds: Compute/communicate sub-rounds per iteration; the
             battlefield application sets this > 1 ("the computation and
             communication function sequence is called more than once").
-        hash_table_length: Buckets in each processor's node hash table.
+        hash_table_length: Accepted and ignored: the data node list is
+            indexed by a dict, and the thesis's hash-table probes are priced
+            by ``costs.hash_lookup_cost``, which no bucket count changes.
+            Kept only because ``benchmarks/perf/workloads.py`` still passes
+            it.
         costs: Bookkeeping cost constants.
         max_migrations_per_pair: Tasks to migrate per busy-idle pair per
             balancer invocation (the thesis ships exactly one; its section 7
@@ -239,16 +242,15 @@ class PlatformConfig:
             Sparse activation requires node functions that are *pure per
             round* -- the returned value must depend only on the node's own
             and neighbours' values.
-        store: Node-state representation: ``"object"`` (one
-            :class:`~repro.core.node.NodeData` instance per node -- the
-            conformance oracle) or ``"soa"`` (struct-of-arrays: contiguous
-            numpy arrays for values, versions, and halt flags, with
-            vectorized sweeps whenever the node functions carry bulk
-            kernels).  Results are bit-identical across stores.  The
-            default honours the ``REPRO_STORE`` environment variable, so a
-            CI matrix axis can flip the whole suite.  Either store runs on
-            either scheduler: a ``"process"`` worker keeps its store in
-            private memory.
+        store: Accepted and ignored: the node functions and the graph's
+            size pick the store
+            (:meth:`~repro.core.platform.ICPlatform.vectorized`).  When every
+            function ships a bulk kernel (``fn.bulk``) and the ranks average
+            enough nodes, each rank keeps a struct-of-arrays store and
+            sweeps vectorized, otherwise one
+            :class:`~repro.core.node.NodeData` per node, swept node by
+            node.  Kept only because ``benchmarks/perf/workloads.py`` still
+            passes it.
         converge: Termination rule: ``"fixed"`` (run exactly
             ``iterations`` sweeps) or ``"quiescence"`` (additionally stop as
             soon as a global reduction observes that *no* node's committed
@@ -266,7 +268,7 @@ class PlatformConfig:
     lb_threshold: float = 0.25
     overlap_communication: bool = False
     comm_rounds: int = 1
-    hash_table_length: int = 64
+    hash_table_length: int | None = None
     costs: PlatformCosts = field(default_factory=PlatformCosts)
     max_migrations_per_pair: int = 1
     rebalance_mode: str = CHOICES["rebalance_mode"][0]
@@ -275,9 +277,7 @@ class PlatformConfig:
     recovery_policy: str = CHOICES["recovery_policy"][0]
     integrity: str = CHOICES["integrity"][0]
     integrity_period: int = 1
-    store: str = field(
-        default_factory=lambda: os.environ.get("REPRO_STORE", CHOICES["store"][0])
-    )
+    store: str | None = None
     execution: str = field(
         default_factory=lambda: os.environ.get("REPRO_EXECUTION", CHOICES["execution"][0])
     )

@@ -7,7 +7,7 @@ A single migration involves three processor roles (Table 1):
   here), promotes internal neighbours to peripheral, and ships the data of
   the migrating node's neighbours to the idle processor;
 * the **idle** processor receives the task: it installs the neighbour data
-  in its data node list / hash table, adds the node to its peripheral list,
+  in its data node list, adds the node to its peripheral list,
   and may promote peripheral nodes to internal;
 * every processor **holding a shadow** of the migrating node updates its
   ``shadow_for_procs`` bookkeeping so future updates flow from the new
@@ -96,7 +96,7 @@ def migrate_node(
         node = store.release_node(gid)
         payload: list[tuple[int, Any, int]] = []
         for v in node.neighboring_nodes:
-            record = store.hash_table[v]
+            record = store.data_records[v]
             payload.append((v, record.data, record.version))
         # The idle side also needs the migrating node's own latest value --
         # it holds it as a shadow, but ship it anyway so state is exact even

@@ -5,8 +5,12 @@ Each rank keeps (section 4.1):
 * the **internal node list** -- owned nodes with every neighbour local,
 * the **peripheral node list** -- owned nodes with >= 1 remote neighbour,
 * the **data node list** -- :class:`NodeData` records for owned nodes *and*
-  shadow nodes (remote neighbours of peripherals), and
-* the **hash table** -- modulo-hash index into the data node list.
+  shadow nodes (remote neighbours of peripherals), indexed by gid.
+
+The thesis indexes the data node list with a hash table of sorted buckets.
+The virtual-time model prices each probe (``hash_lookup_cost`` in
+:meth:`~repro.core.compute.ComputeContext.node_cost`); on the host,
+``data_records`` is a dict and every lookup is one dict hit.
 
 The store also implements the data-structure surgery of task migration
 (section 4.3): demoting a migrated node to a shadow on the busy side,
@@ -22,7 +26,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..graphs.graph import Graph, sorted_unique
-from .hashtable import NodeHashTable
 from .node import INTERNAL, PERIPHERAL, NodeData, OwnNode
 
 __all__ = ["NodeStore"]
@@ -41,7 +44,6 @@ class NodeStore:
             migration -- the store reads it on demand.
         init_value: ``gid -> initial node value`` (the thesis initializes
             ``data = globalID``; applications plug in their own).
-        hash_table_length: Buckets in the node hash table.
     """
 
     def __init__(
@@ -50,14 +52,13 @@ class NodeStore:
         graph: Graph,
         assignment: list[int],
         init_value: InitValueFn,
-        hash_table_length: int = 64,
     ) -> None:
         self.rank = rank
         self.graph = graph
         self.assignment = assignment
         self.internal: dict[int, OwnNode] = {}
         self.peripheral: dict[int, OwnNode] = {}
-        self._init_record_storage(hash_table_length)
+        self._init_record_storage()
         # Memoized communication topology (cleared by ownership surgery
         # *and* by halt-flag changes -- see :meth:`set_halted`).
         self._buffer_sizes_cache: dict[int, list[int]] = {}
@@ -142,10 +143,9 @@ class NodeStore:
     # Record layer (overridden by the struct-of-arrays store)
     # ------------------------------------------------------------------ #
 
-    def _init_record_storage(self, hash_table_length: int) -> None:
-        """Create empty record containers (data node list + hash table)."""
+    def _init_record_storage(self) -> None:
+        """Create the empty data node list."""
         self.data_records: dict[int, NodeData] = {}
-        self.hash_table = NodeHashTable(hash_table_length)
 
     def _add_record(
         self,
@@ -155,7 +155,7 @@ class NodeStore:
         version: int = 0,
         halted: bool = False,
     ) -> NodeData:
-        """Create the data record for ``gid`` and index it.
+        """Create the data record for ``gid``.
 
         The single seam through which every record enters the store:
         initialization, migration adoption, and checkpoint restore all pass
@@ -166,7 +166,6 @@ class NodeStore:
             raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
         record = NodeData(gid, value, most_recent, version=version, halted=halted)
         self.data_records[gid] = record
-        self.hash_table.insert(record)
         return record
 
     def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> list[NodeData]:
@@ -176,9 +175,9 @@ class NodeStore:
         struct-of-arrays store overrides with one array write."""
         return [self._add_record(gid, value) for gid, value in zip(gids, values)]
 
-    def _reset_records(self, hash_table_length: int) -> None:
+    def _reset_records(self) -> None:
         """Drop every record and start empty (checkpoint restore)."""
-        self._init_record_storage(hash_table_length)
+        self._init_record_storage()
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -227,8 +226,8 @@ class NodeStore:
         return {node.global_id: node.data.version for node in self.owned_nodes()}
 
     def value_of(self, gid: int) -> Any:
-        """Committed value of any locally known node (via the hash table)."""
-        record = self.hash_table.get(gid)
+        """Committed value of any locally known node."""
+        record = self.data_records.get(gid)
         if record is None:
             raise KeyError(f"rank {self.rank} holds no data for node {gid}")
         return record.data
@@ -276,8 +275,8 @@ class NodeStore:
 
     def neighbor_records(self) -> dict[int, tuple[NodeData, ...]]:
         """``gid -> its neighbours' data records`` in adjacency order, for
-        every owned node: the list-forming step's hash-table lookups, done
-        once per surgery epoch instead of once per node update.
+        every owned node: the list-forming step's lookups, done once per
+        surgery epoch instead of once per node update.
 
         Resolved at the first scalar sweep that asks (``_build`` makes the
         ``OwnNode`` s before the shadow records exist; a bulk run never
@@ -288,9 +287,9 @@ class NodeStore:
         """
         rows = self._neighbor_records
         if rows is None:
-            table = self.hash_table
+            records = self.data_records
             rows = self._neighbor_records = {
-                node.global_id: tuple([table[v] for v in node.neighboring_nodes])
+                node.global_id: tuple([records[v] for v in node.neighboring_nodes])
                 for node in self.owned_nodes()
             }
         return rows
@@ -314,7 +313,7 @@ class NodeStore:
 
     def is_halted(self, gid: int) -> bool:
         """Whether the locally known node ``gid`` has voted to halt."""
-        record = self.hash_table.get(gid)
+        record = self.data_records.get(gid)
         if record is None:
             raise KeyError(f"rank {self.rank} holds no data for node {gid}")
         return record.halted
@@ -327,7 +326,7 @@ class NodeStore:
         excluded from :meth:`buffer_sizes` / :meth:`neighbor_procs`, so the
         memo is stale the moment a flag flips.
         """
-        record = self.hash_table.get(gid)
+        record = self.data_records.get(gid)
         if record is None:
             raise KeyError(f"rank {self.rank} holds no data for node {gid}")
         if bool(record.halted) == bool(halted):
@@ -368,7 +367,7 @@ class NodeStore:
         under both the dense (every value re-sent) and delta (changed values
         only) exchanges.
         """
-        record = self.hash_table.get(gid)
+        record = self.data_records.get(gid)
         if record is None:
             raise KeyError(f"rank {self.rank} received shadow for unknown node {gid}")
         if record.data == value:
@@ -472,7 +471,6 @@ class NodeStore:
         stale = [gid for gid in self.data_records if gid not in needed]
         for gid in stale:
             del self.data_records[gid]
-            self.hash_table.remove(gid)
         return stale
 
     # ------------------------------------------------------------------ #
@@ -483,10 +481,10 @@ class NodeStore:
         """Snapshot every mutable piece of the store into plain data.
 
         The snapshot covers the node-to-processor map, the full data node
-        list (committed *and* in-flight values), and the hash-table
-        geometry; node values are deep-copied so later sweeps cannot mutate
-        the snapshot through shared references.  The result is picklable
-        whenever the application's node values are.
+        list (committed *and* in-flight values) and the halt flags; node
+        values are deep-copied so later sweeps cannot mutate the snapshot
+        through shared references.  The result is picklable whenever the
+        application's node values are.
         """
         return {
             "rank": self.rank,
@@ -500,24 +498,27 @@ class NodeStore:
                 for gid, record in self.data_records.items()
             },
             "halted": self.halted_gids(),
-            "hash_table_length": self.hash_table.length,
+            # Read by nothing, but a shrink recovery prices the dead rank's
+            # snapshot by its pickled length (``Checkpoint.nbytes``): the
+            # thesis's bucket count stays in it so those clocks do not move.
+            "hash_table_length": 64,
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:
         """Rebuild the store from a :meth:`capture_state` snapshot.
 
         The shared ``assignment`` list is patched in place (it is owned by
-        the caller, exactly as during migration), the data node list and
-        hash table are rebuilt record by record, and the internal/peripheral
-        classification is re-derived -- leaving the store exactly as it was
-        at snapshot time.
+        the caller, exactly as during migration), the data node list is
+        rebuilt record by record, and the internal/peripheral classification
+        is re-derived -- leaving the store exactly as it was at snapshot
+        time.
         """
         if state["rank"] != self.rank:
             raise ValueError(
                 f"rank {self.rank} cannot restore a checkpoint of rank {state['rank']}"
             )
         self.assignment[:] = state["assignment"]
-        self._reset_records(state["hash_table_length"])
+        self._reset_records()
         halted = set(state.get("halted", ()))
         for gid, (data, most_recent, version) in state["records"].items():
             self._add_record(
@@ -565,10 +566,6 @@ class NodeStore:
                 assert v in self.data_records, (
                     f"rank {self.rank}: no data for neighbour {v} of {node.global_id}"
                 )
-        # Hash table mirrors the data node list exactly (same objects).
-        assert len(self.hash_table) == len(self.data_records)
-        for gid, record in self.data_records.items():
-            assert self.hash_table.get(gid) is record, f"hash table desync at {gid}"
         # OwnNode.data aliases the data record, and so does every resolved
         # neighbour row.
         rows = self._neighbor_records

@@ -4,8 +4,8 @@
 flow of control prescribes:
 
 1. **Initialization** -- a static partitioner (plug-in) provides the
-   node-to-processor mapping; every rank builds its node lists, data node
-   list and hash table (:class:`~repro.core.nodestore.NodeStore`).
+   node-to-processor mapping; every rank builds its node lists and data
+   node list (:class:`~repro.core.nodestore.NodeStore`).
 2. **Computation & communication** -- ``iterations`` sweeps of
    compute-over-nodes plus the shadow exchange (basic Figure-8 or
    overlapped Figure-8a pipeline; the battlefield app runs the sequence
@@ -63,6 +63,13 @@ from .trace import (
 __all__ = ["ICPlatform", "PlatformResult", "RankOutcome", "run_platform"]
 
 InitValueFn = Callable[[int], Any]
+
+#: Mean nodes per rank from which the struct-of-arrays store pays for
+#: itself.  Its sweep has fixed costs (array gathers, charge rows, one pack
+#: per destination) that only enough nodes amortize: below this, kernel
+#: functions sweep node by node on the object store like any other
+#: (measurements in docs/performance.md).
+BULK_MIN_NODES_PER_RANK = 64
 
 
 @dataclass
@@ -223,6 +230,19 @@ class ICPlatform:
 
     # ------------------------------------------------------------------ #
 
+    def vectorized(self, nprocs: int) -> bool:
+        """Whether a run on ``nprocs`` ranks keeps a
+        :class:`~repro.core.soastore.SoAStore` on every rank and sweeps
+        through the bulk kernels: every node function ships one
+        (``fn.bulk``) and the ranks average at least
+        :data:`BULK_MIN_NODES_PER_RANK` nodes.  Otherwise (imbalance
+        schedules, battlefield, small graphs) each rank keeps a
+        :class:`~repro.core.nodestore.NodeStore`, swept node by node."""
+        return (
+            supports_bulk(self.node_fns)
+            and self.graph.num_nodes >= BULK_MIN_NODES_PER_RANK * nprocs
+        )
+
     def run(
         self,
         partition: Partition,
@@ -371,11 +391,7 @@ class _RankRun:
             if self.hybrid or config.activation == "sparse"
             else None
         )
-        # The struct-of-arrays store computes through the vectorized kernels
-        # whenever every node function ships one; functions without one
-        # (imbalance schedules, battlefield) compute node by node, which is
-        # equally conformant on either store.
-        self.bulk = config.store == "soa" and supports_bulk(platform.node_fns)
+        self.bulk = platform.vectorized(comm.size)
         self.iteration = 0  # the one just completed; 0 = initialization
         self.dead = False
         self.quiesced = False
@@ -418,13 +434,12 @@ class _RankRun:
         """Build this rank's node lists, then take the recovery baseline."""
         comm, config, platform = self.comm, self.config, self.platform
         t0 = comm.Wtime()
-        store_cls = SoAStore if config.store == "soa" else NodeStore
+        store_cls = SoAStore if self.bulk else NodeStore
         self.store = store = store_cls(
             comm.rank,
             platform.graph,
             list(partition.assignment),  # this rank's output_arr copy
             platform.init_value,
-            hash_table_length=config.hash_table_length,
         )
         comm.work(
             config.costs.init_node_cost * store.num_owned()

@@ -228,7 +228,6 @@ def shrink_reconfigure(
         store.graph,
         store.assignment,
         init_value=lambda gid: all_values[gid],
-        hash_table_length=store.hash_table.length,
     )
     adopted = sum(1 for r in placed.values() if r == new_comm.rank)
     comm.work(

@@ -122,7 +122,6 @@ def repartition_phase(
         graph,
         store.assignment,
         init_value=lambda gid: all_values[gid],
-        hash_table_length=store.hash_table.length,
     )
     if init_cost_fn is not None:
         comm.work(init_cost_fn(new_store))

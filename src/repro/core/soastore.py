@@ -1,10 +1,10 @@
 """Struct-of-arrays node store: contiguous numpy state behind the NodeStore API.
 
 The object store keeps one :class:`~repro.core.node.NodeData` instance per
-node -- flexible, but at 100k+ nodes the per-record attribute traffic and
-hash-bucket scans dominate wall time.  :class:`SoAStore` keeps the same
-*logical* state in parallel numpy arrays (values, pending values, version
-counters, halt flags), in the style of gpaw's grid descriptors:
+node -- flexible, but at 100k+ nodes the per-record attribute traffic
+dominates wall time.  :class:`SoAStore` keeps the same *logical* state in
+parallel numpy arrays (values, pending values, version counters, halt
+flags), in the style of gpaw's grid descriptors:
 
 ::
 
@@ -22,7 +22,13 @@ surgery, checkpoint capture/restore, integrity repair, and migration all go
 through the same :meth:`NodeStore._add_record` seam and see per-record
 *proxy* objects (:class:`_ArrayRecord`) that read and write the arrays.
 Proxies are cached one-per-gid so the object-identity invariants of the
-base class (``hash_table.get(gid) is data_records[gid]``) keep holding.
+base class (``own_node(gid).data is data_records[gid]``) keep holding.
+
+The platform builds this store exactly when every node function ships a
+bulk kernel (``fn.bulk``) and the ranks average at least
+``BULK_MIN_NODES_PER_RANK`` nodes, and the object store otherwise: the
+arrays pay off only through vectorised sweeps over enough nodes, and a
+node-by-node sweep over them is slower than over plain records.
 
 Exactness rules (the differential oracle demands byte-identical results
 against the object store):
@@ -206,7 +212,7 @@ class _ArrayRecord:
     """A NodeData-shaped window onto one slot of the arrays.
 
     Cached one-per-gid by the store so identity checks
-    (``data_records[gid] is hash_table.get(gid)``) behave exactly as with
+    (``data_records[gid] is own_node(gid).data``) behave exactly as with
     real :class:`~repro.core.node.NodeData` instances.
     """
 
@@ -248,24 +254,12 @@ class _ArrayRecord:
     def halted(self, value: bool) -> None:
         self._store._halted[self._store._slot_of[self.global_id]] = bool(value)
 
-    def commit(self) -> bool:
-        """Mirror :meth:`NodeData.commit` on the array slots."""
-        pending = self.most_recent_data
-        if pending is None:
-            return False
-        changed = pending != self.data
-        self.data = pending
-        self.most_recent_data = None
-        if changed:
-            self.version += 1
-        return changed
-
     def __repr__(self) -> str:
         return f"NodeData(gid={self.global_id}, data={self.data!r}, v{self.version})"
 
 
 # --------------------------------------------------------------------- #
-# dict / hash-table facades
+# dict facade
 # --------------------------------------------------------------------- #
 
 
@@ -310,79 +304,6 @@ class _SoARecords:
     def __delitem__(self, gid: int) -> None:
         self._store._remove_record(gid)
 
-    def clear(self) -> None:
-        for gid in list(self._store._order):
-            self._store._remove_record(gid)
-
-
-class _SoAHashTable:
-    """``hash_table`` facade with the :class:`NodeHashTable` read API.
-
-    Lookups are O(1) dict hits; the modulo-hash bucket *accounting*
-    (``hash_index`` / ``bucket_lengths``) is still answered for
-    diagnostics, computed from the same appendix hash function.
-    """
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "SoAStore") -> None:
-        self._store = store
-
-    @property
-    def length(self) -> int:
-        return self._store._table_length
-
-    def hash_index(self, gid: int) -> int:
-        if gid < 1:
-            raise KeyError(f"global IDs are 1-based, got {gid}")
-        return pow(3, gid, self._store._table_length)
-
-    def get(self, gid: int) -> _ArrayRecord | None:
-        if gid not in self._store._slot_of:
-            return None
-        return self._store._proxy(gid)
-
-    def __getitem__(self, gid: int) -> _ArrayRecord:
-        if gid not in self._store._slot_of:
-            raise KeyError(f"node {gid} not in hash table")
-        return self._store._proxy(gid)
-
-    def __contains__(self, gid: int) -> bool:
-        return gid in self._store._slot_of
-
-    def insert(self, record: Any) -> bool:
-        raise TypeError(
-            "SoAStore manages its hash index internally; "
-            "add records through the store API"
-        )
-
-    def remove(self, gid: int) -> bool:
-        if gid not in self._store._slot_of:
-            return False
-        self._store._remove_record(gid)
-        return True
-
-    def __len__(self) -> int:
-        return len(self._store._slot_of)
-
-    def __iter__(self) -> Iterator[_ArrayRecord]:
-        # Bucket order, sorted within buckets -- same order as the real table.
-        buckets: dict[int, list[int]] = {}
-        for gid in self._store._slot_of:
-            buckets.setdefault(self.hash_index(gid), []).append(gid)
-        for index in sorted(buckets):
-            for gid in sorted(buckets[index]):
-                yield self._store._proxy(gid)
-
-    def gids(self) -> list[int]:
-        return sorted(self._store._slot_of)
-
-    def bucket_lengths(self) -> list[int]:
-        lengths = [0] * self._store._table_length
-        for gid in self._store._slot_of:
-            lengths[self.hash_index(gid)] += 1
-        return lengths
-
 
 # --------------------------------------------------------------------- #
 # The store
@@ -400,8 +321,7 @@ class SoAStore(NodeStore):
 
     # -------------------------- record layer -------------------------- #
 
-    def _init_record_storage(self, hash_table_length: int) -> None:
-        self._table_length = hash_table_length
+    def _init_record_storage(self) -> None:
         self._slot_of: dict[int, int] = {}
         self._order: list[int] = []
         self._free: list[int] = []
@@ -420,7 +340,6 @@ class SoAStore(NodeStore):
         self.sparse_geom_hits = 0
         self.sparse_geom_misses = 0
         self.data_records = _SoARecords(self)  # type: ignore[assignment]
-        self.hash_table = _SoAHashTable(self)  # type: ignore[assignment]
 
     def _capacity(self) -> int:
         return len(self._values)

@@ -42,3 +42,12 @@ def ideal_machine():
 @pytest.fixture(scope="session")
 def origin_machine():
     return ORIGIN2000
+
+
+@pytest.fixture
+def vectorize_any_size(monkeypatch):
+    """Let bulk kernels vectorize on graphs of any size.  The store
+    differentials compare the struct-of-arrays sweep with the scalar twin's
+    on small graphs, which the platform would otherwise keep on the object
+    store (fewer than ``BULK_MIN_NODES_PER_RANK`` nodes a rank)."""
+    monkeypatch.setattr("repro.core.platform.BULK_MIN_NODES_PER_RANK", 0)

@@ -45,6 +45,10 @@ from repro.partitioning import (
     RowBandPartitioner,
 )
 
+from ..twins import on_store
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
+
 STORES = [pytest.param(NodeStore, id="object"), pytest.param(SoAStore, id="soa")]
 
 # --------------------------------------------------------------------- #
@@ -212,7 +216,6 @@ def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
     assert built.shadow_gids() == ref.shadow_gids()
     assert all(map(is_int, built.shadow_gids()))
     assert built.num_shadows() == len(ref.shadow_gids())
-    assert built.hash_table.gids() == ref.hash_table.gids()
     for gid, record in ref.data_records.items():
         mine = built.data_records[gid]
         assert is_int(mine.global_id) and mine.global_id == gid
@@ -450,9 +453,9 @@ def test_final_assignment_and_values_merge(store):
     partition = scattered_partition(graph, 4)
     result = ICPlatform(
         graph,
-        make_average_fn(1e-5),
+        on_store(store, make_average_fn(1e-5)),
         init_value=float,
-        config=PlatformConfig(iterations=3, store=store),
+        config=PlatformConfig(iterations=3),
     ).run(partition)
     assert result.final_assignment == partition.assignment
     assert all(map(is_int, result.final_assignment))
@@ -473,7 +476,7 @@ def test_run_builds_the_csr_before_any_rank_starts(monkeypatch):
     monkeypatch.setattr(SoAStore, "_build", recording)
     ICPlatform(
         graph, make_average_fn(1e-5), init_value=float,
-        config=PlatformConfig(iterations=1, store="soa"),
+        config=PlatformConfig(iterations=1),
     ).run(scattered_partition(graph, 2))
     assert seen == [True, True]
 
@@ -483,7 +486,7 @@ def test_process_workers_build_the_same_stores():
     it with the one-shot fill: same run as the event backend."""
     graph = grid2d(8, 8)
     partition = scattered_partition(graph, 3)
-    config = PlatformConfig(iterations=4, store="soa", track_trace=True)
+    config = PlatformConfig(iterations=4, track_trace=True)
 
     def run(scheduler):
         return ICPlatform(

@@ -6,15 +6,14 @@ replaced: :func:`reference_vertex_program` below, which runs every vertex
 program on its own superstep loop over the raw-communicator workload in
 ``tests/mpi/bsp_workload.py``, kept here verbatim so the suite still has an
 independent derivation of Pregel's schedule.  Both must agree on every
-value and on the superstep count, on both schedulers and both stores.
+value and on the superstep count, on both schedulers.  (A vertex program
+has no bulk kernel, so it always runs on the object store.)
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -312,19 +311,15 @@ def reference_vertex_program(
     return values, supersteps
 
 
-#: Every (scheduler, store) the adapter must agree with the reference on.
-BACKENDS = [
-    (scheduler, store) for scheduler in ("event", "process") for store in ("object", "soa")
-]
+#: Every scheduler the adapter must agree with the reference on.
+BACKENDS = ["event", "process"]
 
 
-def adapter(graph, partition, program, backend, **kwargs):
-    """``run_vertex_program`` on ``backend``'s scheduler and store."""
-    scheduler, store = backend
-    with mock.patch.dict(os.environ, {"REPRO_STORE": store}):
-        return run_vertex_program(
-            graph, partition, program, machine=IDEAL, scheduler=scheduler, **kwargs
-        )
+def adapter(graph, partition, program, scheduler, **kwargs):
+    """``run_vertex_program`` on ``scheduler``."""
+    return run_vertex_program(
+        graph, partition, program, machine=IDEAL, scheduler=scheduler, **kwargs
+    )
 
 
 PAGERANK_GRAPH = preferential_attachment(100, edges_per_node=2, seed=7)
@@ -341,7 +336,7 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids="-".join)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", PINNED)
 def test_adapter_reproduces_the_engine(case, backend):
     graph, partitioner, program, ranks, supersteps = PINNED[case]

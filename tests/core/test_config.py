@@ -46,14 +46,12 @@ class TestPlatformConfig:
         config = PlatformConfig(costs=costs)
         assert config.costs.pack_cost == 42.0
 
-    def test_store_validation(self):
-        assert PlatformConfig(store="soa").store == "soa"
-        assert PlatformConfig(store="object").store == "object"
-        with pytest.raises(ValueError, match="store"):
-            PlatformConfig(store="columnar")
-
-    def test_store_default_honours_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert PlatformConfig().store == "object"
+    def test_store_fields_are_accepted_and_ignored(self, monkeypatch):
+        """``store`` and ``hash_table_length`` stay only so old callers
+        keep constructing; nothing validates or reads them, and the
+        environment no longer picks a store."""
         monkeypatch.setenv("REPRO_STORE", "soa")
-        assert PlatformConfig().store == "soa"
+        assert PlatformConfig().store is None
+        assert PlatformConfig().hash_table_length is None
+        config = PlatformConfig(store="columnar", hash_table_length=0)
+        assert (config.store, config.hash_table_length) == ("columnar", 0)

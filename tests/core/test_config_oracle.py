@@ -2,21 +2,22 @@
 declaration of the platform's switches (``repro.core.config``).
 
 * A *legal* configuration -- every enumerated switch sampled from
-  ``CHOICES``, plus dynamic balancing, a fault plan, a host-schedule seed
-  and float or int node values, anything but a seeded ``process`` run --
-  must be indistinguishable from its reference: the same run on the event
-  scheduler and the object store, unseeded, with every switch ``INERT``
-  calls inert put back to its default.  So one comparison covers the
-  scheduler, the store, the node value type, the schedule fuzzer and the
-  inertness claims, across whatever the other switches happen to be.  Of
-  the 120 legal draws, 55 run ``process``: 25 of them on the object store
-  and 16 with int node values.
+  ``CHOICES``, plus dynamic balancing, a fault plan, a host-schedule seed,
+  float or int node values and the node function's store (the average
+  kernel, or its scalar twin on the object store), anything but a seeded
+  ``process`` run -- must be indistinguishable from its reference: the
+  same run on the event scheduler and the object store, unseeded, with
+  every switch ``INERT`` calls inert put back to its default.  So one
+  comparison covers the scheduler, the store, the node value type, the
+  schedule fuzzer and the inertness claims, across whatever the other
+  switches happen to be.  Of the 120 legal draws, 41 run ``process``:
+  26 of them on the object store and 24 with int node values.
 * An *illegal* one -- a ``process`` run given a ``schedule_seed``, the one
   combination refused -- must raise ``UnsupportedBackendError`` with
   ``SEED_NEEDS_EVENT`` while nothing has been forked, opened or allocated.
 
-Every switch is passed explicitly, so neither ``REPRO_STORE`` nor
-``REPRO_EXECUTION`` moves a result here.
+Every switch is passed explicitly, so ``REPRO_EXECUTION`` moves no result
+here.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from repro.mpi.scheduler import SEED_NEEDS_EVENT
 from repro.partitioning.base import Partition
 
 from ..mpi.test_process_backend import host_untouched
+from ..twins import STORES, on_store
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 GRAPH = hex_grid(6, 6)
 #: Three ranks holding 18 / 12 / 6 nodes (row bands), so the balancer has
@@ -56,6 +60,7 @@ runs = st.fixed_dictionaries(
         "faults": st.booleans(),
         "schedule_seed": st.none() | st.integers(0, 9),
         "value_type": st.sampled_from([float, int]),
+        "store": st.sampled_from(STORES),
     }
 )
 
@@ -75,7 +80,10 @@ def execute(run: dict):
         **{name: run[name] for name in CHOICES if name != "scheduler"},
     )
     platform = ICPlatform(
-        GRAPH, make_average_fn(FINE_GRAIN), init_value=run["value_type"], config=config
+        GRAPH,
+        on_store(run["store"], make_average_fn(FINE_GRAIN)),
+        init_value=run["value_type"],
+        config=config,
     )
     return platform.run(
         PARTITION,

@@ -13,7 +13,8 @@ The invariants pinned here:
 
 * hybrid reaches the same fixed point as dense BSP (tolerance-equal
   values, equal residual) while crossing strictly fewer barriers;
-* hybrid-vs-hybrid results are bit-identical across node stores,
+* hybrid-vs-hybrid results are bit-identical across node stores (the
+  Jacobi kernel against its scalar twin),
   activation modes, both scheduler backends, and 10 perturbed host
   schedules;
 * inner-iteration counters ride checkpoints: crash + rollback recovery
@@ -33,14 +34,17 @@ from repro.core import ICPlatform, PlatformConfig
 from repro.mpi import FaultPlan
 from repro.partitioning import MetisLikePartitioner
 
+from ..twins import on_store
 from .test_sparse_mode import RUNS
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 #: Convergence tolerance of the quantized Jacobi workload below.
 TOL = 1e-4
 
 
 def run_plate(execution, *, converge="quiescence", iterations=200,
-              scheduler=None, faults=None, seed=None, nparts=4,
+              scheduler=None, faults=None, seed=None, nparts=4, store="soa",
               **overrides):
     graph, boundary, init = hot_edge_plate(8, 8)
     partition = MetisLikePartitioner(seed=0).partition(graph, nparts)
@@ -52,7 +56,10 @@ def run_plate(execution, *, converge="quiescence", iterations=200,
         **overrides,
     )
     platform = ICPlatform(
-        graph, make_jacobi_fn(boundary, quantize=4), init_value=init, config=config
+        graph,
+        on_store(store, make_jacobi_fn(boundary, quantize=4)),
+        init_value=init,
+        config=config,
     )
     result = platform.run(
         partition,

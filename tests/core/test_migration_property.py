@@ -62,14 +62,14 @@ def migration_round_trip(comm, graph, assignment, moves):
         migrate_node(comm, store, gid, busy, idle, ctx)
         executed.append((gid, busy, idle))
 
-    store.check_invariants()  # shadow/peripheral/hash-table consistency
+    store.check_invariants()  # shadow/peripheral/data-record consistency
 
-    # Every ID this rank's sweeps would touch resolves via the hash table
-    # to the exact record in the data node list.
+    # Every ID this rank's sweeps would touch resolves to a record of the
+    # data node list, the owned ones to the record their OwnNode holds.
     for node in store.owned_nodes():
-        assert store.hash_table[node.global_id] is store.data_records[node.global_id]
+        assert store.data_records[node.global_id] is node.data
         for v in node.neighboring_nodes:
-            assert store.hash_table[v] is store.data_records[v]
+            assert v in store.data_records
 
     owned = sorted(node.global_id for node in store.owned_nodes())
     return owned, tuple(store.assignment), executed

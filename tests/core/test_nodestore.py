@@ -158,14 +158,14 @@ class TestCommitAndShadows:
     @pytest.mark.parametrize("store_cls", [NodeStore, SoAStore])
     def test_duplicate_record_is_refused(self, store_cls, path6):
         """A second record for a held gid would leave ``data_records`` on the
-        new one while the hash table, ``OwnNode.data`` and any resolved
-        neighbour row keep the old (the object store used to allow it)."""
+        new one while ``OwnNode.data`` and any resolved neighbour row keep
+        the old (the object store used to allow it)."""
         store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10.0)
         for gid in (1, 4):  # owned, shadow
             with pytest.raises(KeyError, match=f"rank 0 already holds a record for node {gid}"):
                 store._add_record(gid, 999.0)
             assert store.value_of(gid) == gid * 10.0
-        assert len(store.data_records) == len(store.hash_table) == 4
+        assert len(store.data_records) == 4
         store.check_invariants()
 
 
@@ -178,7 +178,6 @@ class TestMigrationSurgery:
         # "the entry of the migrating node isn't removed from the data node
         # list and the hash table"
         assert 3 in store.data_records
-        assert store.hash_table.get(3) is not None
 
     def test_release_unowned_raises(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)

@@ -1,27 +1,27 @@
 """The scalar sweep's neighbour rows: resolved once per surgery epoch, never stale.
 
 ``NodeStore.neighbor_records()`` hands the scalar sweep each owned node's
-neighbour *records*, resolved through the hash table once per surgery epoch
+neighbour *records*, looked up in the data node list once per surgery epoch
 instead of once per node update.  A stale row would make a node compute from
 a record nobody writes any more, silently, so the rows are held to the
 probing path they replaced -- which lives on *here*, as the reference
-(``reference_views`` / ``probing_oracle`` resolve through
-``store.hash_table[v]`` exactly as the deleted ``_form_view`` did):
+(``reference_views`` / ``probing_oracle`` look up ``store.data_records[v]``
+at the time of asking, as the deleted ``_form_view`` did):
 
 * after every kind of store surgery one scalar sweep sees the views the
   reference forms, and ``check_invariants()`` (which now also holds every
   cached row, by identity, to ``data_records``) passes;
 * whole platform runs -- migration, crash + shrink rebuild, integrity repair
   -- re-check every row each time a scalar phase asks for them;
-* a deterministic count floor: ``NodeHashTable.get`` is called for view
+* a deterministic count floor: the data node list is indexed for view
   forming once per neighbour per epoch and not once more;
 * a bulk run never resolves a row at all.
 
 Mutation check: deleting ``self._neighbor_records = None`` from
-``NodeStore._invalidate_topology_cache`` fails nine tests here: both of
-``TestRowsFollowSurgery`` and the migration and rollback runs of
-``TestPlatformRuns`` on both stores, and ``TestProbeCounts`` (a shrink builds
-a new store and a repair writes in place, so those two runs rightly pass).
+``NodeStore._invalidate_topology_cache`` fails seven tests here: both
+of ``TestRowsFollowSurgery`` on both stores, the object-store migration and
+rollback runs of ``TestPlatformRuns``, and ``TestProbeCounts`` (a shrink builds a new store
+and a repair writes in place, so those two runs rightly pass).
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ from repro.apps.imbalance import make_imbalanced_average_fn
 from repro.core import (
     CommBuffers,
     ComputeContext,
+    ICPlatform,
     NodeStore,
     NodeView,
+    PlatformConfig,
     PlatformCosts,
     SoAStore,
     superstep,
@@ -44,10 +46,13 @@ from repro.core import (
 from repro.core.compute import _ScalarPhases
 from repro.core.migration import migrate_node, select_migrating_node
 from repro.graphs import Graph, hex32, hex64
-from repro.mpi import IDEAL, run_mpi
-from repro.partitioning import MetisLikePartitioner
+from repro.mpi import IDEAL, FaultPlan, run_mpi
+from repro.partitioning import MetisLikePartitioner, Partition
 
-from .test_store_conformance import boundary_gid_of_rank, make_scalar_average_fn, run_hex
+from ..twins import on_store, scalar_twin
+from .test_store_conformance import boundary_gid_of_rank
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 STORES = [pytest.param(NodeStore, id="object"), pytest.param(SoAStore, id="soa")]
 
@@ -81,13 +86,13 @@ def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
 
 def reference_views(store: NodeStore) -> list[NodeView]:
     """The views of one sweep formed the way the sweep used to form them:
-    one hash-table probe per neighbour, at the time of asking."""
-    table = store.hash_table
+    one lookup per neighbour, at the time of asking."""
+    records = store.data_records
     return [
         NodeView(
             global_id=node.global_id,
-            value=table[node.global_id].data,
-            neighbors=tuple((v, table[v].data) for v in node.neighboring_nodes),
+            value=records[node.global_id].data,
+            neighbors=tuple((v, records[v].data) for v in node.neighboring_nodes),
             iteration=ITERATION,
             round=ROUND,
         )
@@ -123,8 +128,8 @@ def migrate(stores: list[NodeStore], gid: int, to: int, check=lambda store: None
     assignment[gid - 1] = to
     node = source.release_node(gid)
     check(source)
-    table = source.hash_table
-    payload = [(v, table[v].data, table[v].version) for v in node.neighboring_nodes]
+    records = source.data_records
+    payload = [(v, records[v].data, records[v].version) for v in node.neighboring_nodes]
     target.ensure_record(gid, node.data.data, version=node.data.version).data = node.data.data
     check(target)
     target.adopt_node(gid, payload)
@@ -149,7 +154,7 @@ class TestInvariantOracle:
         for node in store.owned_nodes():
             assert len(rows[node.global_id]) == len(node.neighboring_nodes)
             for kept, v in zip(rows[node.global_id], node.neighboring_nodes):
-                assert kept is store.data_records[v] is store.hash_table[v]
+                assert kept is store.data_records[v]
         store.check_invariants()
 
     @pytest.mark.parametrize("store_cls", STORES)
@@ -223,7 +228,7 @@ class TestRowsFollowSurgery:
         assert sorted(left.peripheral) == [3]
 
         # A shrink rebuild is a new store of the same type.
-        rebuilt = type(left)(0, path6, [0] * 6, init_value=float, hash_table_length=8)
+        rebuilt = type(left)(0, path6, [0] * 6, init_value=float)
         assert_fresh(rebuilt)
 
     @pytest.mark.parametrize("store_cls", STORES)
@@ -272,16 +277,16 @@ class TestRowsFollowSurgery:
 @pytest.fixture
 def probing_oracle(monkeypatch):
     """Holds every row a scalar phase is handed, in a platform run, to a
-    fresh hash-table resolution; returns the ranks that asked, in order."""
+    fresh lookup; returns the ranks that asked, in order."""
     asked: list[int] = []
     resolve = NodeStore.neighbor_records
 
     def checked(store):
         rows = resolve(store)
-        table = store.hash_table
+        records = store.data_records
         assert list(rows) == [node.global_id for node in store.owned_nodes()]
         for node in store.owned_nodes():
-            probed = [table[v] for v in node.neighboring_nodes]
+            probed = [records[v] for v in node.neighboring_nodes]
             assert len(rows[node.global_id]) == len(probed)
             assert all(kept is record for kept, record in zip(rows[node.global_id], probed))
         asked.append(store.rank)
@@ -291,32 +296,61 @@ def probing_oracle(monkeypatch):
     return asked
 
 
-#: The neighbour average without a bulk kernel: always the scalar sweep.
-SCALAR_AVERAGE = make_scalar_average_fn(1e-4)
+#: The neighbour average with its bulk kernel; ``on_store`` makes the object
+#: side its scalar twin.
+AVERAGE = make_average_fn(1e-4)
+#: The same average without its kernel: always the scalar sweep.
+SCALAR_AVERAGE = scalar_twin(AVERAGE)
 
 
-def run_checked(store: str, node_fn=SCALAR_AVERAGE, **kwargs):
+def run_checked(store, node_fn=AVERAGE, *, iterations=6, faults=None, skew=False, **overrides):
     """The conformance suite's hex32 / 4-rank run with the invariants checked
     every iteration; ``execution`` is left to the default on purpose, so the
-    hybrid CI step runs these by node class."""
-    return run_hex(store, node_fn=node_fn, validate_each_iteration=True, **kwargs)
+    hybrid CI step runs these by node class.  ``skew`` hands half of the
+    last rank's nodes to rank 0, an imbalance the balancer acts on."""
+    graph = hex32()
+    partition = MetisLikePartitioner(seed=0).partition(graph, 4)
+    if skew:
+        assignment = list(partition.assignment)
+        last = [i for i, proc in enumerate(assignment) if proc == 3]
+        for i in last[: len(last) // 2]:
+            assignment[i] = 0
+        partition = Partition.from_assignment(graph, assignment, 4)
+    config = PlatformConfig(iterations=iterations, validate_each_iteration=True, **overrides)
+    return ICPlatform(graph, on_store(store, node_fn), config=config).run(
+        partition, faults=FaultPlan.parse(faults) if faults else None
+    )
 
 
 @pytest.mark.parametrize("store", ["object", "soa"])
 class TestPlatformRuns:
+    """On ``object`` the scalar twin sweeps node by node and every row it is
+    handed is re-checked; on ``soa`` the kernel sweeps the arrays, with the
+    store's invariants checked every iteration, and never asks for a row."""
+
     def test_migrations(self, store, probing_oracle):
-        result = run_checked(
-            store,
-            make_imbalanced_average_fn(),
-            iterations=30,
-            dynamic_load_balancing=True,
-            lb_period=4,
-        )
-        assert result.migrations and probing_oracle
+        """The object side follows the imbalance workload's moving heavy
+        band; the kernel side (no per-node grains) starts from a skewed
+        partition."""
+        if store == "object":
+            result = run_checked(
+                store,
+                make_imbalanced_average_fn(),
+                iterations=30,
+                dynamic_load_balancing=True,
+                lb_period=4,
+            )
+        else:
+            result = run_checked(
+                store, iterations=30, skew=True, dynamic_load_balancing=True, lb_period=4
+            )
+        assert result.migrations
+        assert bool(probing_oracle) == (store == "object")
 
     def test_crash_and_rollback(self, store, probing_oracle):
         result = run_checked(store, iterations=8, checkpoint_period=3, faults="seed=3,crash=2@5")
-        assert result.recoveries == 1 and probing_oracle
+        assert result.recoveries == 1
+        assert bool(probing_oracle) == (store == "object")
 
     def test_crash_and_shrink_rebuild(self, store, probing_oracle):
         result = run_checked(
@@ -326,26 +360,30 @@ class TestPlatformRuns:
             recovery_policy="shrink",
             faults="seed=3,crash=2@5",
         )
-        assert result.dead_ranks == (2,) and probing_oracle
+        assert result.dead_ranks == (2,)
+        assert bool(probing_oracle) == (store == "object")
 
     def test_integrity_repair(self, store, probing_oracle):
         faults = f"seed=11,flip=1@4:{boundary_gid_of_rank(1)}"
         result = run_checked(store, iterations=8, integrity="full", faults=faults)
-        assert result.repairs == 1 and probing_oracle
+        assert result.repairs == 1
+        assert bool(probing_oracle) == (store == "object")
 
     def test_a_bulk_run_resolves_no_row(self, store, probing_oracle):
-        """The SoA store with a bulk kernel runs ``_BulkPhases``: the rows
-        are never built (the three bulk benchmark workloads cannot move)."""
-        run_checked(store, make_average_fn(1e-4), iterations=4)
+        """A bulk kernel runs on the SoA store through ``_BulkPhases``: the
+        rows are never built (the three bulk benchmark workloads cannot
+        move).  Its scalar twin resolves them."""
+        run_checked(store, iterations=4)
         assert bool(probing_oracle) == (store == "object")
 
 
 class TestProbeCounts:
-    def test_hash_table_is_probed_once_per_neighbour_per_epoch(self):
+    def test_records_are_probed_once_per_neighbour_per_epoch(self):
         """Counts repeat exactly where walls do not.  hex64 on 4 ranks, dense
         Figure-8 sweeps on the object store: the first sweep of an epoch
-        probes once per owned neighbourhood entry, every sweep probes once
-        per shadow record received, and nothing else probes."""
+        looks up the data node list once per owned neighbourhood entry,
+        every sweep once per shadow record received, and nothing else
+        looks."""
         graph = hex64()
         assignment = MetisLikePartitioner(seed=0).partition(graph, 4).assignment
         scout = NodeStore(0, graph, list(assignment), float)
@@ -356,13 +394,17 @@ class TestProbeCounts:
             owners = list(assignment)
             store = NodeStore(comm.rank, graph, owners, float)
             probes = [0]
-            get = store.hash_table.get
 
-            def counting_get(gid):
-                probes[0] += 1
-                return get(gid)
+            class Counting(dict):
+                def __getitem__(self, gid):
+                    probes[0] += 1
+                    return super().__getitem__(gid)
 
-            store.hash_table.get = counting_get
+                def get(self, gid, default=None):
+                    probes[0] += 1
+                    return super().get(gid, default)
+
+            store.data_records = Counting(store.data_records)
             ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
             buffers = CommBuffers(comm.size)
 

@@ -90,7 +90,7 @@ def assert_mirrored(obj: NodeStore, soa: SoAStore) -> None:
         assert rec.most_recent_data == ref.most_recent_data
         assert rec.version == ref.version
         assert rec.halted == ref.halted
-        assert soa.hash_table.get(gid) is rec  # identity invariant
+        assert soa.data_records.get(gid) is rec  # identity invariant
     # Snapshots pickle byte-identically: checkpoints, migration payloads,
     # and integrity digests built from them cannot tell the stores apart.
     assert pickle.dumps(soa.capture_state(), 5) == pickle.dumps(obj.capture_state(), 5)
@@ -215,3 +215,17 @@ def test_mixed_type_commits_demote_identically(n, seed, pendings):
         soa.data_records[gid].most_recent_data = value
         assert obj.commit_owned() == list(soa.commit_owned())
         assert_mirrored(obj, soa)
+
+
+def test_demotion_keeps_the_pending_values():
+    """A non-float pending value written while other nodes hold pending
+    floats demotes the arrays with those floats intact."""
+    graph = random_connected_graph(8, avg_degree=3.0, seed=1)
+    obj = NodeStore(0, graph, [0] * graph.num_nodes, float)
+    soa = SoAStore(0, graph, [0] * graph.num_nodes, float)
+    for gid, value in ((1, 2.5), (2, 3.5), (3, 7)):  # the int demotes
+        obj.data_records[gid].most_recent_data = value
+        soa.data_records[gid].most_recent_data = value
+    assert_mirrored(obj, soa)
+    assert obj.commit_owned() == list(soa.commit_owned())
+    assert_mirrored(obj, soa)

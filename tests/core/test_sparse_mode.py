@@ -9,9 +9,9 @@ recovery (rollback and shrink), silent-corruption repair, and across 10
 perturbed host schedules.
 
 The conformance classes are additionally parametrized over the node-store
-backend (``store="object"`` / ``store="soa"``): sparse-vs-dense equality
-must hold whether the state lives in per-node objects or in contiguous
-arrays with vectorized sweeps.
+backend (``store="object"`` / ``store="soa"``: the kernel's scalar twin or
+the kernel itself): sparse-vs-dense equality must hold whether the state
+lives in per-node objects or in contiguous arrays with vectorized sweeps.
 """
 
 from __future__ import annotations
@@ -26,12 +26,16 @@ from repro.graphs import hex32
 from repro.mpi import FaultPlan
 from repro.partitioning import MetisLikePartitioner
 
+from ..twins import on_store
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
+
 #: Distinct host schedules per fuzzed scenario (conformance spec).
 RUNS = 10
 
 
 def run_hex(activation, *, overlap=False, iterations=6, faults=None,
-            seed=None, **overrides):
+            seed=None, store="soa", **overrides):
     graph = hex32()
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
     config = PlatformConfig(
@@ -41,7 +45,7 @@ def run_hex(activation, *, overlap=False, iterations=6, faults=None,
         track_trace=True,
         **overrides,
     )
-    platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
+    platform = ICPlatform(graph, on_store(store, make_average_fn(1e-4)), config=config)
     return platform.run(
         partition,
         faults=FaultPlan.parse(faults) if faults else None,
@@ -50,7 +54,7 @@ def run_hex(activation, *, overlap=False, iterations=6, faults=None,
 
 
 def run_plate(activation, *, converge="fixed", iterations=150, faults=None,
-              seed=None, **overrides):
+              seed=None, store="soa", **overrides):
     graph, boundary, init = hot_edge_plate(8, 8)
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
     config = PlatformConfig(
@@ -61,7 +65,10 @@ def run_plate(activation, *, converge="fixed", iterations=150, faults=None,
         **overrides,
     )
     platform = ICPlatform(
-        graph, make_jacobi_fn(boundary, quantize=4), init_value=init, config=config
+        graph,
+        on_store(store, make_jacobi_fn(boundary, quantize=4)),
+        init_value=init,
+        config=config,
     )
     return platform.run(
         partition,
@@ -87,28 +94,6 @@ class TestSparseMatchesDense:
         dense = run_plate("dense", store=store)
         sparse = run_plate("sparse", store=store)
         assert sparse.values == dense.values
-
-    def test_multi_round_battlefield(self, store):
-        """Two node functions per iteration: the per-round dirty sets must
-        keep round-1 activity from hiding round-0 work and vice versa."""
-        app = BattlefieldApp(general_engagement())
-        graph = app.graph()
-        partition = MetisLikePartitioner(seed=0, trials=4).partition(graph, 8)
-
-        def run(activation):
-            platform = ICPlatform(
-                graph,
-                app.node_fns(),
-                init_value=app.init_value,
-                config=app.platform_config(
-                    steps=6, activation=activation, store=store
-                ),
-            )
-            return platform.run(partition)
-
-        dense = run("dense")
-        sparse = run("sparse")
-        assert sorted(sparse.values.items()) == sorted(dense.values.items())
 
     def test_dynamic_load_balancing_migration(self, store):
         """Migrations change ownership mid-run; the frontier falls back to
@@ -153,6 +138,44 @@ class TestSparseMatchesDense:
         assert sparse.values == dense.values
         assert sparse.messages_delivered < dense.messages_delivered
         assert sparse.elapsed < dense.elapsed
+
+    def test_multi_round_kernels(self, store):
+        """Two Jacobi kernels per iteration (``comm_rounds=2``): each round's
+        frontier must see the other round's commits, so the plate settles
+        to the dense values, and then both rounds go quiet."""
+        graph, boundary, init = hot_edge_plate(8, 8)
+        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
+        node_fns = (make_jacobi_fn(boundary, quantize=4), make_jacobi_fn(boundary, quantize=4))
+
+        def run(activation):
+            config = PlatformConfig(iterations=100, comm_rounds=2, activation=activation)
+            platform = ICPlatform(graph, on_store(store, node_fns), init_value=init, config=config)
+            return platform.run(partition)
+
+        dense, sparse = run("dense"), run("sparse")
+        assert sparse.values == dense.values
+        assert sparse.messages_delivered < dense.messages_delivered
+
+
+def test_multi_round_battlefield():
+    """Two node functions per iteration: the per-round dirty sets must keep
+    round-1 activity from hiding round-0 work and vice versa."""
+    app = BattlefieldApp(general_engagement())
+    graph = app.graph()
+    partition = MetisLikePartitioner(seed=0, trials=4).partition(graph, 8)
+
+    def run(activation):
+        platform = ICPlatform(
+            graph,
+            app.node_fns(),
+            init_value=app.init_value,
+            config=app.platform_config(steps=6, activation=activation),
+        )
+        return platform.run(partition)
+
+    dense = run("dense")
+    sparse = run("sparse")
+    assert sorted(sparse.values.items()) == sorted(dense.values.items())
 
 
 @pytest.mark.parametrize("store", ["object", "soa"])

@@ -1,9 +1,11 @@
 """Differential conformance oracle: object store vs struct-of-arrays store.
 
 The object store (one :class:`~repro.core.node.NodeData` per node) is the
-reference semantics; ``store="soa"`` keeps the same logical state in
-contiguous numpy arrays and swaps the per-node sweep loops for vectorized
-bulk kernels.  That substitution must be *invisible*: every platform
+reference semantics.  A node function with a bulk kernel runs on the
+struct-of-arrays store, which keeps the same logical state in contiguous
+numpy arrays and swaps the per-node sweep loops for the vectorized kernel;
+its scalar twin (the same function without the kernel) runs node by node
+on the object store.  That substitution must be *invisible*: every platform
 workload -- fault-free, crash+rollback, crash+shrink, integrity repair,
 sparse activation with quiescence termination, load balancing -- has to
 produce identical committed values, identical version counters, identical
@@ -17,43 +19,25 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.average import make_average_fn
-from repro.apps.battlefield import BattlefieldApp, general_engagement
 from repro.apps.diffusion import hot_edge_plate, make_jacobi_fn
 from repro.core import Checkpointer, ICPlatform, PlatformConfig, SoAStore
-from repro.graphs import hex32
+from repro.graphs import grid2d, hex32
 from repro.mpi import FaultPlan
 from repro.partitioning import MetisLikePartitioner
+
+from ..twins import on_store
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 #: Distinct host schedules for the perturbed-schedule fuzz (conformance spec).
 RUNS = 10
 
 
-def make_scalar_average_fn(grain: float):
-    """The neighbour-average fn with its bulk kernel stripped.
-
-    On the soa store this forces the per-node scalar sweep over array-backed
-    proxy records -- the fallback every application without a bulk kernel
-    takes -- which must conform exactly like the vectorized path.
-    """
-    inner = make_average_fn(grain)
-
-    def scalar_fn(node, ctx):
-        return inner(node, ctx)
-
-    return scalar_fn
-
-
-def run_hex(store, *, node_fn=None, iterations=6, faults=None, seed=None,
-            **overrides):
+def run_hex(store, *, iterations=6, faults=None, seed=None, **overrides):
     graph = hex32()
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-    config = PlatformConfig(
-        iterations=iterations, track_trace=True, store=store, **overrides
-    )
-    platform = ICPlatform(
-        graph, node_fn if node_fn is not None else make_average_fn(1e-4),
-        config=config,
-    )
+    config = PlatformConfig(iterations=iterations, track_trace=True, **overrides)
+    platform = ICPlatform(graph, on_store(store, make_average_fn(1e-4)), config=config)
     return platform.run(
         partition,
         faults=FaultPlan.parse(faults) if faults else None,
@@ -64,11 +48,9 @@ def run_hex(store, *, node_fn=None, iterations=6, faults=None, seed=None,
 def run_plate(store, *, iterations=150, faults=None, seed=None, **overrides):
     graph, boundary, init = hot_edge_plate(8, 8)
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-    config = PlatformConfig(
-        iterations=iterations, track_trace=True, store=store, **overrides
-    )
+    config = PlatformConfig(iterations=iterations, track_trace=True, **overrides)
     platform = ICPlatform(
-        graph, make_jacobi_fn(boundary, quantize=4), init_value=init,
+        graph, on_store(store, make_jacobi_fn(boundary, quantize=4)), init_value=init,
         config=config,
     )
     return platform.run(
@@ -149,13 +131,6 @@ class TestFaultFree:
         # Every value changes every one of the 6 iterations on this workload.
         assert set(obj.versions.values()) == {6}
 
-    def test_scalar_fallback_on_soa(self):
-        """A node fn without a bulk kernel sweeps scalar over proxies."""
-        scalar = make_scalar_average_fn(1e-4)
-        assert_identical(
-            run_hex("object", node_fn=scalar), run_hex("soa", node_fn=scalar)
-        )
-
     def test_two_jacobi_functions_keep_their_own_pins(self):
         """Two Jacobi functions with different boundaries in one platform
         (``comm_rounds=2``): each bulk kernel pins from its own map.  (The
@@ -165,36 +140,28 @@ class TestFaultFree:
         partition = MetisLikePartitioner(seed=0).partition(graph, 2)
 
         def run(store):
-            config = PlatformConfig(
-                iterations=3, comm_rounds=2, track_trace=True, store=store
-            )
+            config = PlatformConfig(iterations=3, comm_rounds=2, track_trace=True)
             node_fns = (make_jacobi_fn(boundary), make_jacobi_fn(west_edge))
-            platform = ICPlatform(graph, node_fns, init_value=init, config=config)
+            platform = ICPlatform(
+                graph, on_store(store, node_fns), init_value=init, config=config
+            )
             return platform.run(partition)
 
         assert_identical(run("object"), run("soa"))
 
-    def test_object_values_demote_cleanly(self):
-        """Battlefield state dicts force the soa store off its float64 fast
-        path; behaviour must be unchanged after the demotion."""
-        app = BattlefieldApp(general_engagement())
-        graph = app.graph()
-        partition = MetisLikePartitioner(seed=0, trials=4).partition(graph, 8)
+    def test_int_values_demote_then_grow(self):
+        """Int gids (the default initial values) demote the soa store to
+        object dtype at its first record; 84 records a rank then grow it
+        past its first 64-slot block in that dtype."""
+        graph = grid2d(12, 12)
+        partition = MetisLikePartitioner(seed=0).partition(graph, 2)
 
         def run(store):
-            platform = ICPlatform(
-                graph,
-                app.node_fns(),
-                init_value=app.init_value,
-                config=app.platform_config(steps=4, store=store, track_trace=True),
-            )
-            return platform.run(partition)
+            config = PlatformConfig(iterations=3, track_trace=True)
+            fn = on_store(store, make_average_fn(1e-4))
+            return ICPlatform(graph, fn, config=config).run(partition)
 
-        obj, soa = run("object"), run("soa")
-        assert sorted(soa.values.items()) == sorted(obj.values.items())
-        assert soa.versions == obj.versions
-        assert soa.elapsed == obj.elapsed
-        assert soa.trace.records == obj.trace.records
+        assert_identical(run("object"), run("soa"))
 
 
 class TestCrashRollback:

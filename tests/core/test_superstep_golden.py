@@ -9,17 +9,20 @@ are float sums), and ``superstep_golden.json`` is that order's fingerprint.
 
 Grid: {dense, sparse} x {bsp, hybrid} x {overlap off, on} x {object, soa}
 over three workloads -- the hex64 neighbour average (Figure 8 vs 8a on the
-bulk and scalar paths), a quantised Jacobi plate run to quiescence (active
-set < owned set, so the ``update_cost x count`` rule and the vote are
-exercised) and the two-round battlefield (structured values, one frontier
-mask per round).  The plate's sparse and hybrid rows carry three more
-columns: crash + checkpoint rollback, shrink recovery, and task migration
+bulk and scalar paths: ``soa`` runs the kernel, ``object`` its scalar
+twin), a quantised Jacobi plate run to quiescence (active set < owned set,
+so the ``update_cost x count`` rule and the vote are exercised) and the
+two-round battlefield (structured values, one frontier mask per round; no
+kernel, so its ``soa`` cells, which run the application's own functions,
+pin the rows of its ``object`` ones).  The plate's sparse and hybrid rows
+carry three more columns: crash + checkpoint rollback, shrink recovery, and
+task migration
 from a skewed partition.  Each cell pins ``float.hex(elapsed)``,
 ``messages_delivered``, ``barriers``, ``inner_sweeps`` and a value digest.
 
-Every path-selecting switch is passed explicitly, so ``REPRO_STORE`` /
-``REPRO_EXECUTION`` must not move any cell (CI re-runs this file under
-both): that is itself the check that no default leaks into a pinned run.
+Every path-selecting switch is passed explicitly, so ``REPRO_EXECUTION``
+must not move any cell (CI re-runs this file under it): that is itself the
+check that no default leaks into a pinned run.
 
 The table was generated at the commit *before* the five ``sweep_*``
 pipelines were folded into one ``superstep`` and is committed unchanged.
@@ -46,6 +49,10 @@ from repro.core import ICPlatform, PlatformConfig
 from repro.graphs import HexGrid, hex64
 from repro.mpi import FaultPlan
 from repro.partitioning import MetisLikePartitioner, Partition
+
+from ..twins import on_store
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 TABLE = Path(__file__).with_name("superstep_golden.json")
 
@@ -93,6 +100,15 @@ def _grid() -> list[tuple]:
 
 GRID = _grid()
 KEYS = [_key(*cell) for cell in GRID]
+#: The battlefield's node functions ship no bulk kernel: its ``soa`` cells
+#: run the application's own functions and its ``object`` cells their
+#: scalar twins, both node by node on the object store, so each ``soa``
+#: cell pins the same row as its ``object`` cell.
+COPIES = {
+    key: key.replace("/soa/", "/object/")
+    for key in KEYS
+    if key.startswith("battlefield/") and "/soa/" in key
+}
 
 
 def _skewed(partition: Partition) -> Partition:
@@ -136,7 +152,6 @@ def observe(key: str) -> list[Any]:
         activation=activation,
         execution=execution,
         overlap_communication=order == "fig8a",
-        store=store,
         hybrid_inner_cap=INNER_CAP,
         **SCENARIOS[scenario],
     )
@@ -144,7 +159,8 @@ def observe(key: str) -> list[Any]:
     if scenario == "migrate":
         partition = _skewed(partition)
     crashing = scenario in ("rollback", "shrink")
-    result = ICPlatform(graph, node_fns, init_value=init_value, config=config).run(
+    platform = ICPlatform(graph, on_store(store, node_fns), init_value=init_value, config=config)
+    result = platform.run(
         partition, faults=FaultPlan.parse(CRASH) if crashing else None, scheduler="event"
     )
     # A scenario that silently stopped happening would pin nothing.
@@ -166,7 +182,9 @@ def _golden() -> dict[str, list[Any]]:
 
 
 def test_table_covers_exactly_the_grid():
-    assert sorted(_golden()) == sorted(KEYS)
+    table = _golden()
+    assert sorted(table) == sorted(KEYS)
+    assert all(table[copy] == table[key] for copy, key in COPIES.items())
 
 
 @pytest.mark.parametrize("key", KEYS)

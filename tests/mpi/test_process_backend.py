@@ -50,7 +50,10 @@ from repro.mpi.shm import (
 )
 from repro.partitioning import MetisLikePartitioner
 
+from ..twins import on_store
 from .bsp_workload import run_bsp
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 BACKENDS = ("event", "process")
 
@@ -108,17 +111,20 @@ def _assert_identical_to_event(platform, partition, faults=None):
 
 
 class TestProcessConformance:
-    def _assert_platform_identical(self, config, faults=None, init_value=float):
+    def _assert_platform_identical(self, config, faults=None, init_value=float, store="soa"):
         graph = hex32()
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         platform = ICPlatform(
-            graph, make_average_fn(1e-4), init_value=init_value, config=config
+            graph,
+            on_store(store, make_average_fn(1e-4)),
+            init_value=init_value,
+            config=config,
         )
         return _assert_identical_to_event(platform, partition, faults)
 
     def test_fault_free_identical(self):
         self._assert_platform_identical(
-            PlatformConfig(iterations=4, track_trace=True, store="soa")
+            PlatformConfig(iterations=4, track_trace=True)
         )
 
     def test_quiescence_identical(self):
@@ -130,7 +136,6 @@ class TestProcessConformance:
                 iterations=40,
                 converge="quiescence",
                 track_trace=True,
-                store="soa",
             )
         )
 
@@ -139,7 +144,7 @@ class TestProcessConformance:
         drop/delay decisions and the priced retries must land on the same
         virtual clocks as the in-thread draw."""
         self._assert_platform_identical(
-            PlatformConfig(iterations=6, track_trace=True, store="soa"),
+            PlatformConfig(iterations=6, track_trace=True),
             faults="seed=7,drop=0.05,delay=0.1",
         )
 
@@ -153,7 +158,6 @@ class TestProcessConformance:
                 checkpoint_period=3,
                 recovery_policy="rollback",
                 track_trace=True,
-                store="soa",
             ),
             faults="seed=3,crash=2@5",
         )
@@ -167,7 +171,6 @@ class TestProcessConformance:
                 checkpoint_period=3,
                 recovery_policy="shrink",
                 track_trace=True,
-                store="soa",
             ),
             faults="seed=3,crash=2@5",
         )
@@ -182,9 +185,9 @@ class TestProcessConformance:
                 checkpoint_period=3,
                 recovery_policy="shrink",
                 track_trace=True,
-                store="object",
             ),
             faults="seed=3,crash=2@5",
+            store="object",
         )
         assert event.dead_ranks == (2,)
 
@@ -192,12 +195,11 @@ class TestProcessConformance:
         """Int initial values demote each worker's SoA store to object
         dtype, exactly as they do on the event scheduler."""
         self._assert_platform_identical(
-            PlatformConfig(iterations=4, track_trace=True, store="soa"),
+            PlatformConfig(iterations=4, track_trace=True),
             init_value=int,
         )
 
-    @pytest.mark.parametrize("store", ["object", "soa"])
-    def test_battlefield_identical(self, store):
+    def test_battlefield_identical(self):
         """The paper's battlefield: structured HexState node values and two
         node functions per step, so every halo batch takes the pipe."""
         app = BattlefieldApp(general_engagement(grid=HexGrid(12, 12)))
@@ -206,7 +208,7 @@ class TestProcessConformance:
             graph,
             app.node_fns(),
             init_value=app.init_value,
-            config=app.platform_config(steps=4, store=store, track_trace=True),
+            config=app.platform_config(steps=4, track_trace=True),
         )
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         _assert_identical_to_event(platform, partition)
@@ -331,7 +333,7 @@ class TestCollectivePlane:
         platform = ICPlatform(
             graph,
             make_average_fn(1e-4),
-            config=PlatformConfig(iterations=6, converge="quiescence", store="soa"),
+            config=PlatformConfig(iterations=6, converge="quiescence"),
         )
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
         with mock.patch.object(SharedSegment, "__init__", recording):

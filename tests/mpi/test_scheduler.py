@@ -37,7 +37,10 @@ from repro.mpi.communicator import Communicator
 from repro.mpi.scheduler import SCHEDULERS
 from repro.partitioning import MetisLikePartitioner
 
+from ..twins import on_store
 from .bsp_workload import run_bsp
+
+pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 #: ``schedule_seed`` of the two host schedules every scenario must agree on.
 SCHEDULES = {"fifo": None, "seeded": 5}
@@ -111,19 +114,19 @@ class TestCrossBackendConformance:
         }
         assert results["fifo"] == results["seeded"]
 
-    def _platform_run(self, config, faults, seed):
+    def _platform_run(self, store, config, faults, seed):
         graph = hex32()
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-        platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
+        platform = ICPlatform(graph, on_store(store, make_average_fn(1e-4)), config=config)
         return platform.run(
             partition,
             faults=FaultPlan.parse(faults) if faults else None,
             schedule_seed=seed,
         )
 
-    def _assert_platform_identical(self, config, faults=None):
+    def _assert_platform_identical(self, store, config, faults=None):
         results = {
-            name: self._platform_run(config, faults, seed)
+            name: self._platform_run(store, config, faults, seed)
             for name, seed in SCHEDULES.items()
         }
         fifo, seeded = results["fifo"], results["seeded"]
@@ -138,9 +141,7 @@ class TestCrossBackendConformance:
 
     @pytest.mark.parametrize("store", ["object", "soa"])
     def test_platform_fault_free_identical(self, store):
-        self._assert_platform_identical(
-            PlatformConfig(iterations=4, track_trace=True, store=store)
-        )
+        self._assert_platform_identical(store, PlatformConfig(iterations=4, track_trace=True))
 
     @pytest.mark.parametrize("store", ["object", "soa"])
     def test_platform_crash_shrink_identical(self, store):
@@ -148,12 +149,12 @@ class TestCrossBackendConformance:
         survivor re-ranking, quarantine, checkpoint hand-off, and
         redistribution -- plays out identically on both schedules."""
         fifo = self._assert_platform_identical(
+            store,
             PlatformConfig(
                 iterations=8,
                 checkpoint_period=3,
                 recovery_policy="shrink",
                 track_trace=True,
-                store=store,
             ),
             faults="seed=3,crash=2@5",
         )
@@ -174,9 +175,8 @@ class TestCrossBackendConformance:
             and any(assignment[m - 1] != 1 for m in graph.neighbors(g))
         )
         fifo = self._assert_platform_identical(
-            PlatformConfig(
-                iterations=8, integrity="full", track_trace=True, store=store
-            ),
+            store,
+            PlatformConfig(iterations=8, integrity="full", track_trace=True),
             faults=f"seed=11,flipmsg=0.05,flip=1@4:{gid}",
         )
         assert fifo.repairs == 1

@@ -246,15 +246,40 @@ class TestRun:
         assert "dead ranks" in out and "1" in out
         assert "reconfigured  iter 5" in out
 
-    @pytest.mark.parametrize("store", ["object", "soa"])
-    def test_process_scheduler_prints_what_event_prints(self, hexfile, capsys, store):
-        """Either store runs on worker processes, with the event run's output."""
+    @pytest.mark.parametrize(
+        "workload, rows, store",
+        [
+            ("average", 16, "soa (bulk kernels)"),
+            ("average", 4, "object"),
+            ("imbalance", 16, "object"),
+        ],
+        ids=["average", "average-small", "imbalance"],
+    )
+    def test_process_scheduler_prints_what_event_prints(
+        self, tmp_path, capsys, workload, rows, store
+    ):
+        """Either store -- the average kernel's on 85 nodes a rank, the
+        average function's on 21 (too few to vectorize), the imbalance
+        function's -- runs on worker processes, with the event run's
+        output."""
+        path = tmp_path / "hex.txt"
+        assert main(["generate", "--kind", "hex", "--rows", str(rows), "--cols", "16",
+                     "--output", str(path)]) == 0
+        capsys.readouterr()
         outputs = []
         for scheduler in ("event", "process"):
-            assert main(["run", "--graph", str(hexfile), "--np", "3", "--iterations", "4",
-                         "--store", store, "--scheduler", scheduler]) == 0
+            assert main(["run", "--graph", str(path), "--np", "3", "--iterations", "4",
+                         "--workload", workload, "--scheduler", scheduler]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+        assert f"store         {store}\n" in outputs[0]
+
+    def test_store_is_not_an_option(self, hexfile, capsys):
+        """The node functions pick the store; ``--store`` is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--graph", str(hexfile), "--np", "2", "--store", "soa"])
+        assert excinfo.value.code == 2
+        assert "--store" in capsys.readouterr().err
 
     def test_run_overlap_and_machines(self, hexfile):
         for machine in ("ideal", "ethernet"):
@@ -303,7 +328,7 @@ class TestFlagTable:
     def test_argument_count_does_not_grow(self):
         """The flag diet's ratchet (45 before the capability table)."""
         source = Path(build_parser.__code__.co_filename).read_text()
-        assert sum("add_argument" in line for line in source.splitlines()) <= 41
+        assert sum("add_argument" in line for line in source.splitlines()) <= 40
 
     def test_numeric_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["run", "--graph", "g.txt", "--np", "2"])
