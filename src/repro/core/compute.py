@@ -547,16 +547,15 @@ class _FrontierIndex:
     def __init__(self, store: NodeStore) -> None:
         self.store = store
         self.epoch = store.surgery_epoch
-        internal = np.fromiter(store.internal, np.int64, len(store.internal))
-        peripheral = np.fromiter(store.peripheral, np.int64, len(store.peripheral))
+        owned = np.array(store.owned_gids(), dtype=np.int64)
         #: Owned gids, ascending.
-        self.gids = np.sort(np.concatenate((internal, peripheral)))
+        self.gids = np.sort(owned)
         count = len(self.gids)
         #: ``gid -> local`` (-1 for a node this rank does not own).
         self.local_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
         self.local_of[self.gids] = np.arange(count)
         is_peripheral = np.zeros(count, dtype=bool)
-        is_peripheral[self.local_of[peripheral]] = True
+        is_peripheral[self.local_of[owned[store.num_internal() :]]] = True
         #: Membership masks of the two node classes (``None`` = both).
         self.classes = {
             None: np.ones(count, dtype=bool),

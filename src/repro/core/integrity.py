@@ -82,10 +82,10 @@ def inject_memory_flips(
                 continue
             gid = event.node
         else:
-            owned = sorted([*store.internal, *store.peripheral])
+            owned = store.owned_gids()
             if not owned:
                 continue
-            gid = owned[0]
+            gid = min(owned)
         record = store.data_records[gid]
         record.data = corrupt_value(record.data, iteration * 31 + gid)
         fault_state.count_flip(world_rank)

@@ -101,8 +101,8 @@ class NodeStore:
         """Figure 6's initialisation as array passes over the graph's CSR:
         which nodes are owned, which of their adjacency entries name a
         remote neighbour, hence which nodes are peripheral, for whom, and
-        which shadows they need.  Python touches a node once, to make its
-        :class:`OwnNode`."""
+        which shadows they need.  Python touches a node to read its initial
+        value, and :meth:`_own` to make its :class:`OwnNode`."""
         rank = self.rank
         procs = np.asarray(self.assignment, dtype=np.int64)
         owned = np.flatnonzero(procs == rank)
@@ -123,21 +123,23 @@ class NodeStore:
         positions, pair_procs = np.divmod(pairs, width)
         cuts = np.flatnonzero(np.diff(positions, prepend=-1)).tolist()
         pair_procs = pair_procs.tolist()
-        shadow_for = {
-            position: tuple(pair_procs[a:b])
-            for position, a, b in zip(positions[cuts].tolist(), cuts, [*cuts[1:], None])
-        }
+        dests = [tuple(pair_procs[a:b]) for a, b in zip(cuts, [*cuts[1:], None])]
+        peripheral = np.zeros(len(owned), dtype=bool)
+        peripheral[positions[cuts]] = True
 
-        gids = (owned + 1).tolist()
-        held = gids + shadows.tolist()
-        records = self._add_records(held, list(map(init_value, held)))
-        rows = self.graph.neighbor_rows(gids)
-        for position, (gid, record, row) in enumerate(zip(gids, records, rows)):
-            for_procs = shadow_for.get(position)
-            if for_procs is None:
-                self.internal[gid] = OwnNode(gid, INTERNAL, rank, record, row)
-            else:
-                self.peripheral[gid] = OwnNode(gid, PERIPHERAL, rank, record, row, for_procs)
+        held = (owned + 1).tolist() + shadows.tolist()
+        self._add_records(held, list(map(init_value, held)))
+        order = np.concatenate((owned[~peripheral], owned[peripheral])) + 1
+        self._own(order.tolist(), len(owned) - len(dests), dests)
+
+    def _own(self, gids: list[int], split: int, dests: list[tuple[int, ...]]) -> None:
+        """Make a fresh build's node lists: ``gids`` in sweep order, the first
+        ``split`` internal, the rest peripheral, ``dests`` their shadow procs."""
+        rank, records, rows = self.rank, self.data_records, self.graph.neighbor_rows
+        for gid, row in zip(gids[:split], rows(gids[:split])):
+            self.internal[gid] = OwnNode(gid, INTERNAL, rank, records[gid], row)
+        for gid, row, procs in zip(gids[split:], rows(gids[split:]), dests):
+            self.peripheral[gid] = OwnNode(gid, PERIPHERAL, rank, records[gid], row, procs)
 
     # ------------------------------------------------------------------ #
     # Record layer (overridden by the struct-of-arrays store)
@@ -154,7 +156,7 @@ class NodeStore:
         most_recent: Any = None,
         version: int = 0,
         halted: bool = False,
-    ) -> NodeData:
+    ) -> None:
         """Create the data record for ``gid``.
 
         The single seam through which every record enters the store:
@@ -166,14 +168,14 @@ class NodeStore:
             raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
         record = NodeData(gid, value, most_recent, version=version, halted=halted)
         self.data_records[gid] = record
-        return record
 
-    def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> list[NodeData]:
+    def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> None:
         """:meth:`_add_record` for a batch of fresh records (default
-        ``most_recent``/``version``/``halted``), returning them in order:
-        the seam the initialisation phase fills a store through, which the
+        ``most_recent``/``version``/``halted``), in order: the seam the
+        initialisation phase fills a store through, which the
         struct-of-arrays store overrides with one array write."""
-        return [self._add_record(gid, value) for gid, value in zip(gids, values)]
+        for gid, value in zip(gids, values):
+            self._add_record(gid, value)
 
     def _reset_records(self) -> None:
         """Drop every record and start empty (checkpoint restore)."""
@@ -188,9 +190,17 @@ class NodeStore:
         yield from self.internal.values()
         yield from self.peripheral.values()
 
+    def owned_gids(self) -> list[int]:
+        """Global IDs of the owned nodes in sweep order (internal first)."""
+        return [*self.internal, *self.peripheral]
+
     def num_owned(self) -> int:
         """Count of nodes this rank computes."""
         return len(self.internal) + len(self.peripheral)
+
+    def num_internal(self) -> int:
+        """Count of internal nodes: the leading part of :meth:`owned_gids`."""
+        return len(self.internal)
 
     def own_node(self, gid: int) -> OwnNode:
         """The OwnNode record for an owned gid."""
@@ -278,8 +288,7 @@ class NodeStore:
         every owned node: the list-forming step's lookups, done once per
         surgery epoch instead of once per node update.
 
-        Resolved at the first scalar sweep that asks (``_build`` makes the
-        ``OwnNode`` s before the shadow records exist; a bulk run never
+        Resolved at the first scalar sweep that asks (a bulk run never
         asks).  Only ownership surgery can stale a row: records enter through
         :meth:`_add_record` and leave through :meth:`_reset_records` (whose
         callers invalidate) and :meth:`prune_stale_shadows` (never one an
@@ -432,7 +441,8 @@ class NodeStore:
         """Create (or return) the data record for ``gid``."""
         record = self.data_records.get(gid)
         if record is None:
-            record = self._add_record(gid, value, version=version or 0)
+            self._add_record(gid, value, version=version or 0)
+            record = self.data_records[gid]
         elif version is not None:
             record.version = version
         return record

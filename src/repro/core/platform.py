@@ -819,7 +819,7 @@ class _RankRun:
             elapsed=self.comm.Wtime(),
             phases=self.phases,
             values={} if dead else store.owned_values(),
-            owned=[] if dead else [*store.internal, *store.peripheral],
+            owned=[] if dead else store.owned_gids(),
             migrations=self.migrations,
             versions={} if dead else store.owned_versions(),
             repartitions=self.repartitions,

@@ -21,8 +21,9 @@ Everything above the record layer is inherited unchanged: ownership
 surgery, checkpoint capture/restore, integrity repair, and migration all go
 through the same :meth:`NodeStore._add_record` seam and see per-record
 *proxy* objects (:class:`_ArrayRecord`) that read and write the arrays.
-Proxies are cached one-per-gid so the object-identity invariants of the
-base class (``own_node(gid).data is data_records[gid]``) keep holding.
+Proxies and the ``internal``/``peripheral`` lists are made on first access
+(a bulk run reads neither) and cached, so the base class's identity
+invariant ``own_node(gid).data is data_records[gid]`` keeps holding.
 
 The platform builds this store exactly when every node function ships a
 bulk kernel (``fn.bulk``) and the ranks average at least
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -211,9 +211,9 @@ class _BulkTopo:
 class _ArrayRecord:
     """A NodeData-shaped window onto one slot of the arrays.
 
-    Cached one-per-gid by the store so identity checks
-    (``data_records[gid] is own_node(gid).data``) behave exactly as with
-    real :class:`~repro.core.node.NodeData` instances.
+    Made on first access and cached one-per-gid by the store, so identity
+    checks (``data_records[gid] is own_node(gid).data``) behave exactly as
+    with real :class:`~repro.core.node.NodeData` instances.
     """
 
     __slots__ = ("_store", "global_id")
@@ -319,6 +319,33 @@ class SoAStore(NodeStore):
     commit/shadow-update paths run vectorized.
     """
 
+    #: ``(gids in sweep order, internal count, dests)`` until the lists exist.
+    _layout: tuple[list[int], int, list[tuple[int, ...]]] | None = None
+
+    # ------------------------- the node lists ------------------------- #
+
+    def _own(self, gids: list[int], split: int, dests: list[tuple[int, ...]]) -> None:
+        """Keep the layout: :meth:`__getattr__` makes the lists on first access."""
+        self._layout = (gids, split, dests)
+        del self.internal, self.peripheral
+
+    def __getattr__(self, name: str) -> Any:
+        layout = self.__dict__.get("_layout")
+        if layout is None or name not in ("internal", "peripheral"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.internal, self.peripheral, self._layout = {}, {}, None
+        super()._own(*layout)
+        return self.__dict__[name]
+
+    def owned_gids(self) -> list[int]:
+        return list(self._layout[0]) if self._layout else super().owned_gids()
+
+    def num_owned(self) -> int:
+        return len(self._layout[0]) if self._layout else super().num_owned()
+
+    def num_internal(self) -> int:
+        return self._layout[1] if self._layout else super().num_internal()
+
     # -------------------------- record layer -------------------------- #
 
     def _init_record_storage(self) -> None:
@@ -339,7 +366,11 @@ class SoAStore(NodeStore):
         # benchmarks/test_extensions.py::test_soa_store).
         self.sparse_geom_hits = 0
         self.sparse_geom_misses = 0
-        self.data_records = _SoARecords(self)  # type: ignore[assignment]
+
+    @property
+    def data_records(self) -> _SoARecords:  # type: ignore[override]
+        # A facade per access: no reference cycle keeps a dead store alive.
+        return _SoARecords(self)
 
     def _capacity(self) -> int:
         return len(self._values)
@@ -420,7 +451,7 @@ class SoAStore(NodeStore):
         most_recent: Any = None,
         version: int = 0,
         halted: bool = False,
-    ) -> _ArrayRecord:
+    ) -> None:
         if gid in self._slot_of:
             raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
         slot = self._new_slot()
@@ -433,9 +464,8 @@ class SoAStore(NodeStore):
         self._write_value(slot, value)
         self._write_pending(slot, most_recent)
         self._topo = None
-        return self._proxy(gid)
 
-    def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> list[_ArrayRecord]:
+    def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> None:
         """One array write per column -- when that is exactly the
         per-record loop: plain floats only (anything else demotes, at the
         record the loop would demote at), fresh distinct gids (a held one
@@ -464,9 +494,6 @@ class SoAStore(NodeStore):
         self._gids[start:stop] = gids
         self._values[start:stop] = values
         self._topo = None
-        proxies = list(map(_ArrayRecord, repeat(self), gids))
-        self._proxies.update(zip(gids, proxies))
-        return proxies
 
     def _remove_record(self, gid: int) -> None:
         slot = self._slot_of.pop(gid)
@@ -479,6 +506,11 @@ class SoAStore(NodeStore):
             self._pending[slot] = None
         self._proxies.pop(gid, None)
         self._topo = None
+
+    def _reset_records(self) -> None:
+        super()._reset_records()
+        # The restore re-derives the lists from its snapshot, not the layout.
+        self.internal, self.peripheral, self._layout = {}, {}, None
 
     def _invalidate_topology_cache(self) -> None:
         super()._invalidate_topology_cache()
@@ -567,7 +599,11 @@ class SoAStore(NodeStore):
         topo = self._topo
         if topo is not None:
             return topo
-        gids = [*self.internal, *self.peripheral]
+        layout = self._layout
+        if layout is None:
+            peripheral = self.peripheral.values()
+            layout = self.owned_gids(), len(self.internal), [n.shadow_for_procs for n in peripheral]
+        gids, split, dests = layout
         gids_arr = np.array(gids, dtype=np.int64)
         # gid -> slot as an array, so the owned rows of the graph's CSR
         # (each behind its own gid) translate in one fancy index.
@@ -586,17 +622,12 @@ class SoAStore(NodeStore):
             order_gids=gids,
             order_gids_arr=gids_arr,
             slot_of_order=slots,
-            internal_count=len(self.internal),
+            internal_count=split,
             indptr=indptr,
             flat_slots=flat_slots,
             degrees=degrees,
             by_gid=np.argsort(gids_arr),
-            plan=ChargePlan(
-                gids_arr,
-                degrees,
-                len(self.internal),
-                [node.shadow_for_procs for node in self.peripheral.values()],
-            ),
+            plan=ChargePlan(gids_arr, degrees, split, dests),
         )
         self._topo = topo
         return topo

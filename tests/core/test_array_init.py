@@ -21,6 +21,9 @@ first-discovery order" -- checkpoint payloads and digests iterate it),
 ``check_invariants()``, and ``type(x) is int`` for every gid and processor
 id that reaches an API boundary (``estimate_nbytes`` sizes wire records by
 type, and a numpy integer would pickle differently into a checkpoint).
+The struct-of-arrays store makes its lists on their first access, so it
+must match twice: before (owned gids, counts, values and the bulk topology,
+answered from the build's layout) and after.
 """
 
 from __future__ import annotations
@@ -195,7 +198,23 @@ def init_charge(store: NodeStore) -> float:
 
 
 def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
-    """``built`` (array passes) is ``ref`` (node by node) to every observer."""
+    """``built`` (array passes) is ``ref`` (node by node) to every observer,
+    before and after the struct-of-arrays store makes its lists."""
+    soa = isinstance(built, SoAStore)
+    lazy = soa and built._layout is not None
+    # Before the first list access (if none came yet): answered from the
+    # build's layout.
+    assert built.owned_gids() == ref.owned_gids() and all(map(is_int, built.owned_gids()))
+    assert (built.num_owned(), built.num_internal(), built.num_shadows()) == (
+        ref.num_owned(), ref.num_internal(), ref.num_shadows()
+    )
+    assert list(built.owned_values().items()) == list(ref.owned_values().items())
+    if soa:
+        topo = built.bulk_topology()
+        assert topo.internal_count == len(ref.internal)
+        assert topo.plan.dests == [n.shadow_for_procs for n in ref.peripheral.values()]
+    assert lazy == (soa and built._layout is not None)  # ... and made no list
+    # After it: the lists themselves.
     assert list(built.internal) == list(ref.internal)
     assert list(built.peripheral) == list(ref.peripheral)
     for gid, node in [*built.internal.items(), *built.peripheral.items()]:
@@ -240,6 +259,7 @@ def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
         assert (built._high_water, built._free) == (ref._high_water, ref._free)
         live = slice(0, built._high_water)
         assert built._gids[live].tolist() == ref._gids[live].tolist()
+        assert built._layout is None
     built.check_invariants()
     ref.check_invariants()
 
@@ -341,7 +361,8 @@ class TestOneShotFill:
         del store.data_records[3]
         freed = list(store._free)
         assert freed
-        (record,) = store._add_records([3], [9.0])
+        store._add_records([3], [9.0])
+        record = store.data_records[3]
         assert store._slot_of[3] == freed[-1] and record.data == 9.0
 
 
