@@ -132,49 +132,38 @@ class ComputeContext:
         self.compute_time = 0.0
         self.comm_overhead_time = 0.0
         self.bookkeeping_time = 0.0
-        #: Per-node compute seconds since the last reset -- measured node
-        #: weights for load-aware repartitioning (window-scoped).  The
-        #: scalar sweeps write this dict node by node; the bulk accountant
-        #: adds whole sweeps into a gid-indexed array instead (allocated on
-        #: first use).  One run only ever uses one of the two;
-        #: :meth:`node_loads` is the merged view.
-        self.node_compute: dict[int, float] = {}
-        self._bulk_loads: np.ndarray | None = None
         #: :meth:`node_cost`'s memo, indexed by degree.
         self.cost_by_degree: list[float] = []
+        self._loads: np.ndarray | None = None
 
-    def bulk_loads(self) -> np.ndarray:
-        """The gid-indexed load array the bulk accountant accumulates into."""
-        if self._bulk_loads is None:
-            self._bulk_loads = np.zeros(self.num_nodes + 1)
-        return self._bulk_loads
+    @property
+    def loads(self) -> np.ndarray:
+        """Per-node compute seconds since the last reset, indexed by gid --
+        measured node weights for load-aware repartitioning (window-scoped).
+        Scalar sweeps add node by node, the bulk accountant a whole sweep at
+        once.  Made on first use, after the store's build."""
+        if self._loads is None:
+            self._loads = np.zeros(self.num_nodes + 1)
+        return self._loads
 
     def node_loads(self) -> dict[int, float]:
         """``gid -> compute seconds`` this window, as a plain dict.
 
-        A node has a key iff its load is non-zero: the scalar path only
-        stores non-zero charges, and charges are never negative, so a sum
-        never returns to zero.
+        A node has a key iff its load is non-zero: charges are never
+        negative, so a sum never returns to zero.
         """
-        loads = dict(self.node_compute)
-        if self._bulk_loads is not None:
-            hot = np.flatnonzero(self._bulk_loads)
-            loads.update(zip(hot.tolist(), self._bulk_loads[hot].tolist()))
-        return loads
+        hot = np.flatnonzero(self.loads)
+        return dict(zip(hot.tolist(), self.loads[hot].tolist()))
 
     def set_node_loads(self, loads: dict[int, float]) -> None:
         """Reinstate a window that :meth:`node_loads` captured (rollback)."""
         self.reset_node_loads()
-        if self._bulk_loads is None:
-            self.node_compute.update(loads)
-        elif loads:
-            self._bulk_loads[list(loads)] = list(loads.values())
+        if loads:
+            self.loads[list(loads)] = list(loads.values())
 
     def reset_node_loads(self) -> None:
         """Start a new load-measurement window."""
-        self.node_compute.clear()
-        if self._bulk_loads is not None:
-            self._bulk_loads.fill(0.0)
+        self.loads.fill(0.0)
 
     def node_cost(self, deg: int) -> float:
         """The list-forming bookkeeping charge for a node of degree ``deg``
@@ -274,7 +263,7 @@ class _ScalarPhases:
         # (``hash_lookup_cost * deg`` inside ``node_cost``).
         rows = store.neighbor_records()
         work, node_cost, pack_cost = ctx.comm.work, ctx.node_cost, ctx.costs.pack_cost
-        iteration, round_idx, loads = ctx.iteration, ctx.round, ctx.node_compute
+        iteration, round_idx, loads = ctx.iteration, ctx.round, ctx.loads
         for node in nodes:
             gid, data = node.global_id, node.data
             records = rows[gid]
@@ -284,10 +273,7 @@ class _ScalarPhases:
             before = ctx.compute_time
             fresh = node_fn(NodeView(gid, value, neighbors, iteration, round_idx), ctx)
             data.most_recent_data = fresh
-            # Window-scoped measured load; a key iff the charge is non-zero.
-            spent = ctx.compute_time - before
-            if spent:
-                loads[gid] = loads.get(gid, 0.0) + spent
+            loads[gid] += ctx.compute_time - before  # the window's measured load
             # With ``changed_only`` a value equal to the committed one is not
             # packed (receivers treat absent records as "shadow still
             # current").
@@ -328,9 +314,7 @@ def _replay_node(gid: int, deg: int, grain: float, ctx: ComputeContext) -> None:
     ctx._bookkeeping(ctx.node_cost(deg))
     before = ctx.compute_time
     ctx.work(grain)
-    spent = ctx.compute_time - before
-    if spent:
-        ctx.node_compute[gid] = ctx.node_compute.get(gid, 0.0) + spent
+    ctx.loads[gid] += ctx.compute_time - before
 
 
 def _part(plan: ChargePlan, part: int) -> slice:
@@ -444,7 +428,7 @@ def _charge(
     # Consecutive compute prefixes differ by exactly one node's grain as
     # the scalar path measures it (``compute_time - before``).
     compute = sums[2]
-    ctx.bulk_loads()[gids] += compute[1:] - compute[:-1]
+    ctx.loads[gids] += compute[1:] - compute[:-1]
 
 
 #: The plan of a sweep whose active set selects nothing.

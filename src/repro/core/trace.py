@@ -203,10 +203,6 @@ class ExecutionTrace:
             sorted(self._reconfigurations, key=lambda r: (r.iteration, r.rank))
         )
 
-    def add_reconfiguration(self, record: ReconfigurationRecord) -> None:
-        """Append one recovery event record."""
-        self._reconfigurations.append(record)
-
     def reconfiguration_events(self) -> list[ReconfigurationRecord]:
         """One representative record per recovery event (lowest rank's copy).
 
@@ -226,10 +222,6 @@ class ExecutionTrace:
             sorted(self._integrity, key=lambda r: (r.iteration, r.gid, r.rank))
         )
 
-    def add_integrity(self, record: IntegrityRecord) -> None:
-        """Append one silent-corruption event record."""
-        self._integrity.append(record)
-
     def integrity_events(self) -> list[IntegrityRecord]:
         """One representative record per corruption event (lowest rank's
         copy), collapsing the identical per-rank copies of each collective
@@ -245,10 +237,6 @@ class ExecutionTrace:
         return tuple(
             sorted(self._quiescence, key=lambda r: (r.iteration, r.rank))
         )
-
-    def add_quiescence(self, record: QuiescenceRecord) -> None:
-        """Append one quiescence record."""
-        self._quiescence.append(record)
 
     def quiescence_events(self) -> list[QuiescenceRecord]:
         """One representative record per quiescence event (lowest rank's

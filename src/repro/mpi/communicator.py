@@ -13,20 +13,21 @@ Determinism contract: every method reads and writes only the calling
 rank's own ``RankState`` (clock, counters) plus the cluster transport
 entry points (``deliver_all`` for every send; ``wait_for_all``,
 ``wait_for_message`` and ``take_matching`` for every receive;
-``collective`` for every barrier and fault-free collective).  No cross-rank
-state is touched directly, which is what lets the process scheduler run
-communicators in separate OS processes (:mod:`repro.mpi.process`) while
-staying bit-identical to the in-thread backend.
+``collective`` for ``barrier`` and the six collectives below).  No
+cross-rank state is touched directly, which is what lets the process
+scheduler run communicators in separate OS processes
+(:mod:`repro.mpi.process`) while staying bit-identical to the in-thread
+backend.
 
-Collectives: without a fault plan, ``bcast``, ``gather``, ``scatter``,
-``allgather``, ``reduce`` and ``allreduce`` are one rendezvous each, and
-:mod:`repro.mpi.collectives` replays the exact charges of their trees of
-point-to-point messages over the published clocks and payloads; counters
-and the collective tag sequence advance as if the trees ran.  A fault plan
-keeps the trees (fault draws are per message); ``alltoall``, ``scan`` and
-``exscan`` are always point-to-point.  So a fault-free collective's traffic
-never enters a mailbox: an ``iprobe`` or ``ANY_TAG`` receive around it
-sees only user messages.
+Collectives: ``bcast``, ``gather``, ``scatter``, ``allgather``, ``reduce``
+and ``allreduce`` are one rendezvous each, under any fault plan.  Each
+member draws the fault decisions of its own tree sends on entry, and
+:mod:`repro.mpi.collectives` replays the charges, fault legs and flipped
+values of the trees of point-to-point messages they stand for; counters
+and the collective tag sequence advance as if the trees ran.  Their
+traffic never enters a mailbox, so an ``iprobe`` or ``ANY_TAG`` receive
+around one sees only user messages.  ``alltoall``, ``scan`` and ``exscan``
+are point-to-point.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import collectives
 from .errors import InvalidRankError, InvalidTagError, MessageLostError, ShrinkError
-from .faults import corrupt_value
+from .faults import CLEAN, corrupt_value
 from .message import ANY_SOURCE, ANY_TAG, Message, RecvRequest, Request, SendRequest, Status
 from .timing import estimate_nbytes
 
@@ -43,11 +44,6 @@ __all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
 
 #: Tags at or above this value are reserved for internal collective traffic.
 _COLLECTIVE_TAG_BASE = 1 << 30
-
-
-def _unscaled(rank: int, clock: float) -> float:
-    """``FaultState.compute_scale`` of a run with no fault plan."""
-    return 1.0
 
 
 class Communicator:
@@ -155,8 +151,8 @@ class Communicator:
         """Charge CPU time, inflated by any active slow-rank fault window."""
         state = self._own
         faults = self._cluster.fault_state
-        if faults is not None:
-            seconds *= faults.compute_scale(self._world_rank, state.clock)
+        if faults is not None and faults.plan.slow:  # once per node update: skip the call
+            seconds *= faults.plan.compute_scale(self._world_rank, state.clock)
         state.clock += seconds
         return seconds
 
@@ -226,30 +222,22 @@ class Communicator:
         their payloads; ``each(payload)`` runs right after each completion
         and may charge time (so the clock is re-read per message)."""
         cluster = self._cluster
-        machine, faults, checksums = cluster.machine, cluster.fault_state, cluster.checksums
-        receiver_cpu, me = machine.receiver_cpu, self._world_rank
-        plain = faults is None and not checksums  # no leg below is armed
+        faults, checksums = cluster.fault_state, cluster.checksums
+        receiver_cpu, me = cluster.machine.receiver_cpu, self._world_rank
+        # No checksum leg, and no slow window to scale the CPU charge.
+        plain = not checksums and (faults is None or not faults.plan.slow)
         if not plain:
-            scale = _unscaled if faults is None else faults.compute_scale
+            link, received = (cluster.machine, checksums, faults), collectives.received
         state = self._own
         payloads = []
         for msg in msgs:
             clock = max(state.clock, msg.arrival_time)
-            cpu = receiver_cpu(msg.nbytes)
-            if not plain:
-                if checksums:
-                    # Verify-and-retransmit: each corrupted attempt costs a
-                    # failed verify, a NACK round trip, and the full resend
-                    # (all waited out on the receiver's clock -- sends are
-                    # eager, so the sender has long moved on); then one clean
-                    # verify accepts the payload.
-                    for _ in range(msg.corrupt_attempts):
-                        clock += machine.retransmit_penalty(msg.nbytes)
-                        if faults is not None:
-                            faults.count_retransmit(me)
-                    clock += machine.checksum_time(msg.nbytes) * scale(me, clock)
-                cpu *= scale(me, clock)
-            state.clock = clock + cpu
+            if plain:
+                state.clock = clock + receiver_cpu(msg.nbytes)
+            else:
+                if msg.corrupt_attempts:
+                    faults.count_retransmit(me, msg.corrupt_attempts)
+                state.clock = received(link, me, clock, msg.nbytes, msg.corrupt_attempts)
             payloads.append(msg.payload)
             if each is not None:
                 each(msg.payload)
@@ -320,15 +308,15 @@ class Communicator:
         group, src, comm_id, me = self._group, self._rank, self._comm_id, self._world_rank
         size = len(group)
         sender_cpu, transfer = machine.sender_cpu, machine.transfer_time_between
-        plain = faults is None and not checksums  # no leg below is armed
-        if not plain:
-            scale = _unscaled if faults is None else faults.compute_scale
-            perturbed = faults is not None and faults.plan.perturbs_messages
+        # No checksum leg, and no slow window to scale the CPU charges.
+        plain = not checksums and (faults is None or not faults.plan.slow)
+        perturbed = faults is not None and faults.plan.perturbs_messages
+        link = machine, checksums, faults
         state = self._own
         clock = state.clock
         msgs: list[Message] = []
         sized = sized_nbytes = None  # the payload last estimated, and its size
-        extra_flight, corrupt_attempts = 0.0, 0  # moved by the fault legs only
+        drops, extra_flight, corrupt_attempts, lost = 0, 0.0, 0, None  # a drawn fate's
         try:
             for dest, payload, nbytes in outgoing:
                 if not 0 <= dest < size:
@@ -337,58 +325,17 @@ class Communicator:
                     if sized_nbytes is None or payload is not sized:  # fan-out: size once
                         sized, sized_nbytes = payload, estimate_nbytes(payload)
                     nbytes = sized_nbytes
-                cpu = sender_cpu(nbytes)
-                if plain:
-                    clock += cpu
+                if perturbed:
+                    fate = faults.draw_send(me, checksums, dest, tag)
+                    drops, extra_flight, corrupt_attempts, token, lost = fate
+                    if token is not None:
+                        payload = corrupt_value(payload, token)
+                if plain and not drops:
+                    clock += sender_cpu(nbytes)
                 else:
-                    clock += cpu * scale(me, clock)
-                    if checksums:
-                        # Checksummed transport: the sender pays to checksum
-                        # every payload, fault plan or not -- that is the
-                        # protection overhead.
-                        clock += machine.checksum_time(nbytes) * scale(me, clock)
-                    if perturbed:
-                        faults.count_message(me)
-                        retry = faults.plan.retry
-                        if faults.plan.drop is not None:
-                            # Send-side reliable delivery: every lost
-                            # transmission attempt costs an ack timeout
-                            # (exponential backoff) plus the resend CPU, all
-                            # in virtual time.
-                            attempt = 1
-                            while faults.next_drop(me):
-                                if attempt >= retry.max_attempts:
-                                    faults.count_lost(me)
-                                    raise MessageLostError(
-                                        f"message to rank {dest} (tag {tag}) lost after "
-                                        f"{attempt} transmission attempts"
-                                    )
-                                clock += retry.attempt_timeout(attempt, machine.ack_timeout(nbytes))
-                                clock += sender_cpu(nbytes) * scale(me, clock)
-                                faults.count_retry(me)
-                                attempt += 1
-                        extra_flight = faults.next_delay(me)
-                        if faults.plan.flip_msg is not None:
-                            # Silent-corruption draws happen on the *sending*
-                            # rank in program order (like drops), so outcomes
-                            # are independent of the host schedule.  On a
-                            # checksummed link each corrupted attempt is
-                            # NACKed and retransmitted (the decision redraws
-                            # per attempt); unprotected, the flipped payload
-                            # is simply delivered.
-                            corrupt_attempts = 0
-                            if checksums:
-                                budget = retry.max_attempts
-                                while corrupt_attempts < budget and faults.next_corrupt(me):
-                                    corrupt_attempts += 1
-                                if corrupt_attempts >= budget:
-                                    faults.count_lost(me)
-                                    raise MessageLostError(
-                                        f"message to rank {dest} (tag {tag}) corrupted on "
-                                        f"all {corrupt_attempts} transmission attempts"
-                                    )
-                            elif faults.next_corrupt(me):
-                                payload = corrupt_value(payload, faults.corrupt_token(me))
+                    clock = collectives.sent(link, me, clock, nbytes, drops)
+                if lost is not None:
+                    raise MessageLostError(lost)
                 # src is the communicator-local rank (what the receiver
                 # matches on); dest the world rank (whose mailbox it is).
                 to = group[dest]
@@ -436,19 +383,37 @@ class Communicator:
         return [r for r in range(len(self._group)) if r != but]
 
     def _replayed(self, name: str, payload: Any, root: int = 0, op: Any = None) -> Any:
-        """Run collective ``name`` as one rendezvous of the group, replayed
-        by :func:`~repro.mpi.collectives.replay`.  It stands for one or
-        (``all*``) two trees of ``size - 1`` messages, and consumes as many
-        collective tags and counts as many messages."""
+        """This member's result of collective ``name``: one rendezvous of the
+        group, replayed by :func:`~repro.mpi.collectives.replay`, standing
+        for one or (``all*``) two trees of ``size - 1`` messages, their tags
+        and counts.  The member draws its own sends' fates on entry (a lost
+        message raises here) and counts its retransmits after."""
+        cluster, group, rank = self._cluster, self._group, self._rank
+        faults, checksums = cluster.fault_state, cluster.checksums
+        fates = None
+        if faults is not None and faults.plan.perturbs_messages:
+            fates = []
+            for dest, offset in collectives.sends(name, len(group), root, rank):
+                tag = _COLLECTIVE_TAG_BASE + self._coll_seq + offset
+                fate = faults.draw_send(self._world_rank, checksums, dest, tag)
+                if fate.lost is not None:
+                    raise MessageLostError(fate.lost)
+                fates.append(fate)
+            if all(fate is CLEAN for fate in fates):
+                fates = None
         rounds = 2 if name.startswith("all") else 1
         self._coll_seq += rounds
-        link = self._cluster.machine, self._cluster.checksums, self._group
+        link = cluster.machine, checksums, faults
 
-        def complete(clocks: list[float], payloads: list[Any]) -> tuple[list[float], Any]:
-            return collectives.replay(name, link, root, clocks, payloads, op)
+        def complete(clocks: list[float], published: list[Any]) -> tuple[list[float], Any]:
+            return collectives.replay(name, link, group, root, clocks, published, op)
 
-        messages = rounds * (len(self._group) - 1)
-        return self._cluster.collective(self, name, payload, complete, messages=messages)
+        results, retransmits = cluster.collective(
+            self, name, (payload, fates), complete, messages=rounds * (len(group) - 1)
+        )
+        if retransmits[rank]:
+            faults.count_retransmit(self._world_rank, retransmits[rank])
+        return results[rank]
 
     def barrier(self) -> None:
         """Synchronize all ranks; clocks jump to the common release time."""
@@ -463,34 +428,22 @@ class Communicator:
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root`` to everyone (binomial tree)."""
         self._check_peer(root)
-        if self._cluster._collective_trees:
-            return self._tree_bcast(obj, root)
         return self._replayed("bcast", obj if self._rank == root else None, root)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank at ``root`` (rank order)."""
         self._check_peer(root)
-        return self._gather(obj, root, "gather")
-
-    def _gather(self, obj: Any, root: int, name: str) -> list[Any] | None:
-        if self._cluster._collective_trees:
-            return self._tree_gather(obj, root)
-        gathered = self._replayed(name, obj, root)
-        return gathered if self._rank == root else None
+        return self._replayed("gather", obj, root)
 
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter ``objs[i]`` to rank ``i`` from ``root``."""
         self._check_peer(root)
         if self._rank == root and (objs is None or len(objs) != self.size):
             raise ValueError(f"scatter needs exactly {self.size} items at the root")
-        if self._cluster._collective_trees:
-            return self._tree_scatter(objs, root)
-        return self._replayed("scatter", objs if self._rank == root else None, root)[self._rank]
+        return self._replayed("scatter", objs if self._rank == root else None, root)
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather at rank 0 then broadcast the assembled list."""
-        if self._cluster._collective_trees:
-            return self._tree_bcast(self._tree_gather(obj, 0), 0)
         return self._replayed("allgather", obj)
 
     def reduce(
@@ -505,7 +458,7 @@ class Communicator:
         operators behave deterministically.
         """
         self._check_peer(root)
-        gathered = self._gather(obj, root, "reduce")
+        gathered = self._replayed("reduce", obj, root)
         return None if gathered is None else collectives.fold(gathered, op)
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
@@ -514,50 +467,7 @@ class Communicator:
         Every member folds the same values in the same ascending order, so
         ``op`` must be the same on every rank (as MPI requires).
         """
-        if self._cluster._collective_trees:
-            return self._tree_bcast(self.reduce(obj, op=op, root=0), 0)
         return self._replayed("allreduce", obj, op=op)
-
-    # The point-to-point trees the replays transcribe; fault-armed runs keep
-    # them, because fault draws are made message by message.
-
-    def _tree_bcast(self, obj: Any, root: int) -> Any:
-        tag = self._next_coll_tag()
-        size = self.size
-        vrank = (self._rank - root) % size
-        if vrank != 0:
-            lowbit = vrank & -vrank
-            parent = ((vrank ^ lowbit) + root) % size
-            value = self.recv(source=parent, tag=tag)
-        else:
-            value = obj
-            lowbit = 1
-            while lowbit < size:
-                lowbit <<= 1
-        children = []
-        mask = lowbit >> 1
-        while mask >= 1:
-            if vrank + mask < size:
-                children.append((((vrank + mask) + root) % size, value, None))
-            mask >>= 1
-        self.neighbor_send(children, tag)
-        return value
-
-    def _tree_gather(self, obj: Any, root: int) -> list[Any] | None:
-        tag = self._next_coll_tag()
-        if self._rank != root:
-            self.isend(obj, root, tag=tag)
-            return None
-        out = self.neighbor_recv(self._peers(root), tag)
-        out.insert(root, obj)
-        return out
-
-    def _tree_scatter(self, objs: Sequence[Any] | None, root: int) -> Any:
-        tag = self._next_coll_tag()
-        if self._rank == root:
-            self.neighbor_send([(r, objs[r], None) for r in self._peers(root)], tag)
-            return objs[root]
-        return self.recv(source=root, tag=tag)
 
     def scan(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """Inclusive prefix reduction: rank i receives ``op`` over ranks 0..i.

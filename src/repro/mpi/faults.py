@@ -8,7 +8,7 @@ describes every perturbation, and identical plans produce bit-identical
 virtual clocks, traces, and results -- which is what makes robustness
 regressions testable.
 
-Four fault families are supported:
+Five fault families are supported:
 
 * **message delays** (:class:`DelaySpec`) -- with probability ``prob`` a
   message's flight time gains ``extra`` virtual seconds;
@@ -52,7 +52,7 @@ import random
 import struct
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "DelaySpec",
@@ -65,6 +65,7 @@ __all__ = [
     "FaultPlan",
     "FaultState",
     "FaultReport",
+    "SendFate",
     "corrupt_value",
     "state_digest",
 ]
@@ -339,13 +340,8 @@ class FaultPlan:
     flips: tuple[MemoryFlipEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        # Normalize lists passed by hand.
-        if not isinstance(self.slow, tuple):
-            object.__setattr__(self, "slow", tuple(self.slow))
-        if not isinstance(self.crashes, tuple):
-            object.__setattr__(self, "crashes", tuple(self.crashes))
-        if not isinstance(self.flips, tuple):
-            object.__setattr__(self, "flips", tuple(self.flips))
+        for name in ("slow", "crashes", "flips"):  # lists passed by hand
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -372,21 +368,10 @@ class FaultPlan:
         collective rollback (every rank reads the plan) while the fault
         report counts zero crashes -- a silently inconsistent run.
         """
-        for c in self.crashes:
-            if not 0 <= c.rank < nprocs:
-                raise ValueError(
-                    f"crash rank {c.rank} out of range for {nprocs} ranks"
-                )
-        for w in self.slow:
-            if not 0 <= w.rank < nprocs:
-                raise ValueError(
-                    f"slow rank {w.rank} out of range for {nprocs} ranks"
-                )
-        for e in self.flips:
-            if not 0 <= e.rank < nprocs:
-                raise ValueError(
-                    f"flip rank {e.rank} out of range for {nprocs} ranks"
-                )
+        for kind, events in (("crash", self.crashes), ("slow", self.slow), ("flip", self.flips)):
+            for e in events:
+                if not 0 <= e.rank < nprocs:
+                    raise ValueError(f"{kind} rank {e.rank} out of range for {nprocs} ranks")
 
     def compute_scale(self, rank: int, clock: float) -> float:
         """CPU-charge multiplier for ``rank`` at virtual time ``clock``."""
@@ -575,7 +560,8 @@ class FaultPlan:
 
 @dataclass
 class FaultReport:
-    """Aggregated fault activity of one run (summed across ranks).
+    """Fault activity of one run, summed across ranks (a run's
+    :class:`FaultState` keeps one per rank).
 
     Attributes:
         messages: Point-to-point messages injected while faults were armed.
@@ -602,6 +588,11 @@ class FaultReport:
     flips: int = 0
     repairs: int = 0
 
+    def add(self, counts: dict[str, int]) -> None:
+        """Add another tally, given as ``field -> count``."""
+        for name, count in counts.items():
+            setattr(self, name, getattr(self, name) + count)
+
     def summary(self) -> str:
         """Human-readable one-liner for CLI output."""
         line = (
@@ -618,33 +609,30 @@ class FaultReport:
         return line
 
 
-class _RankCounters:
-    """Per-rank fault counters (owned by that rank's thread; no locking)."""
+class SendFate(NamedTuple):
+    """The fault decisions of one message, drawn on its sender.  The draws
+    depend on neither clocks nor payload bytes, so a sender can make them
+    before charging anything, and a collective's members before it starts.
 
-    __slots__ = (
-        "messages",
-        "delayed",
-        "dropped",
-        "retries",
-        "lost",
-        "crashes",
-        "corrupted",
-        "retransmits",
-        "flips",
-        "repairs",
-    )
+    Attributes:
+        drops: Lost attempts, each charged an ack timeout and a resend.
+        extra: Extra flight seconds (delay fault).
+        corrupt: Attempts the receiver's verify NACKs (checksummed link).
+        token: On an unprotected link, the :func:`corrupt_value` token the
+            delivered payload is flipped with; ``None`` when it arrives intact.
+        lost: The :class:`~repro.mpi.errors.MessageLostError` text once the
+            retry budget runs out (``drops`` then counts the charged ones).
+    """
 
-    def __init__(self) -> None:
-        self.messages = 0
-        self.delayed = 0
-        self.dropped = 0
-        self.retries = 0
-        self.lost = 0
-        self.crashes = 0
-        self.corrupted = 0
-        self.retransmits = 0
-        self.flips = 0
-        self.repairs = 0
+    drops: int = 0
+    extra: float = 0.0
+    corrupt: int = 0
+    token: int | None = None
+    lost: str | None = None
+
+
+#: The fate of a message no fault touches.
+CLEAN = SendFate()
 
 
 class FaultState:
@@ -663,7 +651,7 @@ class FaultState:
         self._rngs = [
             random.Random(plan.seed * 1_000_003 + rank + 1) for rank in range(nprocs)
         ]
-        self._counters = [_RankCounters() for _ in range(nprocs)]
+        self._counters = [FaultReport() for _ in range(nprocs)]
 
     # ------------------------------------------------------------------ #
     # Decision draws (called from the owning rank's thread only)
@@ -713,9 +701,9 @@ class FaultState:
         """Record one resend by ``rank``."""
         self._counters[rank].retries += 1
 
-    def count_retransmit(self, rank: int) -> None:
-        """Record one checksum-NACK retransmission absorbed by ``rank``."""
-        self._counters[rank].retransmits += 1
+    def count_retransmit(self, rank: int, count: int = 1) -> None:
+        """Record ``count`` checksum-NACK retransmissions absorbed by ``rank``."""
+        self._counters[rank].retransmits += count
 
     def count_flip(self, rank: int) -> None:
         """Record one memory corruption applied on ``rank``."""
@@ -733,15 +721,40 @@ class FaultState:
         """Record one crash event consumed for ``rank``."""
         self._counters[rank].crashes += 1
 
-    def compute_scale(self, rank: int, clock: float) -> float:
-        """Slow-rank CPU multiplier for ``rank`` at virtual time ``clock``.
-
-        Early-out when the plan configures no slow windows: this sits on
-        every ``work()`` charge, i.e. once per graph node per iteration.
-        """
-        if not self.plan.slow:
-            return 1.0
-        return self.plan.compute_scale(rank, clock)
+    def draw_send(self, rank: int, checksums: bool, dest: int, tag: int) -> SendFate:
+        """Draw and count every fault decision of ``rank``'s next message (to
+        local rank ``dest`` with ``tag``), in the order the reliable-delivery
+        layer meets them: each attempt's drop, the delay, then each attempt's
+        flip.  On a checksummed link a flipped attempt is NACKed and resent
+        (the flip redraws per attempt); unprotected, the flipped payload is
+        delivered.  Call only when the plan ``perturbs_messages``."""
+        plan = self.plan
+        budget = plan.retry.max_attempts
+        self.count_message(rank)
+        drops = 0
+        if plan.drop is not None:
+            while self.next_drop(rank):
+                if drops + 1 >= budget:
+                    self.count_lost(rank)
+                    text = f"lost after {drops + 1} transmission attempts"
+                    return SendFate(drops, lost=f"message to rank {dest} (tag {tag}) {text}")
+                self.count_retry(rank)
+                drops += 1
+        extra = self.next_delay(rank)
+        corrupt, token = 0, None
+        if plan.flip_msg is not None:
+            if checksums:
+                while corrupt < budget and self.next_corrupt(rank):
+                    corrupt += 1
+                if corrupt >= budget:
+                    self.count_lost(rank)
+                    text = f"corrupted on all {corrupt} transmission attempts"
+                    return SendFate(drops, extra, lost=f"message to rank {dest} (tag {tag}) {text}")
+            elif self.next_corrupt(rank):
+                token = self.corrupt_token(rank)
+        if drops or extra or corrupt or token is not None:
+            return SendFate(drops, extra, corrupt, token)
+        return CLEAN
 
     # ------------------------------------------------------------------ #
     # Reporting (call after the run has joined all rank threads)
@@ -750,15 +763,6 @@ class FaultState:
     def report(self) -> FaultReport:
         """Sum the per-rank counters into one :class:`FaultReport`."""
         out = FaultReport()
-        for c in self._counters:
-            out.messages += c.messages
-            out.delayed += c.delayed
-            out.dropped += c.dropped
-            out.retries += c.retries
-            out.lost += c.lost
-            out.crashes += c.crashes
-            out.corrupted += c.corrupted
-            out.retransmits += c.retransmits
-            out.flips += c.flips
-            out.repairs += c.repairs
+        for counters in self._counters:
+            out.add(vars(counters))
         return out

@@ -28,8 +28,8 @@ Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     ``finish`` record; the broker merges clocks, fault counters, and rank
     results so :meth:`SimCluster.run` sees exactly what the in-thread
     backend produces.  This is the only control plane: every rendezvous
-    -- world or sub-communicator, a barrier on any run and every other
-    collective on a fault-free one -- is one ``_Rendezvous`` in the
+    -- world or sub-communicator, a barrier or any other collective but
+    ``alltoall``/``scan``/``exscan`` -- is one ``_Rendezvous`` in the
     broker.  Because a worker's pipe is FIFO and
     the broker handles it in order, every deliver a member sent before
     entering a collective is filed before that collective is released.
@@ -257,10 +257,7 @@ def _worker_main(
     finally:
         counters = None
         if cluster.fault_state is not None:
-            counters = [
-                {slot: getattr(c, slot) for slot in type(c).__slots__}
-                for c in cluster.fault_state._counters
-            ]
+            counters = [vars(c) for c in cluster.fault_state._counters]
         try:
             transport.finish(state.result, state.error, counters, state.clock)
             conn.close()
@@ -485,10 +482,8 @@ class _Broker:
             # Fault events are counted in exactly one worker (draws happen
             # on the owning rank), so summing the shipped deltas
             # reproduces the single-process tallies.
-            for idx, shipped in enumerate(counters):
-                mine = cluster.fault_state._counters[idx]
-                for slot, value in shipped.items():
-                    setattr(mine, slot, getattr(mine, slot) + value)
+            for mine, shipped in zip(cluster.fault_state._counters, counters):
+                mine.add(shipped)
         self._unfinished.discard(rank)
         self._parked.pop(rank, None)
         if error is not None and not cluster._aborted:

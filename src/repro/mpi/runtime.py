@@ -163,10 +163,6 @@ class SimCluster:
         self.fault_state: FaultState | None = (
             FaultState(faults, nprocs) if faults is not None else None
         )
-        # Collectives run as their point-to-point trees, message by message,
-        # when fault draws must be made per message; otherwise as one
-        # rendezvous each (see Communicator).  Tests set it to reach the trees.
-        self._collective_trees = faults is not None
         self.scheduler = scheduler or "event"
         self._backend = make_scheduler(self.scheduler, self, schedule_seed)
         # The seeded yield every in-thread transport entry point takes

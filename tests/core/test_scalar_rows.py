@@ -303,18 +303,19 @@ AVERAGE = make_average_fn(1e-4)
 SCALAR_AVERAGE = scalar_twin(AVERAGE)
 
 
-def run_checked(store, node_fn=AVERAGE, *, iterations=6, faults=None, skew=False, **overrides):
+def run_checked(store, node_fn=AVERAGE, *, iterations=6, faults=None, skew=None, **overrides):
     """The conformance suite's hex32 / 4-rank run with the invariants checked
     every iteration; ``execution`` is left to the default on purpose, so the
-    hybrid CI step runs these by node class.  ``skew`` hands half of the
-    last rank's nodes to rank 0, an imbalance the balancer acts on."""
+    hybrid CI step runs these by node class.  ``skew=(src, dst)`` hands half
+    of rank ``src``'s nodes to rank ``dst``, an imbalance for the balancer."""
     graph = hex32()
     partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-    if skew:
+    if skew is not None:
+        src, dst = skew
         assignment = list(partition.assignment)
-        last = [i for i, proc in enumerate(assignment) if proc == 3]
-        for i in last[: len(last) // 2]:
-            assignment[i] = 0
+        moved = [i for i, proc in enumerate(assignment) if proc == src]
+        for i in moved[: len(moved) // 2]:
+            assignment[i] = dst
         partition = Partition.from_assignment(graph, assignment, 4)
     config = PlatformConfig(iterations=iterations, validate_each_iteration=True, **overrides)
     return ICPlatform(graph, on_store(store, node_fn), config=config).run(
@@ -331,7 +332,10 @@ class TestPlatformRuns:
     def test_migrations(self, store, probing_oracle):
         """The object side follows the imbalance workload's moving heavy
         band; the kernel side (no per-node grains) starts from a skewed
-        partition."""
+        partition.  That skew is a BSP imbalance: under hybrid execution
+        the interior sweeps dominate the measured loads, and no rank is
+        25 % above all its neighbours, so no pair forms (see
+        ``test_hybrid_migrations``)."""
         if store == "object":
             result = run_checked(
                 store,
@@ -342,8 +346,28 @@ class TestPlatformRuns:
             )
         else:
             result = run_checked(
-                store, iterations=30, skew=True, dynamic_load_balancing=True, lb_period=4
+                store,
+                iterations=30,
+                skew=(3, 0),
+                execution="bsp",
+                dynamic_load_balancing=True,
+                lb_period=4,
             )
+        assert result.migrations
+        assert bool(probing_oracle) == (store == "object")
+
+    def test_hybrid_migrations(self, store, probing_oracle):
+        """Hybrid execution migrates from a skew whose interior sweeps leave
+        one rank 25 % above all its neighbours: half of rank 0's nodes on
+        rank 2.  The object side runs the kernel's scalar twin."""
+        result = run_checked(
+            store,
+            iterations=30,
+            skew=(0, 2),
+            execution="hybrid",
+            dynamic_load_balancing=True,
+            lb_period=4,
+        )
         assert result.migrations
         assert bool(probing_oracle) == (store == "object")
 

@@ -1,20 +1,24 @@
 """Collectives as one rendezvous plus a replay, against their trees.
 
-Without a fault plan, ``bcast``/``gather``/``scatter``/``allgather``/
-``reduce``/``allreduce`` run as one rendezvous each, and
-:mod:`repro.mpi.collectives` replays the exit clocks their trees of
-point-to-point messages would have charged.  A fault-armed run keeps the
-trees; ``SimCluster._collective_trees`` forces that same code on a
-fault-free run.  Every program here runs both ways, and everything
-observable must match: ``float.hex`` of every clock, the results,
-``messages_delivered``, ``barriers`` and the collective tag sequence.
+``bcast``/``gather``/``scatter``/``allgather``/``reduce``/``allreduce``
+run as one rendezvous each, under any fault plan, and
+:mod:`repro.mpi.collectives` replays the charges, fault legs and flipped
+values their trees of point-to-point messages would have produced.  The
+trees themselves live on as the reference in :mod:`.collective_trees`.
+Every program here runs both ways, and everything observable must match:
+``float.hex`` of every clock, the results, ``messages_delivered``,
+``barriers``, the :class:`~repro.mpi.faults.FaultReport` and the collective
+tag sequence -- or, when a message is lost past its retry budget, the
+error's type.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -22,9 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ICPlatform
-from repro.mpi import ANY_SOURCE, ANY_TAG, ORIGIN2000, DeadlockError, SimCluster
+from repro.mpi import ANY_SOURCE, ANY_TAG, ORIGIN2000, DeadlockError, FaultPlan, SimCluster
 from repro.mpi import TopologyMachineModel
+from repro.mpi.errors import MessageLostError
+from repro.mpi.faults import (
+    CrashEvent,
+    DelaySpec,
+    DropSpec,
+    MessageFlipSpec,
+    RetryPolicy,
+    SlowWindow,
+)
 from repro.mpi.message import Status
+
+from .collective_trees import tree_collectives
 
 #: Schedule seeds each deadlock report is repeated under.
 SEEDS = range(5)
@@ -97,6 +112,10 @@ def _program(case):
             lambda: sub.allgather(mine),
             lambda: sub.allreduce(len(mine)),
             lambda: sub.allreduce(mine, op=lambda a, b: b + a),  # non-commutative
+            # A flipped empty list becomes a larger sentinel tuple, so the
+            # tree forwards it re-sized.
+            lambda: sub.bcast([] if rank == roots[0] else None, root=roots[0]),
+            lambda: sub.allgather([]),
             sub.barrier,
         ):
             sub.work(skew)
@@ -106,15 +125,69 @@ def _program(case):
     return run
 
 
-def _outcome(case, trees: bool, **cluster_args):
+@st.composite
+def fault_plans(draw, nprocs: int):
+    """A random plan over ``nprocs`` ranks: any mix of delays, drops (with
+    a retry budget that may run out), message flips, slow windows and
+    crashes."""
+    maybe = lambda strategy: draw(st.none() | strategy)  # noqa: E731
+    probs = st.floats(0.0, 0.5)
+    ranks = st.integers(0, nprocs - 1)
+    slow = []
+    for _ in range(draw(st.integers(0, 2))):
+        start = draw(st.floats(0.0, 2e-3))
+        length = maybe(st.floats(1e-5, 2e-3))
+        end = None if length is None else start + length
+        slow.append(SlowWindow(draw(ranks), draw(st.floats(1.0, 4.0)), start, end))
+    return FaultPlan(
+        seed=draw(st.integers(0, 99)),
+        delay=maybe(st.builds(DelaySpec, prob=st.floats(0.0, 1.0), extra=st.floats(0.0, 1e-3))),
+        drop=maybe(st.builds(DropSpec, prob=probs)),
+        retry=draw(
+            st.builds(
+                RetryPolicy,
+                max_attempts=st.sampled_from([1, 3, 6]),
+                timeout=st.none() | st.floats(0.0, 1e-3),
+                backoff=st.floats(1.0, 3.0),
+            )
+        ),
+        slow=tuple(slow),
+        crashes=tuple(draw(st.lists(st.builds(CrashEvent, ranks, st.integers(1, 5)), max_size=1))),
+        flip_msg=maybe(st.builds(MessageFlipSpec, prob=probs)),
+    )
+
+
+def _plan_for(data, case):
+    """A random plan for ``case``.  Unprotected flips stay off a ``split``
+    communicator: a flipped member triple makes members disagree on their
+    groups and run different programs (garbage in), where a gather's eager
+    tree senders run on and the rendezvous waits for every member."""
+    faults = data.draw(fault_plans(case["nprocs"]))
+    if case["comm"] == "split" and not case["checksums"]:
+        faults = faults.with_overrides(flip_msg=None)
+    return faults
+
+
+def _outcome(case, trees: bool, faults=None, **cluster_args):
+    """Everything observable about one run of the case's program, on the
+    replay or (``trees``) on the reference trees; a faulted run that fails
+    (a message lost past its budget) is its error type."""
     nprocs = case["nprocs"]
     machine = ORIGIN2000
     if case["ring"]:
         machine = TopologyMachineModel.wrap(ORIGIN2000, _Ring(nprocs))
-    cluster = SimCluster(nprocs, machine=machine, checksums=case["checksums"], **cluster_args)
-    cluster._collective_trees = trees
-    results = cluster.run(_program(case))
-    return results, cluster.messages_delivered, cluster.barriers
+    cluster = SimCluster(
+        nprocs, machine=machine, checksums=case["checksums"], faults=faults, **cluster_args
+    )
+    try:
+        with tree_collectives() if trees else nullcontext():
+            results = cluster.run(_program(case))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        if faults is None:
+            raise
+        return "error", type(exc)
+    report = None if faults is None else cluster.fault_state.report()
+    return results, cluster.messages_delivered, cluster.barriers, report
 
 
 class TestReplayIsTheTree:
@@ -130,6 +203,74 @@ class TestReplayIsTheTree:
     def test_process(self, case):
         tree = _outcome(case, trees=True)
         assert _outcome(case, trees=False, scheduler="process") == tree
+
+    @given(data=st.data(), case=scenarios(), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_event_under_faults(self, data, case, seed):
+        faults = _plan_for(data, case)
+        tree = _outcome(case, trees=True, faults=faults)
+        assert _outcome(case, trees=False, faults=faults) == tree
+        assert _outcome(case, trees=False, faults=faults, schedule_seed=seed) == tree
+
+    @given(data=st.data(), case=scenarios(max_procs=5))
+    @settings(max_examples=20, deadline=None)
+    def test_process_under_faults(self, data, case):
+        faults = _plan_for(data, case)
+        tree = _outcome(case, trees=True, faults=faults)
+        assert _outcome(case, trees=False, faults=faults, scheduler="process") == tree
+
+
+def _one_collective(name: str, payload):
+    """Every rank enters collective ``name`` once (root 0) with ``payload``
+    and returns its result and clock."""
+
+    def run(comm):
+        call = {
+            "bcast": lambda: comm.bcast(payload, root=0),
+            "scatter": lambda: comm.scatter([payload] * comm.size if comm.rank == 0 else None),
+            "gather": lambda: comm.gather(payload),
+            "reduce": lambda: comm.reduce(payload, op=lambda a, b: (a, b)),
+            "allgather": lambda: comm.allgather(payload),
+            "allreduce": lambda: comm.allreduce(payload, op=lambda a, b: (a, b)),
+        }[name]
+        return call(), comm.Wtime().hex()
+
+    return run
+
+
+def _error_text(program, nprocs: int, faults) -> str:
+    with pytest.raises(MessageLostError) as excinfo:
+        SimCluster(nprocs, faults=faults).run(program)
+    return str(excinfo.value)
+
+
+class TestFaultsOnTheTreeEdges:
+    """Deterministic corners of the differential above."""
+
+    @pytest.mark.parametrize("name", ["bcast", "scatter", "gather", "reduce"])
+    def test_a_lost_message_reads_as_on_the_trees(self, name):
+        """Every attempt is dropped and there is no retry: the run fails
+        with the tree's text, the lowest failing rank's first send in tree
+        order (the bcast root's goes to rank 4 of five).  Which further
+        members fail is up to the host schedule on the trees, so the
+        differential compares only the error's type."""
+        faults = FaultPlan.parse("drop=1.0,retry=1")
+        program = _one_collective(name, [1.0])
+        replay = _error_text(program, 5, faults)
+        with tree_collectives():
+            assert _error_text(program, 5, faults) == replay
+        assert replay.endswith("lost after 1 transmission attempts")
+
+    @pytest.mark.parametrize("name", ["bcast", "gather", "allgather", "reduce", "allreduce"])
+    def test_flipped_values_travel_on(self, name):
+        """Every attempt is flipped on an unprotected link: an empty list
+        becomes a larger sentinel tuple that a bcast forwards re-sized and
+        flips again, and the gather root collects and folds the flipped
+        contributions."""
+        faults = FaultPlan.parse("seed=3,flipmsg=1.0")
+        runs = _runs(_one_collective(name, []), 6, faults=faults)
+        assert runs[False] == runs[True]
+        assert any(result not in ([], None) for result, _ in runs[False])
 
 
 # --------------------------------------------------------------------- #
@@ -193,10 +334,25 @@ class TestDeadlockReport:
 # --------------------------------------------------------------------- #
 
 
+def _runs(program, nprocs: int, **cluster_args):
+    """``{trees: results}`` of ``program`` on the replay and on the trees."""
+    out = {}
+    for trees in (False, True):
+        with tree_collectives() if trees else nullcontext():
+            out[trees] = SimCluster(nprocs, **cluster_args).run(program)
+    return out
+
+
+def _probe_before_bcast(comm):
+    seen = comm.iprobe(ANY_SOURCE, ANY_TAG) if comm.rank == 1 else None
+    comm.bcast("v", root=0)
+    return seen
+
+
 class TestMailboxes:
     def test_any_tag_receive_sees_only_user_messages(self):
-        """A fault-free collective never enters a mailbox, so wildcard
-        probes and receives around it see the user's message alone."""
+        """A collective never enters a mailbox, so wildcard probes and
+        receives around it see the user's message alone."""
 
         def program(comm):
             if comm.rank == 1:
@@ -210,27 +366,26 @@ class TestMailboxes:
             got = comm.recv(ANY_SOURCE, ANY_TAG, status=status)
             return seen, got, status.source, status.tag, comm.iprobe(ANY_SOURCE, ANY_TAG)
 
-        for trees in (False, True):
-            cluster = SimCluster(3)
-            cluster._collective_trees = trees
-            assert cluster.run(program)[2] == (True, "user", 1, 5, False)
+        for results in _runs(program, 3).values():
+            assert results[2] == (True, "user", 1, 5, False)
 
     def test_a_parked_tree_message_was_visible_and_is_gone(self):
         """What changed: on the trees a bcast root could run ahead, and its
         reserved-tag message sat in the child's mailbox for a wildcard
         probe to see; the rendezvous leaves nothing to see."""
-
-        def program(comm):
-            seen = comm.iprobe(ANY_SOURCE, ANY_TAG) if comm.rank == 1 else None
-            comm.bcast("v", root=0)
-            return seen
-
-        probes = {}
-        for trees in (False, True):
-            cluster = SimCluster(2)
-            cluster._collective_trees = trees
-            probes[trees] = cluster.run(program)[1]
+        probes = {trees: results[1] for trees, results in _runs(_probe_before_bcast, 2).items()}
         assert probes == {False: False, True: True}
+
+    @pytest.mark.parametrize("checksums", [False, True])
+    @pytest.mark.parametrize(
+        "spec", ["seed=1,delay=0.0", "seed=1,delay=1.0,drop=0.3", "seed=2,flipmsg=0.5,retry=6"]
+    )
+    def test_message_faults_leave_nothing_to_see(self, spec, checksums):
+        """Under a message-fault plan the collective is the same rendezvous:
+        the wildcard probe sees nothing, where the trees' message was
+        there to see."""
+        runs = _runs(_probe_before_bcast, 2, faults=FaultPlan.parse(spec), checksums=checksums)
+        assert {trees: results[1] for trees, results in runs.items()} == {False: False, True: True}
 
 
 # --------------------------------------------------------------------- #
@@ -251,26 +406,14 @@ def _perf_workloads():
     return sys.modules[name].WORKLOADS
 
 
-@pytest.fixture
-def trees(monkeypatch):
-    """Every cluster built while active runs its collectives as trees."""
-    init = SimCluster.__init__
-
-    def forced(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self._collective_trees = True
-
-    monkeypatch.setattr(SimCluster, "__init__", forced)
-
-
-def _workload_outcome(problem):
+def _workload_outcome(problem, faults=None, **overrides):
     result = ICPlatform(
         problem.graph,
         problem.node_fns,
         init_value=problem.init_value,
-        config=problem.config,
+        config=dataclasses.replace(problem.config, **overrides),
         balancer=problem.balancer,
-    ).run(problem.partition, scheduler=problem.scheduler)
+    ).run(problem.partition, scheduler=problem.scheduler, faults=faults)
     values = hashlib.sha256(repr(sorted(result.values.items())).encode()).hexdigest()
     return (
         values,
@@ -278,6 +421,13 @@ def _workload_outcome(problem):
         result.iterations,
         result.messages_delivered,
         result.barriers,
+        result.fault_report,
+        result.phases,
+        result.migrations,
+        result.trace.records,
+        result.trace.reconfigurations,
+        result.recoveries,
+        result.dead_ranks,
     )
 
 
@@ -285,10 +435,37 @@ def _workload_outcome(problem):
     "name, iterations",
     [("rand64_np16_ctrl", 60), ("fixedpoint_hybrid", 12), ("plate320_process", 1)],
 )
-def test_workload_counters_match_the_trees(name, iterations, request):
-    """Seed 0 of the workloads that call collectives (or, on ``process``,
-    rendezvous in the shared-memory block) every superstep, shortened."""
+def test_workload_counters_match_the_trees(name, iterations):
+    """Seed 0 of the workloads that call collectives every superstep,
+    shortened."""
     problem = _perf_workloads()[name].build(0, iterations)
     replay = _workload_outcome(problem)
-    request.getfixturevalue("trees")
-    assert _workload_outcome(problem) == replay
+    with tree_collectives():
+        assert _workload_outcome(problem) == replay
+
+
+@pytest.mark.parametrize(
+    "spec, overrides",
+    [
+        (
+            "seed=7,delay=0.3:0.002,drop=0.1,retry=6,slow=3:2.5:0.0:0.05,crash=5@40",
+            dict(recovery_policy="rollback"),
+        ),
+        (  # checksummed: flips are NACKed and resent
+            "seed=5,flipmsg=0.05,drop=0.05,slow=0:3.0:0.0:0.02,crash=9@30",
+            dict(recovery_policy="shrink", integrity="full"),
+        ),
+        ("seed=4,delay=0.0,crash=2@21", dict(recovery_policy="shrink")),
+    ],
+)
+def test_workload_under_faults_matches_the_trees(spec, overrides):
+    """The collective-heavy workload with its balancer, checkpoints and
+    digests, under message faults, a slow window and a crash with either
+    recovery: the same values, clocks, phases, counters, migrations, trace
+    and recovery records, and fault report as on the trees."""
+    problem = _perf_workloads()["rand64_np16_ctrl"].build(0, 60)
+    faults = FaultPlan.parse(spec)
+    replay = _workload_outcome(problem, faults, **overrides)
+    assert replay[5].crashes == 1
+    with tree_collectives():
+        assert _workload_outcome(problem, faults, **overrides) == replay

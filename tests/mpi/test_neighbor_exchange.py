@@ -36,9 +36,11 @@ from repro.mpi import (
     TopologyMachineModel,
 )
 from repro.mpi.errors import InvalidRankError, InvalidTagError, MessageLostError
-from repro.mpi.faults import DelaySpec, DropSpec, MessageFlipSpec, corrupt_value
+from repro.mpi.faults import DelaySpec, DropSpec, MessageFlipSpec, SlowWindow, corrupt_value
 from repro.mpi.message import Message, Request, SendRequest, Status
 from repro.mpi.timing import estimate_nbytes
+
+from .collective_trees import TreeCollectives
 
 UNPACK_COST = 3e-6
 
@@ -59,12 +61,12 @@ def _machine(kind: str, nprocs: int):
     return TopologyMachineModel.wrap(ORIGIN2000, _Ring(nprocs))
 
 
-class ReferenceCommunicator(Communicator):
+class ReferenceCommunicator(TreeCollectives, Communicator):
     """The per-message transport deleted from ``repro.mpi``: ``isend`` with
     ``_inject``, ``_complete_recv``/``_try_recv`` with ``_finish_recv``, and
     the in-thread ``SimCluster.deliver`` with ``_file`` -- bodies verbatim.
     The pair here is the loop over them, which is what it used to fall back
-    to; the collectives it inherits therefore run on the loop as well.
+    to; its collectives are the reference trees, run on the loop as well.
     In-thread only (the process rows put the reference on ``event``)."""
 
     @classmethod
@@ -307,12 +309,9 @@ def _programs(case):
     return on_reference(lambda comm: run(comm, loop)), (lambda comm: run(comm, pair))
 
 
-def _outcome(program, nprocs, trees=False, **cluster_args):
-    """Everything observable about one run (or the error that ended it);
-    ``trees`` runs the collectives as trees even without a fault plan."""
+def _outcome(program, nprocs, **cluster_args):
+    """Everything observable about one run (or the error that ended it)."""
     cluster = SimCluster(nprocs, **cluster_args)
-    if trees:
-        cluster._collective_trees = True
     try:
         results = cluster.run(program)
     except Exception as exc:  # noqa: BLE001 - compared, not handled
@@ -329,6 +328,16 @@ FAULT_PLANS = st.one_of(
         delay=st.one_of(st.none(), st.builds(DelaySpec, prob=st.floats(0.0, 1.0))),
         drop=st.one_of(st.none(), st.builds(DropSpec, prob=st.floats(0.0, 0.15))),
         flip_msg=st.one_of(st.none(), st.builds(MessageFlipSpec, prob=st.floats(0.0, 0.2))),
+        # Ranks 0 and 1 exist in every drawn exchange.
+        slow=st.lists(
+            st.builds(
+                SlowWindow,
+                rank=st.integers(0, 1),
+                factor=st.floats(1.0, 4.0),
+                start=st.floats(0.0, 2e-3),
+            ),
+            max_size=2,
+        ),
     ),
 )
 
@@ -386,7 +395,7 @@ class TestDifferential:
             return out, comm.Wtime().hex()
 
         native = _outcome(program, nprocs, scheduler="event")
-        assert native == _outcome(on_reference(program), nprocs, trees=True, scheduler="event")
+        assert native == _outcome(on_reference(program), nprocs, scheduler="event")
 
 
 def _deadlock_text(program, nprocs):
