@@ -34,7 +34,7 @@ from .migration import (
     migrate_node,
     select_migrating_node,
 )
-from .node import INTERNAL, PERIPHERAL, NodeData, OwnNode
+from .node import NodeData
 from .nodestore import NodeStore
 from .soastore import BulkView, SoAStore
 from .phases import PHASE_NAMES, PhaseTimes
@@ -74,15 +74,12 @@ __all__ = [
     "IterationRecord",
     "GreedyPairBalancer",
     "ICPlatform",
-    "INTERNAL",
     "LoadBalancer",
     "MigrationEvent",
     "NodeData",
     "NodeFn",
     "NodeStore",
     "NodeView",
-    "OwnNode",
-    "PERIPHERAL",
     "PHASE_NAMES",
     "PhaseTimes",
     "PlatformConfig",

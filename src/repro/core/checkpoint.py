@@ -1,7 +1,7 @@
 """Checkpoint/restart layer for the platform's BSP loop.
 
 Every ``checkpoint_period`` iterations each rank serializes its
-:class:`~repro.core.nodestore.NodeStore` (data node list, halt flags and
+:class:`~repro.core.nodestore.NodeStore` (data node list and
 node-to-processor map), the iteration counter, and the platform
 loop's rollback-sensitive extras (load window, migration log) into an
 in-memory pickle.  When the fault plan crashes a rank, *every* rank restores

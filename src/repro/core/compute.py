@@ -212,12 +212,32 @@ class ComputeContext:
 NodeFn = Callable[[NodeView, ComputeContext], Any]
 
 
+def _sweep_positions(
+    store: NodeStore, round_idx: int, frontier: Frontier | None, part: int | None
+) -> np.ndarray | None:
+    """The positions in the store's owned-set layout one sweep computes,
+    internal nodes first: the frontier's active set of the round, or the
+    ``part`` class of it, consumed and taken in gid order within each class
+    -- or, dense, ``None`` for the whole layout, or ``part``'s range."""
+    split = store.num_internal()
+    active = frontier.begin(store, round_idx, part) if frontier is not None else None
+    if active is not None:
+        positions = frontier.positions(active)
+        if part is None:
+            internal = positions < split
+            positions = np.concatenate((positions[internal], positions[~internal]))
+        return positions
+    if part is None:
+        return None
+    bounds = (0, split) if part == _INTERNAL else (split, store.num_owned())
+    return np.arange(*bounds, dtype=np.intp)
+
+
 class _ScalarPhases:
     """One sweep's two compute phases, node by node through the node
-    function.  ``frontier``/``part`` select the nodes: the frontier's active
-    set of the current round, or the ``part`` class of it, is consumed
-    (``None`` = all nodes / both classes), and only changed values are
-    packed (delta exchange).  ``count`` is the number of nodes the sweep
+    function, over the store's sweep rows at the positions
+    :func:`_sweep_positions` picks; with a ``frontier`` only changed values
+    are packed (delta exchange).  ``count`` is the number of nodes the sweep
     computes."""
 
     def __init__(
@@ -229,56 +249,49 @@ class _ScalarPhases:
         frontier: Frontier | None = None,
         part: int | None = None,
     ) -> None:
-        self._args = (store, node_fn, ctx, buffers, frontier is not None)
-        internal, peripheral = store.internal, store.peripheral
-        active = frontier.begin(store, ctx.round, part) if frontier is not None else None
-        if active is None:  # dense: list order
-            picked: list[Any] = [internal.values(), peripheral.values()]
+        self._args = (node_fn, ctx, buffers, frontier is not None)
+        rows = store.sweep_rows()
+        split = store.num_internal()
+        positions = _sweep_positions(store, ctx.round, frontier, part)
+        if positions is None:
+            self._internal, self._peripheral = rows[:split], rows[split:]
         else:
-            ordered = frontier.gids(active)
-            picked = [
-                [internal[g] for g in ordered if g in internal],
-                [peripheral[g] for g in ordered if g in peripheral],
-            ]
-        if part is not None:
-            picked[1 - part] = ()
-        self._internal, self._peripheral = picked
+            picked = [rows[p] for p in positions.tolist()]
+            cut = int(np.count_nonzero(positions < split))
+            self._internal, self._peripheral = picked[:cut], picked[cut:]
         self.count = len(self._internal) + len(self._peripheral)
 
-    def internal(self) -> None:
+    def compute_internal(self) -> None:
         """Compute the selected internal nodes."""
         self._sweep(self._internal, pack=False)
 
-    def peripheral(self) -> None:
+    def compute_peripheral(self) -> None:
         """Compute the selected peripheral nodes, packing as it goes."""
         self._sweep(self._peripheral, pack=True)
 
-    def _sweep(self, nodes: Any, pack: bool) -> None:
+    def _sweep(self, rows: list, pack: bool) -> None:
         """Per node, in order: charge the list-forming cost, form the view,
         call the node function, record the node's load and, with ``pack``,
-        buffer the fresh value for every processor shadowing the node."""
-        store, node_fn, ctx, buffers, changed_only = self._args
-        # The host resolves each neighbourhood once per surgery epoch; the
-        # model's machine still probes its hash table on every update
-        # (``hash_lookup_cost * deg`` inside ``node_cost``).
-        rows = store.neighbor_records()
+        buffer the fresh value for every processor shadowing the node.  The
+        host resolved each neighbourhood once per surgery epoch; the model's
+        machine still probes its hash table on every update
+        (``hash_lookup_cost * deg`` inside ``node_cost``)."""
+        node_fn, ctx, buffers, changed_only = self._args
         work, node_cost, pack_cost = ctx.comm.work, ctx.node_cost, ctx.costs.pack_cost
         iteration, round_idx, loads = ctx.iteration, ctx.round, ctx.loads
-        for node in nodes:
-            gid, data = node.global_id, node.data
-            records = rows[gid]
+        for gid, record, nbrs, records, procs in rows:
             ctx.bookkeeping_time += work(node_cost(len(records)))
-            value = data.data
-            neighbors = tuple([(v, r.data) for v, r in zip(node.neighboring_nodes, records)])
+            value = record.data
+            neighbors = tuple([(v, r.data) for v, r in zip(nbrs, records)])
             before = ctx.compute_time
             fresh = node_fn(NodeView(gid, value, neighbors, iteration, round_idx), ctx)
-            data.most_recent_data = fresh
+            record.most_recent_data = fresh
             loads[gid] += ctx.compute_time - before  # the window's measured load
             # With ``changed_only`` a value equal to the committed one is not
             # packed (receivers treat absent records as "shadow still
             # current").
             if pack and not (changed_only and (fresh is None or fresh == value)):
-                for proc in node.shadow_for_procs:
+                for proc in procs:
                     buffers.pack(proc, gid, fresh)
                     ctx.comm_overhead_time += work(pack_cost)
 
@@ -453,20 +466,7 @@ class _BulkPhases:
         kernel = node_fn.bulk
         self._ctx, self._buffers, self._changed_only = ctx, buffers, frontier is not None
         self._grain = kernel.node_grain
-        topo = store.bulk_topology()
-        n_int = topo.internal_count
-        active = frontier.begin(store, ctx.round, part) if frontier is not None else None
-        if active is not None:
-            # Gid order within each class, internal nodes first.
-            positions = topo.by_gid[active]
-            if part is None:
-                internal = positions < n_int
-                positions = np.concatenate((positions[internal], positions[~internal]))
-        elif part is None:
-            positions = None
-        else:
-            bounds = (0, n_int) if part == _INTERNAL else (n_int, len(topo.order_gids_arr))
-            positions = np.arange(*bounds, dtype=np.intp)
+        positions = _sweep_positions(store, ctx.round, frontier, part)
         if positions is not None and not len(positions):
             self._plan, self._fresh, self._committed, self.count = _NO_NODES, [], [], 0
             return
@@ -480,11 +480,11 @@ class _BulkPhases:
         self._committed = view.values[split:].tolist() if self._changed_only else []
         self.count = len(view)
 
-    def internal(self) -> None:
+    def compute_internal(self) -> None:
         """Charge the internal nodes' share of the sweep."""
         _charge(self._ctx, self._plan, _INTERNAL, self._grain)
 
-    def peripheral(self) -> None:
+    def compute_peripheral(self) -> None:
         """Charge the peripheral nodes' share and pack their fresh values --
         all, or only those differing from the committed value, exactly as
         :meth:`_ScalarPhases._sweep` decides."""
@@ -532,14 +532,15 @@ class _FrontierIndex:
         self.store = store
         self.epoch = store.surgery_epoch
         owned = np.array(store.owned_gids(), dtype=np.int64)
+        #: Sweep position (in the store's owned-set layout) of each local.
+        self.position = np.argsort(owned)
         #: Owned gids, ascending.
-        self.gids = np.sort(owned)
+        self.gids = owned[self.position]
         count = len(self.gids)
         #: ``gid -> local`` (-1 for a node this rank does not own).
         self.local_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
         self.local_of[self.gids] = np.arange(count)
-        is_peripheral = np.zeros(count, dtype=bool)
-        is_peripheral[self.local_of[owned[store.num_internal() :]]] = True
+        is_peripheral = self.position >= store.num_internal()
         #: Membership masks of the two node classes (``None`` = both).
         self.classes = {
             None: np.ones(count, dtype=bool),
@@ -570,7 +571,7 @@ class Frontier:
     One boolean mask per round over the rank's owned nodes *in gid order*
     (a node is set when its own or a neighbour's value changed since the
     start of that round's last sweep), plus a *dense* flag per (round, node
-    class): a dense class computes every node, in list order (the first
+    class): a dense class computes every node, in layout order (the first
     iteration, and after any ownership change: migration, repartition,
     shrink recovery), and discards what was touched into it meanwhile.
     Dense is a state of its own rather than an all-true mask because the
@@ -665,9 +666,10 @@ class Frontier:
         mask[active] = False
         return active
 
-    def gids(self, active: np.ndarray) -> list[int]:
-        """The gids behind :meth:`begin`'s local indices, ascending."""
-        return self._index.gids[active].tolist()
+    def positions(self, active: np.ndarray) -> np.ndarray:
+        """The sweep positions of :meth:`begin`'s local indices (in gid
+        order)."""
+        return self._index.position[active]
 
     def _touch(self, local: np.ndarray) -> None:
         for mask in self._masks:
@@ -840,7 +842,7 @@ def superstep(
     if inner_cap is not None:
         # ---- Boundary phase (globally synchronous, delta exchange) -------
         boundary = make_phases(store, node_fn, ctx, buffers, frontier, _PERIPHERAL)
-        boundary.peripheral()
+        boundary.compute_peripheral()
         # Boundary changes land in the *unconsumed* interior class, feeding
         # this superstep's interior phase; interior commits below land in the
         # freshly consumed boundary class, feeding the next superstep.
@@ -853,19 +855,19 @@ def superstep(
             if not interior.count:
                 break
             sweeps += 1
-            interior.internal()
+            interior.compute_internal()
             changed += commit(interior.count)
         frontier.inner_sweeps += sweeps
     else:
         phases = make_phases(store, node_fn, ctx, buffers, frontier)
         if overlap:
-            phases.peripheral()
+            phases.compute_peripheral()
             sources = dispatch()
-            phases.internal()
+            phases.compute_internal()
             changed = commit(phases.count)
         else:
-            phases.internal()
-            phases.peripheral()
+            phases.compute_internal()
+            phases.compute_peripheral()
             changed = commit(phases.count)
             sources = dispatch()
 

@@ -86,8 +86,7 @@ def inject_memory_flips(
             if not owned:
                 continue
             gid = min(owned)
-        record = store.data_records[gid]
-        record.data = corrupt_value(record.data, iteration * 31 + gid)
+        store.set_value(gid, corrupt_value(store.value_of(gid), iteration * 31 + gid))
         fault_state.count_flip(world_rank)
         flipped.append(gid)
     return flipped
@@ -192,9 +191,8 @@ class IntegrityGuard:
         digests: dict[int, int] = {}
         cost = 0.0
         machine = self.comm.machine
-        for node in self.store.owned_nodes():
-            value = node.data.data
-            digests[node.global_id] = state_digest(value)
+        for gid, value in self.store.owned_values().items():
+            digests[gid] = state_digest(value)
             cost += machine.digest_time(estimate_nbytes(value))
         return digests, cost
 
@@ -232,9 +230,7 @@ class IntegrityGuard:
                 owner=self.comm.rank,
                 gid=gid,
                 flip_iteration=flip_iteration,
-                holders=self.store.own_node(gid).shadow_for_procs
-                if self.store.owns(gid)
-                else (),
+                holders=self.store.shadow_procs(gid),
             )
             for gid, flip_iteration in sorted(self.pending.items())
         ]
@@ -276,12 +272,11 @@ class IntegrityGuard:
         for claim in decision.claims:
             replica = min(claim.holders)
             if comm.rank == replica:
-                value = self.store.data_records[claim.gid].data
+                value = self.store.value_of(claim.gid)
                 comm.isend((claim.gid, value), claim.owner, tag=TAG_INTEGRITY)
             if comm.rank == claim.owner:
                 gid, value = comm.recv(source=replica, tag=TAG_INTEGRITY)
-                record = self.store.data_records[gid]
-                record.data = value
+                self.store.set_value(gid, value)
                 comm.work(machine.repair_time(estimate_nbytes(value)))
                 self.reference[gid] = state_digest(value)
                 self.pending.pop(gid, None)

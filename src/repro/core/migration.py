@@ -57,11 +57,11 @@ def select_migrating_node(store: NodeStore, to_proc: int) -> int | None:
     assignment = store.assignment
     best_gid: int | None = None
     best_score = 0
-    for gid, node in store.peripheral.items():
-        if to_proc not in node.shadow_for_procs:
+    for gid, procs in store.peripherals():
+        if to_proc not in procs:
             continue
         score = 0
-        for v in node.neighboring_nodes:
+        for v in store.graph.neighbors(gid):
             owner = assignment[v - 1]
             if owner == store.rank:
                 score += 1
@@ -93,28 +93,23 @@ def migrate_node(
         )
     costs = ctx.costs
     if comm.rank == from_proc:
-        node = store.release_node(gid)
-        payload: list[tuple[int, Any, int]] = []
-        for v in node.neighboring_nodes:
-            record = store.data_records[v]
-            payload.append((v, record.data, record.version))
+        store.release_node(gid)
         # The idle side also needs the migrating node's own latest value --
         # it holds it as a shadow, but ship it anyway so state is exact even
         # mid-window (the thesis relies on the shadow being fresh).  Version
         # counters ride along so the delta exchange stays consistent after
         # the ownership change.
-        payload.append((gid, node.data.data, node.data.version))
+        payload: list[tuple[int, Any, int]] = [
+            (v, store.value_of(v), store.version_of(v)) for v in (*store.graph.neighbors(gid), gid)
+        ]
         ctx._comm_overhead(costs.migrate_fixed_cost + costs.migrate_item_cost * len(payload))
         comm.isend(payload, to_proc, tag=TAG_MIGRATE)
     elif comm.rank == to_proc:
         payload = comm.recv(source=from_proc, tag=TAG_MIGRATE)
         ctx._comm_overhead(costs.migrate_fixed_cost + costs.migrate_item_cost * len(payload))
-        neighbor_values = [entry for entry in payload if entry[0] != gid]
-        own = next((entry for entry in payload if entry[0] == gid), None)
-        if own is not None:
-            record = store.ensure_record(gid, own[1], version=own[2])
-            record.data = own[1]
-        store.adopt_node(gid, neighbor_values)
+        # The node's own record first, then its neighbours'.
+        own = [entry for entry in payload if entry[0] == gid]
+        store.adopt_node(gid, own + [entry for entry in payload if entry[0] != gid])
     # Every rank (including busy/idle) re-derives node kinds and shadow
     # lists from the patched assignment.
     store.refresh_ownership()

@@ -4,13 +4,27 @@ Each rank keeps (section 4.1):
 
 * the **internal node list** -- owned nodes with every neighbour local,
 * the **peripheral node list** -- owned nodes with >= 1 remote neighbour,
-* the **data node list** -- :class:`NodeData` records for owned nodes *and*
-  shadow nodes (remote neighbours of peripherals), indexed by gid.
+  each with its ``shadow_for_procs`` (the remote processors owning a
+  neighbour),
+* the **data node list** -- a record per owned node *and* per shadow node
+  (remote neighbours of peripherals), indexed by gid.
+
+The two node lists are one *owned-set layout*, shared by both stores: the
+owned gids in sweep order (the internal class first), the internal count,
+and each peripheral node's ``shadow_for_procs``.  Sweep order matters
+because virtual charges are order-sensitive float sums; it is ascending
+gids per class after a build or a restore, a class keeps its relative
+order across a re-classification, and an adopted node joins the end of its
+class.
 
 The thesis indexes the data node list with a hash table of sorted buckets.
 The virtual-time model prices each probe (``hash_lookup_cost`` in
 :meth:`~repro.core.compute.ComputeContext.node_cost`); on the host,
-``data_records`` is a dict and every lookup is one dict hit.
+``data_records`` is a dict and every lookup is one dict hit.  Everything
+outside the stores and the scalar sweep reads and writes records by gid
+(:meth:`NodeStore.value_of`, :meth:`NodeStore.set_value`,
+:meth:`NodeStore.version_of`, :meth:`NodeStore.ensure_record`, ...), which
+the struct-of-arrays store answers from its columns.
 
 The store also implements the data-structure surgery of task migration
 (section 4.3): demoting a migrated node to a shadow on the busy side,
@@ -21,16 +35,20 @@ nodes, and rebuilding ``shadow_for_procs`` after ownership changes.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..graphs.graph import Graph, sorted_unique
-from .node import INTERNAL, PERIPHERAL, NodeData, OwnNode
+from .node import NodeData
 
 __all__ = ["NodeStore"]
 
 InitValueFn = Callable[[int], Any]
+
+#: One scalar-sweep row: gid, record, neighbour gids, neighbour records
+#: (adjacency order) and ``shadow_for_procs`` (``()`` for an internal node).
+SweepRow = tuple[int, NodeData, tuple[int, ...], tuple[NodeData, ...], tuple[int, ...]]
 
 
 class NodeStore:
@@ -56,15 +74,18 @@ class NodeStore:
         self.rank = rank
         self.graph = graph
         self.assignment = assignment
-        self.internal: dict[int, OwnNode] = {}
-        self.peripheral: dict[int, OwnNode] = {}
+        #: The owned-set layout: gids in sweep order, the first ``_split``
+        #: internal, and ``_dests[i]`` the ``shadow_for_procs`` of the
+        #: peripheral node ``_owned[_split + i]``.
+        self._owned: list[int] = []
+        self._split = 0
+        self._dests: list[tuple[int, ...]] = []
         self._init_record_storage()
-        # Memoized communication topology (cleared by ownership surgery
-        # *and* by halt-flag changes -- see :meth:`set_halted`).
+        # Memoized communication topology (cleared by ownership surgery).
         self._buffer_sizes_cache: dict[int, list[int]] = {}
         self._neighbor_procs_cache: list[int] | None = None
-        #: :meth:`neighbor_records`' memo (``None`` until a scalar sweep asks).
-        self._neighbor_records: dict[int, tuple[NodeData, ...]] | None = None
+        #: :meth:`sweep_rows`' memo (``None`` until a scalar sweep asks).
+        self._sweep_rows: list[SweepRow] | None = None
         #: Bumped by every :meth:`_invalidate_topology_cache`: whoever
         #: derives arrays from the owned set (the change-driven frontier)
         #: compares it to tell when they are stale.
@@ -85,37 +106,18 @@ class NodeStore:
         }
         return tuple(sorted(procs))
 
-    def _make_own_node(self, gid: int) -> OwnNode:
-        shadows = self._shadow_procs_of(gid)
-        kind = PERIPHERAL if shadows else INTERNAL
-        return OwnNode(
-            global_id=gid,
-            kind=kind,
-            owning_proc=self.rank,
-            data=self.data_records[gid],
-            neighboring_nodes=self.graph.neighbors(gid),
-            shadow_for_procs=shadows,
-        )
-
-    def _build(self, init_value: InitValueFn) -> None:
-        """Figure 6's initialisation as array passes over the graph's CSR:
-        which nodes are owned, which of their adjacency entries name a
-        remote neighbour, hence which nodes are peripheral, for whom, and
-        which shadows they need.  Python touches a node to read its initial
-        value, and :meth:`_own` to make its :class:`OwnNode`."""
+    def _classify(self, gids: np.ndarray, procs: np.ndarray) -> np.ndarray:
+        """Lay out the owned ``gids`` as array passes over the graph's CSR:
+        which of their adjacency entries name a remote neighbour, hence
+        which nodes are peripheral and for whom.  The layout lists the
+        internal ones, then the peripheral ones, each class in the order of
+        ``gids``.  Returns the remote neighbours, row after row in
+        adjacency order (``procs`` is the assignment as an array)."""
         rank = self.rank
-        procs = np.asarray(self.assignment, dtype=np.int64)
-        owned = np.flatnonzero(procs == rank)
-        lens, flat = self.graph.csr().rows(owned)
+        lens, flat = self.graph.csr().rows(gids - 1)
         flat_procs = procs[flat - 1]
         crossing = np.flatnonzero(flat_procs != rank)
-        remote = flat[crossing]
-        # Shadows in first-discovery order: peripheral nodes ascending, each
-        # one's remote neighbours in adjacency order, a gid once.
-        by_gid = np.argsort(remote, kind="stable")
-        ranked = remote[by_gid]
-        shadows = remote[np.sort(by_gid[np.flatnonzero(np.diff(ranked, prepend=0))])]
-        # ``shadow_for_procs``: the distinct (owned position, remote
+        # ``shadow_for_procs``: the distinct (position in ``gids``, remote
         # processor) pairs, grouped by position.
         width = int(procs.max(initial=0)) + 1
         at = np.searchsorted(np.cumsum(lens), crossing, side="right")
@@ -123,23 +125,28 @@ class NodeStore:
         positions, pair_procs = np.divmod(pairs, width)
         cuts = np.flatnonzero(np.diff(positions, prepend=-1)).tolist()
         pair_procs = pair_procs.tolist()
-        dests = [tuple(pair_procs[a:b]) for a, b in zip(cuts, [*cuts[1:], None])]
-        peripheral = np.zeros(len(owned), dtype=bool)
+        self._dests = [tuple(pair_procs[a:b]) for a, b in zip(cuts, [*cuts[1:], None])]
+        peripheral = np.zeros(len(gids), dtype=bool)
         peripheral[positions[cuts]] = True
+        self._owned = np.concatenate((gids[~peripheral], gids[peripheral])).tolist()
+        self._split = len(gids) - len(self._dests)
+        return flat[crossing]
 
-        held = (owned + 1).tolist() + shadows.tolist()
+    def _build(self, init_value: InitValueFn) -> None:
+        """Figure 6's initialisation: classify the owned nodes (ascending
+        gids per class), then hold a record for each of them and for each
+        shadow they need.  Python touches a node only to read its initial
+        value."""
+        procs = np.asarray(self.assignment, dtype=np.int64)
+        owned = np.flatnonzero(procs == self.rank) + 1
+        remote = self._classify(owned, procs)
+        # Shadows in first-discovery order: peripheral nodes ascending, each
+        # one's remote neighbours in adjacency order, a gid once.
+        by_gid = np.argsort(remote, kind="stable")
+        ranked = remote[by_gid]
+        shadows = remote[np.sort(by_gid[np.flatnonzero(np.diff(ranked, prepend=0))])]
+        held = owned.tolist() + shadows.tolist()
         self._add_records(held, list(map(init_value, held)))
-        order = np.concatenate((owned[~peripheral], owned[peripheral])) + 1
-        self._own(order.tolist(), len(owned) - len(dests), dests)
-
-    def _own(self, gids: list[int], split: int, dests: list[tuple[int, ...]]) -> None:
-        """Make a fresh build's node lists: ``gids`` in sweep order, the first
-        ``split`` internal, the rest peripheral, ``dests`` their shadow procs."""
-        rank, records, rows = self.rank, self.data_records, self.graph.neighbor_rows
-        for gid, row in zip(gids[:split], rows(gids[:split])):
-            self.internal[gid] = OwnNode(gid, INTERNAL, rank, records[gid], row)
-        for gid, row, procs in zip(gids[split:], rows(gids[split:]), dests):
-            self.peripheral[gid] = OwnNode(gid, PERIPHERAL, rank, records[gid], row, procs)
 
     # ------------------------------------------------------------------ #
     # Record layer (overridden by the struct-of-arrays store)
@@ -149,14 +156,18 @@ class NodeStore:
         """Create the empty data node list."""
         self.data_records: dict[int, NodeData] = {}
 
-    def _add_record(
-        self,
-        gid: int,
-        value: Any,
-        most_recent: Any = None,
-        version: int = 0,
-        halted: bool = False,
-    ) -> None:
+    def _held(self) -> Mapping[int, Any]:
+        """The data node list's index: keyed by every held gid, in the
+        order the records entered."""
+        return self.data_records
+
+    def _record_states(self) -> Iterator[tuple[int, Any, Any, int]]:
+        """``(gid, value, pending value, version)`` per record, in record
+        order (:meth:`capture_state`'s source)."""
+        for gid, record in self.data_records.items():
+            yield gid, record.data, record.most_recent_data, record.version
+
+    def _add_record(self, gid: int, value: Any, most_recent: Any = None, version: int = 0) -> None:
         """Create the data record for ``gid``.
 
         The single seam through which every record enters the store:
@@ -166,189 +177,159 @@ class NodeStore:
         """
         if gid in self.data_records:
             raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
-        record = NodeData(gid, value, most_recent, version=version, halted=halted)
-        self.data_records[gid] = record
+        self.data_records[gid] = NodeData(gid, value, most_recent, version)
 
     def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> None:
         """:meth:`_add_record` for a batch of fresh records (default
-        ``most_recent``/``version``/``halted``), in order: the seam the
-        initialisation phase fills a store through, which the
-        struct-of-arrays store overrides with one array write."""
+        ``most_recent``/``version``), in order: the seam the initialisation
+        phase fills a store through, which the struct-of-arrays store
+        overrides with one array write."""
         for gid, value in zip(gids, values):
             self._add_record(gid, value)
 
-    def _reset_records(self) -> None:
-        """Drop every record and start empty (checkpoint restore)."""
-        self._init_record_storage()
+    def _record(self, gid: int) -> NodeData:
+        record = self.data_records.get(gid)
+        if record is None:
+            raise KeyError(f"rank {self.rank} holds no data for node {gid}")
+        return record
+
+    def value_of(self, gid: int) -> Any:
+        """Committed value of any locally known node."""
+        return self._record(gid).data
+
+    def set_value(self, gid: int, value: Any) -> None:
+        """Overwrite the committed value of a locally known node in place
+        (no version bump: migration payloads, integrity flips and repairs)."""
+        self._record(gid).data = value
+
+    def version_of(self, gid: int) -> int:
+        """Version counter of any locally known node."""
+        return self._record(gid).version
+
+    def _set_version(self, gid: int, version: int) -> None:
+        self._record(gid).version = version
 
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #
 
-    def owned_nodes(self) -> Iterator[OwnNode]:
-        """Internal nodes first, then peripheral (the Figure-8 sweep order)."""
-        yield from self.internal.values()
-        yield from self.peripheral.values()
-
     def owned_gids(self) -> list[int]:
         """Global IDs of the owned nodes in sweep order (internal first)."""
-        return [*self.internal, *self.peripheral]
+        return list(self._owned)
 
     def num_owned(self) -> int:
         """Count of nodes this rank computes."""
-        return len(self.internal) + len(self.peripheral)
+        return len(self._owned)
 
     def num_internal(self) -> int:
         """Count of internal nodes: the leading part of :meth:`owned_gids`."""
-        return len(self.internal)
+        return self._split
 
-    def own_node(self, gid: int) -> OwnNode:
-        """The OwnNode record for an owned gid."""
-        node = self.internal.get(gid) or self.peripheral.get(gid)
-        if node is None:
-            raise KeyError(f"rank {self.rank} does not own node {gid}")
-        return node
+    def peripherals(self) -> list[tuple[int, tuple[int, ...]]]:
+        """``(gid, shadow_for_procs)`` per peripheral node, in sweep order."""
+        return list(zip(self._owned[self._split :], self._dests))
 
     def owns(self, gid: int) -> bool:
         """Whether this rank owns ``gid``."""
-        return gid in self.internal or gid in self.peripheral
+        return gid in self._owned
+
+    def shadow_procs(self, gid: int) -> tuple[int, ...]:
+        """``shadow_for_procs`` of ``gid``: the processors holding it as a
+        shadow -- ``()`` for an internal node or one this rank does not own."""
+        try:
+            position = self._owned.index(gid, self._split)
+        except ValueError:
+            return ()
+        return self._dests[position - self._split]
+
+    def holds(self, gid: int) -> bool:
+        """Whether the data node list holds a record for ``gid``."""
+        return gid in self._held()
+
+    def num_records(self) -> int:
+        """Length of the data node list (owned and shadow records)."""
+        return len(self._held())
 
     def num_shadows(self) -> int:
         """Count of shadow records (every owned node holds a record too)."""
-        return len(self.data_records) - self.num_owned()
+        return self.num_records() - self.num_owned()
 
     def shadow_gids(self) -> list[int]:
         """Global IDs present as shadows (data held, not owned)."""
-        return sorted(gid for gid in self.data_records if not self.owns(gid))
+        owned = set(self._owned)
+        return sorted(gid for gid in self._held() if gid not in owned)
 
     def owned_values(self) -> dict[int, Any]:
-        """``gid -> committed value`` for every owned node.
+        """``gid -> committed value`` for every owned node (sweep order).
 
         The currency of every store rebuild (repartitioning, shrink
         recovery): committed values are partition-independent, so carrying
         them into a fresh store reproduces results bit-identically under a
         different ownership map.
         """
-        return {node.global_id: node.data.data for node in self.owned_nodes()}
+        records = self.data_records
+        return {gid: records[gid].data for gid in self._owned}
 
     def owned_versions(self) -> dict[int, int]:
         """``gid -> version counter`` for every owned node (sweep order)."""
-        return {node.global_id: node.data.version for node in self.owned_nodes()}
-
-    def value_of(self, gid: int) -> Any:
-        """Committed value of any locally known node."""
-        record = self.data_records.get(gid)
-        if record is None:
-            raise KeyError(f"rank {self.rank} holds no data for node {gid}")
-        return record.data
+        records = self.data_records
+        return {gid: records[gid].version for gid in self._owned}
 
     def buffer_sizes(self, nprocs: int) -> list[int]:
         """Shadow records owed to each processor.
 
-        ``sizes[q]`` = number of this rank's *active* peripheral nodes that
-        are shadows for processor ``q`` -- exactly the thesis's
-        ``buffer_size_for_communication`` array.  Halted peripherals are
-        excluded: a halted node publishes no updates, so counting it would
-        overstate the communication load the balancer reasons about.  The
-        scan result is memoized (the load-balance phase asks every period
-        but the answer only changes when ownership or halt flags do);
-        migration surgery *and* :meth:`set_halted` invalidate it via
-        :meth:`_invalidate_topology_cache`.
+        ``sizes[q]`` = number of this rank's peripheral nodes that are
+        shadows for processor ``q`` -- exactly the thesis's
+        ``buffer_size_for_communication`` array.  The scan result is
+        memoized (the load-balance phase asks every period but the answer
+        only changes when ownership does); migration surgery invalidates it
+        via :meth:`_invalidate_topology_cache`.
         """
         cached = self._buffer_sizes_cache.get(nprocs)
         if cached is None:
             cached = [0] * nprocs
-            for node in self.peripheral.values():
-                if node.data.halted:
-                    continue
-                for proc in node.shadow_for_procs:
+            for procs in self._dests:
+                for proc in procs:
                     cached[proc] += 1
             self._buffer_sizes_cache[nprocs] = cached
         return list(cached)
 
     def neighbor_procs(self) -> list[int]:
-        """Processors this rank pushes shadow updates to (memoized).
-
-        Like :meth:`buffer_sizes`, halted peripherals do not count: they
-        produce no updates, so a processor reachable only through halted
-        boundary nodes is not a communication neighbour for load-balance
-        purposes.
-        """
+        """Processors this rank pushes shadow updates to (memoized)."""
         if self._neighbor_procs_cache is None:
-            procs: set[int] = set()
-            for node in self.peripheral.values():
-                if node.data.halted:
-                    continue
-                procs.update(node.shadow_for_procs)
-            self._neighbor_procs_cache = sorted(procs)
+            self._neighbor_procs_cache = sorted({p for procs in self._dests for p in procs})
         return list(self._neighbor_procs_cache)
 
-    def neighbor_records(self) -> dict[int, tuple[NodeData, ...]]:
-        """``gid -> its neighbours' data records`` in adjacency order, for
-        every owned node: the list-forming step's lookups, done once per
-        surgery epoch instead of once per node update.
+    def sweep_rows(self) -> list[SweepRow]:
+        """Per sweep position, what the scalar sweep needs of the node: its
+        gid, its record, its neighbours' gids and records in adjacency
+        order, and its ``shadow_for_procs`` -- the list-forming step's
+        lookups, done once per surgery epoch instead of once per node
+        update.
 
-        Resolved at the first scalar sweep that asks (a bulk run never
-        asks).  Only ownership surgery can stale a row: records enter through
-        :meth:`_add_record` and leave through :meth:`_reset_records` (whose
-        callers invalidate) and :meth:`prune_stale_shadows` (never one an
-        owned node references); all else writes ``record.data`` in place.
+        Resolved at the first scalar sweep or commit that asks (a bulk run
+        never asks).  Only ownership surgery can stale a row: records enter
+        through :meth:`_add_record` and are only dropped wholesale by a
+        restore (which invalidates); all else writes ``record.data`` in
+        place.
         """
-        rows = self._neighbor_records
+        rows = self._sweep_rows
         if rows is None:
-            records = self.data_records
-            rows = self._neighbor_records = {
-                node.global_id: tuple([records[v] for v in node.neighboring_nodes])
-                for node in self.owned_nodes()
-            }
+            records, owned = self.data_records, self._owned
+            dests = [()] * self._split + self._dests
+            rows = self._sweep_rows = [
+                (gid, records[gid], row, tuple([records[v] for v in row]), procs)
+                for gid, row, procs in zip(owned, self.graph.neighbor_rows(owned), dests)
+            ]
         return rows
 
     def _invalidate_topology_cache(self) -> None:
-        """Drop memoized buffer sizes / neighbour procs / neighbour records.
-
-        Must run after ownership surgery (release/adopt/refresh/restore)
-        *and* after any halt-flag change -- both inputs feed the memoized
-        scans.  (Halt flags originally bypassed this, so a halted vertex
-        kept its stale buffer accounting across migrations.)
-        """
+        """Drop memoized buffer sizes / neighbour procs / sweep rows; must
+        run after ownership surgery (release/adopt/refresh/restore)."""
         self._buffer_sizes_cache.clear()
         self._neighbor_procs_cache = None
-        self._neighbor_records = None
+        self._sweep_rows = None
         self.surgery_epoch += 1
-
-    # ------------------------------------------------------------------ #
-    # Halt flags
-    # ------------------------------------------------------------------ #
-
-    def is_halted(self, gid: int) -> bool:
-        """Whether the locally known node ``gid`` has voted to halt."""
-        record = self.data_records.get(gid)
-        if record is None:
-            raise KeyError(f"rank {self.rank} holds no data for node {gid}")
-        return record.halted
-
-    def set_halted(self, gid: int, halted: bool = True) -> bool:
-        """Set the halt flag of a locally known node.
-
-        Returns whether the flag actually changed.  A change invalidates
-        the memoized communication topology: halted peripherals are
-        excluded from :meth:`buffer_sizes` / :meth:`neighbor_procs`, so the
-        memo is stale the moment a flag flips.
-        """
-        record = self.data_records.get(gid)
-        if record is None:
-            raise KeyError(f"rank {self.rank} holds no data for node {gid}")
-        if bool(record.halted) == bool(halted):
-            return False
-        record.halted = bool(halted)
-        self._invalidate_topology_cache()
-        return True
-
-    def halted_gids(self) -> list[int]:
-        """Global IDs of locally known halted nodes (ascending)."""
-        return sorted(
-            gid for gid, record in self.data_records.items() if record.halted
-        )
 
     # ------------------------------------------------------------------ #
     # Commit (end of a compute sweep)
@@ -362,11 +343,7 @@ class NodeStore:
         quiescence count.  Each change bumps the node's version counter.
         This store returns a list; the struct-of-arrays store an array.
         """
-        changed: list[int] = []
-        for node in self.owned_nodes():
-            if node.data.commit():
-                changed.append(node.global_id)
-        return changed
+        return [row[0] for row in self.sweep_rows() if row[1].commit()]
 
     def update_shadow(self, gid: int, value: Any) -> bool:
         """Install a received shadow value (post-communication update).
@@ -394,58 +371,53 @@ class NodeStore:
     # Task-migration surgery (section 4.3)
     # ------------------------------------------------------------------ #
 
-    def release_node(self, gid: int) -> OwnNode:
+    def release_node(self, gid: int) -> None:
         """Busy side: stop owning ``gid``; its data record *stays* (the node
-        becomes a shadow here).  Returns the removed OwnNode."""
-        node = self.peripheral.pop(gid, None)
-        if node is None:
-            node = self.internal.pop(gid, None)
-        if node is None:
-            raise KeyError(f"rank {self.rank} cannot release unowned node {gid}")
+        becomes a shadow here)."""
+        try:
+            position = self._owned.index(gid)
+        except ValueError:
+            raise KeyError(f"rank {self.rank} cannot release unowned node {gid}") from None
+        del self._owned[position]
+        if position < self._split:
+            self._split -= 1
+        else:
+            del self._dests[position - self._split]
         self._invalidate_topology_cache()
-        return node
 
-    def adopt_node(
-        self, gid: int, neighbor_values: Sequence[tuple[int, ...]]
-    ) -> OwnNode:
-        """Idle side: take ownership of ``gid``.
+    def adopt_node(self, gid: int, neighbor_values: Sequence[tuple[Any, ...]]) -> None:
+        """Idle side: take ownership of ``gid``, at the end of its class.
 
         ``neighbor_values`` carries the data of the migrating node's
         neighbours shipped by the busy processor -- ``(gid, value)`` pairs,
         or ``(gid, value, version)`` triples when the sender ships its
-        delta-exchange version counters; records are created or refreshed so
-        the next compute sweep finds everything locally.  The caller must
-        already have updated ``assignment``.
+        delta-exchange version counters; records are created or refreshed,
+        in order, so the next compute sweep finds everything locally.  The
+        caller must already have updated ``assignment``.
         """
         if self.owns(gid):
             raise KeyError(f"rank {self.rank} already owns node {gid}")
-        for ngid, value, *rest in neighbor_values:
-            version = rest[0] if rest else 0
-            record = self.data_records.get(ngid)
-            if record is None:
-                self._add_record(ngid, value, version=version)
-            else:
-                record.data = value
-                if rest:
-                    record.version = version
-        if gid not in self.data_records:
-            raise KeyError(
-                f"rank {self.rank} adopting node {gid} without its data record"
-            )
-        node = self._make_own_node(gid)
-        (self.peripheral if node.is_peripheral else self.internal)[gid] = node
+        for ngid, value, *version in neighbor_values:
+            self.ensure_record(ngid, value, *version)
+            self.set_value(ngid, value)
+        if not self.holds(gid):
+            raise KeyError(f"rank {self.rank} adopting node {gid} without its data record")
+        procs = self._shadow_procs_of(gid)
+        if procs:
+            self._owned.append(gid)
+            self._dests.append(procs)
+        else:
+            self._owned.insert(self._split, gid)
+            self._split += 1
         self._invalidate_topology_cache()
-        return node
 
-    def ensure_record(self, gid: int, value: Any, version: int | None = None) -> NodeData:
-        """Create (or return) the data record for ``gid``."""
-        record = self.data_records.get(gid)
-        if record is None:
+    def ensure_record(self, gid: int, value: Any, version: int | None = None) -> None:
+        """Create the data record for ``gid`` unless one is held; a given
+        ``version`` is installed either way."""
+        if not self.holds(gid):
             self._add_record(gid, value, version=version or 0)
-            record = self.data_records[gid]
         elif version is not None:
-            record.version = version
-        return record
+            self._set_version(gid, version)
 
     def refresh_ownership(self) -> None:
         """Re-derive node kinds and shadow lists from the current assignment.
@@ -454,34 +426,12 @@ class NodeStore:
         internal nodes neighbouring the migrated one become peripheral; on
         the idle processor peripheral nodes may turn internal; every other
         shadow-holding processor updates ``shadow_for_procs`` (the thesis
-        rebuilds these arrays in ``task_migrate``).
+        rebuilds these arrays in ``task_migrate``).  Each class keeps the
+        owned nodes' current relative order.
         """
-        owned = list(self.owned_nodes())
-        self.internal.clear()
-        self.peripheral.clear()
-        for old in owned:
-            node = self._make_own_node(old.global_id)
-            (self.peripheral if node.is_peripheral else self.internal)[
-                node.global_id
-            ] = node
+        procs = np.asarray(self.assignment, dtype=np.int64)
+        self._classify(np.array(self._owned, dtype=np.int64), procs)
         self._invalidate_topology_cache()
-
-    def prune_stale_shadows(self) -> list[int]:
-        """Drop shadow records no longer adjacent to any owned node.
-
-        The thesis never prunes (the migrated node's data must stay; other
-        stale entries are simply never read again).  Pruning is an optional
-        hygiene extension used by long-running dynamic workloads; returns
-        the dropped gids.
-        """
-        needed: set[int] = set()
-        for node in self.owned_nodes():
-            needed.add(node.global_id)
-            needed.update(node.neighboring_nodes)
-        stale = [gid for gid in self.data_records if gid not in needed]
-        for gid in stale:
-            del self.data_records[gid]
-        return stale
 
     # ------------------------------------------------------------------ #
     # Checkpoint support (used by :mod:`repro.core.checkpoint`)
@@ -490,27 +440,24 @@ class NodeStore:
     def capture_state(self) -> dict[str, Any]:
         """Snapshot every mutable piece of the store into plain data.
 
-        The snapshot covers the node-to-processor map, the full data node
-        list (committed *and* in-flight values) and the halt flags; node
-        values are deep-copied so later sweeps cannot mutate the snapshot
-        through shared references.  The result is picklable whenever the
+        The snapshot covers the node-to-processor map and the full data
+        node list (committed *and* in-flight values); node values are
+        deep-copied so later sweeps cannot mutate the snapshot through
+        shared references.  The result is picklable whenever the
         application's node values are.
         """
         return {
             "rank": self.rank,
             "assignment": list(self.assignment),
             "records": {
-                gid: (
-                    copy.deepcopy(record.data),
-                    copy.deepcopy(record.most_recent_data),
-                    record.version,
-                )
-                for gid, record in self.data_records.items()
+                gid: (copy.deepcopy(value), copy.deepcopy(pending), version)
+                for gid, value, pending, version in self._record_states()
             },
-            "halted": self.halted_gids(),
-            # Read by nothing, but a shrink recovery prices the dead rank's
-            # snapshot by its pickled length (``Checkpoint.nbytes``): the
-            # thesis's bucket count stays in it so those clocks do not move.
+            # Both read by nothing, but a shrink recovery prices the dead
+            # rank's snapshot by its pickled length (``Checkpoint.nbytes``):
+            # the (always empty) list of halted nodes and the thesis's
+            # bucket count stay in it so those clocks do not move.
+            "halted": [],
             "hash_table_length": 64,
         }
 
@@ -519,31 +466,19 @@ class NodeStore:
 
         The shared ``assignment`` list is patched in place (it is owned by
         the caller, exactly as during migration), the data node list is
-        rebuilt record by record, and the internal/peripheral classification
-        is re-derived -- leaving the store exactly as it was at snapshot
-        time.
+        rebuilt record by record, and the layout is re-derived as a build
+        derives it -- leaving the store exactly as it was at snapshot time.
         """
         if state["rank"] != self.rank:
             raise ValueError(
                 f"rank {self.rank} cannot restore a checkpoint of rank {state['rank']}"
             )
         self.assignment[:] = state["assignment"]
-        self._reset_records()
-        halted = set(state.get("halted", ()))
+        self._init_record_storage()
         for gid, (data, most_recent, version) in state["records"].items():
-            self._add_record(
-                gid,
-                copy.deepcopy(data),
-                copy.deepcopy(most_recent),
-                version=version,
-                halted=gid in halted,
-            )
-        self.internal.clear()
-        self.peripheral.clear()
-        for gid in self.graph.nodes():
-            if self.assignment[gid - 1] == self.rank:
-                node = self._make_own_node(gid)
-                (self.peripheral if node.is_peripheral else self.internal)[gid] = node
+            self._add_record(gid, copy.deepcopy(data), copy.deepcopy(most_recent), version)
+        procs = np.asarray(self.assignment, dtype=np.int64)
+        self._classify(np.flatnonzero(procs == self.rank) + 1, procs)
         self._invalidate_topology_cache()
 
     # ------------------------------------------------------------------ #
@@ -552,38 +487,31 @@ class NodeStore:
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any broken store invariant."""
-        for gid, node in self.internal.items():
-            assert node.kind == INTERNAL, f"node {gid} in internal list with kind {node.kind}"
-            assert not node.shadow_for_procs
-            assert self.assignment[gid - 1] == self.rank, f"internal {gid} not owned"
-            for v in node.neighboring_nodes:
-                assert self.assignment[v - 1] == self.rank, (
-                    f"internal node {gid} has remote neighbour {v}"
-                )
-        for gid, node in self.peripheral.items():
-            assert node.kind == PERIPHERAL
-            assert self.assignment[gid - 1] == self.rank, f"peripheral {gid} not owned"
+        owned, split, rank, held = self._owned, self._split, self.rank, self._held()
+        assert len(set(owned)) == len(owned), "node in the owned set twice"
+        assert 0 <= split <= len(owned) and len(self._dests) == len(owned) - split
+        for position, gid in enumerate(owned):
+            assert self.assignment[gid - 1] == rank, f"owned node {gid} not assigned here"
             expected = self._shadow_procs_of(gid)
-            assert node.shadow_for_procs == expected, (
-                f"node {gid}: shadow_for_procs {node.shadow_for_procs} != {expected}"
-            )
-            assert expected, f"peripheral node {gid} has no remote neighbours"
-        assert not (set(self.internal) & set(self.peripheral)), "node in both lists"
-        # Every owned node and every neighbour of a peripheral node has data.
-        for node in self.owned_nodes():
-            assert node.global_id in self.data_records
-            for v in node.neighboring_nodes:
-                assert v in self.data_records, (
-                    f"rank {self.rank}: no data for neighbour {v} of {node.global_id}"
-                )
-        # OwnNode.data aliases the data record, and so does every resolved
-        # neighbour row.
-        rows = self._neighbor_records
-        assert rows is None or rows.keys() == {n.global_id for n in self.owned_nodes()}
-        for node in self.owned_nodes():
-            assert node.data is self.data_records[node.global_id]
-            if rows is not None:
-                fresh = [self.data_records[v] for v in node.neighboring_nodes]
-                assert [*map(id, rows[node.global_id])] == [*map(id, fresh)], (
-                    f"rank {self.rank}: stale neighbour row at {node.global_id}"
+            if position < split:
+                assert not expected, f"internal node {gid} has remote neighbours on {expected}"
+            else:
+                procs = self._dests[position - split]
+                assert procs == expected, f"node {gid}: shadow_for_procs {procs} != {expected}"
+                assert expected, f"peripheral node {gid} has no remote neighbours"
+            # Every owned node and every neighbour of one has data.
+            assert gid in held, f"rank {rank}: no data for owned node {gid}"
+            for v in self.graph.neighbors(gid):
+                assert v in held, f"rank {rank}: no data for neighbour {v} of {gid}"
+        # Every resolved sweep row names the current records.
+        rows = self._sweep_rows
+        if rows is not None:
+            assert [row[0] for row in rows] == owned
+            records = self.data_records
+            for position, (gid, record, nbrs, kept, procs) in enumerate(rows):
+                assert record is records[gid] and nbrs == self.graph.neighbors(gid)
+                assert procs == (self._dests[position - split] if position >= split else ())
+                fresh = [records[v] for v in nbrs]
+                assert [*map(id, kept)] == [*map(id, fresh)], (
+                    f"rank {rank}: stale neighbour row at {gid}"
                 )

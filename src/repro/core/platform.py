@@ -548,7 +548,7 @@ class _RankRun:
         iteration to resume at."""
         comm, store = self.comm, self.store
         saved_iteration, extras = self.checkpointer.restore(store)
-        comm.work(self.config.costs.restore_item_cost * len(store.data_records))
+        comm.work(self.config.costs.restore_item_cost * store.num_records())
         self._reinstate(extras)
         if self.frontier is not None:
             # Reinstate the change frontier the checkpoint captured -- a
@@ -790,7 +790,7 @@ class _RankRun:
             return
         t_ck = comm.Wtime()
         self.checkpointer.take(iteration, store, **self._loop_extras())
-        comm.work(self.config.costs.checkpoint_item_cost * len(store.data_records))
+        comm.work(self.config.costs.checkpoint_item_cost * store.num_records())
         self.phases.recovery += comm.Wtime() - t_ck
 
     def refresh_digests(self) -> None:

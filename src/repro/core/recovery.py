@@ -188,7 +188,7 @@ def shrink_reconfigure(
 
     # ---- 4. everyone rolls back to the common checkpoint ---------------
     saved_iteration, extras = checkpointer.restore(store)
-    comm.work(costs.restore_item_cost * len(store.data_records))
+    comm.work(costs.restore_item_cost * store.num_records())
 
     # ---- 5. merge the dead partitions into a full value map ------------
     lost_gids: list[int] = []

@@ -22,7 +22,7 @@ so results are bit-identical with and without repartitioning.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from ..graphs.graph import Graph
 from ..mpi.communicator import Communicator
@@ -70,7 +70,6 @@ def repartition_phase(
     store: NodeStore,
     repartitioner: Partitioner,
     ctx: ComputeContext,
-    init_cost_fn: Callable[[NodeStore], float] | None = None,
 ) -> tuple[NodeStore, bool]:
     """Re-partition from scratch using measured node loads (collective).
 
@@ -78,10 +77,9 @@ def repartition_phase(
         comm: World communicator.
         store: The current node store (consumed; a fresh one is returned).
         repartitioner: Static partitioner plug-in to re-run.
-        ctx: Compute context carrying the per-node load window.
-        init_cost_fn: Optional virtual-cost charge for the rebuild; default
-            charges ``init_node_cost``/``init_shadow_cost`` like the
-            platform's initialization phase.
+        ctx: Compute context carrying the per-node load window; the
+            rebuild is charged ``init_node_cost``/``init_shadow_cost`` like
+            the platform's initialization phase.
 
     Returns:
         ``(new store, changed)`` -- ``changed`` is False when the new
@@ -123,13 +121,10 @@ def repartition_phase(
         store.assignment,
         init_value=lambda gid: all_values[gid],
     )
-    if init_cost_fn is not None:
-        comm.work(init_cost_fn(new_store))
-    else:
-        costs = ctx.costs
-        comm.work(
-            costs.init_node_cost * new_store.num_owned()
-            + costs.init_shadow_cost * new_store.num_shadows()
-        )
+    costs = ctx.costs
+    comm.work(
+        costs.init_node_cost * new_store.num_owned()
+        + costs.init_shadow_cost * new_store.num_shadows()
+    )
     comm.barrier()
     return new_store, True

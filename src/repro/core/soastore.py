@@ -2,9 +2,9 @@
 
 The object store keeps one :class:`~repro.core.node.NodeData` instance per
 node -- flexible, but at 100k+ nodes the per-record attribute traffic
-dominates wall time.  :class:`SoAStore` keeps the same *logical* state in
-parallel numpy arrays (values, pending values, version counters, halt
-flags), in the style of gpaw's grid descriptors:
+dominates wall time.  :class:`SoAStore` keeps the same *logical* records in
+parallel numpy arrays (values, pending values, version counters), in the
+style of gpaw's grid descriptors:
 
 ::
 
@@ -13,17 +13,16 @@ flags), in the style of gpaw's grid descriptors:
     _pending    [  --  | 16.5 |  --   |  7.5 | ... ]   valid where mask set
     _pend_mask  [  F   |  T   |  F    |  T   | ... ]   bool
     _versions   [  3   |  5   |  0    |  2   | ... ]   int64
-    _halted     [  F   |  F   |  T    |  F   | ... ]   bool
-    _gids       [  7   |  12  |  31   |  40  | ... ]   int64
-                   ^ slot assignment via the _slot_of dict
+                   ^ slot of a gid via the _slot_of dict (record order)
 
-Everything above the record layer is inherited unchanged: ownership
-surgery, checkpoint capture/restore, integrity repair, and migration all go
-through the same :meth:`NodeStore._add_record` seam and see per-record
-*proxy* objects (:class:`_ArrayRecord`) that read and write the arrays.
-Proxies and the ``internal``/``peripheral`` lists are made on first access
-(a bulk run reads neither) and cached, so the base class's identity
-invariant ``own_node(gid).data is data_records[gid]`` keeps holding.
+Everything above the record layer is inherited unchanged: the owned-set
+layout and its surgery (build, release, adopt, refresh, restore), the
+communication topology, checkpoint capture/restore and the invariants.
+Code outside the stores reads and writes records by gid
+(``value_of``/``set_value``/``version_of``/``ensure_record``/...), which
+this store answers from its columns; there is no per-record object.  The
+sweep-order arrays a bulk sweep gathers through (:class:`_BulkTopo`) are
+derived from the layout once per surgery epoch.
 
 The platform builds this store exactly when every node function ships a
 bulk kernel (``fn.bulk``) and the ranks average at least
@@ -158,11 +157,11 @@ class BulkView:
 class ChargePlan:
     """The nodes of one bulk view as the virtual-cost accountant sees them.
 
-    Built from arrays the store already holds (never from ``OwnNode``
-    lists) and cached wherever the view's gather geometry is cached, so a
-    geometry hit is a plan hit.  The store knows no cost constants: the
-    compute layer folds them with these arrays into charge rows and
-    memoizes those, and each destination's pack list, in ``templates``.
+    Built from the owned-set layout and cached wherever the view's gather
+    geometry is cached, so a geometry hit is a plan hit.  The store knows
+    no cost constants: the compute layer folds them with these arrays into
+    charge rows and memoizes those, and each destination's pack list, in
+    ``templates``.
 
     Attributes:
         gids: Global IDs in sweep order -- internal nodes, then peripheral.
@@ -184,16 +183,11 @@ class ChargePlan:
 class _BulkTopo:
     """Cached sweep-order topology of the owned set (one per surgery epoch)."""
 
-    order_gids: list[int]
     order_gids_arr: np.ndarray
     slot_of_order: np.ndarray
-    internal_count: int
     indptr: np.ndarray
     flat_slots: np.ndarray
     degrees: np.ndarray
-    #: Sweep position of the ``i``-th smallest owned gid: maps a frontier's
-    #: gid-ordered local indices to positions with one fancy index.
-    by_gid: np.ndarray
     #: The dense (whole owned set) charge plan.
     plan: ChargePlan
     view_caches: dict[str, tuple] = field(default_factory=dict)
@@ -204,108 +198,6 @@ class _BulkTopo:
 
 
 # --------------------------------------------------------------------- #
-# Per-record proxy
-# --------------------------------------------------------------------- #
-
-
-class _ArrayRecord:
-    """A NodeData-shaped window onto one slot of the arrays.
-
-    Made on first access and cached one-per-gid by the store, so identity
-    checks (``data_records[gid] is own_node(gid).data``) behave exactly as
-    with real :class:`~repro.core.node.NodeData` instances.
-    """
-
-    __slots__ = ("_store", "global_id")
-
-    def __init__(self, store: "SoAStore", gid: int) -> None:
-        self._store = store
-        self.global_id = gid
-
-    @property
-    def data(self) -> Any:
-        return self._store._read_value(self._store._slot_of[self.global_id])
-
-    @data.setter
-    def data(self, value: Any) -> None:
-        self._store._write_value(self._store._slot_of[self.global_id], value)
-
-    @property
-    def most_recent_data(self) -> Any:
-        return self._store._read_pending(self._store._slot_of[self.global_id])
-
-    @most_recent_data.setter
-    def most_recent_data(self, value: Any) -> None:
-        self._store._write_pending(self._store._slot_of[self.global_id], value)
-
-    @property
-    def version(self) -> int:
-        return int(self._store._versions[self._store._slot_of[self.global_id]])
-
-    @version.setter
-    def version(self, value: int) -> None:
-        self._store._versions[self._store._slot_of[self.global_id]] = value
-
-    @property
-    def halted(self) -> bool:
-        return bool(self._store._halted[self._store._slot_of[self.global_id]])
-
-    @halted.setter
-    def halted(self, value: bool) -> None:
-        self._store._halted[self._store._slot_of[self.global_id]] = bool(value)
-
-    def __repr__(self) -> str:
-        return f"NodeData(gid={self.global_id}, data={self.data!r}, v{self.version})"
-
-
-# --------------------------------------------------------------------- #
-# dict facade
-# --------------------------------------------------------------------- #
-
-
-class _SoARecords:
-    """``data_records`` facade: a gid-keyed mapping over the arrays."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "SoAStore") -> None:
-        self._store = store
-
-    def __getitem__(self, gid: int) -> _ArrayRecord:
-        if gid not in self._store._slot_of:
-            raise KeyError(gid)
-        return self._store._proxy(gid)
-
-    def get(self, gid: int, default: Any = None) -> Any:
-        if gid not in self._store._slot_of:
-            return default
-        return self._store._proxy(gid)
-
-    def __contains__(self, gid: int) -> bool:
-        return gid in self._store._slot_of
-
-    def __len__(self) -> int:
-        return len(self._store._slot_of)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(list(self._store._order))
-
-    def keys(self) -> list[int]:
-        return list(self._store._order)
-
-    def values(self) -> Iterator[_ArrayRecord]:
-        for gid in list(self._store._order):
-            yield self._store._proxy(gid)
-
-    def items(self) -> Iterator[tuple[int, _ArrayRecord]]:
-        for gid in list(self._store._order):
-            yield gid, self._store._proxy(gid)
-
-    def __delitem__(self, gid: int) -> None:
-        self._store._remove_record(gid)
-
-
-# --------------------------------------------------------------------- #
 # The store
 # --------------------------------------------------------------------- #
 
@@ -313,64 +205,55 @@ class _SoARecords:
 class SoAStore(NodeStore):
     """Struct-of-arrays drop-in for :class:`NodeStore`.
 
-    Same constructor, same API, same observable behaviour (the
-    differential oracle in ``tests/core/test_store_conformance.py`` pins
-    this); node state lives in contiguous numpy arrays and the hot
-    commit/shadow-update paths run vectorized.
+    Same constructor, same owned-set layout, same gid-level record calls,
+    same observable behaviour (the differential oracle in
+    ``tests/core/test_store_conformance.py`` pins this); node state lives in
+    contiguous numpy arrays and the hot commit/shadow-update paths run
+    vectorized.  It sweeps in bulk only: no record objects, so no scalar
+    sweep rows.
     """
-
-    #: ``(gids in sweep order, internal count, dests)`` until the lists exist.
-    _layout: tuple[list[int], int, list[tuple[int, ...]]] | None = None
-
-    # ------------------------- the node lists ------------------------- #
-
-    def _own(self, gids: list[int], split: int, dests: list[tuple[int, ...]]) -> None:
-        """Keep the layout: :meth:`__getattr__` makes the lists on first access."""
-        self._layout = (gids, split, dests)
-        del self.internal, self.peripheral
-
-    def __getattr__(self, name: str) -> Any:
-        layout = self.__dict__.get("_layout")
-        if layout is None or name not in ("internal", "peripheral"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.internal, self.peripheral, self._layout = {}, {}, None
-        super()._own(*layout)
-        return self.__dict__[name]
-
-    def owned_gids(self) -> list[int]:
-        return list(self._layout[0]) if self._layout else super().owned_gids()
-
-    def num_owned(self) -> int:
-        return len(self._layout[0]) if self._layout else super().num_owned()
-
-    def num_internal(self) -> int:
-        return self._layout[1] if self._layout else super().num_internal()
 
     # -------------------------- record layer -------------------------- #
 
     def _init_record_storage(self) -> None:
+        #: ``gid -> slot``; slots are handed out in record order and never
+        #: freed, so the ``i``-th record entered holds slot ``i``.
         self._slot_of: dict[int, int] = {}
-        self._order: list[int] = []
-        self._free: list[int] = []
-        self._high_water = 0
         self._float_mode = True
         self._values = np.empty(0, dtype=np.float64)
         self._pending = np.empty(0, dtype=np.float64)
         self._pending_mask = np.zeros(0, dtype=bool)
         self._versions = np.zeros(0, dtype=np.int64)
-        self._halted = np.zeros(0, dtype=bool)
-        self._gids = np.zeros(0, dtype=np.int64)
-        self._proxies: dict[int, _ArrayRecord] = {}
         self._topo: _BulkTopo | None = None
         # Sparse gather-geometry memo telemetry (pinned by
         # benchmarks/test_extensions.py::test_soa_store).
         self.sparse_geom_hits = 0
         self.sparse_geom_misses = 0
 
-    @property
-    def data_records(self) -> _SoARecords:  # type: ignore[override]
-        # A facade per access: no reference cycle keeps a dead store alive.
-        return _SoARecords(self)
+    def _held(self) -> dict[int, int]:
+        return self._slot_of
+
+    def _record_states(self) -> Iterator[tuple[int, Any, Any, int]]:
+        for gid, slot in self._slot_of.items():
+            yield gid, self._read_value(slot), self._read_pending(slot), int(self._versions[slot])
+
+    def _slot(self, gid: int) -> int:
+        slot = self._slot_of.get(gid)
+        if slot is None:
+            raise KeyError(f"rank {self.rank} holds no data for node {gid}")
+        return slot
+
+    def value_of(self, gid: int) -> Any:
+        return self._read_value(self._slot(gid))
+
+    def set_value(self, gid: int, value: Any) -> None:
+        self._write_value(self._slot(gid), value)
+
+    def version_of(self, gid: int) -> int:
+        return int(self._versions[self._slot(gid)])
+
+    def _set_version(self, gid: int, version: int) -> None:
+        self._versions[self._slot(gid)] = version
 
     def _capacity(self) -> int:
         return len(self._values)
@@ -385,17 +268,6 @@ class SoAStore(NodeStore):
             self._pending[-pad:] = None
         self._pending_mask = np.concatenate([self._pending_mask, np.zeros(pad, dtype=bool)])
         self._versions = np.concatenate([self._versions, np.zeros(pad, dtype=np.int64)])
-        self._halted = np.concatenate([self._halted, np.zeros(pad, dtype=bool)])
-        self._gids = np.concatenate([self._gids, np.zeros(pad, dtype=np.int64)])
-
-    def _new_slot(self) -> int:
-        if self._free:
-            return self._free.pop()
-        if self._high_water == self._capacity():
-            self._grow(self._high_water + 1)
-        slot = self._high_water
-        self._high_water += 1
-        return slot
 
     def _demote(self) -> None:
         """Switch from the float64 fast path to object dtype, preserving
@@ -438,29 +310,14 @@ class SoAStore(NodeStore):
         self._pending[slot] = value
         self._pending_mask[slot] = True
 
-    def _proxy(self, gid: int) -> _ArrayRecord:
-        proxy = self._proxies.get(gid)
-        if proxy is None:
-            proxy = self._proxies[gid] = _ArrayRecord(self, gid)
-        return proxy
-
-    def _add_record(
-        self,
-        gid: int,
-        value: Any,
-        most_recent: Any = None,
-        version: int = 0,
-        halted: bool = False,
-    ) -> None:
+    def _add_record(self, gid: int, value: Any, most_recent: Any = None, version: int = 0) -> None:
         if gid in self._slot_of:
             raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
-        slot = self._new_slot()
+        slot = len(self._slot_of)
+        if slot == self._capacity():
+            self._grow(slot + 1)
         self._slot_of[gid] = slot
-        self._order.append(gid)
-        self._gids[slot] = gid
         self._versions[slot] = version
-        self._halted[slot] = bool(halted)
-        self._pending_mask[slot] = False
         self._write_value(slot, value)
         self._write_pending(slot, most_recent)
         self._topo = None
@@ -469,48 +326,28 @@ class SoAStore(NodeStore):
         """One array write per column -- when that is exactly the
         per-record loop: plain floats only (anything else demotes, at the
         record the loop would demote at), fresh distinct gids (a held one
-        is the loop's ``KeyError``), no freed slot to reuse first."""
+        is the loop's ``KeyError``)."""
         count = len(gids)
         if (
             not self._float_mode
-            or self._free
             or set(map(type, values)) - {float}
             or len(set(gids)) != count
             or not self._slot_of.keys().isdisjoint(gids)
         ):
             return super()._add_records(gids, values)
-        start, stop = self._high_water, self._high_water + count
+        start = len(self._slot_of)
+        stop = start + count
         if stop > self._capacity():
             # The capacity the loop's doublings would have reached.
             capacity = max(64, self._capacity())
             while capacity < stop:
                 capacity *= 2
             self._grow(capacity)
-        self._high_water = stop
         self._slot_of.update(zip(gids, range(start, stop)))
-        self._order.extend(gids)
-        # Slots past the high-water mark were never handed out: version 0,
-        # not halted, nothing pending, as allocated.
-        self._gids[start:stop] = gids
+        # Slots past the last record were never handed out: version 0,
+        # nothing pending, as allocated.
         self._values[start:stop] = values
         self._topo = None
-
-    def _remove_record(self, gid: int) -> None:
-        slot = self._slot_of.pop(gid)
-        self._order.remove(gid)
-        self._free.append(slot)
-        self._pending_mask[slot] = False
-        self._halted[slot] = False
-        if not self._float_mode:
-            self._values[slot] = None
-            self._pending[slot] = None
-        self._proxies.pop(gid, None)
-        self._topo = None
-
-    def _reset_records(self) -> None:
-        super()._reset_records()
-        # The restore re-derives the lists from its snapshot, not the layout.
-        self.internal, self.peripheral, self._layout = {}, {}, None
 
     def _invalidate_topology_cache(self) -> None:
         super()._invalidate_topology_cache()
@@ -546,8 +383,7 @@ class SoAStore(NodeStore):
     def _owned_column(self, column: np.ndarray) -> dict[int, Any]:
         """``gid -> column[slot]`` over the owned set in sweep order, boxed
         by ``tolist`` into the exact objects the per-record reads return."""
-        topo = self.bulk_topology()
-        return dict(zip(topo.order_gids, column[topo.slot_of_order].tolist()))
+        return dict(zip(self._owned, column[self.bulk_topology().slot_of_order].tolist()))
 
     def owned_values(self) -> dict[int, Any]:
         return self._owned_column(self._values)
@@ -599,35 +435,26 @@ class SoAStore(NodeStore):
         topo = self._topo
         if topo is not None:
             return topo
-        layout = self._layout
-        if layout is None:
-            peripheral = self.peripheral.values()
-            layout = self.owned_gids(), len(self.internal), [n.shadow_for_procs for n in peripheral]
-        gids, split, dests = layout
-        gids_arr = np.array(gids, dtype=np.int64)
+        gids_arr = np.array(self._owned, dtype=np.int64)
         # gid -> slot as an array, so the owned rows of the graph's CSR
         # (each behind its own gid) translate in one fancy index.
-        held = np.fromiter(self._slot_of.values(), np.int64, len(self._slot_of))
+        held = np.fromiter(self._slot_of, np.int64, len(self._slot_of))
         slot_of = np.full(self.graph.num_nodes + 1, -1, dtype=np.int64)
-        slot_of[self._gids[held]] = held
+        slot_of[held] = np.arange(len(held))
         closed_lens, closed = self.graph.csr().rows(gids_arr - 1, closed=True)
         flat_slots = slot_of[closed]
         if len(flat_slots) and flat_slots.min() < 0:
             raise KeyError(int(closed[np.argmin(flat_slots)]))
-        slots = slot_of[gids_arr]
-        indptr = np.zeros(len(gids) + 1, dtype=np.intp)
+        indptr = np.zeros(len(gids_arr) + 1, dtype=np.intp)
         np.cumsum(closed_lens, out=indptr[1:])
         degrees = closed_lens - 1
         topo = _BulkTopo(
-            order_gids=gids,
             order_gids_arr=gids_arr,
-            slot_of_order=slots,
-            internal_count=split,
+            slot_of_order=slot_of[gids_arr],
             indptr=indptr,
             flat_slots=flat_slots,
             degrees=degrees,
-            by_gid=np.argsort(gids_arr),
-            plan=ChargePlan(gids_arr, degrees, split, dests),
+            plan=ChargePlan(gids_arr, degrees, self._split, list(self._dests)),
         )
         self._topo = topo
         return topo
@@ -687,7 +514,7 @@ class SoAStore(NodeStore):
                 flat_idx = concat_ranges(starts, lens, offsets[1:])
                 gids_arr = topo.order_gids_arr[positions]
                 # Internal nodes come first, so the ends tell a pure part.
-                n_int = topo.internal_count
+                n_int = self._split
                 if not len(positions) or positions[-1] < n_int:
                     split = len(positions)
                 elif positions[0] >= n_int:

@@ -14,16 +14,14 @@ parts than rows, with ``float``, ``int``, ``HexState`` and mixed initial
 values -- everything but all-``float`` must demote the struct-of-arrays
 store exactly where the per-record loop did.
 
-What must match: ``internal``/``peripheral`` key order, every ``OwnNode``
-field, record order and slot numbering ("owned ascending, then shadows in
-first-discovery order" -- checkpoint payloads and digests iterate it),
-``shadow_gids()``, the virtual init charge to the last bit,
-``check_invariants()``, and ``type(x) is int`` for every gid and processor
-id that reaches an API boundary (``estimate_nbytes`` sizes wire records by
-type, and a numpy integer would pickle differently into a checkpoint).
-The struct-of-arrays store makes its lists on their first access, so it
-must match twice: before (owned gids, counts, values and the bulk topology,
-answered from the build's layout) and after.
+What must match: the owned-set layout (gid order, internal count,
+``shadow_for_procs``), record order and slot numbering ("owned ascending,
+then shadows in first-discovery order" -- checkpoint payloads and digests
+iterate it), every record, ``shadow_gids()``, the virtual init charge to the
+last bit, ``check_invariants()``, and ``type(x) is int`` for every gid and
+processor id that reaches an API boundary (``estimate_nbytes`` sizes wire
+records by type, and a numpy integer would pickle differently into a
+checkpoint).
 """
 
 from __future__ import annotations
@@ -69,12 +67,14 @@ def reference_store(store_cls, *args, **kwargs):
             ]
             for gid in owned:
                 self._add_record(gid, init_value(gid))
-            for gid in owned:
-                node = self._make_own_node(gid)
-                (self.peripheral if node.is_peripheral else self.internal)[gid] = node
-            for node in self.peripheral.values():
-                for v in node.neighboring_nodes:
-                    if self.assignment[v - 1] != self.rank and v not in self.data_records:
+            kinds = [(gid, self._shadow_procs_of(gid)) for gid in owned]
+            self._owned = [gid for gid, procs in kinds if not procs]
+            self._split = len(self._owned)
+            self._owned += [gid for gid, procs in kinds if procs]
+            self._dests = [procs for _, procs in kinds if procs]
+            for gid in self._owned[self._split :]:
+                for v in self.graph.neighbors(gid):
+                    if self.assignment[v - 1] != self.rank and not self.holds(v):
                         self._add_record(v, init_value(v))
 
     return ReferenceBuild(*args, **kwargs)
@@ -82,7 +82,7 @@ def reference_store(store_cls, *args, **kwargs):
 
 def reference_topology(store: SoAStore) -> dict[str, np.ndarray]:
     """The arrays of ``bulk_topology`` from the loop it used to run."""
-    gids = [*store.internal, *store.peripheral]
+    gids = store.owned_gids()
     slot_of = store._slot_of
     indptr = np.zeros(len(gids) + 1, dtype=np.intp)
     flat: list[int] = []
@@ -101,14 +101,14 @@ def reference_topology(store: SoAStore) -> dict[str, np.ndarray]:
         "indptr": indptr,
         "flat_slots": np.asarray(flat, dtype=np.int64),
         "degrees": degrees,
-        "by_gid": np.argsort(gids_arr),
     }
 
 
 def reference_frontier_index(store: NodeStore) -> dict[str, np.ndarray]:
     """The arrays of ``_FrontierIndex`` from its former constructor."""
-    peripheral = store.peripheral
-    owned = sorted([*store.internal, *peripheral])
+    peripheral = {gid for gid, _ in store.peripherals()}
+    layout = store.owned_gids()
+    owned = sorted(layout)
     count = len(owned)
     gids = np.array(owned, dtype=np.int64)
     local_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
@@ -121,6 +121,7 @@ def reference_frontier_index(store: NodeStore) -> dict[str, np.ndarray]:
     kept = np.concatenate(([0], np.cumsum(flat >= 0)))
     bounds = kept[np.concatenate(([0], np.cumsum(items)))]
     return {
+        "position": np.fromiter(map(layout.index, owned), np.intp, count),
         "gids": gids,
         "local_of": local_of,
         "internal": ~is_peripheral,
@@ -198,49 +199,35 @@ def init_charge(store: NodeStore) -> float:
 
 
 def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
-    """``built`` (array passes) is ``ref`` (node by node) to every observer,
-    before and after the struct-of-arrays store makes its lists."""
-    soa = isinstance(built, SoAStore)
-    lazy = soa and built._layout is not None
-    # Before the first list access (if none came yet): answered from the
-    # build's layout.
+    """``built`` (array passes) is ``ref`` (node by node) to every observer."""
+    # The owned-set layout.
     assert built.owned_gids() == ref.owned_gids() and all(map(is_int, built.owned_gids()))
     assert (built.num_owned(), built.num_internal(), built.num_shadows()) == (
         ref.num_owned(), ref.num_internal(), ref.num_shadows()
     )
-    assert list(built.owned_values().items()) == list(ref.owned_values().items())
-    if soa:
-        topo = built.bulk_topology()
-        assert topo.internal_count == len(ref.internal)
-        assert topo.plan.dests == [n.shadow_for_procs for n in ref.peripheral.values()]
-    assert lazy == (soa and built._layout is not None)  # ... and made no list
-    # After it: the lists themselves.
-    assert list(built.internal) == list(ref.internal)
-    assert list(built.peripheral) == list(ref.peripheral)
-    for gid, node in [*built.internal.items(), *built.peripheral.items()]:
-        expected = ref.own_node(gid)
-        assert (node.global_id, node.kind, node.owning_proc) == (
-            expected.global_id, expected.kind, expected.owning_proc
-        )
-        assert node.neighboring_nodes == expected.neighboring_nodes
-        assert node.neighboring_nodes is built.graph.neighbors(gid)  # shared, not copied
-        assert node.shadow_for_procs == expected.shadow_for_procs
-        assert node.data is built.data_records[gid]
-        assert is_int(gid) and is_int(node.global_id) and is_int(node.owning_proc)
-        assert all(map(is_int, node.neighboring_nodes))
-        assert all(map(is_int, node.shadow_for_procs))
+    assert built.peripherals() == ref.peripherals()
+    for gid, procs in built.peripherals():
+        assert is_int(gid) and all(map(is_int, procs))
+        assert built.shadow_procs(gid) == procs
+    if isinstance(built, SoAStore):
+        plan = built.bulk_topology().plan
+        assert (plan.split, plan.dests) == (ref.num_internal(), [p for _, p in ref.peripherals()])
+    else:
+        for gid, record, nbrs, _, _ in built.sweep_rows():
+            assert nbrs is built.graph.neighbors(gid)  # shared, not copied
+            assert record is built.data_records[gid]
     # Record order ("owned ascending, then shadows in first-discovery order").
-    assert list(built.data_records) == list(ref.data_records)
-    assert all(map(is_int, built.data_records))
+    assert list(built._held()) == list(ref._held())
+    assert all(map(is_int, built._held()))
     assert built.shadow_gids() == ref.shadow_gids()
     assert all(map(is_int, built.shadow_gids()))
     assert built.num_shadows() == len(ref.shadow_gids())
-    for gid, record in ref.data_records.items():
-        mine = built.data_records[gid]
-        assert is_int(mine.global_id) and mine.global_id == gid
-        assert type(mine.data) is type(record.data) and mine.data == record.data
-        assert mine.most_recent_data is None
-        assert (mine.version, mine.halted) == (0, False)
+    for (gid, value, pending, version), expected in zip(
+        built._record_states(), ref._record_states(), strict=True
+    ):
+        assert is_int(gid) and gid == expected[0]
+        assert type(value) is type(expected[1]) and value == expected[1]
+        assert (pending, version) == (None, 0) and is_int(version)
     assert built.owned_values() == ref.owned_values()
     assert list(built.owned_values()) == list(ref.owned_values())
     assert built.owned_versions() == ref.owned_versions()
@@ -250,16 +237,11 @@ def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
     # A checkpoint cannot tell them apart either (numpy integers would).
     assert pickle.dumps(built.capture_state(), 5) == pickle.dumps(ref.capture_state(), 5)
     if isinstance(built, SoAStore):
-        assert built._order == ref._order and all(map(is_int, built._order))
         assert built._slot_of == ref._slot_of
         assert all(map(is_int, built._slot_of.values()))
         assert built._float_mode == ref._float_mode
         assert built._values.dtype == ref._values.dtype
         assert built._capacity() == ref._capacity()
-        assert (built._high_water, built._free) == (ref._high_water, ref._free)
-        live = slice(0, built._high_water)
-        assert built._gids[live].tolist() == ref._gids[live].tolist()
-        assert built._layout is None
     built.check_invariants()
     ref.check_invariants()
 
@@ -302,20 +284,20 @@ class TestBuildEdges:
         graph = grid2d(3, 3)
         built, ref = both_builds(store_cls, graph, [0] * 9, 1, float)
         assert_same_build(built, ref)
-        assert built.num_owned() == 0 and len(built.data_records) == 0
+        assert built.num_owned() == 0 and built.num_records() == 0
 
     def test_isolated_node_is_internal(self, store_cls):
         graph = Graph([(2,), (1,), ()])
         built, ref = both_builds(store_cls, graph, [0, 1, 0], 0, float)
         assert_same_build(built, ref)
-        assert list(built.internal) == [3] and list(built.peripheral) == [1]
+        assert built.owned_gids() == [3, 1] and built.num_internal() == 1
 
     def test_shadow_discovery_order_is_not_gid_order(self, store_cls):
         # Node 1 (rank 0) names 5 before 3: shadows come in that order.
         graph = Graph([(5, 3), (4,), (1,), (2,), (1,)])
         built, ref = both_builds(store_cls, graph, [0, 0, 1, 1, 2], 0, float)
-        assert list(built.data_records) == [1, 2, 5, 3, 4]
-        assert built.own_node(1).shadow_for_procs == (1, 2)
+        assert list(built.capture_state()["records"]) == [1, 2, 5, 3, 4]
+        assert built.shadow_procs(1) == (1, 2)
         assert_same_build(built, ref)
 
     def test_init_value_is_asked_in_record_order(self, store_cls):
@@ -327,10 +309,10 @@ class TestBuildEdges:
 
     def test_batch_of_records_rejects_a_held_gid_like_the_loop(self, store_cls):
         store = store_cls(0, grid2d(2, 2), [0, 0, 1, 1], float)
-        before = list(store.data_records)
+        before = store.capture_state()
         with pytest.raises(KeyError, match="already holds a record for node 3"):
             store._add_records([3], [1.0])
-        assert list(store.data_records) == before
+        assert store.capture_state() == before
 
 
 class TestOneShotFill:
@@ -340,7 +322,7 @@ class TestOneShotFill:
     def test_float_fill_keeps_the_float_path(self):
         store = SoAStore(0, grid2d(4, 4), [0] * 8 + [1] * 8, lambda gid: gid / 4)
         assert store._float_mode and store._values.dtype == np.float64
-        assert store._capacity() == 64 and store._high_water == 12
+        assert store._capacity() == 64 and store.num_records() == 12
 
     def test_capacity_is_what_the_doublings_reach(self):
         graph = grid2d(10, 10)
@@ -354,17 +336,6 @@ class TestOneShotFill:
         assert not built._float_mode and built._values.dtype == object
         assert_same_build(built, ref)
 
-    def test_freed_slots_are_reused_first(self):
-        store = SoAStore(0, grid2d(2, 3), [0, 0, 0, 1, 1, 1], float)
-        store.prune_stale_shadows()  # nothing stale yet
-        store.release_node(3)
-        del store.data_records[3]
-        freed = list(store._free)
-        assert freed
-        store._add_records([3], [9.0])
-        record = store.data_records[3]
-        assert store._slot_of[3] == freed[-1] and record.data == 9.0
-
 
 # --------------------------------------------------------------------- #
 # What is derived from the owned set
@@ -372,10 +343,10 @@ class TestOneShotFill:
 
 
 def surgery(store: NodeStore) -> None:
-    """Some ownership surgery, so list order stops being gid order."""
+    """Some ownership surgery, so layout order stops being gid order."""
     if store.num_owned() < 2:
         return
-    gid = next(iter(store.internal), None) or next(iter(store.peripheral))
+    gid = store.owned_gids()[0]
     other = (store.rank + 1) % (max(store.assignment) + 2)
     store.release_node(gid)
     store.assignment[gid - 1] = other
@@ -399,14 +370,12 @@ class TestDerivedArrays:
                 actual = getattr(topo, name)
                 assert actual.dtype == expected.dtype, name
                 assert actual.tolist() == expected.tolist(), name
-            assert topo.order_gids == [*store.internal, *store.peripheral]
-            assert all(map(is_int, topo.order_gids))
-            assert topo.internal_count == len(store.internal)
-            assert topo.plan.dests == [n.shadow_for_procs for n in store.peripheral.values()]
+            assert topo.plan.split == store.num_internal()
+            assert topo.plan.dests == [procs for _, procs in store.peripherals()]
 
     def test_bulk_topology_names_a_missing_neighbour_record(self):
         store = SoAStore(0, grid2d(2, 2), [0, 0, 1, 1], float)
-        del store.data_records[3]
+        del store._slot_of[3]  # a record gone missing
         with pytest.raises(KeyError, match="3"):
             store.bulk_topology()
 
@@ -422,6 +391,7 @@ class TestDerivedArrays:
             index = _FrontierIndex(store)
             expected = reference_frontier_index(store)
             actual = {
+                "position": index.position,
                 "gids": index.gids,
                 "local_of": index.local_of,
                 "internal": index.classes[_INTERNAL],
@@ -445,12 +415,13 @@ class TestDerivedArrays:
             store = SoAStore(rank, graph, list(assignment), INIT_VALUES[values])
             if operate and values == "float":
                 surgery(store)
-            for node in store.owned_nodes():
-                node.data.most_recent_data = INIT_VALUES[values](node.global_id + 1)
+            for gid in store.owned_gids():
+                store._write_pending(store._slot_of[gid], INIT_VALUES[values](gid + 1))
             store.commit_owned()
-            for column in ("owned_values", "owned_versions"):
+            columns = (("owned_values", store.value_of), ("owned_versions", store.version_of))
+            for column, read in columns:
                 actual = getattr(store, column)()
-                expected = getattr(NodeStore, column)(store)  # through the proxies
+                expected = {gid: read(gid) for gid in store.owned_gids()}  # record by record
                 assert actual == expected and list(actual) == list(expected)
                 assert [*map(type, actual.values())] == [*map(type, expected.values())]
                 assert all(map(is_int, actual))

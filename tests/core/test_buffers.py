@@ -116,7 +116,7 @@ class TestRunningWireSize:
             phases = (_BulkPhases if bulk else _ScalarPhases)(
                 store, make_average_fn(), ctx, buffers
             )
-            phases.peripheral()
+            phases.compute_peripheral()
             assert buffers.total_records() > 0
             return [
                 (buffers.nbytes(q), _walked_nbytes(buffers.outgoing(q)))
@@ -193,13 +193,13 @@ class TestPackAll:
                 store = make_store(comm.rank, graph, list(assignment), lambda gid: gid / 4)
                 ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
                 buffers = CommBuffers(comm.size)
-                make_phases(store, node_fn, ctx, buffers, Frontier(1)).peripheral()
+                make_phases(store, node_fn, ctx, buffers, Frontier(1)).compute_peripheral()
                 out.append([(buffers.outgoing(q), buffers.nbytes(q)) for q in range(comm.size)])
             scalar, bulk = out
             assert bulk == scalar
             packed = {gid for records, _ in bulk for gid, _ in records}
-            periph = set(store.peripheral)
-            multi = {gid for gid, node in store.peripheral.items() if len(node.shadow_for_procs) > 1}
+            periph = {gid for gid, _ in store.peripherals()}
+            multi = {gid for gid, procs in store.peripherals() if len(procs) > 1}
             return packed < periph and bool(packed & multi)
 
         assert all(run_mpi(fn, 3, machine=IDEAL))

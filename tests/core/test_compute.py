@@ -41,7 +41,7 @@ def run_sweeps(graph, assignment, nprocs, iterations, overlap):
         for i in range(1, iterations + 1):
             ctx.iteration = i
             superstep(comm, store, average_fn, ctx, buffers, overlap=overlap)
-        return {n.global_id: n.data.data for n in store.owned_nodes()}
+        return store.owned_values()
 
     results = run_mpi(fn, nprocs, machine=IDEAL)
     merged: dict[int, float] = {}

@@ -26,6 +26,13 @@ from repro.graphs import random_connected_graph
 ITEM = PlatformCosts().list_item_cost
 
 
+def gids_of(store, frontier, active) -> list[int]:
+    """The gids behind :meth:`Frontier.begin`'s local indices, in the order
+    their sweep positions come (ascending gids)."""
+    layout = store.owned_gids()
+    return [layout[p] for p in frontier.positions(active).tolist()]
+
+
 class SetModel:
     """The replaced bookkeeping: gid sets per (round, class), ``None`` = dense."""
 
@@ -43,7 +50,7 @@ class SetModel:
 
     def _touch(self, store, gid):
         for per_class in self.sets:
-            active = per_class[_PERIPHERAL if gid in store.peripheral else _INTERNAL]
+            active = per_class[_PERIPHERAL if store.shadow_procs(gid) else _INTERNAL]
             if active is not None:
                 active.add(gid)
 
@@ -115,13 +122,13 @@ def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid,
     got, want = [], []
     ctx = RecordingContext(got)
     for op in ops:
-        owned = sorted([*store.internal, *store.peripheral])
+        owned = sorted(store.owned_gids())
         if op == "begin":
             round_idx = rng.randrange(rounds)
             part = rng.choice([_INTERNAL, _PERIPHERAL]) if hybrid else None
             active = frontier.begin(store, round_idx, part)
             expected = model.begin(store, round_idx, part)
-            assert (None if active is None else frontier.gids(active)) == expected
+            assert (None if active is None else gids_of(store, frontier, active)) == expected
         elif op == "commit":
             changed = sample(rng, owned)  # commit order is list order, not gid order
             frontier.record_commit(store, changed, ctx)
@@ -140,8 +147,8 @@ def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid,
             frontier.restore(pickle.loads(pickle.dumps(payload)))
             assert frontier.capture(store) == payload
         elif op == "rebuild":
-            # A new surgery epoch over the same owned set (a halt flag
-            # flipped): the index is rebuilt, the active sets carry over.
+            # A new surgery epoch over the same owned set (a refresh that
+            # moved nothing): the index is rebuilt, the active sets carry over.
             store._invalidate_topology_cache()
         elif op == "surgery" and len(owned) > 1:
             # Migration as the platform performs it: ownership changes, the
@@ -161,13 +168,13 @@ def test_dense_class_discards_touches():
     store, _ = build(seed=1, num_nodes=12, nprocs=2)
     frontier = Frontier(1, inner_cap=4)
     ctx = RecordingContext([])
-    owned = sorted([*store.internal, *store.peripheral])
+    owned = sorted(store.owned_gids())
     frontier.record_commit(store, owned, ctx)
     assert frontier.begin(store, 0, _PERIPHERAL) is None  # dense, touches dropped
     assert frontier.capture(store)["boundary"] == [[]]
     assert frontier.capture(store)["interior"] == [None]  # still dense
     frontier.record_commit(store, owned, ctx)
-    assert frontier.capture(store)["boundary"] == [sorted(store.peripheral)]
+    assert frontier.capture(store)["boundary"] == [sorted(g for g, _ in store.peripherals())]
     assert frontier.begin(store, 0, _INTERNAL) is None
     assert frontier.capture(store)["interior"] == [[]]
 
@@ -176,9 +183,9 @@ def test_restore_before_any_store_is_bound():
     """Rollback restores the frontier first and binds a store later; the
     lists wait, and gids the store no longer owns are dropped."""
     store, _ = build(seed=2, num_nodes=10, nprocs=2)
-    owned = sorted([*store.internal, *store.peripheral])
+    owned = sorted(store.owned_gids())
     foreign = next(gid for gid in store.graph.nodes() if not store.owns(gid))
     frontier = Frontier(2)
     frontier.restore({"dirty": [sorted([owned[0], foreign]), None]})
-    assert frontier.gids(frontier.begin(store, 0)) == [owned[0]]
+    assert gids_of(store, frontier, frontier.begin(store, 0)) == [owned[0]]
     assert frontier.begin(store, 1) is None

@@ -74,9 +74,10 @@ class TestMigrateNode:
             migrate_node(comm, store, gid, src, dst, ctx)
             store.check_invariants()
             return {
-                "owned": sorted(n.global_id for n in store.owned_nodes()),
+                "owned": sorted(store.owned_gids()),
                 "kinds": {
-                    n.global_id: n.kind for n in store.owned_nodes()
+                    gid: "p" if store.shadow_procs(gid) else "i"
+                    for gid in store.owned_gids()
                 },
             }
 
@@ -113,9 +114,9 @@ class TestMigrateNode:
             migrate_node(comm, store, 3, 1, 2, ctx)
             store.check_invariants()
             if comm.rank == 2:
-                return store.own_node(3).shadow_for_procs
+                return store.shadow_procs(3)
             if comm.rank == 0:
-                return store.own_node(2).shadow_for_procs
+                return store.shadow_procs(2)
             return None
 
         results = run_mpi(fn, 3, machine=IDEAL)

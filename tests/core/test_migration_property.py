@@ -65,13 +65,16 @@ def migration_round_trip(comm, graph, assignment, moves):
     store.check_invariants()  # shadow/peripheral/data-record consistency
 
     # Every ID this rank's sweeps would touch resolves to a record of the
-    # data node list, the owned ones to the record their OwnNode holds.
-    for node in store.owned_nodes():
-        assert store.data_records[node.global_id] is node.data
-        for v in node.neighboring_nodes:
-            assert v in store.data_records
+    # data node list, and the sweep rows name exactly those records.
+    for gid in store.owned_gids():
+        assert store.holds(gid)
+        for v in graph.neighbors(gid):
+            assert store.holds(v)
+    for gid, record, nbrs, records, _ in store.sweep_rows():
+        assert record is store.data_records[gid]
+        assert all(r is store.data_records[v] for v, r in zip(nbrs, records))
 
-    owned = sorted(node.global_id for node in store.owned_nodes())
+    owned = sorted(store.owned_gids())
     return owned, tuple(store.assignment), executed
 
 

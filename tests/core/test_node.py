@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core import INTERNAL, PERIPHERAL, NodeData, OwnNode
+from repro.core import NodeData
 
 
 class TestNodeData:
@@ -22,28 +20,3 @@ class TestNodeData:
     def test_repr(self):
         assert "gid=3" in repr(NodeData(3, data=7))
 
-
-class TestOwnNode:
-    def _data(self, gid=1):
-        return NodeData(gid, data=0)
-
-    def test_internal_node(self):
-        node = OwnNode(1, INTERNAL, 0, self._data(), (2, 3))
-        assert not node.is_peripheral
-        assert node.shadow_for_procs == ()
-
-    def test_peripheral_node(self):
-        node = OwnNode(1, PERIPHERAL, 0, self._data(), (2, 3), shadow_for_procs=(1, 2))
-        assert node.is_peripheral
-
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            OwnNode(1, "x", 0, self._data(), ())
-
-    def test_internal_with_shadows_rejected(self):
-        with pytest.raises(ValueError):
-            OwnNode(1, INTERNAL, 0, self._data(), (2,), shadow_for_procs=(1,))
-
-    def test_repr_mentions_kind(self):
-        node = OwnNode(5, PERIPHERAL, 2, self._data(5), (1,), shadow_for_procs=(0,))
-        assert "'p'" in repr(node)

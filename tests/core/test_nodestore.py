@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import NodeStore, SoAStore
 from repro.graphs import Graph, hex32
+from repro.partitioning import MetisLikePartitioner
 
 
 @pytest.fixture
@@ -18,15 +19,25 @@ def make_store(graph, assignment, rank, init=lambda gid: gid * 10):
     return NodeStore(rank, graph, list(assignment), init)
 
 
+def internal(store) -> list[int]:
+    """The internal class of the store's layout, in sweep order."""
+    return store.owned_gids()[: store.num_internal()]
+
+
+def peripheral(store) -> list[int]:
+    """The peripheral class of the store's layout, in sweep order."""
+    return [gid for gid, _ in store.peripherals()]
+
+
 class TestClassification:
     def test_internal_vs_peripheral(self, path6):
         # [1,2,3 | 4,5,6]: nodes 3 and 4 are peripheral.
         store0 = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        assert sorted(store0.internal) == [1, 2]
-        assert sorted(store0.peripheral) == [3]
+        assert sorted(internal(store0)) == [1, 2]
+        assert sorted(peripheral(store0)) == [3]
         store1 = make_store(path6, [0, 0, 0, 1, 1, 1], 1)
-        assert sorted(store1.internal) == [5, 6]
-        assert sorted(store1.peripheral) == [4]
+        assert sorted(internal(store1)) == [5, 6]
+        assert sorted(peripheral(store1)) == [4]
 
     def test_shadow_records_present(self, path6):
         store0 = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
@@ -35,25 +46,24 @@ class TestClassification:
 
     def test_shadow_for_procs(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        assert store.own_node(3).shadow_for_procs == (1,)
-        assert store.own_node(2).shadow_for_procs == ()
+        assert store.shadow_procs(3) == (1,)
+        assert store.shadow_procs(2) == ()
 
     def test_multi_proc_shadows(self):
         star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
         store = make_store(star, [0, 1, 2, 3], 0)
-        assert store.own_node(1).shadow_for_procs == (1, 2, 3)
+        assert store.shadow_procs(1) == (1, 2, 3)
 
     def test_owned_iteration_order_internal_first(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        kinds = [n.kind for n in store.owned_nodes()]
-        assert kinds == ["i", "i", "p"]
+        assert store.owned_gids() == [1, 2, 3]
+        assert store.num_internal() == 2
 
-    def test_owns_and_own_node(self, path6):
+    def test_owns_and_shadow_procs(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
         assert store.owns(2)
         assert not store.owns(5)
-        with pytest.raises(KeyError):
-            store.own_node(5)
+        assert store.shadow_procs(5) == ()  # not ours: no shadow holders known
 
     def test_value_of_unknown_raises(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
@@ -68,8 +78,8 @@ class TestClassification:
 
     def test_single_rank_owns_everything(self, path6):
         store = make_store(path6, [0] * 6, 0)
-        assert len(store.internal) == 6
-        assert len(store.peripheral) == 0
+        assert store.num_internal() == 6
+        assert store.peripherals() == []
         assert store.shadow_gids() == []
         store.check_invariants()
 
@@ -97,8 +107,8 @@ class TestBufferSizes:
 class TestCommitAndShadows:
     def test_commit_owned(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        for node in store.owned_nodes():
-            node.data.most_recent_data = node.global_id * 100
+        for gid in store.owned_gids():
+            store.data_records[gid].most_recent_data = gid * 100
         assert store.commit_owned() == [1, 2, 3]
         assert store.value_of(2) == 200
 
@@ -142,42 +152,41 @@ class TestCommitAndShadows:
         store = store_cls(0, graph, [0, 1, 1, 1, 1, 1], float)
         assert store.update_shadows([(6, 6.0), (4, 0.5), (5, 7.5)]) == [4, 5]
         assert [store.value_of(g) for g in (4, 5, 6)] == [0.5, 7.5, 6.0]
-        assert [store.data_records[g].version for g in (4, 5, 6)] == [1, 1, 0]
+        assert [store.version_of(g) for g in (4, 5, 6)] == [1, 1, 0]
         assert store.update_shadows([]) == []
         # A repeated gid compares against the record before it.
         assert store.update_shadows([(4, 1.5), (4, 0.5)]) == [4, 4]
-        assert store.data_records[4].version == 3
+        assert store.version_of(4) == 3
         with pytest.raises(KeyError):
             store.update_shadows([(5, 8.5), (3, 1.0), (6, 9.5)])
         assert [store.value_of(g) for g in (5, 6)] == [8.5, 6.0]
         # A non-float value takes the scalar path (and demotes the soa arrays).
         assert store.update_shadows([(6, "x"), (5, 8.5)]) == [6]
-        assert store.value_of(6) == "x" and store.data_records[5].version == 2
+        assert store.value_of(6) == "x" and store.version_of(5) == 2
 
 
     @pytest.mark.parametrize("store_cls", [NodeStore, SoAStore])
     def test_duplicate_record_is_refused(self, store_cls, path6):
-        """A second record for a held gid would leave ``data_records`` on the
-        new one while ``OwnNode.data`` and any resolved neighbour row keep
-        the old (the object store used to allow it)."""
+        """A second record for a held gid would leave the data node list on
+        the new one while any resolved sweep row keeps the old (the object
+        store used to allow it)."""
         store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10.0)
         for gid in (1, 4):  # owned, shadow
             with pytest.raises(KeyError, match=f"rank 0 already holds a record for node {gid}"):
                 store._add_record(gid, 999.0)
             assert store.value_of(gid) == gid * 10.0
-        assert len(store.data_records) == 4
+        assert store.num_records() == 4
         store.check_invariants()
 
 
 class TestMigrationSurgery:
     def test_release_keeps_data_record(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        node = store.release_node(3)
-        assert node.global_id == 3
+        store.release_node(3)
         assert not store.owns(3)
         # "the entry of the migrating node isn't removed from the data node
         # list and the hash table"
-        assert 3 in store.data_records
+        assert store.holds(3)
 
     def test_release_unowned_raises(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
@@ -191,8 +200,8 @@ class TestMigrationSurgery:
         # migrate node 3 from 0 to 1
         busy.assignment[2] = 1
         idle.assignment[2] = 1
-        released = busy.release_node(3)
-        payload = [(v, busy.data_records[v].data) for v in released.neighboring_nodes]
+        busy.release_node(3)
+        payload = [(v, busy.value_of(v)) for v in path6.neighbors(3)]
         idle.adopt_node(3, payload)
         busy.refresh_ownership()
         idle.refresh_ownership()
@@ -200,8 +209,8 @@ class TestMigrationSurgery:
         idle.check_invariants()
         # node 2 on busy became peripheral; node 4 on idle stays peripheral;
         # node 3 now owned by idle and peripheral (neighbour 2 is remote).
-        assert busy.own_node(2).kind == "p"
-        assert idle.own_node(3).kind == "p"
+        assert 2 in peripheral(busy)
+        assert 3 in peripheral(idle)
         assert idle.owns(3) and not busy.owns(3)
 
     def test_adopt_owned_raises(self, path6):
@@ -217,23 +226,11 @@ class TestMigrationSurgery:
 
     def test_ensure_record_idempotent(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        first = store.ensure_record(6, 60)
-        second = store.ensure_record(6, 999)
-        assert first is second
+        store.ensure_record(6, 60)
+        first = store.data_records[6]
+        store.ensure_record(6, 999)
+        assert store.data_records[6] is first
         assert first.data == 60
-
-    def test_prune_stale_shadows(self, path6):
-        assignment = [0, 0, 0, 1, 1, 1]
-        store = make_store(path6, assignment, 0)
-        # give away node 3; its shadow of 4 becomes stale after pruning
-        store.assignment[2] = 1
-        store.release_node(3)
-        store.refresh_ownership()
-        dropped = store.prune_stale_shadows()
-        assert 4 in dropped
-        # node 3 itself is still a neighbour of owned node 2: kept
-        assert 3 in store.data_records
-        store.check_invariants()
 
     def test_invariants_catch_desync(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
@@ -271,11 +268,8 @@ class TestTopologyCaching:
         # migrate node 3 from rank 0 to rank 1
         busy.assignment[2] = 1
         idle.assignment[2] = 1
-        released = busy.release_node(3)
-        payload = [
-            (v, busy.data_records[v].data, busy.data_records[v].version)
-            for v in released.neighboring_nodes
-        ]
+        busy.release_node(3)
+        payload = [(v, busy.value_of(v), busy.version_of(v)) for v in path6.neighbors(3)]
         idle.adopt_node(3, payload)
         busy.refresh_ownership()
         idle.refresh_ownership()
@@ -294,91 +288,90 @@ class TestTopologyCaching:
         assert store.neighbor_procs() == [1]
 
 
-class TestHaltFlags:
-    """Halt flags feed the memoized communication topology.
 
-    Regression coverage for the latent bug where ``buffer_sizes`` /
-    ``neighbor_procs`` memos were invalidated by ownership surgery but NOT
-    by halt-flag changes: a vertex halting after the memo warmed kept its
-    stale buffer accounting -- and kept it across later migrations."""
+@pytest.mark.parametrize("store_cls", [NodeStore, SoAStore])
+class TestLayout:
+    """The owned-set layout's order rules, on both stores: build and
+    restore list each class in ascending gids, adopt appends at the end of
+    the node's class, release moves nothing else, refresh keeps each
+    class's relative order."""
 
-    @pytest.fixture(params=["object", "soa"])
-    def store_cls(self, request):
-        from repro.core import SoAStore
+    def test_build_lists_each_class_ascending(self, store_cls):
+        graph = hex32()
+        assignment = MetisLikePartitioner(seed=0).partition(graph, 3).assignment
+        store = store_cls(0, graph, list(assignment), float)
+        split = store.num_internal()
+        owned = store.owned_gids()
+        assert 0 < split < len(owned)
+        assert owned[:split] == sorted(owned[:split])
+        assert owned[split:] == sorted(owned[split:])
+        for gid, procs in store.peripherals():
+            assert procs == store._shadow_procs_of(gid)
 
-        return {"object": NodeStore, "soa": SoAStore}[request.param]
+    def test_adopt_appends_at_the_end_of_its_class(self, store_cls, path6):
+        # [0 1 0 0 0 0]: rank 0 owns all but node 2.
+        store = store_cls(0, path6, [0, 1, 0, 0, 0, 0], float)
+        assert store.owned_gids() == [4, 5, 6, 1, 3] and store.num_internal() == 3
+        store.assignment[1] = 0
+        store.adopt_node(2, [])  # all-local now: internal, after 6
+        assert store.owned_gids() == [4, 5, 6, 2, 1, 3] and store.num_internal() == 4
+        assert store.peripherals() == [(1, (1,)), (3, (1,))]  # stale until refreshed
+        store.refresh_ownership()
+        assert store.owned_gids() == [4, 5, 6, 2, 1, 3] and store.num_internal() == 6
+        store.check_invariants()
+        other = store_cls(1, path6, [0, 0, 0, 1, 1, 1], float)
+        other.assignment[2] = 1
+        other.adopt_node(3, [])  # a remote neighbour: peripheral, last
+        assert other.owned_gids() == [5, 6, 4, 3] and other.num_internal() == 2
+        assert other.peripherals() == [(4, (0,)), (3, (0,))]
 
-    def test_halt_invalidates_memoized_buffer_sizes(self, path6, store_cls):
-        store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10)
-        # Warm the memo first -- the bug only bites on a warmed cache.
-        assert store.buffer_sizes(2) == [0, 1]
-        assert store.neighbor_procs() == [1]
-        changed = store.set_halted(3)
-        assert changed
-        assert store.buffer_sizes(2) == [0, 0]
-        assert store.neighbor_procs() == []
-        # Un-halting restores the accounting (and is also a cache event).
-        assert store.set_halted(3, False)
-        assert store.buffer_sizes(2) == [0, 1]
-        assert store.neighbor_procs() == [1]
+    def test_release_moves_nothing_else(self, store_cls, path6):
+        store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], float)
+        store.release_node(2)  # internal
+        assert store.owned_gids() == [1, 3] and store.num_internal() == 1
+        assert store.peripherals() == [(3, (1,))]
+        store.release_node(3)  # peripheral
+        assert store.owned_gids() == [1] and store.peripherals() == []
+        with pytest.raises(KeyError, match="cannot release unowned node 3"):
+            store.release_node(3)
 
-    def test_redundant_halt_is_a_noop(self, path6, store_cls):
-        store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10)
-        assert not store.set_halted(3, False)
-        store.set_halted(3)
-        assert not store.set_halted(3)
-        assert store.halted_gids() == [3]
+    def test_refresh_keeps_each_class_in_its_order(self, store_cls, path6):
+        store = store_cls(0, path6, [0, 1, 0, 0, 0, 0], float)
+        store.assignment[1] = 0
+        store.adopt_node(2, [])
+        store.assignment[4] = 1  # node 5 leaves: 4 and 6 turn peripheral
+        store.release_node(5)
+        store.refresh_ownership()
+        assert store.owned_gids() == [2, 1, 3, 4, 6] and store.num_internal() == 3
+        assert store.peripherals() == [(4, (1,)), (6, (1,))]
+        store.check_invariants()
 
-    def test_halted_buffer_sizing_under_migration(self, path6, store_cls):
-        """A halted vertex migrating in must not inherit stale sizing: the
-        busy rank halts its peripheral, both memos warm, then the node
-        migrates and every memo must re-derive from the new ownership AND
-        the current halt flags."""
-        assignment = [0, 0, 0, 1, 1, 1]
-        init = lambda gid: gid * 10
-        busy = store_cls(0, path6, list(assignment), init)
-        idle = store_cls(1, path6, list(assignment), init)
-        busy.set_halted(3)
-        assert busy.buffer_sizes(2) == [0, 0]  # halted peripheral excluded
-        assert idle.buffer_sizes(2) == [1, 0]
-        # Migrate node 3 (halted) from rank 0 to rank 1.
-        busy.assignment[2] = 1
-        idle.assignment[2] = 1
-        released = busy.release_node(3)
-        payload = [
-            (v, busy.data_records[v].data, busy.data_records[v].version)
-            for v in released.neighboring_nodes
-        ]
-        idle.adopt_node(3, payload)
-        idle.set_halted(3)  # the halt flag rides the migration protocol
-        busy.refresh_ownership()
-        idle.refresh_ownership()
-        # Rank 0's node 2 is now peripheral and active: it ships updates.
-        assert busy.buffer_sizes(2) == [0, 1]
-        assert busy.neighbor_procs() == [1]
-        # Rank 1's adopted node 3 is peripheral but halted: excluded.
-        assert idle.buffer_sizes(2) == [0, 0]
-        assert idle.neighbor_procs() == []
-        # Waking the migrated vertex updates the (re-warmed) memo again.
-        idle.set_halted(3, False)
-        assert idle.buffer_sizes(2) == [1, 0]
-        assert idle.neighbor_procs() == [0]
+    def test_restore_lists_each_class_ascending(self, store_cls, path6):
+        store = store_cls(0, path6, [0, 1, 0, 0, 0, 0], float)
+        store.assignment[1] = 0
+        store.adopt_node(2, [])
+        store.refresh_ownership()
+        assert store.owned_gids() == [4, 5, 6, 2, 1, 3]
+        store.restore_state(store.capture_state())
+        assert store.owned_gids() == [1, 2, 3, 4, 5, 6] and store.num_internal() == 6
+        store.check_invariants()
 
-    def test_halt_flags_survive_capture_restore(self, path6, store_cls):
-        store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10)
-        store.set_halted(2)
-        store.set_halted(3)
-        snapshot = store.capture_state()
-        assert snapshot["halted"] == [2, 3]
-        store.set_halted(2, False)
-        store.restore_state(snapshot)
-        assert store.halted_gids() == [2, 3]
-        assert store.is_halted(2) and store.is_halted(3)
-        assert store.buffer_sizes(2) == [0, 0]
+    def test_records_by_gid(self, store_cls, path6):
+        store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10.0)
+        assert store.num_records() == 4 and store.holds(4) and not store.holds(5)
+        store.set_value(4, 41.0)  # in place, no version bump
+        assert (store.value_of(4), store.version_of(4)) == (41.0, 0)
+        store.ensure_record(4, 99.0, version=3)  # held: only the version
+        assert (store.value_of(4), store.version_of(4)) == (41.0, 3)
+        store.ensure_record(5, 50.0)
+        assert (store.value_of(5), store.version_of(5), store.num_records()) == (50.0, 0, 5)
+        assert store.shadow_procs(3) == (1,) and store.shadow_procs(4) == ()
+        for call in (store.value_of, store.version_of, lambda gid: store.set_value(gid, 1.0)):
+            with pytest.raises(KeyError, match="rank 0 holds no data for node 6"):
+                call(6)
 
-    def test_unknown_gid_raises(self, path6, store_cls):
-        store = store_cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10)
-        with pytest.raises(KeyError):
-            store.is_halted(6)  # rank 0 holds no data for node 6
-        with pytest.raises(KeyError):
-            store.set_halted(6)
+    def test_snapshot_keeps_the_priced_keys(self, store_cls, path6):
+        """Read by nothing, priced by a shrink recovery's pickled length."""
+        snapshot = store_cls(0, path6, [0, 0, 0, 1, 1, 1], float).capture_state()
+        assert list(snapshot) == ["rank", "assignment", "records", "halted", "hash_table_length"]
+        assert (snapshot["halted"], snapshot["hash_table_length"]) == ([], 64)

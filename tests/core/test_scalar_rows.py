@@ -1,31 +1,36 @@
-"""The scalar sweep's neighbour rows: resolved once per surgery epoch, never stale.
+"""The scalar sweep's rows: resolved once per surgery epoch, never stale.
 
-``NodeStore.neighbor_records()`` hands the scalar sweep each owned node's
-neighbour *records*, looked up in the data node list once per surgery epoch
-instead of once per node update.  A stale row would make a node compute from
-a record nobody writes any more, silently, so the rows are held to the
-probing path they replaced -- which lives on *here*, as the reference
-(``reference_views`` / ``probing_oracle`` look up ``store.data_records[v]``
-at the time of asking, as the deleted ``_form_view`` did):
+``NodeStore.sweep_rows()`` hands the scalar sweep, per position of the
+owned-set layout, the node's record and its neighbours' *records*, looked
+up in the data node list once per surgery epoch instead of once per node
+update.  A stale row would make a node compute from a record nobody writes
+any more, silently, so the rows are held to the probing path they replaced
+-- which lives on *here*, as the reference (``reference_views`` /
+``probing_oracle`` look each value up by gid at the time of asking, as the
+deleted ``_form_view`` did):
 
-* after every kind of store surgery one scalar sweep sees the views the
-  reference forms, and ``check_invariants()`` (which now also holds every
-  cached row, by identity, to ``data_records``) passes;
+* after every kind of store surgery one sweep sees the views the reference
+  forms -- node by node on the object store, gathered by the bulk view on
+  the struct-of-arrays store -- and ``check_invariants()`` (which also
+  holds every cached row, by identity, to ``data_records``) passes;
 * whole platform runs -- migration, crash + shrink rebuild, integrity repair
   -- re-check every row each time a scalar phase asks for them;
 * a deterministic count floor: the data node list is indexed for view
   forming once per neighbour per epoch and not once more;
 * a bulk run never resolves a row at all.
 
-Mutation check: deleting ``self._neighbor_records = None`` from
-``NodeStore._invalidate_topology_cache`` fails seven tests here: both
-of ``TestRowsFollowSurgery`` on both stores, the object-store migration and
-rollback runs of ``TestPlatformRuns``, and ``TestProbeCounts`` (a shrink builds a new store
-and a repair writes in place, so those two runs rightly pass).
+Mutation check: deleting ``self._sweep_rows = None`` from
+``NodeStore._invalidate_topology_cache`` fails six tests here: both
+of ``TestRowsFollowSurgery`` on the object store (the struct-of-arrays
+store has no rows), the object-store migration (BSP and hybrid) and
+rollback runs of ``TestPlatformRuns``, and ``TestProbeCounts`` (a shrink
+builds a new store and a repair writes in place, so those two runs rightly
+pass).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +60,8 @@ from .test_store_conformance import boundary_gid_of_rank
 pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 STORES = [pytest.param(NodeStore, id="object"), pytest.param(SoAStore, id="soa")]
+#: Only the object store has record objects, hence sweep rows.
+ROW_STORES = STORES[:1]
 
 #: The sweep coordinates every view below is formed at.
 ITERATION, ROUND = 3, 1
@@ -68,7 +75,9 @@ class _Clock:
 
 
 def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
-    """One scalar sweep (both phases) and its commit; the views ``fn`` saw."""
+    """One sweep (both phases) and its commit; the views ``fn`` saw.  The
+    object store runs the scalar phases; the struct-of-arrays store forms
+    the same views from its dense bulk view."""
     seen: list[NodeView] = []
 
     def recording(view, ctx):
@@ -77,9 +86,18 @@ def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
 
     ctx = ComputeContext(_Clock(), PlatformCosts(), store.graph.num_nodes)
     ctx.iteration, ctx.round = ITERATION, ROUND
-    phases = _ScalarPhases(store, recording, ctx, CommBuffers(1 + max(store.assignment)))
-    phases.internal()
-    phases.peripheral()
+    if isinstance(store, SoAStore):
+        bulk = store.bulk_view(None, ITERATION, ROUND, key="dense")
+        closed, bounds = bulk.closed_values.tolist(), bulk.indptr.tolist()
+        fresh = []
+        for gid, a, b in zip(bulk.gids.tolist(), bounds, bounds[1:]):
+            neighbors = tuple(zip(store.graph.neighbors(gid), closed[a + 1 : b]))
+            fresh.append(recording(NodeView(gid, closed[a], neighbors, ITERATION, ROUND), ctx))
+        store.scatter_pending(None, np.array(fresh, dtype=float))
+    else:
+        phases = _ScalarPhases(store, recording, ctx, CommBuffers(1 + max(store.assignment)))
+        phases.compute_internal()
+        phases.compute_peripheral()
     store.commit_owned()
     return seen
 
@@ -87,16 +105,16 @@ def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
 def reference_views(store: NodeStore) -> list[NodeView]:
     """The views of one sweep formed the way the sweep used to form them:
     one lookup per neighbour, at the time of asking."""
-    records = store.data_records
+    value_of = store.value_of
     return [
         NodeView(
-            global_id=node.global_id,
-            value=records[node.global_id].data,
-            neighbors=tuple((v, records[v].data) for v in node.neighboring_nodes),
+            global_id=gid,
+            value=value_of(gid),
+            neighbors=tuple((v, value_of(v)) for v in store.graph.neighbors(gid)),
             iteration=ITERATION,
             round=ROUND,
         )
-        for node in store.owned_nodes()
+        for gid in store.owned_gids()
     ]
 
 
@@ -108,7 +126,8 @@ def assert_views_fresh(store: NodeStore) -> None:
 def assert_fresh(store: NodeStore) -> None:
     """Views as the reference forms them, rows identical to the records."""
     assert_views_fresh(store)
-    assert store._neighbor_records is not None
+    if not isinstance(store, SoAStore):
+        assert store._sweep_rows is not None
     store.check_invariants()
 
 
@@ -126,11 +145,12 @@ def migrate(stores: list[NodeStore], gid: int, to: int, check=lambda store: None
     assignment = stores[0].assignment  # one list, shared by every store
     source, target = stores[assignment[gid - 1]], stores[to]
     assignment[gid - 1] = to
-    node = source.release_node(gid)
+    source.release_node(gid)
     check(source)
-    records = source.data_records
-    payload = [(v, records[v].data, records[v].version) for v in node.neighboring_nodes]
-    target.ensure_record(gid, node.data.data, version=node.data.version).data = node.data.data
+    value, version = source.value_of(gid), source.version_of(gid)
+    payload = [(v, source.value_of(v), source.version_of(v)) for v in source.graph.neighbors(gid)]
+    target.ensure_record(gid, value, version=version)
+    target.set_value(gid, value)
     check(target)
     target.adopt_node(gid, payload)
     check(target)
@@ -144,30 +164,33 @@ def make_stores(store_cls, graph: Graph, assignment: list[int]) -> list[NodeStor
 
 
 class TestInvariantOracle:
-    @pytest.mark.parametrize("store_cls", STORES)
+    @pytest.mark.parametrize("store_cls", ROW_STORES)
     def test_rows_are_lazy_and_identical_to_the_records(self, store_cls):
         store = make_stores(store_cls, hex32(), [gid % 2 for gid in range(32)])[0]
-        assert store._neighbor_records is None  # nobody asked yet
-        rows = store.neighbor_records()
-        assert store.neighbor_records() is rows
-        assert list(rows) == [node.global_id for node in store.owned_nodes()]
-        for node in store.owned_nodes():
-            assert len(rows[node.global_id]) == len(node.neighboring_nodes)
-            for kept, v in zip(rows[node.global_id], node.neighboring_nodes):
-                assert kept is store.data_records[v]
+        assert store._sweep_rows is None  # nobody asked yet
+        rows = store.sweep_rows()
+        assert store.sweep_rows() is rows
+        assert [row[0] for row in rows] == store.owned_gids()
+        for gid, record, nbrs, kept, procs in rows:
+            assert record is store.data_records[gid]
+            assert nbrs == store.graph.neighbors(gid) and len(kept) == len(nbrs)
+            for row_record, v in zip(kept, nbrs):
+                assert row_record is store.data_records[v]
+            assert procs == store.shadow_procs(gid)
         store.check_invariants()
 
-    @pytest.mark.parametrize("store_cls", STORES)
+    @pytest.mark.parametrize("store_cls", ROW_STORES)
     def test_check_invariants_catches_a_stale_row(self, store_cls):
         store = make_stores(store_cls, hex32(), [gid % 2 for gid in range(32)])[0]
-        rows = store.neighbor_records()
-        gid, row = next(iter(rows.items()))
-        rows[gid] = row[::-1]  # right records, wrong adjacency order
+        rows = store.sweep_rows()
+        row = rows[0]
+        gid = row[0]
+        rows[0] = (*row[:3], row[3][::-1], row[4])  # right records, wrong adjacency order
         with pytest.raises(AssertionError, match=f"stale neighbour row at {gid}"):
             store.check_invariants()
-        rows[gid] = row
+        rows[0] = row
         store.check_invariants()
-        del rows[gid]  # a row short
+        del rows[0]  # a row short
         with pytest.raises(AssertionError):
             store.check_invariants()
 
@@ -199,21 +222,18 @@ class TestRowsFollowSurgery:
         # followed by a sweep (mid-migration the kinds are not yet re-derived,
         # so only the views are compared until the refresh).
         migrate(stores, 3, to=1, check=assert_views_fresh)
-        assert sorted(right.peripheral) == [3] and 2 in left.peripheral
+        assert right.peripherals() == [(3, (0,))] and left.shadow_procs(2) == (1,)
         for store in stores:
             assert_fresh(store)
 
-        # prune_stale_shadows: 4 is no longer adjacent to anything left owns.
-        assert left.prune_stale_shadows() == [4]
-        assert_fresh(left)
         # ensure_record: a new record nobody's row references, then a no-op.
         left.ensure_record(6, 60.0)
         left.ensure_record(3, -1.0, version=9)
         assert_fresh(left)
 
-        # An integrity flip and its repair write ``record.data`` in place.
+        # An integrity flip and its repair write the value in place.
         for gid in (2, 3):  # owned, shadow
-            left.data_records[gid].data = 1234.5
+            left.set_value(gid, 1234.5)
             assert_fresh(left)
 
         # restore_state: every record is a new object holding the old value.
@@ -225,7 +245,7 @@ class TestRowsFollowSurgery:
             assert {gid: store.value_of(gid) for gid in snapshot["records"]} == {
                 gid: data for gid, (data, _, _) in snapshot["records"].items()
             }
-        assert sorted(left.peripheral) == [3]
+        assert left.peripherals() == [(3, (1,))]
 
         # A shrink rebuild is a new store of the same type.
         rebuilt = type(left)(0, path6, [0] * 6, init_value=float)
@@ -236,7 +256,7 @@ class TestRowsFollowSurgery:
     @given(
         steps=st.lists(
             st.tuples(
-                st.sampled_from(["migrate", "advance", "capture", "restore", "prune", "halt"]),
+                st.sampled_from(["migrate", "advance", "capture", "restore"]),
                 st.integers(min_value=0, max_value=10_000),
             ),
             min_size=1,
@@ -251,11 +271,7 @@ class TestRowsFollowSurgery:
         for op, pick in steps:
             store = stores[pick % len(stores)]
             if op == "migrate":
-                movable = [
-                    (gid, to)
-                    for gid, node in store.peripheral.items()
-                    for to in node.shadow_for_procs
-                ]
+                movable = [(gid, to) for gid, procs in store.peripherals() for to in procs]
                 if store.num_owned() > 1 and movable:
                     migrate(stores, *movable[pick % len(movable)])
             elif op == "advance":
@@ -265,11 +281,6 @@ class TestRowsFollowSurgery:
             elif op == "restore" and snapshots is not None:
                 for s, snapshot in zip(stores, snapshots):
                     s.restore_state(snapshot)
-            elif op == "prune":
-                store.prune_stale_shadows()
-            elif op == "halt":
-                gid = sorted(store.data_records)[pick % len(store.data_records)]
-                store.set_halted(gid, not store.is_halted(gid))
             for s in stores:
                 assert_fresh(s)
 
@@ -279,20 +290,21 @@ def probing_oracle(monkeypatch):
     """Holds every row a scalar phase is handed, in a platform run, to a
     fresh lookup; returns the ranks that asked, in order."""
     asked: list[int] = []
-    resolve = NodeStore.neighbor_records
+    resolve = NodeStore.sweep_rows
 
     def checked(store):
         rows = resolve(store)
         records = store.data_records
-        assert list(rows) == [node.global_id for node in store.owned_nodes()]
-        for node in store.owned_nodes():
-            probed = [records[v] for v in node.neighboring_nodes]
-            assert len(rows[node.global_id]) == len(probed)
-            assert all(kept is record for kept, record in zip(rows[node.global_id], probed))
+        assert [row[0] for row in rows] == store.owned_gids()
+        for gid, record, _, kept, _ in rows:
+            assert record is records[gid]
+            probed = [records[v] for v in store.graph.neighbors(gid)]
+            assert len(kept) == len(probed)
+            assert all(row_record is r for row_record, r in zip(kept, probed))
         asked.append(store.rank)
         return rows
 
-    monkeypatch.setattr(NodeStore, "neighbor_records", checked)
+    monkeypatch.setattr(NodeStore, "sweep_rows", checked)
     return asked
 
 
@@ -405,9 +417,9 @@ class TestProbeCounts:
     def test_records_are_probed_once_per_neighbour_per_epoch(self):
         """Counts repeat exactly where walls do not.  hex64 on 4 ranks, dense
         Figure-8 sweeps on the object store: the first sweep of an epoch
-        looks up the data node list once per owned neighbourhood entry,
-        every sweep once per shadow record received, and nothing else
-        looks."""
+        looks up the data node list once per owned node and once per owned
+        neighbourhood entry, every sweep once per shadow record received,
+        and nothing else looks."""
         graph = hex64()
         assignment = MetisLikePartitioner(seed=0).partition(graph, 4).assignment
         scout = NodeStore(0, graph, list(assignment), float)
@@ -439,24 +451,27 @@ class TestProbeCounts:
                 return probes[0] - before
 
             def view_entries() -> int:
-                return sum(len(node.neighboring_nodes) for node in store.owned_nodes())
+                return sum(len(graph.neighbors(gid)) for gid in store.owned_gids())
 
             def arrivals() -> int:
                 return len(
                     {
                         v
-                        for node in store.owned_nodes()
-                        for v in node.neighboring_nodes
+                        for gid in store.owned_gids()
+                        for v in graph.neighbors(gid)
                         if owners[v - 1] != comm.rank
                     }
                 )
 
+            def resolution() -> int:
+                return store.num_owned() + view_entries()
+
             assert view_entries() > arrivals() > 0
-            assert probes_of_a_sweep() == view_entries() + arrivals()
+            assert probes_of_a_sweep() == resolution() + arrivals()
             assert [probes_of_a_sweep() for _ in range(3)] == [arrivals()] * 3
             owners[moving - 1] = to
             migrate_node(comm, store, moving, 0, to, ctx)
-            assert probes_of_a_sweep() == view_entries() + arrivals()  # one re-resolution
+            assert probes_of_a_sweep() == resolution() + arrivals()  # one re-resolution
             assert [probes_of_a_sweep() for _ in range(3)] == [arrivals()] * 3
             return store.surgery_epoch
 

@@ -128,18 +128,17 @@ def test_bulk_views_match_the_scalar_node_lists(seed, n, values, picks):
     graph = random_connected_graph(n, avg_degree=3.0, seed=seed)
     assignment = [gid % 2 for gid in range(graph.num_nodes)]
     store = SoAStore(0, graph, assignment, lambda gid: values[gid - 1])
-    rows = store.neighbor_records()
 
     def assert_matches(view):
         own = [store.value_of(gid) for gid in view.gids.tolist()]
-        nbrs = [[r.data for r in rows[gid]] for gid in view.gids.tolist()]
+        nbrs = [list(map(store.value_of, graph.neighbors(gid))) for gid in view.gids.tolist()]
         closed = [float.hex(float(_fold([v, *ns]))) for v, ns in zip(own, nbrs)]
         open_ = [float.hex(float(_fold(ns))) for ns in nbrs]
         assert [float.hex(v) for v in view.sum_closed().tolist()] == closed
         assert [float.hex(v) for v in view.sum_neighbors().tolist()] == open_
 
     assert_matches(store.bulk_view(None, 0, 0, key="dense"))
-    owned = len(store.bulk_topology().order_gids)
+    owned = store.num_owned()
     positions = np.unique(np.array(picks) % owned)
     assert_matches(store.bulk_view(positions, 0, 0))
     hits = store.sparse_geom_hits

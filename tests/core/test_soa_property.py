@@ -4,13 +4,13 @@ Two stores -- the object reference and the struct-of-arrays subclass --
 are built over the same random graph and assignment, then driven through
 an identical random sequence of operations: pending writes + commits
 (vectorized on the soa side, scalar on the object side), shadow updates
-one record and one message at a time, halt-flag flips, ownership release/adoption with synthetic migration
-payloads, record creation, shadow pruning, and checkpoint capture/restore
-round-trips *including cross-store restores*.  After every operation the
-stores must agree on every observable: record iteration order, committed
-values and their exact Python types, pending values, version counters,
-halt flags, internal/peripheral classification, memoized communication
-topology, and byte-identical pickled snapshots.
+one record and one message at a time, ownership release/adoption with
+synthetic migration payloads, record creation, and checkpoint
+capture/restore round-trips *including cross-store restores*.  After every
+operation the stores must agree on every observable: record order,
+committed values and their exact Python types, pending values, version
+counters, the owned-set layout (order, internal count, dests), memoized
+communication topology, and byte-identical pickled snapshots.
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ ops_st = st.lists(
                 max_size=6,
             ),
         ),
-        st.tuples(st.just("halt"), st.integers(0, 63), st.booleans()),
         st.tuples(st.just("release"), st.integers(0, 63), st.integers(1, NPROCS - 1)),
         st.tuples(st.just("adopt"), st.integers(0, 63), st.floats(-10, 10, allow_nan=False)),
         st.tuples(st.just("ensure"), st.integers(0, 63), values_st, st.integers(0, 9)),
-        st.tuples(st.just("prune")),
         st.tuples(st.just("roundtrip")),
         st.tuples(st.just("cross_restore")),
     ),
@@ -73,27 +71,36 @@ def mirror_cases(draw):
     return n, seed, assignment, ops
 
 
+def set_pending(store, gid: int, value) -> None:
+    """Leave ``value`` pending on ``gid`` as a sweep would."""
+    if isinstance(store, SoAStore):
+        store._write_pending(store._slot_of[gid], value)
+    else:
+        store.data_records[gid].most_recent_data = value
+
+
 def assert_mirrored(obj: NodeStore, soa: SoAStore) -> None:
-    assert list(soa.data_records) == list(obj.data_records)
-    assert sorted(soa.internal) == sorted(obj.internal)
-    assert sorted(soa.peripheral) == sorted(obj.peripheral)
+    ours, theirs = obj.capture_state(), soa.capture_state()
+    assert list(theirs["records"]) == list(ours["records"])  # record order
+    assert soa.num_records() == obj.num_records()
+    assert soa.owned_gids() == obj.owned_gids()
+    assert soa.num_internal() == obj.num_internal()
+    assert soa.peripherals() == obj.peripherals()
     assert soa.shadow_gids() == obj.shadow_gids()
     assert soa.owned_values() == obj.owned_values()
     assert soa.owned_versions() == obj.owned_versions()
-    assert soa.halted_gids() == obj.halted_gids()
     assert soa.buffer_sizes(NPROCS) == obj.buffer_sizes(NPROCS)
     assert soa.neighbor_procs() == obj.neighbor_procs()
-    for gid, ref in obj.data_records.items():
-        rec = soa.data_records[gid]
-        assert type(rec.data) is type(ref.data) and rec.data == ref.data
-        assert type(rec.most_recent_data) is type(ref.most_recent_data)
-        assert rec.most_recent_data == ref.most_recent_data
-        assert rec.version == ref.version
-        assert rec.halted == ref.halted
-        assert soa.data_records.get(gid) is rec  # identity invariant
+    for gid, (data, pending, version) in ours["records"].items():
+        mine = soa.value_of(gid)
+        assert type(mine) is type(data) and mine == data
+        assert type(obj.value_of(gid)) is type(data)
+        _, soa_pending, _ = theirs["records"][gid]
+        assert type(soa_pending) is type(pending) and soa_pending == pending
+        assert soa.version_of(gid) == obj.version_of(gid) == version
     # Snapshots pickle byte-identically: checkpoints, migration payloads,
     # and integrity digests built from them cannot tell the stores apart.
-    assert pickle.dumps(soa.capture_state(), 5) == pickle.dumps(obj.capture_state(), 5)
+    assert pickle.dumps(theirs, 5) == pickle.dumps(ours, 5)
     obj.check_invariants()
     soa.check_invariants()
 
@@ -104,13 +111,13 @@ def apply_op(store, op, graph, nodes):
     if kind == "pend":
         gid = nodes[op[1] % len(nodes)]
         if store.owns(gid):
-            store.data_records[gid].most_recent_data = op[2]
+            set_pending(store, gid, op[2])
             return ("pend", gid)
         return None
     if kind == "sweep":
         base = op[1]
-        for node in store.owned_nodes():
-            node.data.most_recent_data = base + node.global_id * 0.5
+        for gid in store.owned_gids():
+            set_pending(store, gid, base + gid * 0.5)
         return list(store.commit_owned())
     if kind == "commit":
         return list(store.commit_owned())
@@ -126,12 +133,6 @@ def apply_op(store, op, graph, nodes):
             return None
         records = [(shadows[index % len(shadows)], value) for index, value in op[1]]
         return ("shadows", store.update_shadows(records))
-    if kind == "halt":
-        known = sorted(store.data_records)
-        if not known:  # a rank owning nothing holds no records at all
-            return None
-        gid = known[op[1] % len(known)]
-        return ("halt", gid, store.set_halted(gid, op[2]))
     if kind == "release":
         owned = sorted(g for g in nodes if store.owns(g))
         if not owned:
@@ -157,10 +158,8 @@ def apply_op(store, op, graph, nodes):
         return ("adopt", gid)
     if kind == "ensure":
         gid = nodes[op[1] % len(nodes)]
-        record = store.ensure_record(gid, op[2], version=op[3])
-        return ("ensure", gid, type(record.data).__name__, record.version)
-    if kind == "prune":
-        return ("prune", store.prune_stale_shadows())
+        store.ensure_record(gid, op[2], version=op[3])
+        return ("ensure", gid, type(store.value_of(gid)).__name__, store.version_of(gid))
     if kind == "roundtrip":
         snapshot = store.capture_state()
         store.restore_state(pickle.loads(pickle.dumps(snapshot, 5)))
@@ -211,8 +210,8 @@ def test_mixed_type_commits_demote_identically(n, seed, pendings):
     nodes = list(graph.nodes())
     for i, value in enumerate(pendings):
         gid = nodes[i % len(nodes)]
-        obj.data_records[gid].most_recent_data = value
-        soa.data_records[gid].most_recent_data = value
+        set_pending(obj, gid, value)
+        set_pending(soa, gid, value)
         assert obj.commit_owned() == list(soa.commit_owned())
         assert_mirrored(obj, soa)
 
@@ -224,8 +223,8 @@ def test_demotion_keeps_the_pending_values():
     obj = NodeStore(0, graph, [0] * graph.num_nodes, float)
     soa = SoAStore(0, graph, [0] * graph.num_nodes, float)
     for gid, value in ((1, 2.5), (2, 3.5), (3, 7)):  # the int demotes
-        obj.data_records[gid].most_recent_data = value
-        soa.data_records[gid].most_recent_data = value
+        set_pending(obj, gid, value)
+        set_pending(soa, gid, value)
     assert_mirrored(obj, soa)
     assert obj.commit_owned() == list(soa.commit_owned())
     assert_mirrored(obj, soa)

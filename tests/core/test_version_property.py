@@ -105,26 +105,22 @@ class TestAdoptionRoundTrip:
         # Mirror the owner's committed boundary values onto the idle rank's
         # shadows the way the dense exchange would.
         for gid in idle.shadow_gids():
-            idle.update_shadow(gid, busy.data_records[gid].data)
+            idle.update_shadow(gid, busy.value_of(gid))
 
         # Migrate node 3 from rank 0 to rank 1 (the migration.py payload
         # format: (gid, value, version) triples).
         busy.assignment[2] = 1
         idle.assignment[2] = 1
-        released = busy.release_node(3)
+        busy.release_node(3)
         payload = [
-            (v, busy.data_records[v].data, busy.data_records[v].version)
-            for v in released.neighboring_nodes
+            (v, busy.value_of(v), busy.version_of(v)) for v in (*path_graph().neighbors(3), 3)
         ]
-        payload.append((3, released.data.data, released.data.version))
-        own = next(entry for entry in payload if entry[0] == 3)
-        record = idle.ensure_record(3, own[1], version=own[2])
-        record.data = own[1]
-        idle.adopt_node(3, [entry for entry in payload if entry[0] != 3])
+        # The node's own record first, then its neighbours' (as migrate_node).
+        idle.adopt_node(3, [payload[-1], *payload[:-1]])
         busy.refresh_ownership()
         idle.refresh_ownership()
 
         for gid, _value, version in payload:
-            assert idle.data_records[gid].version == version, gid
+            assert idle.version_of(gid) == version, gid
         busy.check_invariants()
         idle.check_invariants()
