@@ -218,7 +218,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:  # names the bad clause
             _usage_error(f"--faults: {exc}")
 
-    execution_override = {"execution": args.execution} if args.execution else {}
     try:
         config = PlatformConfig(
             iterations=args.iterations,
@@ -234,7 +233,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             activation=args.activation,
             converge=args.converge,
             hybrid_inner_cap=args.hybrid_inner_cap,
-            **execution_override,
+            execution=args.execution,
         )
     except ConfigError as exc:
         # Any field that can arrive out of range is a flag of the same name
@@ -419,13 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--rebalance-mode", **choice("rebalance_mode"))
     run.add_argument("--overlap", action="store_true",
                      help="use the Figure-8a overlapped pipeline")
-    run.add_argument("--execution", choices=CHOICES["execution"], default=None,
+    run.add_argument("--execution", **choice("execution"),
                      help="superstep structure: bsp (every node recomputed "
                           "between consecutive global barriers) or hybrid "
                           "(boundary nodes synchronize as usual, interior "
                           "nodes iterate asynchronously to local convergence "
-                          "inside each superstep).  Default: the "
-                          "REPRO_EXECUTION environment variable, else 'bsp'")
+                          "inside each superstep)")
     run.add_argument("--hybrid-inner-cap", type=int, default=defaults["hybrid_inner_cap"],
                      help="max interior sweeps per superstep under "
                           "--execution hybrid")

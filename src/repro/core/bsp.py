@@ -88,7 +88,7 @@ def run_vertex_program(
         value = program.compute(vertex.value, inbox, vctx)
         return _Vertex(value, vctx._halted, view.iteration, tuple(vctx._sent))
 
-    # Not left to REPRO_EXECUTION: a hybrid superstep recomputes interior vertices.
+    # BSP whatever the default: a hybrid superstep recomputes interior vertices.
     config = PlatformConfig(
         iterations=max_supersteps, execution="bsp", activation="sparse", converge="quiescence"
     )

@@ -19,19 +19,23 @@ __all__ = ["ShadowRecord", "CommBuffers", "BUFFER_RECORD_TYPE"]
 BUFFER_RECORD_TYPE = StructType([(2, INT)], name="buffer_data_node").commit()
 
 ShadowRecord = tuple[int, Any]  # (global_id, value)
+#: A buffer and what a sweep puts in it: ``(proc, rows, gids)``.
+Destination = tuple[int, Sequence[int], Sequence[int]]
 
 _INT_RECORD_NBYTES = BUFFER_RECORD_TYPE.size_of()
 _ID_NBYTES = INT.size_of()
 
 
 def _record_nbytes(value: Any) -> int:
-    """Wire size of one ``(global_id, value)`` record (see :meth:`CommBuffers.pack`)."""
+    """Wire size of one ``(global_id, value)`` record (see
+    :meth:`CommBuffers.pack_all`)."""
     if isinstance(value, bool | int):
         return _INT_RECORD_NBYTES
     return _ID_NBYTES + estimate_nbytes(value)
 
 
 _FLOAT_RECORD_NBYTES = _record_nbytes(0.0)
+_FLOAT = {float}
 
 
 class CommBuffers:
@@ -57,30 +61,29 @@ class CommBuffers:
             buf.clear()
         self._nbytes = [0] * self.nprocs
 
-    def pack(self, proc: int, gid: int, value: Any) -> None:
-        """Append an updated peripheral record to ``proc``'s buffer.
+    def pack_all(self, destinations: Sequence[Destination], values: Sequence[Any]) -> None:
+        """Append one sweep's updated peripheral records: for each
+        ``(proc, rows, gids)``, ``(gids[j], values[rows[j]])`` to ``proc``'s
+        buffer, in order (every ``proc`` checked before anything is).
 
         Integer-valued records cost exactly the committed struct size on
-        the wire; other payloads fall back to the generic estimator (plus 4
-        bytes for the id), so the battlefield's fat hex records are charged
-        realistically.
+        the wire; other payloads the generic estimator's (plus 4 bytes for
+        the id), so the battlefield's fat hex records are charged
+        realistically.  Each value is sized once (plain floats not at all).
         """
-        if not 0 <= proc < self.nprocs:
-            raise IndexError(f"processor {proc} outside [0, {self.nprocs})")
-        self._out[proc].append((gid, value))
-        self._nbytes[proc] += _record_nbytes(value)
-
-    def pack_all(self, proc: int, gids: Sequence[int], values: Sequence[Any]) -> None:
-        """:meth:`pack` each ``(gids[i], values[i])`` in order, as one
-        extend of ``proc``'s buffer (a batch of plain floats is sized in
-        one multiplication)."""
-        if not 0 <= proc < self.nprocs:
-            raise IndexError(f"processor {proc} outside [0, {self.nprocs})")
-        self._out[proc].extend(zip(gids, values))
-        if set(map(type, values)) <= {float}:
-            self._nbytes[proc] += len(values) * _FLOAT_RECORD_NBYTES
-        else:
-            self._nbytes[proc] += sum(map(_record_nbytes, values))
+        for proc, _, _ in destinations:
+            if not 0 <= proc < self.nprocs:
+                raise IndexError(f"processor {proc} outside [0, {self.nprocs})")
+        out, nbytes, pick = self._out, self._nbytes, values.__getitem__
+        if {*map(type, values)} <= _FLOAT:
+            for proc, rows, gids in destinations:
+                out[proc].extend(zip(gids, map(pick, rows)))
+                nbytes[proc] += len(rows) * _FLOAT_RECORD_NBYTES
+            return
+        size = [*map(_record_nbytes, values)].__getitem__
+        for proc, rows, gids in destinations:
+            out[proc].extend(zip(gids, map(pick, rows)))
+            nbytes[proc] += sum(map(size, rows))
 
     def outgoing(self, proc: int) -> list[ShadowRecord]:
         """The records queued for ``proc``."""
@@ -95,7 +98,7 @@ class CommBuffers:
         return sum(len(buf) for buf in self._out)
 
     def nbytes(self, proc: int) -> int:
-        """Wire size of ``proc``'s buffer (see :meth:`pack`)."""
+        """Wire size of ``proc``'s buffer (see :meth:`pack_all`)."""
         return self._nbytes[proc]
 
     def __iter__(self) -> Iterator[tuple[int, list[ShadowRecord]]]:

@@ -4,16 +4,14 @@ The platform invokes the user's *application node function* through a
 pointer it maintains -- here, a plain callable.  For each owned node it
 forms "a list with the current node's data as the head, followed by the
 data of the neighbors" (:class:`NodeView`), calls the function, and stores
-the returned value in ``most_recent_data``.  Updated peripheral data is
-packed into per-destination communication buffers as the sweep proceeds, so
-"by the time the computation routine returns, the communication buffers are
-all set up".
+the returned value in ``most_recent_data``; the sweep's phase packs the
+updated peripheral values per destination before it returns, so "by the
+time the computation routine returns, the communication buffers are all
+set up".  On a struct-of-arrays store the function's vectorized kernel
+computes the same values, and both stores charge through one accountant.
 
 There is one pipeline, :func:`superstep`, in GraphHP's shape -- *boundary
-phase, exchange, interior phase* -- and three choices a caller makes.  It
-computes node by node through the node function or, with ``bulk=True`` on a
-struct-of-arrays store, through the function's vectorized kernel (same
-values, same virtual charges):
+phase, exchange, interior phase* -- and three choices a caller makes:
 
 * **Order** (``overlap``).  Figure 8 computes internals, then peripherals
   (packing), commits, then ``Isend`` everything and blocking-receives
@@ -52,8 +50,8 @@ fixed point is preserved.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Any, Callable, NamedTuple, Sequence
+from itertools import compress, repeat
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +59,8 @@ from ..graphs.graph import concat_ranges
 from ..mpi.communicator import Communicator
 from .buffers import CommBuffers
 from .config import PlatformCosts
-from .nodestore import NodeStore
-from .soastore import ChargePlan, SoAStore
+from .nodestore import ChargePlan, NodeStore
+from .soastore import SoAStore
 
 __all__ = [
     "NodeView",
@@ -135,13 +133,15 @@ class ComputeContext:
         #: :meth:`node_cost`'s memo, indexed by degree.
         self.cost_by_degree: list[float] = []
         self._loads: np.ndarray | None = None
+        #: Where :meth:`work` records while a looped kernel runs.
+        self._charges: list[float] | None = None
 
     @property
     def loads(self) -> np.ndarray:
         """Per-node compute seconds since the last reset, indexed by gid --
-        measured node weights for load-aware repartitioning (window-scoped).
-        Scalar sweeps add node by node, the bulk accountant a whole sweep at
-        once.  Made on first use, after the store's build."""
+        measured node weights for load-aware repartitioning (window-scoped),
+        added by the accountant.  Made on first use, after the store's
+        build."""
         if self._loads is None:
             self._loads = np.zeros(self.num_nodes + 1)
         return self._loads
@@ -169,6 +169,8 @@ class ComputeContext:
         """The list-forming bookkeeping charge for a node of degree ``deg``
         (evaluated once per degree)."""
         table, costs = self.cost_by_degree, self.costs
+        if deg < len(table):
+            return table[deg]
         for missing in range(len(table), deg + 1):
             table.append(
                 costs.list_item_cost * (1 + missing)
@@ -196,9 +198,17 @@ class ComputeContext:
 
         Accumulates the *charged* seconds -- a fault-injected slow window
         (:class:`~repro.mpi.faults.SlowWindow`) inflates them, so the load
-        balancer sees the degraded rank as genuinely busier.
+        balancer sees the degraded rank as genuinely busier.  Inside a
+        sweep's node loop the charge is only recorded: the sweep applies
+        it after the loop, in the node's place in the charge order.
         """
-        self.compute_time += self.comm.work(seconds)
+        charges = self._charges
+        if charges is None:
+            self.compute_time += self.comm.work(seconds)
+        elif seconds < 0:
+            raise ValueError(f"cannot charge negative work: {seconds}")
+        else:
+            charges.append(seconds)
 
     def _bookkeeping(self, seconds: float) -> None:
         """Charge platform bookkeeping (lands in computation overhead)."""
@@ -219,102 +229,64 @@ def _sweep_positions(
     internal nodes first: the frontier's active set of the round, or the
     ``part`` class of it, consumed and taken in gid order within each class
     -- or, dense, ``None`` for the whole layout, or ``part``'s range."""
-    split = store.num_internal()
     active = frontier.begin(store, round_idx, part) if frontier is not None else None
+    if active is None and part is None:
+        return None
+    split = store.num_internal()
     if active is not None:
         positions = frontier.positions(active)
         if part is None:
             internal = positions < split
             positions = np.concatenate((positions[internal], positions[~internal]))
         return positions
-    if part is None:
-        return None
     bounds = (0, split) if part == _INTERNAL else (split, store.num_owned())
     return np.arange(*bounds, dtype=np.intp)
 
 
-class _ScalarPhases:
-    """One sweep's two compute phases, node by node through the node
-    function, over the store's sweep rows at the positions
-    :func:`_sweep_positions` picks; with a ``frontier`` only changed values
-    are packed (delta exchange).  ``count`` is the number of nodes the sweep
-    computes."""
-
-    def __init__(
-        self,
-        store: NodeStore,
-        node_fn: NodeFn,
-        ctx: ComputeContext,
-        buffers: CommBuffers,
-        frontier: Frontier | None = None,
-        part: int | None = None,
-    ) -> None:
-        self._args = (node_fn, ctx, buffers, frontier is not None)
-        rows = store.sweep_rows()
-        split = store.num_internal()
-        positions = _sweep_positions(store, ctx.round, frontier, part)
-        if positions is None:
-            self._internal, self._peripheral = rows[:split], rows[split:]
-        else:
-            picked = [rows[p] for p in positions.tolist()]
-            cut = int(np.count_nonzero(positions < split))
-            self._internal, self._peripheral = picked[:cut], picked[cut:]
-        self.count = len(self._internal) + len(self._peripheral)
-
-    def compute_internal(self) -> None:
-        """Compute the selected internal nodes."""
-        self._sweep(self._internal, pack=False)
-
-    def compute_peripheral(self) -> None:
-        """Compute the selected peripheral nodes, packing as it goes."""
-        self._sweep(self._peripheral, pack=True)
-
-    def _sweep(self, rows: list, pack: bool) -> None:
-        """Per node, in order: charge the list-forming cost, form the view,
-        call the node function, record the node's load and, with ``pack``,
-        buffer the fresh value for every processor shadowing the node.  The
-        host resolved each neighbourhood once per surgery epoch; the model's
-        machine still probes its hash table on every update
-        (``hash_lookup_cost * deg`` inside ``node_cost``)."""
-        node_fn, ctx, buffers, changed_only = self._args
-        work, node_cost, pack_cost = ctx.comm.work, ctx.node_cost, ctx.costs.pack_cost
-        iteration, round_idx, loads = ctx.iteration, ctx.round, ctx.loads
-        for gid, record, nbrs, records, procs in rows:
-            ctx.bookkeeping_time += work(node_cost(len(records)))
-            value = record.data
+def _looped_kernel(
+    store: NodeStore, positions: np.ndarray | None, node_fn: NodeFn, ctx: ComputeContext
+) -> tuple[list, list, list[float] | tuple[list[float], ...]]:
+    """The node function as a kernel over the object store's sweep rows at
+    ``positions`` (``None``: all): per node, form the view, call the
+    function and make its value pending, while ``ctx.work`` records the
+    node's charges.  Returns the rows, the fresh values and the grains for
+    :func:`_charge`: a list, one per node (``0.0`` for a node that charged
+    nothing), or, when some node charged more than once, a tuple of each
+    node's charges in call order."""
+    rows = store.sweep_rows()
+    if positions is not None:
+        rows = [rows[p] for p in positions.tolist()]
+    iteration, round_idx = ctx.iteration, ctx.round
+    fresh: list = []
+    ends: list[int] = []
+    charges = ctx._charges = []
+    try:
+        for gid, record, nbrs, records, _ in rows:
             neighbors = tuple([(v, r.data) for v, r in zip(nbrs, records)])
-            before = ctx.compute_time
-            fresh = node_fn(NodeView(gid, value, neighbors, iteration, round_idx), ctx)
-            record.most_recent_data = fresh
-            loads[gid] += ctx.compute_time - before  # the window's measured load
-            # With ``changed_only`` a value equal to the committed one is not
-            # packed (receivers treat absent records as "shadow still
-            # current").
-            if pack and not (changed_only and (fresh is None or fresh == value)):
-                for proc in procs:
-                    buffers.pack(proc, gid, fresh)
-                    ctx.comm_overhead_time += work(pack_cost)
+            out = node_fn(NodeView(gid, record.data, neighbors, iteration, round_idx), ctx)
+            record.most_recent_data = out
+            fresh.append(out)
+            ends.append(len(charges))
+    finally:
+        ctx._charges = None
+    if ends == list(range(1, len(ends) + 1)):
+        return rows, fresh, charges
+    per_node = [charges[a:b] for a, b in zip([0, *ends], ends)]
+    if max(map(len, per_node)) > 1:
+        return rows, fresh, tuple(per_node)
+    return rows, fresh, [c[0] if c else 0.0 for c in per_node]
 
 
 # --------------------------------------------------------------------- #
-# Bulk (struct-of-arrays) compute phases
+# The accountant
 # --------------------------------------------------------------------- #
 #
-# When the store is a SoAStore and the node function carries a *bulk
-# kernel* (``fn.bulk``: a callable ``kernel(view) -> ndarray`` with a
-# ``node_grain`` float attribute), a ``bulk=True`` sweep computes every
-# active node's value in one vectorized pass over a :class:`~repro.core.soastore.BulkView`
-# and hands the scalar path's charge sequence for those nodes to the
-# accountant (:func:`_charge`) as one *charge plan*.  Every virtual-clock
-# addition still happens in the same order with the same amounts, so
-# clocks, phase splits, per-node load measurements, and trace streams stay
-# bit-identical to the object store's scalar sweeps.
-#
-# Bulk kernels must be pure (values from committed neighbour state only)
-# and must cost exactly ``node_grain`` virtual seconds per node; functions
-# with richer cost behaviour simply omit ``.bulk``, and the platform then
-# runs them node by node on the object store (as it does kernels on graphs
-# too small per rank for the arrays to pay off).
+# A sweep computes its values up front, through the node function's *bulk
+# kernel* on a struct-of-arrays store (``fn.bulk``: a pure ``kernel(view)
+# -> ndarray`` costing ``kernel.node_grain`` virtual seconds a node) or
+# :func:`_looped_kernel` on the object store, then hands the accountant
+# (:func:`_charge`) its *charge plan*: per node bookkeeping, grain, packs,
+# in that order -- so clocks, buckets, loads and traces ignore the store.
 
 
 def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:
@@ -322,17 +294,34 @@ def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:
     return all(callable(getattr(fn, "bulk", None)) for fn in node_fns)
 
 
-def _replay_node(gid: int, deg: int, grain: float, ctx: ComputeContext) -> None:
-    """Charge one node's scalar-path costs (no value computation)."""
-    ctx._bookkeeping(ctx.node_cost(deg))
-    before = ctx.compute_time
-    ctx.work(grain)
-    ctx.loads[gid] += ctx.compute_time - before
+#: Per-node grains over fewer nodes are walked, not folded: measured, the
+#: fold costs 18-25 us a call, the walk 1.4 us a node (docs/performance.md).
+_WALK_BELOW = 16
 
 
-def _part(plan: ChargePlan, part: int) -> slice:
-    """Where a plan's internal or peripheral nodes sit in its arrays."""
-    return slice(0, plan.split) if part == _INTERNAL else slice(plan.split, None)
+def _replay_nodes(
+    ctx: ComputeContext,
+    gids: Iterable[int],
+    degrees: Iterable[int],
+    charges: Iterable[Iterable[float]],
+    packs: Iterable[int],
+) -> None:
+    """The walk: charge nodes one by one, each as
+    :meth:`ComputeContext._bookkeeping`, :meth:`ComputeContext.work` and
+    :meth:`ComputeContext._comm_overhead` would -- its list-forming
+    bookkeeping, its ``charges`` in call order, then its ``packs`` pack
+    charges -- each charge singly through ``comm.work``."""
+    work, node_cost, loads, pack_cost = ctx.comm.work, ctx.node_cost, ctx.loads, ctx.costs.pack_cost
+    book, compute, overhead = ctx.bookkeeping_time, ctx.compute_time, ctx.comm_overhead_time
+    for gid, deg, node_charges, count in zip(gids, degrees, charges, packs):
+        book += work(node_cost(deg))
+        before = compute
+        for seconds in node_charges:
+            compute += work(seconds)
+        loads[gid] += compute - before
+        for _ in range(count):
+            overhead += work(pack_cost)
+    ctx.bookkeeping_time, ctx.compute_time, ctx.comm_overhead_time = book, compute, overhead
 
 
 def _node_costs(ctx: ComputeContext, degrees: np.ndarray) -> np.ndarray:
@@ -345,14 +334,13 @@ def _node_costs(ctx: ComputeContext, degrees: np.ndarray) -> np.ndarray:
 
 
 def _charge_rows(
-    node_costs: np.ndarray, grain: float, pack_cost: float, packs: list[int] | None
+    node_costs: np.ndarray, grains: float | list[float], pack_cost: float, packs: list[int] | None
 ) -> list[np.ndarray]:
     """Lay a part's charges out as one row per accumulator, each holding
-    only its own charges in scalar-path order after a column 0 reserved for
-    the seed: the clock (per node its bookkeeping cost, its grain and
-    ``packs[i]`` pack charges), bookkeeping (the costs), compute (the
-    grains) and, unless the part packs nothing, communication overhead
-    (the pack charges)."""
+    only its own charges in order after a column 0 reserved for the seed:
+    the clock (per node its bookkeeping cost, grain and ``packs[i]`` pack
+    charges), bookkeeping, compute and, unless nothing is packed,
+    communication overhead."""
     count = len(node_costs)
     if packs is None:
         clock = np.empty(1 + 2 * count)
@@ -363,10 +351,11 @@ def _charge_rows(
         grain_cols = cost_cols + 1
         clock = np.full(1 + 2 * count + sum(packs), pack_cost, dtype=float)
     clock[cost_cols] = node_costs
-    clock[grain_cols] = grain
-    bookkeeping = np.empty(1 + count)
+    clock[grain_cols] = grains
+    bookkeeping, compute = np.empty(1 + count), np.empty(1 + count)
     bookkeeping[1:] = node_costs
-    rows = [clock, bookkeeping, np.full(1 + count, grain, dtype=float)]
+    compute[1:] = grains
+    rows = [clock, bookkeeping, compute]
     if packs is not None:
         rows.append(np.full(1 + sum(packs), pack_cost, dtype=float))
     return rows
@@ -376,58 +365,61 @@ def _charge(
     ctx: ComputeContext,
     plan: ChargePlan,
     part: int,
-    grain: float,
+    grains: float | list[float] | tuple[list[float], ...],
     packed: bool | list[bool] = False,
 ) -> None:
-    """The accountant: charge one sweep over a plan's internal or
-    peripheral nodes -- the single seam every bulk-sweep charge goes through.
+    """The accountant, the one seam every sweep charge goes through: per
+    node of a plan's internal or peripheral part, list-forming bookkeeping,
+    the grain (``grains``: a kernel's one for all, a list of one per node
+    of the plan, or a tuple of each node's charges) and, ``packed`` (all,
+    or a per-node mask), one ``pack_cost`` per shadow destination.
 
-    Per node, in order, the scalar path charges list-forming bookkeeping,
-    the grain, and (``packed``: ``True`` = every node, or a per-node mask)
-    one ``pack_cost`` per shadow destination.  With no fault scaling these
-    are plain float additions, so each accumulator's own charges -- every
-    one for the clock, its bucket's for each of the three time buckets --
-    are folded into it by ``np.add.accumulate`` over one row seeded with
-    its current value.  ``accumulate`` must produce every prefix, hence
-    adds strictly left to right -- the same IEEE-754 operations as the
-    scalar path, to the last bit -- where ``np.add.reduce``/``reduceat``
-    pair operands up and land an ulp away.  The compute bucket's prefixes
-    also yield each node's measured load.  The static rows are memoized on
-    the plan, i.e. per surgery epoch (dense) or per geometry LRU slot
-    (sparse); only a delta sweep's changing pack mask is laid out per
-    call.
-
-    An armed slow window (``slow=`` fault) scales each charge by a factor
-    that depends on the clock *at charge time*, so that one case walks the
-    nodes through :func:`_replay_node` instead.
+    Each accumulator's own charges are folded into it by
+    ``np.add.accumulate`` over one row seeded with its current value: it
+    adds strictly left to right, the same IEEE-754 operations as a walk,
+    where ``reduce``/``reduceat`` pair operands up and land an ulp away.
+    Rows for a kernel's grain are memoized on the plan.  :func:`_replay_nodes`
+    walks the nodes instead for per-node grains under :data:`_WALK_BELOW`
+    nodes, for a node that charged more than once and under a ``slow=``
+    window, which scales a charge by the clock *at charge time*.
     """
-    if grain < 0:
-        raise ValueError(f"cannot charge negative work: {grain}")
-    gids = plan.gids[_part(plan, part)]
-    if not len(gids):
+    split = plan.split
+    count = split if part == _INTERNAL else len(plan.gids) - split
+    if not count:
         return
-    pack_cost = ctx.costs.pack_cost
-    packs = None
-    if packed is not False and (packed is True or any(packed)):
-        packs = [len(procs) for procs in plan.dests]
+    scalar = isinstance(grains, (int, float))
+    if scalar and grains < 0:
+        raise ValueError(f"cannot charge negative work: {grains}")
+    where = slice(0, split) if part == _INTERNAL else slice(split, None)
+    memo, packs = plan.templates, None
+    if packed is True or (packed and any(packed)):
+        packs = memo.get("fanout")
+        if packs is None:
+            packs = memo["fanout"] = [len(procs) for procs in plan.dests]
         if packed is not True:
             packs = [n if hit else 0 for n, hit in zip(packs, packed)]
-    degrees = plan.degrees[_part(plan, part)]
-    faults = ctx.comm.faults
-    if faults is not None and faults.plan.slow:
-        for i, (gid, deg) in enumerate(zip(gids.tolist(), degrees.tolist())):
-            _replay_node(gid, deg, grain, ctx)
-            for _ in range(packs[i] if packs else 0):
-                ctx._comm_overhead(pack_cost)
+    if not scalar:
+        grains = grains[where]
+    if (
+        type(grains) is tuple
+        or (not scalar and count < _WALK_BELOW)
+        or (ctx.comm.faults is not None and ctx.comm.faults.plan.slow)
+    ):
+        walk = memo.get(part)  # the part's gids and degrees as lists
+        if walk is None:
+            walk = memo[part] = (plan.gids[where].tolist(), plan.degrees[where].tolist())
+        charges = repeat((grains,)) if scalar else grains if type(grains) is tuple else zip(grains)
+        _replay_nodes(ctx, *walk, charges, repeat(0) if packs is None else packs)
         return
 
-    static = packs is None or packed is True
-    key = (ctx.costs, ctx.num_nodes, part, grain, packs is not None)
-    template = plan.templates.get(key) if static else None
+    static = scalar and (packs is None or packed is True)
+    key = (ctx.costs, ctx.num_nodes, part, grains, packs is not None)
+    template = memo.get(key) if static else None
     if template is None:
-        template = _charge_rows(_node_costs(ctx, degrees), grain, pack_cost, packs)
+        node_costs = _node_costs(ctx, plan.degrees[where])
+        template = _charge_rows(node_costs, grains, ctx.costs.pack_cost, packs)
         if static:
-            plan.templates[key] = template
+            memo[key] = template
     state = ctx.comm._state()
     seeds = (state.clock, ctx.bookkeeping_time, ctx.compute_time, ctx.comm_overhead_time)
     sums = []
@@ -439,72 +431,75 @@ def _charge(
     if len(totals) > 3:
         ctx.comm_overhead_time = totals[3]
     # Consecutive compute prefixes differ by exactly one node's grain as
-    # the scalar path measures it (``compute_time - before``).
+    # the walk measures it (``compute_time - before``).
     compute = sums[2]
-    ctx.loads[gids] += compute[1:] - compute[:-1]
+    ctx.loads[plan.gids[where]] += compute[1:] - compute[:-1]
 
 
-#: The plan of a sweep whose active set selects nothing.
-_NO_NODES = ChargePlan(np.empty(0, np.int64), np.empty(0, np.int64), 0, [])
-
-
-class _BulkPhases:
-    """:class:`_ScalarPhases` over the struct-of-arrays store: the kernel
-    computes every selected node's pending value up front, in one pass (it
-    is not called when an active set selects nothing); the two phases are
-    then pure accounting plus packing of the peripheral nodes' values."""
+class _Phases:
+    """One sweep's two phases over the ``count`` nodes :func:`_sweep_positions`
+    picks, their values computed up front by the bulk kernel (not called
+    for an empty active set) or :func:`_looped_kernel`: the phases only
+    charge through :func:`_charge` and pack the peripheral values (with a
+    ``frontier``, the changed ones)."""
 
     def __init__(
         self,
-        store: SoAStore,
+        store: NodeStore,
         node_fn: NodeFn,
         ctx: ComputeContext,
         buffers: CommBuffers,
         frontier: Frontier | None = None,
         part: int | None = None,
     ) -> None:
-        kernel = node_fn.bulk
-        self._ctx, self._buffers, self._changed_only = ctx, buffers, frontier is not None
-        self._grain = kernel.node_grain
+        self._ctx, self._buffers = ctx, buffers
         positions = _sweep_positions(store, ctx.round, frontier, part)
-        if positions is not None and not len(positions):
-            self._plan, self._fresh, self._committed, self.count = _NO_NODES, [], [], 0
-            return
-        view = store.bulk_view(
-            positions, ctx.iteration, ctx.round, key="dense" if positions is None else None
-        )
-        self._plan = view.plan
-        split = view.plan.split
-        # Exact Python objects, as the scalar path puts on the wire.
-        self._fresh = store.scatter_pending(positions, kernel(view), boxed_from=split)
-        self._committed = view.values[split:].tolist() if self._changed_only else []
-        self.count = len(view)
+        if not isinstance(store, SoAStore):
+            plan = store.charge_plan(positions)
+            rows, fresh, self._grains = _looped_kernel(store, positions, node_fn, ctx)
+            fresh = fresh[plan.split :]
+            committed = [row[1].data for row in rows[plan.split :]] if frontier else None
+        elif positions is not None and not len(positions):
+            plan, fresh, committed, self._grains = store.charge_plan(positions), [], [], 0.0
+        else:
+            kernel = node_fn.bulk
+            view = store.bulk_view(
+                positions, ctx.iteration, ctx.round, key="dense" if positions is None else None
+            )
+            plan = view.plan
+            # Exact Python objects, as the looped kernel puts on the wire.
+            fresh = store.scatter_pending(positions, kernel(view), boxed_from=plan.split)
+            committed = view.values[plan.split :].tolist() if frontier else None
+            self._grains = kernel.node_grain
+        self._plan, self._fresh, self.count = plan, fresh, len(plan.gids)
+        # With a ``frontier`` a value equal to the committed one is not
+        # packed (receivers treat absent records as "shadow still current").
+        self._packed: bool | list[bool] = frontier is None or [
+            not (v is None or v == c) for v, c in zip(fresh, committed)
+        ]
 
     def compute_internal(self) -> None:
         """Charge the internal nodes' share of the sweep."""
-        _charge(self._ctx, self._plan, _INTERNAL, self._grain)
+        _charge(self._ctx, self._plan, _INTERNAL, self._grains)
 
     def compute_peripheral(self) -> None:
-        """Charge the peripheral nodes' share and pack their fresh values --
-        all, or only those differing from the committed value, exactly as
-        :meth:`_ScalarPhases._sweep` decides."""
-        plan, fresh = self._plan, self._fresh
-        packed: bool | list[bool] = True
-        if self._changed_only:
-            packed = [not (v is None or v == c) for v, c in zip(fresh, self._committed)]
-        _charge(self._ctx, plan, _PERIPHERAL, self._grain, packed)
-        for proc, rows, gids in _destinations(plan):
-            if packed is not True:
+        """Charge the peripheral nodes' share and pack their values."""
+        plan, packed = self._plan, self._packed
+        _charge(self._ctx, plan, _PERIPHERAL, self._grains, packed)
+        destinations = _destinations(plan)
+        if packed is not True:
+            kept = []
+            for proc, rows, gids in destinations:
                 hits = [packed[i] for i in rows]
-                rows, gids = list(compress(rows, hits)), list(compress(gids, hits))
-            self._buffers.pack_all(proc, gids, [fresh[i] for i in rows])
+                kept.append((proc, list(compress(rows, hits)), list(compress(gids, hits))))
+            destinations = kept
+        self._buffers.pack_all(destinations, self._fresh)
 
 
 def _destinations(plan: ChargePlan) -> list[tuple[int, list[int], list[int]]]:
     """Per shadow destination of a plan's peripheral nodes: the rows (into
-    ``plan.dests``) and gids of the nodes it shadows, in plan order --
-    each buffer's record order under per-node packing.  Memoized on the
-    plan."""
+    ``plan.dests``) and gids of the nodes it shadows, in plan order
+    (memoized)."""
     by_dest = plan.templates.get("destinations")
     if by_dest is None:
         rows: dict[int, list[int]] = {}
@@ -775,7 +770,6 @@ def superstep(
     buffers: CommBuffers,
     frontier: Frontier | None = None,
     overlap: bool = False,
-    bulk: bool = False,
 ) -> int:
     """One compute+communicate superstep; returns how many owned values
     changed.  The module docstring describes the three choices; in step
@@ -809,7 +803,6 @@ def superstep(
     always has a nonzero change count backing it.
     """
     buffers.reset()
-    make_phases = _BulkPhases if bulk else _ScalarPhases
     sparse = frontier is not None
     inner_cap = frontier.inner_cap if sparse else None
     tag = TAG_SHADOW
@@ -841,7 +834,7 @@ def superstep(
 
     if inner_cap is not None:
         # ---- Boundary phase (globally synchronous, delta exchange) -------
-        boundary = make_phases(store, node_fn, ctx, buffers, frontier, _PERIPHERAL)
+        boundary = _Phases(store, node_fn, ctx, buffers, frontier, _PERIPHERAL)
         boundary.compute_peripheral()
         # Boundary changes land in the *unconsumed* interior class, feeding
         # this superstep's interior phase; interior commits below land in the
@@ -851,7 +844,7 @@ def superstep(
         # ---- Interior phase (local, asynchronous, overlaps the exchange) --
         sweeps = 0
         while sweeps < inner_cap:
-            interior = make_phases(store, node_fn, ctx, buffers, frontier, _INTERNAL)
+            interior = _Phases(store, node_fn, ctx, buffers, frontier, _INTERNAL)
             if not interior.count:
                 break
             sweeps += 1
@@ -859,7 +852,7 @@ def superstep(
             changed += commit(interior.count)
         frontier.inner_sweeps += sweeps
     else:
-        phases = make_phases(store, node_fn, ctx, buffers, frontier)
+        phases = _Phases(store, node_fn, ctx, buffers, frontier)
         if overlap:
             phases.compute_peripheral()
             sources = dispatch()

@@ -13,7 +13,6 @@ lists; on the virtual-time substrate they are charged explicitly through the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -228,8 +227,7 @@ class PlatformConfig:
             fixed point is identical, the trajectory is not.  Hybrid mode
             is inherently change-driven (it supersedes ``activation``) and
             inherently overlaps interior compute with the boundary
-            exchange (``overlap_communication`` is ignored).  The default
-            honours the ``REPRO_EXECUTION`` environment variable.
+            exchange (``overlap_communication`` is ignored).
         hybrid_inner_cap: Most interior sweeps one rank may run inside a
             single superstep in hybrid mode (>= 1); bounds the asynchrony
             so a rank cannot spin its interior forever while peers wait at
@@ -278,9 +276,7 @@ class PlatformConfig:
     integrity: str = CHOICES["integrity"][0]
     integrity_period: int = 1
     store: str | None = None
-    execution: str = field(
-        default_factory=lambda: os.environ.get("REPRO_EXECUTION", CHOICES["execution"][0])
-    )
+    execution: str = CHOICES["execution"][0]
     hybrid_inner_cap: int = 32
     activation: str = CHOICES["activation"][0]
     converge: str = CHOICES["converge"][0]

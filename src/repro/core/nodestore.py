@@ -35,6 +35,7 @@ nodes, and rebuilding ``shadow_for_procs`` after ownership changes.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -42,13 +43,37 @@ import numpy as np
 from ..graphs.graph import Graph, sorted_unique
 from .node import NodeData
 
-__all__ = ["NodeStore"]
+__all__ = ["NodeStore", "ChargePlan"]
 
 InitValueFn = Callable[[int], Any]
 
 #: One scalar-sweep row: gid, record, neighbour gids, neighbour records
 #: (adjacency order) and ``shadow_for_procs`` (``()`` for an internal node).
 SweepRow = tuple[int, NodeData, tuple[int, ...], tuple[NodeData, ...], tuple[int, ...]]
+
+
+@dataclass(slots=True)
+class ChargePlan:
+    """The nodes of one sweep as the virtual-cost accountant sees them,
+    built from the owned-set layout (:meth:`NodeStore.charge_plan`).  The
+    store knows no cost constants: the compute layer memoizes what it
+    derives (charge rows, pack lists) in ``templates``, which live as long
+    as the plan -- a surgery epoch dense, a geometry LRU slot sparse.
+
+    Attributes:
+        gids: Global IDs in sweep order -- internal nodes, then peripheral.
+        degrees: Neighbour counts, aligned with ``gids``.
+        split: Number of leading internal nodes.
+        dests: ``shadow_for_procs`` of each peripheral node, aligned with
+            ``gids[split:]``.
+        templates: The compute layer's memo (dies with the plan).
+    """
+
+    gids: np.ndarray
+    degrees: np.ndarray
+    split: int
+    dests: list[tuple[int, ...]]
+    templates: dict[Any, Any] = field(default_factory=dict)
 
 
 class NodeStore:
@@ -84,8 +109,10 @@ class NodeStore:
         # Memoized communication topology (cleared by ownership surgery).
         self._buffer_sizes_cache: dict[int, list[int]] = {}
         self._neighbor_procs_cache: list[int] | None = None
-        #: :meth:`sweep_rows`' memo (``None`` until a scalar sweep asks).
+        #: :meth:`sweep_rows`' memo (``None`` until a looped sweep asks).
         self._sweep_rows: list[SweepRow] | None = None
+        #: :meth:`charge_plan`'s dense plan (``None`` until a sweep asks).
+        self._dense_plan: ChargePlan | None = None
         #: Bumped by every :meth:`_invalidate_topology_cache`: whoever
         #: derives arrays from the owned set (the change-driven frontier)
         #: compares it to tell when they are stale.
@@ -323,12 +350,30 @@ class NodeStore:
             ]
         return rows
 
+    def charge_plan(self, positions: np.ndarray | None = None) -> ChargePlan:
+        """The :class:`ChargePlan` of the nodes at ``positions`` of the
+        owned-set layout (internal ones first, as every sweep lists them),
+        or of the whole layout (``None``: memoized per surgery epoch)."""
+        dense = self._dense_plan
+        if dense is None:
+            gids = np.array(self._owned, dtype=np.int64)
+            indptr = self.graph.csr().indptr
+            degrees = indptr[gids] - indptr[gids - 1]
+            dense = self._dense_plan = ChargePlan(gids, degrees, self._split, list(self._dests))
+        if positions is None:
+            return dense
+        split = int(np.count_nonzero(positions < self._split))
+        dests = [dense.dests[p - self._split] for p in positions[split:].tolist()]
+        return ChargePlan(dense.gids[positions], dense.degrees[positions], split, dests)
+
     def _invalidate_topology_cache(self) -> None:
-        """Drop memoized buffer sizes / neighbour procs / sweep rows; must
-        run after ownership surgery (release/adopt/refresh/restore)."""
+        """Drop memoized buffer sizes / neighbour procs / sweep rows / the
+        dense charge plan; must run after ownership surgery
+        (release/adopt/refresh/restore)."""
         self._buffer_sizes_cache.clear()
         self._neighbor_procs_cache = None
         self._sweep_rows = None
+        self._dense_plan = None
         self.surgery_epoch += 1
 
     # ------------------------------------------------------------------ #

@@ -676,7 +676,7 @@ class _RankRun:
             overhead0 = ctx.comm_overhead_time
             book0 = ctx.bookkeeping_time
             self.changed += superstep(
-                comm, self.store, node_fn, ctx, self.buffers, self.frontier, overlap, self.bulk
+                comm, self.store, node_fn, ctx, self.buffers, self.frontier, overlap
             )
             t_end = comm.Wtime()
             d_compute = ctx.compute_time - compute0

@@ -59,9 +59,9 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..graphs.graph import concat_ranges
-from .nodestore import NodeStore
+from .nodestore import ChargePlan, NodeStore
 
-__all__ = ["SoAStore", "BulkView", "ChargePlan"]
+__all__ = ["SoAStore", "BulkView"]
 
 #: Retained sparse gather geometries per topology epoch, evicted LRU
 #: (delta and hybrid frontiers often alternate between a small number of
@@ -129,7 +129,8 @@ class BulkView:
         iteration: Current platform iteration (0-based).
         round: Current communication round.
         plan: What the sweep's virtual-cost accountant needs to charge for
-            these nodes (:class:`ChargePlan`); kernels ignore it.
+            these nodes (:class:`~repro.core.nodestore.ChargePlan`);
+            kernels ignore it.
     """
 
     gids: np.ndarray
@@ -153,32 +154,6 @@ class BulkView:
         return _ranges_sum(self.closed_values, self.indptr[:-1] + 1, self.indptr[1:])
 
 
-@dataclass(slots=True)
-class ChargePlan:
-    """The nodes of one bulk view as the virtual-cost accountant sees them.
-
-    Built from the owned-set layout and cached wherever the view's gather
-    geometry is cached, so a geometry hit is a plan hit.  The store knows
-    no cost constants: the compute layer folds them with these arrays into
-    charge rows and memoizes those, and each destination's pack list, in
-    ``templates``.
-
-    Attributes:
-        gids: Global IDs in sweep order -- internal nodes, then peripheral.
-        degrees: Neighbour counts, aligned with ``gids``.
-        split: Number of leading internal nodes.
-        dests: ``shadow_for_procs`` of each peripheral node, aligned with
-            ``gids[split:]``.
-        templates: The compute layer's memo (dies with the plan).
-    """
-
-    gids: np.ndarray
-    degrees: np.ndarray
-    split: int
-    dests: list[tuple[int, ...]]
-    templates: dict[Any, Any] = field(default_factory=dict)
-
-
 @dataclass
 class _BulkTopo:
     """Cached sweep-order topology of the owned set (one per surgery epoch)."""
@@ -187,7 +162,6 @@ class _BulkTopo:
     slot_of_order: np.ndarray
     indptr: np.ndarray
     flat_slots: np.ndarray
-    degrees: np.ndarray
     #: The dense (whole owned set) charge plan.
     plan: ChargePlan
     view_caches: dict[str, tuple] = field(default_factory=dict)
@@ -435,7 +409,8 @@ class SoAStore(NodeStore):
         topo = self._topo
         if topo is not None:
             return topo
-        gids_arr = np.array(self._owned, dtype=np.int64)
+        plan = self.charge_plan()
+        gids_arr = plan.gids
         # gid -> slot as an array, so the owned rows of the graph's CSR
         # (each behind its own gid) translate in one fancy index.
         held = np.fromiter(self._slot_of, np.int64, len(self._slot_of))
@@ -447,14 +422,12 @@ class SoAStore(NodeStore):
             raise KeyError(int(closed[np.argmin(flat_slots)]))
         indptr = np.zeros(len(gids_arr) + 1, dtype=np.intp)
         np.cumsum(closed_lens, out=indptr[1:])
-        degrees = closed_lens - 1
         topo = _BulkTopo(
             order_gids_arr=gids_arr,
             slot_of_order=slot_of[gids_arr],
             indptr=indptr,
             flat_slots=flat_slots,
-            degrees=degrees,
-            plan=ChargePlan(gids_arr, degrees, self._split, list(self._dests)),
+            plan=plan,
         )
         self._topo = topo
         return topo
@@ -470,7 +443,7 @@ class SoAStore(NodeStore):
 
         ``positions=None`` means the full owned set in sweep order; explicit
         positions list internal nodes before peripheral ones, as every sweep
-        does (the view's :class:`ChargePlan` splits them there).  When
+        does (the view's :meth:`charge_plan` splits them there).  When
         ``key`` is given, the gather geometry is memoized on the topology
         (reused until the next ownership surgery).
         Anonymous sparse views (``positions`` given, no ``key`` -- the
@@ -498,11 +471,9 @@ class SoAStore(NodeStore):
         if cached is None:
             if positions is None:
                 geometry = (
-                    topo.order_gids_arr,
                     topo.slot_of_order,
                     topo.flat_slots,
                     topo.indptr,
-                    topo.degrees,
                     topo.plan,
                 )
             else:
@@ -512,28 +483,11 @@ class SoAStore(NodeStore):
                 offsets = np.zeros(len(positions) + 1, dtype=np.intp)
                 np.cumsum(lens, out=offsets[1:])
                 flat_idx = concat_ranges(starts, lens, offsets[1:])
-                gids_arr = topo.order_gids_arr[positions]
-                # Internal nodes come first, so the ends tell a pure part.
-                n_int = self._split
-                if not len(positions) or positions[-1] < n_int:
-                    split = len(positions)
-                elif positions[0] >= n_int:
-                    split = 0
-                else:
-                    split = int(np.count_nonzero(positions < n_int))
-                dests = topo.plan.dests
                 geometry = (
-                    gids_arr,
                     topo.slot_of_order[positions],
                     topo.flat_slots[flat_idx],
                     offsets,
-                    lens - 1,
-                    ChargePlan(
-                        gids_arr,
-                        lens - 1,
-                        split,
-                        [dests[p - n_int] for p in positions[split:].tolist()],
-                    ),
+                    self.charge_plan(positions),
                 )
             if key is not None:
                 topo.view_caches[key] = geometry
@@ -544,13 +498,13 @@ class SoAStore(NodeStore):
                 topo.sparse_cache[memo_key] = geometry
         else:
             geometry = cached
-        gids_arr, own_slots, flat_slots, indptr, degrees, plan = geometry
+        own_slots, flat_slots, indptr, plan = geometry
         return BulkView(
-            gids=gids_arr,
+            gids=plan.gids,
             values=self._values[own_slots],
             closed_values=self._values[flat_slots],
             indptr=indptr,
-            degrees=degrees,
+            degrees=plan.degrees,
             iteration=iteration,
             round=round_idx,
             plan=plan,

@@ -1,12 +1,48 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its one option.
+
+``--execution hybrid`` runs the suite with ``PlatformConfig.execution``
+defaulting to ``hybrid`` -- in this process and in every worker the
+``process`` scheduler forks from it -- while a config that names its
+execution keeps it.  CI's hybrid-execution conformance step passes it.
+"""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.core import PlatformConfig
+from repro.core.config import CHOICES
 from repro.graphs import Graph, hex32, hex64, random_connected_graph
 from repro.mpi import IDEAL, ORIGIN2000
 from repro.partitioning import MetisLikePartitioner
+
+
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--execution",
+        choices=CHOICES["execution"],
+        help="PlatformConfig.execution's default for this run (test side only)",
+    )
+
+
+def pytest_configure(config) -> None:
+    execution = config.getoption("--execution")
+    if execution is not None:
+        PlatformConfig.__init__ = execution_default(execution)
+
+
+def execution_default(execution: str):
+    """``PlatformConfig.__init__`` with ``execution`` as that field's
+    default."""
+    init = PlatformConfig.__init__
+
+    @functools.wraps(init)
+    def __init__(self, *args, execution: str = execution, **kwargs) -> None:
+        init(self, *args, execution=execution, **kwargs)
+
+    return __init__
 
 
 @pytest.fixture(scope="session")

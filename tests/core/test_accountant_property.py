@@ -1,13 +1,16 @@
 """Property tests: the vectorised accountant equals the per-node charge walk.
 
-The bulk sweeps hand a whole sweep's virtual charges to
-``compute._charge`` as one charge plan, folded into the clock and the time
-buckets with ``np.add.accumulate``.  The scalar path performs the same
-additions one node at a time.  Virtual time is the paper's result, so the
-two must agree to the last bit (``float.hex``), for any degree sequence,
-grain (including 0.0), start clock, shadow fan-out and delta "changed"
-mask -- on the clock, on the compute / bookkeeping / communication-overhead
-buckets, and on every node's measured load.
+Every sweep hands its virtual charges to ``compute._charge`` as one charge
+plan, folded into the clock and the time buckets with
+``np.add.accumulate`` -- or, for per-node grains over fewer than
+``_WALK_BELOW`` nodes, walked node by node (``_replay_nodes``).  The
+reference below performs the same additions one node at a time, as the
+sweep did when it charged while calling the node function.  Virtual time is the paper's result, so the two must
+agree to the last bit (``float.hex``), for any degree sequence, grain (one
+for every node, as a kernel's, or one per node, as a looped node function
+charges them; including 0.0), start clock, shadow fan-out and delta
+"changed" mask -- on the clock, on the compute / bookkeeping /
+communication-overhead buckets, and on every node's measured load.
 
 The premise -- ``accumulate`` adds strictly left to right -- is pinned
 separately, so a numpy that breaks it fails loudly here rather than as an
@@ -23,9 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ComputeContext, PlatformCosts
-from repro.core.compute import _INTERNAL, _PERIPHERAL, _charge, _node_costs, _replay_node
-from repro.core.soastore import ChargePlan
+from repro.core import ComputeContext, PlatformCosts, compute
+from repro.core.compute import (
+    _INTERNAL,
+    _PERIPHERAL,
+    _WALK_BELOW,
+    _charge,
+    _node_costs,
+)
+from repro.core.nodestore import ChargePlan
 from repro.mpi import IDEAL, FaultPlan, run_mpi
 
 NUM_NODES = 400
@@ -45,10 +54,12 @@ clocks = st.one_of(
 
 
 @st.composite
-def sweeps(draw):
-    """A plan (internal + peripheral nodes), a grain, seeds and a mask."""
+def sweeps(draw, per_node: bool = False):
+    """A plan (internal + peripheral nodes, each part on either side of the
+    walk cut), a grain (``per_node``: a list, one per node), seeds and a
+    mask."""
     n_int = draw(st.integers(min_value=0, max_value=40))
-    n_per = draw(st.integers(min_value=0, max_value=12))
+    n_per = draw(st.integers(min_value=0, max_value=2 * _WALK_BELOW))
     total = n_int + n_per
     gids = draw(
         st.lists(
@@ -67,7 +78,11 @@ def sweeps(draw):
     mask = draw(st.lists(st.booleans(), min_size=n_per, max_size=n_per))
     packed = draw(st.sampled_from([True, False, mask]))
     seeds = tuple(draw(clocks) for _ in range(4))
-    return gids, degrees, n_int, dests, draw(grains), packed, seeds
+    if per_node:
+        grain = draw(st.lists(grains, min_size=total, max_size=total))
+    else:
+        grain = draw(grains)
+    return gids, degrees, n_int, dests, grain, packed, seeds
 
 
 def make_plan(gids, degrees, n_int, dests) -> ChargePlan:
@@ -102,10 +117,21 @@ def pack_counts(dests, packed) -> list[int]:
     return [len(procs) if hit else 0 for procs, hit in zip(dests, packed)]
 
 
+def node_charges(grain, count: int) -> list:
+    """Each node's list of charges: a plain grain is every node's one
+    charge, a list holds one grain per node or one list per node."""
+    if not isinstance(grain, list):
+        return [[grain]] * count
+    return [g if isinstance(g, list) else [g] for g in grain]
+
+
 def run_plan(case, faults=None) -> dict:
     """Two sweeps through the seam (the second hits the memoized matrices
-    and lands on loads the first left behind)."""
+    and lands on loads the first left behind).  Per-node grains go in as
+    the list a looped kernel hands over, charge lists as its tuple."""
     gids, degrees, n_int, dests, grain, packed, seeds = case
+    if isinstance(grain, list) and any(isinstance(g, list) for g in grain):
+        grain = tuple(grain)
 
     def fn(comm):
         ctx = seeded_context(comm, seeds)
@@ -119,15 +145,20 @@ def run_plan(case, faults=None) -> dict:
 
 
 def run_walk(case) -> dict:
-    """The scalar path's sequence, spelled out node by node."""
+    """The charge sequence, spelled out node by node."""
     gids, degrees, n_int, dests, grain, packed, seeds = case
     packs = [0] * n_int + pack_counts(dests, packed)
+    charges = node_charges(grain, len(gids))
 
     def fn(comm):
         ctx = seeded_context(comm, seeds)
         for _ in range(2):
-            for gid, deg, count in zip(gids, degrees, packs):
-                _replay_node(gid, deg, grain, ctx)
+            for gid, deg, node, count in zip(gids, degrees, charges, packs):
+                ctx._bookkeeping(ctx.node_cost(deg))
+                before = ctx.compute_time
+                for seconds in node:
+                    ctx.work(seconds)
+                ctx.loads[gid] += ctx.compute_time - before
                 for _ in range(count):
                     ctx._comm_overhead(ctx.costs.pack_cost)
         return observed(ctx)
@@ -138,11 +169,36 @@ def run_walk(case) -> dict:
 class TestPlanEqualsWalk:
     @settings(max_examples=150, deadline=None)
     @given(case=sweeps())
-    def test_bit_identical_to_replay_node_walk(self, case):
+    def test_bit_identical_to_the_node_by_node_charges(self, case):
+        assert run_plan(case) == run_walk(case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sweeps(per_node=True))
+    def test_per_node_grains_bit_identical_to_the_walk(self, case):
         assert run_plan(case) == run_walk(case)
 
     @settings(max_examples=60, deadline=None)
-    @given(case=sweeps())
+    @given(case=st.one_of(sweeps(), sweeps(per_node=True)))
+    def test_the_fold_on_parts_under_the_cut(self, case):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compute, "_WALK_BELOW", 0)  # fold parts of any size
+            folded = run_plan(case)
+        assert folded == run_walk(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sweeps(per_node=True), data=st.data())
+    def test_charge_lists_take_the_walk(self, case, data):
+        """Nodes that charged zero times or several: each node's charges in
+        call order, after its bookkeeping and before its packs."""
+        gids, degrees, n_int, dests, grain, packed, seeds = case
+        ragged = [
+            data.draw(st.sampled_from([[], [g], [g, g / 3], [0.0, g, 1e-9]])) for g in grain
+        ]
+        case = (gids, degrees, n_int, dests, ragged, packed, seeds)
+        assert run_plan(case) == run_walk(case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(sweeps(), sweeps(per_node=True)))
     def test_armed_slow_window_takes_the_walk(self, case):
         """With a ``slow=`` window armed the seam itself walks the nodes."""
         assert run_plan(case, faults=INACTIVE_SLOW) == run_walk(case)
@@ -161,8 +217,8 @@ class TestPlanEqualsWalk:
 
 
 class TestOneCostTable:
-    """The scalar loop, ``_replay_node`` and the plan's array all read one
-    by-degree memo on the context, each entry the formula itself."""
+    """The walk and the plan's array read one by-degree memo on the
+    context, each entry the formula itself."""
 
     @settings(max_examples=60, deadline=None)
     @given(degrees=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12))

@@ -7,12 +7,17 @@ import pytest
 from repro.core import BUFFER_RECORD_TYPE, CommBuffers
 
 
+def pack(buffers: CommBuffers, proc: int, gid: int, value) -> None:
+    """Append one record to ``proc``'s buffer: a sweep of one."""
+    buffers.pack_all([(proc, [0], [gid])], [value])
+
+
 class TestCommBuffers:
     def test_pack_and_iterate(self):
         buffers = CommBuffers(4)
-        buffers.pack(1, 10, 100)
-        buffers.pack(1, 11, 110)
-        buffers.pack(3, 12, 120)
+        pack(buffers, 1, 10, 100)
+        pack(buffers, 1, 11, 110)
+        pack(buffers, 3, 12, 120)
         assert buffers.outgoing(1) == [(10, 100), (11, 110)]
         assert buffers.nonempty_procs() == [1, 3]
         assert buffers.total_records() == 3
@@ -20,7 +25,7 @@ class TestCommBuffers:
 
     def test_reset(self):
         buffers = CommBuffers(2)
-        buffers.pack(0, 1, 2)
+        pack(buffers, 0, 1, 2)
         buffers.reset()
         assert buffers.total_records() == 0
         assert buffers.nonempty_procs() == []
@@ -28,9 +33,9 @@ class TestCommBuffers:
     def test_invalid_proc_rejected(self):
         buffers = CommBuffers(2)
         with pytest.raises(IndexError):
-            buffers.pack(2, 1, 2)
+            pack(buffers, 2, 1, 2)
         with pytest.raises(IndexError):
-            buffers.pack(-1, 1, 2)
+            pack(buffers, -1, 1, 2)
 
     def test_invalid_nprocs_rejected(self):
         with pytest.raises(ValueError):
@@ -38,13 +43,13 @@ class TestCommBuffers:
 
     def test_int_records_use_committed_struct_size(self):
         buffers = CommBuffers(2)
-        buffers.pack(1, 5, 42)
-        buffers.pack(1, 6, 43)
+        pack(buffers, 1, 5, 42)
+        pack(buffers, 1, 6, 43)
         assert buffers.nbytes(1) == 2 * BUFFER_RECORD_TYPE.size_of()
 
     def test_fat_records_use_estimator(self):
         buffers = CommBuffers(2)
-        buffers.pack(1, 5, [1.0] * 10)
+        pack(buffers, 1, 5, [1.0] * 10)
         # 4 bytes id + 16 container + 10 floats
         assert buffers.nbytes(1) == 4 + 16 + 80
 
@@ -53,7 +58,7 @@ class TestCommBuffers:
             nbytes = 1000
 
         buffers = CommBuffers(2)
-        buffers.pack(0, 1, Fat())
+        pack(buffers, 0, 1, Fat())
         assert buffers.nbytes(0) == 1004
 
     def test_empty_buffer_nbytes_zero(self):
@@ -75,7 +80,7 @@ def _walked_nbytes(records):
 
 
 class TestRunningWireSize:
-    """``pack`` keeps each buffer's wire size as a running integer sum."""
+    """Packing keeps each buffer's wire size as a running integer sum."""
 
     def _payloads(self):
         from repro.apps.battlefield.state import Departure, HexState
@@ -86,22 +91,22 @@ class TestRunningWireSize:
     def test_equals_the_walk_for_every_payload_kind(self):
         buffers = CommBuffers(3)
         for gid, value in enumerate(self._payloads()):
-            buffers.pack(gid % 2 + 1, gid, value)
+            pack(buffers, gid % 2 + 1, gid, value)
             for q in range(3):
                 assert buffers.nbytes(q) == _walked_nbytes(buffers.outgoing(q))
         assert buffers.nbytes(1) > 0 and buffers.nbytes(2) > 0
         buffers.reset()
         assert [buffers.nbytes(q) for q in range(3)] == [0, 0, 0]
-        buffers.pack(2, 9, 0.5)
+        pack(buffers, 2, 9, 0.5)
         assert buffers.nbytes(2) == _walked_nbytes([(9, 0.5)])
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_equals_the_walk_after_a_packing_phase(self, bulk):
-        """Both packing paths -- node by node, and the bulk phase packing a
-        whole sweep's peripherals -- go through ``pack``."""
+        """A peripheral phase packing a whole sweep's values, computed by
+        the looped node function or by the bulk kernel."""
         from repro.apps.average import make_average_fn
         from repro.core import ComputeContext, NodeStore, PlatformCosts, SoAStore
-        from repro.core.compute import _BulkPhases, _ScalarPhases
+        from repro.core.compute import _Phases
         from repro.graphs import hex32
         from repro.mpi import IDEAL, run_mpi
 
@@ -113,9 +118,7 @@ class TestRunningWireSize:
             store = make_store(comm.rank, graph, list(assignment), lambda gid: gid / 4)
             ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
             buffers = CommBuffers(comm.size)
-            phases = (_BulkPhases if bulk else _ScalarPhases)(
-                store, make_average_fn(), ctx, buffers
-            )
+            phases = _Phases(store, make_average_fn(), ctx, buffers)
             phases.compute_peripheral()
             assert buffers.total_records() > 0
             return [
@@ -129,7 +132,7 @@ class TestRunningWireSize:
 
 
 class TestPackAll:
-    """``pack_all`` is a loop of ``pack`` calls done as one extend."""
+    """``pack_all`` is a loop of one-record packs, one extend per buffer."""
 
     def _batches(self):
         from repro.apps.battlefield.state import Departure, HexState
@@ -149,36 +152,40 @@ class TestPackAll:
     @pytest.mark.parametrize(
         "kind", ["floats", "ints", "bools", "none", "tuples", "hexstate", "mixed", "empty"]
     )
-    def test_equals_a_loop_of_pack(self, kind):
+    def test_equals_a_loop_of_one_record_packs(self, kind):
         values = self._batches()[kind]
         gids = list(range(10, 10 + len(values)))
         batched, looped = CommBuffers(3), CommBuffers(3)
         for buffers in (batched, looped):
-            buffers.pack(2, 1, 0.5)  # a batch extends what is already there
-        batched.pack_all(2, gids, values)
-        for gid, value in zip(gids, values):
-            looped.pack(2, gid, value)
+            pack(buffers, 2, 1, 0.5)  # a batch extends what is already there
+        # Every record to buffer 2, the odd rows to buffer 1 as well.
+        odd = list(range(1, len(values), 2))
+        destinations = [(2, list(range(len(values))), gids), (1, odd, [gids[i] for i in odd])]
+        batched.pack_all(destinations, values)
+        for proc, rows, row_gids in destinations:
+            for i, gid in zip(rows, row_gids):
+                pack(looped, proc, gid, values[i])
         for q in range(3):
             assert batched.outgoing(q) == looped.outgoing(q)
-            assert batched.nbytes(q) == looped.nbytes(q)
+            assert batched.nbytes(q) == looped.nbytes(q) == _walked_nbytes(looped.outgoing(q))
         assert [type(v) for _, v in batched.outgoing(2)] == [type(v) for _, v in looped.outgoing(2)]
 
     @pytest.mark.parametrize("proc", [3, -1])
     def test_invalid_proc_rejected_before_appending(self, proc):
         buffers = CommBuffers(3)
         with pytest.raises(IndexError):
-            buffers.pack_all(proc, [1, 2], [0.5, 0.25])
+            buffers.pack_all([(1, [0], [1]), (proc, [0, 1], [1, 2])], [0.5, 0.25])
         assert buffers.total_records() == 0
         assert [buffers.nbytes(q) for q in range(3)] == [0, 0, 0]
 
-    def test_delta_sweep_packs_like_the_scalar_phases(self):
+    def test_delta_sweep_packs_like_the_looped_node_function(self):
         """A change-driven peripheral phase with a mixed pack mask (pinned
         nodes keep their value and are not packed) and nodes shadowed by
-        two ranks: the bulk phase's buffers, record for record, are the
-        scalar phase's."""
+        two ranks: the bulk kernel's buffers, record for record, are the
+        looped node function's."""
         from repro.apps.diffusion import make_jacobi_fn
         from repro.core import ComputeContext, NodeStore, PlatformCosts, SoAStore
-        from repro.core.compute import Frontier, _BulkPhases, _ScalarPhases
+        from repro.core.compute import Frontier, _Phases
         from repro.graphs import hex32
         from repro.mpi import IDEAL, run_mpi
 
@@ -189,14 +196,14 @@ class TestPackAll:
 
         def fn(comm):
             out = []
-            for make_store, make_phases in ((NodeStore, _ScalarPhases), (SoAStore, _BulkPhases)):
+            for make_store in (NodeStore, SoAStore):
                 store = make_store(comm.rank, graph, list(assignment), lambda gid: gid / 4)
                 ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
                 buffers = CommBuffers(comm.size)
-                make_phases(store, node_fn, ctx, buffers, Frontier(1)).compute_peripheral()
+                _Phases(store, node_fn, ctx, buffers, Frontier(1)).compute_peripheral()
                 out.append([(buffers.outgoing(q), buffers.nbytes(q)) for q in range(comm.size)])
-            scalar, bulk = out
-            assert bulk == scalar
+            looped, bulk = out
+            assert bulk == looped
             packed = {gid for records, _ in bulk for gid, _ in records}
             periph = {gid for gid, _ in store.peripherals()}
             multi = {gid for gid, procs in store.peripherals() if len(procs) > 1}

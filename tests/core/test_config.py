@@ -55,3 +55,25 @@ class TestPlatformConfig:
         assert PlatformConfig().hash_table_length is None
         config = PlatformConfig(store="columnar", hash_table_length=0)
         assert (config.store, config.hash_table_length) == ("columnar", 0)
+
+
+class TestExecutionOption:
+    """The suite's ``--execution`` option (``tests/conftest.py``) moves the
+    default on the test side only; the product reads no environment."""
+
+    def test_the_product_default_is_bsp(self, request):
+        assert PlatformConfig.__dataclass_fields__["execution"].default == "bsp"
+        expected = request.config.getoption("--execution") or "bsp"
+        assert PlatformConfig().execution == expected
+
+    def test_forked_workers_inherit_the_patched_default(self, monkeypatch):
+        from repro.mpi import run_mpi
+
+        from ..conftest import execution_default
+
+        monkeypatch.setattr(PlatformConfig, "__init__", execution_default("hybrid"))
+        assert PlatformConfig().execution == "hybrid"
+        assert PlatformConfig(execution="bsp").execution == "bsp"
+        assert PlatformConfig().with_overrides(iterations=3).execution == "hybrid"
+        workers = run_mpi(lambda comm: PlatformConfig().execution, 2, scheduler="process")
+        assert workers == ["hybrid", "hybrid"]

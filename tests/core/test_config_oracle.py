@@ -16,8 +16,8 @@ declaration of the platform's switches (``repro.core.config``).
   combination refused -- must raise ``UnsupportedBackendError`` with
   ``SEED_NEEDS_EVENT`` while nothing has been forked, opened or allocated.
 
-Every switch is passed explicitly, so ``REPRO_EXECUTION`` moves no result
-here.
+Every switch is passed explicitly, so the suite's ``--execution`` option
+(which moves ``PlatformConfig``'s default) moves no result here.
 """
 
 from __future__ import annotations

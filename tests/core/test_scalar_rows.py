@@ -1,7 +1,8 @@
-"""The scalar sweep's rows: resolved once per surgery epoch, never stale.
+"""The looped kernel's rows: resolved once per surgery epoch, never stale.
 
-``NodeStore.sweep_rows()`` hands the scalar sweep, per position of the
-owned-set layout, the node's record and its neighbours' *records*, looked
+``NodeStore.sweep_rows()`` hands the looped kernel (the node function
+called node by node on the object store), per position of the owned-set
+layout, the node's record and its neighbours' *records*, looked
 up in the data node list once per surgery epoch instead of once per node
 update.  A stale row would make a node compute from a record nobody writes
 any more, silently, so the rows are held to the probing path they replaced
@@ -14,7 +15,7 @@ deleted ``_form_view`` did):
   the struct-of-arrays store -- and ``check_invariants()`` (which also
   holds every cached row, by identity, to ``data_records``) passes;
 * whole platform runs -- migration, crash + shrink rebuild, integrity repair
-  -- re-check every row each time a scalar phase asks for them;
+  -- re-check every row each time a sweep asks for them;
 * a deterministic count floor: the data node list is indexed for view
   forming once per neighbour per epoch and not once more;
 * a bulk run never resolves a row at all.
@@ -48,7 +49,7 @@ from repro.core import (
     SoAStore,
     superstep,
 )
-from repro.core.compute import _ScalarPhases
+from repro.core.compute import _Phases
 from repro.core.migration import migrate_node, select_migrating_node
 from repro.graphs import Graph, hex32, hex64
 from repro.mpi import IDEAL, FaultPlan, run_mpi
@@ -68,16 +69,26 @@ ITERATION, ROUND = 3, 1
 
 
 class _Clock:
-    """All a scalar phase asks of its communicator: somewhere to charge."""
+    """All a sweep asks of its communicator: somewhere to charge, a clock
+    for the accountant to fold into, and no fault plan."""
+
+    faults = None
+
+    def __init__(self) -> None:
+        self.clock = 0.0
 
     def work(self, seconds: float) -> float:
+        self.clock += seconds
         return seconds
+
+    def _state(self) -> _Clock:
+        return self
 
 
 def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
     """One sweep (both phases) and its commit; the views ``fn`` saw.  The
-    object store runs the scalar phases; the struct-of-arrays store forms
-    the same views from its dense bulk view."""
+    object store runs ``fn`` as the looped kernel; the struct-of-arrays
+    store forms the same views from its dense bulk view."""
     seen: list[NodeView] = []
 
     def recording(view, ctx):
@@ -95,7 +106,7 @@ def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
             fresh.append(recording(NodeView(gid, closed[a], neighbors, ITERATION, ROUND), ctx))
         store.scatter_pending(None, np.array(fresh, dtype=float))
     else:
-        phases = _ScalarPhases(store, recording, ctx, CommBuffers(1 + max(store.assignment)))
+        phases = _Phases(store, recording, ctx, CommBuffers(1 + max(store.assignment)))
         phases.compute_internal()
         phases.compute_peripheral()
     store.commit_owned()
@@ -287,7 +298,7 @@ class TestRowsFollowSurgery:
 
 @pytest.fixture
 def probing_oracle(monkeypatch):
-    """Holds every row a scalar phase is handed, in a platform run, to a
+    """Holds every row a looped kernel is handed, in a platform run, to a
     fresh lookup; returns the ranks that asked, in order."""
     asked: list[int] = []
     resolve = NodeStore.sweep_rows
@@ -311,7 +322,7 @@ def probing_oracle(monkeypatch):
 #: The neighbour average with its bulk kernel; ``on_store`` makes the object
 #: side its scalar twin.
 AVERAGE = make_average_fn(1e-4)
-#: The same average without its kernel: always the scalar sweep.
+#: The same average without its kernel: always the looped kernel.
 SCALAR_AVERAGE = scalar_twin(AVERAGE)
 
 
@@ -337,8 +348,8 @@ def run_checked(store, node_fn=AVERAGE, *, iterations=6, faults=None, skew=None,
 
 @pytest.mark.parametrize("store", ["object", "soa"])
 class TestPlatformRuns:
-    """On ``object`` the scalar twin sweeps node by node and every row it is
-    handed is re-checked; on ``soa`` the kernel sweeps the arrays, with the
+    """On ``object`` the scalar twin runs as the looped kernel and every row
+    it is handed is re-checked; on ``soa`` the kernel sweeps the arrays, with the
     store's invariants checked every iteration, and never asks for a row."""
 
     def test_migrations(self, store, probing_oracle):
@@ -406,7 +417,7 @@ class TestPlatformRuns:
         assert bool(probing_oracle) == (store == "object")
 
     def test_a_bulk_run_resolves_no_row(self, store, probing_oracle):
-        """A bulk kernel runs on the SoA store through ``_BulkPhases``: the
+        """A bulk kernel runs on the SoA store through ``fn.bulk``: the
         rows are never built (the three bulk benchmark workloads cannot
         move).  Its scalar twin resolves them."""
         run_checked(store, iterations=4)

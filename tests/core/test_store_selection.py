@@ -31,22 +31,36 @@ from ..twins import scalar_twin
 WORKLOADS_PY = Path(__file__).parents[2] / "benchmarks" / "perf" / "workloads.py"
 
 
-def _recording(cls: type, seen: set) -> type:
-    class Recording(cls):
-        def __init__(self, store, *args, **kwargs):
-            seen.add((cls.__name__, type(store).__name__))
-            super().__init__(store, *args, **kwargs)
-
-    return Recording
-
-
 @pytest.fixture
 def sweeps(monkeypatch) -> set:
-    """``(phases class, store class)`` of every sweep the runs make."""
+    """``(store class, kernel called?)`` of every sweep the runs make."""
     seen: set = set()
-    for name in ("_BulkPhases", "_ScalarPhases"):
-        monkeypatch.setattr(compute, name, _recording(getattr(compute, name), seen))
+
+    class Recording(compute._Phases):
+        def __init__(self, store, node_fn, *args, **kwargs):
+            called = []
+            bulk = getattr(node_fn, "bulk", None)
+            if bulk is not None:
+
+                def kernel(view):
+                    called.append(view)
+                    return bulk(view)
+
+                kernel.node_grain = bulk.node_grain
+                node_fn = _with_kernel(node_fn, kernel)
+            super().__init__(store, node_fn, *args, **kwargs)
+            seen.add((type(store).__name__, bool(called)))
+
+    monkeypatch.setattr(compute, "_Phases", Recording)
     return seen
+
+
+def _with_kernel(node_fn, kernel):
+    def fn(view, ctx):
+        return node_fn(view, ctx)
+
+    fn.bulk = kernel
+    return fn
 
 
 def run(node_fns, graph=None, nprocs=4, **overrides):
@@ -59,7 +73,7 @@ def run(node_fns, graph=None, nprocs=4, **overrides):
 
 def test_a_kernel_runs_on_the_soa_store_through_its_kernel(sweeps):
     run(make_average_fn(1e-4))
-    assert sweeps == {("_BulkPhases", "SoAStore")}
+    assert sweeps == {("SoAStore", True)}
 
 
 @pytest.mark.parametrize(
@@ -83,7 +97,7 @@ def test_a_kernel_vectorizes_only_with_enough_nodes_a_rank(sweeps, graph, nprocs
     assert platform.vectorized(nprocs) is vectorized
     assert not ICPlatform(graph, scalar_twin(kernel)).vectorized(nprocs)
     run(kernel, graph=graph, nprocs=nprocs)
-    expected = ("_BulkPhases", "SoAStore") if vectorized else ("_ScalarPhases", "NodeStore")
+    expected = ("SoAStore", True) if vectorized else ("NodeStore", False)
     assert sweeps == {expected}
 
 
@@ -94,13 +108,13 @@ def test_a_kernel_vectorizes_only_with_enough_nodes_a_rank(sweeps, graph, nprocs
 )
 def test_a_function_without_kernel_runs_node_by_node_on_the_object_store(sweeps, node_fn):
     run(node_fn)
-    assert sweeps == {("_ScalarPhases", "NodeStore")}
+    assert sweeps == {("NodeStore", False)}
 
 
 def test_one_function_without_kernel_takes_the_whole_run_to_the_object_store(sweeps):
     kernel = make_average_fn(1e-4)
     run((kernel, scalar_twin(kernel)))
-    assert sweeps == {("_ScalarPhases", "NodeStore")}
+    assert sweeps == {("NodeStore", False)}
 
 
 def test_the_twin_drops_only_the_kernel():

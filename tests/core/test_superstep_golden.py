@@ -20,9 +20,10 @@ task migration
 from a skewed partition.  Each cell pins ``float.hex(elapsed)``,
 ``messages_delivered``, ``barriers``, ``inner_sweeps`` and a value digest.
 
-Every path-selecting switch is passed explicitly, so ``REPRO_EXECUTION``
-must not move any cell (CI re-runs this file under it): that is itself the
-check that no default leaks into a pinned run.
+Every path-selecting switch is passed explicitly, so the suite's
+``--execution`` option, which moves ``PlatformConfig``'s default, must not
+move any cell (CI re-runs this file with ``--execution hybrid``): that is
+itself the check that no default leaks into a pinned run.
 
 The table was generated at the commit *before* the five ``sweep_*``
 pipelines were folded into one ``superstep`` and is committed unchanged.

@@ -25,6 +25,11 @@ Exits 1 when any pairing is ``worse``.  ``--quick`` passes ``--quick``
 through instead of ``--seconds 24`` (a smoke run of the tool itself: its
 timings mean nothing, so it prints the verdicts but always exits 0).
 
+``--out FILE`` also writes the whole record as JSON (:func:`record`):
+every run's raw metrics and seed, both checkouts (directory name and git
+revision, where there is one), the host line each run reported (usable
+CPUs, python, numpy, probe pass ``calib_ms``) and the verdicts as printed.
+
 Take the parent checkout with ``git clone`` (or ``git archive``), not
 ``git worktree``: each side must build its samples from its own ``src/``.
 """
@@ -33,18 +38,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any
 
 #: What ``BENCHMARK.json`` declares as ``run_seconds``.
 RUN_SECONDS = 24
 
 
-def run_once(checkout: Path, workload: str, seed: int, quick: bool) -> dict[str, float]:
-    """One benchmark run in ``checkout``: ``metric -> value``; raises when a
-    sample failed its checks (its timings would be discarded anyway)."""
+#: The line ``run.py`` prints about the host it measured on.
+HOST_LINE = re.compile(
+    r"^host: (?P<cpus>\d+) usable cpus, python (?P<python>\S+), numpy (?P<numpy>\S+), "
+    r"probe pass (?P<calib_ms>[\d.]+) ms",
+    re.MULTILINE,
+)
+
+
+def run_once(checkout: Path, workload: str, seed: int, quick: bool) -> dict[str, Any]:
+    """One benchmark run in ``checkout``: ``{"metrics": metric -> value,
+    "host": the host line's fields}``; raises when a sample failed its
+    checks (its timings would be discarded anyway)."""
     command = [
         sys.executable, str(checkout / "benchmarks" / "perf" / "run.py"),
         "--workload", workload, "--seed", str(seed), "--trace", "0",
@@ -57,7 +73,35 @@ def run_once(checkout: Path, workload: str, seed: int, quick: bool) -> dict[str,
     if not result["correct"]:
         failed, attempted = result["failed"], result["attempted"]
         raise RuntimeError(f"{checkout}: {failed} of {attempted} samples failed their checks")
-    return {name: entry["value"] for name, entry in result["metrics"].items()}
+    return {
+        "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+        "host": host_fields(proc.stdout),
+    }
+
+
+def host_fields(stdout: str) -> dict[str, Any]:
+    """The host line's fields (``{}`` when the run printed none)."""
+    found = HOST_LINE.search(stdout)
+    if found is None:
+        return {}
+    fields = found.groupdict()
+    return {
+        "cpus": int(fields["cpus"]),
+        "python": fields["python"],
+        "numpy": fields["numpy"],
+        "calib_ms": float(fields["calib_ms"]),
+    }
+
+
+def revision(checkout: Path) -> str | None:
+    """The commit ``checkout`` has checked out, if it is a git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True
+        )
+    except OSError:  # no git
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -86,34 +130,73 @@ def verdict(before: list[float], after: list[float], bound: float, sign: int) ->
     return "within bound"
 
 
-def summarize(
-    workload: str, parent: list[dict], change: list[dict], declared: dict[str, dict]
-) -> list[str]:
-    """Print the verdict table of one workload; returns the verdicts."""
-    print(f"\n== {workload}: {len(parent)} pairs")
-    print(
-        f"  {'metric':<12} {'parent q1/med/q3':<26} {'change q1/med/q3':<26} "
-        f"{'delta':>7}  won/lost  beyond parent spread  vs bound"
-    )
-    verdicts = []
+def compare(
+    parent: list[dict], change: list[dict], declared: dict[str, dict]
+) -> list[dict[str, Any]]:
+    """Per metric of one workload: both sides' quartiles, the relative
+    difference of the medians, pairs won and lost, whether that difference
+    exceeds the parent's quartile distance, and (for a declared end-to-end
+    metric) the verdict against its bound."""
+    rows = []
     for metric in parent[0]:
         before = [run[metric] for run in parent]
         after = [run[metric] for run in change]
         (p1, pm, p3), (c1, cm, c3) = quartiles(before), quartiles(after)
         entry = declared.get(metric)
         sign = -1 if entry and entry["better"] == "higher" else 1
-        won = sum(sign * a < sign * b for a, b in zip(after, before))
-        lost = sum(sign * a > sign * b for a, b in zip(after, before))
-        against = "-"
-        if entry is not None:
-            verdicts.append(verdict(before, after, entry["bound"], sign))
-            against = f"{verdicts[-1]} ({entry['bound']:.0%})"
-        print(
-            f"  {metric:<12} {f'{p1:.4f}/{pm:.4f}/{p3:.4f}':<26} "
-            f"{f'{c1:.4f}/{cm:.4f}/{c3:.4f}':<26} {(cm - pm) / pm:>+7.1%}  "
-            f"{won:>3}/{lost:<4}  {'yes' if abs(cm - pm) > p3 - p1 else 'no':<20}  {against}"
+        rows.append(
+            {
+                "metric": metric,
+                "parent": [p1, pm, p3],
+                "change": [c1, cm, c3],
+                "delta": (cm - pm) / pm,
+                "won": sum(sign * a < sign * b for a, b in zip(after, before)),
+                "lost": sum(sign * a > sign * b for a, b in zip(after, before)),
+                "beyond_parent_spread": abs(cm - pm) > p3 - p1,
+                "bound": entry["bound"] if entry else None,
+                "verdict": verdict(before, after, entry["bound"], sign) if entry else None,
+            }
         )
-    return verdicts
+    return rows
+
+
+def summarize(workload: str, pairs: int, rows: list[dict[str, Any]]) -> None:
+    """Print the verdict table of one workload."""
+    print(f"\n== {workload}: {pairs} pairs")
+    print(
+        f"  {'metric':<12} {'parent q1/med/q3':<26} {'change q1/med/q3':<26} "
+        f"{'delta':>7}  won/lost  beyond parent spread  vs bound"
+    )
+    for row in rows:
+        (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
+        against = "-" if row["verdict"] is None else f"{row['verdict']} ({row['bound']:.0%})"
+        print(
+            f"  {row['metric']:<12} {f'{p1:.4f}/{pm:.4f}/{p3:.4f}':<26} "
+            f"{f'{c1:.4f}/{cm:.4f}/{c3:.4f}':<26} {row['delta']:>+7.1%}  "
+            f"{row['won']:>3}/{row['lost']:<4}  "
+            f"{'yes' if row['beyond_parent_spread'] else 'no':<20}  {against}"
+        )
+
+
+def record(
+    sides: dict[str, Path],
+    runs: list[dict[str, Any]],
+    verdicts: dict[str, list[dict[str, Any]]],
+    quick: bool,
+) -> dict[str, Any]:
+    """What ``--out`` writes: the checkouts, every run in the order it ran
+    (workload, pair, seed, side, raw metrics, host fields) and the
+    per-workload verdict rows."""
+    return {
+        "tool": "tools/ab_pairs.py",
+        "quick": quick,
+        "run_seconds": None if quick else RUN_SECONDS,
+        "checkouts": {
+            side: {"name": path.name, "revision": revision(path)} for side, path in sides.items()
+        },
+        "runs": runs,
+        "verdicts": verdicts,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,26 +209,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=21, help="seed of the first pair")
     parser.add_argument("--quick", action="store_true", help="smoke run: --quick samples")
+    parser.add_argument("--out", type=Path, help="also write the record as JSON here")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs: dict[str, dict[str, list[dict]]] = {
-        workload: {"parent": [], "change": []} for workload in args.workload
-    }
+    runs: list[dict[str, Any]] = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for workload in args.workload:
             for side in order:
-                metrics = run_once(sides[side], workload, args.seed + pair, args.quick)
-                runs[workload][side].append(metrics)
-                shown = " ".join(f"{name}={value:.4f}" for name, value in metrics.items())
+                seed = args.seed + pair
+                measured = run_once(sides[side], workload, seed, args.quick)
+                runs.append(
+                    {"workload": workload, "pair": pair + 1, "seed": seed, "side": side, **measured}
+                )
+                shown = " ".join(f"{k}={v:.4f}" for k, v in measured["metrics"].items())
                 print(f"pair {pair + 1}/{args.pairs} {workload} {side}: {shown}", flush=True)
     declared = end_to_end_metrics(sides["change"])
-    verdicts = [
-        v
-        for workload, by_side in runs.items()
-        for v in summarize(workload, by_side["parent"], by_side["change"], declared)
-    ]
-    return 1 if "worse" in verdicts and not args.quick else 0
+    verdicts = {}
+    for workload in args.workload:
+        by_side = {
+            side: [r["metrics"] for r in runs if r["workload"] == workload and r["side"] == side]
+            for side in sides
+        }
+        verdicts[workload] = compare(by_side["parent"], by_side["change"], declared)
+        summarize(workload, args.pairs, verdicts[workload])
+    if args.out is not None:
+        args.out.write_text(json.dumps(record(sides, runs, verdicts, args.quick), indent=1) + "\n")
+    worse = any(row["verdict"] == "worse" for rows in verdicts.values() for row in rows)
+    return 1 if worse and not args.quick else 0
 
 
 if __name__ == "__main__":
