@@ -151,7 +151,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    graph = read_chaco(args.graph)
+    graph = _read_graph(args.graph, "partition")
     partitioner = make_partitioner(
         args.scheme, args.np, args.seed, graph, args.rows, args.cols, args.rref
     )
@@ -172,20 +172,29 @@ def cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _usage_error(message: str) -> NoReturn:
+def _usage_error(message: str, command: str = "run") -> NoReturn:
     """One line on stderr and exit code 2 -- argparse's own convention for a
     bad command line, not a traceback."""
-    print(f"repro run: error: {message}", file=sys.stderr)
+    print(f"repro {command}: error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _read_graph(path: str, command: str) -> Graph:
+    """The ``--graph`` file, or the usage error saying why nothing can run
+    on it: a missing file, or a graph without vertices."""
+    try:
+        graph = read_chaco(path)
+    except FileNotFoundError:
+        _usage_error(f"--graph: no such file: {path}", command)
+    if graph.num_nodes == 0:
+        _usage_error(f"--graph: {path} has no vertices", command)
+    return graph
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.np < 1:
         _usage_error(f"--np must be >= 1, got {args.np}")
-    try:
-        graph = read_chaco(args.graph)
-    except FileNotFoundError:
-        _usage_error(f"--graph: no such file: {args.graph}")
+    graph = _read_graph(args.graph, "run")
     if args.partition:
         try:
             partition = Partition.from_assignment(
@@ -345,8 +354,9 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"graph      {graph.name}")
     print(f"vertices   {graph.num_nodes}")
     print(f"edges      {graph.num_edges}")
-    print(f"degree     min {min(degrees)}, max {max(degrees)}, "
-          f"mean {sum(degrees) / len(degrees):.2f}")
+    if degrees:
+        print(f"degree     min {min(degrees)}, max {max(degrees)}, "
+              f"mean {sum(degrees) / len(degrees):.2f}")
     print(f"connected  {graph.is_connected()}")
     print(f"weighted   nodes={graph.has_node_weights}, edges={graph.has_edge_weights}")
     return 0

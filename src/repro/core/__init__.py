@@ -34,7 +34,6 @@ from .migration import (
     migrate_node,
     select_migrating_node,
 )
-from .node import NodeData
 from .nodestore import NodeStore
 from .soastore import BulkView, SoAStore
 from .phases import PHASE_NAMES, PhaseTimes
@@ -76,7 +75,6 @@ __all__ = [
     "ICPlatform",
     "LoadBalancer",
     "MigrationEvent",
-    "NodeData",
     "NodeFn",
     "NodeStore",
     "NodeView",

@@ -246,25 +246,26 @@ def _sweep_positions(
 def _looped_kernel(
     store: NodeStore, positions: np.ndarray | None, node_fn: NodeFn, ctx: ComputeContext
 ) -> tuple[list, list, list[float] | tuple[list[float], ...]]:
-    """The node function as a kernel over the object store's sweep rows at
-    ``positions`` (``None``: all): per node, form the view, call the
-    function and make its value pending, while ``ctx.work`` records the
-    node's charges.  Returns the rows, the fresh values and the grains for
-    :func:`_charge`: a list, one per node (``0.0`` for a node that charged
-    nothing), or, when some node charged more than once, a tuple of each
-    node's charges in call order."""
+    """The node function as a kernel over the list store's sweep rows at
+    ``positions`` (``None``: all): per node, form the view from the value
+    column, call the function and make its value pending, while
+    ``ctx.work`` records the node's charges.  Returns the rows, the fresh
+    values and the grains for :func:`_charge`: a list, one per node
+    (``0.0`` for a node that charged nothing), or, when some node charged
+    more than once, a tuple of each node's charges in call order."""
     rows = store.sweep_rows()
     if positions is not None:
         rows = [rows[p] for p in positions.tolist()]
+    values, pending = store._values, store._pending
     iteration, round_idx = ctx.iteration, ctx.round
     fresh: list = []
     ends: list[int] = []
     charges = ctx._charges = []
     try:
-        for gid, record, nbrs, records, _ in rows:
-            neighbors = tuple([(v, r.data) for v, r in zip(nbrs, records)])
-            out = node_fn(NodeView(gid, record.data, neighbors, iteration, round_idx), ctx)
-            record.most_recent_data = out
+        for gid, slot, nbrs, slots in rows:
+            neighbors = tuple([(v, values[s]) for v, s in zip(nbrs, slots)])
+            out = node_fn(NodeView(gid, values[slot], neighbors, iteration, round_idx), ctx)
+            pending[slot] = out
             fresh.append(out)
             ends.append(len(charges))
     finally:
@@ -284,7 +285,7 @@ def _looped_kernel(
 # A sweep computes its values up front, through the node function's *bulk
 # kernel* on a struct-of-arrays store (``fn.bulk``: a pure ``kernel(view)
 # -> ndarray`` costing ``kernel.node_grain`` virtual seconds a node) or
-# :func:`_looped_kernel` on the object store, then hands the accountant
+# :func:`_looped_kernel` on the list store, then hands the accountant
 # (:func:`_charge`) its *charge plan*: per node bookkeeping, grain, packs,
 # in that order -- so clocks, buckets, loads and traces ignore the store.
 
@@ -458,14 +459,13 @@ class _Phases:
             plan = store.charge_plan(positions)
             rows, fresh, self._grains = _looped_kernel(store, positions, node_fn, ctx)
             fresh = fresh[plan.split :]
-            committed = [row[1].data for row in rows[plan.split :]] if frontier else None
+            values = store._values
+            committed = [values[row[1]] for row in rows[plan.split :]] if frontier else None
         elif positions is not None and not len(positions):
             plan, fresh, committed, self._grains = store.charge_plan(positions), [], [], 0.0
         else:
             kernel = node_fn.bulk
-            view = store.bulk_view(
-                positions, ctx.iteration, ctx.round, key="dense" if positions is None else None
-            )
+            view = store.bulk_view(positions, ctx.iteration, ctx.round)
             plan = view.plan
             # Exact Python objects, as the looped kernel puts on the wire.
             fresh = store.scatter_pending(positions, kernel(view), boxed_from=plan.split)

@@ -245,10 +245,9 @@ class PlatformConfig:
             (:meth:`~repro.core.platform.ICPlatform.vectorized`).  When every
             function ships a bulk kernel (``fn.bulk``) and the ranks average
             enough nodes, each rank keeps a struct-of-arrays store and
-            sweeps vectorized, otherwise one
-            :class:`~repro.core.node.NodeData` per node, swept node by
-            node.  Kept only because ``benchmarks/perf/workloads.py`` still
-            passes it.
+            sweeps vectorized, otherwise a store with list columns, swept
+            node by node.  Kept only because
+            ``benchmarks/perf/workloads.py`` still passes it.
         converge: Termination rule: ``"fixed"`` (run exactly
             ``iterations`` sweeps) or ``"quiescence"`` (additionally stop as
             soon as a global reduction observes that *no* node's committed

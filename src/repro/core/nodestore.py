@@ -9,22 +9,42 @@ Each rank keeps (section 4.1):
 * the **data node list** -- a record per owned node *and* per shadow node
   (remote neighbours of peripherals), indexed by gid.
 
-The two node lists are one *owned-set layout*, shared by both stores: the
-owned gids in sweep order (the internal class first), the internal count,
-and each peripheral node's ``shadow_for_procs``.  Sweep order matters
-because virtual charges are order-sensitive float sums; it is ascending
-gids per class after a build or a restore, a class keeps its relative
-order across a re-classification, and an adopted node joins the end of its
-class.
+The two node lists are one *owned-set layout*: the owned gids in sweep
+order (the internal class first), the internal count, and each peripheral
+node's ``shadow_for_procs``.  Sweep order matters because virtual charges
+are order-sensitive float sums; it is ascending gids per class after a
+build or a restore, a class keeps its relative order across a
+re-classification, and an adopted node joins the end of its class.
 
-The thesis indexes the data node list with a hash table of sorted buckets.
-The virtual-time model prices each probe (``hash_lookup_cost`` in
-:meth:`~repro.core.compute.ComputeContext.node_cost`); on the host,
-``data_records`` is a dict and every lookup is one dict hit.  Everything
-outside the stores and the scalar sweep reads and writes records by gid
-(:meth:`NodeStore.value_of`, :meth:`NodeStore.set_value`,
-:meth:`NodeStore.version_of`, :meth:`NodeStore.ensure_record`, ...), which
-the struct-of-arrays store answers from its columns.
+The data node list is a ``gid -> slot`` map plus three columns indexed by
+slot::
+
+    slot:        0      1      2    ...
+    value     [ 12.5 | 17.0 |  3.25 | ... ]   what neighbours read
+    pending   [ None | 16.5 | None  | ... ]   the fresh value, until commit
+    version   [  3   |  5   |  0    | ... ]   changes since initialization
+
+The pending value waits for the commit at the end of the sweep because the
+old one "might still be required for the computation purposes of the
+neighboring nodes".  A version counts *changes*: owners bump it at commit,
+shadow holders at install, only when the value differs, so owner and
+replica counters agree under the dense and the delta exchange alike.
+Slots are handed out in entry order and never freed, so record order is
+slot order.  The thesis indexes the list with a hash table of sorted
+buckets; the virtual-time model prices each probe (``hash_lookup_cost`` in
+:meth:`~repro.core.compute.ComputeContext.node_cost`), and on the host the
+map is a dict.  The record methods (:meth:`NodeStore.value_of`,
+:meth:`NodeStore.set_value`, :meth:`NodeStore.version_of`,
+:meth:`NodeStore.update_shadow`, :meth:`NodeStore.ensure_record`, ...)
+exist once, over four column hooks and ``_reserve``: this class keeps the
+columns as Python lists, the struct-of-arrays store
+(:mod:`repro.core.soastore`) as numpy arrays.
+
+What the sweeps derive from the layout -- the dense :class:`ChargePlan`,
+the owned nodes' slots and closed neighbourhoods, the shadow records owed
+per processor, the looped kernel's rows and the bulk views' sparse gather
+geometries -- is one :class:`Topology`, built at the first ask after each
+ownership surgery.
 
 The store also implements the data-structure surgery of task migration
 (section 4.3): demoting a migrated node to a shadow on the busy side,
@@ -35,21 +55,22 @@ nodes, and rebuilding ``shadow_for_procs`` after ownership changes.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..graphs.graph import Graph, sorted_unique
-from .node import NodeData
 
-__all__ = ["NodeStore", "ChargePlan"]
+__all__ = ["NodeStore", "ChargePlan", "Topology"]
 
 InitValueFn = Callable[[int], Any]
 
-#: One scalar-sweep row: gid, record, neighbour gids, neighbour records
-#: (adjacency order) and ``shadow_for_procs`` (``()`` for an internal node).
-SweepRow = tuple[int, NodeData, tuple[int, ...], tuple[NodeData, ...], tuple[int, ...]]
+#: One looped-sweep row: gid, slot, and the neighbours' gids and slots
+#: (adjacency order).
+SweepRow = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(slots=True)
@@ -74,6 +95,35 @@ class ChargePlan:
     split: int
     dests: list[tuple[int, ...]]
     templates: dict[Any, Any] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class Topology:
+    """What the sweeps derive from the owned-set layout, once per surgery
+    epoch (:meth:`NodeStore.topology`).
+
+    Attributes:
+        plan: The dense :class:`ChargePlan`, the whole layout; its ``gids``
+            are the owned gids in sweep order.
+        slots: The slot of each owned node, in sweep order.
+        indptr: ``len(slots)+1`` offsets into ``flat_slots``.
+        flat_slots: Each owned node's closed neighbourhood as slots -- the
+            node, then its neighbours in adjacency order -- node after node.
+        owed: ``processor -> shadow records owed to it``.
+        rows: The looped kernel's rows (:meth:`NodeStore.sweep_rows`),
+            resolved at the first ask.
+        sparse: The bulk views' sparse gather geometries, keyed by the
+            positions bytes (an LRU; see
+            :meth:`~repro.core.soastore.SoAStore.bulk_view`).
+    """
+
+    plan: ChargePlan
+    slots: np.ndarray
+    indptr: np.ndarray
+    flat_slots: np.ndarray
+    owed: Counter
+    rows: list[SweepRow] | None = None
+    sparse: dict[bytes, tuple] = field(default_factory=dict)
 
 
 class NodeStore:
@@ -106,13 +156,8 @@ class NodeStore:
         self._split = 0
         self._dests: list[tuple[int, ...]] = []
         self._init_record_storage()
-        # Memoized communication topology (cleared by ownership surgery).
-        self._buffer_sizes_cache: dict[int, list[int]] = {}
-        self._neighbor_procs_cache: list[int] | None = None
-        #: :meth:`sweep_rows`' memo (``None`` until a looped sweep asks).
-        self._sweep_rows: list[SweepRow] | None = None
-        #: :meth:`charge_plan`'s dense plan (``None`` until a sweep asks).
-        self._dense_plan: ChargePlan | None = None
+        #: :meth:`topology`'s memo (``None`` until asked).
+        self._topology: Topology | None = None
         #: Bumped by every :meth:`_invalidate_topology_cache`: whoever
         #: derives arrays from the owned set (the change-driven frontier)
         #: compares it to tell when they are stale.
@@ -176,35 +221,64 @@ class NodeStore:
         self._add_records(held, list(map(init_value, held)))
 
     # ------------------------------------------------------------------ #
-    # Record layer (overridden by the struct-of-arrays store)
+    # Record layer: the gid -> slot map over the columns
     # ------------------------------------------------------------------ #
 
     def _init_record_storage(self) -> None:
         """Create the empty data node list."""
-        self.data_records: dict[int, NodeData] = {}
+        #: ``gid -> slot``, in entry order: the ``i``-th record holds slot ``i``.
+        self._slot_of: dict[int, int] = {}
+        self._values: list[Any] = []
+        self._pending: list[Any] = []
+        self._versions: list[int] = []
 
-    def _held(self) -> Mapping[int, Any]:
-        """The data node list's index: keyed by every held gid, in the
-        order the records entered."""
-        return self.data_records
+    # The column hooks, which the struct-of-arrays store overrides.  The
+    # bulk passes (commit, the owned columns, the looped kernel) index the
+    # lists directly; that store replaces each with an array pass.
+
+    def _reserve(self, stop: int) -> None:
+        """Make the slots below ``stop`` addressable."""
+        pad = stop - len(self._values)
+        if pad > 0:
+            self._values += [None] * pad
+            self._pending += [None] * pad
+            self._versions += [0] * pad
+
+    def _read_value(self, slot: int) -> Any:
+        return self._values[slot]
+
+    def _write_value(self, slot: int, value: Any) -> None:
+        self._values[slot] = value
+
+    def _read_pending(self, slot: int) -> Any:
+        """The pending value (``None``: nothing pending)."""
+        return self._pending[slot]
+
+    def _write_pending(self, slot: int, value: Any) -> None:
+        self._pending[slot] = value
 
     def _record_states(self) -> Iterator[tuple[int, Any, Any, int]]:
         """``(gid, value, pending value, version)`` per record, in record
         order (:meth:`capture_state`'s source)."""
-        for gid, record in self.data_records.items():
-            yield gid, record.data, record.most_recent_data, record.version
+        versions = self._versions
+        for gid, slot in self._slot_of.items():
+            yield gid, self._read_value(slot), self._read_pending(slot), int(versions[slot])
 
     def _add_record(self, gid: int, value: Any, most_recent: Any = None, version: int = 0) -> None:
-        """Create the data record for ``gid``.
+        """Create the data record for ``gid`` in the next slot.
 
         The single seam through which every record enters the store:
         initialization, migration adoption, and checkpoint restore all pass
-        through here, so a subclass can swap the record representation
-        (the struct-of-arrays store) without touching those flows.
+        through here.
         """
-        if gid in self.data_records:
+        if gid in self._slot_of:
             raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
-        self.data_records[gid] = NodeData(gid, value, most_recent, version)
+        slot = len(self._slot_of)
+        self._reserve(slot + 1)
+        self._slot_of[gid] = slot
+        self._versions[slot] = version
+        self._write_value(slot, value)
+        self._write_pending(slot, most_recent)
 
     def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> None:
         """:meth:`_add_record` for a batch of fresh records (default
@@ -214,27 +288,27 @@ class NodeStore:
         for gid, value in zip(gids, values):
             self._add_record(gid, value)
 
-    def _record(self, gid: int) -> NodeData:
-        record = self.data_records.get(gid)
-        if record is None:
+    def _slot(self, gid: int) -> int:
+        slot = self._slot_of.get(gid)
+        if slot is None:
             raise KeyError(f"rank {self.rank} holds no data for node {gid}")
-        return record
+        return slot
 
     def value_of(self, gid: int) -> Any:
         """Committed value of any locally known node."""
-        return self._record(gid).data
+        return self._read_value(self._slot(gid))
 
     def set_value(self, gid: int, value: Any) -> None:
         """Overwrite the committed value of a locally known node in place
         (no version bump: migration payloads, integrity flips and repairs)."""
-        self._record(gid).data = value
+        self._write_value(self._slot(gid), value)
 
     def version_of(self, gid: int) -> int:
         """Version counter of any locally known node."""
-        return self._record(gid).version
+        return int(self._versions[self._slot(gid)])
 
     def _set_version(self, gid: int, version: int) -> None:
-        self._record(gid).version = version
+        self._versions[self._slot(gid)] = version
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -271,11 +345,11 @@ class NodeStore:
 
     def holds(self, gid: int) -> bool:
         """Whether the data node list holds a record for ``gid``."""
-        return gid in self._held()
+        return gid in self._slot_of
 
     def num_records(self) -> int:
         """Length of the data node list (owned and shadow records)."""
-        return len(self._held())
+        return len(self._slot_of)
 
     def num_shadows(self) -> int:
         """Count of shadow records (every owned node holds a record too)."""
@@ -284,7 +358,7 @@ class NodeStore:
     def shadow_gids(self) -> list[int]:
         """Global IDs present as shadows (data held, not owned)."""
         owned = set(self._owned)
-        return sorted(gid for gid in self._held() if gid not in owned)
+        return sorted(gid for gid in self._slot_of if gid not in owned)
 
     def owned_values(self) -> dict[int, Any]:
         """``gid -> committed value`` for every owned node (sweep order).
@@ -294,72 +368,79 @@ class NodeStore:
         them into a fresh store reproduces results bit-identically under a
         different ownership map.
         """
-        records = self.data_records
-        return {gid: records[gid].data for gid in self._owned}
+        values, slot_of = self._values, self._slot_of
+        return {gid: values[slot_of[gid]] for gid in self._owned}
 
     def owned_versions(self) -> dict[int, int]:
         """``gid -> version counter`` for every owned node (sweep order)."""
-        records = self.data_records
-        return {gid: records[gid].version for gid in self._owned}
+        versions, slot_of = self._versions, self._slot_of
+        return {gid: versions[slot_of[gid]] for gid in self._owned}
 
     def buffer_sizes(self, nprocs: int) -> list[int]:
         """Shadow records owed to each processor.
 
         ``sizes[q]`` = number of this rank's peripheral nodes that are
         shadows for processor ``q`` -- exactly the thesis's
-        ``buffer_size_for_communication`` array.  The scan result is
-        memoized (the load-balance phase asks every period but the answer
-        only changes when ownership does); migration surgery invalidates it
-        via :meth:`_invalidate_topology_cache`.
+        ``buffer_size_for_communication`` array.
         """
-        cached = self._buffer_sizes_cache.get(nprocs)
-        if cached is None:
-            cached = [0] * nprocs
-            for procs in self._dests:
-                for proc in procs:
-                    cached[proc] += 1
-            self._buffer_sizes_cache[nprocs] = cached
-        return list(cached)
+        owed = self.topology().owed
+        return [owed[q] for q in range(nprocs)]
 
     def neighbor_procs(self) -> list[int]:
-        """Processors this rank pushes shadow updates to (memoized)."""
-        if self._neighbor_procs_cache is None:
-            self._neighbor_procs_cache = sorted({p for procs in self._dests for p in procs})
-        return list(self._neighbor_procs_cache)
+        """Processors this rank pushes shadow updates to."""
+        return sorted(self.topology().owed)
+
+    # ------------------------------------------------------------------ #
+    # The per-epoch topology
+    # ------------------------------------------------------------------ #
+
+    def topology(self) -> Topology:
+        """The owned-set layout's :class:`Topology`, built at the first ask
+        after each surgery (a neighbour of an owned node without a record
+        is a ``KeyError`` naming it)."""
+        topo = self._topology
+        if topo is not None:
+            return topo
+        gids = np.array(self._owned, dtype=np.int64)
+        # gid -> slot as an array, so the owned nodes' closed rows of the
+        # graph's CSR translate in one fancy index.
+        held = np.fromiter(self._slot_of, np.int64, len(self._slot_of))
+        slot_of = np.full(self.graph.num_nodes + 1, -1, dtype=np.int64)
+        slot_of[held] = np.arange(len(held))
+        closed_lens, closed = self.graph.csr().rows(gids - 1, closed=True)
+        flat_slots = slot_of[closed]
+        if len(flat_slots) and flat_slots.min() < 0:
+            raise KeyError(int(closed[np.argmin(flat_slots)]))
+        indptr = np.zeros(len(gids) + 1, dtype=np.intp)
+        np.cumsum(closed_lens, out=indptr[1:])
+        plan = ChargePlan(gids, closed_lens - 1, self._split, list(self._dests))
+        owed = Counter(chain.from_iterable(self._dests))
+        topo = self._topology = Topology(plan, slot_of[gids], indptr, flat_slots, owed)
+        return topo
 
     def sweep_rows(self) -> list[SweepRow]:
-        """Per sweep position, what the scalar sweep needs of the node: its
-        gid, its record, its neighbours' gids and records in adjacency
-        order, and its ``shadow_for_procs`` -- the list-forming step's
-        lookups, done once per surgery epoch instead of once per node
-        update.
-
-        Resolved at the first scalar sweep or commit that asks (a bulk run
-        never asks).  Only ownership surgery can stale a row: records enter
-        through :meth:`_add_record` and are only dropped wholesale by a
-        restore (which invalidates); all else writes ``record.data`` in
-        place.
-        """
-        rows = self._sweep_rows
-        if rows is None:
-            records, owned = self.data_records, self._owned
-            dests = [()] * self._split + self._dests
-            rows = self._sweep_rows = [
-                (gid, records[gid], row, tuple([records[v] for v in row]), procs)
-                for gid, row, procs in zip(owned, self.graph.neighbor_rows(owned), dests)
+        """Per sweep position, what the looped kernel needs of the node: its
+        gid and slot and its neighbours' gids and slots in adjacency order
+        -- the list-forming step's lookups, done once per surgery epoch
+        instead of once per node update (resolved at the first ask; a bulk
+        run never asks)."""
+        topo = self.topology()
+        if topo.rows is None:
+            owned = self._owned
+            slots, bounds = topo.flat_slots.tolist(), topo.indptr.tolist()
+            topo.rows = [
+                (gid, slots[a], nbrs, tuple(slots[a + 1 : b]))
+                for gid, nbrs, a, b in zip(
+                    owned, self.graph.neighbor_rows(owned), bounds, bounds[1:]
+                )
             ]
-        return rows
+        return topo.rows
 
     def charge_plan(self, positions: np.ndarray | None = None) -> ChargePlan:
         """The :class:`ChargePlan` of the nodes at ``positions`` of the
         owned-set layout (internal ones first, as every sweep lists them),
-        or of the whole layout (``None``: memoized per surgery epoch)."""
-        dense = self._dense_plan
-        if dense is None:
-            gids = np.array(self._owned, dtype=np.int64)
-            indptr = self.graph.csr().indptr
-            degrees = indptr[gids] - indptr[gids - 1]
-            dense = self._dense_plan = ChargePlan(gids, degrees, self._split, list(self._dests))
+        or of the whole layout (``None``: the epoch's)."""
+        dense = self.topology().plan
         if positions is None:
             return dense
         split = int(np.count_nonzero(positions < self._split))
@@ -367,13 +448,9 @@ class NodeStore:
         return ChargePlan(dense.gids[positions], dense.degrees[positions], split, dests)
 
     def _invalidate_topology_cache(self) -> None:
-        """Drop memoized buffer sizes / neighbour procs / sweep rows / the
-        dense charge plan; must run after ownership surgery
-        (release/adopt/refresh/restore)."""
-        self._buffer_sizes_cache.clear()
-        self._neighbor_procs_cache = None
-        self._sweep_rows = None
-        self._dense_plan = None
+        """Drop the epoch's :class:`Topology`; must run after ownership
+        surgery (release/adopt/refresh/restore)."""
+        self._topology = None
         self.surgery_epoch += 1
 
     # ------------------------------------------------------------------ #
@@ -381,14 +458,26 @@ class NodeStore:
     # ------------------------------------------------------------------ #
 
     def commit_owned(self) -> Sequence[int]:
-        """Promote ``most_recent_data`` for every owned node.
+        """Promote every owned node's pending value, consuming it (a node
+        skipped by the next sweep must not re-promote a stale value).
 
         Returns the gids whose committed value actually *changed* (in sweep
         order) -- the raw material of the delta halo exchange and the
         quiescence count.  Each change bumps the node's version counter.
         This store returns a list; the struct-of-arrays store an array.
         """
-        return [row[0] for row in self.sweep_rows() if row[1].commit()]
+        values, pending, versions = self._values, self._pending, self._versions
+        changed = []
+        for gid, slot, _, _ in self.sweep_rows():
+            fresh = pending[slot]
+            if fresh is None:
+                continue
+            pending[slot] = None
+            if fresh != values[slot]:
+                versions[slot] += 1
+                changed.append(gid)
+            values[slot] = fresh
+        return changed
 
     def update_shadow(self, gid: int, value: Any) -> bool:
         """Install a received shadow value (post-communication update).
@@ -398,13 +487,13 @@ class NodeStore:
         under both the dense (every value re-sent) and delta (changed values
         only) exchanges.
         """
-        record = self.data_records.get(gid)
-        if record is None:
+        slot = self._slot_of.get(gid)
+        if slot is None:
             raise KeyError(f"rank {self.rank} received shadow for unknown node {gid}")
-        if record.data == value:
+        if self._read_value(slot) == value:
             return False
-        record.data = value
-        record.version += 1
+        self._write_value(slot, value)
+        self._versions[slot] += 1
         return True
 
     def update_shadows(self, records: Iterable[tuple[int, Any]]) -> list[int]:
@@ -532,7 +621,7 @@ class NodeStore:
 
     def check_invariants(self) -> None:
         """Raise AssertionError on any broken store invariant."""
-        owned, split, rank, held = self._owned, self._split, self.rank, self._held()
+        owned, split, rank, held = self._owned, self._split, self.rank, self._slot_of
         assert len(set(owned)) == len(owned), "node in the owned set twice"
         assert 0 <= split <= len(owned) and len(self._dests) == len(owned) - split
         for position, gid in enumerate(owned):
@@ -548,15 +637,21 @@ class NodeStore:
             assert gid in held, f"rank {rank}: no data for owned node {gid}"
             for v in self.graph.neighbors(gid):
                 assert v in held, f"rank {rank}: no data for neighbour {v} of {gid}"
-        # Every resolved sweep row names the current records.
-        rows = self._sweep_rows
-        if rows is not None:
-            assert [row[0] for row in rows] == owned
-            records = self.data_records
-            for position, (gid, record, nbrs, kept, procs) in enumerate(rows):
-                assert record is records[gid] and nbrs == self.graph.neighbors(gid)
-                assert procs == (self._dests[position - split] if position >= split else ())
-                fresh = [records[v] for v in nbrs]
-                assert [*map(id, kept)] == [*map(id, fresh)], (
-                    f"rank {rank}: stale neighbour row at {gid}"
-                )
+        # A resolved topology describes the current layout and slots.
+        topo = self._topology
+        if topo is not None:
+            plan = topo.plan
+            assert plan.gids.tolist() == owned, f"rank {rank}: stale topology"
+            assert plan.split == split and plan.dests == self._dests
+            assert topo.owed == Counter(chain.from_iterable(self._dests))
+            closed = [(gid, *self.graph.neighbors(gid)) for gid in owned]
+            assert topo.slots.tolist() == [held[gid] for gid in owned]
+            assert topo.flat_slots.tolist() == [held[v] for row in closed for v in row], (
+                f"rank {rank}: stale neighbourhood slots"
+            )
+            rows = topo.rows
+            if rows is not None:
+                assert len(rows) == len(closed), f"rank {rank}: {len(rows)} sweep rows"
+                for row, (gid, *nbrs) in zip(rows, closed):
+                    fresh = (gid, held[gid], tuple(nbrs), tuple([held[v] for v in nbrs]))
+                    assert row == fresh, f"rank {rank}: stale neighbour row at {gid}"

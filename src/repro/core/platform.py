@@ -67,7 +67,7 @@ InitValueFn = Callable[[int], Any]
 #: Mean nodes per rank from which the struct-of-arrays store pays for
 #: itself.  Its sweep has fixed costs (array gathers, charge rows, one pack
 #: per destination) that only enough nodes amortize: below this, kernel
-#: functions sweep node by node on the object store like any other
+#: functions sweep node by node on the list store like any other
 #: (measurements in docs/performance.md).
 BULK_MIN_NODES_PER_RANK = 64
 

@@ -1,39 +1,34 @@
-"""Struct-of-arrays node store: contiguous numpy state behind the NodeStore API.
+"""Struct-of-arrays node store: the record columns as numpy arrays.
 
-The object store keeps one :class:`~repro.core.node.NodeData` instance per
-node -- flexible, but at 100k+ nodes the per-record attribute traffic
-dominates wall time.  :class:`SoAStore` keeps the same *logical* records in
-parallel numpy arrays (values, pending values, version counters), in the
-style of gpaw's grid descriptors:
-
-::
+:class:`SoAStore` is :class:`~repro.core.nodestore.NodeStore` with the
+data node list's columns (value, pending, version) held in numpy arrays
+instead of Python lists, in the style of gpaw's grid descriptors; the
+pending column carries a mask beside it (``None`` is not a float)::
 
     slot:            0      1      2      3    ...
     _values     [ 12.5 | 17.0 |  3.25 |  8.0 | ... ]   float64 (or object)
     _pending    [  --  | 16.5 |  --   |  7.5 | ... ]   valid where mask set
     _pend_mask  [  F   |  T   |  F    |  T   | ... ]   bool
     _versions   [  3   |  5   |  0    |  2   | ... ]   int64
-                   ^ slot of a gid via the _slot_of dict (record order)
 
-Everything above the record layer is inherited unchanged: the owned-set
-layout and its surgery (build, release, adopt, refresh, restore), the
-communication topology, checkpoint capture/restore and the invariants.
-Code outside the stores reads and writes records by gid
-(``value_of``/``set_value``/``version_of``/``ensure_record``/...), which
-this store answers from its columns; there is no per-record object.  The
-sweep-order arrays a bulk sweep gathers through (:class:`_BulkTopo`) are
-derived from the layout once per surgery epoch.
+The gid -> slot map, the record methods, the owned-set layout and its
+surgery, the per-epoch topology, checkpoints and the invariants are the
+base class's.  This store adds what the arrays are for: its column hooks
+(float boxing, demotion, doubling growth), one array pass in place of each
+per-record loop (the initial records, commit, shadow install, the owned
+columns) and the bulk sweep -- a :class:`BulkView` gathered through the
+topology's slots, and :meth:`SoAStore.scatter_pending`.
 
 The platform builds this store exactly when every node function ships a
 bulk kernel (``fn.bulk``) and the ranks average at least
-``BULK_MIN_NODES_PER_RANK`` nodes, and the object store otherwise: the
-arrays pay off only through vectorised sweeps over enough nodes, and a
-node-by-node sweep over them is slower than over plain records.
+``BULK_MIN_NODES_PER_RANK`` nodes, and the list store otherwise: the
+arrays pay off only through vectorised sweeps over enough nodes, and
+numpy's fixed per-call cost loses on a few nodes a part.
 
 Exactness rules (the differential oracle demands byte-identical results
-against the object store):
+against the list store):
 
-* Reads return the *exact* Python objects the object store would hold:
+* Reads return the *exact* Python objects the list store would hold:
   ``float(arr[slot])`` is lossless for float64, versions come back as
   Python ints.  Checkpoint payloads, wire records, and integrity digests
   therefore pickle identically.
@@ -41,7 +36,7 @@ against the object store):
   of type :class:`float`.  The first non-float write demotes the whole
   store to object dtype (preserving the original objects), so arbitrary
   application values (battlefield dicts, ints, numpy scalars) behave
-  exactly as in the object store.
+  exactly as in the list store.
 * Bulk kernels (:class:`BulkView`) sum neighbour segments over a *closed*
   adjacency (self value prepended per segment) with a column sweep --
   one contiguous gather per column, added unmasked while every segment
@@ -53,8 +48,8 @@ against the object store):
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -154,87 +149,44 @@ class BulkView:
         return _ranges_sum(self.closed_values, self.indptr[:-1] + 1, self.indptr[1:])
 
 
-@dataclass
-class _BulkTopo:
-    """Cached sweep-order topology of the owned set (one per surgery epoch)."""
-
-    order_gids_arr: np.ndarray
-    slot_of_order: np.ndarray
-    indptr: np.ndarray
-    flat_slots: np.ndarray
-    #: The dense (whole owned set) charge plan.
-    plan: ChargePlan
-    view_caches: dict[str, tuple] = field(default_factory=dict)
-    #: Anonymous sparse gather geometries keyed by the positions bytes
-    #: (bounded LRU over dict insertion order; see
-    #: :meth:`SoAStore.bulk_view`).
-    sparse_cache: dict[bytes, tuple] = field(default_factory=dict)
-
-
 # --------------------------------------------------------------------- #
 # The store
 # --------------------------------------------------------------------- #
 
 
 class SoAStore(NodeStore):
-    """Struct-of-arrays drop-in for :class:`NodeStore`.
+    """:class:`NodeStore` over numpy columns.
 
     Same constructor, same owned-set layout, same gid-level record calls,
     same observable behaviour (the differential oracle in
-    ``tests/core/test_store_conformance.py`` pins this); node state lives in
-    contiguous numpy arrays and the hot commit/shadow-update paths run
-    vectorized.  It sweeps in bulk only: no record objects, so no scalar
-    sweep rows.
+    ``tests/core/test_store_conformance.py`` pins this); the hot
+    commit/shadow-update paths run vectorized.  It sweeps in bulk only.
     """
 
-    # -------------------------- record layer -------------------------- #
+    # ------------------------- column hooks --------------------------- #
 
     def _init_record_storage(self) -> None:
-        #: ``gid -> slot``; slots are handed out in record order and never
-        #: freed, so the ``i``-th record entered holds slot ``i``.
-        self._slot_of: dict[int, int] = {}
+        super()._init_record_storage()
         self._float_mode = True
         self._values = np.empty(0, dtype=np.float64)
         self._pending = np.empty(0, dtype=np.float64)
         self._pending_mask = np.zeros(0, dtype=bool)
         self._versions = np.zeros(0, dtype=np.int64)
-        self._topo: _BulkTopo | None = None
         # Sparse gather-geometry memo telemetry (pinned by
         # benchmarks/test_extensions.py::test_soa_store).
         self.sparse_geom_hits = 0
         self.sparse_geom_misses = 0
 
-    def _held(self) -> dict[int, int]:
-        return self._slot_of
-
-    def _record_states(self) -> Iterator[tuple[int, Any, Any, int]]:
-        for gid, slot in self._slot_of.items():
-            yield gid, self._read_value(slot), self._read_pending(slot), int(self._versions[slot])
-
-    def _slot(self, gid: int) -> int:
-        slot = self._slot_of.get(gid)
-        if slot is None:
-            raise KeyError(f"rank {self.rank} holds no data for node {gid}")
-        return slot
-
-    def value_of(self, gid: int) -> Any:
-        return self._read_value(self._slot(gid))
-
-    def set_value(self, gid: int, value: Any) -> None:
-        self._write_value(self._slot(gid), value)
-
-    def version_of(self, gid: int) -> int:
-        return int(self._versions[self._slot(gid)])
-
-    def _set_version(self, gid: int, version: int) -> None:
-        self._versions[self._slot(gid)] = version
-
-    def _capacity(self) -> int:
-        return len(self._values)
-
-    def _grow(self, minimum: int) -> None:
-        new_cap = max(64, 2 * self._capacity(), minimum)
-        pad = new_cap - self._capacity()
+    def _reserve(self, stop: int) -> None:
+        """Grow the columns, doubling from 64 slots, so a batch lands on
+        the capacity its records would reach one by one."""
+        capacity = len(self._values)
+        if stop <= capacity:
+            return
+        grown = max(64, capacity)
+        while grown < stop:
+            grown *= 2
+        pad = grown - capacity
         value_dtype = self._values.dtype
         self._values = np.concatenate([self._values, np.zeros(pad, dtype=value_dtype)])
         self._pending = np.concatenate([self._pending, np.zeros(pad, dtype=value_dtype)])
@@ -246,10 +198,10 @@ class SoAStore(NodeStore):
     def _demote(self) -> None:
         """Switch from the float64 fast path to object dtype, preserving
         every stored value exactly (float64 entries become Python floats,
-        as the object store would hold them)."""
-        values = np.empty(self._capacity(), dtype=object)
+        as the list store would hold them)."""
+        values = np.empty(len(self._values), dtype=object)
         values[:] = self._values.tolist()
-        pending = np.empty(self._capacity(), dtype=object)
+        pending = np.empty(len(self._values), dtype=object)
         pending[:] = None
         pending_list = self._pending.tolist()
         for slot in np.flatnonzero(self._pending_mask):
@@ -284,17 +236,7 @@ class SoAStore(NodeStore):
         self._pending[slot] = value
         self._pending_mask[slot] = True
 
-    def _add_record(self, gid: int, value: Any, most_recent: Any = None, version: int = 0) -> None:
-        if gid in self._slot_of:
-            raise KeyError(f"rank {self.rank} already holds a record for node {gid}")
-        slot = len(self._slot_of)
-        if slot == self._capacity():
-            self._grow(slot + 1)
-        self._slot_of[gid] = slot
-        self._versions[slot] = version
-        self._write_value(slot, value)
-        self._write_pending(slot, most_recent)
-        self._topo = None
+    # ------------------------- vectorized ops ------------------------- #
 
     def _add_records(self, gids: Sequence[int], values: Sequence[Any]) -> None:
         """One array write per column -- when that is exactly the
@@ -310,30 +252,17 @@ class SoAStore(NodeStore):
         ):
             return super()._add_records(gids, values)
         start = len(self._slot_of)
-        stop = start + count
-        if stop > self._capacity():
-            # The capacity the loop's doublings would have reached.
-            capacity = max(64, self._capacity())
-            while capacity < stop:
-                capacity *= 2
-            self._grow(capacity)
-        self._slot_of.update(zip(gids, range(start, stop)))
+        self._reserve(start + count)
+        self._slot_of.update(zip(gids, range(start, start + count)))
         # Slots past the last record were never handed out: version 0,
         # nothing pending, as allocated.
-        self._values[start:stop] = values
-        self._topo = None
-
-    def _invalidate_topology_cache(self) -> None:
-        super()._invalidate_topology_cache()
-        self._topo = None
-
-    # ------------------------- vectorized ops ------------------------- #
+        self._values[start : start + count] = values
 
     def commit_owned(self) -> np.ndarray:
         """:meth:`NodeStore.commit_owned` on the arrays; the changed gids
         come back as an int64 array (in sweep order), not a list."""
-        topo = self.bulk_topology()
-        slots, gids = topo.slot_of_order, topo.order_gids_arr
+        topo = self.topology()
+        slots, gids = topo.slots, topo.plan.gids
         pending = self._pending_mask[slots]
         if not pending.any():
             return gids[:0]
@@ -357,23 +286,13 @@ class SoAStore(NodeStore):
     def _owned_column(self, column: np.ndarray) -> dict[int, Any]:
         """``gid -> column[slot]`` over the owned set in sweep order, boxed
         by ``tolist`` into the exact objects the per-record reads return."""
-        return dict(zip(self._owned, column[self.bulk_topology().slot_of_order].tolist()))
+        return dict(zip(self._owned, column[self.topology().slots].tolist()))
 
     def owned_values(self) -> dict[int, Any]:
         return self._owned_column(self._values)
 
     def owned_versions(self) -> dict[int, int]:
         return self._owned_column(self._versions)
-
-    def update_shadow(self, gid: int, value: Any) -> bool:
-        slot = self._slot_of.get(gid)
-        if slot is None:
-            raise KeyError(f"rank {self.rank} received shadow for unknown node {gid}")
-        if self._read_value(slot) == value:
-            return False
-        self._write_value(slot, value)
-        self._versions[slot] += 1
-        return True
 
     def update_shadows(self, records: Iterable[tuple[int, Any]]) -> list[int]:
         """One message's shadow records in a single compare/write/bump pass.
@@ -404,100 +323,48 @@ class SoAStore(NodeStore):
 
     # --------------------------- bulk views --------------------------- #
 
-    def bulk_topology(self) -> _BulkTopo:
-        """The sweep-order owned set as arrays (cached per surgery epoch)."""
-        topo = self._topo
-        if topo is not None:
-            return topo
-        plan = self.charge_plan()
-        gids_arr = plan.gids
-        # gid -> slot as an array, so the owned rows of the graph's CSR
-        # (each behind its own gid) translate in one fancy index.
-        held = np.fromiter(self._slot_of, np.int64, len(self._slot_of))
-        slot_of = np.full(self.graph.num_nodes + 1, -1, dtype=np.int64)
-        slot_of[held] = np.arange(len(held))
-        closed_lens, closed = self.graph.csr().rows(gids_arr - 1, closed=True)
-        flat_slots = slot_of[closed]
-        if len(flat_slots) and flat_slots.min() < 0:
-            raise KeyError(int(closed[np.argmin(flat_slots)]))
-        indptr = np.zeros(len(gids_arr) + 1, dtype=np.intp)
-        np.cumsum(closed_lens, out=indptr[1:])
-        topo = _BulkTopo(
-            order_gids_arr=gids_arr,
-            slot_of_order=slot_of[gids_arr],
-            indptr=indptr,
-            flat_slots=flat_slots,
-            plan=plan,
-        )
-        self._topo = topo
-        return topo
-
-    def bulk_view(
-        self,
-        positions: np.ndarray | None,
-        iteration: int,
-        round_idx: int,
-        key: str | None = None,
-    ) -> BulkView:
+    def bulk_view(self, positions: np.ndarray | None, iteration: int, round_idx: int) -> BulkView:
         """Gather a :class:`BulkView` for the given sweep positions.
 
-        ``positions=None`` means the full owned set in sweep order; explicit
-        positions list internal nodes before peripheral ones, as every sweep
-        does (the view's :meth:`charge_plan` splits them there).  When
-        ``key`` is given, the gather geometry is memoized on the topology
-        (reused until the next ownership surgery).
-        Anonymous sparse views (``positions`` given, no ``key`` -- the
-        change-driven sweeps, whose active frontier varies) are memoized
-        too, keyed by the positions bytes in a small LRU per topology
-        epoch: once the frontier stabilizes (or alternates between a few
+        ``positions=None`` means the full owned set in sweep order, gathered
+        through the epoch's :class:`~repro.core.nodestore.Topology`;
+        explicit positions list internal nodes before peripheral ones, as
+        every sweep does (the view's charge plan splits them there).  Their
+        gather geometry -- and the charge plan with it -- is memoized in the
+        topology's ``sparse`` LRU, keyed by the positions bytes: once a
+        change-driven frontier stabilizes (or alternates between a few
         working sets), the CSR slice geometry is reused across supersteps
         instead of being rebuilt every sweep.  Hybrid execution leans on
         this hardest -- a converging interior frontier revisits the same
-        position sets across inner sweeps.  The charge plan rides the same
-        slot as the geometry.
+        position sets across inner sweeps.
         """
-        topo = self.bulk_topology()
-        cached = topo.view_caches.get(key) if key is not None else None
-        memo_key: bytes | None = None
-        if cached is None and key is None and positions is not None:
+        topo = self.topology()
+        if positions is None:
+            geometry = (topo.slots, topo.flat_slots, topo.indptr, topo.plan)
+        else:
             positions = np.asarray(positions, dtype=np.intp)
-            memo_key = positions.tobytes()
-            cached = topo.sparse_cache.get(memo_key)
-            if cached is not None:
+            memo, memo_key = topo.sparse, positions.tobytes()
+            geometry = memo.pop(memo_key, None)
+            if geometry is not None:
                 self.sparse_geom_hits += 1
-                # Move-to-end: dict insertion order + oldest-first eviction
-                # below makes the memo a true LRU.
-                topo.sparse_cache[memo_key] = topo.sparse_cache.pop(memo_key)
-        if cached is None:
-            if positions is None:
-                geometry = (
-                    topo.slot_of_order,
-                    topo.flat_slots,
-                    topo.indptr,
-                    topo.plan,
-                )
             else:
-                positions = np.asarray(positions, dtype=np.intp)
+                self.sparse_geom_misses += 1
                 starts = topo.indptr[positions]
                 lens = topo.indptr[positions + 1] - starts
                 offsets = np.zeros(len(positions) + 1, dtype=np.intp)
                 np.cumsum(lens, out=offsets[1:])
                 flat_idx = concat_ranges(starts, lens, offsets[1:])
                 geometry = (
-                    topo.slot_of_order[positions],
+                    topo.slots[positions],
                     topo.flat_slots[flat_idx],
                     offsets,
                     self.charge_plan(positions),
                 )
-            if key is not None:
-                topo.view_caches[key] = geometry
-            elif memo_key is not None:
-                self.sparse_geom_misses += 1
-                if len(topo.sparse_cache) >= _SPARSE_GEOMETRY_SLOTS:
-                    topo.sparse_cache.pop(next(iter(topo.sparse_cache)))
-                topo.sparse_cache[memo_key] = geometry
-        else:
-            geometry = cached
+                if len(memo) >= _SPARSE_GEOMETRY_SLOTS:
+                    memo.pop(next(iter(memo)))
+            # Re-inserted at the end: dict order plus oldest-first eviction
+            # makes the memo an LRU.
+            memo[memo_key] = geometry
         own_slots, flat_slots, indptr, plan = geometry
         return BulkView(
             gids=plan.gids,
@@ -519,12 +386,9 @@ class SoAStore(NodeStore):
         Python objects: the packers put the peripheral tail on the wire and
         nobody reads the rest, so boxing it would be wasted work.
         """
-        topo = self.bulk_topology()
-        slots = (
-            topo.slot_of_order
-            if positions is None
-            else topo.slot_of_order[np.asarray(positions, dtype=np.intp)]
-        )
+        slots = self.topology().slots
+        if positions is not None:
+            slots = slots[np.asarray(positions, dtype=np.intp)]
         if self._float_mode:
             arr = np.asarray(out, dtype=np.float64)
             self._pending[slots] = arr

@@ -1,12 +1,12 @@
 """The array-native initialisation phase against the per-node code it replaced.
 
 ``NodeStore._build`` classifies a rank's nodes, finds its shadows and fills
-the store as array passes over ``Graph.csr()``; ``SoAStore.bulk_topology``,
+the store as array passes over ``Graph.csr()``; ``NodeStore.topology``,
 ``SoAStore.owned_values/owned_versions``, ``compute._FrontierIndex`` and
 ``ICPlatform.run``'s ownership merge read the same arrays.  The per-node
 code they replaced lives on *here*, as the reference (``ReferenceBuild`` is
 the deleted ``_build``, ``reference_topology`` the deleted loop of
-``bulk_topology``, ``reference_frontier_index`` the deleted constructor of
+``topology``, ``reference_frontier_index`` the deleted constructor of
 ``_FrontierIndex``), and the array code is held to it on both stores, over
 random connected graphs with an isolated node attached, under random
 assignments (ranks that own nothing included) and band assignments with more
@@ -80,8 +80,8 @@ def reference_store(store_cls, *args, **kwargs):
     return ReferenceBuild(*args, **kwargs)
 
 
-def reference_topology(store: SoAStore) -> dict[str, np.ndarray]:
-    """The arrays of ``bulk_topology`` from the loop it used to run."""
+def reference_topology(store: NodeStore) -> dict[str, np.ndarray]:
+    """The arrays of ``topology`` from the loop it used to run."""
     gids = store.owned_gids()
     slot_of = store._slot_of
     indptr = np.zeros(len(gids) + 1, dtype=np.intp)
@@ -96,8 +96,8 @@ def reference_topology(store: SoAStore) -> dict[str, np.ndarray]:
         indptr[i + 1] = len(flat)
     gids_arr = np.asarray(gids, dtype=np.int64)
     return {
-        "order_gids_arr": gids_arr,
-        "slot_of_order": np.fromiter((slot_of[g] for g in gids), np.int64, len(gids)),
+        "gids": gids_arr,
+        "slots": np.fromiter((slot_of[g] for g in gids), np.int64, len(gids)),
         "indptr": indptr,
         "flat_slots": np.asarray(flat, dtype=np.int64),
         "degrees": degrees,
@@ -209,16 +209,17 @@ def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
     for gid, procs in built.peripherals():
         assert is_int(gid) and all(map(is_int, procs))
         assert built.shadow_procs(gid) == procs
-    if isinstance(built, SoAStore):
-        plan = built.bulk_topology().plan
-        assert (plan.split, plan.dests) == (ref.num_internal(), [p for _, p in ref.peripherals()])
-    else:
-        for gid, record, nbrs, _, _ in built.sweep_rows():
+    plan = built.topology().plan
+    assert (plan.split, plan.dests) == (ref.num_internal(), [p for _, p in ref.peripherals()])
+    if not isinstance(built, SoAStore):
+        for gid, slot, nbrs, _ in built.sweep_rows():
             assert nbrs is built.graph.neighbors(gid)  # shared, not copied
-            assert record is built.data_records[gid]
-    # Record order ("owned ascending, then shadows in first-discovery order").
-    assert list(built._held()) == list(ref._held())
-    assert all(map(is_int, built._held()))
+            assert slot == built._slot_of[gid]
+    # Record order ("owned ascending, then shadows in first-discovery order")
+    # and slot numbering.
+    assert list(built._slot_of.items()) == list(ref._slot_of.items())
+    assert all(map(is_int, built._slot_of)) and all(map(is_int, built._slot_of.values()))
+    assert len(built._values) == len(ref._values)  # the columns' capacity
     assert built.shadow_gids() == ref.shadow_gids()
     assert all(map(is_int, built.shadow_gids()))
     assert built.num_shadows() == len(ref.shadow_gids())
@@ -237,11 +238,8 @@ def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
     # A checkpoint cannot tell them apart either (numpy integers would).
     assert pickle.dumps(built.capture_state(), 5) == pickle.dumps(ref.capture_state(), 5)
     if isinstance(built, SoAStore):
-        assert built._slot_of == ref._slot_of
-        assert all(map(is_int, built._slot_of.values()))
         assert built._float_mode == ref._float_mode
         assert built._values.dtype == ref._values.dtype
-        assert built._capacity() == ref._capacity()
     built.check_invariants()
     ref.check_invariants()
 
@@ -322,12 +320,12 @@ class TestOneShotFill:
     def test_float_fill_keeps_the_float_path(self):
         store = SoAStore(0, grid2d(4, 4), [0] * 8 + [1] * 8, lambda gid: gid / 4)
         assert store._float_mode and store._values.dtype == np.float64
-        assert store._capacity() == 64 and store.num_records() == 12
+        assert len(store._values) == 64 and store.num_records() == 12
 
     def test_capacity_is_what_the_doublings_reach(self):
         graph = grid2d(10, 10)
         built, ref = both_builds(SoAStore, graph, [0] * 100, 0, float)
-        assert built._capacity() == ref._capacity() == 128
+        assert len(built._values) == len(ref._values) == 128
 
     @pytest.mark.parametrize("values", ["int", "hexstate", "mixed", "mixed-late"])
     def test_anything_else_demotes_as_the_loop_did(self, values):
@@ -360,14 +358,15 @@ class TestDerivedArrays:
     @settings(max_examples=40, deadline=None)
     @given(case=random_cases(), operate=st.booleans())
     def test_bulk_topology(self, case, operate):
+        """The per-epoch topology, on both stores."""
         graph, assignment, nprocs = case
-        for rank in range(nprocs):
-            store = SoAStore(rank, graph, list(assignment), float)
+        for rank, store_cls in ((r, c) for r in range(nprocs) for c in (NodeStore, SoAStore)):
+            store = store_cls(rank, graph, list(assignment), float)
             if operate:
                 surgery(store)
-            topo = store.bulk_topology()
+            topo = store.topology()
             for name, expected in reference_topology(store).items():
-                actual = getattr(topo.plan if name == "degrees" else topo, name)
+                actual = getattr(topo.plan if name in ("gids", "degrees") else topo, name)
                 assert actual.dtype == expected.dtype, name
                 assert actual.tolist() == expected.tolist(), name
             assert topo.plan.split == store.num_internal()
@@ -377,7 +376,7 @@ class TestDerivedArrays:
         store = SoAStore(0, grid2d(2, 2), [0, 0, 1, 1], float)
         del store._slot_of[3]  # a record gone missing
         with pytest.raises(KeyError, match="3"):
-            store.bulk_topology()
+            store.topology()
 
     @pytest.mark.parametrize("store_cls", STORES)
     @settings(max_examples=40, deadline=None)

@@ -20,6 +20,7 @@ from repro.mpi import FaultPlan, IDEAL
 from repro.partitioning import MetisLikePartitioner
 
 from ..mpi.bsp_workload import run_bsp
+from ..twins import set_pending
 
 
 def make_store(graph, assignment, init_value, rank=0):
@@ -27,7 +28,7 @@ def make_store(graph, assignment, init_value, rank=0):
 
 
 def node_values(store: NodeStore):
-    return {gid: record.data for gid, record in store.data_records.items()}
+    return {gid: value for gid, (value, _, _) in store.capture_state()["records"].items()}
 
 
 class TestCheckpointer:
@@ -52,7 +53,7 @@ class TestCheckpointer:
     def test_unpicklable_value_fails_loudly(self):
         graph = hex32()
         store = make_store(graph, [0] * graph.num_nodes, lambda g: g)
-        store.data_records[1].data = lambda: None  # not picklable
+        store.set_value(1, lambda: None)  # not picklable
         with pytest.raises(CheckpointError, match="serialize"):
             Checkpointer().take(3, store)
 
@@ -113,7 +114,7 @@ class TestDiscardSince:
         store = make_store(graph, [0] * graph.num_nodes, lambda g: g)
         ck = Checkpointer(period=5, keep=keep)
         for iteration in iterations:
-            store.data_records[1].most_recent_data = float(iteration)
+            set_pending(store, 1, float(iteration))
             store.commit_owned()
             ck.take(iteration, store)
         return ck, store
@@ -125,7 +126,7 @@ class TestDiscardSince:
         assert [c.iteration for c in ck.snapshots] == [5]
         iteration, _ = ck.restore(store)
         assert iteration == 5
-        assert store.data_records[1].data == 5.0
+        assert store.value_of(1) == 5.0
 
     def test_boundary_is_inclusive(self):
         # A snapshot taken AT the flip iteration already holds the corrupt
@@ -179,8 +180,8 @@ class TestStoreRoundTrip:
         reference = node_values(store)
 
         # Wreck the live store, then restore.
-        for record in store.data_records.values():
-            record.most_recent_data = "garbage"
+        for gid in list(store._slot_of):
+            set_pending(store, gid, "garbage")
         store.commit_owned()
         store.restore_state(snapshot)
 
@@ -200,8 +201,8 @@ class TestStoreRoundTrip:
         ck = Checkpointer()
         ck.take(7, store, migrations=[], repartitions=0)
 
-        for record in store.data_records.values():
-            record.most_recent_data = None
+        for gid in list(store._slot_of):
+            set_pending(store, gid, None)
         store.commit_owned()
         iteration, extras = ck.restore(store)
 

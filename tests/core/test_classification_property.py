@@ -215,13 +215,12 @@ class ReferenceLayout:
 
 def layout_of(store):
     """``(gids in sweep order, internal count, dests)`` as the store keeps
-    it; on the SoA store also as its bulk topology derives it."""
+    it, and as its per-epoch topology derives it."""
     split = store.num_internal()
     layout = (store.owned_gids(), split, [procs for _, procs in store.peripherals()])
-    if isinstance(store, SoAStore):
-        topo = store.bulk_topology()
-        assert topo.order_gids_arr.tolist() == layout[0]
-        assert (topo.plan.split, topo.plan.dests) == (split, layout[2])
+    plan = store.topology().plan
+    assert plan.gids.tolist() == layout[0]
+    assert (plan.split, plan.dests) == (split, layout[2])
     return layout
 
 

@@ -1,14 +1,15 @@
-"""Runs of the struct-of-arrays store equal their scalar twin on the object store.
+"""Runs of the struct-of-arrays store equal their scalar twin on the list store.
 
 Both stores keep one owned-set layout (owned gids in sweep order, the
-internal count, each peripheral node's ``shadow_for_procs``) and answer
-gid-level record calls; the struct-of-arrays store from its columns, with
-no per-node object.  Bulk runs under dense, sparse and hybrid execution,
-and runs whose surgery, repair or restore edits the layout and writes
-records by gid -- migration, integrity repair, crash and rollback -- must
-equal the scalar twin to the last bit, with the invariants checked every
-iteration in the latter, and must construct no
-:class:`~repro.core.node.NodeData` record on the struct-of-arrays side.
+internal count, each peripheral node's ``shadow_for_procs``) and one record
+layer, a gid -> slot map over columns, answering gid-level record calls.
+The one per-node object left is the list store's looped sweep row
+(:meth:`~repro.core.NodeStore.sweep_rows`).  Bulk runs under dense, sparse
+and hybrid execution, and runs whose surgery, repair or restore edits the
+layout and writes records by gid -- migration, integrity repair, crash and
+rollback -- must equal the scalar twin to the last bit, with the invariants
+checked every iteration in the latter, and must resolve no sweep row on the
+struct-of-arrays side.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.apps.average import make_average_fn
-from repro.core import ICPlatform, NodeData, NodeStore, PlatformConfig, SoAStore
+from repro.core import ICPlatform, NodeStore, PlatformConfig, SoAStore
 from repro.graphs import hex_grid
 from repro.mpi import FaultPlan
 from repro.partitioning import MetisLikePartitioner, Partition
@@ -33,15 +34,18 @@ PARTITION = MetisLikePartitioner(seed=0).partition(GRAPH, 4)
 
 @pytest.fixture
 def records_made(monkeypatch):
-    """``{"NodeData": records constructed}``, counted from here on."""
+    """``{"rows": looped sweep rows resolved}``, counted from here on."""
     counts: Counter[str] = Counter()
-    init = NodeData.__init__
+    resolve = NodeStore.sweep_rows
 
-    def counting(self, *args, **kwargs):
-        counts["NodeData"] += 1
-        init(self, *args, **kwargs)
+    def counting(self):
+        fresh = self._topology is None or self._topology.rows is None
+        rows = resolve(self)
+        if fresh:
+            counts["rows"] += len(rows)
+        return rows
 
-    monkeypatch.setattr(NodeData, "__init__", counting)
+    monkeypatch.setattr(NodeStore, "sweep_rows", counting)
     return counts
 
 
@@ -104,8 +108,8 @@ def test_a_bulk_run_equals_the_twin(mode):
 def test_a_bulk_run_makes_no_per_node_object(records_made, mode):
     run("soa", **BULK_RUNS[mode])
     assert records_made == {}
-    run("object", iterations=0)
-    assert records_made["NodeData"] > 0  # the counter sees the object store's
+    run("object", iterations=1)
+    assert records_made["rows"] > 0  # the counter sees the list store's
 
 
 # Runs whose surgery, repair or restore edits the layout and the records,
@@ -140,11 +144,11 @@ def test_a_surgery_run_makes_no_per_node_object(records_made, case):
 
 def test_the_layout_and_record_calls_make_no_per_node_object(records_made):
     """Every layout and gid-level record call, and each surgery, answered
-    from the columns: equal to the object store's, with no record made."""
+    from the columns: equal to the list store's, with no sweep row made."""
     assignment = list(PARTITION.assignment)
     eager = NodeStore(1, GRAPH, list(assignment), float)
-    made = records_made["NodeData"]
-    assert made == eager.num_records()
+    made = records_made["rows"]
+    assert made == 0  # a build resolves no row either
     store = SoAStore(1, GRAPH, list(assignment), float)
     gid = boundary_gid(1)
     shadow = next(v for v in GRAPH.neighbors(gid) if assignment[v - 1] != 1)
@@ -157,7 +161,7 @@ def test_the_layout_and_record_calls_make_no_per_node_object(records_made):
     assert store.owned_gids() == eager.owned_gids()
     assert (store.num_owned(), store.num_internal()) == (eager.num_owned(), eager.num_internal())
     assert store.peripherals() == eager.peripherals()
-    assert store.bulk_topology().plan.dests == [procs for _, procs in eager.peripherals()]
+    assert store.topology().plan.dests == [procs for _, procs in eager.peripherals()]
     assert (store.num_records(), store.num_shadows()) == (eager.num_records(), eager.num_shadows())
     for v in (gid, shadow):
         assert (store.value_of(v), store.version_of(v)) == (eager.value_of(v), eager.version_of(v))
@@ -168,4 +172,4 @@ def test_the_layout_and_record_calls_make_no_per_node_object(records_made):
     store.restore_state(snapshot)
     assert store.owned_gids() == eager.owned_gids()
     store.check_invariants()
-    assert records_made["NodeData"] == made
+    assert records_made["rows"] == made

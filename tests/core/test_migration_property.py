@@ -65,14 +65,15 @@ def migration_round_trip(comm, graph, assignment, moves):
     store.check_invariants()  # shadow/peripheral/data-record consistency
 
     # Every ID this rank's sweeps would touch resolves to a record of the
-    # data node list, and the sweep rows name exactly those records.
+    # data node list, and the sweep rows name exactly those records' slots.
     for gid in store.owned_gids():
         assert store.holds(gid)
         for v in graph.neighbors(gid):
             assert store.holds(v)
-    for gid, record, nbrs, records, _ in store.sweep_rows():
-        assert record is store.data_records[gid]
-        assert all(r is store.data_records[v] for v, r in zip(nbrs, records))
+    slot_of = store._slot_of
+    for gid, slot, nbrs, slots in store.sweep_rows():
+        assert slot == slot_of[gid]
+        assert slots == tuple(slot_of[v] for v in nbrs)
 
     owned = sorted(store.owned_gids())
     return owned, tuple(store.assignment), executed

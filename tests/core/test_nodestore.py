@@ -9,6 +9,8 @@ from repro.core import NodeStore, SoAStore
 from repro.graphs import Graph, hex32
 from repro.partitioning import MetisLikePartitioner
 
+from ..twins import set_pending
+
 
 @pytest.fixture
 def path6() -> Graph:
@@ -105,38 +107,55 @@ class TestBufferSizes:
 
 
 class TestCommitAndShadows:
+    @pytest.mark.parametrize("cls", [NodeStore, SoAStore])
+    def test_commit_owned_on_both_stores(self, path6, cls):
+        """A pending value is consumed, a ``None`` pending keeps the value,
+        and the version bumps only on a real change."""
+        store = cls(0, path6, [0, 0, 0, 1, 1, 1], lambda gid: gid * 10.0)
+        set_pending(store, 1, 42.0)
+        set_pending(store, 3, 30.0)  # the value it already holds
+        assert list(store.commit_owned()) == [1]
+        assert [store.value_of(gid) for gid in (1, 2, 3)] == [42.0, 20.0, 30.0]
+        assert [store.version_of(gid) for gid in (1, 2, 3)] == [1, 0, 0]
+        assert [store.capture_state()["records"][gid][1] for gid in (1, 2, 3)] == [None] * 3
+        # Nothing pending: a second commit changes nothing.
+        assert list(store.commit_owned()) == []
+        assert store.value_of(1) == 42.0 and store.version_of(1) == 1
+        set_pending(store, 1, 42.0)  # the same value again
+        assert list(store.commit_owned()) == []
+        assert store.version_of(1) == 1
+
     def test_commit_owned(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
         for gid in store.owned_gids():
-            store.data_records[gid].most_recent_data = gid * 100
+            set_pending(store, gid, gid * 100)
         assert store.commit_owned() == [1, 2, 3]
         assert store.value_of(2) == 200
 
     def test_commit_owned_reports_only_changes(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        store.data_records[2].most_recent_data = 999
-        store.data_records[3].most_recent_data = 30  # unchanged value
+        set_pending(store, 2, 999)
+        set_pending(store, 3, 30)  # unchanged value
         assert store.commit_owned() == [2]
         assert store.value_of(3) == 30
 
     def test_commit_bumps_version_on_change_only(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
-        record = store.data_records[1]
-        record.most_recent_data = 42
+        set_pending(store, 1, 42)
         store.commit_owned()
-        assert record.version == 1
-        record.most_recent_data = 42  # same value again
+        assert store.version_of(1) == 1
+        set_pending(store, 1, 42)  # same value again
         store.commit_owned()
-        assert record.version == 1
+        assert store.version_of(1) == 1
 
     def test_update_shadow(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
         assert store.update_shadow(4, 999) is True
         assert store.value_of(4) == 999
-        assert store.data_records[4].version == 1
+        assert store.version_of(4) == 1
         # Re-sending the same value is a no-op (delta-exchange contract).
         assert store.update_shadow(4, 999) is False
-        assert store.data_records[4].version == 1
+        assert store.version_of(4) == 1
 
     def test_update_unknown_shadow_raises(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
@@ -227,10 +246,10 @@ class TestMigrationSurgery:
     def test_ensure_record_idempotent(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)
         store.ensure_record(6, 60)
-        first = store.data_records[6]
+        records = store.num_records()
         store.ensure_record(6, 999)
-        assert store.data_records[6] is first
-        assert first.data == 60
+        assert store.num_records() == records
+        assert store.value_of(6) == 60
 
     def test_invariants_catch_desync(self, path6):
         store = make_store(path6, [0, 0, 0, 1, 1, 1], 0)

@@ -1,32 +1,32 @@
 """The looped kernel's rows: resolved once per surgery epoch, never stale.
 
 ``NodeStore.sweep_rows()`` hands the looped kernel (the node function
-called node by node on the object store), per position of the owned-set
-layout, the node's record and its neighbours' *records*, looked
-up in the data node list once per surgery epoch instead of once per node
-update.  A stale row would make a node compute from a record nobody writes
-any more, silently, so the rows are held to the probing path they replaced
+called node by node on the list store), per position of the owned-set
+layout, the node's slot and its neighbours' *slots*, translated from the
+data node list's index once per surgery epoch (part of the store's
+per-epoch topology) instead of looked up once per node update.  A stale
+row would make a node compute from a slot that no longer holds its
+neighbour, silently, so the rows are held to the probing path they replaced
 -- which lives on *here*, as the reference (``reference_views`` /
 ``probing_oracle`` look each value up by gid at the time of asking, as the
 deleted ``_form_view`` did):
 
 * after every kind of store surgery one sweep sees the views the reference
-  forms -- node by node on the object store, gathered by the bulk view on
+  forms -- node by node on the list store, gathered by the bulk view on
   the struct-of-arrays store -- and ``check_invariants()`` (which also
-  holds every cached row, by identity, to ``data_records``) passes;
+  holds the topology, and every cached row, to the index) passes;
 * whole platform runs -- migration, crash + shrink rebuild, integrity repair
   -- re-check every row each time a sweep asks for them;
-* a deterministic count floor: the data node list is indexed for view
-  forming once per neighbour per epoch and not once more;
+* a deterministic count floor: forming views never probes the index, and
+  a sweep probes it once per shadow record received;
 * a bulk run never resolves a row at all.
 
-Mutation check: deleting ``self._sweep_rows = None`` from
-``NodeStore._invalidate_topology_cache`` fails six tests here: both
-of ``TestRowsFollowSurgery`` on the object store (the struct-of-arrays
-store has no rows), the object-store migration (BSP and hybrid) and
-rollback runs of ``TestPlatformRuns``, and ``TestProbeCounts`` (a shrink
-builds a new store and a repair writes in place, so those two runs rightly
-pass).
+Mutation check: deleting ``self._topology = None`` from
+``NodeStore._invalidate_topology_cache`` fails nine tests here: both
+stores' cases of ``TestRowsFollowSurgery`` and of the migration runs (BSP
+and hybrid) of ``TestPlatformRuns``, and ``TestProbeCounts`` (a rollback
+restores the slots and the layout it started from, a shrink builds a new
+store and a repair writes in place, so those runs rightly pass).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .test_store_conformance import boundary_gid_of_rank
 pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 
 STORES = [pytest.param(NodeStore, id="object"), pytest.param(SoAStore, id="soa")]
-#: Only the object store has record objects, hence sweep rows.
+#: Only the list store sweeps node by node, hence sweep rows.
 ROW_STORES = STORES[:1]
 
 #: The sweep coordinates every view below is formed at.
@@ -87,7 +87,7 @@ class _Clock:
 
 def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
     """One sweep (both phases) and its commit; the views ``fn`` saw.  The
-    object store runs ``fn`` as the looped kernel; the struct-of-arrays
+    list store runs ``fn`` as the looped kernel; the struct-of-arrays
     store forms the same views from its dense bulk view."""
     seen: list[NodeView] = []
 
@@ -98,7 +98,7 @@ def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
     ctx = ComputeContext(_Clock(), PlatformCosts(), store.graph.num_nodes)
     ctx.iteration, ctx.round = ITERATION, ROUND
     if isinstance(store, SoAStore):
-        bulk = store.bulk_view(None, ITERATION, ROUND, key="dense")
+        bulk = store.bulk_view(None, ITERATION, ROUND)
         closed, bounds = bulk.closed_values.tolist(), bulk.indptr.tolist()
         fresh = []
         for gid, a, b in zip(bulk.gids.tolist(), bounds, bounds[1:]):
@@ -135,10 +135,10 @@ def assert_views_fresh(store: NodeStore) -> None:
 
 
 def assert_fresh(store: NodeStore) -> None:
-    """Views as the reference forms them, rows identical to the records."""
+    """Views as the reference forms them, rows that name the index's slots."""
     assert_views_fresh(store)
     if not isinstance(store, SoAStore):
-        assert store._sweep_rows is not None
+        assert store._topology.rows is not None
     store.check_invariants()
 
 
@@ -176,18 +176,18 @@ def make_stores(store_cls, graph: Graph, assignment: list[int]) -> list[NodeStor
 
 class TestInvariantOracle:
     @pytest.mark.parametrize("store_cls", ROW_STORES)
-    def test_rows_are_lazy_and_identical_to_the_records(self, store_cls):
+    def test_rows_are_lazy_and_name_the_slots(self, store_cls):
         store = make_stores(store_cls, hex32(), [gid % 2 for gid in range(32)])[0]
-        assert store._sweep_rows is None  # nobody asked yet
+        assert store._topology is None  # nobody asked yet
         rows = store.sweep_rows()
         assert store.sweep_rows() is rows
         assert [row[0] for row in rows] == store.owned_gids()
-        for gid, record, nbrs, kept, procs in rows:
-            assert record is store.data_records[gid]
+        for gid, slot, nbrs, kept in rows:
+            assert slot == store._slot_of[gid]
+            assert store._values[slot] == store.value_of(gid)
             assert nbrs == store.graph.neighbors(gid) and len(kept) == len(nbrs)
-            for row_record, v in zip(kept, nbrs):
-                assert row_record is store.data_records[v]
-            assert procs == store.shadow_procs(gid)
+            for row_slot, v in zip(kept, nbrs):
+                assert row_slot == store._slot_of[v]
         store.check_invariants()
 
     @pytest.mark.parametrize("store_cls", ROW_STORES)
@@ -196,7 +196,7 @@ class TestInvariantOracle:
         rows = store.sweep_rows()
         row = rows[0]
         gid = row[0]
-        rows[0] = (*row[:3], row[3][::-1], row[4])  # right records, wrong adjacency order
+        rows[0] = (*row[:3], row[3][::-1])  # right slots, wrong adjacency order
         with pytest.raises(AssertionError, match=f"stale neighbour row at {gid}"):
             store.check_invariants()
         rows[0] = row
@@ -247,7 +247,7 @@ class TestRowsFollowSurgery:
             left.set_value(gid, 1234.5)
             assert_fresh(left)
 
-        # restore_state: every record is a new object holding the old value.
+        # restore_state: every record re-enters, in snapshot order.
         advance(stores)
         for store, snapshot in zip(stores, snapshots):
             store.restore_state(snapshot)
@@ -305,13 +305,11 @@ def probing_oracle(monkeypatch):
 
     def checked(store):
         rows = resolve(store)
-        records = store.data_records
+        slot_of = store._slot_of
         assert [row[0] for row in rows] == store.owned_gids()
-        for gid, record, _, kept, _ in rows:
-            assert record is records[gid]
-            probed = [records[v] for v in store.graph.neighbors(gid)]
-            assert len(kept) == len(probed)
-            assert all(row_record is r for row_record, r in zip(kept, probed))
+        for gid, slot, _, kept in rows:
+            assert slot == slot_of[gid]
+            assert kept == tuple([slot_of[v] for v in store.graph.neighbors(gid)])
         asked.append(store.rank)
         return rows
 
@@ -320,7 +318,7 @@ def probing_oracle(monkeypatch):
 
 
 #: The neighbour average with its bulk kernel; ``on_store`` makes the object
-#: side its scalar twin.
+#: (list-store) side its scalar twin.
 AVERAGE = make_average_fn(1e-4)
 #: The same average without its kernel: always the looped kernel.
 SCALAR_AVERAGE = scalar_twin(AVERAGE)
@@ -425,12 +423,13 @@ class TestPlatformRuns:
 
 
 class TestProbeCounts:
-    def test_records_are_probed_once_per_neighbour_per_epoch(self):
+    def test_records_are_probed_once_per_shadow_record(self):
         """Counts repeat exactly where walls do not.  hex64 on 4 ranks, dense
-        Figure-8 sweeps on the object store: the first sweep of an epoch
-        looks up the data node list once per owned node and once per owned
-        neighbourhood entry, every sweep once per shadow record received,
-        and nothing else looks."""
+        Figure-8 sweeps on the list store: forming views never probes the
+        data node list's index (the epoch's rows carry slots, translated by
+        one array pass), every sweep probes it once per shadow record
+        received, and nothing else looks -- before and after a migration,
+        which re-resolves the rows once."""
         graph = hex64()
         assignment = MetisLikePartitioner(seed=0).partition(graph, 4).assignment
         scout = NodeStore(0, graph, list(assignment), float)
@@ -451,7 +450,7 @@ class TestProbeCounts:
                     probes[0] += 1
                     return super().get(gid, default)
 
-            store.data_records = Counting(store.data_records)
+            store._slot_of = Counting(store._slot_of)
             ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
             buffers = CommBuffers(comm.size)
 
@@ -474,16 +473,13 @@ class TestProbeCounts:
                     }
                 )
 
-            def resolution() -> int:
-                return store.num_owned() + view_entries()
-
             assert view_entries() > arrivals() > 0
-            assert probes_of_a_sweep() == resolution() + arrivals()
-            assert [probes_of_a_sweep() for _ in range(3)] == [arrivals()] * 3
+            assert [probes_of_a_sweep() for _ in range(4)] == [arrivals()] * 4
+            rows = store.sweep_rows()
             owners[moving - 1] = to
             migrate_node(comm, store, moving, 0, to, ctx)
-            assert probes_of_a_sweep() == resolution() + arrivals()  # one re-resolution
-            assert [probes_of_a_sweep() for _ in range(3)] == [arrivals()] * 3
+            assert [probes_of_a_sweep() for _ in range(4)] == [arrivals()] * 4
+            assert store.sweep_rows() is not rows
             return store.surgery_epoch
 
         # Every rank re-derived its kinds; the two ends also released/adopted.

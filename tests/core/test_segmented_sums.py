@@ -137,7 +137,7 @@ def test_bulk_views_match_the_scalar_node_lists(seed, n, values, picks):
         assert [float.hex(v) for v in view.sum_closed().tolist()] == closed
         assert [float.hex(v) for v in view.sum_neighbors().tolist()] == open_
 
-    assert_matches(store.bulk_view(None, 0, 0, key="dense"))
+    assert_matches(store.bulk_view(None, 0, 0))
     owned = store.num_owned()
     positions = np.unique(np.array(picks) % owned)
     assert_matches(store.bulk_view(positions, 0, 0))

@@ -1,16 +1,23 @@
 """Property-based mirror test: SoAStore vs NodeStore under random surgery.
 
-Two stores -- the object reference and the struct-of-arrays subclass --
-are built over the same random graph and assignment, then driven through
-an identical random sequence of operations: pending writes + commits
-(vectorized on the soa side, scalar on the object side), shadow updates
-one record and one message at a time, ownership release/adoption with
+Two stores -- the list store and the struct-of-arrays subclass -- are
+built over the same random graph and assignment, then driven through an
+identical random sequence of operations: pending writes + commits
+(vectorized on the soa side, a loop on the list side), shadow updates one
+record and one message at a time, ownership release/adoption with
 synthetic migration payloads, record creation, and checkpoint
 capture/restore round-trips *including cross-store restores*.  After every
 operation the stores must agree on every observable: record order,
 committed values and their exact Python types, pending values, version
 counters, the owned-set layout (order, internal count, dests), memoized
 communication topology, and byte-identical pickled snapshots.
+
+Both stores run the same record code (``NodeStore.value_of``,
+``update_shadow``, ``ensure_record``, ...), so a bug there would show on
+both sides alike.  Each op is therefore also applied to a brute-force
+reference spelled out below -- ``gid -> [value, pending, version]`` in
+entry order, with the commit and shadow-install rules written inline --
+and both stores are compared to it after every op.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from hypothesis import strategies as st
 
 from repro.core import NodeStore, SoAStore
 from repro.graphs import random_connected_graph
+
+from ..twins import set_pending
 
 NPROCS = 3
 
@@ -46,7 +55,7 @@ ops_st = st.lists(
                     st.integers(0, 63),
                     st.one_of(st.floats(-4, 4, allow_nan=False), values_st),
                 ),
-                max_size=6,
+                max_size=20,
             ),
         ),
         st.tuples(st.just("release"), st.integers(0, 63), st.integers(1, NPROCS - 1)),
@@ -69,14 +78,6 @@ def mirror_cases(draw):
     )
     ops = draw(ops_st)
     return n, seed, assignment, ops
-
-
-def set_pending(store, gid: int, value) -> None:
-    """Leave ``value`` pending on ``gid`` as a sweep would."""
-    if isinstance(store, SoAStore):
-        store._write_pending(store._slot_of[gid], value)
-    else:
-        store.data_records[gid].most_recent_data = value
 
 
 def assert_mirrored(obj: NodeStore, soa: SoAStore) -> None:
@@ -167,6 +168,108 @@ def apply_op(store, op, graph, nodes):
     raise AssertionError(f"unknown op {op!r}")
 
 
+# --------------------------------------------------------------------- #
+# The brute-force reference
+# --------------------------------------------------------------------- #
+
+
+def reference_records(graph, assignment, rank=0) -> dict[int, list]:
+    """A build's data node list: owned nodes ascending, then each one's
+    remote neighbours in adjacency order, a gid once; values ``float(gid)``."""
+    owned = [gid for gid in graph.nodes() if assignment[gid - 1] == rank]
+    held = dict.fromkeys(owned)
+    for gid in owned:
+        for v in graph.neighbors(gid):
+            if assignment[v - 1] != rank:
+                held.setdefault(v)
+    return {gid: [float(gid), None, 0] for gid in held}
+
+
+def reference_install(ref: dict[int, list], gid: int, value) -> bool:
+    """A shadow install: an equal value changes nothing; any other is
+    written and bumps the version."""
+    record = ref[gid]
+    if record[0] == value:
+        return False
+    record[0] = value
+    record[2] += 1
+    return True
+
+
+def reference_ensure(ref: dict[int, list], gid: int, value, version: int) -> None:
+    """A record for ``gid`` unless one is held; ``version`` either way."""
+    if gid in ref:
+        ref[gid][2] = version
+    else:
+        ref[gid] = [value, None, version]
+
+
+def reference_op(ref: dict[int, list], op, store, graph, nodes):
+    """``op`` on the reference, picking its gids from ``store``'s layout
+    before the op; returns what :func:`apply_op` must return."""
+    kind = op[0]
+    if kind == "pend":
+        gid = nodes[op[1] % len(nodes)]
+        if not store.owns(gid):
+            return None
+        ref[gid][1] = op[2]
+        return ("pend", gid)
+    if kind in ("sweep", "commit"):
+        owned = store.owned_gids()
+        if kind == "sweep":
+            for gid in owned:
+                ref[gid][1] = op[1] + gid * 0.5
+        changed = []
+        for gid in owned:  # the commit: a pending value is consumed
+            value, pending, _ = ref[gid]
+            if pending is None:
+                continue
+            if pending != value:
+                ref[gid][2] += 1
+                changed.append(gid)
+            ref[gid][:2] = [pending, None]
+        return changed
+    if kind in ("shadow", "shadows"):
+        shadows = store.shadow_gids()
+        if not shadows:
+            return None
+        if kind == "shadow":
+            gid = shadows[op[1] % len(shadows)]
+            return ("shadow", gid, reference_install(ref, gid, op[2]))
+        records = [(shadows[index % len(shadows)], value) for index, value in op[1]]
+        return ("shadows", [gid for gid, value in records if reference_install(ref, gid, value)])
+    if kind == "release":
+        owned = sorted(g for g in nodes if store.owns(g))
+        if not owned:
+            return None
+        return ("release", owned[op[1] % len(owned)], (store.rank + op[2]) % NPROCS)
+    if kind == "adopt":
+        foreign = sorted(g for g in nodes if not store.owns(g))
+        if not foreign:
+            return None
+        gid = foreign[op[1] % len(foreign)]
+        for g in (gid, *graph.neighbors(gid)):  # the payload, as apply_op ships it
+            reference_ensure(ref, g, op[2] + g, (g * 7) % 5)
+            ref[g][0] = op[2] + g
+        return ("adopt", gid)
+    if kind == "ensure":
+        gid = nodes[op[1] % len(nodes)]
+        reference_ensure(ref, gid, op[2], op[3])
+        return ("ensure", gid, type(ref[gid][0]).__name__, ref[gid][2])
+    if kind == "roundtrip":
+        return ("roundtrip",)
+    raise AssertionError(f"unknown op {op!r}")
+
+
+def assert_matches_reference(ref: dict[int, list], store: NodeStore) -> None:
+    records = store.capture_state()["records"]
+    assert list(records) == list(ref)  # record order
+    for gid, (value, pending, version) in records.items():
+        want = ref[gid]
+        assert (type(value), type(pending)) == (type(want[0]), type(want[1])), gid
+        assert [value, pending, version] == want, gid
+
+
 @given(mirror_cases())
 @settings(max_examples=40, deadline=None)
 def test_soa_mirrors_object_store(case):
@@ -176,7 +279,9 @@ def test_soa_mirrors_object_store(case):
     init = lambda gid: float(gid)
     obj = NodeStore(0, graph, list(assignment), init)
     soa = SoAStore(0, graph, list(assignment), init)
+    ref = reference_records(graph, assignment)
     assert_mirrored(obj, soa)
+    assert_matches_reference(ref, obj)
 
     for op in ops:
         if op[0] == "cross_restore":
@@ -187,10 +292,14 @@ def test_soa_mirrors_object_store(case):
             obj.restore_state(pickle.loads(pickle.dumps(snap_soa, 5)))
             soa.restore_state(pickle.loads(pickle.dumps(snap_obj, 5)))
         else:
+            expected = reference_op(ref, op, obj, graph, nodes)
             res_obj = apply_op(obj, op, graph, nodes)
             res_soa = apply_op(soa, op, graph, nodes)
+            assert res_obj == expected, (op, expected, res_obj)
             assert res_soa == res_obj, (op, res_obj, res_soa)
         assert_mirrored(obj, soa)
+        for store in (obj, soa):
+            assert_matches_reference(ref, store)
 
 
 @given(

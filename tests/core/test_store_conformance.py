@@ -1,11 +1,11 @@
 """Differential conformance oracle: object store vs struct-of-arrays store.
 
-The object store (one :class:`~repro.core.node.NodeData` per node) is the
-reference semantics.  A node function with a bulk kernel runs on the
-struct-of-arrays store, which keeps the same logical state in contiguous
-numpy arrays and swaps the per-node sweep loops for the vectorized kernel;
-its scalar twin (the same function without the kernel) runs node by node
-on the object store.  That substitution must be *invisible*: every platform
+The list store (:class:`~repro.core.NodeStore`, its columns Python
+lists) is the reference semantics.  A node function with a bulk kernel runs
+on the struct-of-arrays store, which keeps the same columns as numpy arrays
+and swaps the per-node sweep loops for the vectorized kernel; its scalar
+twin (the same function without the kernel) runs node by node on the list
+store.  That substitution must be *invisible*: every platform
 workload -- fault-free, crash+rollback, crash+shrink, integrity repair,
 sparse activation with quiescence termination, load balancing -- has to
 produce identical committed values, identical version counters, identical

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from repro.core import NodeStore
 from repro.graphs import Graph
 
+from ..twins import set_pending
+
 NODES = 6
 
 #: One randomized "sweep": gid -> freshly computed value.  Values are drawn
@@ -44,14 +46,14 @@ def make_store(rank: int, assignment: list[int]) -> NodeStore:
 def apply_sweeps(store: NodeStore, history) -> None:
     for sweep in history:
         for gid, value in sweep.items():
-            record = store.data_records.get(gid)
-            if record is not None and store.owns(gid):
-                record.most_recent_data = value
+            if store.holds(gid) and store.owns(gid):
+                set_pending(store, gid, value)
         store.commit_owned()
 
 
 def versions(store: NodeStore) -> dict[int, int]:
-    return {gid: r.version for gid, r in sorted(store.data_records.items())}
+    records = store.capture_state()["records"]
+    return {gid: version for gid, (_, _, version) in sorted(records.items())}
 
 
 class TestCaptureRestoreRoundTrip:
@@ -67,7 +69,7 @@ class TestCaptureRestoreRoundTrip:
         # Wreck the live state, then restore: everything -- committed data,
         # pending values, versions -- must come back bit-identical.
         apply_sweeps(store, [{gid: 99 for gid in range(1, NODES + 1)}])
-        store.data_records[1].most_recent_data = "garbage"
+        set_pending(store, 1, "garbage")
         store.restore_state(snapshot)
 
         assert versions(store) == expected
@@ -86,8 +88,8 @@ class TestCaptureRestoreRoundTrip:
         assert versions(a) == versions(b)
         # Committing the already-committed value is a no-op for versions.
         before = versions(a)
-        for record in a.data_records.values():
-            record.most_recent_data = record.data
+        for gid in list(a._slot_of):
+            set_pending(a, gid, a.value_of(gid))
         a.commit_owned()
         assert versions(a) == before
 

@@ -296,6 +296,38 @@ class TestBenchAndInfo:
         assert "connected  True" in out
 
 
+class TestEmptyGraph:
+    """A Chaco file ``0 0``: a graph with no vertices."""
+
+    @pytest.fixture
+    def emptyfile(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_run_and_partition_exit_2_naming_the_graph(
+        self, emptyfile, tmp_path, capsys, command
+    ):
+        argv = [command, "--graph", str(emptyfile), "--np", "2"]
+        if command == "partition":
+            argv += ["--output", str(tmp_path / "p.txt")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {command}: error: --graph: {emptyfile} has no vertices\n"
+        )
+
+    def test_info_prints_the_graph_without_a_degree_line(self, emptyfile, capsys):
+        assert main(["info", "--graph", str(emptyfile)]) == 0
+        out = capsys.readouterr().out
+        assert "vertices   0" in out and "edges      0" in out
+        assert "degree" not in out
+
+
 class TestPartitionAnalyze:
     def test_analyze_flag_prints_diagnostics(self, tmp_path, hexfile, capsys):
         out = tmp_path / "part.txt"

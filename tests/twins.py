@@ -2,8 +2,8 @@
 
 The platform picks each rank's store from the node functions: a
 struct-of-arrays store with vectorized sweeps when every function ships a
-bulk kernel (``fn.bulk``), the object store with node-by-node sweeps
-otherwise.  So the reference side of a store differential is the same
+bulk kernel (``fn.bulk``), the list store (:class:`~repro.core.NodeStore`)
+with node-by-node sweeps otherwise.  So the reference side of a store differential is the same
 function without its kernel -- its *scalar twin* -- and the suites keep
 their ``"object"`` / ``"soa"`` labels for the two sides.
 """
@@ -18,7 +18,7 @@ STORES = ("object", "soa")
 
 def scalar_twin(fn: Any) -> Any:
     """``fn`` without its bulk kernel: the same values and charges, computed
-    node by node on the object store.  A plain closure on purpose --
+    node by node on the list store.  A plain closure on purpose --
     ``functools.wraps`` copies ``fn.__dict__``, and with it ``.bulk``."""
 
     def twin(node: Any, ctx: Any) -> Any:
@@ -37,3 +37,8 @@ def on_store(store: str, node_fn: Any) -> Any:
     if callable(node_fn):
         return scalar_twin(node_fn)
     return tuple(map(scalar_twin, node_fn))
+
+
+def set_pending(store: Any, gid: int, value: Any) -> None:
+    """Leave ``value`` pending on ``gid`` as a sweep would, on either store."""
+    store._write_pending(store._slot_of[gid], value)
