@@ -302,3 +302,47 @@ def test_integrity_overhead(benchmark, record, battlefield_app):
         rows,
     )
     record("integrity_overhead", rendering, cells)
+
+
+def test_hybrid_small_cap(benchmark, record):
+    """Sparse BSP vs hybrid at small inner caps on the quantised 16x16 plate,
+    Metis, 2 and 8 ranks, to quiescence.
+
+    Hybrid is change-driven, so its baseline is sparse BSP.  At cap 1 each
+    superstep's boundary commits before the interior computes, so an interior
+    node next to a changed boundary node sees the fresh value one superstep
+    early: quiescence comes sooner and the virtual makespan is shorter.  Cap 2
+    already spends more on interior sweeps than it saves on some rank counts;
+    the cap-64 row above is the far end of the same knob."""
+    tol = 1e-4  # the workload's quantised residual
+    plate, boundary = _plate(16, quantize=4)
+    modes = {
+        "sparse bsp": {"activation": "sparse"},
+        "hybrid cap 1": {"execution": "hybrid", "hybrid_inner_cap": 1},
+        "hybrid cap 2": {"execution": "hybrid", "hybrid_inner_cap": 2},
+    }
+
+    def run(nprocs, mode):
+        config = PlatformConfig(iterations=2000, converge="quiescence", **modes[mode])
+        partition = MetisLikePartitioner(seed=0).partition(plate[0], nprocs)
+        return _run(plate, config, partition)
+
+    out = benchmark.pedantic(
+        lambda: {(n, mode): run(n, mode) for n in (2, 8) for mode in modes},
+        rounds=1,
+        iterations=1,
+    )
+    rendering = _text(
+        "Sparse BSP vs hybrid at small inner caps (16x16 plate, Metis)",
+        ("ranks", "mode", "virtual (s)", "quiesced at", "barriers", "messages"),
+        [(n, mode, o.elapsed, o.quiesced_at, o.barriers, o.messages_delivered)
+         for (n, mode), o in out.items()],
+    )
+    record("hybrid_small_cap", rendering, {
+        f"np{n}": [out[n, mode].elapsed for mode in modes] for n in (2, 8)
+    })
+    for outcome in out.values():
+        assert outcome.quiesced_at is not None
+        assert residual(plate[0], outcome.values, boundary) <= tol
+    for n in (2, 8):
+        assert out[n, "hybrid cap 1"].elapsed < out[n, "sparse bsp"].elapsed

@@ -130,18 +130,19 @@ PARTITIONER_CHOICES = (
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "hex":
-        graph = hex_grid(args.rows, args.cols)
-    elif args.kind == "grid":
-        graph = grid2d(args.rows, args.cols)
-    elif args.kind == "torus":
-        graph = torus2d(args.rows, args.cols)
-    elif args.kind == "random":
-        graph = random_connected_graph(
-            args.nodes, avg_degree=args.degree, seed=args.seed
-        )
-    else:  # battlefield terrain
-        graph = HexGrid(args.rows, args.cols).to_graph(name="battlefield")
+    try:  # a generator names the size it cannot build
+        if args.kind == "hex":
+            graph = hex_grid(args.rows, args.cols)
+        elif args.kind == "grid":
+            graph = grid2d(args.rows, args.cols)
+        elif args.kind == "torus":
+            graph = torus2d(args.rows, args.cols)
+        elif args.kind == "random":
+            graph = random_connected_graph(args.nodes, avg_degree=args.degree, seed=args.seed)
+        else:  # battlefield terrain
+            graph = HexGrid(args.rows, args.cols).to_graph(name="battlefield")
+    except ValueError as exc:
+        _usage_error(str(exc), "generate")
     write_chaco(graph, args.output)
     print(
         f"wrote {args.output}: {graph.name} "
@@ -151,6 +152,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
+    if args.np < 1:
+        _usage_error(f"--np must be >= 1, got {args.np}", "partition")
     graph = _read_graph(args.graph, "partition")
     partitioner = make_partitioner(
         args.scheme, args.np, args.seed, graph, args.rows, args.cols, args.rref
@@ -179,14 +182,19 @@ def _usage_error(message: str, command: str = "run") -> NoReturn:
     raise SystemExit(2)
 
 
-def _read_graph(path: str, command: str) -> Graph:
+def _read_graph(path: str, command: str, empty_ok: bool = False) -> Graph:
     """The ``--graph`` file, or the usage error saying why nothing can run
-    on it: a missing file, or a graph without vertices."""
+    on it: a missing, unreadable or malformed file, or (unless ``empty_ok``) a
+    graph without vertices."""
     try:
         graph = read_chaco(path)
     except FileNotFoundError:
         _usage_error(f"--graph: no such file: {path}", command)
-    if graph.num_nodes == 0:
+    except OSError as exc:
+        _usage_error(f"--graph: {path}: {exc.strerror}", command)
+    except ValueError as exc:
+        _usage_error(f"--graph: {path}: {exc}", command)
+    if graph.num_nodes == 0 and not empty_ok:
         _usage_error(f"--graph: {path} has no vertices", command)
     return graph
 
@@ -349,7 +357,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    graph = read_chaco(args.graph)
+    graph = _read_graph(args.graph, "info", empty_ok=True)
     degrees = [graph.degree(v) for v in graph.nodes()]
     print(f"graph      {graph.name}")
     print(f"vertices   {graph.num_nodes}")

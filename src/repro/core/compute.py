@@ -59,7 +59,7 @@ from ..graphs.graph import concat_ranges
 from ..mpi.communicator import Communicator
 from .buffers import CommBuffers
 from .config import PlatformCosts
-from .nodestore import ChargePlan, NodeStore
+from .nodestore import ChargePlan, NodeStore, Topology
 from .soastore import SoAStore
 
 __all__ = [
@@ -226,19 +226,16 @@ def _sweep_positions(
     store: NodeStore, round_idx: int, frontier: Frontier | None, part: int | None
 ) -> np.ndarray | None:
     """The positions in the store's owned-set layout one sweep computes,
-    internal nodes first: the frontier's active set of the round, or the
-    ``part`` class of it, consumed and taken in gid order within each class
-    -- or, dense, ``None`` for the whole layout, or ``part``'s range."""
-    active = frontier.begin(store, round_idx, part) if frontier is not None else None
-    if active is None and part is None:
+    ascending: the frontier's active set of the round, or of its ``part``
+    class, consumed -- or, dense, ``None`` for the whole layout, or
+    ``part``'s range."""
+    if frontier is not None:
+        active = frontier.begin(store, round_idx, part)
+        if active is not None:
+            return active
+    if part is None:
         return None
     split = store.num_internal()
-    if active is not None:
-        positions = frontier.positions(active)
-        if part is None:
-            internal = positions < split
-            positions = np.concatenate((positions[internal], positions[~internal]))
-        return positions
     bounds = (0, split) if part == _INTERNAL else (split, store.num_owned())
     return np.arange(*bounds, dtype=np.intp)
 
@@ -518,60 +515,22 @@ def _destinations(plan: ChargePlan) -> list[tuple[int, list[int], list[int]]]:
 # --------------------------------------------------------------------- #
 
 
-class _FrontierIndex:
-    """What a :class:`Frontier` derives from a store's owned set, rebuilt
-    once per surgery epoch.  *Local* indices number the owned nodes in gid
-    order -- the order active sets are consumed in."""
-
-    def __init__(self, store: NodeStore) -> None:
-        self.store = store
-        self.epoch = store.surgery_epoch
-        owned = np.array(store.owned_gids(), dtype=np.int64)
-        #: Sweep position (in the store's owned-set layout) of each local.
-        self.position = np.argsort(owned)
-        #: Owned gids, ascending.
-        self.gids = owned[self.position]
-        count = len(self.gids)
-        #: ``gid -> local`` (-1 for a node this rank does not own).
-        self.local_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
-        self.local_of[self.gids] = np.arange(count)
-        is_peripheral = self.position >= store.num_internal()
-        #: Membership masks of the two node classes (``None`` = both).
-        self.classes = {
-            None: np.ones(count, dtype=bool),
-            _INTERNAL: ~is_peripheral,
-            _PERIPHERAL: is_peripheral,
-        }
-        #: ``1 + degree`` per owned node, over the *whole* graph.
-        self.items, closed = store.graph.csr().rows(self.gids - 1, closed=True)
-        # CSR of the owned closed neighbourhoods, as locals: row ``i`` is
-        # ``targets[starts[i] : starts[i] + lens[i]]``.
-        flat = self.local_of[closed]
-        kept = np.concatenate(([0], np.cumsum(flat >= 0)))
-        bounds = kept[np.concatenate(([0], np.cumsum(self.items)))]
-        self.starts, self.lens = bounds[:-1], np.diff(bounds)
-        self.targets = flat[flat >= 0]
-
-    def closed_neighbourhoods(self, local: np.ndarray) -> np.ndarray:
-        """The owned nodes in the closed neighbourhoods of ``local`` (a
-        node once per neighbourhood it lies in)."""
-        lens = self.lens[local]
-        return self.targets[concat_ranges(self.starts[local], lens, np.cumsum(lens))]
-
-
 class Frontier:
     """Per-rank state of change-driven execution: which owned nodes must
     recompute, per communication round.
 
-    One boolean mask per round over the rank's owned nodes *in gid order*
-    (a node is set when its own or a neighbour's value changed since the
-    start of that round's last sweep), plus a *dense* flag per (round, node
-    class): a dense class computes every node, in layout order (the first
-    iteration, and after any ownership change: migration, repartition,
-    shrink recovery), and discards what was touched into it meanwhile.
-    Dense is a state of its own rather than an all-true mask because the
-    two orders differ after a migration and charges are order-sensitive
-    float sums.
+    One boolean mask per round over the positions of the store's owned-set
+    layout, the dense sweep's order (a node is set when its own or a
+    neighbour's value changed since the start of that round's last sweep);
+    the internal class is the span ``[0, split)``, the peripheral one
+    ``[split, n)``.  A *dense* flag per (round, class) marks a class that
+    computes every node (the first iteration, and after any ownership
+    change: migration, repartition, shrink recovery) and discards what was
+    touched into it; a checkpoint records it as ``None``, unlike a class
+    with every node active.  The positions come from the epoch's
+    :meth:`~repro.core.nodestore.NodeStore.topology`: ownership surgery
+    must be followed by :meth:`reset_dense` or :meth:`restore`, and an epoch
+    the frontier was not told about raises.
 
     Per-round masks (rather than a single frontier) keep multi-round
     applications like the battlefield simulation sound: round ``r``'s
@@ -604,71 +563,61 @@ class Frontier:
         self.reset_dense()
 
     def reset_dense(self) -> None:
-        """Fall back to dense sweeps for every round and class.
+        """Fall back to dense sweeps for every round and class, over the
+        store's next epoch: after any event that changes ownership or
+        rebuilds stores from bare values (migration, repartition, shrink
+        recovery).  A dense round is a safe superset of any frontier, and
+        purity makes the extra evaluations value-neutral."""
+        self._topology: Topology | None = None
+        self._dense = np.ones((self.rounds, 2), dtype=bool)
 
-        Called after any event that changes ownership or rebuilds stores
-        from bare values (migration, repartition, shrink recovery) -- a
-        dense round is a safe superset of any frontier, and purity makes
-        the extra evaluations value-neutral.
-        """
-        self._index: _FrontierIndex | None = None
-        #: Active gids per round and class (``None`` = dense) while no index
-        #: is bound: a restore can run before the store it describes exists.
-        self._unbound: list[list[list[int] | None]] = [[None, None]] * self.rounds
-
-    def _bind(self, store: NodeStore) -> _FrontierIndex:
-        """The index for ``store`` as it is now; the active sets carry over
-        by gid when it had to be rebuilt."""
-        index = self._index
-        if index is None or index.store is not store or index.epoch != store.surgery_epoch:
-            active = self._active()
-            index = self._index = _FrontierIndex(store)
-            self._dense = np.array([[part is None for part in parts] for parts in active])
-            self._masks = []
-            for parts in active:
-                local = index.local_of[[gid for part in parts for gid in part or ()]]
-                mask = np.zeros(len(index.gids), dtype=bool)
-                mask[local[local >= 0]] = True
-                self._masks.append(mask)
-        return index
-
-    def _active(self) -> list[list[list[int] | None]]:
-        """Active gids per round and class, ascending (``None`` = dense)."""
-        index = self._index
-        if index is None:
-            return self._unbound
-        return [
-            [
-                None if dense[part] else index.gids[mask & index.classes[part]].tolist()
-                for part in (_INTERNAL, _PERIPHERAL)
-            ]
-            for mask, dense in zip(self._masks, self._dense)
-        ]
+    def _bind(self, store: NodeStore) -> Topology:
+        """The epoch's topology; the first ask after :meth:`reset_dense`
+        derives the masks and the position arrays from it."""
+        topo = store.topology()
+        if topo is self._topology:
+            return topo
+        if self._topology is not None:
+            raise RuntimeError(
+                f"rank {store.rank}: the owned set changed under the frontier"
+                " (reset_dense or restore must follow ownership surgery)"
+            )
+        self._topology = topo
+        split, count = topo.plan.split, len(topo.slots)
+        #: ``gid -> position`` (-1 for a node this rank does not own).
+        self._position_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
+        self._position_of[topo.plan.gids] = np.arange(count)
+        # Each owned node's closed neighbourhood as positions, on
+        # ``topo.indptr`` (-1 for a shadow), and its length.
+        at_slot = np.full(store.num_records(), -1, dtype=np.intp)
+        at_slot[topo.slots] = np.arange(count)
+        self._closed = at_slot[topo.flat_slots]
+        self._items = np.diff(topo.indptr)
+        #: The positions of each node class (``None``: both).
+        self._spans = {None: slice(0, count), _INTERNAL: slice(0, split)}
+        self._spans[_PERIPHERAL] = slice(split, count)
+        # One spare slot past the spans: a touch of position -1 (a shadow, or
+        # a node owned elsewhere) lands there, and no span reads it.
+        self._masks = [np.zeros(count + 1, dtype=bool) for _ in range(self.rounds)]
+        return topo
 
     def begin(self, store: NodeStore, round_idx: int, part: int | None = None) -> np.ndarray | None:
         """Consume round ``round_idx``'s active set, or one class of it: the
-        local indices to compute, ascending -- ``None`` for a dense sweep.
-        The consumed bits clear, ready to collect this sweep's changes."""
-        index = self._bind(store)
-        members = index.classes[part]
+        positions to compute, ascending -- ``None`` for a dense sweep.  The
+        consumed bits clear, ready to collect this sweep's changes."""
+        self._bind(store)
+        span = self._spans[part]
         mask = self._masks[round_idx]
         parts = slice(None) if part is None else part
-        if self._dense[round_idx, parts].any():
-            self._dense[round_idx, parts] = False
-            mask[members] = False
-            return None
-        active = np.flatnonzero(mask & members)
-        mask[active] = False
+        dense = self._dense[round_idx, parts].any()
+        self._dense[round_idx, parts] = False
+        active = None if dense else np.flatnonzero(mask[span]) + span.start
+        mask[span] = False
         return active
 
-    def positions(self, active: np.ndarray) -> np.ndarray:
-        """The sweep positions of :meth:`begin`'s local indices (in gid
-        order)."""
-        return self._index.position[active]
-
-    def _touch(self, local: np.ndarray) -> None:
+    def _touch(self, positions: np.ndarray) -> None:
         for mask in self._masks:
-            mask[local] = True
+            mask[positions] = True
 
     def record_commit(self, store: NodeStore, changed: Sequence[int], ctx: ComputeContext) -> None:
         """Committed owned values changed (``commit_owned``'s list or
@@ -676,11 +625,13 @@ class Frontier:
         every round."""
         if not len(changed):
             return
-        index = self._bind(store)
-        local = index.local_of[changed]
-        self._touch(index.closed_neighbourhoods(local))
-        # One charge per node in commit order, summed left to right.
-        cost = np.add.accumulate(ctx.costs.list_item_cost * index.items[local])[-1]
+        indptr = self._bind(store).indptr
+        at = self._position_of[changed]
+        items = self._items[at]
+        self._touch(self._closed[concat_ranges(indptr[at], items, np.cumsum(items))])
+        # One charge per node, ``1 + degree`` items, in commit order and
+        # summed left to right.
+        cost = np.add.accumulate(ctx.costs.list_item_cost * items)[-1]
         if cost:
             ctx._bookkeeping(float(cost))
 
@@ -688,7 +639,7 @@ class Frontier:
         """Shadow values changed: their owned neighbours must recompute."""
         if not changed:
             return
-        index = self._bind(store)
+        self._bind(store)
         neighbors = store.graph.neighbors
         touched: list[int] = []
         for gid in changed:
@@ -697,13 +648,17 @@ class Frontier:
             # clock at charge time.
             ctx._bookkeeping(ctx.costs.list_item_cost * (1 + len(around)))
             touched.extend(around)
-        local = index.local_of[touched]
-        self._touch(local[local >= 0])
+        self._touch(self._position_of[touched])
 
     def capture(self, store: NodeStore) -> dict[str, Any]:
-        """Checkpoint payload: the active sets as plain sorted gid lists."""
-        self._bind(store)
-        active = self._active()
+        """Checkpoint payload: the active sets as plain sorted gid lists
+        (``None`` for a dense class)."""
+        gids = self._bind(store).plan.gids
+        spans = [self._spans[_INTERNAL], self._spans[_PERIPHERAL]]
+        active = [
+            [None if dense[p] else sorted(gids[s][mask[s]].tolist()) for p, s in enumerate(spans)]
+            for mask, dense in zip(self._masks, self._dense)
+        ]
         if self.inner_cap is None:
             return {"dirty": [None if i is None else sorted(i + p) for i, p in active]}
         return {
@@ -712,14 +667,19 @@ class Frontier:
             "inner_sweeps": self.inner_sweeps,
         }
 
-    def restore(self, state: dict[str, Any]) -> None:
-        """Reinstate what a checkpoint captured (rollback path)."""
-        self.reset_dense()
-        if "dirty" in state:  # both classes at once; binding takes the union
-            self._unbound = [[dirty, dirty] for dirty in state["dirty"]]
+    def restore(self, state: dict[str, Any], store: NodeStore) -> None:
+        """Reinstate what a checkpoint captured over the restored ``store``
+        (rollback path); gids it does not own are dropped."""
+        if "dirty" in state:  # both classes at once
+            active = [[dirty, dirty] for dirty in state["dirty"]]
         else:
-            self._unbound = [list(parts) for parts in zip(state["interior"], state["boundary"])]
+            active = [list(parts) for parts in zip(state["interior"], state["boundary"])]
             self.inner_sweeps = state["inner_sweeps"]
+        self.reset_dense()
+        self._bind(store)
+        self._dense = np.array([[part is None for part in parts] for parts in active])
+        for mask, parts in zip(self._masks, active):
+            mask[self._position_of[[gid for part in parts for gid in part or ()]]] = True
 
 
 # --------------------------------------------------------------------- #
@@ -782,8 +742,8 @@ def superstep(
     * Figure 8a (``overlap``) -- peripherals are processed and dispatched
       first, internals compute while the shadow messages are in flight,
       finally the receives are completed and unpacked one by one.
-    * ``frontier`` -- the same two orders over the active nodes (gid order
-      within each class).  Elision breaks receive symmetry -- a rank can no
+    * ``frontier`` -- the same two orders over the active nodes (layout
+      order).  Elision breaks receive symmetry -- a rank can no
       longer post one receive per graph neighbour -- so the sweep barrier
       doubles as the delivery fence: afterwards the mailbox is asked which
       peers actually sent this sweep's tag, and exactly those messages are

@@ -158,10 +158,6 @@ class NodeStore:
         self._init_record_storage()
         #: :meth:`topology`'s memo (``None`` until asked).
         self._topology: Topology | None = None
-        #: Bumped by every :meth:`_invalidate_topology_cache`: whoever
-        #: derives arrays from the owned set (the change-driven frontier)
-        #: compares it to tell when they are stale.
-        self.surgery_epoch = 0
         self._build(init_value)
 
     # ------------------------------------------------------------------ #
@@ -451,7 +447,6 @@ class NodeStore:
         """Drop the epoch's :class:`Topology`; must run after ownership
         surgery (release/adopt/refresh/restore)."""
         self._topology = None
-        self.surgery_epoch += 1
 
     # ------------------------------------------------------------------ #
     # Commit (end of a compute sweep)

@@ -554,7 +554,7 @@ class _RankRun:
             # Reinstate the change frontier the checkpoint captured -- a
             # rollback must not resume with an empty frontier (nodes whose
             # pending changes were rolled back would never recompute).
-            self.frontier.restore(extras["hybrid" if self.hybrid else "delta"])
+            self.frontier.restore(extras["hybrid" if self.hybrid else "delta"], store)
         if self.guard is not None:
             self.guard.reset_after_restore()
         comm.barrier()

@@ -48,12 +48,10 @@ def parse_chaco(text: str, name: str = "chaco") -> Graph:
         lines.pop(0)
     if not lines:
         raise ValueError("empty Chaco input")
-    header = lines[0].split()
-    if len(header) < 2:
-        raise ValueError(f"bad Chaco header: {lines[0]!r}")
-    num_vertices = int(header[0])
-    num_edges = int(header[1])
-    fmt = int(header[2]) if len(header) >= 3 else 0
+    try:  # vertices, edges and an optional fmt
+        num_vertices, num_edges, fmt = map(int, [*lines[0].split(), "0"][:3])
+    except ValueError:
+        raise ValueError(f"bad Chaco header: {lines[0]!r}") from None
     if fmt not in _VALID_FMTS:
         raise ValueError(f"unsupported Chaco fmt {fmt}; expected one of {_VALID_FMTS}")
     body = lines[1:]

@@ -261,8 +261,8 @@ class Graph:
     def csr(self) -> CSR:
         """The adjacency as read-only arrays, built at the first call.
 
-        Every array pass of the initialisation phase (store build, bulk
-        topology, frontier index, partition metrics) reads this one copy;
+        Every array pass of the initialisation phase (store build, the
+        per-epoch topology, partition metrics) reads this one copy;
         ``ICPlatform.run`` asks before the cluster starts, so rank threads
         share it and forked workers inherit it.
         """

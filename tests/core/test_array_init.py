@@ -2,12 +2,13 @@
 
 ``NodeStore._build`` classifies a rank's nodes, finds its shadows and fills
 the store as array passes over ``Graph.csr()``; ``NodeStore.topology``,
-``SoAStore.owned_values/owned_versions``, ``compute._FrontierIndex`` and
-``ICPlatform.run``'s ownership merge read the same arrays.  The per-node
-code they replaced lives on *here*, as the reference (``ReferenceBuild`` is
-the deleted ``_build``, ``reference_topology`` the deleted loop of
-``topology``, ``reference_frontier_index`` the deleted constructor of
-``_FrontierIndex``), and the array code is held to it on both stores, over
+``SoAStore.owned_values/owned_versions``, the change-driven ``Frontier``'s
+position arrays (derived from the topology) and ``ICPlatform.run``'s
+ownership merge read the same arrays.  The per-node code they replaced
+lives on *here*, as the reference (``ReferenceBuild`` is the deleted
+``_build``, ``reference_topology`` the deleted loop of ``topology``,
+``reference_frontier_arrays`` the frontier's two arrays node by node), and
+the array code is held to it on both stores, over
 random connected graphs with an isolated node attached, under random
 assignments (ranks that own nothing included) and band assignments with more
 parts than rows, with ``float``, ``int``, ``HexState`` and mixed initial
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 from repro.apps.average import make_average_fn
 from repro.apps.battlefield.state import HexState
 from repro.core import ICPlatform, NodeStore, PlatformConfig, PlatformCosts, SoAStore
-from repro.core.compute import _INTERNAL, _PERIPHERAL, _FrontierIndex
+from repro.core.compute import Frontier
 from repro.graphs import Graph, grid2d, random_connected_graph
 from repro.mpi.shm import leaked_segments
 from repro.partitioning import (
@@ -104,33 +105,17 @@ def reference_topology(store: NodeStore) -> dict[str, np.ndarray]:
     }
 
 
-def reference_frontier_index(store: NodeStore) -> dict[str, np.ndarray]:
-    """The arrays of ``_FrontierIndex`` from its former constructor."""
-    peripheral = {gid for gid, _ in store.peripherals()}
+def reference_frontier_arrays(store: NodeStore) -> dict[str, np.ndarray]:
+    """The two arrays a ``Frontier`` derives from the epoch's topology, node
+    by node: each owned node's sweep position by gid (-1 elsewhere), and
+    each owned node's closed neighbourhood as positions (-1 for a shadow),
+    node after node in sweep order."""
     layout = store.owned_gids()
-    owned = sorted(layout)
-    count = len(owned)
-    gids = np.array(owned, dtype=np.int64)
-    local_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
-    local_of[gids] = np.arange(count)
-    is_peripheral = np.fromiter((gid in peripheral for gid in owned), bool, count)
-    neighbors = store.graph.neighbors
-    closed = [(gid, *neighbors(gid)) for gid in owned]
-    items = np.fromiter(map(len, closed), np.int64, count)
-    flat = local_of[[gid for row in closed for gid in row]]
-    kept = np.concatenate(([0], np.cumsum(flat >= 0)))
-    bounds = kept[np.concatenate(([0], np.cumsum(items)))]
-    return {
-        "position": np.fromiter(map(layout.index, owned), np.intp, count),
-        "gids": gids,
-        "local_of": local_of,
-        "internal": ~is_peripheral,
-        "peripheral": is_peripheral,
-        "items": items,
-        "starts": bounds[:-1],
-        "lens": np.diff(bounds),
-        "targets": flat[flat >= 0],
-    }
+    position_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
+    for position, gid in enumerate(layout):
+        position_of[gid] = position
+    closed = [position_of[v] for gid in layout for v in (gid, *store.graph.neighbors(gid))]
+    return {"position_of": position_of, "closed": np.array(closed, dtype=np.intp)}
 
 
 # --------------------------------------------------------------------- #
@@ -387,23 +372,13 @@ class TestDerivedArrays:
             store = store_cls(rank, graph, list(assignment), float)
             if operate:
                 surgery(store)
-            index = _FrontierIndex(store)
-            expected = reference_frontier_index(store)
-            actual = {
-                "position": index.position,
-                "gids": index.gids,
-                "local_of": index.local_of,
-                "internal": index.classes[_INTERNAL],
-                "peripheral": index.classes[_PERIPHERAL],
-                "items": index.items,
-                "starts": index.starts,
-                "lens": index.lens,
-                "targets": index.targets,
-            }
+            frontier = Frontier(1)
+            frontier.capture(store)  # binds the epoch
+            expected = reference_frontier_arrays(store)
+            actual = {"position_of": frontier._position_of, "closed": frontier._closed}
             for name, array in expected.items():
                 assert actual[name].dtype == array.dtype, name
                 assert actual[name].tolist() == array.tolist(), name
-            assert index.classes[None].all() and len(index.classes[None]) == len(index.gids)
 
     @pytest.mark.parametrize("values", ["float", "int", "mixed"])
     @settings(max_examples=25, deadline=None)

@@ -1,14 +1,16 @@
 """Property tests: the mask-backed ``Frontier`` equals a per-gid set model.
 
 ``compute.Frontier`` keeps the change-driven active sets as boolean masks
-over the rank's owned nodes and updates them with array gathers.  The model
-below is the per-gid bookkeeping it replaced (``DeltaState`` /
-``HybridState``): one Python set per (round, node class), ``None`` while a
-class is dense.  On random graphs, partitions, rounds and operation
-sequences the two must hand out the same active gids in the same order,
+over the positions of the store's owned-set layout and updates them with
+array gathers off the epoch's ``Topology``.  The model below is the per-gid
+bookkeeping it replaced (``DeltaState`` / ``HybridState``): one Python set
+per (round, node class), ``None`` while a class is dense.  On random graphs,
+partitions, rounds and operation sequences the two must hand out the same
+active gids in the same order -- the layout's, ``store.owned_gids()`` --
 charge the same bookkeeping (``float.hex``, call for call), discard what is
 touched into a dense class, checkpoint to the same plain lists, and agree
-again after ownership surgery rebuilt the index.
+again after ownership surgery; an epoch the frontier was not told about is
+refused.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,11 +29,10 @@ from repro.graphs import random_connected_graph
 ITEM = PlatformCosts().list_item_cost
 
 
-def gids_of(store, frontier, active) -> list[int]:
-    """The gids behind :meth:`Frontier.begin`'s local indices, in the order
-    their sweep positions come (ascending gids)."""
+def gids_of(store, active) -> list[int]:
+    """The gids at :meth:`Frontier.begin`'s sweep positions, in that order."""
     layout = store.owned_gids()
-    return [layout[p] for p in frontier.positions(active).tolist()]
+    return [layout[p] for p in active.tolist()]
 
 
 class SetModel:
@@ -46,7 +48,8 @@ class SetModel:
             self.sets[round_idx][p] = set()
         if None in taken:
             return None
-        return sorted(g for gids in taken for g in gids if store.owns(g))
+        chosen = set().union(*taken)
+        return [g for g in store.owned_gids() if g in chosen]
 
     def _touch(self, store, gid):
         for per_class in self.sets:
@@ -90,7 +93,9 @@ class RecordingContext:
 def build(seed, num_nodes, nprocs):
     rng = random.Random(seed)
     graph = random_connected_graph(num_nodes, avg_degree=3.0, seed=seed)
-    assignment = [rng.randrange(nprocs) for _ in range(num_nodes)]
+    # Rank 0 owns about half the nodes, so it usually has both classes: an
+    # internal span ``[0, split)`` and a peripheral one after it.
+    assignment = [0 if rng.random() < 0.5 else rng.randrange(nprocs) for _ in range(num_nodes)]
     assignment[0] = 0  # rank 0 owns something
     return NodeStore(0, graph, assignment, float), rng
 
@@ -128,7 +133,7 @@ def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid,
             part = rng.choice([_INTERNAL, _PERIPHERAL]) if hybrid else None
             active = frontier.begin(store, round_idx, part)
             expected = model.begin(store, round_idx, part)
-            assert (None if active is None else gids_of(store, frontier, active)) == expected
+            assert (None if active is None else gids_of(store, active)) == expected
         elif op == "commit":
             changed = sample(rng, owned)  # commit order is list order, not gid order
             frontier.record_commit(store, changed, ctx)
@@ -144,12 +149,18 @@ def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid,
             # Plain data in, plain data out: a fresh frontier restored from
             # the pickled payload captures the same lists.
             frontier = Frontier(rounds, inner_cap=8 if hybrid else None)
-            frontier.restore(pickle.loads(pickle.dumps(payload)))
+            frontier.restore(pickle.loads(pickle.dumps(payload)), store)
             assert frontier.capture(store) == payload
         elif op == "rebuild":
             # A new surgery epoch over the same owned set (a refresh that
-            # moved nothing): the index is rebuilt, the active sets carry over.
+            # moved nothing) that nobody announced: the bound frontier
+            # refuses it, and the platform's answer to surgery is a reset.
+            frontier.capture(store)
             store._invalidate_topology_cache()
+            with pytest.raises(RuntimeError, match="owned set changed"):
+                frontier.begin(store, 0)
+            frontier.reset_dense()
+            model = SetModel(rounds)
         elif op == "surgery" and len(owned) > 1:
             # Migration as the platform performs it: ownership changes, the
             # classification is re-derived, the frontier falls back to dense.
@@ -179,13 +190,27 @@ def test_dense_class_discards_touches():
     assert frontier.capture(store)["interior"] == [[]]
 
 
-def test_restore_before_any_store_is_bound():
-    """Rollback restores the frontier first and binds a store later; the
-    lists wait, and gids the store no longer owns are dropped."""
+def test_a_class_is_a_span_of_the_layout():
+    """``begin`` hands out layout positions, ascending: the internal class
+    from 0, the peripheral class from the internal count on."""
+    store, _ = build(seed=1, num_nodes=12, nprocs=2)
+    split, count = store.num_internal(), store.num_owned()
+    assert 0 < split < count
+    frontier = Frontier(1, inner_cap=4)
+    assert frontier.begin(store, 0, _INTERNAL) is None  # dense
+    assert frontier.begin(store, 0, _PERIPHERAL) is None
+    frontier.record_commit(store, store.owned_gids(), RecordingContext([]))
+    assert frontier.begin(store, 0, _PERIPHERAL).tolist() == list(range(split, count))
+    assert frontier.begin(store, 0, _INTERNAL).tolist() == list(range(split))
+
+
+def test_restore_into_the_given_store():
+    """Rollback restores the frontier into the restored store; gids the
+    store does not own are dropped."""
     store, _ = build(seed=2, num_nodes=10, nprocs=2)
     owned = sorted(store.owned_gids())
     foreign = next(gid for gid in store.graph.nodes() if not store.owns(gid))
     frontier = Frontier(2)
-    frontier.restore({"dirty": [sorted([owned[0], foreign]), None]})
-    assert gids_of(store, frontier, frontier.begin(store, 0)) == [owned[0]]
+    frontier.restore({"dirty": [sorted([owned[0], foreign]), None]}, store)
+    assert gids_of(store, frontier.begin(store, 0)) == [owned[0]]
     assert frontier.begin(store, 1) is None

@@ -451,6 +451,14 @@ class TestProbeCounts:
                     return super().get(gid, default)
 
             store._slot_of = Counting(store._slot_of)
+            epochs = [0]
+            invalidate = store._invalidate_topology_cache
+
+            def counting_invalidate() -> None:
+                epochs[0] += 1
+                invalidate()
+
+            store._invalidate_topology_cache = counting_invalidate
             ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
             buffers = CommBuffers(comm.size)
 
@@ -480,7 +488,7 @@ class TestProbeCounts:
             migrate_node(comm, store, moving, 0, to, ctx)
             assert [probes_of_a_sweep() for _ in range(4)] == [arrivals()] * 4
             assert store.sweep_rows() is not rows
-            return store.surgery_epoch
+            return epochs[0]
 
         # Every rank re-derived its kinds; the two ends also released/adopted.
         assert sorted(run_mpi(fn, 4, machine=IDEAL)) == [1, 1, 2, 2]

@@ -328,6 +328,77 @@ class TestEmptyGraph:
         assert "degree" not in out
 
 
+class TestBadInput:
+    """Bad input ends in the one-line usage error with exit 2, as an empty
+    graph does, never in a traceback."""
+
+    @staticmethod
+    def usage_error(argv, capsys) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        return captured.err
+
+    @staticmethod
+    def argv(command, graph, tmp_path):
+        argv = [command, "--graph", str(graph)]
+        if command != "info":
+            argv += ["--np", "2"]
+        if command == "partition":
+            argv += ["--output", str(tmp_path / "p.txt")]
+        return argv
+
+    @pytest.mark.parametrize("command", ["info", "run", "partition"])
+    def test_missing_graph(self, tmp_path, capsys, command):
+        missing = tmp_path / "MISSING"
+        err = self.usage_error(self.argv(command, missing, tmp_path), capsys)
+        assert err == f"repro {command}: error: --graph: no such file: {missing}\n"
+
+    @pytest.mark.parametrize("command", ["info", "run", "partition"])
+    def test_graph_is_a_directory(self, tmp_path, capsys, command):
+        err = self.usage_error(self.argv(command, tmp_path, tmp_path), capsys)
+        assert err == f"repro {command}: error: --graph: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", ["info", "run", "partition"])
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("x y\n", "bad Chaco header: 'x y'"),
+            ("3 2\n2\n1 3\n", "Chaco header promises 3 vertex lines, found 2"),
+            ("2 1\n5\n1\n", "node 1 lists neighbour 5 outside 1..2"),
+        ],
+        ids=["header", "short", "range"],
+    )
+    def test_malformed_chaco(self, tmp_path, capsys, command, text, problem):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        err = self.usage_error(self.argv(command, path, tmp_path), capsys)
+        assert err == f"repro {command}: error: --graph: {path}: {problem}\n"
+
+    def test_partition_np_zero(self, hexfile, tmp_path, capsys):
+        argv = ["partition", "--graph", str(hexfile), "--np", "0", "--output", str(tmp_path / "p")]
+        err = self.usage_error(argv, capsys)
+        assert err == "repro partition: error: --np must be >= 1, got 0\n"
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--rows", "0"], "grid must be at least 1x1, got 0x8"),
+            (["--kind", "random", "--nodes", "0"], "num_nodes must be >= 1, got 0"),
+        ],
+        ids=["rows", "nodes"],
+    )
+    def test_generate_empty_size(self, tmp_path, capsys, flags, problem):
+        out = tmp_path / "g.txt"
+        err = self.usage_error(["generate", *flags, "--output", str(out)], capsys)
+        assert err == f"repro generate: error: {problem}\n"
+        assert not out.exists()
+
+
 class TestPartitionAnalyze:
     def test_analyze_flag_prints_diagnostics(self, tmp_path, hexfile, capsys):
         out = tmp_path / "part.txt"
