@@ -4,20 +4,22 @@ The platform invokes the user's *application node function* through a
 pointer it maintains -- here, a plain callable.  For each owned node it
 forms "a list with the current node's data as the head, followed by the
 data of the neighbors" (:class:`NodeView`), calls the function, and stores
-the returned value in ``most_recent_data``; the sweep's phase packs the
-updated peripheral values per destination before it returns, so "by the
-time the computation routine returns, the communication buffers are all
-set up".  On a struct-of-arrays store the function's vectorized kernel
-computes the same values, and both stores charge through one accountant.
+the returned value in ``most_recent_data``; the peripheral sweep packs the
+updated values per destination before it returns, so "by the time the
+computation routine returns, the communication buffers are all set up".
+On a struct-of-arrays store the function's vectorized kernel computes the
+same values, and both stores charge through one accountant.
 
-There is one pipeline, :func:`superstep`, in GraphHP's shape -- *boundary
-phase, exchange, interior phase* -- and three choices a caller makes:
+The unit of computation is one *node class*: :func:`_sweep` computes the
+internal nodes (every neighbour local) or the peripheral nodes (at least
+one remote), charges them and, for the peripheral class, packs them.
+:func:`superstep` is three orders of four steps -- sweep I, sweep P,
+commit, send -- and two choices a caller makes:
 
-* **Order** (``overlap``).  Figure 8 computes internals, then peripherals
-  (packing), commits, then ``Isend`` everything and blocking-receives
-  the shadows.  Figure 8a computes the peripherals first and dispatches
-  them, so the internals compute *while the transfers are in flight*, then
-  waits and unpacks.
+* **Order** (``overlap``).  Figure 8: I, P, commit, send, then
+  blocking-receive the shadows.  Figure 8a: P, send, I, commit -- the
+  internals compute *while the transfers are in flight* -- then wait and
+  unpack.
 * **Activation** (``frontier``).  Without one every owned node computes and
   every peripheral value travels.  With a :class:`Frontier` the sweep is
   change-driven (``--activation sparse``): only *active* nodes (own or
@@ -26,17 +28,17 @@ phase, exchange, interior phase* -- and three choices a caller makes:
   and receivers discover the actual sender set from the mailbox after the
   sweep barrier (the frontier holds the per-round active sets and the
   sweep-parity tag).
-* **Interior cap** (``frontier.inner_cap``).  Set, the superstep is GraphHP's
-  two-phase one (``--execution hybrid``): the *boundary phase* computes the
-  active peripheral nodes and dispatches their deltas exactly like the
-  change-driven sweep, then the *interior phase* iterates the interior
-  active set locally -- no messages, no barrier -- until the frontier
-  drains or the cap is hit, with every inner sweep charged at full virtual
-  cost.  The interior loop runs between the ``Isend`` and the barrier, so
-  it inherently overlaps the in-flight exchange; arrivals can only
-  activate peripheral nodes (an owned node with a remote neighbour is
-  peripheral by definition), which is what makes the interior phase safely
-  independent of this superstep's traffic.
+
+With ``frontier.inner_cap`` set the superstep takes the third order,
+GraphHP's two-phase one (``--execution hybrid``): P, commit, send -- the
+*boundary phase* -- then the *interior phase*, (I, commit) repeated
+locally -- no messages, no barrier -- until the interior frontier drains
+or the cap is hit, with every inner sweep charged at full virtual cost.
+The interior loop runs between the send and the barrier, so it inherently
+overlaps the in-flight exchange; arrivals can only activate peripheral
+nodes (an owned node with a remote neighbour is peripheral by
+definition), which is what makes the interior phase safely independent of
+this superstep's traffic.
 
 Change-driven sweeps assume the node function is *pure per round*: its
 return value depends only on the node's own and neighbours' values (cost
@@ -82,7 +84,8 @@ TAG_SHADOW = 1
 #: ``pending_sources`` query.
 TAG_SHADOW_DELTA = (5, 6)
 
-#: The two node classes a sweep computes in separate phases.
+#: The two node classes, the unit a sweep computes (indexes of
+#: ``Topology.spans`` and ``Topology.classes``).
 _INTERNAL, _PERIPHERAL = 0, 1
 
 
@@ -222,37 +225,16 @@ class ComputeContext:
 NodeFn = Callable[[NodeView, ComputeContext], Any]
 
 
-def _sweep_positions(
-    store: NodeStore, round_idx: int, frontier: Frontier | None, part: int | None
-) -> np.ndarray | None:
-    """The positions in the store's owned-set layout one sweep computes,
-    ascending: the frontier's active set of the round, or of its ``part``
-    class, consumed -- or, dense, ``None`` for the whole layout, or
-    ``part``'s range."""
-    if frontier is not None:
-        active = frontier.begin(store, round_idx, part)
-        if active is not None:
-            return active
-    if part is None:
-        return None
-    split = store.num_internal()
-    bounds = (0, split) if part == _INTERNAL else (split, store.num_owned())
-    return np.arange(*bounds, dtype=np.intp)
-
-
 def _looped_kernel(
-    store: NodeStore, positions: np.ndarray | None, node_fn: NodeFn, ctx: ComputeContext
-) -> tuple[list, list, list[float] | tuple[list[float], ...]]:
-    """The node function as a kernel over the list store's sweep rows at
-    ``positions`` (``None``: all): per node, form the view from the value
-    column, call the function and make its value pending, while
-    ``ctx.work`` records the node's charges.  Returns the rows, the fresh
-    values and the grains for :func:`_charge`: a list, one per node
-    (``0.0`` for a node that charged nothing), or, when some node charged
-    more than once, a tuple of each node's charges in call order."""
-    rows = store.sweep_rows()
-    if positions is not None:
-        rows = [rows[p] for p in positions.tolist()]
+    store: NodeStore, rows: list, node_fn: NodeFn, ctx: ComputeContext
+) -> tuple[list, list[float] | tuple[list[float], ...]]:
+    """The node function as a kernel over the list store's sweep ``rows``:
+    per node, form the view from the value column, call the function and
+    make its value pending, while ``ctx.work`` records the node's charges.
+    Returns the fresh values and the grains for :func:`_charge`: a list,
+    one per node (``0.0`` for a node that charged nothing), or, when some
+    node charged more than once, a tuple of each node's charges in call
+    order."""
     values, pending = store._values, store._pending
     iteration, round_idx = ctx.iteration, ctx.round
     fresh: list = []
@@ -268,23 +250,24 @@ def _looped_kernel(
     finally:
         ctx._charges = None
     if ends == list(range(1, len(ends) + 1)):
-        return rows, fresh, charges
+        return fresh, charges
     per_node = [charges[a:b] for a, b in zip([0, *ends], ends)]
     if max(map(len, per_node)) > 1:
-        return rows, fresh, tuple(per_node)
-    return rows, fresh, [c[0] if c else 0.0 for c in per_node]
+        return fresh, tuple(per_node)
+    return fresh, [c[0] if c else 0.0 for c in per_node]
 
 
 # --------------------------------------------------------------------- #
 # The accountant
 # --------------------------------------------------------------------- #
 #
-# A sweep computes its values up front, through the node function's *bulk
-# kernel* on a struct-of-arrays store (``fn.bulk``: a pure ``kernel(view)
-# -> ndarray`` costing ``kernel.node_grain`` virtual seconds a node) or
-# :func:`_looped_kernel` on the list store, then hands the accountant
-# (:func:`_charge`) its *charge plan*: per node bookkeeping, grain, packs,
-# in that order -- so clocks, buckets, loads and traces ignore the store.
+# A sweep computes one node class's values, through the node function's
+# *bulk kernel* on a struct-of-arrays store (``fn.bulk``: a pure
+# ``kernel(view) -> ndarray`` costing ``kernel.node_grain`` virtual seconds
+# a node) or :func:`_looped_kernel` on the list store, then hands the
+# accountant (:func:`_charge`) the class's *charge plan*: per node
+# bookkeeping, grain, packs, in that order -- so clocks, buckets, loads and
+# traces ignore the store.
 
 
 def supports_bulk(node_fns: tuple[NodeFn, ...] | list[NodeFn]) -> bool:
@@ -334,7 +317,7 @@ def _node_costs(ctx: ComputeContext, degrees: np.ndarray) -> np.ndarray:
 def _charge_rows(
     node_costs: np.ndarray, grains: float | list[float], pack_cost: float, packs: list[int] | None
 ) -> list[np.ndarray]:
-    """Lay a part's charges out as one row per accumulator, each holding
+    """Lay a plan's charges out as one row per accumulator, each holding
     only its own charges in order after a column 0 reserved for the seed:
     the clock (per node its bookkeeping cost, grain and ``packs[i]`` pack
     charges), bookkeeping, compute and, unless nothing is packed,
@@ -362,15 +345,14 @@ def _charge_rows(
 def _charge(
     ctx: ComputeContext,
     plan: ChargePlan,
-    part: int,
     grains: float | list[float] | tuple[list[float], ...],
     packed: bool | list[bool] = False,
 ) -> None:
     """The accountant, the one seam every sweep charge goes through: per
-    node of a plan's internal or peripheral part, list-forming bookkeeping,
-    the grain (``grains``: a kernel's one for all, a list of one per node
-    of the plan, or a tuple of each node's charges) and, ``packed`` (all,
-    or a per-node mask), one ``pack_cost`` per shadow destination.
+    node of a plan, list-forming bookkeeping, the grain (``grains``: a
+    kernel's one for all, a list of one per node, or a tuple of each
+    node's charges) and, ``packed`` (all, or a per-node mask), one
+    ``pack_cost`` per shadow destination.
 
     Each accumulator's own charges are folded into it by
     ``np.add.accumulate`` over one row seeded with its current value: it
@@ -381,14 +363,12 @@ def _charge(
     nodes, for a node that charged more than once and under a ``slow=``
     window, which scales a charge by the clock *at charge time*.
     """
-    split = plan.split
-    count = split if part == _INTERNAL else len(plan.gids) - split
+    count = len(plan.gids)
     if not count:
         return
     scalar = isinstance(grains, (int, float))
     if scalar and grains < 0:
         raise ValueError(f"cannot charge negative work: {grains}")
-    where = slice(0, split) if part == _INTERNAL else slice(split, None)
     memo, packs = plan.templates, None
     if packed is True or (packed and any(packed)):
         packs = memo.get("fanout")
@@ -396,25 +376,23 @@ def _charge(
             packs = memo["fanout"] = [len(procs) for procs in plan.dests]
         if packed is not True:
             packs = [n if hit else 0 for n, hit in zip(packs, packed)]
-    if not scalar:
-        grains = grains[where]
     if (
         type(grains) is tuple
         or (not scalar and count < _WALK_BELOW)
         or (ctx.comm.faults is not None and ctx.comm.faults.plan.slow)
     ):
-        walk = memo.get(part)  # the part's gids and degrees as lists
+        walk = memo.get("walk")  # the gids and degrees as lists
         if walk is None:
-            walk = memo[part] = (plan.gids[where].tolist(), plan.degrees[where].tolist())
+            walk = memo["walk"] = (plan.gids.tolist(), plan.degrees.tolist())
         charges = repeat((grains,)) if scalar else grains if type(grains) is tuple else zip(grains)
         _replay_nodes(ctx, *walk, charges, repeat(0) if packs is None else packs)
         return
 
     static = scalar and (packs is None or packed is True)
-    key = (ctx.costs, ctx.num_nodes, part, grains, packs is not None)
+    key = (ctx.costs, ctx.num_nodes, grains, packs is not None)
     template = memo.get(key) if static else None
     if template is None:
-        node_costs = _node_costs(ctx, plan.degrees[where])
+        node_costs = _node_costs(ctx, plan.degrees)
         template = _charge_rows(node_costs, grains, ctx.costs.pack_cost, packs)
         if static:
             memo[key] = template
@@ -431,71 +409,71 @@ def _charge(
     # Consecutive compute prefixes differ by exactly one node's grain as
     # the walk measures it (``compute_time - before``).
     compute = sums[2]
-    ctx.loads[plan.gids[where]] += compute[1:] - compute[:-1]
+    ctx.loads[plan.gids] += compute[1:] - compute[:-1]
 
 
-class _Phases:
-    """One sweep's two phases over the ``count`` nodes :func:`_sweep_positions`
-    picks, their values computed up front by the bulk kernel (not called
-    for an empty active set) or :func:`_looped_kernel`: the phases only
-    charge through :func:`_charge` and pack the peripheral values (with a
-    ``frontier``, the changed ones)."""
-
-    def __init__(
-        self,
-        store: NodeStore,
-        node_fn: NodeFn,
-        ctx: ComputeContext,
-        buffers: CommBuffers,
-        frontier: Frontier | None = None,
-        part: int | None = None,
-    ) -> None:
-        self._ctx, self._buffers = ctx, buffers
-        positions = _sweep_positions(store, ctx.round, frontier, part)
-        if not isinstance(store, SoAStore):
-            plan = store.charge_plan(positions)
-            rows, fresh, self._grains = _looped_kernel(store, positions, node_fn, ctx)
-            fresh = fresh[plan.split :]
-            values = store._values
-            committed = [values[row[1]] for row in rows[plan.split :]] if frontier else None
-        elif positions is not None and not len(positions):
-            plan, fresh, committed, self._grains = store.charge_plan(positions), [], [], 0.0
+def _sweep(
+    store: NodeStore,
+    node_fn: NodeFn,
+    ctx: ComputeContext,
+    buffers: CommBuffers,
+    frontier: Frontier | None,
+    part: int,
+) -> int:
+    """Compute one node class: the frontier's active positions of it
+    (consumed), or the whole class when dense.  Runs the bulk kernel on a
+    struct-of-arrays store, :func:`_looped_kernel` on the list store,
+    charges the nodes through :func:`_charge` and, for the peripheral
+    class, packs their values (with a ``frontier``, the changed ones).
+    Returns how many nodes it computed."""
+    positions = None if frontier is None else frontier.begin(store, ctx.round, part)
+    topo = store.topology()
+    dense = topo.classes[part]
+    count = len(dense.slots) if positions is None else len(positions)
+    if not count:
+        return 0
+    delta = frontier is not None and part == _PERIPHERAL
+    if isinstance(store, SoAStore):
+        kernel = node_fn.bulk
+        view = store.bulk_view(positions, ctx.iteration, ctx.round, part)
+        plan, grains = view.plan, kernel.node_grain
+        committed = view.values.tolist() if delta else None
+        fresh = store.scatter_pending(view.slots, kernel(view))
+        del view  # free the gathers before the accountant lays out its rows
+    else:
+        rows = store.sweep_rows()
+        if positions is None:
+            plan, rows = dense.plan, rows[topo.spans[part]]
         else:
-            kernel = node_fn.bulk
-            view = store.bulk_view(positions, ctx.iteration, ctx.round)
-            plan = view.plan
-            # Exact Python objects, as the looped kernel puts on the wire.
-            fresh = store.scatter_pending(positions, kernel(view), boxed_from=plan.split)
-            committed = view.values[plan.split :].tolist() if frontier else None
-            self._grains = kernel.node_grain
-        self._plan, self._fresh, self.count = plan, fresh, len(plan.gids)
-        # With a ``frontier`` a value equal to the committed one is not
-        # packed (receivers treat absent records as "shadow still current").
-        self._packed: bool | list[bool] = frontier is None or [
-            not (v is None or v == c) for v, c in zip(fresh, committed)
-        ]
-
-    def compute_internal(self) -> None:
-        """Charge the internal nodes' share of the sweep."""
-        _charge(self._ctx, self._plan, _INTERNAL, self._grains)
-
-    def compute_peripheral(self) -> None:
-        """Charge the peripheral nodes' share and pack their values."""
-        plan, packed = self._plan, self._packed
-        _charge(self._ctx, plan, _PERIPHERAL, self._grains, packed)
-        destinations = _destinations(plan)
-        if packed is not True:
-            kept = []
-            for proc, rows, gids in destinations:
-                hits = [packed[i] for i in rows]
-                kept.append((proc, list(compress(rows, hits)), list(compress(gids, hits))))
-            destinations = kept
-        self._buffers.pack_all(destinations, self._fresh)
+            plan, rows = store.charge_plan(positions), [rows[p] for p in positions.tolist()]
+        committed = [store._values[row[1]] for row in rows] if delta else None
+        fresh, grains = _looped_kernel(store, rows, node_fn, ctx)
+    if part == _INTERNAL:
+        del fresh  # likewise: only packed values are read again
+        _charge(ctx, plan, grains)
+        return count
+    if type(fresh) is np.ndarray:
+        fresh = fresh.tolist()  # exact Python objects, as the looped kernel packs
+    # With a ``frontier`` a value equal to the committed one is not packed
+    # (receivers treat absent records as "shadow still current").
+    packed: bool | list[bool] = committed is None or [
+        not (v is None or v == c) for v, c in zip(fresh, committed)
+    ]
+    _charge(ctx, plan, grains, packed)
+    destinations = _destinations(plan)
+    if packed is not True:
+        kept = []
+        for proc, idx, gids in destinations:
+            hits = [packed[i] for i in idx]
+            kept.append((proc, list(compress(idx, hits)), list(compress(gids, hits))))
+        destinations = kept
+    buffers.pack_all(destinations, fresh)
+    return count
 
 
 def _destinations(plan: ChargePlan) -> list[tuple[int, list[int], list[int]]]:
-    """Per shadow destination of a plan's peripheral nodes: the rows (into
-    ``plan.dests``) and gids of the nodes it shadows, in plan order
+    """Per shadow destination of a plan of peripheral nodes: the rows
+    (into ``plan.dests``) and gids of the nodes it shadows, in plan order
     (memoized)."""
     by_dest = plan.templates.get("destinations")
     if by_dest is None:
@@ -503,9 +481,8 @@ def _destinations(plan: ChargePlan) -> list[tuple[int, list[int], list[int]]]:
         for i, procs in enumerate(plan.dests):
             for proc in procs:
                 rows.setdefault(proc, []).append(i)
-        gids = plan.gids[plan.split :]
         by_dest = plan.templates["destinations"] = [
-            (proc, idx, gids[idx].tolist()) for proc, idx in rows.items()
+            (proc, idx, plan.gids[idx].tolist()) for proc, idx in rows.items()
         ]
     return by_dest
 
@@ -538,10 +515,10 @@ class Frontier:
     node may only skip round ``r`` if nothing in its closed neighbourhood
     changed since its last *round-r* evaluation.
 
-    The change-driven sweeps consume a round whole (``part=None``); the
-    hybrid sweep consumes it by node class -- the peripheral (*boundary*)
-    nodes once per superstep, the internal (*interior*) nodes repeatedly
-    inside it, up to ``inner_cap`` sweeps (``None`` outside hybrid
+    Every sweep consumes one node class of a round.  The change-driven
+    superstep consumes each class once; the hybrid one consumes the
+    peripheral (*boundary*) class once and the internal (*interior*) class
+    repeatedly, up to ``inner_cap`` sweeps (``None`` outside hybrid
     execution).  A changed node activates its owned neighbours whatever
     their class; arrivals can only reach peripheral nodes (an owned
     neighbour of a shadow is peripheral by definition), which is what lets
@@ -583,35 +560,29 @@ class Frontier:
                 " (reset_dense or restore must follow ownership surgery)"
             )
         self._topology = topo
-        split, count = topo.plan.split, len(topo.slots)
+        count = len(topo.slots)
         #: ``gid -> position`` (-1 for a node this rank does not own).
         self._position_of = np.full(store.graph.num_nodes + 1, -1, dtype=np.intp)
-        self._position_of[topo.plan.gids] = np.arange(count)
+        self._position_of[topo.gids] = np.arange(count)
         # Each owned node's closed neighbourhood as positions, on
         # ``topo.indptr`` (-1 for a shadow), and its length.
         at_slot = np.full(store.num_records(), -1, dtype=np.intp)
         at_slot[topo.slots] = np.arange(count)
         self._closed = at_slot[topo.flat_slots]
         self._items = np.diff(topo.indptr)
-        #: The positions of each node class (``None``: both).
-        self._spans = {None: slice(0, count), _INTERNAL: slice(0, split)}
-        self._spans[_PERIPHERAL] = slice(split, count)
         # One spare slot past the spans: a touch of position -1 (a shadow, or
         # a node owned elsewhere) lands there, and no span reads it.
         self._masks = [np.zeros(count + 1, dtype=bool) for _ in range(self.rounds)]
         return topo
 
-    def begin(self, store: NodeStore, round_idx: int, part: int | None = None) -> np.ndarray | None:
-        """Consume round ``round_idx``'s active set, or one class of it: the
-        positions to compute, ascending -- ``None`` for a dense sweep.  The
+    def begin(self, store: NodeStore, round_idx: int, part: int) -> np.ndarray | None:
+        """Consume one class of round ``round_idx``'s active set: the
+        positions to compute, ascending -- ``None`` for a dense class.  The
         consumed bits clear, ready to collect this sweep's changes."""
-        self._bind(store)
-        span = self._spans[part]
-        mask = self._masks[round_idx]
-        parts = slice(None) if part is None else part
-        dense = self._dense[round_idx, parts].any()
-        self._dense[round_idx, parts] = False
-        active = None if dense else np.flatnonzero(mask[span]) + span.start
+        span = self._bind(store).spans[part]
+        mask, dense = self._masks[round_idx], self._dense[round_idx]
+        active = None if dense[part] else np.flatnonzero(mask[span]) + span.start
+        dense[part] = False
         mask[span] = False
         return active
 
@@ -653,8 +624,8 @@ class Frontier:
     def capture(self, store: NodeStore) -> dict[str, Any]:
         """Checkpoint payload: the active sets as plain sorted gid lists
         (``None`` for a dense class)."""
-        gids = self._bind(store).plan.gids
-        spans = [self._spans[_INTERNAL], self._spans[_PERIPHERAL]]
+        topo = self._bind(store)
+        gids, spans = topo.gids, topo.spans
         active = [
             [None if dense[p] else sorted(gids[s][mask[s]].tolist()) for p, s in enumerate(spans)]
             for mask, dense in zip(self._masks, self._dense)
@@ -687,22 +658,6 @@ class Frontier:
 # --------------------------------------------------------------------- #
 
 
-def _send_all(comm: Communicator, buffers: CommBuffers, tag: int) -> list[int]:
-    """Dispatch every nonempty buffer as one neighbourhood exchange; returns
-    the peer list (symmetric on a dense sweep).  Empty sends are elided
-    entirely (no sender CPU, no wire cost, no receive to match).
-
-    Buffers are snapshotted into tuples: the in-process transport passes
-    payloads by reference, and the next sweep's ``buffers.reset()`` would
-    otherwise mutate a list the receiver has not drained yet.
-    """
-    peers = buffers.nonempty_procs()
-    comm.neighbor_send(
-        [(q, tuple(buffers.outgoing(q)), buffers.nbytes(q)) for q in peers], tag
-    )
-    return peers
-
-
 def _unpack(
     store: NodeStore,
     records: tuple[tuple[int, Any], ...],
@@ -732,28 +687,26 @@ def superstep(
     overlap: bool = False,
 ) -> int:
     """One compute+communicate superstep; returns how many owned values
-    changed.  The module docstring describes the three choices; in step
-    order they come to:
+    changed.  The module docstring describes the choices; as orders of
+    class sweeps (I internal, P peripheral) they come to:
 
-    * Figure 8 -- ``ComputeOverNodes``: internals, then peripherals with
-      packing, then commit.  ``CommunicateShadows``: Isend all buffers,
-      blocking-receive from each neighbouring processor, unpack into the
-      data node list.
-    * Figure 8a (``overlap``) -- peripherals are processed and dispatched
-      first, internals compute while the shadow messages are in flight,
-      finally the receives are completed and unpacked one by one.
+    * Figure 8 -- ``ComputeOverNodes``: I, P (packing), commit.
+      ``CommunicateShadows``: send all buffers, blocking-receive from each
+      neighbouring processor, unpack into the data node list.
+    * Figure 8a (``overlap``) -- P, send, I while the shadow messages are
+      in flight, commit; finally the receives are completed and unpacked
+      one by one.
     * ``frontier`` -- the same two orders over the active nodes (layout
       order).  Elision breaks receive symmetry -- a rank can no
       longer post one receive per graph neighbour -- so the sweep barrier
       doubles as the delivery fence: afterwards the mailbox is asked which
       peers actually sent this sweep's tag, and exactly those messages are
       received.
-    * ``frontier.inner_cap`` (``overlap`` is ignored) -- boundary phase: the
-      change-driven sweep restricted to the cut.  Interior phase: the
-      interior frontier is iterated locally, each sweep committing and
-      re-deriving the next frontier, with no communication at all.  Finally
-      the fence and the drain; arrivals activate only boundary nodes, for
-      the *next* superstep.
+    * ``frontier.inner_cap`` (``overlap`` is ignored) -- P, commit, send
+      (the boundary phase), then (I, commit) while the interior frontier
+      has active nodes, at most ``inner_cap`` times, with no communication
+      at all.  Finally the fence and the drain; arrivals activate only
+      boundary nodes, for the *next* superstep.
 
     Quiescence safety: the returned count covers boundary plus all
     interior commits.  Frontier entries are only ever created by a
@@ -781,48 +734,45 @@ def superstep(
             frontier.record_commit(store, changed, ctx)
         return len(changed)
 
-    def dispatch() -> list[int]:
-        peers = _send_all(comm, buffers, tag)
+    def send() -> list[int]:
+        # Every nonempty buffer, as one neighbourhood exchange: empty sends
+        # are elided (no sender CPU, no wire cost, no receive to match).
+        # Buffers go as tuples: the in-process transport passes payloads by
+        # reference, and the next ``buffers.reset()`` would otherwise mutate
+        # a list the receiver has not drained yet.
+        peers = buffers.nonempty_procs()
+        comm.neighbor_send([(q, tuple(buffers.outgoing(q)), buffers.nbytes(q)) for q in peers], tag)
         if not sparse:
             # Per-peer receive-buffer allocation + initialization (appendix
             # mallocs a MAX_SIZE recvbuffer per neighbouring processor every
-            # call).  Receives are matched when completed, so nothing needs
-            # posting before the internal phase for the transfers to overlap
-            # it.
+            # call); receives match when completed, so none is posted early.
             ctx._comm_overhead(ctx.costs.recv_setup_cost * len(peers))
         return peers
 
+    def sweep(part: int) -> int:
+        return _sweep(store, node_fn, ctx, buffers, frontier, part)
+
     if inner_cap is not None:
         # ---- Boundary phase (globally synchronous, delta exchange) -------
-        boundary = _Phases(store, node_fn, ctx, buffers, frontier, _PERIPHERAL)
-        boundary.compute_peripheral()
         # Boundary changes land in the *unconsumed* interior class, feeding
         # this superstep's interior phase; interior commits below land in the
         # freshly consumed boundary class, feeding the next superstep.
-        changed = commit(boundary.count)
-        sources = dispatch()
+        changed = commit(sweep(_PERIPHERAL))
+        sources = send()
         # ---- Interior phase (local, asynchronous, overlaps the exchange) --
         sweeps = 0
-        while sweeps < inner_cap:
-            interior = _Phases(store, node_fn, ctx, buffers, frontier, _INTERNAL)
-            if not interior.count:
-                break
+        while sweeps < inner_cap and (count := sweep(_INTERNAL)):
             sweeps += 1
-            interior.compute_internal()
-            changed += commit(interior.count)
+            changed += commit(count)
         frontier.inner_sweeps += sweeps
+    elif overlap:
+        count = sweep(_PERIPHERAL)
+        sources = send()
+        changed = commit(count + sweep(_INTERNAL))
     else:
-        phases = _Phases(store, node_fn, ctx, buffers, frontier)
-        if overlap:
-            phases.compute_peripheral()
-            sources = dispatch()
-            phases.compute_internal()
-            changed = commit(phases.count)
-        else:
-            phases.compute_internal()
-            phases.compute_peripheral()
-            changed = commit(phases.count)
-            sources = dispatch()
+        count = sweep(_INTERNAL)
+        changed = commit(count + sweep(_PERIPHERAL))
+        sources = send()
 
     if sparse:
         # The senders are whoever had a change to report, not the peers just

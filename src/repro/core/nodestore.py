@@ -40,11 +40,11 @@ exist once, over four column hooks and ``_reserve``: this class keeps the
 columns as Python lists, the struct-of-arrays store
 (:mod:`repro.core.soastore`) as numpy arrays.
 
-What the sweeps derive from the layout -- the dense :class:`ChargePlan`,
-the owned nodes' slots and closed neighbourhoods, the shadow records owed
-per processor, the looped kernel's rows and the bulk views' sparse gather
-geometries -- is one :class:`Topology`, built at the first ask after each
-ownership surgery.
+What the sweeps derive from the layout -- the owned nodes' slots and
+closed neighbourhoods, each class's dense :class:`ChargePlan` and gather
+(slices of those), the shadow records owed per processor, the looped
+kernel's rows and the bulk views' sparse gather geometries -- is one
+:class:`Topology`, built at the first ask after each ownership surgery.
 
 The store also implements the data-structure surgery of task migration
 (section 4.3): demoting a migrated node to a shadow on the busy side,
@@ -58,13 +58,13 @@ import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ..graphs.graph import Graph, sorted_unique
 
-__all__ = ["NodeStore", "ChargePlan", "Topology"]
+__all__ = ["NodeStore", "ChargePlan", "Gather", "Topology"]
 
 InitValueFn = Callable[[int], Any]
 
@@ -75,26 +75,35 @@ SweepRow = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 @dataclass(slots=True)
 class ChargePlan:
-    """The nodes of one sweep as the virtual-cost accountant sees them,
-    built from the owned-set layout (:meth:`NodeStore.charge_plan`).  The
-    store knows no cost constants: the compute layer memoizes what it
-    derives (charge rows, pack lists) in ``templates``, which live as long
-    as the plan -- a surgery epoch dense, a geometry LRU slot sparse.
+    """The nodes of one class in one sweep as the virtual-cost accountant
+    sees them (:meth:`NodeStore.charge_plan`).  The store knows no cost
+    constants: the compute layer memoizes what it derives (charge rows,
+    pack lists) in ``templates``, which live as long as the plan -- a
+    surgery epoch dense, a geometry LRU slot sparse.
 
     Attributes:
-        gids: Global IDs in sweep order -- internal nodes, then peripheral.
+        gids: Global IDs in sweep order.
         degrees: Neighbour counts, aligned with ``gids``.
-        split: Number of leading internal nodes.
-        dests: ``shadow_for_procs`` of each peripheral node, aligned with
-            ``gids[split:]``.
+        dests: ``shadow_for_procs`` of each node, aligned with ``gids``;
+            empty for internal nodes, which have none.
         templates: The compute layer's memo (dies with the plan).
     """
 
     gids: np.ndarray
     degrees: np.ndarray
-    split: int
     dests: list[tuple[int, ...]]
     templates: dict[Any, Any] = field(default_factory=dict)
+
+
+class Gather(NamedTuple):
+    """Nodes of one class as a bulk view gathers them: their slots, their
+    closed neighbourhoods as slots (``flat_slots``, as :class:`Topology`
+    lays them out, at offsets ``indptr`` from 0) and their plan."""
+
+    slots: np.ndarray
+    flat_slots: np.ndarray
+    indptr: np.ndarray
+    plan: ChargePlan
 
 
 @dataclass(slots=True)
@@ -103,13 +112,16 @@ class Topology:
     epoch (:meth:`NodeStore.topology`).
 
     Attributes:
-        plan: The dense :class:`ChargePlan`, the whole layout; its ``gids``
-            are the owned gids in sweep order.
+        gids: The owned gids in sweep order.
+        degrees: Their neighbour counts.
         slots: The slot of each owned node, in sweep order.
         indptr: ``len(slots)+1`` offsets into ``flat_slots``.
         flat_slots: Each owned node's closed neighbourhood as slots -- the
             node, then its neighbours in adjacency order -- node after node.
         owed: ``processor -> shadow records owed to it``.
+        spans: Each class's positions: internal ``[0, split)``, peripheral
+            ``[split, n)``.
+        classes: Each class's dense :class:`Gather` (slices of the above).
         rows: The looped kernel's rows (:meth:`NodeStore.sweep_rows`),
             resolved at the first ask.
         sparse: The bulk views' sparse gather geometries, keyed by the
@@ -117,13 +129,16 @@ class Topology:
             :meth:`~repro.core.soastore.SoAStore.bulk_view`).
     """
 
-    plan: ChargePlan
+    gids: np.ndarray
+    degrees: np.ndarray
     slots: np.ndarray
     indptr: np.ndarray
     flat_slots: np.ndarray
     owed: Counter
+    spans: tuple[slice, slice]
+    classes: tuple[Gather, Gather]
     rows: list[SweepRow] | None = None
-    sparse: dict[bytes, tuple] = field(default_factory=dict)
+    sparse: dict[bytes, Gather] = field(default_factory=dict)
 
 
 class NodeStore:
@@ -409,9 +424,20 @@ class NodeStore:
             raise KeyError(int(closed[np.argmin(flat_slots)]))
         indptr = np.zeros(len(gids) + 1, dtype=np.intp)
         np.cumsum(closed_lens, out=indptr[1:])
-        plan = ChargePlan(gids, closed_lens - 1, self._split, list(self._dests))
+        degrees, slots = closed_lens - 1, slot_of[gids]
+        spans = (slice(0, self._split), slice(self._split, len(gids)))
+        classes = []
+        for span, dests in zip(spans, ([], list(self._dests))):
+            bounds = indptr[span.start : span.stop + 1]
+            flat = flat_slots[bounds[0] : bounds[-1]]
+            if span.start:  # offsets from 0, as the internal class's are
+                bounds = bounds - bounds[0]
+            plan = ChargePlan(gids[span], degrees[span], dests)
+            classes.append(Gather(slots[span], flat, bounds, plan))
         owed = Counter(chain.from_iterable(self._dests))
-        topo = self._topology = Topology(plan, slot_of[gids], indptr, flat_slots, owed)
+        topo = self._topology = Topology(
+            gids, degrees, slots, indptr, flat_slots, owed, spans, tuple(classes)
+        )
         return topo
 
     def sweep_rows(self) -> list[SweepRow]:
@@ -432,16 +458,14 @@ class NodeStore:
             ]
         return topo.rows
 
-    def charge_plan(self, positions: np.ndarray | None = None) -> ChargePlan:
+    def charge_plan(self, positions: np.ndarray) -> ChargePlan:
         """The :class:`ChargePlan` of the nodes at ``positions`` of the
-        owned-set layout (internal ones first, as every sweep lists them),
-        or of the whole layout (``None``: the epoch's)."""
-        dense = self.topology().plan
-        if positions is None:
-            return dense
-        split = int(np.count_nonzero(positions < self._split))
-        dests = [dense.dests[p - self._split] for p in positions[split:].tolist()]
-        return ChargePlan(dense.gids[positions], dense.degrees[positions], split, dests)
+        owned-set layout: ascending, and all of one class."""
+        topo, split = self.topology(), self._split
+        dests: list[tuple[int, ...]] = []
+        if len(positions) and positions[0] >= split:
+            dests = [self._dests[p - split] for p in positions.tolist()]
+        return ChargePlan(topo.gids[positions], topo.degrees[positions], dests)
 
     def _invalidate_topology_cache(self) -> None:
         """Drop the epoch's :class:`Topology`; must run after ownership
@@ -635,9 +659,9 @@ class NodeStore:
         # A resolved topology describes the current layout and slots.
         topo = self._topology
         if topo is not None:
-            plan = topo.plan
-            assert plan.gids.tolist() == owned, f"rank {rank}: stale topology"
-            assert plan.split == split and plan.dests == self._dests
+            assert topo.gids.tolist() == owned, f"rank {rank}: stale topology"
+            assert topo.spans == (slice(0, split), slice(split, len(owned)))
+            assert [c.plan.dests for c in topo.classes] == [[], self._dests]
             assert topo.owed == Counter(chain.from_iterable(self._dests))
             closed = [(gid, *self.graph.neighbors(gid)) for gid in owned]
             assert topo.slots.tolist() == [held[gid] for gid in owned]

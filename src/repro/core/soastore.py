@@ -16,8 +16,8 @@ surgery, the per-epoch topology, checkpoints and the invariants are the
 base class's.  This store adds what the arrays are for: its column hooks
 (float boxing, demotion, doubling growth), one array pass in place of each
 per-record loop (the initial records, commit, shadow install, the owned
-columns) and the bulk sweep -- a :class:`BulkView` gathered through the
-topology's slots, and :meth:`SoAStore.scatter_pending`.
+columns) and the bulk sweep of a node class -- a :class:`BulkView`
+gathered through the topology, and :meth:`SoAStore.scatter_pending`.
 
 The platform builds this store exactly when every node function ships a
 bulk kernel (``fn.bulk``) and the ranks average at least
@@ -54,7 +54,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ..graphs.graph import concat_ranges
-from .nodestore import ChargePlan, NodeStore
+from .nodestore import ChargePlan, Gather, NodeStore
 
 __all__ = ["SoAStore", "BulkView"]
 
@@ -126,6 +126,7 @@ class BulkView:
         plan: What the sweep's virtual-cost accountant needs to charge for
             these nodes (:class:`~repro.core.nodestore.ChargePlan`);
             kernels ignore it.
+        slots: The nodes' slots, where the sweep installs the results.
     """
 
     gids: np.ndarray
@@ -136,6 +137,7 @@ class BulkView:
     iteration: int
     round: int
     plan: "ChargePlan"
+    slots: np.ndarray
 
     def __len__(self) -> int:
         return len(self.gids)
@@ -262,7 +264,7 @@ class SoAStore(NodeStore):
         """:meth:`NodeStore.commit_owned` on the arrays; the changed gids
         come back as an int64 array (in sweep order), not a list."""
         topo = self.topology()
-        slots, gids = topo.slots, topo.plan.gids
+        slots, gids = topo.slots, topo.gids
         pending = self._pending_mask[slots]
         if not pending.any():
             return gids[:0]
@@ -323,24 +325,25 @@ class SoAStore(NodeStore):
 
     # --------------------------- bulk views --------------------------- #
 
-    def bulk_view(self, positions: np.ndarray | None, iteration: int, round_idx: int) -> BulkView:
+    def bulk_view(
+        self, positions: np.ndarray | None, iteration: int, round_idx: int, part: int = 0
+    ) -> BulkView:
         """Gather a :class:`BulkView` for the given sweep positions.
 
-        ``positions=None`` means the full owned set in sweep order, gathered
-        through the epoch's :class:`~repro.core.nodestore.Topology`;
-        explicit positions list internal nodes before peripheral ones, as
-        every sweep does (the view's charge plan splits them there).  Their
-        gather geometry -- and the charge plan with it -- is memoized in the
-        topology's ``sparse`` LRU, keyed by the positions bytes: once a
-        change-driven frontier stabilizes (or alternates between a few
-        working sets), the CSR slice geometry is reused across supersteps
-        instead of being rebuilt every sweep.  Hybrid execution leans on
-        this hardest -- a converging interior frontier revisits the same
-        position sets across inner sweeps.
+        ``positions`` are ascending positions of one node class; ``None``
+        means every node of class ``part`` (0 internal, 1 peripheral), the
+        topology's own gather.  The gather geometry of explicit positions
+        -- and their charge plan with it -- is memoized in the topology's
+        ``sparse`` LRU, keyed by the positions bytes: once a change-driven
+        frontier stabilizes (or alternates between a few working sets), the
+        CSR slice geometry is reused across supersteps instead of being
+        rebuilt every sweep.  Hybrid execution leans on this hardest -- a
+        converging interior frontier revisits the same position sets
+        across inner sweeps.
         """
         topo = self.topology()
         if positions is None:
-            geometry = (topo.slots, topo.flat_slots, topo.indptr, topo.plan)
+            geometry = topo.classes[part]
         else:
             positions = np.asarray(positions, dtype=np.intp)
             memo, memo_key = topo.sparse, positions.tobytes()
@@ -354,7 +357,7 @@ class SoAStore(NodeStore):
                 offsets = np.zeros(len(positions) + 1, dtype=np.intp)
                 np.cumsum(lens, out=offsets[1:])
                 flat_idx = concat_ranges(starts, lens, offsets[1:])
-                geometry = (
+                geometry = Gather(
                     topo.slots[positions],
                     topo.flat_slots[flat_idx],
                     offsets,
@@ -375,25 +378,22 @@ class SoAStore(NodeStore):
             iteration=iteration,
             round=round_idx,
             plan=plan,
+            slots=own_slots,
         )
 
-    def scatter_pending(
-        self, positions: np.ndarray | None, out: np.ndarray, boxed_from: int = 0
-    ) -> list:
-        """Install a bulk kernel's results as the pending values.
+    def scatter_pending(self, slots: np.ndarray, out: Any) -> np.ndarray | list:
+        """Install a bulk kernel's results as the pending values of
+        ``slots`` (a view's).
 
-        Returns the stored values from index ``boxed_from`` on as exact
-        Python objects: the packers put the peripheral tail on the wire and
-        nobody reads the rest, so boxing it would be wasted work.
+        Returns the stored values: the float64 array on the fast path
+        (``tolist`` boxes them exactly; only packed values need it), else
+        the exact Python objects.
         """
-        slots = self.topology().slots
-        if positions is not None:
-            slots = slots[np.asarray(positions, dtype=np.intp)]
         if self._float_mode:
             arr = np.asarray(out, dtype=np.float64)
             self._pending[slots] = arr
             self._pending_mask[slots] = True
-            return arr[boxed_from:].tolist()
+            return arr
         normalized = [
             value.item() if isinstance(value, np.generic) else value
             for value in (out.tolist() if isinstance(out, np.ndarray) else out)
@@ -401,4 +401,4 @@ class SoAStore(NodeStore):
         for slot, value in zip(slots.tolist(), normalized):
             self._pending[slot] = value
             self._pending_mask[slot] = value is not None
-        return normalized[boxed_from:]
+        return normalized

@@ -408,8 +408,10 @@ class Communicator:
         def complete(clocks: list[float], published: list[Any]) -> tuple[list[float], Any]:
             return collectives.replay(name, link, group, root, clocks, published, op)
 
+        # A gather's tree senders run on without waiting for the root.
+        last = root if name in ("gather", "reduce") else None
         results, retransmits = cluster.collective(
-            self, name, (payload, fates), complete, messages=rounds * (len(group) - 1)
+            self, name, (payload, fates), complete, rounds * (len(group) - 1), last=last
         )
         if retransmits[rank]:
             faults.count_retransmit(self._world_rank, retransmits[rank])

@@ -78,7 +78,9 @@ class _Rendezvous:
     ``(comm_id, group)``, so sub-communicators sharing a channel id never
     count each other's arrivals."""
 
-    __slots__ = ("group", "name", "arrived", "clocks", "payloads", "generation", "outcome")
+    __slots__ = (
+        "group", "name", "arrived", "clocks", "payloads", "generation", "outcome", "left"
+    )
 
     def __init__(self, group: tuple[int, ...]) -> None:
         self.group = group
@@ -92,6 +94,7 @@ class _Rendezvous:
         self.arrived: list[int] = []
         self.clocks = [0.0] * n
         self.payloads: list[Any] = [None] * n
+        self.left = 0  # members that took the last generation's outcome home
 
     def arrive(self, local: int, name: str, clock: float, payload: Any) -> bool:
         """Member ``local`` enters collective ``name``; True when it is the
@@ -483,7 +486,7 @@ class SimCluster:
     def collective(
         self, comm: Communicator, name: str, payload: Any,
         complete: Callable[[list[float], list[Any]], tuple[list[float], Any]],
-        messages: int = 0, barriers: int = 0,
+        messages: int = 0, barriers: int = 0, last: int | None = None,
     ) -> Any:
         """Run collective ``name`` over ``comm``'s group as one rendezvous.
 
@@ -492,7 +495,11 @@ class SimCluster:
         exit clock and the result, which this rank takes home.  The
         rendezvous counts the ``messages`` and ``barriers`` the operation
         models, and the last rank to arrive releases exactly the group.
-        Inside a process worker the rendezvous is the parent broker's.
+        Member ``last`` leaves after every other member has: a gather's
+        root, whose tree receives complete after its senders sent and ran
+        on, so what they do next (lose a message, say) comes first.
+        Inside a process worker the rendezvous is the parent broker's, and
+        its workers leave at once: they run concurrently anyway.
         """
         rank, local, group = comm._world_rank, comm._rank, comm._group
         state = self._ranks[rank]
@@ -519,6 +526,12 @@ class SimCluster:
                 self._backend.wait(
                     rank, lambda: True if rv.generation != generation else None, rv.describe
                 )
+            if local == last:
+                others = len(group) - 1
+                self._backend.wait(rank, lambda: True if rv.left == others else None, rv.describe)
+            elif last is not None:
+                rv.left += 1
+                self._backend.notify((group[last],))
             clocks, result = rv.outcome
         state.clock = clocks[local]
         return result

@@ -1,7 +1,7 @@
 """Property tests: the vectorised accountant equals the per-node charge walk.
 
-Every sweep hands its virtual charges to ``compute._charge`` as one charge
-plan, folded into the clock and the time buckets with
+Every sweep of a node class hands its virtual charges to ``compute._charge``
+as one charge plan, folded into the clock and the time buckets with
 ``np.add.accumulate`` -- or, for per-node grains over fewer than
 ``_WALK_BELOW`` nodes, walked node by node (``_replay_nodes``).  The
 reference below performs the same additions one node at a time, as the
@@ -27,13 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ComputeContext, PlatformCosts, compute
-from repro.core.compute import (
-    _INTERNAL,
-    _PERIPHERAL,
-    _WALK_BELOW,
-    _charge,
-    _node_costs,
-)
+from repro.core.compute import _WALK_BELOW, _charge, _node_costs
 from repro.core.nodestore import ChargePlan
 from repro.mpi import IDEAL, FaultPlan, run_mpi
 
@@ -55,9 +49,10 @@ clocks = st.one_of(
 
 @st.composite
 def sweeps(draw, per_node: bool = False):
-    """A plan (internal + peripheral nodes, each part on either side of the
-    walk cut), a grain (``per_node``: a list, one per node), seeds and a
-    mask."""
+    """A sweep as the seam sees it: an internal plan, then a peripheral one
+    (each on either side of the walk cut; the peripheral nodes with shadow
+    destinations and a pack mask), a grain (``per_node``: a list per plan,
+    one per node) and seeds."""
     n_int = draw(st.integers(min_value=0, max_value=40))
     n_per = draw(st.integers(min_value=0, max_value=2 * _WALK_BELOW))
     total = n_int + n_per
@@ -80,14 +75,17 @@ def sweeps(draw, per_node: bool = False):
     seeds = tuple(draw(clocks) for _ in range(4))
     if per_node:
         grain = draw(st.lists(grains, min_size=total, max_size=total))
+        internal_grain, peripheral_grain = grain[:n_int], grain[n_int:]
     else:
-        grain = draw(grains)
-    return gids, degrees, n_int, dests, grain, packed, seeds
+        internal_grain = peripheral_grain = draw(grains)
+    internal = (gids[:n_int], degrees[:n_int], [], internal_grain, False)
+    peripheral = (gids[n_int:], degrees[n_int:], dests, peripheral_grain, packed)
+    return [internal, peripheral], seeds
 
 
-def make_plan(gids, degrees, n_int, dests) -> ChargePlan:
+def make_plan(gids, degrees, dests) -> ChargePlan:
     return ChargePlan(
-        np.asarray(gids, dtype=np.int64), np.asarray(degrees, dtype=np.int64), n_int, dests
+        np.asarray(gids, dtype=np.int64), np.asarray(degrees, dtype=np.int64), dests
     )
 
 
@@ -109,9 +107,9 @@ def observed(ctx: ComputeContext) -> dict:
     }
 
 
-def pack_counts(dests, packed) -> list[int]:
+def pack_counts(count, dests, packed) -> list[int]:
     if packed is False:
-        return [0] * len(dests)
+        return [0] * count
     if packed is True:
         return [len(procs) for procs in dests]
     return [len(procs) if hit else 0 for procs, hit in zip(dests, packed)]
@@ -126,19 +124,20 @@ def node_charges(grain, count: int) -> list:
 
 
 def run_plan(case, faults=None) -> dict:
-    """Two sweeps through the seam (the second hits the memoized matrices
+    """Two sweeps through the seam, each charging the internal plan and
+    then the peripheral one (the second sweep hits the memoized matrices
     and lands on loads the first left behind).  Per-node grains go in as
     the list a looped kernel hands over, charge lists as its tuple."""
-    gids, degrees, n_int, dests, grain, packed, seeds = case
-    if isinstance(grain, list) and any(isinstance(g, list) for g in grain):
-        grain = tuple(grain)
+    classes, seeds = case
 
     def fn(comm):
         ctx = seeded_context(comm, seeds)
-        plan = make_plan(gids, degrees, n_int, dests)
+        plans = [(make_plan(g, d, dests), grain, packed) for g, d, dests, grain, packed in classes]
         for _ in range(2):
-            _charge(ctx, plan, _INTERNAL, grain)
-            _charge(ctx, plan, _PERIPHERAL, grain, packed)
+            for plan, grain, packed in plans:
+                if isinstance(grain, list) and any(isinstance(g, list) for g in grain):
+                    grain = tuple(grain)
+                _charge(ctx, plan, grain, packed)
         return observed(ctx)
 
     return run_mpi(fn, 1, machine=IDEAL, faults=faults)[0]
@@ -146,14 +145,16 @@ def run_plan(case, faults=None) -> dict:
 
 def run_walk(case) -> dict:
     """The charge sequence, spelled out node by node."""
-    gids, degrees, n_int, dests, grain, packed, seeds = case
-    packs = [0] * n_int + pack_counts(dests, packed)
-    charges = node_charges(grain, len(gids))
+    classes, seeds = case
+    nodes = []
+    for gids, degrees, dests, grain, packed in classes:
+        packs = pack_counts(len(gids), dests, packed)
+        nodes += zip(gids, degrees, node_charges(grain, len(gids)), packs)
 
     def fn(comm):
         ctx = seeded_context(comm, seeds)
         for _ in range(2):
-            for gid, deg, node, count in zip(gids, degrees, charges, packs):
+            for gid, deg, node, count in nodes:
                 ctx._bookkeeping(ctx.node_cost(deg))
                 before = ctx.compute_time
                 for seconds in node:
@@ -190,11 +191,13 @@ class TestPlanEqualsWalk:
     def test_charge_lists_take_the_walk(self, case, data):
         """Nodes that charged zero times or several: each node's charges in
         call order, after its bookkeeping and before its packs."""
-        gids, degrees, n_int, dests, grain, packed, seeds = case
-        ragged = [
-            data.draw(st.sampled_from([[], [g], [g, g / 3], [0.0, g, 1e-9]])) for g in grain
-        ]
-        case = (gids, degrees, n_int, dests, ragged, packed, seeds)
+        classes, seeds = case
+        def ragged(grain):
+            charges = st.sampled_from
+            return [data.draw(charges([[], [g], [g, g / 3], [0.0, g, 1e-9]])) for g in grain]
+
+        classes = [(*plan, ragged(grain), packed) for *plan, grain, packed in classes]
+        case = (classes, seeds)
         assert run_plan(case) == run_walk(case)
 
     @settings(max_examples=60, deadline=None)
@@ -204,14 +207,15 @@ class TestPlanEqualsWalk:
         assert run_plan(case, faults=INACTIVE_SLOW) == run_walk(case)
 
     def test_zero_grain_leaves_no_load_key(self):
-        case = ([3, 1, 2], [2, 2, 1], 2, [(1,)], 0.0, True, (0.0, 0.0, 0.0, 0.0))
+        classes = [([3, 1], [2, 2], [], 0.0, False), ([2], [1], [(1,)], 0.0, True)]
+        case = (classes, (0.0, 0.0, 0.0, 0.0))
         result = run_plan(case)
         assert result["loads"] == {}
         assert result["compute"] == (0.0).hex()
         assert result == run_walk(case)
 
     def test_negative_grain_rejected(self):
-        case = ([1], [1], 1, [], -1.0, False, (0.0, 0.0, 0.0, 0.0))
+        case = ([([1], [1], [], -1.0, False)], (0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="negative work"):
             run_plan(case)
 
@@ -256,18 +260,18 @@ class TestLoadViews:
 
         def fn(comm, interrupted):
             ctx = seeded_context(comm, (0.0, 0.0, 0.0, 0.0))
-            plan = make_plan(gids, degrees, len(gids), [])
+            plan = make_plan(gids, degrees, [])
             for grain in before:
-                _charge(ctx, plan, _INTERNAL, grain)
+                _charge(ctx, plan, grain)
             if interrupted:
                 saved, compute_time = ctx.node_loads(), ctx.compute_time
                 assert type(saved) is dict
-                _charge(ctx, plan, _INTERNAL, 1.0)  # a sweep the rollback undoes
+                _charge(ctx, plan, 1.0)  # a sweep the rollback undoes
                 ctx.compute_time = compute_time
                 ctx.set_node_loads(saved)
                 assert ctx.node_loads() == saved
             for grain in after:
-                _charge(ctx, plan, _INTERNAL, grain)
+                _charge(ctx, plan, grain)
             loads = observed(ctx)["loads"]
             ctx.reset_node_loads()
             assert ctx.node_loads() == {}

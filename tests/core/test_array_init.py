@@ -194,8 +194,10 @@ def assert_same_build(built: NodeStore, ref: NodeStore) -> None:
     for gid, procs in built.peripherals():
         assert is_int(gid) and all(map(is_int, procs))
         assert built.shadow_procs(gid) == procs
-    plan = built.topology().plan
-    assert (plan.split, plan.dests) == (ref.num_internal(), [p for _, p in ref.peripherals()])
+    topo = built.topology()
+    assert (topo.spans[0].stop, topo.classes[1].plan.dests) == (
+        ref.num_internal(), [p for _, p in ref.peripherals()]
+    )
     if not isinstance(built, SoAStore):
         for gid, slot, nbrs, _ in built.sweep_rows():
             assert nbrs is built.graph.neighbors(gid)  # shared, not copied
@@ -351,11 +353,20 @@ class TestDerivedArrays:
                 surgery(store)
             topo = store.topology()
             for name, expected in reference_topology(store).items():
-                actual = getattr(topo.plan if name in ("gids", "degrees") else topo, name)
+                actual = getattr(topo, name)
                 assert actual.dtype == expected.dtype, name
                 assert actual.tolist() == expected.tolist(), name
-            assert topo.plan.split == store.num_internal()
-            assert topo.plan.dests == [procs for _, procs in store.peripherals()]
+            split = store.num_internal()
+            assert topo.spans == (slice(0, split), slice(split, store.num_owned()))
+            assert topo.classes[1].plan.dests == [procs for _, procs in store.peripherals()]
+            # Each class's dense gather is its span of the layout's arrays.
+            for span, (slots, flat, indptr, plan) in zip(topo.spans, topo.classes):
+                assert slots.tolist() == topo.slots[span].tolist()
+                assert plan.gids.tolist() == topo.gids[span].tolist()
+                assert plan.degrees.tolist() == topo.degrees[span].tolist()
+                a, b = topo.indptr[span.start], topo.indptr[span.stop]
+                assert flat.tolist() == topo.flat_slots[a:b].tolist()
+                assert (indptr + a).tolist() == topo.indptr[span.start : span.stop + 1].tolist()
 
     def test_bulk_topology_names_a_missing_neighbour_record(self):
         store = SoAStore(0, grid2d(2, 2), [0, 0, 1, 1], float)

@@ -102,11 +102,11 @@ class TestRunningWireSize:
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_equals_the_walk_after_a_packing_phase(self, bulk):
-        """A peripheral phase packing a whole sweep's values, computed by
+        """A peripheral sweep packing every peripheral value, computed by
         the looped node function or by the bulk kernel."""
         from repro.apps.average import make_average_fn
         from repro.core import ComputeContext, NodeStore, PlatformCosts, SoAStore
-        from repro.core.compute import _Phases
+        from repro.core.compute import _PERIPHERAL, _sweep
         from repro.graphs import hex32
         from repro.mpi import IDEAL, run_mpi
 
@@ -118,8 +118,7 @@ class TestRunningWireSize:
             store = make_store(comm.rank, graph, list(assignment), lambda gid: gid / 4)
             ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
             buffers = CommBuffers(comm.size)
-            phases = _Phases(store, make_average_fn(), ctx, buffers)
-            phases.compute_peripheral()
+            _sweep(store, make_average_fn(), ctx, buffers, None, _PERIPHERAL)
             assert buffers.total_records() > 0
             return [
                 (buffers.nbytes(q), _walked_nbytes(buffers.outgoing(q)))
@@ -179,13 +178,13 @@ class TestPackAll:
         assert [buffers.nbytes(q) for q in range(3)] == [0, 0, 0]
 
     def test_delta_sweep_packs_like_the_looped_node_function(self):
-        """A change-driven peripheral phase with a mixed pack mask (pinned
+        """A change-driven peripheral sweep with a mixed pack mask (pinned
         nodes keep their value and are not packed) and nodes shadowed by
         two ranks: the bulk kernel's buffers, record for record, are the
         looped node function's."""
         from repro.apps.diffusion import make_jacobi_fn
         from repro.core import ComputeContext, NodeStore, PlatformCosts, SoAStore
-        from repro.core.compute import Frontier, _Phases
+        from repro.core.compute import _PERIPHERAL, Frontier, _sweep
         from repro.graphs import hex32
         from repro.mpi import IDEAL, run_mpi
 
@@ -200,7 +199,7 @@ class TestPackAll:
                 store = make_store(comm.rank, graph, list(assignment), lambda gid: gid / 4)
                 ctx = ComputeContext(comm, PlatformCosts(), graph.num_nodes)
                 buffers = CommBuffers(comm.size)
-                _Phases(store, node_fn, ctx, buffers, Frontier(1)).compute_peripheral()
+                _sweep(store, node_fn, ctx, buffers, Frontier(1), _PERIPHERAL)
                 out.append([(buffers.outgoing(q), buffers.nbytes(q)) for q in range(comm.size)])
             looped, bulk = out
             assert bulk == looped

@@ -218,9 +218,9 @@ def layout_of(store):
     it, and as its per-epoch topology derives it."""
     split = store.num_internal()
     layout = (store.owned_gids(), split, [procs for _, procs in store.peripherals()])
-    plan = store.topology().plan
-    assert plan.gids.tolist() == layout[0]
-    assert (plan.split, plan.dests) == (split, layout[2])
+    topo = store.topology()
+    assert topo.gids.tolist() == layout[0]
+    assert (topo.spans[0].stop, topo.classes[1].plan.dests) == (split, layout[2])
     return layout
 
 

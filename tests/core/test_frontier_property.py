@@ -42,14 +42,11 @@ class SetModel:
         self.sets = [[None, None] for _ in range(rounds)]
 
     def begin(self, store, round_idx, part):
-        parts = (_INTERNAL, _PERIPHERAL) if part is None else (part,)
-        taken = [self.sets[round_idx][p] for p in parts]
-        for p in parts:
-            self.sets[round_idx][p] = set()
-        if None in taken:
+        taken = self.sets[round_idx][part]
+        self.sets[round_idx][part] = set()
+        if taken is None:
             return None
-        chosen = set().union(*taken)
-        return [g for g in store.owned_gids() if g in chosen]
+        return [g for g in store.owned_gids() if g in taken]
 
     def _touch(self, store, gid):
         for per_class in self.sets:
@@ -130,10 +127,13 @@ def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid,
         owned = sorted(store.owned_gids())
         if op == "begin":
             round_idx = rng.randrange(rounds)
-            part = rng.choice([_INTERNAL, _PERIPHERAL]) if hybrid else None
-            active = frontier.begin(store, round_idx, part)
-            expected = model.begin(store, round_idx, part)
-            assert (None if active is None else gids_of(store, active)) == expected
+            # A hybrid superstep consumes the classes separately; a BSP one
+            # both at once, I then P (Figure 8) or P then I (Figure 8a).
+            parts = rng.sample([_INTERNAL, _PERIPHERAL], 1 if hybrid else 2)
+            for part in parts:
+                active = frontier.begin(store, round_idx, part)
+                expected = model.begin(store, round_idx, part)
+                assert (None if active is None else gids_of(store, active)) == expected
         elif op == "commit":
             changed = sample(rng, owned)  # commit order is list order, not gid order
             frontier.record_commit(store, changed, ctx)
@@ -158,7 +158,7 @@ def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid,
             frontier.capture(store)
             store._invalidate_topology_cache()
             with pytest.raises(RuntimeError, match="owned set changed"):
-                frontier.begin(store, 0)
+                frontier.begin(store, 0, _INTERNAL)
             frontier.reset_dense()
             model = SetModel(rounds)
         elif op == "surgery" and len(owned) > 1:
@@ -212,5 +212,6 @@ def test_restore_into_the_given_store():
     foreign = next(gid for gid in store.graph.nodes() if not store.owns(gid))
     frontier = Frontier(2)
     frontier.restore({"dirty": [sorted([owned[0], foreign]), None]}, store)
-    assert gids_of(store, frontier.begin(store, 0)) == [owned[0]]
-    assert frontier.begin(store, 1) is None
+    classes = (_INTERNAL, _PERIPHERAL)
+    assert sum((gids_of(store, frontier.begin(store, 0, p)) for p in classes), []) == [owned[0]]
+    assert [frontier.begin(store, 1, p) for p in classes] == [None, None]

@@ -161,7 +161,7 @@ def test_the_layout_and_record_calls_make_no_per_node_object(records_made):
     assert store.owned_gids() == eager.owned_gids()
     assert (store.num_owned(), store.num_internal()) == (eager.num_owned(), eager.num_internal())
     assert store.peripherals() == eager.peripherals()
-    assert store.topology().plan.dests == [procs for _, procs in eager.peripherals()]
+    assert store.topology().classes[1].plan.dests == [procs for _, procs in eager.peripherals()]
     assert (store.num_records(), store.num_shadows()) == (eager.num_records(), eager.num_shadows())
     for v in (gid, shadow):
         assert (store.value_of(v), store.version_of(v)) == (eager.value_of(v), eager.version_of(v))

@@ -49,7 +49,7 @@ from repro.core import (
     SoAStore,
     superstep,
 )
-from repro.core.compute import _Phases
+from repro.core.compute import _INTERNAL, _PERIPHERAL, _sweep
 from repro.core.migration import migrate_node, select_migrating_node
 from repro.graphs import Graph, hex32, hex64
 from repro.mpi import IDEAL, FaultPlan, run_mpi
@@ -86,9 +86,9 @@ class _Clock:
 
 
 def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
-    """One sweep (both phases) and its commit; the views ``fn`` saw.  The
-    list store runs ``fn`` as the looped kernel; the struct-of-arrays
-    store forms the same views from its dense bulk view."""
+    """One sweep of each node class and the commit; the views ``fn`` saw.
+    The list store runs ``fn`` as the looped kernel; the struct-of-arrays
+    store forms the same views from each class's dense bulk view."""
     seen: list[NodeView] = []
 
     def recording(view, ctx):
@@ -97,18 +97,18 @@ def sweep(store: NodeStore, fn=lambda view, ctx: view.value) -> list[NodeView]:
 
     ctx = ComputeContext(_Clock(), PlatformCosts(), store.graph.num_nodes)
     ctx.iteration, ctx.round = ITERATION, ROUND
-    if isinstance(store, SoAStore):
-        bulk = store.bulk_view(None, ITERATION, ROUND)
+    for part in (_INTERNAL, _PERIPHERAL):
+        if not isinstance(store, SoAStore):
+            buffers = CommBuffers(1 + max(store.assignment))
+            _sweep(store, recording, ctx, buffers, None, part)
+            continue
+        bulk = store.bulk_view(None, ITERATION, ROUND, part)
         closed, bounds = bulk.closed_values.tolist(), bulk.indptr.tolist()
         fresh = []
         for gid, a, b in zip(bulk.gids.tolist(), bounds, bounds[1:]):
             neighbors = tuple(zip(store.graph.neighbors(gid), closed[a + 1 : b]))
             fresh.append(recording(NodeView(gid, closed[a], neighbors, ITERATION, ROUND), ctx))
-        store.scatter_pending(None, np.array(fresh, dtype=float))
-    else:
-        phases = _Phases(store, recording, ctx, CommBuffers(1 + max(store.assignment)))
-        phases.compute_internal()
-        phases.compute_peripheral()
+        store.scatter_pending(bulk.slots, np.array(fresh, dtype=float))
     store.commit_owned()
     return seen
 

@@ -122,7 +122,8 @@ def test_masked_columns_leave_short_segments_alone(offset):
     picks=st.lists(st.integers(0, 59), min_size=1, max_size=20),
 )
 def test_bulk_views_match_the_scalar_node_lists(seed, n, values, picks):
-    """Dense and LRU-cached sparse views of a real store against the lists
+    """Each class's dense view and LRU-cached sparse views of a real store
+    against the lists
     the scalar path hands the node function (own value, then neighbour
     values in adjacency order)."""
     graph = random_connected_graph(n, avg_degree=3.0, seed=seed)
@@ -137,10 +138,12 @@ def test_bulk_views_match_the_scalar_node_lists(seed, n, values, picks):
         assert [float.hex(v) for v in view.sum_closed().tolist()] == closed
         assert [float.hex(v) for v in view.sum_neighbors().tolist()] == open_
 
-    assert_matches(store.bulk_view(None, 0, 0))
-    owned = store.num_owned()
-    positions = np.unique(np.array(picks) % owned)
-    assert_matches(store.bulk_view(positions, 0, 0))
-    hits = store.sparse_geom_hits
-    assert_matches(store.bulk_view(positions, 0, 0))
-    assert store.sparse_geom_hits == hits + 1
+    for part in (0, 1):
+        assert_matches(store.bulk_view(None, 0, 0, part))
+    owned, split = store.num_owned(), store.num_internal()
+    picked = np.unique(np.array(picks) % owned)
+    for positions in (picked[picked < split], picked[picked >= split]):
+        assert_matches(store.bulk_view(positions, 0, 0))
+        hits = store.sparse_geom_hits
+        assert_matches(store.bulk_view(positions, 0, 0))
+        assert store.sparse_geom_hits == hits + 1

@@ -50,7 +50,7 @@ def test_node_function_runs_in_layout_order(monkeypatch, execution, activation, 
 
     begin = Frontier.begin
 
-    def logged_begin(self, store, round_idx, part=None):
+    def logged_begin(self, store, round_idx, part):
         log.setdefault(store.rank, []).append(store.owned_gids())
         return begin(self, store, round_idx, part)
 

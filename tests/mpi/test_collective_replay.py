@@ -272,6 +272,34 @@ class TestFaultsOnTheTreeEdges:
         assert runs[False] == runs[True]
         assert any(result not in ([], None) for result, _ in runs[False])
 
+    @pytest.mark.parametrize("seed", [None, *range(10)], ids=["fifo", *map(str, range(10))])
+    def test_senders_run_on_before_the_gather_root(self, seed):
+        """A reduce root folds a flipped sentinel into the lists (a
+        ``TypeError``) while a sender's next message, in the allgather, is
+        lost.  On the trees the senders run on past their eager sends before
+        the root's receive completes, so the lost message fails the run
+        under every schedule; the replay must let them run on too."""
+        case = {
+            "nprocs": 13,
+            "comm": "world",
+            "stride": 2,
+            "roots": [0, 1, 0, 0],
+            "skews": [0.0] * 13,
+            "lengths": [0] * 13,
+            "checksums": False,
+            "ring": False,
+        }
+        faults = FaultPlan(
+            seed=1,
+            delay=DelaySpec(1.0, 0.0),
+            drop=DropSpec(0.5),
+            retry=RetryPolicy(6),
+            flip_msg=MessageFlipSpec(0.5),
+        )
+        tree = _outcome(case, trees=True, faults=faults, schedule_seed=seed)
+        assert tree == ("error", MessageLostError)
+        assert _outcome(case, trees=False, faults=faults, schedule_seed=seed) == tree
+
 
 # --------------------------------------------------------------------- #
 # A rank that never enters
