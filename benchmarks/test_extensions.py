@@ -8,14 +8,11 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.apps.average import FINE_GRAIN
 from repro.apps.diffusion import hot_edge_plate, make_jacobi_fn, residual
 from repro.apps.imbalance import ImbalanceSchedule, make_imbalanced_average_fn
 from repro.bench import hex_graph
 from repro.core import ICPlatform, PlatformConfig
-from repro.core.soastore import SoAStore
 from repro.mpi.faults import FaultPlan
 from repro.partitioning import MetisLikePartitioner, RowBandPartitioner
 
@@ -150,7 +147,7 @@ def test_soa_store(benchmark, record):
     3x at this size (fixed per-iteration costs -- halo packing, barriers, the scalar
     charge replay -- amortise over few nodes); the 320x320 figure is the repo
     benchmark's ``plate320_event``."""
-    side, ranks, calls = 120, 4, 50
+    side, ranks = 120, 4
     plate = graph, node_fn, init = _plate(side)[0]
     partition = RowBandPartitioner(side, side).partition(graph, ranks)
 
@@ -169,22 +166,14 @@ def test_soa_store(benchmark, record):
     runs = benchmark.pedantic(lambda: {
         name: _best_wall(lambda: run(name)) for name in ("soa", "object")
     }, rounds=1, iterations=1)
-    # A change-driven sweep whose frontier has stabilised gathers the same band
-    # every superstep: all but the first view reuse the CSR gather geometry.
-    store = SoAStore(0, graph, [0] * graph.num_nodes, init)
-    frontier = np.arange(0, store.num_owned(), 10, dtype=np.intp)
-    for i in range(calls):
-        store.bulk_view(frontier, iteration=i, round_idx=0)
     (soa_wall, soa), (object_wall, obj) = runs["soa"], runs["object"]
     rendering = _text(
         f"Object vs struct-of-arrays store ({side}x{side} plate, {ranks} ranks)",
         ("store", "virtual (s)", "iterations"),
         [(name, o.elapsed, o.iterations) for name, (_, o) in runs.items()],
-        f"sparse CSR-geometry cache: {store.sparse_geom_hits}/{calls} hits",
     )
     record("soa_store", rendering, {"virtual": [soa.elapsed, obj.elapsed]})
     assert soa.values == obj.values and soa.elapsed == obj.elapsed
-    assert store.sparse_geom_hits == calls - 1
     assert object_wall >= 3.0 * soa_wall, f"{object_wall:.2f}s vs {soa_wall:.2f}s"
 
 

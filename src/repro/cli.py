@@ -289,11 +289,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"elapsed       {result.elapsed:.6f} virtual seconds")
     if platform.vectorized(args.np):
         print("store         soa (bulk kernels)")
-        if result.sparse_geom_hits or result.sparse_geom_misses:
-            print(
-                f"sparse geom   {result.sparse_geom_hits} hits, "
-                f"{result.sparse_geom_misses} misses (CSR memo)"
-            )
     else:
         print("store         object")
     if config.execution != "bsp":

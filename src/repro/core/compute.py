@@ -40,6 +40,13 @@ nodes (an owned node with a remote neighbour is peripheral by
 definition), which is what makes the interior phase safely independent of
 this superstep's traffic.
 
+Every order drains its receives one way: each message is unpacked as its
+receive completes, after the change-driven sweep barrier where there is
+one, so unpacking an early message overlaps the wait for a later one.
+Dense Figure 8 alone receives everything, synchronizes and only then
+unpacks, because the appendix's ``CommunicateShadows`` puts its
+``MPI_Barrier`` between the receive loop and the unpacking.
+
 Change-driven sweeps assume the node function is *pure per round*: its
 return value depends only on the node's own and neighbours' values (cost
 charges may vary freely).  A skipped node then provably recomputes to its
@@ -692,7 +699,7 @@ def superstep(
 
     * Figure 8 -- ``ComputeOverNodes``: I, P (packing), commit.
       ``CommunicateShadows``: send all buffers, blocking-receive from each
-      neighbouring processor, unpack into the data node list.
+      neighbouring processor, barrier, unpack into the data node list.
     * Figure 8a (``overlap``) -- P, send, I while the shadow messages are
       in flight, commit; finally the receives are completed and unpacked
       one by one.
@@ -707,6 +714,11 @@ def superstep(
       has active nodes, at most ``inner_cap`` times, with no communication
       at all.  Finally the fence and the drain; arrivals activate only
       boundary nodes, for the *next* superstep.
+
+    The drain is one rule: each receive is unpacked as it completes
+    (``neighbor_recv(..., each=)``), after the fence where there is one --
+    except in dense Figure 8, the one batch drain (receive all, barrier,
+    unpack), where the appendix puts its barrier.
 
     Quiescence safety: the returned count covers boundary plus all
     interior commits.  Frontier entries are only ever created by a
@@ -783,15 +795,14 @@ def superstep(
         sources = comm.pending_sources(tag)
         ctx._comm_overhead(ctx.costs.recv_setup_cost * len(sources))
 
-    if overlap and inner_cap is None:
+    if sparse or overlap:
         comm.neighbor_recv(sources, tag, each=lambda got: _unpack(store, got, ctx, frontier))
         return changed
     received = comm.neighbor_recv(sources, tag)
-    if not sparse:
-        # The appendix's CommunicateShadows synchronizes all ranks between
-        # the receive loop and the buffer unpacking (its MPI_Barrier) -- one
-        # of the per-iteration couplings the Figure-8a order removes.
-        comm.barrier()
+    # The appendix's CommunicateShadows synchronizes all ranks between the
+    # receive loop and the buffer unpacking (its MPI_Barrier) -- one of the
+    # per-iteration couplings the Figure-8a order removes.
+    comm.barrier()
     for records in received:
-        _unpack(store, records, ctx, frontier)
+        _unpack(store, records, ctx)
     return changed

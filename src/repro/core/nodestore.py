@@ -42,9 +42,10 @@ columns as Python lists, the struct-of-arrays store
 
 What the sweeps derive from the layout -- the owned nodes' slots and
 closed neighbourhoods, each class's dense :class:`ChargePlan` and gather
-(slices of those), the shadow records owed per processor, the looped
-kernel's rows and the bulk views' sparse gather geometries -- is one
-:class:`Topology`, built at the first ask after each ownership surgery.
+(slices of those), the shadow records owed per processor and the looped
+kernel's rows -- is one :class:`Topology`, built at the first ask after
+each ownership surgery; a change-driven sweep slices its nodes' rows and
+gathers out of it.
 
 The store also implements the data-structure surgery of task migration
 (section 4.3): demoting a migrated node to a shadow on the busy side,
@@ -79,7 +80,7 @@ class ChargePlan:
     sees them (:meth:`NodeStore.charge_plan`).  The store knows no cost
     constants: the compute layer memoizes what it derives (charge rows,
     pack lists) in ``templates``, which live as long as the plan -- a
-    surgery epoch dense, a geometry LRU slot sparse.
+    surgery epoch dense, one sweep sparse.
 
     Attributes:
         gids: Global IDs in sweep order.
@@ -124,9 +125,6 @@ class Topology:
         classes: Each class's dense :class:`Gather` (slices of the above).
         rows: The looped kernel's rows (:meth:`NodeStore.sweep_rows`),
             resolved at the first ask.
-        sparse: The bulk views' sparse gather geometries, keyed by the
-            positions bytes (an LRU; see
-            :meth:`~repro.core.soastore.SoAStore.bulk_view`).
     """
 
     gids: np.ndarray
@@ -138,7 +136,6 @@ class Topology:
     spans: tuple[slice, slice]
     classes: tuple[Gather, Gather]
     rows: list[SweepRow] | None = None
-    sparse: dict[bytes, Gather] = field(default_factory=dict)
 
 
 class NodeStore:

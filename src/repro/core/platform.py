@@ -102,8 +102,6 @@ class RankOutcome:
     quiescence_records: list[QuiescenceRecord] = field(default_factory=list)
     iterations_executed: int = 0
     inner_sweeps: int = 0
-    sparse_geom_hits: int = 0
-    sparse_geom_misses: int = 0
 
 
 @dataclass
@@ -148,10 +146,10 @@ class PlatformResult:
         inner_sweeps: Interior sweeps executed across all ranks under
             ``execution="hybrid"`` (0 under BSP) -- the asynchronous work
             that replaced full supersteps.
-        sparse_geom_hits: Anonymous sparse BulkView geometry-LRU hits
-            summed over ranks (SoA store only).
-        sparse_geom_misses: Geometry-LRU misses (CSR gathers actually
-            built) summed over ranks.
+        sparse_geom_hits: Always 0: sparse bulk views keep no gather
+            memo any more.  Kept only because
+            ``benchmarks/perf/sample.py`` still reads it.
+        sparse_geom_misses: Always 0, kept for the same reason.
         fault_report: Tally of injected fault activity when the run used a
             :class:`~repro.mpi.faults.FaultPlan`, else ``None``.
     """
@@ -335,8 +333,6 @@ class ICPlatform:
             messages_delivered=cluster.messages_delivered,
             barriers=cluster.barriers,
             inner_sweeps=sum(o.inner_sweeps for o in outcomes),
-            sparse_geom_hits=sum(o.sparse_geom_hits for o in outcomes),
-            sparse_geom_misses=sum(o.sparse_geom_misses for o in outcomes),
             fault_report=(
                 cluster.fault_state.report() if cluster.fault_state is not None else None
             ),
@@ -833,8 +829,6 @@ class _RankRun:
             quiescence_records=self.quiescence_records,
             iterations_executed=executed,
             inner_sweeps=frontier.inner_sweeps if frontier is not None else 0,
-            sparse_geom_hits=getattr(store, "sparse_geom_hits", 0),
-            sparse_geom_misses=getattr(store, "sparse_geom_misses", 0),
         )
 
 

@@ -58,11 +58,6 @@ from .nodestore import ChargePlan, Gather, NodeStore
 
 __all__ = ["SoAStore", "BulkView"]
 
-#: Retained sparse gather geometries per topology epoch, evicted LRU
-#: (delta and hybrid frontiers often alternate between a small number of
-#: stable active sets).
-_SPARSE_GEOMETRY_SLOTS = 8
-
 
 # --------------------------------------------------------------------- #
 # Exact segmented sums
@@ -174,10 +169,6 @@ class SoAStore(NodeStore):
         self._pending = np.empty(0, dtype=np.float64)
         self._pending_mask = np.zeros(0, dtype=bool)
         self._versions = np.zeros(0, dtype=np.int64)
-        # Sparse gather-geometry memo telemetry (pinned by
-        # benchmarks/test_extensions.py::test_soa_store).
-        self.sparse_geom_hits = 0
-        self.sparse_geom_misses = 0
 
     def _reserve(self, stop: int) -> None:
         """Grow the columns, doubling from 64 slots, so a batch lands on
@@ -332,42 +323,27 @@ class SoAStore(NodeStore):
 
         ``positions`` are ascending positions of one node class; ``None``
         means every node of class ``part`` (0 internal, 1 peripheral), the
-        topology's own gather.  The gather geometry of explicit positions
-        -- and their charge plan with it -- is memoized in the topology's
-        ``sparse`` LRU, keyed by the positions bytes: once a change-driven
-        frontier stabilizes (or alternates between a few working sets), the
-        CSR slice geometry is reused across supersteps instead of being
-        rebuilt every sweep.  Hybrid execution leans on this hardest -- a
-        converging interior frontier revisits the same position sets
-        across inner sweeps.
+        topology's own gather.  Explicit positions (a change-driven
+        frontier's) are gathered from the topology on every call, their
+        charge plan with them, as the list store's sparse sweep slices its
+        rows.
         """
         topo = self.topology()
         if positions is None:
             geometry = topo.classes[part]
         else:
             positions = np.asarray(positions, dtype=np.intp)
-            memo, memo_key = topo.sparse, positions.tobytes()
-            geometry = memo.pop(memo_key, None)
-            if geometry is not None:
-                self.sparse_geom_hits += 1
-            else:
-                self.sparse_geom_misses += 1
-                starts = topo.indptr[positions]
-                lens = topo.indptr[positions + 1] - starts
-                offsets = np.zeros(len(positions) + 1, dtype=np.intp)
-                np.cumsum(lens, out=offsets[1:])
-                flat_idx = concat_ranges(starts, lens, offsets[1:])
-                geometry = Gather(
-                    topo.slots[positions],
-                    topo.flat_slots[flat_idx],
-                    offsets,
-                    self.charge_plan(positions),
-                )
-                if len(memo) >= _SPARSE_GEOMETRY_SLOTS:
-                    memo.pop(next(iter(memo)))
-            # Re-inserted at the end: dict order plus oldest-first eviction
-            # makes the memo an LRU.
-            memo[memo_key] = geometry
+            starts = topo.indptr[positions]
+            lens = topo.indptr[positions + 1] - starts
+            offsets = np.zeros(len(positions) + 1, dtype=np.intp)
+            np.cumsum(lens, out=offsets[1:])
+            flat_idx = concat_ranges(starts, lens, offsets[1:])
+            geometry = Gather(
+                topo.slots[positions],
+                topo.flat_slots[flat_idx],
+                offsets,
+                self.charge_plan(positions),
+            )
         own_slots, flat_slots, indptr, plan = geometry
         return BulkView(
             gids=plan.gids,

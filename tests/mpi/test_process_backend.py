@@ -29,9 +29,7 @@ import pytest
 from repro.apps.average import make_average_fn
 from repro.apps.battlefield import BattlefieldApp, general_engagement
 from repro.core import ICPlatform, PlatformConfig
-from repro.core.soastore import SoAStore
 from repro.graphs import hex32
-from repro.graphs.generators import cycle_graph
 from repro.mpi import (
     CommAbortedError,
     DeadlockError,
@@ -544,22 +542,3 @@ class TestShadowRing:
             writer.release()
         _assert_no_leaked_segments()
 
-
-class TestSparseGeometryCache:
-    def test_repeated_frontier_hits_cache(self):
-        """Satellite: anonymous sparse bulk views (change-driven sweeps)
-        memoize their CSR gather geometry keyed by the positions bytes."""
-        import numpy as np
-
-        graph = cycle_graph(32)
-        store = SoAStore(
-            0, graph, [0] * 32, init_value=lambda gid: float(gid)
-        )
-        positions = np.arange(4, dtype=np.intp)
-        store.bulk_view(positions, iteration=0, round_idx=0)
-        assert store.sparse_geom_misses == 1
-        store.bulk_view(positions.copy(), iteration=1, round_idx=0)
-        assert store.sparse_geom_hits == 1
-        # A different frontier is a miss, not a collision.
-        store.bulk_view(np.arange(8, dtype=np.intp), iteration=2, round_idx=0)
-        assert store.sparse_geom_misses == 2
