@@ -7,9 +7,9 @@ stack).  *How* those threads are interleaved is this module's job:
 :class:`EventScheduler` (``scheduler="event"``, the default)
     Event-driven cooperative scheduling: exactly one rank thread is
     runnable at any instant, and control is baton-passed directly between
-    rank threads through per-task :class:`threading.Event` objects.  There
-    is no shared lock to contend on, no condition-variable broadcast, and
-    no polling -- a blocked rank sleeps until the event that can actually
+    rank threads through a bare lock per task.  There is no shared lock to
+    contend on, no condition-variable broadcast, and no polling -- a
+    blocked rank sleeps until the event that can actually
     unblock it (its message delivery, its barrier's completion) puts it
     back on the run queue.  Deadlock detection is *exact*: the moment the
     run queue empties while unfinished ranks remain blocked, a
@@ -34,6 +34,7 @@ results -- the conformance suites in ``tests/mpi/test_scheduler.py`` and
 
 from __future__ import annotations
 
+import _thread
 import random
 import threading
 from collections import deque
@@ -98,30 +99,25 @@ class SchedulerBackend:
 
 
 class _Task:
-    """Cooperative-scheduling bookkeeping for one rank thread."""
+    """Cooperative-scheduling bookkeeping for one rank thread.
 
-    __slots__ = ("rank", "event", "finished", "blocked", "queued", "describe", "victim")
+    ``baton`` is a bare lock used as a binary semaphore, held from birth:
+    the task parks in ``baton.acquire()``, and ``wake`` (the lock's
+    ``release``) hands it the baton.
+    """
+
+    __slots__ = ("rank", "baton", "wake", "finished", "blocked", "queued", "describe", "victim")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
-        self.event = threading.Event()
+        self.baton = _thread.allocate_lock()
+        self.baton.acquire()
+        self.wake = self.baton.release
         self.finished = False
         self.blocked = False   # parked in wait(), not on the run queue
         self.queued = False    # on the run queue awaiting the baton
         self.describe: Callable[[], str] | None = None
         self.victim = False    # designated to raise DeadlockError on resume
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = "".join(
-            f
-            for f, on in (
-                ("F", self.finished),
-                ("B", self.blocked),
-                ("Q", self.queued),
-            )
-            if on
-        )
-        return f"_Task(rank={self.rank}, {flags or 'running'})"
 
 
 class EventScheduler(SchedulerBackend):
@@ -129,8 +125,13 @@ class EventScheduler(SchedulerBackend):
 
     Invariant: at most one rank thread executes at any moment.  The baton
     is handed directly from the thread that blocks (or finishes) to a task
-    on the run queue via that task's private event -- the only
-    synchronization primitive in the whole backend.  Consequences:
+    on the run queue by releasing that task's bare lock -- the only
+    synchronization primitive in the whole backend (``execute`` waits on
+    one more of the same).  A task is released only when it is popped from
+    the run queue, and queued again only after it has taken the baton, so
+    every release is matched by exactly one acquire: a task released
+    before it reaches its ``acquire`` finds the lock free and runs on, as
+    it would find an event set.  Consequences:
 
     * cluster state needs no lock;
     * wakeups are precise: ``notify`` enqueues exactly the ranks that a
@@ -161,8 +162,8 @@ class EventScheduler(SchedulerBackend):
         self._cluster = cluster
         self._seed = seed
         self._tasks: list[_Task] = []
+        self._done: Any = None  # execute()'s own baton, a bare lock per run
         self._run_queue: deque[int] = deque()
-        self._done = threading.Event()
         # Chosen once, so the unseeded hand-off never looks at the seed.
         self._next: Callable[[], int] = (
             self._run_queue.popleft if seed is None else self._draw
@@ -182,7 +183,8 @@ class EventScheduler(SchedulerBackend):
         self._run_queue.extend(range(nprocs))
         for task in self._tasks:
             task.queued = True
-        self._done.clear()
+        self._done = _thread.allocate_lock()  # released when every task is finished
+        self._done.acquire()
         if self._seed is not None:
             self._rng.seed(self._seed)
         self.preemptions = 0
@@ -198,17 +200,16 @@ class EventScheduler(SchedulerBackend):
         for t in threads:
             t.start()
         self._pass_baton()  # hand control to a rank; all switching is task-to-task
-        self._done.wait()
+        self._done.acquire()
         for t in threads:
             t.join()
 
     def _task_main(self, task: _Task, runner: Callable[[int], None]) -> None:
-        task.event.wait()  # first baton
+        task.baton.acquire()  # first baton
         try:
             runner(task.rank)
         finally:
             task.finished = True
-            task.blocked = False
             self._pass_baton()
 
     # ------------------------------------------------------------------ #
@@ -239,7 +240,6 @@ class EventScheduler(SchedulerBackend):
             if value is not None:
                 return value
             task.describe = describe
-            task.event.clear()
             task.blocked = True
             if not self._run_queue and self._everyone_stuck():
                 # Exact deadlock: this rank just blocked, nobody is
@@ -251,7 +251,7 @@ class EventScheduler(SchedulerBackend):
                 self.notify()  # queue the others; they resume after we raise
                 raise DeadlockError(reason)
             self._pass_baton()
-            task.event.wait()
+            task.baton.acquire()
             task.blocked = False
 
     def preempt(self) -> None:
@@ -261,11 +261,10 @@ class EventScheduler(SchedulerBackend):
         if self._run_queue and self._rng.random() < 0.5:
             task = self._tasks[self._running]
             self.preemptions += 1
-            task.event.clear()
             task.queued = True
             self._run_queue.append(task.rank)
             self._pass_baton()
-            task.event.wait()
+            task.baton.acquire()
 
     def _draw(self) -> int:
         """The seeded pop: a uniformly drawn runnable rank, remembered as
@@ -280,16 +279,16 @@ class EventScheduler(SchedulerBackend):
         return all(t.finished or t.blocked for t in self._tasks)
 
     def _pass_baton(self) -> None:
-        """Hand control to the next runnable task, or wind the run down."""
-        while self._run_queue:
+        """Hand control to the next runnable task, or wind the run down.
+        Only a parking task is ever queued (blocked in :meth:`wait` or
+        yielding in :meth:`preempt`), so the popped one is never finished."""
+        if self._run_queue:
             task = self._tasks[self._next()]
             task.queued = False
-            if task.finished:  # finished while queued (abort races cannot
-                continue       # happen, but stay defensive)
-            task.event.set()
+            task.wake()
             return
         if all(t.finished for t in self._tasks):
-            self._done.set()
+            self._done.release()
             return
         # A task finished (or aborted) leaving only blocked ranks behind:
         # that is a deadlock unless an abort is already draining them.
@@ -308,7 +307,7 @@ class EventScheduler(SchedulerBackend):
         if self._run_queue:
             self._pass_baton()
         else:  # pragma: no cover - unreachable: unfinished implies blocked
-            self._done.set()
+            self._done.release()
 
 
 def make_scheduler(name: str, cluster: "SimCluster", seed: int | None) -> SchedulerBackend:

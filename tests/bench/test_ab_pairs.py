@@ -1,15 +1,18 @@
-"""``tools/ab_pairs.py --out``: the record it writes, on a synthetic pair.
+"""``tools/ab_pairs.py``: the ``--out`` record, and ``--anchor``.
 
 Two stand-in checkouts whose ``benchmarks/perf/run.py`` prints a host line
 and a result line as the real one does, the change's a fixed 2 % slower;
 the record must hold every run's raw metrics and seed, both checkouts, the
-host fields and the verdicts the tool printed.
+host fields and the verdicts the tool printed.  ``--anchor`` runs against a
+small git repository with ``run_once`` stubbed: the parent is a clone of the
+named commit, gone after the run, and the record names the commit.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -99,3 +102,86 @@ def test_the_record_holds_runs_checkouts_hosts_and_verdicts(ab_pairs, tmp_path, 
 
 def test_a_run_without_a_host_line_records_no_host_fields(ab_pairs):
     assert ab_pairs.host_fields("no host here\n{}") == {}
+
+
+def git(repo: Path, *args: str) -> str:
+    command = ["git", "-C", str(repo), "-c", "user.name=ab", "-c", "user.email=ab@example.invalid"]
+    command += ["-c", "commit.gpgsign=false", *args]
+    return subprocess.run(command, check=True, capture_output=True, text=True).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A two-commit repository whose working tree has an uncommitted edit:
+    ``version.txt`` reads 1, then 2, then 3 (uncommitted)."""
+    path = tmp_path / "repo"
+    path.mkdir()
+    git(path, "init", "--quiet")
+    (path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    for version in ("1", "2"):
+        (path / "version.txt").write_text(version)
+        git(path, "add", ".")
+        git(path, "commit", "--quiet", "-m", f"version {version}")
+    (path / "version.txt").write_text("3")
+    return path
+
+
+@pytest.fixture
+def seen(ab_pairs, monkeypatch):
+    """Stub ``run_once``: each call's checkout and the ``version.txt`` it
+    holds; ``run_wall_s`` is one over that version (later runs faster)."""
+    calls = []
+
+    def run_once(checkout, workload, seed, quick):
+        version = (checkout / "version.txt").read_text()
+        calls.append((checkout, version))
+        return {"metrics": {"run_wall_s": 1 / int(version), "setup_s": 0.25}, "host": {}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    return calls
+
+
+def test_anchor_pairs_a_clone_of_rev_against_the_working_tree(ab_pairs, repo, seen, tmp_path):
+    first, head = git(repo, "rev-parse", "HEAD~1"), git(repo, "rev-parse", "HEAD")
+    out = tmp_path / "BENCH.json"
+    argv = ["--anchor", "HEAD~1", str(repo), "--workload", "w", "--pairs", "2", "--out", str(out)]
+    assert ab_pairs.main(argv) == 0
+
+    clones = {checkout for checkout, version in seen if checkout != repo}
+    assert len(clones) == 1 and not clones.pop().exists()  # deleted afterwards
+    assert sorted(version for _, version in seen) == ["1", "1", "3", "3"]
+    assert all(version == "3" for checkout, version in seen if checkout == repo)
+    written = json.loads(out.read_text())
+    assert written["anchor"] == {"rev": "HEAD~1", "revision": first}
+    assert written["checkouts"]["parent"]["revision"] == first
+    assert written["checkouts"]["change"] == {"name": "repo", "revision": head}
+    assert [(r["pair"], r["side"]) for r in written["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+    ]  # fmt: skip
+    wall = next(row for row in written["verdicts"]["w"] if row["metric"] == "run_wall_s")
+    assert (wall["parent"][1], wall["change"][1]) == (1.0, pytest.approx(1 / 3))
+
+
+def test_without_anchor_the_record_says_none(ab_pairs, repo, seen, tmp_path):
+    out = tmp_path / "BENCH.json"
+    argv = [str(repo), str(repo), "--workload", "w", "--pairs", "1", "--out", str(out)]
+    assert ab_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["anchor"] is None
+    assert [checkout for checkout, _ in seen] == [repo, repo]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--anchor", "HEAD", "{repo}", "{repo}"], "or --anchor REV and CHANGE alone"),
+        (["{repo}"], "give PARENT and CHANGE checkouts"),
+        (["--anchor", "no-such-rev", "{repo}"], "--anchor no-such-rev: not a commit of"),
+    ],
+)
+def test_anchor_argument_errors_run_nothing(ab_pairs, repo, seen, capsys, argv, message):
+    argv = [arg.format(repo=repo) for arg in argv] + ["--workload", "w"]
+    with pytest.raises(SystemExit) as exit_info:
+        ab_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert seen == []

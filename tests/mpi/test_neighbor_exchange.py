@@ -15,7 +15,6 @@ pair, and everything observable must match.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Any
 
 import pytest
@@ -589,20 +588,19 @@ class TestFailureSemantics:
         assert batch.fault_state.report() == reference.fault_state.report()
 
 
-class _CountingEvent(threading.Event):
-    def __init__(self) -> None:
-        super().__init__()
-        self.sets = 0
-
-    def set(self) -> None:
-        self.sets += 1
-        super().set()
-
-
 class _CountingTask(scheduler_module._Task):
+    """A task that counts the batons it is handed (its ``wake`` calls)."""
+
     def __init__(self, rank: int) -> None:
         super().__init__(rank)
-        self.event = _CountingEvent()
+        self.wakes = 0
+        release = self.wake
+
+        def wake() -> None:
+            self.wakes += 1
+            release()
+
+        self.wake = wake
 
 
 ARMED = {
@@ -634,7 +632,7 @@ class TestOnePark:
         cluster = SimCluster(4, scheduler="event", **cluster_args)
         results = cluster.run(run)
         assert results[0] == ["from 1", "from 2", "from 3"]
-        return cluster._backend._tasks[0].event.sets
+        return cluster._backend._tasks[0].wakes
 
     @pytest.mark.parametrize("order", list(itertools.permutations([1, 2, 3])))
     def test_k_sources_take_one_baton(self, monkeypatch, order):

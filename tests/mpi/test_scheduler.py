@@ -8,18 +8,21 @@ recovery behaviour.  Every conformance scenario here runs on the FIFO and on
 a seeded schedule and compares field by field; the seeded-schedule tests pin
 the fuzzer itself (replayable, never a silent no-op, still exact about
 deadlock); the exact-deadlock tests pin the scheduler's headline property --
-deadlock surfaces immediately, no wall-clock timeout is waited out.
-(``tests/mpi/test_process_backend.py`` holds the process backend to the
+deadlock surfaces immediately, no wall-clock timeout is waited out; the
+baton tests pin that every release of a task's baton lock meets exactly one
+acquire.  (``tests/mpi/test_process_backend.py`` holds the process backend to the
 same outcomes.)
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 import time
 
 import pytest
 
+import repro.mpi.scheduler as scheduler_module
 from repro.apps.average import make_average_fn
 from repro.core import ICPlatform, PlatformConfig
 from repro.graphs import hex32
@@ -529,6 +532,132 @@ class TestEventBackendRobustness:
         first = cluster.run(prog)
         for _ in range(3):
             assert cluster.run(prog) == first
+
+
+# --------------------------------------------------------------------- #
+# The baton: every release matched by one acquire
+# --------------------------------------------------------------------- #
+
+
+class _LoggedTask(scheduler_module._Task):
+    """A task whose ``wake`` appends its rank to :attr:`log`."""
+
+    log: list = []
+
+    def __init__(self, rank: int) -> None:
+        super().__init__(rank)
+        release = self.wake
+
+        def wake() -> None:
+            self.log.append(rank)
+            release()
+
+        self.wake = wake
+
+
+class TestBatonInvariant:
+    """Each task's baton is a bare lock, released only when the task is
+    popped from the run queue and queued again only after it has taken
+    the baton.  So however a run ends, every lock is held again: no
+    hand-off was left untaken, and a second release would have raised."""
+
+    @pytest.fixture(autouse=True)
+    def logged(self, monkeypatch):
+        _LoggedTask.log = []
+        monkeypatch.setattr(scheduler_module, "_Task", _LoggedTask)
+
+    @staticmethod
+    def assert_held(cluster):
+        backend = cluster._backend
+        assert backend._tasks and all(task.baton.locked() for task in backend._tasks)
+        assert backend._done.locked()
+        # Every rank takes the first baton; nothing is released unlogged.
+        assert set(_LoggedTask.log) == set(range(cluster.nprocs))
+
+    def test_unseeded_bsp_program(self):
+        cluster = SimCluster(5, machine=IDEAL)
+        cluster.run(_bsp_prog)
+        self.assert_held(cluster)
+
+    def test_seeded_runs_including_a_self_draw(self, monkeypatch):
+        """A preempting rank may draw itself: it releases its own lock and
+        its ``acquire`` returns at once."""
+        preempt = scheduler_module.EventScheduler.preempt
+        self_draws = []
+
+        def logged_preempt(backend):
+            yields, mark, rank = backend.preemptions, len(_LoggedTask.log), backend._running
+            preempt(backend)
+            if backend.preemptions > yields and _LoggedTask.log[mark] == rank:
+                self_draws.append(rank)
+
+        monkeypatch.setattr(scheduler_module.EventScheduler, "preempt", logged_preempt)
+        for seed in SEEDS:
+            _LoggedTask.log = []
+            cluster = SimCluster(4, schedule_seed=seed)
+            _handoff_order(cluster)
+            assert cluster._backend.preemptions > 0, f"seed {seed}"
+            self.assert_held(cluster)
+        assert self_draws
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_exact_deadlock(self, seed):
+        cluster = SimCluster(3, schedule_seed=seed)
+        with pytest.raises(DeadlockError):
+            cluster.run(_recv_cycle)
+        self.assert_held(cluster)
+
+    @pytest.mark.parametrize("seed", [None, 2])
+    def test_rank_failure_and_its_abort_cascade(self, seed):
+        def prog(comm):
+            comm.send(comm.rank, dest=(comm.rank + 1) % 4, tag=0)
+            comm.recv(source=(comm.rank - 1) % 4, tag=0)
+            if comm.rank == 1:
+                raise KeyError("rank1-bug")
+            comm.barrier()
+
+        cluster = SimCluster(4, schedule_seed=seed)
+        with pytest.raises(KeyError, match="rank1-bug"):
+            cluster.run(prog)
+        self.assert_held(cluster)
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_one_rank_runs_at_a_time(self, seed):
+        """More ranks than cores and a thread switch every microsecond: a
+        read-modify-write of host state between transport calls loses no
+        update, because only the holder of the baton runs."""
+        counter = [0]
+
+        def prog(comm):
+            for step in range(40):
+                seen = counter[0]
+                sum(range(50))  # widen the window a concurrent rank would hit
+                counter[0] = seen + 1
+                comm.send(step, dest=(comm.rank + 1) % comm.size, tag=0)
+                comm.recv(source=(comm.rank - 1) % comm.size, tag=0)
+
+        cluster = SimCluster(8, schedule_seed=seed)
+        # A broken hand-off hangs the run: fail after a bounded wait instead.
+        run = threading.Thread(target=cluster.run, args=(prog,), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run.start()
+            run.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.is_alive()
+        assert counter[0] == 8 * 40
+        self.assert_held(cluster)
+
+    def test_cluster_reused_after_a_deadlock(self):
+        cluster = SimCluster(2)
+        with pytest.raises(DeadlockError):
+            cluster.run(_recv_cycle)
+        self.assert_held(cluster)
+        _LoggedTask.log = []
+        assert cluster.run(lambda comm: comm.sendrecv(comm.rank, 1 - comm.rank)) == [1, 0]
+        self.assert_held(cluster)
 
 
 # --------------------------------------------------------------------- #

@@ -3,6 +3,7 @@
 
     python3 tools/ab_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
         --workload fixedpoint_hybrid [--workload ...] [--pairs 10] [--seed 21]
+    python3 tools/ab_pairs.py --anchor REV CHANGE_CHECKOUT --workload ...
 
 Each pair runs ``benchmarks/perf/run.py --workload W --seed S --seconds 24
 --trace 0`` once in either checkout (what the driver runs), alternating
@@ -32,6 +33,12 @@ CPUs, python, numpy, probe pass ``calib_ms``) and the verdicts as printed.
 
 Take the parent checkout with ``git clone`` (or ``git archive``), not
 ``git worktree``: each side must build its samples from its own ``src/``.
+``--anchor REV`` does that itself: it runs ``git clone`` on CHANGE's
+repository into a temporary directory, checks out REV there (resolved in
+CHANGE, so ``--anchor HEAD .`` pairs a working tree's uncommitted edits
+against its last commit), pairs that clone as the parent, records REV and
+the commit it named in the ``--out`` record, and deletes the clone
+afterwards.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -102,6 +110,28 @@ def revision(checkout: Path) -> str | None:
     except OSError:  # no git
         return None
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def resolve(checkout: Path, rev: str) -> str:
+    """The commit ``rev`` names in ``checkout``'s repository."""
+    proc = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise ValueError(f"--anchor {rev}: not a commit of {checkout}")
+    return proc.stdout.strip()
+
+
+def clone(checkout: Path, commit: str, into: Path) -> Path:
+    """``git clone`` ``checkout``'s repository into ``into`` at ``commit``."""
+    for command in (
+        ["git", "clone", "--quiet", "--no-checkout", str(checkout), str(into)],
+        ["git", "-C", str(into), "checkout", "--quiet", "--detach", commit],
+    ):
+        subprocess.run(command, check=True, capture_output=True)
+    return into
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -183,14 +213,17 @@ def record(
     runs: list[dict[str, Any]],
     verdicts: dict[str, list[dict[str, Any]]],
     quick: bool,
+    anchor: dict[str, str] | None = None,
 ) -> dict[str, Any]:
-    """What ``--out`` writes: the checkouts, every run in the order it ran
+    """What ``--out`` writes: the anchor (``--anchor``'s REV and the commit
+    it named, or ``None``), the checkouts, every run in the order it ran
     (workload, pair, seed, side, raw metrics, host fields) and the
     per-workload verdict rows."""
     return {
         "tool": "tools/ab_pairs.py",
         "quick": quick,
         "run_seconds": None if quick else RUN_SECONDS,
+        "anchor": anchor,
         "checkouts": {
             side: {"name": path.name, "revision": revision(path)} for side, path in sides.items()
         },
@@ -203,15 +236,35 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
-    parser.add_argument("change", type=Path, help="checkout of the change")
+    parser.add_argument(
+        "checkouts", type=Path, nargs="+", metavar="CHECKOUT",
+        help="PARENT CHANGE, or CHANGE alone with --anchor",
+    )  # fmt: skip
+    parser.add_argument("--anchor", metavar="REV", help="clone REV of CHANGE as the parent")
     parser.add_argument("--workload", action="append", required=True, help="repeatable")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=21, help="seed of the first pair")
     parser.add_argument("--quick", action="store_true", help="smoke run: --quick samples")
     parser.add_argument("--out", type=Path, help="also write the record as JSON here")
     args = parser.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(args.checkouts) != (1 if args.anchor else 2):
+        parser.error("give PARENT and CHANGE checkouts, or --anchor REV and CHANGE alone")
+    change = args.checkouts[-1].resolve()
+    if args.anchor is None:
+        return measure(args, {"parent": args.checkouts[0].resolve(), "change": change})
+    try:
+        anchor = {"rev": args.anchor, "revision": resolve(change, args.anchor)}
+    except ValueError as exc:
+        parser.error(str(exc))
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as scratch:
+        parent = clone(change, anchor["revision"], Path(scratch) / "anchor")
+        return measure(args, {"parent": parent, "change": change}, anchor)
+
+
+def measure(
+    args: argparse.Namespace, sides: dict[str, Path], anchor: dict[str, str] | None = None
+) -> int:
+    """Run the pairs, print the verdicts, write ``--out``; the exit status."""
     runs: list[dict[str, Any]] = []
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -234,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         verdicts[workload] = compare(by_side["parent"], by_side["change"], declared)
         summarize(workload, args.pairs, verdicts[workload])
     if args.out is not None:
-        args.out.write_text(json.dumps(record(sides, runs, verdicts, args.quick), indent=1) + "\n")
+        written = record(sides, runs, verdicts, args.quick, anchor)
+        args.out.write_text(json.dumps(written, indent=1) + "\n")
     worse = any(row["verdict"] == "worse" for rows in verdicts.values() for row in rows)
     return 1 if worse and not args.quick else 0
 
