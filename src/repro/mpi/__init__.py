@@ -8,7 +8,7 @@ the thesis.  It provides:
   backend (``scheduler="event"`` for cooperative event-driven switching
   with exact deadlock detection -- the default, and with a
   ``schedule_seed`` the schedule fuzzer -- or ``"process"`` for one worker
-  OS process per rank over shared memory),
+  OS process per rank, each message piped through a parent broker),
 * :class:`Communicator` -- an mpi4py-flavoured API (``send``/``recv``/
   ``isend``/``irecv``/``bcast``/``gather``/``barrier``/``Wtime``) whose costs
   are charged to deterministic per-rank *virtual clocks*,

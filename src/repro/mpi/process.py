@@ -10,11 +10,12 @@ Data plane (private stores, halo values by message)
     Each worker builds and keeps its own node store -- either kind, any
     picklable node value -- in private memory, as each processor of the
     paper keeps its own data node list; final values go home pickled in
-    the ``finish`` record.  Only shadow values cross processes: a float
-    halo batch is copied into a per-edge :class:`~repro.mpi.shm.ShadowRing`
-    and the pipe carries just a 3-field :class:`~repro.mpi.shm.RingRef`
-    descriptor (the receiver slice-copies the span back out and retires
-    it); any other payload is pickled through the pipe.
+    the ``finish`` record.  Only shadow values cross processes, and only
+    as messages: every :class:`~repro.mpi.message.Message` a worker sends
+    is pickled through its pipe to the broker, which files it in the
+    receiver's mailbox and hands it over, pickled again, on a ``take`` or
+    ``recv``.  No worker maps shared memory, so a run leaves nothing in
+    ``/dev/shm`` and starts no ``resource_tracker`` process.
 
 Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     Message-queue mutations, collective rendezvous, quarantine, and abort
@@ -71,7 +72,6 @@ inherited, never pickled).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -87,16 +87,6 @@ from .errors import (
 )
 from .message import Message
 from .scheduler import SEED_NEEDS_EVENT, SchedulerBackend
-from .shm import (
-    DEFAULT_RING_CAPACITY,
-    RingRef,
-    ShadowRing,
-    ensure_tracker,
-    force_unlink,
-    is_shadow_payload,
-    make_run_prefix,
-    unlink_prefix,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import SimCluster
@@ -113,22 +103,16 @@ class _WorkerTransport:
     """A worker's proxy to the parent broker (installed as
     ``cluster._worker``; the runtime's transport entry points branch to it).
 
-    Protocol: ``deliver``/``abort``/``segment``/``finish`` are
-    fire-and-forget; ``take``/``sources``/``recv``/``collective``/
-    ``quarantine`` are strict request/reply (``("ok", value)`` or
-    ``("err", exc)``), so after sending a request the next object on the
-    pipe is always its reply.
+    Protocol: ``deliver``/``abort``/``finish`` are fire-and-forget;
+    ``take``/``sources``/``recv``/``collective``/``quarantine`` are strict
+    request/reply (``("ok", value)`` or ``("err", exc)``), so after
+    sending a request the next object on the pipe is always its reply.
+    Messages travel as they are, pickled by the pipe, in both directions.
     """
 
-    def __init__(
-        self, conn: Any, rank: int, prefix: str, ring_capacity: int
-    ) -> None:
+    def __init__(self, conn: Any, rank: int) -> None:
         self._conn = conn
         self.rank = rank
-        self.prefix = prefix
-        self.ring_capacity = ring_capacity
-        self._out_rings: dict[int, ShadowRing] = {}  # dest world rank -> ring
-        self._in_rings: dict[str, ShadowRing] = {}  # segment name -> ring
 
     # ---------------------------- plumbing ----------------------------- #
 
@@ -139,52 +123,15 @@ class _WorkerTransport:
             raise value
         return value
 
-    def register_segment(self, name: str) -> None:
-        """Tell the parent to reap ``name`` at run end (crash-safe)."""
-        self._conn.send(("segment", name))
-
-    # --------------------------- ring fast path ------------------------ #
-
-    def _ring_to(self, dest: int) -> ShadowRing:
-        ring = self._out_rings.get(dest)
-        if ring is None:
-            name = f"{self.prefix}-r{self.rank}to{dest}"
-            ring = ShadowRing.create(name, self.ring_capacity)
-            self.register_segment(name)
-            self._out_rings[dest] = ring
-        return ring
-
-    def _resolve(self, msg: Message | None, consume: bool) -> Message | None:
-        """Materialize a ring descriptor back into the payload tuple.
-
-        Peeks (``consume=False``) keep the descriptor: probes only read
-        metadata, and the span must stay live for the eventual receive.
-        """
-        if msg is None or not consume or not isinstance(msg.payload, RingRef):
-            return msg
-        ref = msg.payload
-        ring = self._in_rings.get(ref.name)
-        if ring is None:
-            ring = self._in_rings[ref.name] = ShadowRing.attach(ref.name)
-        gids, vals = ring.read(ref)
-        ring.retire(ref)
-        msg.payload = tuple(zip(gids.tolist(), vals.tolist()))
-        return msg
-
     # ------------------------- transport verbs ------------------------- #
 
     def deliver(self, msg: Message) -> None:
-        if is_shadow_payload(msg.payload):
-            ref = self._ring_to(msg.dest).try_put(msg.payload)
-            if ref is not None:  # ring full -> fall back to pickling
-                msg = dataclasses.replace(msg, payload=ref)
         self._conn.send(("deliver", msg))
 
     def take(
         self, source: int, tag: int, comm_id: Any, consume: bool
     ) -> Message | None:
-        msg = self._request(("take", source, tag, comm_id, consume))
-        return self._resolve(msg, consume)
+        return self._request(("take", source, tag, comm_id, consume))
 
     def sources(self, tag: int, comm_id: Any) -> list[int]:
         return self._request(("sources", tag, comm_id))
@@ -192,8 +139,7 @@ class _WorkerTransport:
     def recv(
         self, source: int, tag: int, comm_id: Any, consume: bool
     ) -> Message:
-        msg = self._request(("recv", source, tag, comm_id, consume))
-        return self._resolve(msg, consume)
+        return self._request(("recv", source, tag, comm_id, consume))
 
     def collective(self, *args: Any) -> tuple[list[float], list[Any]]:
         """Join a rendezvous in the broker (``args``: see
@@ -239,8 +185,6 @@ def _worker_main(
     runner: Callable[[int], None],
     rank: int,
     conn: Any,
-    prefix: str,
-    ring_capacity: int,
 ) -> None:
     """Child-process entry: run one rank over the piped transport.
 
@@ -249,7 +193,7 @@ def _worker_main(
     it stores the result/error into ``cluster._ranks[rank]``, which here
     is the worker's private copy -- shipped home in the finish record.
     """
-    transport = _WorkerTransport(conn, rank, prefix, ring_capacity)
+    transport = _WorkerTransport(conn, rank)
     cluster._worker = transport
     state = cluster._ranks[rank]
     try:
@@ -262,9 +206,8 @@ def _worker_main(
             transport.finish(state.result, state.error, counters, state.clock)
             conn.close()
         finally:
-            # Skip inherited atexit/multiprocessing finalizers: the worker
-            # must never unlink segments (the parent reaps), and the
-            # fork-shared resource tracker's books stay balanced.
+            # Skip the atexit handlers and finalizers inherited from the
+            # parent: they belong to the parent's run, not this worker's.
             os._exit(0)
 
 
@@ -313,8 +256,6 @@ class _Broker:
         self._procs = procs
         self._parked: dict[int, _Parked] = {}
         self._unfinished = set(range(cluster.nprocs))
-        self.segments: list[str] = []
-        self._seen_segments: set[str] = set()
         #: Worker->broker pipe messages handled (``cluster.pipe_requests``).
         self.requests = 0
 
@@ -364,10 +305,6 @@ class _Broker:
             self._quarantine(rank, *req[1:])
         elif kind == "abort":
             self._abort(req[1])
-        elif kind == "segment":
-            if req[1] not in self._seen_segments:
-                self._seen_segments.add(req[1])
-                self.segments.append(req[1])
         elif kind == "finish":
             self._finish(rank, *req[1:])
         else:  # pragma: no cover - protocol bug
@@ -572,7 +509,6 @@ class ProcessScheduler(SchedulerBackend):
                 "this platform does not support fork"
             )
         self._cluster = cluster
-        self.ring_capacity = DEFAULT_RING_CAPACITY
 
     def notify(self, ranks: Iterable[int] | None = None) -> None:
         return None
@@ -586,9 +522,7 @@ class ProcessScheduler(SchedulerBackend):
         raise RuntimeError("process backend workers block in the broker, not here")
 
     def execute(self, runner: Callable[[int], None], nprocs: int) -> None:
-        ensure_tracker()  # one fork-shared tracker for the whole tree
         ctx = multiprocessing.get_context("fork")
-        prefix = make_run_prefix()
         pipes = [ctx.Pipe(duplex=True) for _ in range(nprocs)]
         procs = []
         broker = None
@@ -596,14 +530,7 @@ class ProcessScheduler(SchedulerBackend):
             for rank in range(nprocs):
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(
-                        self._cluster,
-                        runner,
-                        rank,
-                        pipes[rank][1],
-                        prefix,
-                        self.ring_capacity,
-                    ),
+                    args=(self._cluster, runner, rank, pipes[rank][1]),
                     name=f"sim-rank-{rank}",
                     daemon=True,
                 )
@@ -622,11 +549,5 @@ class ProcessScheduler(SchedulerBackend):
                     proc.join(timeout=5.0)
             for parent_end, _ in pipes:
                 parent_end.close()
-            # Reap every shared segment, registered or stray: workers never
-            # unlink (a receiver may attach after the producer exited), so
-            # the parent is the single point of truth for cleanup.
             if broker is not None:
                 self._cluster.pipe_requests = broker.requests
-                for name in broker.segments:
-                    force_unlink(name)
-            unlink_prefix(prefix)

@@ -184,8 +184,7 @@ class SimCluster:
         self.barriers = 0
         #: Worker-to-broker pipe messages the process backend handled last
         #: run (0 on the in-thread backend): delivers, receive-side
-        #: queries, one per collective per member, segment registrations
-        #: and finishes.
+        #: queries, one per collective per member, and finishes.
         self.pipe_requests = 0
         self._aborted = False
         self._abort_reason: str | None = None

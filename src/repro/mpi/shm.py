@@ -1,90 +1,44 @@
-"""Shared-memory primitives for the multiprocess execution backend.
+"""Shared-memory halo ring, kept for the ring micro-benchmark only.
 
-Two building blocks, both over named POSIX ``multiprocessing.shared_memory``
-segments:
+The multiprocess backend (:mod:`repro.mpi.process`) maps no shared memory:
+a worker sends every message, halo batches included, through its pipe to
+the parent broker.  What is left here has no caller in the platform:
 
-* :class:`SharedSegment` -- segment lifecycle.  The creator owns the name
-  and unlinks it; attachers map an existing name read-write.  Both sides
-  install :func:`weakref.finalize` guards so a segment cannot outlive the
-  Python objects that know about it.  The whole fork tree shares one
-  ``resource_tracker`` process (started eagerly via :func:`ensure_tracker`
-  before the first fork) whose cache is a *set*, so the duplicate
-  registration CPython 3.11 makes on attach collapses into the creator's
-  and exactly one ``unlink`` -- from whichever process performs it --
-  balances the books.
+* :class:`ShadowRing` (with :class:`SharedSegment`, :class:`RingRef` and
+  :data:`DEFAULT_RING_CAPACITY`) -- a single-producer/single-consumer ring
+  of ``(gid, value)`` records over one named POSIX segment, the halo
+  transport the process backend used before its pipe carried everything.
+  ``benchmarks/perf/micro.py --kind ring`` still times one round trip of
+  it, so it stays until that micro goes.
+* :func:`leaked_segments` -- the ``/dev/shm`` entries named ``ic2mpi-*``;
+  ``benchmarks/perf/sample.py`` fails a sample that leaves any behind.
 
-* :class:`ShadowRing` -- a single-producer/single-consumer ring of
-  ``(gid, value)`` halo records, one per directed worker pair.  The
-  producer copies the shadow payload into two parallel ``int64``/``float64``
-  arrays and ships a tiny :class:`RingRef` descriptor through the control
-  pipe instead of pickling the records; the consumer slices the arrays
-  back out.  Two monotonically increasing sequence counters live in the
-  segment header: ``head`` (records produced) and ``tail`` (records
-  retired).  The descriptor travelling through the (synchronizing) pipe
-  establishes the producer->consumer happens-before edge, so the counters
-  only guard *space reclamation*: the producer refuses a put that would
-  overrun un-retired records and the caller falls back to the pickle path.
-  Consumption can complete out of order (a receiver may match tag B before
-  tag A); the consumer retires spans and advances ``tail`` over the
-  contiguous completed prefix.
-
-Node stores and collectives are not among them: each worker keeps its
-store in private memory, only halo values cross processes, and every
-collective rendezvous is held by the parent broker (:mod:`repro.mpi.process`).
-
-Crash safety: every creator registers its segment names with the parent
-broker, and the parent force-unlinks every registered name (plus anything
-matching the run prefix under ``/dev/shm``) after the workers are joined --
-so a ``SIGKILL``-ed worker cannot leak segments.
+The ring: the producer copies a batch into two parallel
+``int64``/``float64`` arrays and returns a :class:`RingRef` descriptor;
+the consumer slices the span back out and retires it.  Two monotonically
+increasing counters live in the segment header: ``head`` (records
+produced) and ``tail`` (records retired).  The producer refuses a put
+that would overrun un-retired records; spans may retire out of order, and
+``tail`` advances over the contiguous retired prefix.
 """
 
 from __future__ import annotations
 
 import os
-import secrets
 import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Sequence
+from multiprocessing import shared_memory
+from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "RingRef",
-    "SharedSegment",
-    "ShadowRing",
-    "ensure_tracker",
-    "force_unlink",
-    "is_shadow_payload",
-    "leaked_segments",
-    "make_run_prefix",
-    "unlink_prefix",
-]
-
-#: Fewest records for which the ring fast path beats pickling the tuple.
-FASTPATH_MIN_RECORDS = 4
+__all__ = ["RingRef", "SharedSegment", "ShadowRing", "leaked_segments"]
 
 #: Default per-edge ring capacity, records (16 bytes each -> 512 KiB).
 DEFAULT_RING_CAPACITY = 1 << 15
 
 _HEADER_SLOTS = 2  # head, tail -- int64 each
 _HEADER_BYTES = _HEADER_SLOTS * 8
-
-
-def make_run_prefix() -> str:
-    """Unique, parseable segment-name prefix for one backend execution."""
-    return f"ic2mpi-{os.getpid()}-{secrets.token_hex(4)}"
-
-
-def ensure_tracker() -> None:
-    """Start the ``resource_tracker`` daemon *before* forking workers.
-
-    Forked children inherit the already-running tracker, so every
-    register/unregister in the tree lands in one shared cache.  Without
-    this, the first worker to create a segment would lazily spawn its own
-    tracker, which then "cleans up" (unlinks!) the segment the moment the
-    worker exits."""
-    resource_tracker.ensure_running()
 
 
 class SharedSegment:
@@ -100,9 +54,6 @@ class SharedSegment:
         self.name = name
         self.owner = create
         self._shm = shared_memory.SharedMemory(name=name, create=create, size=size)
-        # CPython 3.11 registers on *attach* too; with one fork-shared
-        # tracker whose cache is a set, the duplicate collapses into the
-        # creator's registration and the single unlink retires it.
         self._finalizer = weakref.finalize(
             self, _finalize_segment, self._shm, create
         )
@@ -149,24 +100,6 @@ def _finalize_segment(shm: shared_memory.SharedMemory, owner: bool) -> None:
             pass
 
 
-def force_unlink(name: str) -> bool:
-    """Unlink a segment by name from any process; returns whether it existed.
-
-    Used by the parent broker to reap segments created by workers (normal
-    exit or crash): the fork tree shares one resource tracker, so the
-    attach-and-unlink here also retires the dead creator's registration.
-    """
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        # Already unlinked -- whoever did it also retired the tracker entry.
-        return False
-    except Exception:
-        return False
-    _finalize_segment(shm, owner=True)
-    return True
-
-
 def leaked_segments(prefix: str = "ic2mpi-") -> list[str]:
     """Live ``/dev/shm`` entries from this platform (empty == no leaks)."""
     try:
@@ -176,17 +109,8 @@ def leaked_segments(prefix: str = "ic2mpi-") -> list[str]:
     return sorted(e for e in entries if e.startswith(prefix))
 
 
-def unlink_prefix(prefix: str) -> int:
-    """Force-unlink every ``/dev/shm`` segment carrying ``prefix``."""
-    count = 0
-    for name in leaked_segments(prefix):
-        if force_unlink(name):
-            count += 1
-    return count
-
-
 # --------------------------------------------------------------------- #
-# Halo-exchange fast path
+# The ring
 # --------------------------------------------------------------------- #
 
 
@@ -197,26 +121,6 @@ class RingRef:
     name: str
     start: int
     count: int
-
-
-def is_shadow_payload(payload: Any) -> bool:
-    """Whether a payload is a halo batch the ring can carry losslessly:
-    a tuple of ``(int gid, float value)`` pairs (the exact shape
-    :func:`repro.core.compute` packs -- bools are excluded by the strict
-    type checks, so reconstruction round-trips bit-for-bit)."""
-    if type(payload) is not tuple or len(payload) < FASTPATH_MIN_RECORDS:
-        return False
-    for item in payload:
-        if (
-            type(item) is not tuple
-            or len(item) != 2
-            or type(item[0]) is not int
-            or type(item[1]) is not float
-        ):
-            return False
-        if not -(2**63) <= item[0] < 2**63:
-            return False
-    return True
 
 
 class ShadowRing:
@@ -266,8 +170,7 @@ class ShadowRing:
     # ------------------------------ producer -------------------------- #
 
     def try_put(self, payload: Sequence[tuple[int, float]]) -> RingRef | None:
-        """Copy a shadow batch in; ``None`` when it does not fit (caller
-        falls back to pickling through the pipe)."""
+        """Copy a shadow batch in; ``None`` when it does not fit."""
         n = len(payload)
         head = int(self._ctl[0])
         tail = int(self._ctl[1])

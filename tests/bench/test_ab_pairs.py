@@ -2,10 +2,11 @@
 
 Two stand-in checkouts whose ``benchmarks/perf/run.py`` prints a host line
 and a result line as the real one does, the change's a fixed 2 % slower;
-the record must hold every run's raw metrics and seed, both checkouts, the
-host fields and the verdicts the tool printed.  ``--anchor`` runs against a
-small git repository with ``run_once`` stubbed: the parent is a clone of the
-named commit, gone after the run, and the record names the commit.
+the record must hold every run's raw metrics and seed, both checkouts (with
+a digest of each one's ``src/``), the host fields and the verdicts the tool
+printed.  ``--anchor`` runs against a small git repository with
+``run_once`` stubbed: the parent is a clone of the named commit, gone after
+the run, and the record names the commit.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def checkout(root: Path, name: str, scale: float) -> Path:
     (path / "benchmarks" / "perf").mkdir(parents=True)
     (path / "benchmarks" / "perf" / "run.py").write_text(f"SCALE = {scale}\n{RUN_PY}")
     (path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    (path / "src" / "pkg").mkdir(parents=True)
+    (path / "src" / "pkg" / "mod.py").write_text(f"SCALE = {scale}\n")
     return path
 
 
@@ -68,10 +71,12 @@ def test_the_record_holds_runs_checkouts_hosts_and_verdicts(ab_pairs, tmp_path, 
 
     assert written["tool"] == "tools/ab_pairs.py" and written["quick"] is False
     assert written["run_seconds"] == ab_pairs.RUN_SECONDS
+    # Neither stand-in is a git checkout: the src/ digest names their code.
     assert written["checkouts"] == {
-        "parent": {"name": "parent", "revision": None},
-        "change": {"name": "change", "revision": None},
+        side: {"name": side, "revision": None, "src_sha256": ab_pairs.source_digest(path)}
+        for side, path in (("parent", parent), ("change", change))
     }
+    assert len({c["src_sha256"] for c in written["checkouts"].values()}) == 2
     runs = written["runs"]
     # Pairs alternate which side goes first, a fresh seed per pair.
     assert [(r["pair"], r["seed"], r["side"]) for r in runs] == [
@@ -102,6 +107,29 @@ def test_the_record_holds_runs_checkouts_hosts_and_verdicts(ab_pairs, tmp_path, 
 
 def test_a_run_without_a_host_line_records_no_host_fields(ab_pairs):
     assert ab_pairs.host_fields("no host here\n{}") == {}
+
+
+def test_the_source_digest_follows_src_bytes_and_paths_only(ab_pairs, tmp_path):
+    path = checkout(tmp_path, "side", 1.0)
+    digest = ab_pairs.source_digest(path)
+    assert len(digest) == 64
+    # What running and installing leave behind, and files outside src/,
+    # do not count.
+    (path / "src" / "pkg" / "__pycache__").mkdir()
+    (path / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    (path / "src" / "pkg.egg-info").mkdir()
+    (path / "src" / "pkg.egg-info" / "PKG-INFO").write_text("Name: pkg\n")
+    (path / "notes.txt").write_text("outside src/")
+    assert ab_pairs.source_digest(path) == digest
+    # A copy digests alike; one changed byte or one renamed file does not.
+    copy = checkout(tmp_path, "copy", 1.0)
+    assert ab_pairs.source_digest(copy) == digest
+    (copy / "src" / "pkg" / "mod.py").write_text("SCALE = 1.1\n")
+    assert ab_pairs.source_digest(copy) != digest
+    (copy / "src" / "pkg" / "mod.py").write_text("SCALE = 1.0\n")
+    (copy / "src" / "pkg" / "mod.py").rename(copy / "src" / "pkg" / "other.py")
+    assert ab_pairs.source_digest(copy) != digest
+    assert ab_pairs.source_digest(tmp_path / "no-such-checkout") is None
 
 
 def git(repo: Path, *args: str) -> str:
@@ -154,7 +182,7 @@ def test_anchor_pairs_a_clone_of_rev_against_the_working_tree(ab_pairs, repo, se
     written = json.loads(out.read_text())
     assert written["anchor"] == {"rev": "HEAD~1", "revision": first}
     assert written["checkouts"]["parent"]["revision"] == first
-    assert written["checkouts"]["change"] == {"name": "repo", "revision": head}
+    assert written["checkouts"]["change"] == {"name": "repo", "revision": head, "src_sha256": None}
     assert [(r["pair"], r["side"]) for r in written["runs"]] == [
         (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
     ]  # fmt: skip

@@ -1,16 +1,16 @@
 """Conformance and hygiene suite for the ``process`` scheduler backend.
 
 The process backend runs each rank as a real OS process with a private
-node store of either kind: float halo payloads travel through per-edge
-shared ring buffers, and everything else (other payloads, barriers, recv
-parks, fault events, trace records) goes over a command pipe to the
+node store of either kind, and every message (halo batches included),
+collective, recv park and finish goes over one command pipe to the
 parent broker.  The contract mirrors the event-scheduler suite: *virtual*
 outcomes -- clocks, values, traces, fault and recovery behaviour -- are
 bit-identical to the in-thread backend, for any store and any picklable
 node value.  On top of conformance, this file pins down the backend's
-hygiene properties: no shared-memory segment outlives a run (normal exit,
-deadlock, or a SIGKILL'd worker), and the one refused combination -- a
-``schedule_seed`` -- fails with
+hygiene properties: the pipe is the only channel (no worker maps shared
+memory or starts a resource tracker, and no ``/dev/shm`` entry is left on
+normal exit, deadlock, or a SIGKILL'd worker), and the one refused
+combination -- a ``schedule_seed`` -- fails with
 :class:`~repro.mpi.errors.UnsupportedBackendError` before anything forks.
 """
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import re
 import signal
 import time
+from multiprocessing import resource_tracker
 from unittest import mock
 
 import pytest
@@ -39,13 +39,7 @@ from repro.mpi import (
     run_mpi,
 )
 from repro.graphs import HexGrid
-from repro.mpi.shm import (
-    ShadowRing,
-    SharedSegment,
-    is_shadow_payload,
-    leaked_segments,
-    make_run_prefix,
-)
+from repro.mpi.shm import ShadowRing, SharedSegment, leaked_segments
 from repro.partitioning import MetisLikePartitioner
 
 from ..twins import on_store
@@ -232,8 +226,8 @@ class TestProcessConformance:
         _assert_no_leaked_segments()
 
     def test_cluster_reuse(self):
-        """A SimCluster survives back-to-back process runs: fresh workers,
-        fresh segments, identical results both times."""
+        """A SimCluster survives back-to-back process runs: fresh workers
+        and pipes, identical results both times."""
         cluster = SimCluster(3, scheduler="process")
 
         def prog(comm):
@@ -306,41 +300,94 @@ class TestCollectivePlane:
         delivers = _STEPS * ranks  # one isend per rank per step
         queries = _STEPS * ranks * 2  # pending_sources + one recv
         collectives = _STEPS * ranks * 2  # barrier + allreduce, per member
-        rings = 0  # a lone float is pickled through the pipe, no ring
         finishes = ranks
         assert cluster.pipe_requests == (
-            delivers + queries + collectives + rings + finishes
+            delivers + queries + collectives + finishes
         )
         _assert_no_leaked_segments()
 
-    def test_fault_free_run_creates_only_ring_segments(self, tmp_path):
-        """A fault-free platform run (quiescence votes, float halos) maps
-        nothing but the per-edge ``-r{a}to{b}`` rings: no collective
-        segment.  Workers are forked, so names are logged to a file."""
-        log = tmp_path / "segments"
-        log.touch()
-        original = SharedSegment.__init__
+    def test_pipe_requests_exact_for_halo_batches(self):
+        """Float halo batches -- tuples of ``(int gid, float value)``
+        records, the shape the platform packs -- are plain pipe delivers,
+        one request each like any other message, and arrive bit-equal."""
 
-        def recording(segment, name, size=0, create=False):
-            if create:
+        def halo_exchange(comm):
+            total = 0.0
+            for step in range(_STEPS):
+                batch = tuple(
+                    (comm.rank * 100 + i, (comm.rank + step) / (i + 3))
+                    for i in range(8)
+                )
+                comm.isend(batch, dest=(comm.rank + 1) % comm.size, tag=5)
+                got = comm.recv(source=(comm.rank - 1) % comm.size, tag=5)
+                total += sum(value for _, value in got)
+            return total.hex(), comm.Wtime()
+
+        event = SimCluster(4, scheduler="event").run(halo_exchange)
+        cluster = SimCluster(4, scheduler="process")
+        assert cluster.run(halo_exchange) == event
+        ranks = cluster.nprocs
+        delivers = _STEPS * ranks  # one 8-record batch per rank per step
+        recvs = _STEPS * ranks
+        finishes = ranks
+        assert cluster.pipe_requests == delivers + recvs + finishes
+        _assert_no_leaked_segments()
+
+    @pytest.mark.parametrize(
+        "faults, config",
+        [
+            (None, PlatformConfig(iterations=6, converge="quiescence")),
+            (
+                "seed=3,crash=2@5,flip=1@4,flipmsg=0.05",
+                PlatformConfig(
+                    iterations=8,
+                    checkpoint_period=3,
+                    recovery_policy="shrink",
+                    integrity="full",
+                ),
+            ),
+        ],
+        ids=["fault_free", "crash_shrink_flip"],
+    )
+    def test_no_run_maps_shared_memory_or_starts_a_tracker(
+        self, tmp_path, faults, config
+    ):
+        """The pipe is the only channel: no worker constructs a
+        ``SharedSegment`` and no process calls ``ensure_running`` on the
+        resource tracker -- neither on a fault-free run (quiescence votes,
+        float halos) nor under a shrink recovery with memory and message
+        flips.  Workers are forked, so calls are logged to a file."""
+        log = tmp_path / "calls"
+        log.touch()
+
+        def logged(what, original):
+            def record(*args, **kwargs):
                 with open(log, "a") as fh:
-                    fh.write(name + "\n")
-            original(segment, name, size, create)
+                    fh.write(f"{what} in pid {os.getpid()}\n")
+                return original(*args, **kwargs)
+
+            return record
 
         graph = hex32()
-        platform = ICPlatform(
-            graph,
-            make_average_fn(1e-4),
-            config=PlatformConfig(iterations=6, converge="quiescence"),
-        )
+        platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
         partition = MetisLikePartitioner(seed=0).partition(graph, 4)
-        with mock.patch.object(SharedSegment, "__init__", recording):
-            platform.run(partition, scheduler="process")
-        names = log.read_text().split()
-        assert names
-        for name in names:
-            match = re.fullmatch(r"ic2mpi-\d+-[0-9a-f]+-r(\d+)to(\d+)", name)
-            assert match and match[1] != match[2], name
+        tracker = resource_tracker.ResourceTracker
+        with mock.patch.object(
+            SharedSegment, "__init__", logged("SharedSegment", SharedSegment.__init__)
+        ), mock.patch.object(
+            resource_tracker,
+            "ensure_running",
+            logged("ensure_running", resource_tracker.ensure_running),
+        ), mock.patch.object(
+            tracker, "ensure_running", logged("ensure_running", tracker.ensure_running)
+        ):
+            result = platform.run(
+                partition,
+                faults=FaultPlan.parse(faults) if faults else None,
+                scheduler="process",
+            )
+        assert result.values
+        assert log.read_text() == ""
         _assert_no_leaked_segments()
 
     def test_send_visible_after_barrier(self):
@@ -452,8 +499,7 @@ class TestProcessDeadlock:
 
     def test_worker_process_death_surfaces(self):
         """A rank whose OS process dies outright (not a simulated crash)
-        is reported as a RuntimeError and aborts the peers; its segments
-        are still reaped by the parent."""
+        is reported as a RuntimeError and aborts the peers."""
 
         def prog(comm):
             if comm.rank == 1:
@@ -491,21 +537,13 @@ class TestProcessGates:
 
 
 # --------------------------------------------------------------------- #
-# Shared-memory primitives
+# The ring the backend no longer uses (kept for the ring micro-benchmark)
 # --------------------------------------------------------------------- #
 
 
 class TestShadowRing:
-    def test_payload_criterion(self):
-        good = tuple((i, float(i)) for i in range(4))
-        assert is_shadow_payload(good)
-        assert not is_shadow_payload(good[:3])  # below fast-path floor
-        assert not is_shadow_payload(list(good))  # wrong container
-        assert not is_shadow_payload(good + (("x", 1.0),))
-
     def test_roundtrip_and_retire(self):
-        prefix = make_run_prefix()
-        name = f"{prefix}-ring"
+        name = f"ic2mpi-test-{os.getpid()}-ring"
         writer = ShadowRing.create(name, capacity=16)
         try:
             reader = ShadowRing.attach(name)
@@ -529,8 +567,7 @@ class TestShadowRing:
         _assert_no_leaked_segments()
 
     def test_try_put_backpressure(self):
-        prefix = make_run_prefix()
-        name = f"{prefix}-ringbp"
+        name = f"ic2mpi-test-{os.getpid()}-ringbp"
         writer = ShadowRing.create(name, capacity=8)
         try:
             payload = tuple((i, float(i)) for i in range(5))

@@ -27,9 +27,11 @@ through instead of ``--seconds 24`` (a smoke run of the tool itself: its
 timings mean nothing, so it prints the verdicts but always exits 0).
 
 ``--out FILE`` also writes the whole record as JSON (:func:`record`):
-every run's raw metrics and seed, both checkouts (directory name and git
-revision, where there is one), the host line each run reported (usable
-CPUs, python, numpy, probe pass ``calib_ms``) and the verdicts as printed.
+every run's raw metrics and seed, both checkouts (directory name, git
+revision where there is one, and a SHA-256 of the ``src/`` it measured,
+which names the code of a working-tree copy too), the host line each run
+reported (usable CPUs, python, numpy, probe pass ``calib_ms``) and the
+verdicts as printed.
 
 Take the parent checkout with ``git clone`` (or ``git archive``), not
 ``git worktree``: each side must build its samples from its own ``src/``.
@@ -44,6 +46,7 @@ afterwards.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
@@ -110,6 +113,27 @@ def revision(checkout: Path) -> str | None:
     except OSError:  # no git
         return None
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def source_digest(checkout: Path) -> str | None:
+    """SHA-256 over ``checkout``'s ``src/``: every file's path relative to
+    it, its length and its bytes, in path order; ``None`` without a
+    ``src/``.  Byte-code caches and egg-info are left out, so running or
+    installing a checkout does not change its digest."""
+    root = checkout / "src"
+    if not root.is_dir():
+        return None
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        parts = path.relative_to(root).parts
+        if not path.is_file() or any(
+            part == "__pycache__" or part.endswith(".egg-info") for part in parts
+        ):
+            continue
+        data = path.read_bytes()
+        digest.update(f"{'/'.join(parts)}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def resolve(checkout: Path, rev: str) -> str:
@@ -216,16 +240,21 @@ def record(
     anchor: dict[str, str] | None = None,
 ) -> dict[str, Any]:
     """What ``--out`` writes: the anchor (``--anchor``'s REV and the commit
-    it named, or ``None``), the checkouts, every run in the order it ran
-    (workload, pair, seed, side, raw metrics, host fields) and the
-    per-workload verdict rows."""
+    it named, or ``None``), the checkouts (name, git revision, ``src/``
+    digest), every run in the order it ran (workload, pair, seed, side, raw
+    metrics, host fields) and the per-workload verdict rows."""
     return {
         "tool": "tools/ab_pairs.py",
         "quick": quick,
         "run_seconds": None if quick else RUN_SECONDS,
         "anchor": anchor,
         "checkouts": {
-            side: {"name": path.name, "revision": revision(path)} for side, path in sides.items()
+            side: {
+                "name": path.name,
+                "revision": revision(path),
+                "src_sha256": source_digest(path),
+            }
+            for side, path in sides.items()
         },
         "runs": runs,
         "verdicts": verdicts,
