@@ -234,7 +234,13 @@ class Graph:
         """Weight of edge ``{u, v}`` (default 1); raises if absent."""
         if not self.has_edge(u, v):
             raise KeyError(f"no edge ({u}, {v})")
-        return self._edge_weights.get(self._ekey(u, v), 1)
+        return self.known_edge_weight(u, v)
+
+    def known_edge_weight(self, u: int, v: int) -> int:
+        """Weight of an edge ``{u, v}`` the caller took from
+        :meth:`neighbors` or :meth:`edges`: unlike :meth:`edge_weight`, no
+        check that it exists (a non-edge reads 1)."""
+        return self._edge_weights.get((u, v) if u < v else (v, u), 1)
 
     @property
     def has_node_weights(self) -> bool:

@@ -10,8 +10,10 @@ the thesis.  It provides:
   ``schedule_seed`` the schedule fuzzer -- or ``"process"`` for one worker
   OS process per rank, each message piped through a parent broker),
 * :class:`Communicator` -- an mpi4py-flavoured API (``send``/``recv``/
-  ``isend``/``irecv``/``bcast``/``gather``/``barrier``/``Wtime``) whose costs
-  are charged to deterministic per-rank *virtual clocks*,
+  ``isend``/``irecv``/``neighbor_send``/``neighbor_recv``/``bcast``/
+  ``gather``/``allgather``/``allreduce``/``alltoall``/``barrier``/``Wtime``)
+  whose costs are charged to deterministic per-rank *virtual clocks*; every
+  receive names its source and tag,
 * :class:`MachineModel` -- the alpha-beta communication cost model with an
   ``ORIGIN2000`` preset calibrated to the paper's tables,
 * derived-datatype emulation for exact wire-size accounting.
@@ -28,7 +30,7 @@ Quick example::
     results = run_mpi(hello, nprocs=4)
 """
 
-from .communicator import ANY_SOURCE, ANY_TAG, Communicator
+from .communicator import Communicator
 from .datatypes import CHAR, DOUBLE, INT, Datatype, StructType
 from .errors import (
     CommAbortedError,
@@ -55,7 +57,7 @@ from .faults import (
     corrupt_value,
     state_digest,
 )
-from .message import Mailbox, Message, RecvRequest, Request, SendRequest, Status
+from .message import Mailbox, Message, RecvRequest, Request, SendRequest
 from .runtime import RankState, SimCluster, run_mpi
 from .scheduler import (
     SCHEDULERS,
@@ -72,8 +74,6 @@ from .timing import (
 )
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "CHAR",
     "Communicator",
     "CommAbortedError",
@@ -112,7 +112,6 @@ __all__ = [
     "SendRequest",
     "ShrinkError",
     "SimCluster",
-    "Status",
     "StructType",
     "TopologyMachineModel",
     "UnsupportedBackendError",

@@ -85,8 +85,6 @@ def sends(name: str, n: int, root: int, me: int) -> list[tuple[int, int]]:
     0 (offset 0), then broadcast from it (offset 1)."""
     if name == "bcast":
         return [((c + root) % n, 0) for c in _tree(n)[(me - root) % n]]
-    if name == "scatter":
-        return [(q, 0) for q in range(n) if q != me] if me == root else []
     out = [(root, 0)] if me != root else []
     if name.startswith("all"):
         out += [(c, 1) for c in _tree(n)[me]]
@@ -148,28 +146,6 @@ def gather(wire: _Wire, root: int, clocks: Sequence[float], values: list[Any], s
     return c, got
 
 
-def scatter(wire: _Wire, root: int, clocks: Sequence[float], items: Sequence[Any]):
-    """``root`` sends ``items[q]`` to every other ``q`` in ascending order;
-    each receives its one message.  The exit clocks and what each holds."""
-    machine, group = wire.link[0], wire.group
-    c = list(clocks)
-    got = list(items)
-    t = c[root]
-    for q, item in enumerate(items):
-        if q == root:
-            continue
-        size = estimate_nbytes(item)
-        if wire.plain:
-            t += machine.sender_cpu(size)
-            arrival = t + machine.transfer_time_between(size, group[root], group[q])
-            c[q] = max(c[q], arrival) + machine.receiver_cpu(size)
-        else:
-            t, arrival, fate, got[q] = wire.send(root, t, size, q, item)
-            c[q] = wire.receive(q, c[q], arrival, size, fate)
-    c[root] = t
-    return c, got
-
-
 def bcast(wire: _Wire, root: int, clocks: Sequence[float], value: Any, nbytes: int):
     """Binomial tree from ``root`` of the ``nbytes``-byte ``value``: each
     member receives from its parent, then forwards what it received to its
@@ -219,16 +195,13 @@ def replay(
 ) -> tuple[list[float], tuple[list[Any], list[int]]]:
     """Exit clocks, then per-member results and retransmit counts, of
     collective ``name`` over the members' published ``(payload, fates)``;
-    ``group[local]`` is member ``local``'s world rank.  ``reduce`` is a
-    :func:`gather` (its root folds the list); ``allgather`` and
-    ``allreduce`` gather to root 0, then :func:`bcast` the list or its
-    fold."""
+    ``group[local]`` is member ``local``'s world rank.  ``allgather`` and
+    ``allreduce`` :func:`gather` to root 0, then :func:`bcast` the list or
+    its fold."""
     payloads = [payload for payload, _ in published]
     wire = _Wire(link, group, [fates for _, fates in published])
     if name == "bcast":
         clocks, results = bcast(wire, root, clocks, payloads[root], estimate_nbytes(payloads[root]))
-    elif name == "scatter":
-        clocks, results = scatter(wire, root, clocks, payloads[root])
     else:
         sizes = [estimate_nbytes(payload) for payload in payloads]
         clocks, got = gather(wire, root, clocks, payloads, sizes)

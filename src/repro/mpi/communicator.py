@@ -9,25 +9,26 @@ In addition to the MPI surface, a communicator exposes :meth:`work`, which
 replaces the paper's dummy grain loops: ``comm.work(0.3e-3)`` charges a
 0.3 ms fine-grain node computation to this rank's clock.
 
+Every receive names its source and tag: ``recv`` and ``irecv(...).wait()``
+are :meth:`Communicator.neighbor_recv` on one source, and a message is
+matched by the head of its ``(source, tag)`` stream, in send order.
+
 Determinism contract: every method reads and writes only the calling
 rank's own ``RankState`` (clock, counters) plus the cluster transport
-entry points (``deliver_all`` for every send; ``wait_for_all``,
-``wait_for_message`` and ``take_matching`` for every receive;
-``collective`` for ``barrier`` and the six collectives below).  No
-cross-rank state is touched directly, which is what lets the process
+entry points (``deliver_all`` for every send; ``wait_for_all`` for every
+receive; ``collective`` for ``barrier`` and the four collectives below).
+No cross-rank state is touched directly, which is what lets the process
 scheduler run communicators in separate OS processes
 (:mod:`repro.mpi.process`) while staying bit-identical to the in-thread
 backend.
 
-Collectives: ``bcast``, ``gather``, ``scatter``, ``allgather``, ``reduce``
-and ``allreduce`` are one rendezvous each, under any fault plan.  Each
-member draws the fault decisions of its own tree sends on entry, and
+Collectives: ``bcast``, ``gather``, ``allgather`` and ``allreduce`` are one
+rendezvous each, under any fault plan.  Each member draws the fault
+decisions of its own tree sends on entry, and
 :mod:`repro.mpi.collectives` replays the charges, fault legs and flipped
 values of the trees of point-to-point messages they stand for; counters
 and the collective tag sequence advance as if the trees ran.  Their
-traffic never enters a mailbox, so an ``iprobe`` or ``ANY_TAG`` receive
-around one sees only user messages.  ``alltoall``, ``scan`` and ``exscan``
-are point-to-point.
+traffic never enters a mailbox.  ``alltoall`` is point-to-point.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from typing import Any, Callable, Iterable, Sequence
 from . import collectives
 from .errors import InvalidRankError, InvalidTagError, MessageLostError, ShrinkError
 from .faults import CLEAN, corrupt_value
-from .message import ANY_SOURCE, ANY_TAG, Message, RecvRequest, Request, SendRequest, Status
+from .message import Message, RecvRequest, Request, SendRequest
 from .timing import estimate_nbytes
 
-__all__ = ["Communicator", "ANY_SOURCE", "ANY_TAG"]
+__all__ = ["Communicator"]
 
 #: Tags at or above this value are reserved for internal collective traffic.
 _COLLECTIVE_TAG_BASE = 1 << 30
@@ -65,7 +66,6 @@ class Communicator:
         self._rank = group.index(world_rank)
         self._own = cluster.state(world_rank)  # this rank's RankState
         self._coll_seq = 0
-        self._child_seq = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -79,12 +79,6 @@ class Communicator:
     @property
     def size(self) -> int:
         """Number of ranks in the communicator."""
-        return len(self._group)
-
-    def Get_rank(self) -> int:  # noqa: N802 - mpi4py spelling
-        return self._rank
-
-    def Get_size(self) -> int:  # noqa: N802 - mpi4py spelling
         return len(self._group)
 
     @property
@@ -142,8 +136,6 @@ class Communicator:
             raise ValueError(f"cannot charge negative work: {seconds}")
         return self._charge_cpu(seconds)
 
-    charge = work  # alias
-
     def _state(self):
         return self._own
 
@@ -177,43 +169,23 @@ class Communicator:
 
     def isend(self, obj: Any, dest: int, tag: int = 0, nbytes: int | None = None) -> Request:
         """Nonblocking send; the returned request is already complete."""
-        return SendRequest(self.neighbor_send(((dest, obj, nbytes),), tag)[0])
+        self.neighbor_send(((dest, obj, nbytes),), tag)
+        return SendRequest()
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Status | None = None,
-    ) -> Any:
-        """Blocking receive; returns the payload object."""
-        return self._complete_recv(source, tag, status)
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Blocking receive of the next ``tag`` message from ``source``;
+        returns the payload.  The default tag is ``send``'s."""
+        return self.neighbor_recv((source,), tag)[0]
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
+    def irecv(self, source: int, tag: int = 0) -> RecvRequest:
         """Nonblocking receive; complete it with ``req.wait()``.
 
         The receive is *matched at wait time*; posting is free.  Waiting
         advances the clock to ``max(now, arrival) + receiver_cpu`` which is
         how overlapped compute (Figure 8a) hides transfer latency.
         """
-        if source != ANY_SOURCE:
-            self._check_peer(source)
+        self._check_peer(source)
         return RecvRequest(self, source, tag)
-
-    def _complete_recv(self, source: int, tag: int, status: Status | None) -> Any:
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        msg = self._cluster.wait_for_message(self._world_rank, source, tag, self._comm_id)
-        if status is not None:
-            status.update_from(msg)
-        return self._complete_all((msg,))[0]
-
-    def _try_recv(self, source: int, tag: int, status: Status | None) -> tuple[Any, bool]:
-        msg = self._cluster.take_matching(self._world_rank, source, tag, self._comm_id)
-        if msg is None:
-            return None, False
-        if status is not None:
-            status.update_from(msg)
-        return self._complete_all((msg,))[0], True
 
     def _complete_all(
         self, msgs: Iterable[Message], each: Callable[[Any], Any] | None = None
@@ -242,35 +214,6 @@ class Communicator:
             if each is not None:
                 each(msg.payload)
         return payloads
-
-    def sendrecv(
-        self,
-        obj: Any,
-        dest: int,
-        sendtag: int = 0,
-        source: int = ANY_SOURCE,
-        recvtag: int = ANY_TAG,
-        status: Status | None = None,
-    ) -> Any:
-        """Combined send+receive (deadlock-free thanks to eager sends)."""
-        self.isend(obj, dest, tag=sendtag)
-        return self.recv(source=source, tag=recvtag, status=status)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Block until a matching message is available; do not consume it."""
-        msg = self._cluster.wait_for_message(
-            self._world_rank, source, tag, self._comm_id, consume=False
-        )
-        status = Status()
-        status.update_from(msg)
-        return status
-
-    def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True when a matching message is already in the mailbox."""
-        msg = self._cluster.take_matching(
-            self._world_rank, source, tag, self._comm_id, consume=False
-        )
-        return msg is not None
 
     def pending_sources(self, tag: int) -> list[int]:
         """Local ranks with a queued message for ``tag`` on this channel.
@@ -357,16 +300,20 @@ class Communicator:
         """Receive one ``tag`` message from every source, completing them in
         ``sources`` order; returns the payloads in that order.
 
+        This is the one receive routine (``recv`` is a batch of one).
         ``each(payload)`` runs right after each completion (Figure 8a's
         receive-unpack interleaving); it may charge time but must not
-        communicate.  Exactly ``recv`` per source in values and clocks; the
-        event backend parks the rank once for the whole set instead of once
-        per message.
+        communicate.  The event backend parks the rank once for the whole
+        set instead of once per message.  A source outside the group raises
+        :class:`~repro.mpi.errors.InvalidRankError` and one named twice
+        ``ValueError``, both before anything is taken.
         """
         size = len(self._group)
         for source in sources:
-            if not 0 <= source < size and source != ANY_SOURCE:
+            if not 0 <= source < size:
                 self._check_peer(source)
+        if len(set(sources)) != len(sources):
+            raise ValueError(f"neighbor_recv names a source twice: {list(sources)}")
         return self._complete_all(self._cluster.wait_for_all(self, sources, tag), each)
 
     # ------------------------------------------------------------------ #
@@ -409,7 +356,7 @@ class Communicator:
             return collectives.replay(name, link, group, root, clocks, published, op)
 
         # A gather's tree senders run on without waiting for the root.
-        last = root if name in ("gather", "reduce") else None
+        last = root if name == "gather" else None
         results, retransmits = cluster.collective(
             self, name, (payload, fates), complete, rounds * (len(group) - 1), last=last
         )
@@ -420,8 +367,6 @@ class Communicator:
     def barrier(self) -> None:
         """Synchronize all ranks; clocks jump to the common release time."""
         self._cluster.collective(self, "barrier", 0, self._release, barriers=1)
-
-    Barrier = barrier  # mpi4py spelling
 
     def _release(self, clocks: list[float], payloads: list[Any]) -> tuple[list[float], None]:
         release = max(clocks) + self._cluster.machine.barrier_time(len(clocks))
@@ -437,31 +382,9 @@ class Communicator:
         self._check_peer(root)
         return self._replayed("gather", obj, root)
 
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``objs[i]`` to rank ``i`` from ``root``."""
-        self._check_peer(root)
-        if self._rank == root and (objs is None or len(objs) != self.size):
-            raise ValueError(f"scatter needs exactly {self.size} items at the root")
-        return self._replayed("scatter", objs if self._rank == root else None, root)
-
     def allgather(self, obj: Any) -> list[Any]:
         """Gather at rank 0 then broadcast the assembled list."""
         return self._replayed("allgather", obj)
-
-    def reduce(
-        self,
-        obj: Any,
-        op: Callable[[Any, Any], Any] | None = None,
-        root: int = 0,
-    ) -> Any | None:
-        """Reduce values to ``root`` with ``op`` (default: addition).
-
-        The combine order is fixed (ascending rank), so non-commutative
-        operators behave deterministically.
-        """
-        self._check_peer(root)
-        gathered = self._replayed("reduce", obj, root)
-        return None if gathered is None else collectives.fold(gathered, op)
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """Reduce to rank 0 then broadcast the result to all ranks.
@@ -470,45 +393,6 @@ class Communicator:
         ``op`` must be the same on every rank (as MPI requires).
         """
         return self._replayed("allreduce", obj, op=op)
-
-    def scan(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Inclusive prefix reduction: rank i receives ``op`` over ranks 0..i.
-
-        Implemented as a pipeline along the rank order (rank-ordered and
-        deterministic for non-commutative operators).
-        """
-        combine = op if op is not None else (lambda a, b: a + b)
-        tag = self._next_coll_tag()
-        if self._rank == 0:
-            acc = obj
-        else:
-            prefix = self.recv(source=self._rank - 1, tag=tag)
-            acc = combine(prefix, obj)
-        if self._rank + 1 < self.size:
-            self.isend(acc, self._rank + 1, tag=tag)
-        return acc
-
-    def exscan(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Exclusive prefix reduction: rank i receives ``op`` over ranks
-        0..i-1 (rank 0 receives ``None``, as in MPI)."""
-        combine = op if op is not None else (lambda a, b: a + b)
-        tag = self._next_coll_tag()
-        prefix = None
-        if self._rank > 0:
-            prefix = self.recv(source=self._rank - 1, tag=tag)
-        if self._rank + 1 < self.size:
-            outgoing = obj if prefix is None else combine(prefix, obj)
-            self.isend(outgoing, self._rank + 1, tag=tag)
-        return prefix
-
-    def reduce_scatter(
-        self, objs: Sequence[Any], op: Callable[[Any, Any], Any] | None = None
-    ) -> Any:
-        """Element-wise reduce of per-destination contributions; rank i
-        receives the reduction of everyone's ``objs[i]``."""
-        if len(objs) != self.size:
-            raise ValueError(f"reduce_scatter needs exactly {self.size} items")
-        return collectives.fold(self.alltoall(list(objs)), op)
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalized all-to-all: rank i receives ``objs[i]`` of each peer."""
@@ -524,12 +408,6 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # Communicator management
     # ------------------------------------------------------------------ #
-
-    def dup(self) -> "Communicator":
-        """A new communicator over the same group on a private channel."""
-        self._child_seq += 1
-        new_id = (self._comm_id, "dup", self._child_seq)
-        return Communicator(self._cluster, self._world_rank, self._group, new_id)
 
     def shrink(
         self, dead: Iterable[int], quarantine: bool = True
@@ -553,7 +431,7 @@ class Communicator:
 
         Returns:
             The shrunken communicator, or ``None`` when called by a rank
-            that is itself in ``dead`` (mirrors ``split(color=None)``).
+            that is itself in ``dead``.
 
         Raises:
             ShrinkError: Empty dead set, out-of-range ranks, or no survivors.
@@ -568,8 +446,8 @@ class Communicator:
             raise ShrinkError("shrink would leave an empty communicator")
         survivors = tuple(r for r in range(self.size) if r not in dead_set)
         new_group = tuple(self._group[r] for r in survivors)
-        # Channel id derived from the dead set, not a counter: survivors may
-        # have different _child_seq histories, but they agree on who died.
+        # Channel id derived from the dead set, not a counter: survivors
+        # agree on who died without synchronizing.
         new_id = (self._comm_id, "shrink", tuple(sorted(dead_set)))
         if quarantine:
             self.quarantine(dead_set)
@@ -587,21 +465,3 @@ class Communicator:
         return self._cluster.quarantine(
             self._world_rank, frozenset(dead), self._comm_id
         )
-
-    def split(self, color: int | None, key: int | None = None) -> "Communicator | None":
-        """Partition ranks by ``color``; order new groups by ``(key, rank)``.
-
-        Ranks passing ``color=None`` receive ``None`` (MPI_UNDEFINED).
-        """
-        self._child_seq += 1
-        seq = self._child_seq
-        sort_key = self._rank if key is None else key
-        triples = self.allgather((color, sort_key, self._rank))
-        if color is None:
-            return None
-        members = sorted(
-            (k, r) for c, k, r in triples if c == color
-        )
-        group = tuple(self._group[r] for _, r in members)
-        new_id = (self._comm_id, "split", seq, color)
-        return Communicator(self._cluster, self._world_rank, group, new_id)

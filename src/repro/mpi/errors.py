@@ -12,7 +12,7 @@ class InvalidRankError(MPIError):
 
 
 class InvalidTagError(MPIError):
-    """A negative tag (other than ``ANY_TAG``) was used on a send."""
+    """A negative tag was used on a send."""
 
 
 class DeadlockError(MPIError):

@@ -1,34 +1,25 @@
-"""Message, status, request, and mailbox objects for the simulated MPI
-runtime."""
+"""Message, request, and mailbox objects for the simulated MPI runtime.
+
+Every receive names its ``(source, tag)`` stream on one communicator, so
+matching is one rule: the head of that stream, which is the sender's
+send order (MPI's non-overtaking rule)."""
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .communicator import Communicator
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Mailbox",
     "Message",
-    "Status",
     "Request",
     "SendRequest",
     "RecvRequest",
 ]
-
-#: Wildcard source rank for receives (mirrors ``MPI_ANY_SOURCE``).
-ANY_SOURCE = -1
-
-#: Wildcard tag for receives (mirrors ``MPI_ANY_TAG``).
-ANY_TAG = -1
-
-_seq = itertools.count()
 
 
 @dataclass
@@ -37,10 +28,10 @@ class Message:
 
     Attributes:
         src: Sending rank (communicator-local).
-        dest: Receiving rank (communicator-local).
+        dest: Receiving world rank (whose mailbox the message goes to).
         tag: User (or internal collective) tag.
         comm_id: Identifier of the communicator the message travels on, so
-            split/dup'ed communicators never intercept each other's traffic.
+            a shrunken communicator never intercepts its parent's traffic.
         payload: The Python object being transported.
         nbytes: Estimated wire size, drives the cost model.
         send_time: Sender's virtual clock when the message was injected.
@@ -51,8 +42,6 @@ class Message:
             (each one costs the receiver a verify + NACK + retransmit round
             before the clean copy is accepted).  The payload itself stays
             clean -- corruption never escapes a checksummed link.
-        seq: Global injection sequence number; used only as a deterministic
-            tie-break for ``ANY_SOURCE`` matching.
     """
 
     src: int
@@ -64,38 +53,15 @@ class Message:
     send_time: float
     arrival_time: float
     corrupt_attempts: int = 0
-    seq: int = field(default_factory=lambda: next(_seq))
-
-    def matches(self, source: int, tag: int, comm_id: int) -> bool:
-        """Whether this message satisfies a receive posted with the triple."""
-        if comm_id != self.comm_id:
-            return False
-        if source != ANY_SOURCE and source != self.src:
-            return False
-        if tag != ANY_TAG and tag != self.tag:
-            return False
-        return True
 
 
 class Mailbox:
-    """Indexed per-rank message store with O(1)-ish receive matching.
+    """Per-rank message store, one FIFO stream per ``(comm_id, src, tag)``.
 
-    Messages are bucketed into per-``(comm_id, src, tag)`` deques at
-    delivery time, so the four receive-matching shapes cost:
-
-    * named source, named tag -- head of one deque, O(1);
-    * named source, ``ANY_TAG`` -- min over that source's *stream heads*
-      by injection sequence (a sender's ``seq`` values are assigned in its
-      program order, so this is exactly the sender's send order);
-    * ``ANY_SOURCE`` -- min over per-source stream heads by
-      ``(arrival_time, src)``, the runtime's deterministic wildcard rule.
-
-    All costs scale with the number of *active streams*, never with the
-    number of queued messages -- the flat-list predecessor rescanned every
-    message on every wakeup, which dominated the runtime's profile on
-    message-heavy workloads.  Matching results are bit-identical to the
-    old linear scan: per-stream deque order is delivery order, which for a
-    single ``(src, tag)`` stream is MPI's non-overtaking send order.
+    Messages are bucketed into per-stream deques at delivery time, so a
+    receive pops the head of one deque in O(1), whatever else is queued.
+    Deque order is delivery order, which for a single ``(src, tag)`` stream
+    is MPI's non-overtaking send order.
     """
 
     __slots__ = ("_comms", "_size")
@@ -108,9 +74,6 @@ class Mailbox:
     def __len__(self) -> int:
         return self._size
 
-    def __bool__(self) -> bool:
-        return self._size > 0
-
     def __iter__(self):
         """All queued messages (diagnostics only; no meaningful order)."""
         for by_src in self._comms.values():
@@ -121,7 +84,7 @@ class Mailbox:
     def append(self, msg: Message) -> None:
         """File ``msg`` into its ``(comm_id, src, tag)`` stream.
 
-        Emptied streams are pruned (:meth:`_pop`), so most appends of a
+        Emptied streams are pruned (:meth:`take`), so most appends of a
         steady exchange open a fresh one: each level is looked up first
         and only created on a miss.
         """
@@ -148,64 +111,27 @@ class Mailbox:
         self._comms.clear()
         self._size = 0
 
-    @staticmethod
-    def _head(by_tag: dict[int, deque[Message]], tag: int) -> Message | None:
-        """Earliest-sent message of one source matching ``tag``."""
-        if tag != ANY_TAG:
-            stream = by_tag.get(tag)
-            return stream[0] if stream else None
-        best: Message | None = None
-        for stream in by_tag.values():
-            head = stream[0]
-            if best is None or head.seq < best.seq:
-                best = head
-        return best
-
-    def take(
-        self, source: int, tag: int, comm_id: Any, consume: bool = True
-    ) -> Message | None:
-        """Pop (or peek at, with ``consume=False``) the best match.
-
-        Named source: FIFO within that source's streams.  ``ANY_SOURCE``:
-        the per-source heads compete on ``(arrival_time, src)`` -- virtual
-        time, never host time, so the choice is schedule-independent.
-        """
+    def take(self, source: int, tag: int, comm_id: Any) -> Message | None:
+        """Pop the head of the ``(comm_id, source, tag)`` stream (None when
+        it is empty), pruning emptied index levels."""
         by_src = self._comms.get(comm_id)
-        if not by_src:
+        if by_src is None:
             return None
-        if source != ANY_SOURCE:
-            by_tag = by_src.get(source)
-            if not by_tag:
-                return None
-            msg = self._head(by_tag, tag)
-        else:
-            msg = None
-            for by_tag in by_src.values():
-                head = self._head(by_tag, tag)
-                if head is not None and (
-                    msg is None
-                    or (head.arrival_time, head.src) < (msg.arrival_time, msg.src)
-                ):
-                    msg = head
-        if msg is None or not consume:
-            return msg
-        self._pop(msg)
-        return msg
-
-    def _pop(self, msg: Message) -> None:
-        """Remove the head of ``msg``'s stream (``msg`` itself) and prune
-        emptied index levels so wildcard scans never visit dead streams."""
-        by_src = self._comms[msg.comm_id]
-        by_tag = by_src[msg.src]
-        stream = by_tag[msg.tag]
-        stream.popleft()
+        by_tag = by_src.get(source)
+        if by_tag is None:
+            return None
+        stream = by_tag.get(tag)
+        if stream is None:
+            return None
+        msg = stream.popleft()
         self._size -= 1
         if not stream:
-            del by_tag[msg.tag]
+            del by_tag[tag]
             if not by_tag:
-                del by_src[msg.src]
+                del by_src[source]
                 if not by_src:
-                    del self._comms[msg.comm_id]
+                    del self._comms[comm_id]
+        return msg
 
     def sources_with(self, comm_id: Any, tag: int) -> list[int]:
         """Sources holding at least one queued message for ``(comm_id, tag)``.
@@ -240,35 +166,12 @@ class Mailbox:
         return dropped
 
 
-@dataclass
-class Status:
-    """Completion information for a receive (mirrors ``MPI_Status``)."""
-
-    source: int = ANY_SOURCE
-    tag: int = ANY_TAG
-    nbytes: int = 0
-
-    def update_from(self, msg: Message) -> None:
-        """Populate the fields from a matched message."""
-        self.source = msg.src
-        self.tag = msg.tag
-        self.nbytes = msg.nbytes
-
-
 class Request:
     """Base class for nonblocking-operation handles."""
 
-    def wait(self, status: Status | None = None) -> Any:
+    def wait(self) -> Any:
         """Block until the operation completes; return the received payload
         (receives) or ``None`` (sends)."""
-        raise NotImplementedError
-
-    def test(self, status: Status | None = None) -> tuple[bool, Any]:
-        """Non-blocking completion probe: ``(done, payload-or-None)``."""
-        raise NotImplementedError
-
-    def cancel(self) -> None:
-        """Cancel the request if it has not completed (best effort)."""
         raise NotImplementedError
 
 
@@ -282,32 +185,18 @@ class SendRequest(Request):
     neighbouring processor before doing any receives (Figure 8).
     """
 
-    def __init__(self, msg: Message) -> None:
-        self._msg = msg
-
-    def wait(self, status: Status | None = None) -> None:
-        if status is not None:
-            status.source = self._msg.src
-            status.tag = self._msg.tag
-            status.nbytes = self._msg.nbytes
-        return None
-
-    def test(self, status: Status | None = None) -> tuple[bool, Any]:
-        self.wait(status)
-        return True, None
-
-    def cancel(self) -> None:  # already delivered; cancelling is a no-op
+    def wait(self) -> None:
         return None
 
 
 class RecvRequest(Request):
     """Handle for ``irecv``.
 
-    Completion is deferred until ``wait``/``test``: the matching message (if
-    any) is pulled from the mailbox at that point, and the receiver's clock
-    advances to ``max(now, arrival)`` -- which is precisely what lets the
-    overlapped Figure-8a pipeline hide transfer time behind the internal-node
-    computation.
+    Completion is deferred until ``wait``: the message is pulled from its
+    stream at that point, and the receiver's clock advances to
+    ``max(now, arrival)`` -- which is precisely what lets the overlapped
+    Figure-8a pipeline hide transfer time behind the internal-node
+    computation.  A second ``wait`` returns the same payload.
     """
 
     def __init__(self, comm: "Communicator", source: int, tag: int) -> None:
@@ -316,31 +205,9 @@ class RecvRequest(Request):
         self._tag = tag
         self._done = False
         self._payload: Any = None
-        self._cancelled = False
 
-    def wait(self, status: Status | None = None) -> Any:
-        if self._cancelled:
-            return None
+    def wait(self) -> Any:
         if not self._done:
-            self._payload = self._comm._complete_recv(self._source, self._tag, status)
+            self._payload = self._comm.neighbor_recv((self._source,), self._tag)[0]
             self._done = True
-        elif status is not None:
-            # Status was already consumed on the first wait; re-waits keep it.
-            pass
         return self._payload
-
-    def test(self, status: Status | None = None) -> tuple[bool, Any]:
-        if self._cancelled:
-            return True, None
-        if self._done:
-            return True, self._payload
-        payload, ok = self._comm._try_recv(self._source, self._tag, status)
-        if ok:
-            self._done = True
-            self._payload = payload
-            return True, payload
-        return False, None
-
-    def cancel(self) -> None:
-        if not self._done:
-            self._cancelled = True

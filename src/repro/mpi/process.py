@@ -13,9 +13,10 @@ Data plane (private stores, halo values by message)
     the ``finish`` record.  Only shadow values cross processes, and only
     as messages: every :class:`~repro.mpi.message.Message` a worker sends
     is pickled through its pipe to the broker, which files it in the
-    receiver's mailbox and hands it over, pickled again, on a ``take`` or
-    ``recv``.  No worker maps shared memory, so a run leaves nothing in
-    ``/dev/shm`` and starts no ``resource_tracker`` process.
+    receiver's mailbox and hands it over, pickled again, on a ``recv``
+    that names its ``(source, tag)`` stream.  No worker maps shared
+    memory, so a run leaves nothing in ``/dev/shm`` and starts no
+    ``resource_tracker`` process.
 
 Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     Message-queue mutations, collective rendezvous, quarantine, and abort
@@ -29,9 +30,8 @@ Control plane (one duplex pipe per worker, parent = deterministic arbiter)
     ``finish`` record; the broker merges clocks, fault counters, and rank
     results so :meth:`SimCluster.run` sees exactly what the in-thread
     backend produces.  This is the only control plane: every rendezvous
-    -- world or sub-communicator, a barrier or any other collective but
-    ``alltoall``/``scan``/``exscan`` -- is one ``_Rendezvous`` in the
-    broker.  Because a worker's pipe is FIFO and
+    -- world or shrunken communicator, a barrier or a collective -- is one
+    ``_Rendezvous`` in the broker.  Because a worker's pipe is FIFO and
     the broker handles it in order, every deliver a member sent before
     entering a collective is filed before that collective is released.
 
@@ -40,8 +40,6 @@ Determinism argument (why results are bit-identical to ``event``):
 * every clock update is a function of the caller's own state plus message
   ``arrival_time`` fields computed sender-side -- nothing depends on host
   scheduling;
-* wildcard receives match on ``(arrival_time, src)`` (virtual time), so
-  the order in which the broker happens to file deliveries is irrelevant;
 * a collective's exit clocks are a pure replay over every member's
   published entry clock and payload -- order-free;
 * a worker's pipe is FIFO and a *parked* worker is blocked in
@@ -74,10 +72,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import selectors
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import multiprocessing
-from multiprocessing import connection as mp_connection
 
 from .errors import (
     CommAbortedError,
@@ -104,7 +102,7 @@ class _WorkerTransport:
     ``cluster._worker``; the runtime's transport entry points branch to it).
 
     Protocol: ``deliver``/``abort``/``finish`` are fire-and-forget;
-    ``take``/``sources``/``recv``/``collective``/``quarantine`` are strict
+    ``sources``/``recv``/``collective``/``quarantine`` are strict
     request/reply (``("ok", value)`` or ``("err", exc)``), so after
     sending a request the next object on the pipe is always its reply.
     Messages travel as they are, pickled by the pipe, in both directions.
@@ -128,18 +126,11 @@ class _WorkerTransport:
     def deliver(self, msg: Message) -> None:
         self._conn.send(("deliver", msg))
 
-    def take(
-        self, source: int, tag: int, comm_id: Any, consume: bool
-    ) -> Message | None:
-        return self._request(("take", source, tag, comm_id, consume))
-
     def sources(self, tag: int, comm_id: Any) -> list[int]:
         return self._request(("sources", tag, comm_id))
 
-    def recv(
-        self, source: int, tag: int, comm_id: Any, consume: bool
-    ) -> Message:
-        return self._request(("recv", source, tag, comm_id, consume))
+    def recv(self, source: int, tag: int, comm_id: Any) -> Message:
+        return self._request(("recv", source, tag, comm_id))
 
     def collective(self, *args: Any) -> tuple[list[float], list[Any]]:
         """Join a rendezvous in the broker (``args``: see
@@ -219,7 +210,7 @@ def _worker_main(
 class _Parked:
     """One worker blocked in the broker (a receive or a collective)."""
 
-    __slots__ = ("rank", "kind", "source", "tag", "comm_id", "consume", "key")
+    __slots__ = ("rank", "kind", "source", "tag", "comm_id", "key")
 
     def __init__(self, rank: int, kind: str, **fields: Any) -> None:
         self.rank = rank
@@ -227,7 +218,6 @@ class _Parked:
         self.source = fields.get("source")
         self.tag = fields.get("tag")
         self.comm_id = fields.get("comm_id")
-        self.consume = fields.get("consume", True)
         self.key = fields.get("key")
 
     def describe(self) -> str:
@@ -256,29 +246,51 @@ class _Broker:
         self._procs = procs
         self._parked: dict[int, _Parked] = {}
         self._unfinished = set(range(cluster.nprocs))
+        self._selector: selectors.BaseSelector | None = None  # set by loop()
         #: Worker->broker pipe messages handled (``cluster.pipe_requests``).
         self.requests = 0
 
     # ----------------------------- event loop -------------------------- #
 
     def loop(self) -> None:
-        """Service only the pipes and sentinels that woke the wait."""
-        by_conn = {conn: r for r, conn in enumerate(self._conns)}
-        by_sentinel = {proc.sentinel: r for r, proc in enumerate(self._procs)}
-        while self._unfinished:
-            live = sorted(self._unfinished)
-            ready = mp_connection.wait(
-                [self._conns[r] for r in live] + [self._procs[r].sentinel for r in live]
-            )
-            for r in sorted(by_conn[h] for h in ready if h in by_conn):
-                self._drain(r)
-            for r in sorted(by_sentinel[h] for h in ready if h in by_sentinel):
-                if r in self._unfinished and not self._procs[r].is_alive():
-                    self._drain(r)  # a finish may have landed just before death
-                    if r in self._unfinished:
-                        self._worker_died(r)
+        """Service only the pipes and sentinels that woke the wait.
+
+        Each worker's pipe and sentinel are registered once, in one
+        selector kept for the run, and unregistered when the rank
+        finishes or dies (:meth:`_retire`).  A ready pipe yields one
+        request per wake-up: the selector is level-triggered, so the next
+        one wakes it again, and no per-message readiness probe (which
+        would build a selector of its own) is needed."""
+        with selectors.PollSelector() as selector:
+            self._selector = selector
+            for r in range(len(self._conns)):
+                selector.register(self._conns[r], selectors.EVENT_READ, (False, r))
+                selector.register(self._procs[r].sentinel, selectors.EVENT_READ, (True, r))
+            while self._unfinished:
+                ready = sorted(key.data for key, _ in selector.select())
+                for died, r in ready:  # pipes first, then sentinels, by rank
+                    if r not in self._unfinished:
+                        continue  # finished earlier in this round
+                    if not died:
+                        try:
+                            req = self._conns[r].recv()
+                        except (EOFError, OSError):
+                            continue  # its sentinel reports the death
+                        self._handle(r, req)
+                    elif not self._procs[r].is_alive():
+                        self._drain(r)  # a finish may have landed just before death
+                        if r in self._unfinished:
+                            self._worker_died(r)
+
+    def _retire(self, rank: int) -> None:
+        """Rank ``rank`` finished or died: stop waiting on its handles."""
+        self._unfinished.discard(rank)
+        self._parked.pop(rank, None)
+        self._selector.unregister(self._conns[rank])
+        self._selector.unregister(self._procs[rank].sentinel)
 
     def _drain(self, rank: int) -> None:
+        """Handle every request a dead worker left in its pipe."""
         conn = self._conns[rank]
         try:
             while rank in self._unfinished and conn.poll():
@@ -291,9 +303,6 @@ class _Broker:
         self.requests += 1
         if kind == "deliver":
             self._deliver(req[1])
-        elif kind == "take":
-            _, source, tag, comm_id, consume = req
-            self._reply(rank, self._mailbox(rank).take(source, tag, comm_id, consume))
         elif kind == "sources":
             _, tag, comm_id = req
             self._reply(rank, self._mailbox(rank).sources_with(comm_id, tag))
@@ -342,26 +351,20 @@ class _Broker:
         cluster.messages_delivered += 1
         parked = self._parked.get(msg.dest)
         if parked is not None and parked.kind == "recv":
-            found = self._mailbox(msg.dest).take(
-                parked.source, parked.tag, parked.comm_id, parked.consume
-            )
+            found = self._mailbox(msg.dest).take(parked.source, parked.tag, parked.comm_id)
             if found is not None:
                 del self._parked[msg.dest]
                 self._reply(msg.dest, found)
 
-    def _recv(
-        self, rank: int, source: int, tag: int, comm_id: Any, consume: bool
-    ) -> None:
+    def _recv(self, rank: int, source: int, tag: int, comm_id: Any) -> None:
         if self._cluster._aborted:
             self._reply_err(rank, CommAbortedError(self._abort_reason()))
             return
-        found = self._mailbox(rank).take(source, tag, comm_id, consume)
+        found = self._mailbox(rank).take(source, tag, comm_id)
         if found is not None:
             self._reply(rank, found)
             return
-        self._parked[rank] = _Parked(
-            rank, "recv", source=source, tag=tag, comm_id=comm_id, consume=consume
-        )
+        self._parked[rank] = _Parked(rank, "recv", source=source, tag=tag, comm_id=comm_id)
         self._maybe_deadlock(victim=rank)
 
     def _collective(
@@ -421,8 +424,7 @@ class _Broker:
             # reproduces the single-process tallies.
             for mine, shipped in zip(cluster.fault_state._counters, counters):
                 mine.add(shipped)
-        self._unfinished.discard(rank)
-        self._parked.pop(rank, None)
+        self._retire(rank)
         if error is not None and not cluster._aborted:
             self._abort(f"rank {rank} raised {type(error).__name__}: {error}")
         elif not cluster._aborted:
@@ -438,8 +440,7 @@ class _Broker:
         state = self._cluster._ranks[rank]
         state.error = error
         state.finished = True
-        self._unfinished.discard(rank)
-        self._parked.pop(rank, None)
+        self._retire(rank)
         if not self._cluster._aborted:
             self._abort(f"rank {rank} raised RuntimeError: {error}")
 

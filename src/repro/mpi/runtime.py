@@ -31,9 +31,9 @@ How the rank programs are interleaved on the host is delegated to a
 
 Correctness properties the runtime guarantees on either backend:
 
-* per-(source, dest, tag-stream) FIFO message ordering, so virtual results
-  are deterministic for named-source receives regardless of host thread
-  scheduling;
+* per-(source, dest, tag-stream) FIFO message ordering, and every receive
+  names its stream, so virtual results are deterministic regardless of
+  host scheduling;
 * deadlock surfaces as :class:`DeadlockError` instead of a hang;
 * exception propagation: if any rank raises, all blocked peers are woken
   with :class:`CommAbortedError` and the original exception is re-raised
@@ -49,7 +49,7 @@ from typing import Any, Callable, Sequence
 from .communicator import Communicator
 from .errors import CommAbortedError, blocked_collective_text, blocked_recv_text
 from .faults import FaultPlan, FaultState
-from .message import ANY_SOURCE, ANY_TAG, Mailbox, Message
+from .message import Mailbox, Message
 from .scheduler import make_scheduler
 from .timing import ORIGIN2000, MachineModel
 
@@ -130,7 +130,7 @@ class SimCluster:
         schedule_seed: Test hook (event backend only): fuzz the host
             schedule.  Every baton hand-off goes to a seeded draw from the
             runnable ranks, and at every transport entry point --
-            ``deliver_all``, the two receive waits, ``collective`` -- the running
+            ``deliver_all``, ``wait_for_all``, ``collective`` -- the running
             rank yields on a seeded coin.  Virtual time must not notice;
             the schedule-fuzzing suites run seeds 0-9 to prove it, and a
             failing seed replays alone.  ``None`` is the FIFO schedule.
@@ -183,8 +183,9 @@ class SimCluster:
         #: hybrid-execution benchmark: interior sweeps are barrier-free).
         self.barriers = 0
         #: Worker-to-broker pipe messages the process backend handled last
-        #: run (0 on the in-thread backend): delivers, receive-side
-        #: queries, one per collective per member, and finishes.
+        #: run (0 on the in-thread backend): delivers, one per received
+        #: message and per ``pending_sources`` query, one per collective per
+        #: member, and finishes.
         self.pipe_requests = 0
         self._aborted = False
         self._abort_reason: str | None = None
@@ -335,8 +336,8 @@ class SimCluster:
 
         ULFM-style hygiene after a shrink: any message a dead rank injected
         before crashing must not be matched by a later receive on the old
-        communicator (the survivor would consume stale data and, worse,
-        *when* it got consumed would depend on host-thread timing).  Each
+        communicator (the survivor would take stale data and, worse,
+        *when* it took it would depend on host-thread timing).  Each
         survivor purges its own mailbox; the operation is idempotent and
         keyed to one ``comm_id`` so unrelated communicators are untouched.
 
@@ -396,20 +397,6 @@ class SimCluster:
         self.messages_delivered += len(msgs)
         self._backend.notify(wake)
 
-    def take_matching(
-        self, rank: int, source: int, tag: int, comm_id: Any, consume: bool = True
-    ) -> Message | None:
-        """Pop (or peek at) the best matching message in ``rank``'s mailbox.
-
-        Matching is FIFO per (source, tag) stream; for wildcard receives
-        the per-source stream heads compete on the earliest virtual arrival
-        time with the source rank as a deterministic tie-break.  The index
-        lookup itself is delegated to :class:`~repro.mpi.message.Mailbox`.
-        """
-        if self._worker is not None:
-            return self._worker.take(source, tag, comm_id, consume)
-        return self._ranks[rank].mailbox.take(source, tag, comm_id, consume)
-
     def pending_sources(self, rank: int, tag: int, comm_id: Any) -> list[int]:
         """Comm-local sources with a queued ``(comm_id, tag)`` message for
         ``rank`` (the delta halo exchange's post-barrier sender discovery)."""
@@ -417,46 +404,25 @@ class SimCluster:
             return self._worker.sources(tag, comm_id)
         return self._ranks[rank].mailbox.sources_with(comm_id, tag)
 
-    def wait_for_message(
-        self, rank: int, source: int, tag: int, comm_id: Any, consume: bool = True
-    ) -> Message:
-        """Block ``rank`` until a matching message exists, then pop it."""
-        if self._worker is not None:
-            return self._worker.recv(source, tag, comm_id, consume)
-        if self._preempt is not None:
-            self._preempt()
-        mailbox = self._ranks[rank].mailbox
-        return self._backend.wait(
-            rank,
-            lambda: mailbox.take(source, tag, comm_id, consume),
-            lambda: blocked_recv_text(rank, source, tag),
-        )
-
     def wait_for_all(
         self, comm: Communicator, sources: Sequence[int], tag: int
     ) -> list[Message]:
         """Pop one ``tag`` message per source, in ``sources`` order, parking
         the rank *once* until every named ``(source, tag)`` stream has one.
 
-        A list with a wildcard source, or ``ANY_TAG``, names no set of
-        streams to park on, and a source named twice needs a second message
-        of its stream: the per-message wait below picks up whatever the
-        park did not cover.  A worker asks its broker source by source.
+        ``sources`` are distinct (``neighbor_recv`` checks).  A worker asks
+        its broker source by source.
         """
         rank, comm_id = comm._world_rank, comm._comm_id
         if self._worker is not None:
-            return [self._worker.recv(q, tag, comm_id, True) for q in sources]
+            return [self._worker.recv(q, tag, comm_id) for q in sources]
         if self._preempt is not None:
             self._preempt()
         if sources:
-            self._check_abort()  # as the first per-message wait would
+            self._check_abort()  # also when nothing is missing
         state = self._ranks[rank]
         mailbox = state.mailbox
-        missing = (
-            {(comm_id, q, tag) for q in sources if not mailbox.has(comm_id, q, tag)}
-            if tag != ANY_TAG and ANY_SOURCE not in sources
-            else None
-        )
+        missing = {(comm_id, q, tag) for q in sources if not mailbox.has(comm_id, q, tag)}
         if missing:
             state.awaiting = missing
             try:
@@ -469,10 +435,7 @@ class SimCluster:
                 )
             finally:
                 state.awaiting = None
-        return [
-            mailbox.take(q, tag, comm_id) or self.wait_for_message(rank, q, tag, comm_id)
-            for q in sources
-        ]
+        return [mailbox.take(q, tag, comm_id) for q in sources]
 
     def _check_abort(self) -> None:
         if self._aborted:

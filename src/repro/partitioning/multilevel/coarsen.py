@@ -67,7 +67,7 @@ def contract(graph: Graph, match: Sequence[int]) -> CoarseLevel:
         if cu == cv:
             continue
         key = (min(cu, cv), max(cu, cv))
-        edge_accum[key] = edge_accum.get(key, 0) + graph.edge_weight(u, v)
+        edge_accum[key] = edge_accum.get(key, 0) + graph.known_edge_weight(u, v)
 
     adjacency: list[list[int]] = [[] for _ in range(next_cid)]
     for (cu, cv) in edge_accum:

@@ -28,6 +28,7 @@ def heavy_edge_matching(graph: Graph, rng: random.Random) -> list[int]:
     match = [0] * n
     order = list(graph.nodes())
     rng.shuffle(order)
+    weight = graph.known_edge_weight
     for gid in order:
         if match[gid - 1]:
             continue
@@ -36,7 +37,7 @@ def heavy_edge_matching(graph: Graph, rng: random.Random) -> list[int]:
         for v in graph.neighbors(gid):
             if match[v - 1]:
                 continue
-            w = graph.edge_weight(gid, v)
+            w = weight(gid, v)
             if w > best_weight or (w == best_weight and v < best):
                 best = v
                 best_weight = w

@@ -27,8 +27,9 @@ def move_gains(
     own = assignment[gid - 1]
     external: dict[int, int] = {}
     internal = 0
+    weight = graph.known_edge_weight
     for v in graph.neighbors(gid):
-        w = graph.edge_weight(gid, v)
+        w = weight(gid, v)
         part = assignment[v - 1]
         if part == own:
             internal += w

@@ -97,6 +97,13 @@ class TestQueries:
         assert g.edge_weight(2, 1) == 9
         assert g.has_edge_weights
 
+    def test_known_edge_weight_reads_as_edge_weight_on_every_edge(self):
+        g = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)], edge_weights={(3, 2): 4, (3, 4): 1})
+        for u in g.nodes():
+            for v in g.neighbors(u):
+                assert g.known_edge_weight(u, v) == g.edge_weight(u, v)
+        assert [g.known_edge_weight(u, v) for u, v in g.edges()] == [1, 4, 1]
+
     def test_edge_weight_missing_edge_raises(self, triangle):
         g = Graph.from_edges(3, [(1, 2)])
         with pytest.raises(KeyError):

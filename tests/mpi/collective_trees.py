@@ -1,7 +1,7 @@
 """The collectives' point-to-point trees, kept as the replay's reference.
 
-``repro.mpi`` runs ``bcast``/``gather``/``scatter``/``allgather``/
-``reduce``/``allreduce`` as one rendezvous each, and
+``repro.mpi`` runs ``bcast``/``gather``/``allgather``/``allreduce`` as one
+rendezvous each, and
 :mod:`repro.mpi.collectives` replays the charges, fault legs and flipped
 values of the trees below.  Here the trees run message by message on the
 communicator's own point-to-point routines (``recv``, ``isend``,
@@ -11,20 +11,20 @@ counter is the transport's own, and the replay is held to them.
 :class:`TreeCollectives` is a mixin (put it before ``Communicator`` in the
 bases); :func:`tree_collectives` installs the trees on ``Communicator``
 itself for code that builds its own communicators (``ICPlatform.run``,
-``comm.dup()``, ``split``, ``shrink``).  Forked process workers inherit it.
+``shrink``).  Forked process workers inherit it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from repro.mpi import Communicator
 from repro.mpi.collectives import fold
 
 
 class TreeCollectives:
-    """The six tree collectives, over the host class's point-to-point."""
+    """The four tree collectives, over the host class's point-to-point."""
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         self._check_peer(root)
@@ -34,24 +34,12 @@ class TreeCollectives:
         self._check_peer(root)
         return self._tree_gather(obj, root)
 
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_peer(root)
-        if self._rank == root and (objs is None or len(objs) != self.size):
-            raise ValueError(f"scatter needs exactly {self.size} items at the root")
-        return self._tree_scatter(objs, root)
-
     def allgather(self, obj: Any) -> list[Any]:
         return self._tree_bcast(self._tree_gather(obj, 0), 0)
 
-    def reduce(
-        self, obj: Any, op: Callable[[Any, Any], Any] | None = None, root: int = 0
-    ) -> Any | None:
-        self._check_peer(root)
-        gathered = self._tree_gather(obj, root)
-        return None if gathered is None else fold(gathered, op)
-
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        return self._tree_bcast(self.reduce(obj, op=op, root=0), 0)
+        gathered = self._tree_gather(obj, 0)
+        return self._tree_bcast(None if gathered is None else fold(gathered, op), 0)
 
     def _tree_bcast(self, obj: Any, root: int) -> Any:
         """Binomial tree: receive from the parent, then send to the
@@ -88,14 +76,6 @@ class TreeCollectives:
         out.insert(root, obj)
         return out
 
-    def _tree_scatter(self, objs: Sequence[Any] | None, root: int) -> Any:
-        """``root`` sends every other rank its item, in ascending order."""
-        tag = self._next_coll_tag()
-        if self._rank == root:
-            self.neighbor_send([(r, objs[r], None) for r in self._peers(root)], tag)
-            return objs[root]
-        return self.recv(source=root, tag=tag)
-
 
 _TREES = {
     name: fn for name, fn in vars(TreeCollectives).items() if callable(fn)
@@ -104,7 +84,7 @@ _TREES = {
 
 @contextmanager
 def tree_collectives() -> Iterator[None]:
-    """While active, every ``Communicator`` runs the six collectives as
+    """While active, every ``Communicator`` runs the four collectives as
     their point-to-point trees."""
     saved = {name: vars(Communicator).get(name) for name in _TREES}
     for name, fn in _TREES.items():

@@ -1,7 +1,7 @@
 """Collectives as one rendezvous plus a replay, against their trees.
 
-``bcast``/``gather``/``scatter``/``allgather``/``reduce``/``allreduce``
-run as one rendezvous each, under any fault plan, and
+``bcast``/``gather``/``allgather``/``allreduce`` run as one rendezvous
+each, under any fault plan, and
 :mod:`repro.mpi.collectives` replays the charges, fault legs and flipped
 values their trees of point-to-point messages would have produced.  The
 trees themselves live on as the reference in :mod:`.collective_trees`.
@@ -26,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ICPlatform
-from repro.mpi import ANY_SOURCE, ANY_TAG, ORIGIN2000, DeadlockError, FaultPlan, SimCluster
+from repro.mpi import ORIGIN2000, DeadlockError, FaultPlan, SimCluster
 from repro.mpi import TopologyMachineModel
+from repro.mpi.collectives import fold
 from repro.mpi.errors import MessageLostError
 from repro.mpi.faults import (
     CrashEvent,
@@ -37,8 +38,6 @@ from repro.mpi.faults import (
     RetryPolicy,
     SlowWindow,
 )
-from repro.mpi.message import Status
-
 from .collective_trees import tree_collectives
 
 #: Schedule seeds each deadlock report is repeated under.
@@ -64,7 +63,7 @@ def scenarios(draw, max_procs: int = 17):
     per_rank = dict(min_size=nprocs, max_size=nprocs)
     return {
         "nprocs": nprocs,
-        "comm": draw(st.sampled_from(["world", "dup", "split", "shrink"])),
+        "comm": draw(st.sampled_from(["world", "shrink"])),
         "stride": draw(st.integers(2, 4)),
         "roots": draw(st.lists(st.integers(0, max_procs), min_size=4, max_size=4)),
         "skews": draw(st.lists(st.floats(0.0, 1e-3, allow_nan=False), **per_rank)),
@@ -76,18 +75,17 @@ def scenarios(draw, max_procs: int = 17):
 
 def _member_comm(comm, case):
     """The communicator the collectives run on (``None``: not a member).
-    ``split`` orders its groups by descending world rank and ``shrink``
-    drops every ``stride``-th rank, so both map local ranks to world ranks
-    other than by identity."""
-    kind, stride, me = case["comm"], case["stride"], comm.rank
-    if kind == "dup":
-        return comm.dup()
-    if kind == "split":
-        return comm.split(me % stride, key=-me)
-    dead = {q for q in range(comm.size) if q % stride == 1}
-    if kind == "shrink" and dead:
+    ``shrink`` drops every ``stride``-th rank, so it maps local ranks to
+    world ranks other than by identity."""
+    dead = {q for q in range(comm.size) if q % case["stride"] == 1}
+    if case["comm"] == "shrink" and dead:
         return comm.shrink(dead)
     return comm
+
+
+def _folded(gathered):
+    """What a gather root folds (addition), as a reduce would."""
+    return None if gathered is None else fold(gathered, None)
 
 
 def _program(case):
@@ -104,11 +102,13 @@ def _program(case):
         for call in (
             lambda: sub.gather(mine, root=roots[0]),
             lambda: sub.bcast(mine if rank == roots[1] else None, root=roots[1]),
-            lambda: sub.scatter(
+            lambda: sub.bcast(
                 [mine + [float(q)] for q in range(size)] if rank == roots[2] else None,
                 root=roots[2],
             ),
-            lambda: sub.reduce(mine, root=roots[3]),
+            # A flipped list among the gathered ones makes the fold raise
+            # at the root while the senders run on.
+            lambda: _folded(sub.gather(mine, root=roots[3])),
             lambda: sub.allgather(mine),
             lambda: sub.allreduce(len(mine)),
             lambda: sub.allreduce(mine, op=lambda a, b: b + a),  # non-commutative
@@ -157,17 +157,6 @@ def fault_plans(draw, nprocs: int):
     )
 
 
-def _plan_for(data, case):
-    """A random plan for ``case``.  Unprotected flips stay off a ``split``
-    communicator: a flipped member triple makes members disagree on their
-    groups and run different programs (garbage in), where a gather's eager
-    tree senders run on and the rendezvous waits for every member."""
-    faults = data.draw(fault_plans(case["nprocs"]))
-    if case["comm"] == "split" and not case["checksums"]:
-        faults = faults.with_overrides(flip_msg=None)
-    return faults
-
-
 def _outcome(case, trees: bool, faults=None, **cluster_args):
     """Everything observable about one run of the case's program, on the
     replay or (``trees``) on the reference trees; a faulted run that fails
@@ -207,7 +196,7 @@ class TestReplayIsTheTree:
     @given(data=st.data(), case=scenarios(), seed=st.integers(0, 2**16))
     @settings(max_examples=80, deadline=None)
     def test_event_under_faults(self, data, case, seed):
-        faults = _plan_for(data, case)
+        faults = data.draw(fault_plans(case["nprocs"]))
         tree = _outcome(case, trees=True, faults=faults)
         assert _outcome(case, trees=False, faults=faults) == tree
         assert _outcome(case, trees=False, faults=faults, schedule_seed=seed) == tree
@@ -215,7 +204,7 @@ class TestReplayIsTheTree:
     @given(data=st.data(), case=scenarios(max_procs=5))
     @settings(max_examples=20, deadline=None)
     def test_process_under_faults(self, data, case):
-        faults = _plan_for(data, case)
+        faults = data.draw(fault_plans(case["nprocs"]))
         tree = _outcome(case, trees=True, faults=faults)
         assert _outcome(case, trees=False, faults=faults, scheduler="process") == tree
 
@@ -227,9 +216,7 @@ def _one_collective(name: str, payload):
     def run(comm):
         call = {
             "bcast": lambda: comm.bcast(payload, root=0),
-            "scatter": lambda: comm.scatter([payload] * comm.size if comm.rank == 0 else None),
             "gather": lambda: comm.gather(payload),
-            "reduce": lambda: comm.reduce(payload, op=lambda a, b: (a, b)),
             "allgather": lambda: comm.allgather(payload),
             "allreduce": lambda: comm.allreduce(payload, op=lambda a, b: (a, b)),
         }[name]
@@ -247,7 +234,7 @@ def _error_text(program, nprocs: int, faults) -> str:
 class TestFaultsOnTheTreeEdges:
     """Deterministic corners of the differential above."""
 
-    @pytest.mark.parametrize("name", ["bcast", "scatter", "gather", "reduce"])
+    @pytest.mark.parametrize("name", ["bcast", "gather"])
     def test_a_lost_message_reads_as_on_the_trees(self, name):
         """Every attempt is dropped and there is no retry: the run fails
         with the tree's text, the lowest failing rank's first send in tree
@@ -261,7 +248,7 @@ class TestFaultsOnTheTreeEdges:
             assert _error_text(program, 5, faults) == replay
         assert replay.endswith("lost after 1 transmission attempts")
 
-    @pytest.mark.parametrize("name", ["bcast", "gather", "allgather", "reduce", "allreduce"])
+    @pytest.mark.parametrize("name", ["bcast", "gather", "allgather", "allreduce"])
     def test_flipped_values_travel_on(self, name):
         """Every attempt is flipped on an unprotected link: an empty list
         becomes a larger sentinel tuple that a bcast forwards re-sized and
@@ -274,7 +261,7 @@ class TestFaultsOnTheTreeEdges:
 
     @pytest.mark.parametrize("seed", [None, *range(10)], ids=["fifo", *map(str, range(10))])
     def test_senders_run_on_before_the_gather_root(self, seed):
-        """A reduce root folds a flipped sentinel into the lists (a
+        """A gather root folds a flipped sentinel into the lists (a
         ``TypeError``) while a sender's next message, in the allgather, is
         lost.  On the trees the senders run on past their eager sends before
         the root's receive completes, so the lost message fails the run
@@ -306,22 +293,21 @@ class TestFaultsOnTheTreeEdges:
 # --------------------------------------------------------------------- #
 
 
-def _stuck(name: str, missing: int, dup: bool):
+def _stuck(name: str, missing: int, shrunk: bool):
     """Every rank but ``missing`` enters collective ``name``, on the world
-    communicator or a duplicate of it; ``missing`` returns instead."""
+    communicator of four ranks or on the three left when rank 3 is shrunk
+    away; ``missing`` returns instead."""
 
     def run(comm):
-        sub = comm.dup() if dup else comm
-        if comm.rank == missing:
+        sub = comm.shrink([3]) if shrunk else comm
+        if comm.rank == missing or sub is None:
             return None
-        root = min(r for r in range(comm.size) if r != missing)
+        root = min(r for r in range(sub.size) if r != missing)
         call = {
             "barrier": sub.barrier,
             "bcast": lambda: sub.bcast(1, root=root),
             "gather": lambda: sub.gather(1.5, root=root),
-            "scatter": lambda: sub.scatter([1] * sub.size, root=root),
             "allgather": lambda: sub.allgather("x"),
-            "reduce": lambda: sub.reduce(2, root=root),
             "allreduce": lambda: sub.allreduce(2),
         }[name]
         return call()
@@ -330,30 +316,28 @@ def _stuck(name: str, missing: int, dup: bool):
 
 
 def _report(program, scheduler: str = "event", seed: int | None = None) -> str:
-    cluster = SimCluster(3, scheduler=scheduler, schedule_seed=seed)
+    cluster = SimCluster(4, scheduler=scheduler, schedule_seed=seed)
     with pytest.raises(DeadlockError) as excinfo:
         cluster.run(program)
     return str(excinfo.value)
 
 
 class TestDeadlockReport:
-    @pytest.mark.parametrize(
-        "name", ["barrier", "bcast", "gather", "scatter", "allgather", "reduce", "allreduce"]
-    )
+    @pytest.mark.parametrize("name", ["barrier", "bcast", "gather", "allgather", "allreduce"])
     @pytest.mark.parametrize("missing", [0, 2])
-    @pytest.mark.parametrize("dup", [False, True])
-    def test_names_the_lowest_member_that_entered(self, name, missing, dup):
+    @pytest.mark.parametrize("shrunk", [False, True])
+    def test_names_the_lowest_member_that_entered(self, name, missing, shrunk):
         expected = f"deadlock: rank {1 if missing == 0 else 0} stuck in {name}"
-        program = _stuck(name, missing, dup)
+        program = _stuck(name, missing, shrunk)
         assert {_report(program, seed=seed) for seed in (None, *SEEDS)} == {expected}
 
     @pytest.mark.parametrize(
-        "name, dup", [("barrier", False), ("allgather", False), ("bcast", True)]
+        "name, shrunk", [("barrier", False), ("allgather", False), ("bcast", True)]
     )
-    def test_process_reads_the_same(self, name, dup):
-        """World collectives park in the shared-memory block, a duplicate's
-        in the broker; both reports read as the event scheduler's."""
-        program = _stuck(name, 0, dup)
+    def test_process_reads_the_same(self, name, shrunk):
+        """The broker holds every rendezvous, the world's and a shrunken
+        communicator's; both reports read as the event scheduler's."""
+        program = _stuck(name, 0, shrunk)
         assert _report(program, scheduler="process") == _report(program)
 
 
@@ -371,38 +355,42 @@ def _runs(program, nprocs: int, **cluster_args):
     return out
 
 
-def _probe_before_bcast(comm):
-    seen = comm.iprobe(ANY_SOURCE, ANY_TAG) if comm.rank == 1 else None
+def _queued(comm) -> int:
+    """How many messages wait in this rank's mailbox (in-thread backend)."""
+    return len(comm._cluster.state(comm._world_rank).mailbox)
+
+
+def _queued_before_bcast(comm):
+    seen = _queued(comm) if comm.rank == 1 else None
     comm.bcast("v", root=0)
     return seen
 
 
 class TestMailboxes:
-    def test_any_tag_receive_sees_only_user_messages(self):
-        """A collective never enters a mailbox, so wildcard probes and
-        receives around it see the user's message alone."""
+    def test_collective_traffic_never_reaches_a_mailbox(self):
+        """A collective never enters a mailbox, so around one the mailbox
+        holds the user's message alone."""
 
         def program(comm):
             if comm.rank == 1:
                 comm.isend("user", dest=2, tag=5)
-            seen = comm.iprobe(ANY_SOURCE, ANY_TAG) if comm.rank == 2 else None
+            seen = _queued(comm) if comm.rank == 2 else None
             gathered = comm.allgather(comm.rank)
             total = comm.allreduce(comm.rank)
             if comm.rank != 2:
                 return gathered, total
-            status = Status()
-            got = comm.recv(ANY_SOURCE, ANY_TAG, status=status)
-            return seen, got, status.source, status.tag, comm.iprobe(ANY_SOURCE, ANY_TAG)
+            queued = _queued(comm)
+            return seen, queued, comm.recv(1, tag=5), _queued(comm)
 
         for results in _runs(program, 3).values():
-            assert results[2] == (True, "user", 1, 5, False)
+            assert results[2] == (1, 1, "user", 0)
 
     def test_a_parked_tree_message_was_visible_and_is_gone(self):
         """What changed: on the trees a bcast root could run ahead, and its
-        reserved-tag message sat in the child's mailbox for a wildcard
-        probe to see; the rendezvous leaves nothing to see."""
-        probes = {trees: results[1] for trees, results in _runs(_probe_before_bcast, 2).items()}
-        assert probes == {False: False, True: True}
+        reserved-tag message sat in the child's mailbox; the rendezvous
+        leaves nothing there."""
+        queued = {trees: results[1] for trees, results in _runs(_queued_before_bcast, 2).items()}
+        assert queued == {False: 0, True: 1}
 
     @pytest.mark.parametrize("checksums", [False, True])
     @pytest.mark.parametrize(
@@ -410,10 +398,9 @@ class TestMailboxes:
     )
     def test_message_faults_leave_nothing_to_see(self, spec, checksums):
         """Under a message-fault plan the collective is the same rendezvous:
-        the wildcard probe sees nothing, where the trees' message was
-        there to see."""
-        runs = _runs(_probe_before_bcast, 2, faults=FaultPlan.parse(spec), checksums=checksums)
-        assert {trees: results[1] for trees, results in runs.items()} == {False: False, True: True}
+        the mailbox stays empty, where the trees' message was there."""
+        runs = _runs(_queued_before_bcast, 2, faults=FaultPlan.parse(spec), checksums=checksums)
+        assert {trees: results[1] for trees, results in runs.items()} == {False: 0, True: 1}
 
 
 # --------------------------------------------------------------------- #

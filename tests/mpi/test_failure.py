@@ -121,7 +121,7 @@ class TestShrink:
             new = comm.shrink([1])
             if comm.rank == 0:
                 # The dead rank's message is gone from the old channel.
-                assert comm.iprobe(source=1, tag=7) is False
+                assert comm.pending_sources(7) == []
             return new.size
 
         results = _run(fn, 3)

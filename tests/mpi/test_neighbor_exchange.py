@@ -23,8 +23,6 @@ from hypothesis import strategies as st
 
 import repro.mpi.scheduler as scheduler_module
 from repro.mpi import (
-    ANY_SOURCE,
-    ANY_TAG,
     ORIGIN2000,
     CommAbortedError,
     Communicator,
@@ -34,9 +32,14 @@ from repro.mpi import (
     SimCluster,
     TopologyMachineModel,
 )
-from repro.mpi.errors import InvalidRankError, InvalidTagError, MessageLostError
+from repro.mpi.errors import (
+    InvalidRankError,
+    InvalidTagError,
+    MessageLostError,
+    blocked_recv_text,
+)
 from repro.mpi.faults import DelaySpec, DropSpec, MessageFlipSpec, SlowWindow, corrupt_value
-from repro.mpi.message import Message, Request, SendRequest, Status
+from repro.mpi.message import Message, Request, SendRequest
 from repro.mpi.timing import estimate_nbytes
 
 from .collective_trees import TreeCollectives
@@ -62,8 +65,9 @@ def _machine(kind: str, nprocs: int):
 
 class ReferenceCommunicator(TreeCollectives, Communicator):
     """The per-message transport deleted from ``repro.mpi``: ``isend`` with
-    ``_inject``, ``_complete_recv``/``_try_recv`` with ``_finish_recv``, and
-    the in-thread ``SimCluster.deliver`` with ``_file`` -- bodies verbatim.
+    ``_inject``, ``recv`` (the in-thread ``SimCluster.wait_for_message``)
+    with ``_finish_recv``, and the in-thread ``SimCluster.deliver`` with
+    ``_file`` -- bodies verbatim.
     The pair here is the loop over them, which is what it used to fall back
     to; its collectives are the reference trees, run on the loop as well.
     In-thread only (the process rows put the reference on ``event``)."""
@@ -153,7 +157,7 @@ class ReferenceCommunicator(TreeCollectives, Communicator):
             corrupt_attempts=corrupt_attempts,
         )
         self._deliver(msg)
-        return SendRequest(msg)
+        return SendRequest()
 
 
     def _deliver(self, msg: Message) -> None:
@@ -173,19 +177,21 @@ class ReferenceCommunicator(TreeCollectives, Communicator):
                 return
         cluster._backend.notify((msg.dest,))
 
-    def _complete_recv(self, source: int, tag: int, status: Status | None) -> Any:
-        if source != ANY_SOURCE:
-            self._check_peer(source)
-        msg = self._cluster.wait_for_message(self._world_rank, source, tag, self._comm_id)
-        return self._finish_recv(msg, status)
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Blocking receive: park until the named stream has a message."""
+        self._check_peer(source)
+        cluster, rank, comm_id = self._cluster, self._world_rank, self._comm_id
+        if cluster._preempt is not None:
+            cluster._preempt()
+        mailbox = cluster._ranks[rank].mailbox
+        msg = cluster._backend.wait(
+            rank,
+            lambda: mailbox.take(source, tag, comm_id),
+            lambda: blocked_recv_text(rank, source, tag),
+        )
+        return self._finish_recv(msg)
 
-    def _try_recv(self, source: int, tag: int, status: Status | None) -> tuple[Any, bool]:
-        msg = self._cluster.take_matching(self._world_rank, source, tag, self._comm_id)
-        if msg is None:
-            return None, False
-        return self._finish_recv(msg, status), True
-
-    def _finish_recv(self, msg: Message, status: Status | None) -> Any:
+    def _finish_recv(self, msg: Message) -> Any:
         state = self._state()
         machine = self._cluster.machine
         state.clock = max(state.clock, msg.arrival_time)
@@ -201,8 +207,6 @@ class ReferenceCommunicator(TreeCollectives, Communicator):
                     faults.count_retransmit(self._world_rank)
             self._charge_cpu(machine.checksum_time(msg.nbytes))
         self._charge_cpu(machine.receiver_cpu(msg.nbytes))
-        if status is not None:
-            status.update_from(msg)
         return msg.payload
 
 
@@ -387,7 +391,6 @@ class TestDifferential:
             out = [
                 comm.gather(mine, root=root),
                 comm.bcast(mine if comm.rank == root else None, root=root),
-                comm.scatter([mine] * comm.size if comm.rank == root else None, root=root),
                 comm.alltoall([mine + [float(r)] for r in range(comm.size)]),
                 comm.allgather(mine),
             ]
@@ -508,50 +511,63 @@ class TestFailureSemantics:
 
         assert SimCluster(2, scheduler="event").run(program) == [None, "kept"]
 
-    def test_wildcards_duplicates_and_empty_lists(self):
+    def test_empty_lists_and_generators_on_a_checksummed_link(self):
         def program(comm):
             comm.neighbor_send([], 1)
             assert comm.neighbor_recv([], 1) == []
             if comm.rank == 0:
-                comm.neighbor_send([(1, "a", None), (1, "b", None), (1, "c", None)], 1)
-                return None
-            twice = comm.neighbor_recv([0, 0], 1)  # one stream, two messages
-            return twice + comm.neighbor_recv([ANY_SOURCE], 1), comm.Wtime().hex()
-
-        def loop(comm):
-            if comm.rank == 0:
-                for payload in "abc":
-                    comm.isend(payload, 1, tag=1)
-                return None
-            return [comm.recv(source=0, tag=1) for _ in range(3)], comm.Wtime().hex()
-
-        results = SimCluster(2, scheduler="event").run(program)
-        assert results[1][0] == ["a", "b", "c"]
-        assert results == SimCluster(2, scheduler="event").run(on_reference(loop))
-
-    def test_generators_wildcards_and_any_tag_on_a_checksummed_link(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.neighbor_send(((1, payload, None) for payload in "abcd"), 1)
+                comm.neighbor_send(((1, payload, None) for payload in "abc"), 1)
+                comm.neighbor_send([(1, "d", None)], 2)
                 return comm.Wtime().hex()
-            got = comm.neighbor_recv([0, 0], 1)  # one stream, two messages
-            got += comm.neighbor_recv([ANY_SOURCE], 1)
-            got += comm.neighbor_recv([0], ANY_TAG)
+            got = comm.neighbor_recv([0], 1) + [comm.recv(0, tag=1)]
+            got.append(comm.irecv(0, tag=1).wait())
+            got += comm.neighbor_recv((0,), 2)
             return got, comm.Wtime().hex()
 
         def loop(comm):
             if comm.rank == 0:
-                for payload in "abcd":
-                    comm.isend(payload, 1, tag=1)
+                for payload, tag in zip("abcd", (1, 1, 1, 2)):
+                    comm.isend(payload, 1, tag=tag)
                 return comm.Wtime().hex()
-            got = [comm.recv(source=0, tag=1), comm.recv(source=0, tag=1)]
-            got.append(comm.recv(source=ANY_SOURCE, tag=1))
-            got.append(comm.recv(source=0, tag=ANY_TAG))
+            got = [comm.recv(source=0, tag=1) for _ in range(3)]
+            got.append(comm.recv(source=0, tag=2))
             return got, comm.Wtime().hex()
 
         results = SimCluster(2, checksums=True).run(program)
         assert results[1][0] == ["a", "b", "c", "d"]
         assert results == SimCluster(2, checksums=True).run(on_reference(loop))
+
+    @pytest.mark.parametrize("scheduler", ["event", "process"])
+    @pytest.mark.parametrize(
+        "sources, error", [([1, 1], ValueError), ([1, 2, 1], ValueError), ([1, 5], InvalidRankError)]
+    )
+    def test_a_bad_source_list_raises_before_anything_parks(self, scheduler, sources, error):
+        """A source named twice, or one outside the group, raises before
+        the rank parks or takes a message: had rank 0 parked, rank 1 (in
+        the barrier) could never send, and the run would deadlock; had it
+        taken ``first``, the receives after the barrier would read
+        ``second`` first."""
+
+        def program(comm):
+            if comm.rank == 1:
+                comm.send("first", 0, tag=3)
+                comm.barrier()
+                comm.send("second", 0, tag=3)
+                return None
+            if comm.rank == 2:
+                comm.barrier()
+                return None
+            try:
+                comm.neighbor_recv(sources, 3)
+            except (ValueError, InvalidRankError) as exc:
+                caught = type(exc)
+            else:
+                caught = None
+            comm.barrier()
+            return caught, comm.recv(1, tag=3), comm.recv(1, tag=3)
+
+        results = SimCluster(3, scheduler=scheduler).run(program)
+        assert results[0] == (error, "first", "second")
 
     def test_message_lost_mid_batch_keeps_the_prefix_and_the_loops_clock(self):
         """The second of three sends exhausts its retry budget: the error is
@@ -570,7 +586,7 @@ class TestFailureSemantics:
                     except MessageLostError as exc:
                         error = str(exc)
                 comm.barrier()
-                return error, comm.iprobe(source=0, tag=4), comm.Wtime().hex()
+                return error, 0 in comm.pending_sources(4), comm.Wtime().hex()
 
             return run
 
@@ -602,6 +618,11 @@ class _CountingTask(scheduler_module._Task):
 
         self.wake = wake
 
+
+#: Batons the per-source ``recv`` loop over (1, 2, 3) takes, by send order.
+LOOP_BATONS = {
+    (1, 2, 3): 2, (1, 3, 2): 3, (2, 1, 3): 3, (2, 3, 1): 2, (3, 1, 2): 3, (3, 2, 1): 2,
+}
 
 ARMED = {
     "checksums": dict(checksums=True),
@@ -641,10 +662,12 @@ class TestOnePark:
         start, and once when the last of the three is in."""
         monkeypatch.setattr(scheduler_module, "_Task", _CountingTask)
         assert self._batons(lambda comm: comm.neighbor_recv([1, 2, 3], 5), order) == 2
-        # The loop is woken by every delivery and re-parks until its next
-        # source is in: at least once more unless they arrive in order.
+        # A named receive parks on its own stream, so the loop is handed the
+        # baton to start and once more each time its next source is not in
+        # yet: (2, 3, 1) holds 1 back until 2 and 3 are in, (1, 3, 2) makes
+        # it wait for 1, then again for 2.
         loop = self._batons(lambda comm: [comm.recv(source=q, tag=5) for q in (1, 2, 3)], order)
-        assert loop >= 2 and (loop > 2 or order == (1, 2, 3))
+        assert loop == LOOP_BATONS[order]
 
     @pytest.mark.parametrize("order", list(itertools.permutations([1, 2, 3])))
     @pytest.mark.parametrize("armed", list(ARMED))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import selectors
 import signal
 import time
 from multiprocessing import resource_tracker
@@ -39,6 +40,7 @@ from repro.mpi import (
     run_mpi,
 )
 from repro.graphs import HexGrid
+from repro.mpi import process as process_module
 from repro.mpi.shm import ShadowRing, SharedSegment, leaked_segments
 from repro.partitioning import MetisLikePartitioner
 
@@ -332,6 +334,27 @@ class TestCollectivePlane:
         finishes = ranks
         assert cluster.pipe_requests == delivers + recvs + finishes
         _assert_no_leaked_segments()
+
+    def test_broker_registers_each_handle_once(self, monkeypatch):
+        """The broker waits on one selector kept for the run: a run of n
+        workers registers 2n handles, each pipe and sentinel once, however
+        often the broker wakes."""
+        registered = []
+        register, loop = selectors.PollSelector.register, process_module._Broker.loop
+
+        def counting_register(selector, fileobj, *args, **kwargs):
+            registered.append(fileobj)
+            return register(selector, fileobj, *args, **kwargs)
+
+        def counted_loop(broker):
+            with monkeypatch.context() as patch:
+                patch.setattr(selectors.PollSelector, "register", counting_register)
+                loop(broker)
+
+        monkeypatch.setattr(process_module._Broker, "loop", counted_loop)
+        _, cluster = self._run("process")
+        assert cluster.pipe_requests > 10 * cluster.nprocs  # many wake-ups
+        assert len(registered) == 2 * cluster.nprocs
 
     @pytest.mark.parametrize(
         "faults, config",

@@ -46,8 +46,8 @@ class TestRunBasics:
         cluster = SimCluster(4)
         assert cluster.nprocs == 4
 
-    def test_get_rank_and_size(self):
-        results = run_mpi(lambda comm: (comm.Get_rank(), comm.Get_size()), 3)
+    def test_rank_and_size(self):
+        results = run_mpi(lambda comm: (comm.rank, comm.size), 3)
         assert results == [(0, 3), (1, 3), (2, 3)]
 
 
@@ -59,13 +59,6 @@ class TestVirtualClocks:
             return comm.Wtime()
 
         assert run_mpi(fn, 2, machine=IDEAL) == [1.5, 1.5]
-
-    def test_charge_is_alias_for_work(self):
-        def fn(comm):
-            comm.charge(0.25)
-            return comm.Wtime()
-
-        assert run_mpi(fn, 1, machine=IDEAL) == [0.25]
 
     def test_negative_work_rejected(self):
         def fn(comm):
