@@ -13,6 +13,64 @@ def _msg(src=0, dest=1, tag=0, comm_id=0, **kwargs):
     return Message(src=src, dest=dest, tag=tag, comm_id=comm_id, **defaults)
 
 
+class TestStreams:
+    """``take`` pops the head of one ``(comm_id, source, tag)`` stream; a
+    message on any other stream stays where it is."""
+
+    def test_exact_stream_is_taken(self):
+        from repro.mpi import Mailbox
+
+        box, msg = Mailbox(), _msg(src=2, tag=5)
+        box.append(msg)
+        assert box.take(2, 5, 0) is msg
+        assert len(box) == 0 and not box.has(0, 2, 5)
+
+    def test_other_source_stays(self):
+        from repro.mpi import Mailbox
+
+        box = Mailbox()
+        box.append(_msg(src=2))
+        assert box.take(3, 0, 0) is None
+        assert len(box) == 1 and box.has(0, 2, 0)
+
+    def test_other_tag_stays(self):
+        from repro.mpi import Mailbox
+
+        box = Mailbox()
+        box.append(_msg(tag=5))
+        assert box.take(0, 6, 0) is None
+        assert len(box) == 1 and box.has(0, 0, 5)
+
+    def test_other_comm_stays(self):
+        from repro.mpi import Mailbox
+
+        box, shrunk = Mailbox(), (0, "shrink", (1,))
+        box.append(_msg(comm_id=shrunk))
+        assert box.take(0, 0, 0) is None
+        assert box.take(0, 0, shrunk) is not None
+
+    def test_head_is_send_order_not_arrival(self):
+        from repro.mpi import Mailbox
+
+        box = Mailbox()
+        first, second = _msg(arrival_time=5.0), _msg(arrival_time=1.0)
+        box.append(first)
+        box.append(second)
+        assert box.take(0, 0, 0) is first
+        assert box.take(0, 0, 0) is second
+
+    def test_sources_with_is_sorted_per_comm_and_tag(self):
+        from repro.mpi import Mailbox
+
+        box = Mailbox()
+        for src, tag, comm_id in ((3, 1, 0), (1, 1, 0), (2, 2, 0), (0, 1, 7), (3, 1, 0)):
+            box.append(_msg(src=src, tag=tag, comm_id=comm_id))
+        assert box.sources_with(0, 1) == [1, 3]
+        assert box.sources_with(0, 2) == [2]
+        assert box.sources_with(7, 1) == [0]
+        assert box.sources_with(7, 2) == []
+
+
 class _FlatMailbox:
     """The documented matching rule over one flat list (the oracle)."""
 

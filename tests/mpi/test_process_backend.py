@@ -52,6 +52,12 @@ pytestmark = pytest.mark.usefixtures("vectorize_any_size")
 BACKENDS = ("event", "process")
 
 
+def _raise_on_rank_one(comm):
+    if comm.rank == 1:
+        raise RuntimeError("rank 1 fails")
+    comm.barrier()
+
+
 def _assert_no_leaked_segments():
     """Every test ends with /dev/shm clean of this platform's segments."""
     leaks = leaked_segments()
@@ -355,6 +361,32 @@ class TestCollectivePlane:
         _, cluster = self._run("process")
         assert cluster.pipe_requests > 10 * cluster.nprocs  # many wake-ups
         assert len(registered) == 2 * cluster.nprocs
+
+    @pytest.mark.parametrize(
+        "program, error",
+        [
+            (lambda comm: comm.allreduce(comm.rank), None),
+            (_raise_on_rank_one, RuntimeError),
+            (lambda comm: comm.recv((comm.rank + 1) % comm.size, tag=3), DeadlockError),
+        ],
+        ids=["finish", "raise", "deadlock"],
+    )
+    def test_broker_retires_each_handle_once(self, monkeypatch, program, error):
+        """Each rank's pipe and sentinel leave the selector exactly once,
+        whether the rank finishes, raises or is a deadlock victim."""
+        retired = []
+        unregister = selectors.PollSelector.unregister
+
+        def counting_unregister(selector, fileobj):
+            retired.append(fileobj)
+            return unregister(selector, fileobj)
+
+        monkeypatch.setattr(selectors.PollSelector, "unregister", counting_unregister)
+        cluster = SimCluster(3, scheduler="process")
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            cluster.run(program)
+        assert len(retired) == len(set(retired)) == 2 * cluster.nprocs
+        _assert_no_leaked_segments()
 
     @pytest.mark.parametrize(
         "faults, config",

@@ -60,6 +60,12 @@ class TestVirtualClocks:
 
         assert run_mpi(fn, 2, machine=IDEAL) == [1.5, 1.5]
 
+    def test_work_returns_the_seconds_charged(self):
+        def fn(comm):
+            return comm.work(0.25), comm.Wtime()
+
+        assert run_mpi(fn, 1, machine=IDEAL) == [(0.25, 0.25)]
+
     def test_negative_work_rejected(self):
         def fn(comm):
             comm.work(-1.0)

@@ -695,6 +695,15 @@ class TestMailbox:
         assert box.take(1, 5, 0) is None
         assert len(box) == 0 and not box
 
+    def test_streams_do_not_compete_on_arrival(self):
+        box = Mailbox()
+        late, early = _msg(1, 0, 5.0), _msg(2, 0, 1.0)
+        box.append(late)
+        box.append(early)
+        assert box.take(1, 0, 0) is late
+        assert box.take(2, 0, 0) is early
+        assert box.take(1, 0, 0) is box.take(2, 0, 0) is None
+
     def test_comm_isolation(self):
         box = Mailbox()
         box.append(_msg(1, 0, 1.0, comm_id=7))
