@@ -303,8 +303,9 @@ class Communicator:
         This is the one receive routine (``recv`` is a batch of one).
         ``each(payload)`` runs right after each completion (Figure 8a's
         receive-unpack interleaving); it may charge time but must not
-        communicate.  The event backend parks the rank once for the whole
-        set instead of once per message.  A source outside the group raises
+        communicate.  The rank parks once for the whole set instead of once
+        per message (a process worker forwards the set in one request).  A
+        source outside the group raises
         :class:`~repro.mpi.errors.InvalidRankError` and one named twice
         ``ValueError``, both before anything is taken.
         """
@@ -314,7 +315,8 @@ class Communicator:
                 self._check_peer(source)
         if len(set(sources)) != len(sources):
             raise ValueError(f"neighbor_recv names a source twice: {list(sources)}")
-        return self._complete_all(self._cluster.wait_for_all(self, sources, tag), each)
+        msgs = self._cluster.wait_for_all(self._world_rank, self._comm_id, sources, tag)
+        return self._complete_all(msgs, each)
 
     # ------------------------------------------------------------------ #
     # Collectives: one rendezvous plus a charge-exact replay of the tree

@@ -11,29 +11,31 @@ Data plane (private stores, halo values by message)
     picklable node value -- in private memory, as each processor of the
     paper keeps its own data node list; final values go home pickled in
     the ``finish`` record.  Only shadow values cross processes, and only
-    as messages: every :class:`~repro.mpi.message.Message` a worker sends
-    is pickled through its pipe to the broker, which files it in the
-    receiver's mailbox and hands it over, pickled again, on a ``recv``
-    that names its ``(source, tag)`` stream.  No worker maps shared
-    memory, so a run leaves nothing in ``/dev/shm`` and starts no
-    ``resource_tracker`` process.
+    as messages: a worker's send batch travels pickled through its pipe
+    to the broker, which files it in the receivers' mailboxes, and a
+    receive set comes back, pickled again, in the one reply to the
+    worker's ``wait_for_all``.  No worker maps shared memory, so a run
+    leaves nothing in ``/dev/shm`` and starts no ``resource_tracker``
+    process.
 
 Control plane (one duplex pipe per worker, parent = deterministic arbiter)
-    Message-queue mutations, collective rendezvous, quarantine, and abort
-    flow through the parent :class:`_Broker`, which owns the
-    *authoritative* mailboxes and rendezvous states and replays exactly the
-    same logic as
-    :meth:`SimCluster.deliver_all <repro.mpi.runtime.SimCluster.deliver_all>`
-    / :meth:`~repro.mpi.runtime.SimCluster.collective`.  Virtual clocks and
+    One transport: a worker forwards each of the cluster's transport calls
+    whole -- ``deliver_all``, ``wait_for_all``, ``pending_sources``,
+    ``quarantine``, ``abort`` -- as one pipe message naming the method
+    and its arguments, and the parent :class:`_Broker` runs that same
+    method on the parent's cluster, which holds the run's *authoritative*
+    mailboxes.  A call that must wait parks the worker through the
+    scheduler seam the event backend uses (:meth:`ProcessScheduler.wait`),
+    and :meth:`ProcessScheduler.notify` answers it.  Virtual clocks and
     fault-decision PRNG streams are strictly per-rank, so each worker
     advances its own locally and ships the final values home in its
     ``finish`` record; the broker merges clocks, fault counters, and rank
     results so :meth:`SimCluster.run` sees exactly what the in-thread
-    backend produces.  This is the only control plane: every rendezvous
-    -- world or shrunken communicator, a barrier or a collective -- is one
-    ``_Rendezvous`` in the broker.  Because a worker's pipe is FIFO and
-    the broker handles it in order, every deliver a member sent before
-    entering a collective is filed before that collective is released.
+    backend produces.  Every rendezvous -- world or shrunken
+    communicator, a barrier or a collective -- is one ``_Rendezvous`` in
+    the broker.  Because a worker's pipe is FIFO and the broker handles
+    it in order, every deliver a member sent before entering a collective
+    is filed before that collective is released.
 
 Determinism argument (why results are bit-identical to ``event``):
 
@@ -56,7 +58,7 @@ Known, documented divergence: an abort cannot interrupt a send-only rank
 mid-flight (delivery is fire-and-forget; the parent silently drops
 post-abort messages), so a rank that never blocks again may ``finish``
 normally where the in-thread backend would raise ``CommAbortedError``
-in its next ``deliver``.  :meth:`SimCluster.run`'s raised primary error
+in its next ``deliver_all``.  :meth:`SimCluster.run`'s raised primary error
 is unaffected.
 
 Two things fail *early*, in :class:`ProcessScheduler`'s constructor and so
@@ -77,13 +79,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import multiprocessing
 
-from .errors import (
-    CommAbortedError,
-    DeadlockError,
-    UnsupportedBackendError,
-    blocked_recv_text,
-)
-from .message import Message
+from .errors import CommAbortedError, DeadlockError, UnsupportedBackendError
 from .scheduler import SEED_NEEDS_EVENT, SchedulerBackend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,51 +94,31 @@ __all__ = ["ProcessScheduler"]
 
 
 class _WorkerTransport:
-    """A worker's proxy to the parent broker (installed as
-    ``cluster._worker``; the runtime's transport entry points branch to it).
+    """A worker's pipe to the parent broker (installed as ``cluster._worker``;
+    the runtime's transport entry points forward to it).
 
-    Protocol: ``deliver``/``abort``/``finish`` are fire-and-forget;
-    ``sources``/``recv``/``collective``/``quarantine`` are strict
-    request/reply (``("ok", value)`` or ``("err", exc)``), so after
-    sending a request the next object on the pipe is always its reply.
-    Messages travel as they are, pickled by the pipe, in both directions.
+    Every request names a ``SimCluster`` method and its arguments, and the
+    broker runs that method on the parent's cluster (``collective``: its
+    own rendezvous; ``finish``: the rank's home record).  :meth:`post` is
+    fire-and-forget (``deliver_all``, ``abort``, ``finish``); :meth:`call`
+    is request/reply (``("ok", value)`` or ``("err", exc)``), so after a
+    call the next object on the pipe is always its reply.  Messages travel
+    as they are, pickled by the pipe, in both directions.
     """
 
     def __init__(self, conn: Any, rank: int) -> None:
         self._conn = conn
         self.rank = rank
 
-    # ---------------------------- plumbing ----------------------------- #
+    def post(self, *req: Any) -> None:
+        self._conn.send(req)
 
-    def _request(self, req: tuple) -> Any:
+    def call(self, *req: Any) -> Any:
         self._conn.send(req)
         kind, value = self._conn.recv()
         if kind == "err":
             raise value
         return value
-
-    # ------------------------- transport verbs ------------------------- #
-
-    def deliver(self, msg: Message) -> None:
-        self._conn.send(("deliver", msg))
-
-    def sources(self, tag: int, comm_id: Any) -> list[int]:
-        return self._request(("sources", tag, comm_id))
-
-    def recv(self, source: int, tag: int, comm_id: Any) -> Message:
-        return self._request(("recv", source, tag, comm_id))
-
-    def collective(self, *args: Any) -> tuple[list[float], list[Any]]:
-        """Join a rendezvous in the broker (``args``: see
-        ``_Broker._collective``); every member's published ``(clocks,
-        payloads)``, local-rank order."""
-        return self._request(("collective", *args))
-
-    def quarantine(self, dead_srcs: frozenset[int], comm_id: Any) -> int:
-        return self._request(("quarantine", dead_srcs, comm_id))
-
-    def abort(self, reason: str) -> None:
-        self._conn.send(("abort", reason))
 
     def finish(
         self,
@@ -151,24 +127,28 @@ class _WorkerTransport:
         counters: list[dict[str, int]] | None,
         clock: float,
     ) -> None:
-        result, result_exc = _picklable(result)
-        if result_exc is not None and error is None:
-            error = RuntimeError(
-                f"rank {self.rank} result is not picklable: {result_exc!r}"
-            )
-        if error is not None:
-            safe, error_exc = _picklable(error)
-            if error_exc is not None:
-                error = RuntimeError(f"{type(error).__name__}: {error}")
+        try:
+            self._conn.send(("finish", result, error, counters, clock))
+            return
+        except Exception:  # noqa: BLE001 - send pickles the record before writing a byte
+            pass
+        result_exc = _pickle_error(result)
+        if result_exc is not None:
+            result = None
+            if error is None:
+                error = RuntimeError(f"rank {self.rank} result is not picklable: {result_exc!r}")
+        if error is not None and _pickle_error(error) is not None:
+            error = RuntimeError(f"{type(error).__name__}: {error}")
         self._conn.send(("finish", result, error, counters, clock))
 
 
-def _picklable(obj: Any) -> tuple[Any, Exception | None]:
+def _pickle_error(obj: Any) -> Exception | None:
+    """Why ``obj`` does not pickle (None when it does)."""
     try:
         pickle.dumps(obj)
-        return obj, None
+        return None
     except Exception as exc:  # noqa: BLE001 - reported to the parent
-        return None, exc
+        return exc
 
 
 def _worker_main(
@@ -206,33 +186,29 @@ def _worker_main(
 # Parent side
 # --------------------------------------------------------------------- #
 
+#: What a served call returns when it parked its worker: the reply comes
+#: later, from :meth:`_Broker.wake` (or the deadlock test already sent it).
+_PARKED = object()
 
-class _Parked:
-    """One worker blocked in the broker (a receive or a collective)."""
-
-    __slots__ = ("rank", "kind", "source", "tag", "comm_id", "key")
-
-    def __init__(self, rank: int, kind: str, **fields: Any) -> None:
-        self.rank = rank
-        self.kind = kind
-        self.source = fields.get("source")
-        self.tag = fields.get("tag")
-        self.comm_id = fields.get("comm_id")
-        self.key = fields.get("key")
-
-    def describe(self) -> str:
-        if self.kind == "collective":
-            return self.key.describe()  # the _Rendezvous it waits in
-        return blocked_recv_text(self.rank, self.source, self.tag)
+#: Fire-and-forget requests: the worker does not wait for a reply.
+_POSTED = frozenset({"deliver_all", "abort"})
 
 
 class _Broker:
-    """The parent arbiter: authoritative mailboxes, barriers, and faults.
+    """The parent arbiter: runs every worker's transport call on the
+    parent's cluster, which holds the run's mailboxes.
 
-    Single-threaded event loop over the worker pipes; every handler is a
-    transcription of the corresponding ``SimCluster`` method with
-    ``backend.wait`` replaced by parking the requesting worker (the
-    rendezvous itself is shared: ``_Rendezvous``).
+    Single-threaded event loop over the worker pipes.  A request names a
+    ``SimCluster`` method -- ``deliver_all``, ``wait_for_all``,
+    ``pending_sources``, ``quarantine``, ``abort`` -- and the broker calls
+    it, so delivery, matching, quarantine and abort are the event
+    backend's own code.  A call that must wait reaches
+    :meth:`ProcessScheduler.wait`, which parks the worker here
+    (:meth:`park`); :meth:`ProcessScheduler.notify` re-probes the parked
+    workers it names (:meth:`wake`) and answers each whose probe succeeds,
+    or sends it the abort error.  The collective rendezvous is the
+    broker's own (:meth:`_collective`, over the shared ``_Rendezvous``):
+    its replay runs in the workers.
     """
 
     def __init__(
@@ -244,7 +220,8 @@ class _Broker:
         self._cluster = cluster
         self._conns = conns
         self._procs = procs
-        self._parked: dict[int, _Parked] = {}
+        #: Parked worker -> ``(probe, describe)``, as ``wait`` received them.
+        self._parked: dict[int, tuple[Callable[[], Any], Callable[[], str]]] = {}
         self._unfinished = set(range(cluster.nprocs))
         self._selector: selectors.BaseSelector | None = None  # set by loop()
         #: Worker->broker pipe messages handled (``cluster.pipe_requests``).
@@ -299,36 +276,27 @@ class _Broker:
             pass
 
     def _handle(self, rank: int, req: tuple) -> None:
-        kind = req[0]
+        name, args = req[0], req[1:]
         self.requests += 1
-        if kind == "deliver":
-            self._deliver(req[1])
-        elif kind == "sources":
-            _, tag, comm_id = req
-            self._reply(rank, self._mailbox(rank).sources_with(comm_id, tag))
-        elif kind == "recv":
-            self._recv(rank, *req[1:])
-        elif kind == "collective":
-            self._collective(rank, *req[1:])
-        elif kind == "quarantine":
-            self._quarantine(rank, *req[1:])
-        elif kind == "abort":
-            self._abort(req[1])
-        elif kind == "finish":
-            self._finish(rank, *req[1:])
-        else:  # pragma: no cover - protocol bug
-            raise RuntimeError(f"unknown worker request {kind!r} from rank {rank}")
-
-    # ------------------------------ helpers ---------------------------- #
-
-    def _mailbox(self, rank: int):
-        return self._cluster._ranks[rank].mailbox
-
-    def _reply(self, rank: int, value: Any) -> None:
-        self._send(rank, ("ok", value))
-
-    def _reply_err(self, rank: int, exc: BaseException) -> None:
-        self._send(rank, ("err", exc))
+        cluster = self._cluster
+        if name in _POSTED:
+            # The in-thread backend raises CommAbortedError in the sender;
+            # a post cannot, so post-abort traffic is dropped (the run's
+            # outcome is already decided).
+            if not cluster._aborted:
+                getattr(cluster, name)(*args)
+            return
+        if name == "finish":
+            self._finish(rank, *args)
+            return
+        serve = self._collective if name == "collective" else getattr(cluster, name)
+        try:
+            value = serve(*args)
+        except CommAbortedError as exc:
+            self._send(rank, ("err", exc))
+            return
+        if value is not _PARKED:
+            self._send(rank, ("ok", value))
 
     def _send(self, rank: int, obj: Any) -> None:
         try:
@@ -336,71 +304,100 @@ class _Broker:
         except (BrokenPipeError, OSError):  # worker died; sentinel handles it
             pass
 
-    # ----------------------------- transport --------------------------- #
+    # ------------------------------ parking ---------------------------- #
 
-    def _deliver(self, msg: Message) -> None:
+    def park(
+        self,
+        rank: int,
+        ready: Callable[[], Any],
+        describe: Callable[[], str],
+        victim: int | None,
+    ) -> Any:
+        """``ready()``'s value when it succeeds now; else park ``rank``
+        (blocked in its ``conn.recv()``) and return :data:`_PARKED`.  A
+        deadlock the park completes names ``victim`` (None: the lowest
+        unfinished rank)."""
+        self._cluster._check_abort()
+        value = ready()
+        if value is not None:
+            return value
+        self._parked[rank] = ready, describe
+        self._maybe_deadlock(victim)
+        return _PARKED
+
+    def wake(self, ranks: Iterable[int] | None) -> None:
+        """Answer every parked worker among ``ranks`` (None: all) whose
+        probe now succeeds, or, after an abort, with the abort error."""
+        parked = self._parked
+        if not parked:
+            return
         cluster = self._cluster
-        if cluster._aborted:
-            # The in-thread backend raises CommAbortedError in the sender;
-            # fire-and-forget delivery cannot, so post-abort traffic is
-            # dropped (the run's outcome is already decided).
-            return
-        if (msg.comm_id, msg.src) in cluster._quarantined:
-            return
-        self._mailbox(msg.dest).append(msg)
-        cluster.messages_delivered += 1
-        parked = self._parked.get(msg.dest)
-        if parked is not None and parked.kind == "recv":
-            found = self._mailbox(msg.dest).take(parked.source, parked.tag, parked.comm_id)
-            if found is not None:
-                del self._parked[msg.dest]
-                self._reply(msg.dest, found)
+        for rank in list(parked) if ranks is None else ranks:
+            entry = parked.get(rank)
+            if entry is None:
+                continue
+            if cluster._aborted:
+                reply = ("err", CommAbortedError(cluster._abort_reason or "cluster aborted"))
+            else:
+                value = entry[0]()
+                if value is None:
+                    continue
+                reply = ("ok", value)
+            del parked[rank]
+            self._send(rank, reply)
 
-    def _recv(self, rank: int, source: int, tag: int, comm_id: Any) -> None:
-        if self._cluster._aborted:
-            self._reply_err(rank, CommAbortedError(self._abort_reason()))
+    def _maybe_deadlock(self, victim: int | None) -> None:
+        """Exact deadlock test, mirroring the event backend's two cases.
+
+        Sound because parked workers are blocked in ``conn.recv()`` and
+        cannot send: all-unfinished-parked implies no delivery can be in
+        flight on any pipe (a worker's sends are FIFO-ordered before its
+        own park request, hence already processed).
+        """
+        cluster = self._cluster
+        if cluster._aborted or not self._unfinished:
             return
-        found = self._mailbox(rank).take(source, tag, comm_id)
-        if found is not None:
-            self._reply(rank, found)
+        if any(r not in self._parked for r in self._unfinished):
             return
-        self._parked[rank] = _Parked(rank, "recv", source=source, tag=tag, comm_id=comm_id)
-        self._maybe_deadlock(victim=rank)
+        if victim is None:  # lowest blocked rank (case B's rule in _pass_baton)
+            victim = min(self._unfinished)
+        reason = self._parked.pop(victim)[1]()
+        cluster._aborted = True
+        cluster._abort_reason = reason
+        self._send(victim, ("err", DeadlockError(reason)))
+        self.wake(None)  # the rest: CommAbortedError(reason)
+
+    # ---------------------------- collectives -------------------------- #
 
     def _collective(
         self, rank: int, group: tuple[int, ...], comm_id: Any, name: str, clock: float,
         payload: Any, messages: int, barriers: int,
-    ) -> None:
+    ) -> Any:
+        """Worker ``rank`` joins ``SimCluster.collective``'s rendezvous:
+        the last member to arrive takes every member's published
+        ``(clocks, payloads)`` home and releases the rest.  The replay
+        runs in each worker, and all members leave at once."""
         from .runtime import _Rendezvous
 
         cluster = self._cluster
-        if cluster._aborted:
-            self._reply_err(rank, CommAbortedError(self._abort_reason()))
-            return
+        cluster._check_abort()
         key = (comm_id, group)
         rv = cluster._rendezvous.get(key)
         if rv is None:
             rv = cluster._rendezvous[key] = _Rendezvous(group)
-        if not rv.arrive(group.index(rank), name, clock, payload):
-            self._parked[rank] = _Parked(rank, "collective", key=rv)
-            # Which member parks last is a host race: name the lowest
-            # blocked rank instead, so the report repeats.
-            self._maybe_deadlock(victim=None)
-            return
-        published = rv.close()
-        cluster.messages_delivered += messages
-        cluster.barriers += barriers
-        for member in group:  # every other member is parked in rv
-            self._parked.pop(member, None)
-            self._reply(member, published)
-
-    def _quarantine(
-        self, rank: int, dead_srcs: frozenset[int], comm_id: Any
-    ) -> None:
-        cluster = self._cluster
-        for src in dead_srcs:
-            cluster._quarantined.add((comm_id, src))
-        self._reply(rank, self._mailbox(rank).purge(comm_id, dead_srcs))
+        generation = rv.generation
+        if rv.arrive(group.index(rank), name, clock, payload):
+            rv.outcome = rv.close()
+            cluster.messages_delivered += messages
+            cluster.barriers += barriers
+            self.wake(group)
+            return rv.outcome
+        # Which member parks last is a host race: a deadlock names the
+        # lowest blocked rank instead, so the report repeats.
+        return self.park(
+            rank, lambda: rv.outcome if rv.generation != generation else None,
+            rv.describe, victim=None,
+        )
 
     # --------------------------- run lifecycle ------------------------- #
 
@@ -425,9 +422,11 @@ class _Broker:
             for mine, shipped in zip(cluster.fault_state._counters, counters):
                 mine.add(shipped)
         self._retire(rank)
-        if error is not None and not cluster._aborted:
-            self._abort(f"rank {rank} raised {type(error).__name__}: {error}")
-        elif not cluster._aborted:
+        if cluster._aborted:
+            return
+        if error is not None:
+            cluster.abort(f"rank {rank} raised {type(error).__name__}: {error}")
+        else:
             # Case B: a finishing rank may strand every survivor parked.
             self._maybe_deadlock(victim=None)
 
@@ -442,47 +441,7 @@ class _Broker:
         state.finished = True
         self._retire(rank)
         if not self._cluster._aborted:
-            self._abort(f"rank {rank} raised RuntimeError: {error}")
-
-    # ------------------------- abort and deadlock ---------------------- #
-
-    def _abort_reason(self) -> str:
-        return self._cluster._abort_reason or "cluster aborted"
-
-    def _abort(self, reason: str) -> None:
-        cluster = self._cluster
-        if not cluster._aborted:
-            cluster._aborted = True
-            cluster._abort_reason = reason
-        exc = CommAbortedError(self._abort_reason())
-        for rank in list(self._parked):
-            del self._parked[rank]
-            self._reply_err(rank, exc)
-
-    def _maybe_deadlock(self, victim: int | None) -> None:
-        """Exact deadlock test, mirroring the event backend's two cases.
-
-        Sound because parked workers are blocked in ``conn.recv()`` and
-        cannot send: all-unfinished-parked implies no delivery can be in
-        flight on any pipe (a worker's sends are FIFO-ordered before its
-        own park request, hence already processed).
-        """
-        if self._cluster._aborted or not self._unfinished:
-            return
-        if any(r not in self._parked for r in self._unfinished):
-            return
-        if victim is None:  # lowest blocked rank (case B's rule in _pass_baton)
-            victim = min(self._unfinished)
-        reason = self._parked[victim].describe()
-        cluster = self._cluster
-        cluster._aborted = True
-        cluster._abort_reason = reason
-        del self._parked[victim]
-        self._reply_err(victim, DeadlockError(reason))
-        peer_exc = CommAbortedError(reason)
-        for rank in list(self._parked):
-            del self._parked[rank]
-            self._reply_err(rank, peer_exc)
+            self._cluster.abort(f"rank {rank} raised RuntimeError: {error}")
 
 
 # --------------------------------------------------------------------- #
@@ -493,9 +452,11 @@ class _Broker:
 class ProcessScheduler(SchedulerBackend):
     """One worker OS process per rank, each with a private node store.
 
-    Inside a worker the cluster's transport entry points are proxied to
-    the parent broker, so ``notify`` has nobody to wake (single thread,
-    no shared state) and ``wait`` is never reached.
+    Inside a worker the cluster's transport entry points forward to the
+    parent broker, so ``notify`` has nobody to wake (single thread, no
+    broker) and ``wait`` is never reached.  In the parent both serve the
+    broker, which runs the workers' calls on the cluster: ``wait`` parks
+    the calling worker and ``notify`` answers it.
     """
 
     name = "process"
@@ -510,23 +471,27 @@ class ProcessScheduler(SchedulerBackend):
                 "this platform does not support fork"
             )
         self._cluster = cluster
+        self._broker: _Broker | None = None  # the running execute()'s, parent only
 
     def notify(self, ranks: Iterable[int] | None = None) -> None:
-        return None
+        if self._broker is not None:
+            self._broker.wake(ranks)
 
     def wait(
         self,
         rank: int,
         ready: Callable[[], Any],
         describe: Callable[[], str],
-    ) -> Any:  # pragma: no cover - all blocking paths are intercepted
-        raise RuntimeError("process backend workers block in the broker, not here")
+    ) -> Any:
+        """The probe's value when it succeeds now; else :data:`_PARKED`:
+        worker ``rank`` waits for the reply :meth:`notify` sends.  A
+        deadlock this park completes names ``rank``."""
+        return self._broker.park(rank, ready, describe, victim=rank)
 
     def execute(self, runner: Callable[[int], None], nprocs: int) -> None:
         ctx = multiprocessing.get_context("fork")
         pipes = [ctx.Pipe(duplex=True) for _ in range(nprocs)]
         procs = []
-        broker = None
         try:
             for rank in range(nprocs):
                 proc = ctx.Process(
@@ -539,8 +504,8 @@ class ProcessScheduler(SchedulerBackend):
                 procs.append(proc)
             for _, child_end in pipes:
                 child_end.close()
-            broker = _Broker(self._cluster, [p for p, _ in pipes], procs)
-            broker.loop()
+            self._broker = _Broker(self._cluster, [p for p, _ in pipes], procs)
+            self._broker.loop()
             for proc in procs:
                 proc.join(timeout=10.0)
         finally:
@@ -550,5 +515,6 @@ class ProcessScheduler(SchedulerBackend):
                     proc.join(timeout=5.0)
             for parent_end, _ in pipes:
                 parent_end.close()
-            if broker is not None:
-                self._cluster.pipe_requests = broker.requests
+            if self._broker is not None:
+                self._cluster.pipe_requests = self._broker.requests
+                self._broker = None

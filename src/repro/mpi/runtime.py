@@ -26,8 +26,9 @@ How the rank programs are interleaved on the host is delegated to a
 * ``"process"`` -- one worker OS process per rank, each with a private
   node store (:mod:`repro.mpi.process`): real multi-core execution with the
   parent process as the deterministic control-plane arbiter.  Inside a
-  worker, the transport entry points below branch to the worker's pipe
-  transport (``self._worker``) instead of the local mailboxes.
+  worker, the transport entry points below forward the whole call over
+  the worker's pipe (``self._worker``), and the parent's broker runs the
+  same method on its own cluster, which holds the mailboxes.
 
 Correctness properties the runtime guarantees on either backend:
 
@@ -183,9 +184,10 @@ class SimCluster:
         #: hybrid-execution benchmark: interior sweeps are barrier-free).
         self.barriers = 0
         #: Worker-to-broker pipe messages the process backend handled last
-        #: run (0 on the in-thread backend): delivers, one per received
-        #: message and per ``pending_sources`` query, one per collective per
-        #: member, and finishes.
+        #: run (0 on the in-thread backend): one per transport call -- a
+        #: send batch, a receive set, a ``pending_sources`` query, a
+        #: quarantine, an abort -- one per collective per member, and
+        #: finishes.
         self.pipe_requests = 0
         self._aborted = False
         self._abort_reason: str | None = None
@@ -195,7 +197,8 @@ class SimCluster:
         self._quarantined: set[tuple[Any, int]] = set()
         # Inside a process-backend worker this holds the worker's pipe
         # transport to the parent broker; every transport entry point
-        # branches to it.  Always None in the parent / in-thread backend.
+        # forwards its whole call to it.  Always None in the parent /
+        # in-thread backend.
         self._worker: Any = None
 
     # ------------------------------------------------------------------ #
@@ -325,7 +328,7 @@ class SimCluster:
         if self._worker is not None:
             self._aborted = True
             self._abort_reason = reason
-            self._worker.abort(reason)
+            self._worker.post("abort", reason)
             return
         self._aborted = True
         self._abort_reason = reason
@@ -351,7 +354,7 @@ class SimCluster:
             Number of messages discarded.
         """
         if self._worker is not None:
-            return self._worker.quarantine(dead_srcs, comm_id)
+            return self._worker.call("quarantine", rank, dead_srcs, comm_id)
         for src in dead_srcs:
             self._quarantined.add((comm_id, src))
         # Removals can unblock nobody, so there is nothing to notify.
@@ -373,8 +376,7 @@ class SimCluster:
             return
         if self._worker is not None:
             self._check_abort()
-            for msg in msgs:
-                self._worker.deliver(msg)
+            self._worker.post("deliver_all", msgs)
             return
         if self._preempt is not None:
             self._preempt()
@@ -401,21 +403,24 @@ class SimCluster:
         """Comm-local sources with a queued ``(comm_id, tag)`` message for
         ``rank`` (the delta halo exchange's post-barrier sender discovery)."""
         if self._worker is not None:
-            return self._worker.sources(tag, comm_id)
+            return self._worker.call("pending_sources", rank, tag, comm_id)
         return self._ranks[rank].mailbox.sources_with(comm_id, tag)
 
     def wait_for_all(
-        self, comm: Communicator, sources: Sequence[int], tag: int
+        self, rank: int, comm_id: Any, sources: Sequence[int], tag: int
     ) -> list[Message]:
-        """Pop one ``tag`` message per source, in ``sources`` order, parking
-        the rank *once* until every named ``(source, tag)`` stream has one.
+        """Pop one ``tag`` message per source for ``rank``, in ``sources``
+        order, parking the rank *once* until every named ``(source, tag)``
+        stream of ``comm_id`` has one.
 
-        ``sources`` are distinct (``neighbor_recv`` checks).  A worker asks
-        its broker source by source.
+        ``sources`` are distinct (``neighbor_recv`` checks).  The wait's
+        probe is the pop, so the process broker's ``wait`` can answer a
+        parked worker from ``notify``; a worker forwards the whole call.
         """
-        rank, comm_id = comm._world_rank, comm._comm_id
         if self._worker is not None:
-            return [self._worker.recv(q, tag, comm_id) for q in sources]
+            if not sources:
+                return []
+            return self._worker.call("wait_for_all", rank, comm_id, sources, tag)
         if self._preempt is not None:
             self._preempt()
         if sources:
@@ -423,19 +428,23 @@ class SimCluster:
         state = self._ranks[rank]
         mailbox = state.mailbox
         missing = {(comm_id, q, tag) for q in sources if not mailbox.has(comm_id, q, tag)}
-        if missing:
-            state.awaiting = missing
-            try:
-                self._backend.wait(
-                    rank,
-                    lambda: None if missing else True,
-                    lambda: blocked_recv_text(
-                        rank, next(q for q in sources if (comm_id, q, tag) in missing), tag
-                    ),
-                )
-            finally:
-                state.awaiting = None
-        return [mailbox.take(q, tag, comm_id) for q in sources]
+        if not missing:
+            return [mailbox.take(q, tag, comm_id) for q in sources]
+
+        def popped() -> list[Message] | None:
+            if missing:
+                return None
+            state.awaiting = None
+            return [mailbox.take(q, tag, comm_id) for q in sources]
+
+        state.awaiting = missing
+        return self._backend.wait(
+            rank,
+            popped,
+            lambda: blocked_recv_text(
+                rank, next(q for q in sources if (comm_id, q, tag) in missing), tag
+            ),
+        )
 
     def _check_abort(self) -> None:
         if self._aborted:
@@ -467,8 +476,9 @@ class SimCluster:
         state = self._ranks[rank]
         if self._worker is not None:
             self._check_abort()
-            clocks, result = complete(*self._worker.collective(
-                group, comm._comm_id, name, state.clock, payload, messages, barriers
+            clocks, result = complete(*self._worker.call(
+                "collective", rank, group, comm._comm_id, name, state.clock, payload,
+                messages, barriers,
             ))
         else:
             if self._preempt is not None:

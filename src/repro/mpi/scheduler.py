@@ -89,7 +89,12 @@ class SchedulerBackend:
         """Block ``rank`` until ``ready()`` returns non-``None``; return it.
 
         ``describe`` renders the deadlock diagnostic naming what the rank
-        is stuck on; it is only called when a deadlock is declared.
+        is stuck on; it is only called when a deadlock is declared.  In
+        the process broker nothing blocks: ``wait`` returns the probe's
+        value when it succeeds at once, and otherwise parks the calling
+        worker and returns a marker -- ``notify`` re-probes the parked
+        worker and answers it.  So a probe must do the whole completion
+        (the receive's probe is its pop).
         """
         raise NotImplementedError
 

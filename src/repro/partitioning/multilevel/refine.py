@@ -40,8 +40,8 @@ def move_gains(
 
 def _loads(graph: Graph, assignment: Sequence[int], nparts: int) -> list[int]:
     loads = [0] * nparts
-    for gid in graph.nodes():
-        loads[assignment[gid - 1]] += graph.node_weight(gid)
+    for part, w in zip(assignment, graph.node_weights):
+        loads[part] += w
     return loads
 
 
@@ -64,22 +64,25 @@ def fm_refine(
     if len(target_loads) != nparts:
         raise ValueError(f"target_loads needs {nparts} entries")
     loads = _loads(graph, assignment, nparts)
+    weights = graph.node_weights
     # Caps need headroom for at least one vertex above the target, otherwise
     # exact-balance partitions (the common case with unit weights) freeze.
-    w_max = max((graph.node_weight(g) for g in graph.nodes()), default=1)
+    w_max = max(weights, default=1)
     caps = [max(t * tolerance, t + w_max) for t in target_loads]
+    gids = graph.nodes()
+    rows = list(graph.neighbor_rows(gids))
 
     for _ in range(max_passes):
         boundary = [
             gid
-            for gid in graph.nodes()
-            if any(assignment[v - 1] != assignment[gid - 1] for v in graph.neighbors(gid))
+            for gid, nbrs in zip(gids, rows)
+            if any(assignment[v - 1] != assignment[gid - 1] for v in nbrs)
         ]
         rng.shuffle(boundary)
         moved = 0
         for gid in boundary:
             own = assignment[gid - 1]
-            w = graph.node_weight(gid)
+            w = weights[gid - 1]
             if loads[own] <= w:
                 continue  # never empty a part (the headroom cap would allow it)
             best_part = -1
@@ -124,7 +127,8 @@ def rebalance(
     target whenever vertex granularity allows.
     """
     loads = _loads(graph, assignment, nparts)
-    w_max = max((graph.node_weight(g) for g in graph.nodes()), default=1)
+    weights = graph.node_weights
+    w_max = max(weights, default=1)
     caps = [max(t * tolerance, t + w_max) for t in target_loads]
 
     for _ in range(graph.num_nodes):  # hard bound on total work
@@ -138,7 +142,7 @@ def rebalance(
             for gid in graph.nodes():
                 if assignment[gid - 1] != part:
                     continue
-                w = graph.node_weight(gid)
+                w = weights[gid - 1]
                 gains = move_gains(graph, assignment, gid)
                 for dest, gain in gains.items():
                     if loads[dest] + w > caps[dest] and loads[dest] >= target_loads[dest]:
@@ -151,13 +155,13 @@ def rebalance(
                 # vertex to the globally least-loaded part (last resort,
                 # keeps termination guaranteed on pathological graphs).
                 members = [g for g in graph.nodes() if assignment[g - 1] == part]
-                gid = min(members, key=lambda g: (graph.node_weight(g), g))
+                gid = min(members, key=lambda g: (weights[g - 1], g))
                 dest = min(range(nparts), key=lambda p: loads[p] - target_loads[p])
                 if dest == part:
                     continue
             else:
                 _, gid, dest = best
-            w = graph.node_weight(gid)
+            w = weights[gid - 1]
             assignment[gid - 1] = dest
             loads[part] -= w
             loads[dest] += w

@@ -41,6 +41,7 @@ from repro.mpi import (
 )
 from repro.graphs import HexGrid
 from repro.mpi import process as process_module
+from repro.mpi.message import Message
 from repro.mpi.shm import ShadowRing, SharedSegment, leaked_segments
 from repro.partitioning import MetisLikePartitioner
 
@@ -302,7 +303,9 @@ class TestCollectivePlane:
         _assert_no_leaked_segments()
 
     def test_pipe_requests_exact(self):
-        """Every worker-to-broker message is counted, and nothing else."""
+        """Every worker-to-broker message is counted, and nothing else: one
+        per exchange (a send batch, a receive set, a query), one per
+        collective per member, one per finish."""
         _, cluster = self._run("process")
         ranks = cluster.nprocs
         delivers = _STEPS * ranks  # one isend per rank per step
@@ -317,7 +320,7 @@ class TestCollectivePlane:
     def test_pipe_requests_exact_for_halo_batches(self):
         """Float halo batches -- tuples of ``(int gid, float value)``
         records, the shape the platform packs -- are plain pipe delivers,
-        one request each like any other message, and arrive bit-equal."""
+        one request per exchange like any other, and arrive bit-equal."""
 
         def halo_exchange(comm):
             total = 0.0
@@ -495,6 +498,151 @@ class TestCollectivePlane:
         event = SimCluster(3, scheduler="event").run(prog)
         process = SimCluster(3, scheduler="process").run(prog)
         assert event == process
+        _assert_no_leaked_segments()
+
+
+# --------------------------------------------------------------------- #
+# One pipe request per exchange
+# --------------------------------------------------------------------- #
+
+
+def _ring_exchange(comm):
+    """Each step sends to both ring neighbours in one batch, then receives
+    from both in one set."""
+    right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+    total = float(comm.rank)
+    for step in range(5):
+        comm.neighbor_send([(right, total + step, None), (left, total / 3, None)], tag=6)
+        comm.work((comm.rank + 1) * 1e-5)
+        from_right, from_left = comm.neighbor_recv([right, left], tag=6)
+        total = (total + from_right * 0.5 + from_left) / 2
+    return total.hex(), comm.Wtime().hex()
+
+
+def _reverse_arrivals(comm):
+    """Rank 0 receives from ranks 1, 2 and 3 in one set while they send in
+    the reverse order (3 first, each passing a token down), then all vote,
+    so a second answer to rank 0's receive would be taken for the vote's."""
+    got = None
+    if comm.rank == 0:
+        got = comm.neighbor_recv([1, 2, 3], tag=2)
+    elif comm.rank == 3:
+        comm.neighbor_send([(0, "from 3", None), (2, "token", None)], tag=2)
+    else:
+        comm.recv(comm.rank + 1, tag=2)
+        comm.neighbor_send([(0, f"from {comm.rank}", None), (comm.rank - 1, "token", None)], tag=2)
+    return got, comm.allreduce(comm.rank), comm.Wtime().hex()
+
+
+class _RecordingConn:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, obj):
+        self.sent.append(obj)
+
+
+class TestOneRequestPerExchange:
+    """A worker forwards each transport call whole: one pipe request per
+    send batch and one per receive set, however many messages they hold."""
+
+    def test_ring_exchange_is_two_requests_a_step(self):
+        event = SimCluster(4, scheduler="event").run(_ring_exchange)
+        cluster = SimCluster(4, scheduler="process")
+        assert cluster.run(_ring_exchange) == event
+        # 5 steps x 4 ranks x (one send batch + one receive set), 4 finishes.
+        assert cluster.pipe_requests == 5 * 4 * 2 + 4 == 44
+        _assert_no_leaked_segments()
+
+    def test_reverse_arrivals_answered_once_in_sources_order(self):
+        event = SimCluster(4, scheduler="event").run(_reverse_arrivals)
+        cluster = SimCluster(4, scheduler="process")
+        results = cluster.run(_reverse_arrivals)
+        assert results == event
+        assert results[0][:2] == (["from 1", "from 2", "from 3"], 6)
+        # Rank 0: one receive set; rank 3: one batch; ranks 1 and 2: a
+        # receive and a batch each; four votes and four finishes.
+        assert cluster.pipe_requests == 1 + 1 + 2 * 2 + 4 + 4
+        _assert_no_leaked_segments()
+
+    def test_parked_worker_answered_once_when_its_last_stream_fills(self):
+        """The broker side, driven by hand: a worker parked on three
+        streams gets no reply until the last one fills, then exactly one,
+        with every payload in ``sources`` order."""
+        cluster = SimCluster(4, scheduler="process")
+        conns = [_RecordingConn() for _ in range(4)]
+        broker = process_module._Broker(cluster, conns, procs=[None] * 4)
+        cluster._backend._broker = broker
+        try:
+            broker._handle(0, ("wait_for_all", 0, 0, [1, 2, 3], 2))
+            for src in (3, 2, 1):
+                assert conns[0].sent == []
+                msg = Message(src, 0, 2, 0, f"from {src}", 8, 0.0, 1.0)
+                broker._handle(src, ("deliver_all", [msg]))
+        finally:
+            cluster._backend._broker = None
+        [(kind, msgs)] = conns[0].sent
+        assert kind == "ok"
+        assert [m.payload for m in msgs] == ["from 1", "from 2", "from 3"]
+        assert cluster.state(0).awaiting is None
+        assert cluster.messages_delivered == 3
+        assert all(conn.sent == [] for conn in conns[1:])
+
+    def test_multi_source_deadlock_names_first_missing_source(self):
+        """Rank 0 waits on sources 1 and 2; only 1 ever sends.  Both
+        backends name source 2, and the worker asked once."""
+
+        def prog(comm):
+            if comm.rank == 0:
+                comm.neighbor_recv([1, 2], tag=5)
+            elif comm.rank == 1:
+                comm.send("here", dest=0, tag=5)
+
+        messages = {}
+        for scheduler in BACKENDS:
+            cluster = SimCluster(3, scheduler=scheduler)
+            with pytest.raises(DeadlockError) as excinfo:
+                cluster.run(prog)
+            messages[scheduler] = str(excinfo.value)
+        assert messages["event"] == (
+            "deadlock: rank 0 waiting on (source=2, tag=5) with all ranks blocked"
+        )
+        assert messages["process"] == messages["event"]
+        assert cluster.pipe_requests == 1 + 1 + 3  # a receive set, a send, finishes
+        _assert_no_leaked_segments()
+
+
+# --------------------------------------------------------------------- #
+# The finish record
+# --------------------------------------------------------------------- #
+
+
+class _UnpicklableError(Exception):
+    def __init__(self, text):
+        super().__init__(text)
+        self.hook = lambda: None  # a lambda does not pickle
+
+
+class TestFinishRecord:
+    """A worker sends its finish record once; only when it does not
+    pickle does the worker find out which part is at fault."""
+
+    def test_unpicklable_result_reported(self):
+        def prog(comm):
+            return (lambda: None) if comm.rank == 1 else comm.rank
+
+        with pytest.raises(RuntimeError, match=r"^rank 1 result is not picklable: "):
+            run_mpi(prog, 2, scheduler="process")
+        _assert_no_leaked_segments()
+
+    def test_unpicklable_error_reported_by_type_and_text(self):
+        def prog(comm):
+            if comm.rank == 1:
+                raise _UnpicklableError("boom")
+            return comm.rank
+
+        with pytest.raises(RuntimeError, match=r"^_UnpicklableError: boom$"):
+            run_mpi(prog, 2, scheduler="process")
         _assert_no_leaked_segments()
 
 
