@@ -19,23 +19,22 @@ Data plane (private stores, halo values by message)
     process.
 
 Control plane (one duplex pipe per worker, parent = deterministic arbiter)
-    One transport: a worker forwards each of the cluster's transport calls
-    whole -- ``deliver_all``, ``wait_for_all``, ``pending_sources``,
-    ``quarantine``, ``abort`` -- as one pipe message naming the method
-    and its arguments, and the parent :class:`_Broker` runs that same
-    method on the parent's cluster, which holds the run's *authoritative*
-    mailboxes.  A call that must wait parks the worker through the
-    scheduler seam the event backend uses (:meth:`ProcessScheduler.wait`),
-    and :meth:`ProcessScheduler.notify` answers it.  Virtual clocks and
+    A worker's cluster is a remote ``SimCluster`` (:class:`_WorkerCluster`):
+    it forwards each transport call whole -- ``deliver_all``,
+    ``wait_for_all``, ``rendezvous``, ``pending_sources``, ``quarantine``,
+    ``abort`` -- as one pipe message naming the method and its arguments,
+    and the parent :class:`_Broker` runs that same method on the parent's
+    cluster, which holds the run's mailboxes and rendezvous.  A call that
+    must wait parks the worker through the scheduler seam the event
+    backend uses (:meth:`ProcessScheduler.wait`), and
+    :meth:`ProcessScheduler.notify` answers it.  Virtual clocks and
     fault-decision PRNG streams are strictly per-rank, so each worker
-    advances its own locally and ships the final values home in its
-    ``finish`` record; the broker merges clocks, fault counters, and rank
-    results so :meth:`SimCluster.run` sees exactly what the in-thread
-    backend produces.  Every rendezvous -- world or shrunken
-    communicator, a barrier or a collective -- is one ``_Rendezvous`` in
-    the broker.  Because a worker's pipe is FIFO and the broker handles
-    it in order, every deliver a member sent before entering a collective
-    is filed before that collective is released.
+    advances its own and ships the final values home in its ``finish``
+    record; the broker merges clocks, fault counters, and rank results so
+    :meth:`SimCluster.run` sees exactly what the in-thread backend
+    produces.  A worker's pipe is FIFO and the broker handles it in
+    order, so every deliver a member sent before entering a collective is
+    filed before that collective is released.
 
 Determinism argument (why results are bit-identical to ``event``):
 
@@ -44,15 +43,11 @@ Determinism argument (why results are bit-identical to ``event``):
   scheduling;
 * a collective's exit clocks are a pure replay over every member's
   published entry clock and payload -- order-free;
-* a worker's pipe is FIFO and a *parked* worker is blocked in
-  ``conn.recv()``: once every unfinished rank is parked there can be no
-  in-flight delivery anywhere, which makes the broker's deadlock
-  detection exact, like the event backend's empty-run-queue test.  The
-  victim choice mirrors it too: the rank whose receive park completed
-  the deadlock (case A), or the lowest-indexed unfinished rank when a
-  finishing rank strands the rest (case B) -- and also when a
-  *collective* park completes it, because which member parks last is a
-  host race here, not a property of the program.
+* a *parked* worker is blocked in ``conn.recv()``: once every unfinished
+  rank is parked nothing can be in flight, so the deadlock test is exact,
+  and the report is :func:`~repro.mpi.scheduler.declare_deadlock`'s, the
+  event backend's: the lowest unfinished rank and what it waits on, both
+  fixed by the program once nobody can run.
 
 Known, documented divergence: an abort cannot interrupt a send-only rank
 mid-flight (delivery is fire-and-forget; the parent silently drops
@@ -75,15 +70,15 @@ from __future__ import annotations
 import os
 import pickle
 import selectors
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from collections import deque
+from typing import Any, Callable, Iterable, Sequence
 
 import multiprocessing
 
 from .errors import CommAbortedError, DeadlockError, UnsupportedBackendError
-from .scheduler import SEED_NEEDS_EVENT, SchedulerBackend
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .runtime import SimCluster
+from .message import Message
+from .runtime import SimCluster
+from .scheduler import SEED_NEEDS_EVENT, SchedulerBackend, declare_deadlock
 
 __all__ = ["ProcessScheduler"]
 
@@ -93,42 +88,66 @@ __all__ = ["ProcessScheduler"]
 # --------------------------------------------------------------------- #
 
 
-class _WorkerTransport:
-    """A worker's pipe to the parent broker (installed as ``cluster._worker``;
-    the runtime's transport entry points forward to it).
-
-    Every request names a ``SimCluster`` method and its arguments, and the
-    broker runs that method on the parent's cluster (``collective``: its
-    own rendezvous; ``finish``: the rank's home record).  :meth:`post` is
-    fire-and-forget (``deliver_all``, ``abort``, ``finish``); :meth:`call`
-    is request/reply (``("ok", value)`` or ``("err", exc)``), so after a
-    call the next object on the pipe is always its reply.  Messages travel
-    as they are, pickled by the pipe, in both directions.
+class _WorkerCluster(SimCluster):
+    """The cluster as a forked worker sees it (:func:`_worker_main` swaps
+    its class in): a remote one.  Each transport call goes whole over the
+    worker's pipe, naming a ``SimCluster`` method and its arguments, and
+    the broker runs that method on the parent's cluster.  ``deliver_all``
+    and ``abort`` are posted, fire-and-forget; the rest are calls
+    (``("ok", value)`` or ``("err", exc)``), so after a call the next
+    object on the pipe is always its reply.  A collective's rendezvous is
+    a call like any other; its replay runs here, on what the broker hands
+    back.  Messages travel as they are, pickled by the pipe.
     """
 
-    def __init__(self, conn: Any, rank: int) -> None:
-        self._conn = conn
-        self.rank = rank
+    _conn: Any  # the worker's end of its pipe
 
-    def post(self, *req: Any) -> None:
-        self._conn.send(req)
-
-    def call(self, *req: Any) -> Any:
+    def _call(self, *req: Any) -> Any:
         self._conn.send(req)
         kind, value = self._conn.recv()
         if kind == "err":
             raise value
         return value
 
-    def finish(
-        self,
-        result: Any,
-        error: BaseException | None,
-        counters: list[dict[str, int]] | None,
-        clock: float,
-    ) -> None:
+    def abort(self, reason: str) -> None:
+        self._aborted = True
+        self._abort_reason = reason
+        self._conn.send(("abort", reason))
+
+    def quarantine(self, rank: int, dead_srcs: frozenset[int], comm_id: Any) -> int:
+        return self._call("quarantine", rank, dead_srcs, comm_id)
+
+    def deliver_all(self, msgs: list[Message]) -> None:
+        if msgs:
+            self._check_abort()
+            self._conn.send(("deliver_all", msgs))
+
+    def pending_sources(self, rank: int, tag: int, comm_id: Any) -> list[int]:
+        return self._call("pending_sources", rank, tag, comm_id)
+
+    def wait_for_all(self, rank: int, comm_id: Any, sources: Sequence[int], tag: int) -> list:
+        return self._call("wait_for_all", rank, comm_id, sources, tag) if sources else []
+
+    def rendezvous(
+        self, comm_id: Any, group: tuple[int, ...], local: int, name: str, clock: float,
+        payload: Any, messages: int = 0, barriers: int = 0, last: int | None = None,
+        complete: Callable[[list[float], list[Any]], Any] | None = None,
+    ) -> Any:
+        self._check_abort()
+        return complete(*self._call(
+            "rendezvous", comm_id, group, local, name, clock, payload, messages, barriers, last
+        ))
+
+    def finish(self, rank: int) -> None:
+        """Send rank ``rank``'s home record: result, error, fault counters
+        and clock.  Only when it does not pickle is the culprit sought."""
+        state = self._ranks[rank]
+        result, error = state.result, state.error
+        counters = None
+        if self.fault_state is not None:
+            counters = [vars(c) for c in self.fault_state._counters]
         try:
-            self._conn.send(("finish", result, error, counters, clock))
+            self._conn.send(("finish", result, error, counters, state.clock))
             return
         except Exception:  # noqa: BLE001 - send pickles the record before writing a byte
             pass
@@ -136,10 +155,10 @@ class _WorkerTransport:
         if result_exc is not None:
             result = None
             if error is None:
-                error = RuntimeError(f"rank {self.rank} result is not picklable: {result_exc!r}")
+                error = RuntimeError(f"rank {rank} result is not picklable: {result_exc!r}")
         if error is not None and _pickle_error(error) is not None:
             error = RuntimeError(f"{type(error).__name__}: {error}")
-        self._conn.send(("finish", result, error, counters, clock))
+        self._conn.send(("finish", result, error, counters, state.clock))
 
 
 def _pickle_error(obj: Any) -> Exception | None:
@@ -151,12 +170,7 @@ def _pickle_error(obj: Any) -> Exception | None:
         return exc
 
 
-def _worker_main(
-    cluster: "SimCluster",
-    runner: Callable[[int], None],
-    rank: int,
-    conn: Any,
-) -> None:
+def _worker_main(cluster: SimCluster, runner: Callable[[int], None], rank: int, conn: Any) -> None:
     """Child-process entry: run one rank over the piped transport.
 
     ``cluster`` and ``runner`` arrive via fork inheritance (never
@@ -164,17 +178,13 @@ def _worker_main(
     it stores the result/error into ``cluster._ranks[rank]``, which here
     is the worker's private copy -- shipped home in the finish record.
     """
-    transport = _WorkerTransport(conn, rank)
-    cluster._worker = transport
-    state = cluster._ranks[rank]
+    cluster.__class__ = _WorkerCluster
+    cluster._conn = conn
     try:
         runner(rank)  # catches everything into state.error itself
     finally:
-        counters = None
-        if cluster.fault_state is not None:
-            counters = [vars(c) for c in cluster.fault_state._counters]
         try:
-            transport.finish(state.result, state.error, counters, state.clock)
+            cluster.finish(rank)
             conn.close()
         finally:
             # Skip the atexit handlers and finalizers inherited from the
@@ -187,7 +197,7 @@ def _worker_main(
 # --------------------------------------------------------------------- #
 
 #: What a served call returns when it parked its worker: the reply comes
-#: later, from :meth:`_Broker.wake` (or the deadlock test already sent it).
+#: later, from :meth:`_Broker._settle`.
 _PARKED = object()
 
 #: Fire-and-forget requests: the worker does not wait for a reply.
@@ -196,32 +206,28 @@ _POSTED = frozenset({"deliver_all", "abort"})
 
 class _Broker:
     """The parent arbiter: runs every worker's transport call on the
-    parent's cluster, which holds the run's mailboxes.
+    parent's cluster, which holds the run's mailboxes and rendezvous.
 
     Single-threaded event loop over the worker pipes.  A request names a
     ``SimCluster`` method -- ``deliver_all``, ``wait_for_all``,
-    ``pending_sources``, ``quarantine``, ``abort`` -- and the broker calls
-    it, so delivery, matching, quarantine and abort are the event
-    backend's own code.  A call that must wait reaches
-    :meth:`ProcessScheduler.wait`, which parks the worker here
-    (:meth:`park`); :meth:`ProcessScheduler.notify` re-probes the parked
-    workers it names (:meth:`wake`) and answers each whose probe succeeds,
-    or sends it the abort error.  The collective rendezvous is the
-    broker's own (:meth:`_collective`, over the shared ``_Rendezvous``):
-    its replay runs in the workers.
+    ``rendezvous``, ``pending_sources``, ``quarantine``, ``abort`` -- and
+    the broker calls it, so delivery, matching, the rendezvous, quarantine
+    and abort are the event backend's own code.  A call that must wait
+    reaches :meth:`ProcessScheduler.wait`, which parks the worker here
+    (:meth:`park`); :meth:`ProcessScheduler.notify` queues the parked
+    workers it names (:meth:`wake`), and once the call being served has
+    its reply, :meth:`_settle` re-probes them in that order and answers
+    each whose probe succeeds, or sends it the abort error.
     """
 
-    def __init__(
-        self,
-        cluster: "SimCluster",
-        conns: list[Any],
-        procs: list[Any],
-    ) -> None:
+    def __init__(self, cluster: SimCluster, conns: list[Any], procs: list[Any]) -> None:
         self._cluster = cluster
         self._conns = conns
         self._procs = procs
         #: Parked worker -> ``(probe, describe)``, as ``wait`` received them.
         self._parked: dict[int, tuple[Callable[[], Any], Callable[[], str]]] = {}
+        #: Parked workers to re-probe, in the order they were woken.
+        self._woken: deque[int] = deque()
         self._unfinished = set(range(cluster.nprocs))
         self._selector: selectors.BaseSelector | None = None  # set by loop()
         #: Worker->broker pipe messages handled (``cluster.pipe_requests``).
@@ -279,24 +285,23 @@ class _Broker:
         name, args = req[0], req[1:]
         self.requests += 1
         cluster = self._cluster
-        if name in _POSTED:
+        if name == "finish":
+            self._finish(rank, *args)
+        elif name in _POSTED:
             # The in-thread backend raises CommAbortedError in the sender;
             # a post cannot, so post-abort traffic is dropped (the run's
             # outcome is already decided).
             if not cluster._aborted:
                 getattr(cluster, name)(*args)
-            return
-        if name == "finish":
-            self._finish(rank, *args)
-            return
-        serve = self._collective if name == "collective" else getattr(cluster, name)
-        try:
-            value = serve(*args)
-        except CommAbortedError as exc:
-            self._send(rank, ("err", exc))
-            return
-        if value is not _PARKED:
-            self._send(rank, ("ok", value))
+        else:
+            try:
+                value = getattr(cluster, name)(*args)
+            except CommAbortedError as exc:
+                self._send(rank, ("err", exc))
+            else:
+                if value is not _PARKED:
+                    self._send(rank, ("ok", value))
+        self._settle()
 
     def _send(self, rank: int, obj: Any) -> None:
         try:
@@ -306,33 +311,31 @@ class _Broker:
 
     # ------------------------------ parking ---------------------------- #
 
-    def park(
-        self,
-        rank: int,
-        ready: Callable[[], Any],
-        describe: Callable[[], str],
-        victim: int | None,
-    ) -> Any:
+    def park(self, rank: int, ready: Callable[[], Any], describe: Callable[[], str]) -> Any:
         """``ready()``'s value when it succeeds now; else park ``rank``
-        (blocked in its ``conn.recv()``) and return :data:`_PARKED`.  A
-        deadlock the park completes names ``victim`` (None: the lowest
-        unfinished rank)."""
-        self._cluster._check_abort()
+        (blocked in its ``conn.recv()``) and return :data:`_PARKED`."""
         value = ready()
         if value is not None:
             return value
         self._parked[rank] = ready, describe
-        self._maybe_deadlock(victim)
         return _PARKED
 
     def wake(self, ranks: Iterable[int] | None) -> None:
-        """Answer every parked worker among ``ranks`` (None: all) whose
-        probe now succeeds, or, after an abort, with the abort error."""
-        parked = self._parked
-        if not parked:
-            return
-        cluster = self._cluster
-        for rank in list(parked) if ranks is None else ranks:
+        """Queue the parked workers among ``ranks`` (None: all) for
+        :meth:`_settle`."""
+        if self._parked:
+            self._woken.extend(self._parked if ranks is None else ranks)
+
+    def _settle(self) -> None:
+        """Answer the woken workers, in the order they were woken (a
+        gather sender's probe wakes its root, so the root's reply follows
+        theirs), then apply :func:`declare_deadlock` if nobody can run:
+        every unfinished worker is parked.  The test is exact because a
+        parked worker is blocked in ``conn.recv()`` and cannot send, and
+        its earlier sends preceded its park on its FIFO pipe."""
+        parked, woken, cluster = self._parked, self._woken, self._cluster
+        while woken:
+            rank = woken.popleft()
             entry = parked.get(rank)
             if entry is None:
                 continue
@@ -345,59 +348,13 @@ class _Broker:
                 reply = ("ok", value)
             del parked[rank]
             self._send(rank, reply)
-
-    def _maybe_deadlock(self, victim: int | None) -> None:
-        """Exact deadlock test, mirroring the event backend's two cases.
-
-        Sound because parked workers are blocked in ``conn.recv()`` and
-        cannot send: all-unfinished-parked implies no delivery can be in
-        flight on any pipe (a worker's sends are FIFO-ordered before its
-        own park request, hence already processed).
-        """
-        cluster = self._cluster
-        if cluster._aborted or not self._unfinished:
-            return
-        if any(r not in self._parked for r in self._unfinished):
-            return
-        if victim is None:  # lowest blocked rank (case B's rule in _pass_baton)
-            victim = min(self._unfinished)
-        reason = self._parked.pop(victim)[1]()
-        cluster._aborted = True
-        cluster._abort_reason = reason
-        self._send(victim, ("err", DeadlockError(reason)))
-        self.wake(None)  # the rest: CommAbortedError(reason)
-
-    # ---------------------------- collectives -------------------------- #
-
-    def _collective(
-        self, rank: int, group: tuple[int, ...], comm_id: Any, name: str, clock: float,
-        payload: Any, messages: int, barriers: int,
-    ) -> Any:
-        """Worker ``rank`` joins ``SimCluster.collective``'s rendezvous:
-        the last member to arrive takes every member's published
-        ``(clocks, payloads)`` home and releases the rest.  The replay
-        runs in each worker, and all members leave at once."""
-        from .runtime import _Rendezvous
-
-        cluster = self._cluster
-        cluster._check_abort()
-        key = (comm_id, group)
-        rv = cluster._rendezvous.get(key)
-        if rv is None:
-            rv = cluster._rendezvous[key] = _Rendezvous(group)
-        generation = rv.generation
-        if rv.arrive(group.index(rank), name, clock, payload):
-            rv.outcome = rv.close()
-            cluster.messages_delivered += messages
-            cluster.barriers += barriers
-            self.wake(group)
-            return rv.outcome
-        # Which member parks last is a host race: a deadlock names the
-        # lowest blocked rank instead, so the report repeats.
-        return self.park(
-            rank, lambda: rv.outcome if rv.generation != generation else None,
-            rv.describe, victim=None,
-        )
+        if parked and len(parked) == len(self._unfinished) and not cluster._aborted:
+            victim, reason = declare_deadlock(
+                cluster, self._unfinished, lambda rank: parked.pop(rank)[1]()
+            )
+            self._send(victim, ("err", DeadlockError(reason)))
+            self.wake(None)  # the rest: CommAbortedError(reason)
+            self._settle()
 
     # --------------------------- run lifecycle ------------------------- #
 
@@ -422,13 +379,8 @@ class _Broker:
             for mine, shipped in zip(cluster.fault_state._counters, counters):
                 mine.add(shipped)
         self._retire(rank)
-        if cluster._aborted:
-            return
-        if error is not None:
+        if error is not None and not cluster._aborted:
             cluster.abort(f"rank {rank} raised {type(error).__name__}: {error}")
-        else:
-            # Case B: a finishing rank may strand every survivor parked.
-            self._maybe_deadlock(victim=None)
 
     def _worker_died(self, rank: int) -> None:
         proc = self._procs[rank]
@@ -442,6 +394,7 @@ class _Broker:
         self._retire(rank)
         if not self._cluster._aborted:
             self._cluster.abort(f"rank {rank} raised RuntimeError: {error}")
+        self._settle()
 
 
 # --------------------------------------------------------------------- #
@@ -452,16 +405,17 @@ class _Broker:
 class ProcessScheduler(SchedulerBackend):
     """One worker OS process per rank, each with a private node store.
 
-    Inside a worker the cluster's transport entry points forward to the
-    parent broker, so ``notify`` has nobody to wake (single thread, no
-    broker) and ``wait`` is never reached.  In the parent both serve the
-    broker, which runs the workers' calls on the cluster: ``wait`` parks
-    the calling worker and ``notify`` answers it.
+    Inside a worker the cluster is a :class:`_WorkerCluster`, whose
+    transport entry points forward to the parent broker, so ``notify`` has
+    nobody to wake (single thread, no broker) and ``wait`` is never
+    reached.  In the parent both serve the broker, which runs the workers'
+    calls on the cluster: ``wait`` parks the calling worker and ``notify``
+    queues it to be answered.
     """
 
     name = "process"
 
-    def __init__(self, cluster: "SimCluster", seed: int | None) -> None:
+    def __init__(self, cluster: SimCluster, seed: int | None) -> None:
         if seed is not None:
             raise UnsupportedBackendError(SEED_NEEDS_EVENT)
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -477,16 +431,11 @@ class ProcessScheduler(SchedulerBackend):
         if self._broker is not None:
             self._broker.wake(ranks)
 
-    def wait(
-        self,
-        rank: int,
-        ready: Callable[[], Any],
-        describe: Callable[[], str],
-    ) -> Any:
+    def wait(self, rank: int, ready: Callable[[], Any], describe: Callable[[], str]) -> Any:
         """The probe's value when it succeeds now; else :data:`_PARKED`:
-        worker ``rank`` waits for the reply :meth:`notify` sends.  A
-        deadlock this park completes names ``rank``."""
-        return self._broker.park(rank, ready, describe, victim=rank)
+        worker ``rank`` waits for the reply the broker sends once a
+        :meth:`notify` naming it makes the probe succeed."""
+        return self._broker.park(rank, ready, describe)
 
     def execute(self, runner: Callable[[int], None], nprocs: int) -> None:
         ctx = multiprocessing.get_context("fork")

@@ -25,10 +25,10 @@ How the rank programs are interleaved on the host is delegated to a
   schedule-independence suites;
 * ``"process"`` -- one worker OS process per rank, each with a private
   node store (:mod:`repro.mpi.process`): real multi-core execution with the
-  parent process as the deterministic control-plane arbiter.  Inside a
-  worker, the transport entry points below forward the whole call over
-  the worker's pipe (``self._worker``), and the parent's broker runs the
-  same method on its own cluster, which holds the mailboxes.
+  parent process as the deterministic control-plane arbiter.  A worker's
+  cluster is a remote one: its transport entry points below forward the
+  whole call over the worker's pipe, and the parent's broker runs the same
+  method on its own cluster, which holds the mailboxes and rendezvous.
 
 Correctness properties the runtime guarantees on either backend:
 
@@ -73,8 +73,8 @@ class RankState:
 
 
 class _Rendezvous:
-    """One group's collective rendezvous, run by ``SimCluster.collective``
-    and the process broker alike: every member publishes its entry clock
+    """One group's collective rendezvous (:meth:`SimCluster.rendezvous`,
+    on either backend): every member publishes its entry clock
     and payload, and the last to arrive closes the generation.  Keyed by
     ``(comm_id, group)``, so sub-communicators sharing a channel id never
     count each other's arrivals."""
@@ -195,11 +195,6 @@ class SimCluster:
         # host thread may still be running when survivors shrink, so its late
         # sends must be filtered at delivery time, not just purged once.
         self._quarantined: set[tuple[Any, int]] = set()
-        # Inside a process-backend worker this holds the worker's pipe
-        # transport to the parent broker; every transport entry point
-        # forwards its whole call to it.  Always None in the parent /
-        # in-thread backend.
-        self._worker: Any = None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -325,11 +320,6 @@ class SimCluster:
         qualifies) -- on the cooperative backend only the running rank may
         touch cluster state.
         """
-        if self._worker is not None:
-            self._aborted = True
-            self._abort_reason = reason
-            self._worker.post("abort", reason)
-            return
         self._aborted = True
         self._abort_reason = reason
         self._backend.notify()
@@ -353,8 +343,6 @@ class SimCluster:
         Returns:
             Number of messages discarded.
         """
-        if self._worker is not None:
-            return self._worker.call("quarantine", rank, dead_srcs, comm_id)
         for src in dead_srcs:
             self._quarantined.add((comm_id, src))
         # Removals can unblock nobody, so there is nothing to notify.
@@ -373,10 +361,6 @@ class SimCluster:
         survivors shrank, and those stragglers must never reach a mailbox.
         """
         if not msgs:
-            return
-        if self._worker is not None:
-            self._check_abort()
-            self._worker.post("deliver_all", msgs)
             return
         if self._preempt is not None:
             self._preempt()
@@ -402,8 +386,6 @@ class SimCluster:
     def pending_sources(self, rank: int, tag: int, comm_id: Any) -> list[int]:
         """Comm-local sources with a queued ``(comm_id, tag)`` message for
         ``rank`` (the delta halo exchange's post-barrier sender discovery)."""
-        if self._worker is not None:
-            return self._worker.call("pending_sources", rank, tag, comm_id)
         return self._ranks[rank].mailbox.sources_with(comm_id, tag)
 
     def wait_for_all(
@@ -417,10 +399,6 @@ class SimCluster:
         probe is the pop, so the process broker's ``wait`` can answer a
         parked worker from ``notify``; a worker forwards the whole call.
         """
-        if self._worker is not None:
-            if not sources:
-                return []
-            return self._worker.call("wait_for_all", rank, comm_id, sources, tag)
         if self._preempt is not None:
             self._preempt()
         if sources:
@@ -459,54 +437,63 @@ class SimCluster:
         complete: Callable[[list[float], list[Any]], tuple[list[float], Any]],
         messages: int = 0, barriers: int = 0, last: int | None = None,
     ) -> Any:
-        """Run collective ``name`` over ``comm``'s group as one rendezvous.
-
-        Every member publishes its clock and ``payload``; ``complete(clocks,
-        payloads)`` (both in local-rank order) maps them to every member's
-        exit clock and the result, which this rank takes home.  The
-        rendezvous counts the ``messages`` and ``barriers`` the operation
-        models, and the last rank to arrive releases exactly the group.
-        Member ``last`` leaves after every other member has: a gather's
-        root, whose tree receives complete after its senders sent and ran
-        on, so what they do next (lose a message, say) comes first.
-        Inside a process worker the rendezvous is the parent broker's, and
-        its workers leave at once: they run concurrently anyway.
-        """
-        rank, local, group = comm._world_rank, comm._rank, comm._group
+        """Run collective ``name`` over ``comm``'s group as one
+        :meth:`rendezvous`: ``complete(clocks, payloads)`` (both in
+        local-rank order) maps what every member published to every
+        member's exit clock and the result, which this rank takes home."""
+        rank, local = comm._world_rank, comm._rank
         state = self._ranks[rank]
-        if self._worker is not None:
-            self._check_abort()
-            clocks, result = complete(*self._worker.call(
-                "collective", rank, group, comm._comm_id, name, state.clock, payload,
-                messages, barriers,
-            ))
-        else:
-            if self._preempt is not None:
-                self._preempt()
-            self._check_abort()
-            key = (comm._comm_id, group)
-            rv = self._rendezvous.get(key)
-            if rv is None:
-                rv = self._rendezvous[key] = _Rendezvous(group)
-            generation = rv.generation
-            if rv.arrive(local, name, state.clock, payload):
-                rv.outcome = complete(*rv.close())
-                self.messages_delivered += messages
-                self.barriers += barriers
-                self._backend.notify(group)
-            else:
-                self._backend.wait(
-                    rank, lambda: True if rv.generation != generation else None, rv.describe
-                )
-            if local == last:
-                others = len(group) - 1
-                self._backend.wait(rank, lambda: True if rv.left == others else None, rv.describe)
-            elif last is not None:
-                rv.left += 1
-                self._backend.notify((group[last],))
-            clocks, result = rv.outcome
+        clocks, result = self.rendezvous(
+            comm._comm_id, comm._group, local, name, state.clock, payload,
+            messages, barriers, last, complete,
+        )
         state.clock = clocks[local]
         return result
+
+    def rendezvous(
+        self, comm_id: Any, group: tuple[int, ...], local: int, name: str, clock: float,
+        payload: Any, messages: int = 0, barriers: int = 0, last: int | None = None,
+        complete: Callable[[list[float], list[Any]], Any] | None = None,
+    ) -> Any:
+        """Member ``local`` of ``group`` enters collective ``name`` with its
+        ``clock`` and ``payload``, and waits until the generation closes.
+
+        The last member to arrive closes it: it counts the ``messages`` and
+        ``barriers`` the operation models and replays ``complete`` once
+        over the published ``(clocks, payloads)``; every member takes that
+        outcome home (the published pair itself when ``complete`` is None:
+        the broker's call for a worker, which replays its own copy).
+        Member ``last`` leaves after every other member has: a gather's
+        root, whose tree receives complete after its senders sent and ran
+        on, so what they do next (lose a message, say) comes first -- on
+        both backends, because the wait is one probe that does the whole
+        completion.
+        """
+        if self._preempt is not None:
+            self._preempt()
+        self._check_abort()
+        key = (comm_id, group)
+        rv = self._rendezvous.get(key)
+        if rv is None:
+            rv = self._rendezvous[key] = _Rendezvous(group)
+        generation = rv.generation
+        if rv.arrive(local, name, clock, payload):
+            published = rv.close()
+            rv.outcome = published if complete is None else complete(*published)
+            self.messages_delivered += messages
+            self.barriers += barriers
+            self._backend.notify(group)
+        others = len(group) - 1
+
+        def left() -> Any:
+            if rv.generation == generation or (local == last and rv.left < others):
+                return None
+            if last is not None and local != last:
+                rv.left += 1
+                self._backend.notify((group[last],))
+            return rv.outcome
+
+        return self._backend.wait(group[local], left, rv.describe)
 
 
 def run_mpi(

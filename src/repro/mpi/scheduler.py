@@ -50,6 +50,7 @@ __all__ = [
     "SCHEDULERS",
     "SEED_NEEDS_EVENT",
     "SchedulerBackend",
+    "declare_deadlock",
     "make_scheduler",
 ]
 
@@ -88,13 +89,13 @@ class SchedulerBackend:
     ) -> Any:
         """Block ``rank`` until ``ready()`` returns non-``None``; return it.
 
-        ``describe`` renders the deadlock diagnostic naming what the rank
-        is stuck on; it is only called when a deadlock is declared.  In
+        ``describe`` renders what the rank is stuck on; it is called only
+        when :func:`declare_deadlock` picks this rank as the victim.  In
         the process broker nothing blocks: ``wait`` returns the probe's
         value when it succeeds at once, and otherwise parks the calling
         worker and returns a marker -- ``notify`` re-probes the parked
         worker and answers it.  So a probe must do the whole completion
-        (the receive's probe is its pop).
+        (the receive's probe is its pop, the rendezvous's its leave).
         """
         raise NotImplementedError
 
@@ -111,7 +112,7 @@ class _Task:
     ``release``) hands it the baton.
     """
 
-    __slots__ = ("rank", "baton", "wake", "finished", "blocked", "queued", "describe", "victim")
+    __slots__ = ("rank", "baton", "wake", "finished", "blocked", "queued", "describe", "deadlock")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -122,7 +123,7 @@ class _Task:
         self.blocked = False   # parked in wait(), not on the run queue
         self.queued = False    # on the run queue awaiting the baton
         self.describe: Callable[[], str] | None = None
-        self.victim = False    # designated to raise DeadlockError on resume
+        self.deadlock: str | None = None  # the victim's report, raised on resume
 
 
 class EventScheduler(SchedulerBackend):
@@ -144,9 +145,10 @@ class EventScheduler(SchedulerBackend):
     * deadlock detection is exact and free: when a rank blocks (or
       finishes) with an empty run queue while unfinished ranks remain,
       *no* future event can occur -- eager sends never block, so every
-      possible wakeup source is itself blocked.  The detecting waiter
-      raises :class:`DeadlockError` on the spot and the abort cascade
-      releases the rest.  No wall-clock timeout is involved.
+      possible wakeup source is itself blocked.  :func:`declare_deadlock`
+      names the victim, which raises :class:`DeadlockError` when it
+      resumes; the abort cascade releases the rest.  No wall-clock
+      timeout is involved.
 
     Unseeded, the run queue is FIFO (filled in rank order, appended in
     notification order), so execution -- and therefore every virtual
@@ -237,9 +239,8 @@ class EventScheduler(SchedulerBackend):
         cluster = self._cluster
         task = self._tasks[rank]
         while True:
-            if task.victim:
-                task.victim = False
-                raise DeadlockError(cluster._abort_reason or "deadlock")
+            if task.deadlock is not None:
+                raise DeadlockError(task.deadlock)
             cluster._check_abort()
             value = ready()
             if value is not None:
@@ -250,11 +251,8 @@ class EventScheduler(SchedulerBackend):
                 # Exact deadlock: this rank just blocked, nobody is
                 # runnable, and blocked ranks cannot generate events.
                 task.blocked = False
-                reason = describe()
-                cluster._aborted = True
-                cluster._abort_reason = reason
-                self.notify()  # queue the others; they resume after we raise
-                raise DeadlockError(reason)
+                self._declare()  # the others resume after this rank raises
+                continue
             self._pass_baton()
             task.baton.acquire()
             task.blocked = False
@@ -297,22 +295,42 @@ class EventScheduler(SchedulerBackend):
             return
         # A task finished (or aborted) leaving only blocked ranks behind:
         # that is a deadlock unless an abort is already draining them.
-        cluster = self._cluster
-        if not cluster._aborted:
-            victim = next(t for t in self._tasks if not t.finished)
-            reason = (
-                victim.describe()
-                if victim.describe is not None
-                else f"deadlock: rank {victim.rank} blocked with no runnable ranks"
-            )
-            cluster._aborted = True
-            cluster._abort_reason = reason
-            victim.victim = True
-        self.notify()
+        if self._cluster._aborted:
+            self.notify()
+        else:
+            self._declare()
         if self._run_queue:
             self._pass_baton()
         else:  # pragma: no cover - unreachable: unfinished implies blocked
             self._done.release()
+
+    def _declare(self) -> None:
+        """Nobody can run: mark :func:`declare_deadlock`'s victim and queue
+        every blocked rank (the victim raises the report when it resumes,
+        the rest :class:`~repro.mpi.errors.CommAbortedError`)."""
+        tasks = self._tasks
+        victim, reason = declare_deadlock(
+            self._cluster, (t.rank for t in tasks if not t.finished),
+            lambda rank: tasks[rank].describe(),
+        )
+        tasks[victim].deadlock = reason
+        self.notify()
+
+
+def declare_deadlock(
+    cluster: "SimCluster", unfinished: Iterable[int], describe: Callable[[int], str]
+) -> tuple[int, str]:
+    """The deadlock rule of both backends, applied once nobody can run (the
+    backend's own test: an empty run queue on ``event``, every unfinished
+    worker parked on ``process``).  The lowest unfinished rank is the
+    victim and ``describe(victim)`` -- what it waits on -- the report, so
+    the report is a property of the program, not of which rank blocked
+    last.  Aborts ``cluster`` with it; returns ``(victim, report)``."""
+    victim = min(unfinished)
+    reason = describe(victim)
+    cluster._aborted = True
+    cluster._abort_reason = reason
+    return victim, reason
 
 
 def make_scheduler(name: str, cluster: "SimCluster", seed: int | None) -> SchedulerBackend:

@@ -45,6 +45,7 @@ def contract(graph: Graph, match: Sequence[int]) -> CoarseLevel:
     if len(match) != n:
         raise ValueError(f"match has {len(match)} entries for {n} nodes")
     fine_to_coarse = [0] * n
+    weights = graph.node_weights
     coarse_weights: list[int] = []
     next_cid = 0
     for gid in graph.nodes():
@@ -55,10 +56,10 @@ def contract(graph: Graph, match: Sequence[int]) -> CoarseLevel:
             raise ValueError(f"inconsistent matching at node {gid}")
         next_cid += 1
         fine_to_coarse[gid - 1] = next_cid
-        weight = graph.node_weight(gid)
+        weight = weights[gid - 1]
         if partner != gid:
             fine_to_coarse[partner - 1] = next_cid
-            weight += graph.node_weight(partner)
+            weight += weights[partner - 1]
         coarse_weights.append(weight)
 
     edge_accum: dict[tuple[int, int], int] = {}

@@ -38,6 +38,8 @@ def greedy_bisection(
     total = graph.total_node_weight()
     target0 = total * left_fraction
     targets = [target0, total - target0]
+    weights = graph.node_weights
+    rows = list(graph.neighbor_rows(graph.nodes()))
 
     best_assignment: list[int] | None = None
     best_cut = float("inf")
@@ -58,13 +60,13 @@ def greedy_bisection(
             gid = queue.popleft()
             if assignment[gid - 1] == 0:
                 continue
-            w = graph.node_weight(gid)
+            w = weights[gid - 1]
             if load > 0 and load + w > target0 + w / 2:
                 # crossing the target by more than half this vertex: stop
                 break
             assignment[gid - 1] = 0
             load += w
-            for v in graph.neighbors(gid):
+            for v in rows[gid - 1]:
                 if assignment[v - 1] == 1 and v not in queued:
                     queue.append(v)
                     queued.add(v)

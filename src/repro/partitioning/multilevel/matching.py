@@ -29,12 +29,13 @@ def heavy_edge_matching(graph: Graph, rng: random.Random) -> list[int]:
     order = list(graph.nodes())
     rng.shuffle(order)
     weight = graph.known_edge_weight
+    rows = list(graph.neighbor_rows(graph.nodes()))
     for gid in order:
         if match[gid - 1]:
             continue
         best = gid  # stay single unless an unmatched neighbour exists
         best_weight = -1
-        for v in graph.neighbors(gid):
+        for v in rows[gid - 1]:
             if match[v - 1]:
                 continue
             w = weight(gid, v)
@@ -52,10 +53,11 @@ def random_matching(graph: Graph, rng: random.Random) -> list[int]:
     match = [0] * n
     order = list(graph.nodes())
     rng.shuffle(order)
+    rows = list(graph.neighbor_rows(graph.nodes()))
     for gid in order:
         if match[gid - 1]:
             continue
-        candidates = [v for v in graph.neighbors(gid) if not match[v - 1]]
+        candidates = [v for v in rows[gid - 1] if not match[v - 1]]
         best = rng.choice(candidates) if candidates else gid
         match[gid - 1] = best
         match[best - 1] = gid

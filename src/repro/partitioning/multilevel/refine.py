@@ -17,18 +17,19 @@ __all__ = ["move_gains", "fm_refine", "rebalance"]
 
 
 def move_gains(
-    graph: Graph, assignment: Sequence[int], gid: int
+    graph: Graph, assignment: Sequence[int], gid: int, nbrs: Sequence[int] | None = None
 ) -> dict[int, int]:
     """Gain of moving ``gid`` into each adjacent part.
 
     ``gain[part] = (edge weight into part) - (edge weight into own part)``.
-    Positive gain means the cut shrinks by that amount.
+    Positive gain means the cut shrinks by that amount.  ``nbrs`` is
+    ``gid``'s neighbour row when the caller already holds it.
     """
     own = assignment[gid - 1]
     external: dict[int, int] = {}
     internal = 0
     weight = graph.known_edge_weight
-    for v in graph.neighbors(gid):
+    for v in graph.neighbors(gid) if nbrs is None else nbrs:
         w = weight(gid, v)
         part = assignment[v - 1]
         if part == own:
@@ -87,7 +88,7 @@ def fm_refine(
                 continue  # never empty a part (the headroom cap would allow it)
             best_part = -1
             best_key: tuple[int, float] | None = None
-            for part, gain in move_gains(graph, assignment, gid).items():
+            for part, gain in move_gains(graph, assignment, gid, rows[gid - 1]).items():
                 if gain < 0:
                     continue
                 fits = loads[part] + w <= caps[part]
@@ -130,6 +131,7 @@ def rebalance(
     weights = graph.node_weights
     w_max = max(weights, default=1)
     caps = [max(t * tolerance, t + w_max) for t in target_loads]
+    rows = list(graph.neighbor_rows(graph.nodes()))
 
     for _ in range(graph.num_nodes):  # hard bound on total work
         over = [p for p in range(nparts) if loads[p] > caps[p]]
@@ -143,7 +145,7 @@ def rebalance(
                 if assignment[gid - 1] != part:
                     continue
                 w = weights[gid - 1]
-                gains = move_gains(graph, assignment, gid)
+                gains = move_gains(graph, assignment, gid, rows[gid - 1])
                 for dest, gain in gains.items():
                     if loads[dest] + w > caps[dest] and loads[dest] >= target_loads[dest]:
                         continue

@@ -322,7 +322,60 @@ def _report(program, scheduler: str = "event", seed: int | None = None) -> str:
     return str(excinfo.value)
 
 
+def _receive_ring(comm):
+    """Every rank receives from its right neighbour; nobody sends."""
+    comm.recv((comm.rank + 1) % comm.size, tag=5)
+
+
+def _receive_then_barrier(comm):
+    """Rank 0 receives from rank 1, which enters a barrier with rank 2."""
+    if comm.rank == 0:
+        comm.recv(1, tag=5)
+    else:
+        comm.barrier()
+
+
+def _barrier_then_receive(comm):
+    """Rank 2 receives from rank 1, which enters a barrier with rank 0."""
+    if comm.rank == 2:
+        comm.recv(1, tag=5)
+    else:
+        comm.barrier()
+
+
+def _reports(program, runs, **cluster_args) -> set[tuple[str, tuple[int, ...]]]:
+    """``{(DeadlockError text, ranks that raised it)}`` over ``runs``
+    fresh clusters of three ranks."""
+    out = set()
+    for seed in runs:
+        cluster = SimCluster(3, schedule_seed=seed, **cluster_args)
+        with pytest.raises(DeadlockError) as excinfo:
+            cluster.run(program)
+        victims = tuple(
+            r for r in range(3) if isinstance(cluster.state(r).error, DeadlockError)
+        )
+        out.add((str(excinfo.value), victims))
+    return out
+
+
 class TestDeadlockReport:
+    @pytest.mark.parametrize(
+        "program, expected",
+        [
+            (_receive_ring, "deadlock: rank 0 waiting on (source=1, tag=5) with all ranks blocked"),
+            (_receive_then_barrier, "deadlock: rank 0 waiting on (source=1, tag=5) with all ranks blocked"),
+            (_barrier_then_receive, "deadlock: rank 0 stuck in barrier"),
+        ],
+        ids=["receive-ring", "receive-then-barrier", "barrier-then-receive"],
+    )
+    def test_one_report_and_one_victim_on_every_schedule(self, program, expected):
+        """Nobody can run: the lowest unfinished rank is the victim and
+        what it waits on is the report, on the FIFO schedule, on ten
+        fuzzed ones and over five process runs -- whichever rank blocked
+        last."""
+        assert _reports(program, [None, *range(10)]) == {(expected, (0,))}
+        assert _reports(program, [None] * 5, scheduler="process") == {(expected, (0,))}
+
     @pytest.mark.parametrize("name", ["barrier", "bcast", "gather", "allgather", "allreduce"])
     @pytest.mark.parametrize("missing", [0, 2])
     @pytest.mark.parametrize("shrunk", [False, True])

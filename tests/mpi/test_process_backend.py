@@ -535,11 +535,16 @@ def _reverse_arrivals(comm):
 
 
 class _RecordingConn:
-    def __init__(self):
+    """A worker's pipe end that keeps what the broker sends it, and adds
+    itself to ``log`` (shared by a group's conns) on every send."""
+
+    def __init__(self, log=None):
         self.sent = []
+        self._log = [] if log is None else log
 
     def send(self, obj):
         self.sent.append(obj)
+        self._log.append(self)
 
 
 class TestOneRequestPerExchange:
@@ -587,6 +592,30 @@ class TestOneRequestPerExchange:
         assert cluster.state(0).awaiting is None
         assert cluster.messages_delivered == 3
         assert all(conn.sent == [] for conn in conns[1:])
+
+    def test_gather_root_answered_after_its_senders(self):
+        """The broker side of a 4-member gather with root 0, driven by
+        hand: each member makes one request, and the root's reply goes
+        out after every sender's, as its tree receives complete after
+        they sent and ran on."""
+        cluster = SimCluster(4, scheduler="process")
+        log = []
+        conns = [_RecordingConn(log) for _ in range(4)]
+        broker = process_module._Broker(cluster, conns, procs=[None] * 4)
+        cluster._backend._broker = broker
+        group = (0, 1, 2, 3)
+        try:
+            for rank in (0, 2, 1, 3):  # the root enters first
+                broker._handle(
+                    rank, ("rendezvous", 0, group, rank, "gather", 1.0, rank, 3, 0, 0)
+                )
+        finally:
+            cluster._backend._broker = None
+        assert broker.requests == 4
+        assert [len(conn.sent) for conn in conns] == [1, 1, 1, 1]
+        assert log[-1] is conns[0]
+        assert conns[0].sent == [("ok", ([1.0] * 4, [0, 1, 2, 3]))]
+        assert cluster.messages_delivered == 3
 
     def test_multi_source_deadlock_names_first_missing_source(self):
         """Rank 0 waits on sources 1 and 2; only 1 ever sends.  Both
