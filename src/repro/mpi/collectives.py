@@ -14,7 +14,8 @@ A collective is one rendezvous: every member publishes its entry clock,
 payload and the fates (:class:`~repro.mpi.faults.SendFate`) of its own tree
 sends, listed by :func:`sends`.  :func:`replay` computes every member's
 exit clock, result and retransmits from those alone, bit-identical to the
-trees of point-to-point messages the collective stands for.
+trees of point-to-point messages the collective stands for; a member a
+lost broadcast forward never reaches takes home :data:`UNREACHED`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from typing import Any, Callable, Sequence
 from .faults import CLEAN, SendFate, corrupt_value
 from .timing import _CONTAINER_NBYTES, estimate_nbytes
 
-__all__ = ["fold", "received", "replay", "sends", "sent"]
+__all__ = ["UNREACHED", "fold", "received", "replay", "sends", "sent"]
+
+UNREACHED = object()  # a member's result when a lost forward stopped its message
 
 
 def _unscaled(rank: int, clock: float) -> float:
@@ -169,12 +172,17 @@ def bcast(wire: _Wire, root: int, clocks: Sequence[float], value: Any, nbytes: i
                 inbox[child] = t + transfer(nbytes, group[r], group[(child + root) % n])
         else:
             if v:
+                if inbox[v] is None:  # a lost forward upstream stopped its message
+                    held[r] = UNREACHED
+                    continue
                 arrival, fate, held[r], nbytes = inbox[v]
                 t = wire.receive(r, t, arrival, nbytes, fate)
                 if fate.token is not None:  # forwarded as the tree sizes it
                     nbytes = estimate_nbytes(held[r])
             for child in children:
                 t, arrival, fate, got = wire.send(r, t, nbytes, (child + root) % n, held[r])
+                if fate.lost is not None:  # the sender raises; later children wait
+                    break
                 inbox[child] = arrival, fate, got, nbytes
         c[r] = t
     return c, held

@@ -335,22 +335,27 @@ class Communicator:
         """This member's result of collective ``name``: one rendezvous of the
         group, replayed by :func:`~repro.mpi.collectives.replay`, standing
         for one or (``all*``) two trees of ``size - 1`` messages, their tags
-        and counts.  The member draws its own sends' fates on entry (a lost
-        message raises here) and counts its retransmits after."""
+        and counts.  The member draws its own sends' fates on entry and
+        counts its retransmits after; a lost message raises where the tree
+        sends it: on entry, or a broadcast forward after its receive."""
         cluster, group, rank = self._cluster, self._group, self._rank
         faults, checksums = cluster.fault_state, cluster.checksums
-        fates = None
+        fates = lost = None
         if faults is not None and faults.plan.perturbs_messages:
             fates = []
             for dest, offset in collectives.sends(name, len(group), root, rank):
                 tag = _COLLECTIVE_TAG_BASE + self._coll_seq + offset
                 fate = faults.draw_send(self._world_rank, checksums, dest, tag)
-                if fate.lost is not None:
-                    raise MessageLostError(fate.lost)
                 fates.append(fate)
+                if fate.lost is not None:
+                    if offset == 0 and (name != "bcast" or rank == root):
+                        raise MessageLostError(fate.lost)
+                    lost = fate.lost
+                    break
             if all(fate is CLEAN for fate in fates):
                 fates = None
         rounds = 2 if name.startswith("all") else 1
+        tag = _COLLECTIVE_TAG_BASE + self._coll_seq + rounds - 1  # the broadcast's
         self._coll_seq += rounds
         link = cluster.machine, checksums, faults
 
@@ -364,6 +369,12 @@ class Communicator:
         )
         if retransmits[rank]:
             faults.count_retransmit(self._world_rank, retransmits[rank])
+        if results[rank] is collectives.UNREACHED:  # its parent never sends: wait for the abort
+            v = (rank - (root if name == "bcast" else 0)) % len(group)
+            source = (rank - v + (v & (v - 1))) % len(group)
+            cluster.wait_for_all(self._world_rank, self._comm_id, [source], tag)
+        if lost is not None:
+            raise MessageLostError(lost)
         return results[rank]
 
     def barrier(self) -> None:

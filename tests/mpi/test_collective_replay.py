@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ICPlatform
-from repro.mpi import ORIGIN2000, DeadlockError, FaultPlan, SimCluster
+from repro.mpi import ORIGIN2000, CommAbortedError, DeadlockError, FaultPlan, SimCluster
 from repro.mpi import TopologyMachineModel
 from repro.mpi.collectives import fold
 from repro.mpi.errors import MessageLostError, blocked_recv_text
@@ -286,6 +286,44 @@ class TestFaultsOnTheTreeEdges:
         tree = _outcome(case, trees=True, faults=faults, schedule_seed=seed)
         assert tree == ("error", MessageLostError)
         assert _outcome(case, trees=False, faults=faults, schedule_seed=seed) == tree
+
+    @pytest.mark.parametrize("seed", [None, *range(10)], ids=["fifo", *map(str, range(10))])
+    def test_a_forward_is_lost_only_after_its_receive(self, seed):
+        """The converse: a gather root's fold raises ``TypeError`` while a
+        sender's loss in the next allgather is a broadcast forward, which
+        the tree sends only after the allgather's gather completes -- so
+        never, and the ``TypeError`` fails the run under every schedule."""
+        case = {
+            "nprocs": 9,
+            "comm": "world",
+            "stride": 2,
+            "roots": [0, 0, 13, 0],
+            "skews": [0.0] * 9,
+            "lengths": [0] * 9,
+            "checksums": False,
+            "ring": False,
+        }
+        faults = FaultPlan(
+            seed=14,
+            drop=DropSpec(0.375),
+            retry=RetryPolicy(3),
+            flip_msg=MessageFlipSpec(0.5),
+        )
+        tree = _outcome(case, trees=True, faults=faults, schedule_seed=seed)
+        assert tree == ("error", TypeError)
+        assert _outcome(case, trees=False, faults=faults, schedule_seed=seed) == tree
+
+    @pytest.mark.parametrize("scheduler", ["event", "process"])
+    def test_members_past_a_lost_forward_never_leave(self, scheduler):
+        """Rank 4 of eight loses its broadcast forward to rank 5: rank 5
+        waits on it until the abort, as on the trees, and the run fails with
+        the loss."""
+        faults = FaultPlan(seed=13, drop=DropSpec(0.3), retry=RetryPolicy(2))
+        cluster = SimCluster(8, faults=faults, scheduler=scheduler)
+        with pytest.raises(MessageLostError, match="to rank 5 "):
+            cluster.run(_one_collective("bcast", [1.0]))
+        assert isinstance(cluster.state(4).error, MessageLostError)
+        assert isinstance(cluster.state(5).error, CommAbortedError)
 
 
 # --------------------------------------------------------------------- #
