@@ -1,14 +1,5 @@
 """Battlefield management simulation (the existing application of §2.2/§5.3)."""
 
-from .arms import (
-    ARMS,
-    ArmsHexState,
-    CombinedArmsApp,
-    CombinedArmsModel,
-    ForceMix,
-    opposing_arms_fronts,
-    simulate_arms_sequential,
-)
 from .combat import CombatModel
 from .movement import MovementModel
 from .scenario import (
@@ -18,20 +9,13 @@ from .scenario import (
     opposing_fronts,
     single_combat_zone,
 )
-from .render import combat_report, front_line, render_map
+from .render import render_map
 from .simulator import BattlefieldApp, BattlefieldCosts, simulate_sequential
 from .state import BLUE, RED, Departure, HexState
 
 __all__ = [
-    "ARMS",
-    "ArmsHexState",
     "BLUE",
     "BattlefieldApp",
-    "CombinedArmsApp",
-    "CombinedArmsModel",
-    "ForceMix",
-    "opposing_arms_fronts",
-    "simulate_arms_sequential",
     "BattlefieldCosts",
     "CombatModel",
     "Departure",
@@ -39,8 +23,6 @@ __all__ = [
     "MovementModel",
     "RED",
     "Scenario",
-    "combat_report",
-    "front_line",
     "general_engagement",
     "meeting_engagement",
     "render_map",

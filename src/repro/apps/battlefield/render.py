@@ -1,4 +1,4 @@
-"""Text rendering and battle analytics for battlefield states.
+"""Text rendering of battlefield states.
 
 Terrain maps make the simulation's spatial dynamics inspectable: where the
 front runs, how concentrated the combat zone is, how force density decays.
@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ...graphs.hexcoords import hex_distance
 from ...graphs.hexgrid import HexGrid
 from .state import HexState
 
-__all__ = ["render_map", "front_line", "combat_report"]
+__all__ = ["render_map"]
 
 #: Density glyphs, light to heavy.
 _RED_GLYPHS = "rRM"
@@ -56,34 +55,3 @@ def render_map(
         lines.append(indent + " ".join(cells))
     return "\n".join(lines)
 
-
-def front_line(grid: HexGrid, states: Mapping[int, HexState]) -> list[tuple[int, int]]:
-    """The contested hexes, as offset coordinates (the battle front)."""
-    return [
-        grid.rc(gid) for gid, state in sorted(states.items()) if state.contested
-    ]
-
-
-def combat_report(grid: HexGrid, states: Mapping[int, HexState]) -> dict[str, float]:
-    """Aggregate battle statistics.
-
-    Returns a dict with: red/blue surviving strength, red/blue destroyed,
-    number of contested hexes, and the front's spatial extent (max pairwise
-    hex distance between contested hexes; 0 when fewer than 2).
-    """
-    red, blue = HexState.total_strengths(states.values())
-    destroyed_red = sum(s.destroyed_red for s in states.values())
-    destroyed_blue = sum(s.destroyed_blue for s in states.values())
-    front = front_line(grid, states)
-    extent = 0
-    for i in range(len(front)):
-        for j in range(i + 1, len(front)):
-            extent = max(extent, hex_distance(front[i], front[j]))
-    return {
-        "red": red,
-        "blue": blue,
-        "destroyed_red": destroyed_red,
-        "destroyed_blue": destroyed_blue,
-        "contested_hexes": float(len(front)),
-        "front_extent": float(extent),
-    }

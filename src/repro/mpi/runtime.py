@@ -266,8 +266,13 @@ class SimCluster:
                 state.result = fn(comm, *args, *extra)
             except BaseException as exc:  # noqa: BLE001 - reraised in run()
                 state.error = exc
-                self._aborted = True
-                self._abort_reason = f"rank {rank} raised {type(exc).__name__}: {exc}"
+                # The first abort reason wins, as in the broker's _finish:
+                # an error raised after an abort (its CommAbortedError, or
+                # a deadlock victim's report) must not rewrite what the
+                # peers still to resume are told.
+                if not self._aborted:
+                    self._aborted = True
+                    self._abort_reason = f"rank {rank} raised {type(exc).__name__}: {exc}"
                 backend.notify()
             finally:
                 state.finished = True

@@ -1,4 +1,4 @@
-"""Tests for battlefield map rendering and analytics."""
+"""Tests for battlefield map rendering."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import pytest
 from repro.apps.battlefield import (
     BattlefieldApp,
     HexState,
-    combat_report,
-    front_line,
     opposing_fronts,
     render_map,
     simulate_sequential,
@@ -57,32 +55,3 @@ class TestRenderMap:
         text = render_map(grid, states)
         assert set(text) <= set(". \n")
 
-
-class TestAnalytics:
-    def test_front_line_contested_only(self, mid_battle):
-        app, states = mid_battle
-        front = front_line(app.scenario.grid, states)
-        for row, col in front:
-            assert states[app.scenario.grid.gid(row, col)].contested
-
-    def test_combat_report_consistency(self, mid_battle):
-        app, states = mid_battle
-        report = combat_report(app.scenario.grid, states)
-        red0, blue0 = app.scenario.total_strengths()
-        assert report["red"] + report["destroyed_red"] == pytest.approx(red0)
-        assert report["blue"] + report["destroyed_blue"] == pytest.approx(blue0)
-        assert report["contested_hexes"] == len(front_line(app.scenario.grid, states))
-
-    def test_front_extent_spans_the_line(self, mid_battle):
-        app, states = mid_battle
-        report = combat_report(app.scenario.grid, states)
-        if report["contested_hexes"] >= 2:
-            # front stretches across most of the 8 rows
-            assert report["front_extent"] >= 4
-
-    def test_no_combat_no_front(self):
-        grid = HexGrid(3, 3)
-        states = {gid: HexState(gid=gid, red=1.0) for gid in range(1, 10)}
-        report = combat_report(grid, states)
-        assert report["contested_hexes"] == 0
-        assert report["front_extent"] == 0

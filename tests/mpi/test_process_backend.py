@@ -41,6 +41,7 @@ from repro.mpi import (
 )
 from repro.graphs import HexGrid
 from repro.mpi import process as process_module
+from repro.mpi.errors import blocked_recv_text
 from repro.mpi.message import Message
 from repro.mpi.shm import ShadowRing, SharedSegment, leaked_segments
 from repro.partitioning import MetisLikePartitioner
@@ -728,6 +729,26 @@ class TestProcessDeadlock:
         ]
         assert len(aborted) == 2
         _assert_no_leaked_segments()
+
+    @pytest.mark.parametrize("scheduler", BACKENDS)
+    def test_peers_are_told_the_first_abort_reason(self, scheduler):
+        """The deadlock report is the abort reason, and the victim raising
+        it afterwards does not rewrite it: both peers of a 3-rank receive
+        ring get the victim's own text, on either backend and whichever
+        rank resumes first."""
+
+        def ring(comm):
+            try:
+                comm.recv(source=(comm.rank + 1) % 3, tag=7)
+            except CommAbortedError as exc:
+                return str(exc)
+
+        report = blocked_recv_text(0, 1, 7)
+        cluster = SimCluster(3, scheduler=scheduler)
+        with pytest.raises(DeadlockError) as excinfo:
+            cluster.run(ring)
+        assert str(excinfo.value) == report
+        assert [cluster.state(r).result for r in (1, 2)] == [report, report]
 
     def test_worker_process_death_surfaces(self):
         """A rank whose OS process dies outright (not a simulated crash)
