@@ -55,3 +55,57 @@ class TestRenderMap:
         text = render_map(grid, states)
         assert set(text) <= set(". \n")
 
+
+
+def _cells(text: str) -> list[list[str]]:
+    return [line.split() for line in text.splitlines()]
+
+
+class TestGlyphs:
+    @pytest.mark.parametrize(
+        "red,blue,glyph",
+        [
+            (0.5, 0.0, "r"),
+            (1.5, 0.0, "R"),
+            (2.5, 0.0, "M"),
+            (10.0, 0.0, "M"),
+            (0.0, 0.5, "b"),
+            (0.0, 1.5, "B"),
+            (0.0, 2.5, "W"),
+            (0.0, 10.0, "W"),
+        ],
+    )
+    def test_density_levels(self, red, blue, glyph):
+        grid = HexGrid(1, 1)
+        text = render_map(grid, {1: HexState(gid=1, red=red, blue=blue)}, 1.0)
+        assert text == glyph
+
+    def test_contested_hexes_are_exactly_the_xs(self, mid_battle):
+        app, states = mid_battle
+        grid = app.scenario.grid
+        cells = _cells(render_map(grid, states))
+        xs = {(r, c) for r, row in enumerate(cells) for c, g in enumerate(row) if g == "x"}
+        contested = {grid.rc(gid) for gid, s in states.items() if s.contested}
+        assert contested
+        assert xs == contested
+
+    def test_one_glyph_per_column(self, mid_battle):
+        app, states = mid_battle
+        grid = app.scenario.grid
+        assert [len(row) for row in _cells(render_map(grid, states))] == [
+            grid.cols
+        ] * grid.rows
+
+    def test_default_scale_gives_the_densest_hex_the_top_glyph(self):
+        grid = HexGrid(1, 3)
+        states = {
+            1: HexState(gid=1, red=0.5),
+            2: HexState(gid=2, red=1.5),
+            3: HexState(gid=3, red=3.0),
+        }
+        assert render_map(grid, states) == "r R M"
+
+    def test_explicit_scale_overrides_the_peak(self):
+        grid = HexGrid(1, 2)
+        states = {1: HexState(gid=1, red=5.0), 2: HexState(gid=2, blue=25.0)}
+        assert render_map(grid, states, density_scale=10.0) == "r W"
