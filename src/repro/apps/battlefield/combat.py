@@ -8,14 +8,13 @@ defenders take is proportional to the firepower aimed at them.
 
 Crucially, the damage a hex receives depends only on its own state and its
 immediate neighbours' states, so every hex can resolve its own losses from
-the platform's one-hop view -- no two-hop information is ever needed.
+the platform's one-hop view -- no two-hop information is ever needed.  The
+neighbours enter only through their summed strengths, which the caller folds
+once (left to right, so the floats do not depend on the interpreter's
+``sum()``) and shares with the movement rules.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
-
-from .state import HexState
 
 __all__ = ["CombatModel"]
 
@@ -41,9 +40,10 @@ class CombatModel:
         self.adjacent_intensity = adjacent_intensity
 
     def incoming_fire(
-        self, own: HexState, neighbors: Sequence[HexState]
+        self, red: float, blue: float, red_near: float, blue_near: float
     ) -> tuple[float, float]:
-        """Firepower aimed at ``own`` this step.
+        """Firepower aimed at a hex holding ``red`` and ``blue`` whose
+        neighbours hold ``red_near`` and ``blue_near`` between them.
 
         Returns ``(fire_at_red, fire_at_blue)``: blue strength in and around
         the hex shoots at red defenders and vice versa.  Fire only counts
@@ -52,34 +52,22 @@ class CombatModel:
         """
         fire_at_red = 0.0
         fire_at_blue = 0.0
-        if own.red > 0:
-            fire_at_red = own.blue + self.adjacent_intensity * sum(
-                s.blue for s in neighbors
-            )
-        if own.blue > 0:
-            fire_at_blue = own.red + self.adjacent_intensity * sum(
-                s.red for s in neighbors
-            )
+        if red > 0:
+            fire_at_red = blue + self.adjacent_intensity * blue_near
+        if blue > 0:
+            fire_at_blue = red + self.adjacent_intensity * red_near
         return fire_at_red, fire_at_blue
 
     def resolve(
-        self, own: HexState, neighbors: Sequence[HexState]
+        self, red: float, blue: float, red_near: float, blue_near: float
     ) -> tuple[float, float, float, float]:
-        """Apply one step of attrition to ``own``.
+        """Apply one step of attrition to a hex (arguments as
+        :meth:`incoming_fire`).
 
         Returns ``(new_red, new_blue, red_losses, blue_losses)``; losses
         are capped at the strength present.
         """
-        fire_at_red, fire_at_blue = self.incoming_fire(own, neighbors)
-        red_losses = min(own.red, self.kill_rate * fire_at_red)
-        blue_losses = min(own.blue, self.kill_rate * fire_at_blue)
-        return own.red - red_losses, own.blue - blue_losses, red_losses, blue_losses
-
-    def threat(self, own: HexState, neighbors: Sequence[HexState]) -> tuple[float, float]:
-        """Visible enemy strength per side: ``(threat_to_red, threat_to_blue)``.
-
-        Used by the movement rules to decide advance vs hold.
-        """
-        blue_visible = own.blue + sum(s.blue for s in neighbors)
-        red_visible = own.red + sum(s.red for s in neighbors)
-        return blue_visible, red_visible
+        fire_at_red, fire_at_blue = self.incoming_fire(red, blue, red_near, blue_near)
+        red_losses = min(red, self.kill_rate * fire_at_red)
+        blue_losses = min(blue, self.kill_rate * fire_at_blue)
+        return red - red_losses, blue - blue_losses, red_losses, blue_losses

@@ -14,13 +14,19 @@ Each side decides its departures from purely local (one-hop) information:
 Only the hex itself computes its departures; neighbours merely read the
 resulting ``departures`` tuple during the movement round, so no two-hop
 knowledge is required anywhere.
+
+Every choice among neighbours is one pass over the ``(gid, state)`` pairs
+with an explicit tie-break on the gid, so the result does not depend on the
+adjacency order.  The advance target depends only on the topology
+(:meth:`MovementModel.advance_target`), so callers may compute it once per
+hex.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .state import BLUE, RED, Departure, HexState, Side
+from .state import RED, Departure, HexState, Side
 
 __all__ = ["MovementModel"]
 
@@ -59,65 +65,81 @@ class MovementModel:
         self.retreat_ratio = retreat_ratio
         self.min_move = min_move
 
-    def departures_for_side(
+    @staticmethod
+    def advance_target(
+        side: Side, own_gid: int, neighbor_gids: Iterable[int], column_of: ColumnOf
+    ) -> int | None:
+        """The neighbour ``side`` marches to on its objective, or ``None``.
+
+        Red pushes to higher columns, blue to lower ones; among neighbours
+        in the furthest column the lowest gid wins.  ``None`` when no
+        neighbour lies ahead (the map edge in the objective direction).
+        """
+        east = side == RED
+        dest = None
+        dest_col = column_of(own_gid)
+        for gid in neighbor_gids:
+            col = column_of(gid)
+            if (col > dest_col if east else col < dest_col) or (
+                col == dest_col and dest is not None and gid < dest
+            ):
+                dest, dest_col = gid, col
+        return dest
+
+    def departure(
         self,
         side: Side,
-        own_gid: int,
         own_strength: float,
         enemy_here: float,
-        neighbors: Sequence[HexState],
-        column_of: ColumnOf,
-    ) -> list[Departure]:
-        """Departures of ``side`` from hex ``own_gid`` holding ``own_strength``.
+        neighbors: Sequence[tuple[int, HexState]],
+        advance_to: int | None,
+    ) -> Departure | None:
+        """The departure of ``side`` from a hex, or ``None`` if it holds.
 
         Args:
             side: ``"red"`` or ``"blue"``.
-            own_gid: Global ID of the deciding hex.
             own_strength: Post-combat strength of this side in the hex.
             enemy_here: Post-combat enemy strength sharing the hex.
-            neighbors: Committed neighbour states (one-hop view).
-            column_of: Grid-column lookup for the objective direction.
+            neighbors: ``(gid, committed state)`` of each neighbour.
+            advance_to: The hex's :meth:`advance_target` for ``side``.
         """
         if own_strength <= self.min_move or not neighbors:
-            return []
-        enemy = BLUE if side == RED else RED
+            return None
+        red = side == RED
 
-        # Retreat: locally overrun.
+        # Retreat: locally overrun.  Fall back where enemy - own is least.
         if enemy_here > self.retreat_ratio * max(own_strength, 1e-9):
-            dest = min(
-                neighbors,
-                key=lambda s: (s.strength(enemy) - s.strength(side), s.gid),
-            )
             amount = self.retreat_fraction * own_strength
-            if amount > self.min_move:
-                return [Departure(dest.gid, side, amount)]
-            return []
+            if amount <= self.min_move:
+                return None
+            dest = None
+            for gid, s in neighbors:
+                key = s.blue - s.red if red else s.red - s.blue
+                if dest is None or key < least or (key == least and gid < dest):
+                    dest, least = gid, key
+            return Departure(dest, side, amount)
 
         # Engage: mass toward the strongest visible enemy concentration.
-        hostile = [s for s in neighbors if s.strength(enemy) > 0]
-        if hostile:
-            dest = max(hostile, key=lambda s: (s.strength(enemy), -s.gid))
-            # Do not charge into a hex that massively outguns the mover.
+        dest = None
+        for gid, s in neighbors:
+            enemy = s.blue if red else s.red
+            if enemy > 0 and (
+                dest is None or enemy > most or (enemy == most and gid < dest)
+            ):
+                dest, most = gid, enemy
+        if dest is not None:
             amount = self.advance_fraction * own_strength
-            if dest.strength(enemy) > self.retreat_ratio * amount:
-                return []
-            if amount > self.min_move:
-                return [Departure(dest.gid, side, amount)]
-            return []
+            # Do not charge into a hex that massively outguns the mover.
+            if most > self.retreat_ratio * amount or amount <= self.min_move:
+                return None
+            return Departure(dest, side, amount)
         if enemy_here > 0:
-            return []  # enemy in our own hex: stand and fight
+            return None  # enemy in our own hex: stand and fight
 
-        # Advance on the objective: red pushes to higher columns, blue lower.
-        here = column_of(own_gid)
-        if side == RED:
-            dest = max(neighbors, key=lambda s: (column_of(s.gid), -s.gid))
-            forward = column_of(dest.gid) > here
-        else:
-            dest = min(neighbors, key=lambda s: (column_of(s.gid), s.gid))
-            forward = column_of(dest.gid) < here
-        if not forward:
-            return []  # at the map edge in the objective direction
+        # Advance on the objective.
+        if advance_to is None:
+            return None  # at the map edge in the objective direction
         amount = self.advance_fraction * own_strength
-        if amount > self.min_move:
-            return [Departure(dest.gid, side, amount)]
-        return []
+        if amount <= self.min_move:
+            return None
+        return Departure(advance_to, side, amount)

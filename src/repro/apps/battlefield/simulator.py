@@ -86,6 +86,8 @@ class BattlefieldApp:
         self.movement = movement or MovementModel()
         self.costs = costs or BattlefieldCosts()
         self._column_of = lambda gid: (gid - 1) % scenario.grid.cols
+        #: gid -> (red, blue) objective-march target, filled on first visit.
+        self._advance_targets: dict[int, tuple[int | None, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Platform plug-ins
@@ -125,25 +127,46 @@ class BattlefieldApp:
 
     def combat_round(self, node: NodeView, ctx: ComputeContext) -> HexState:
         state: HexState = node.value
-        neighbors: list[HexState] = node.neighbor_values()
         ctx.work(self.costs.combat_base + self.costs.combat_per_strength * state.total)
 
-        red, blue, red_losses, blue_losses = self.combat.resolve(state, neighbors)
-        departures = []
-        departures += self.movement.departures_for_side(
-            RED, state.gid, red, blue, neighbors, self._column_of
+        # The one read of the neighbourhood's strengths, folded left to
+        # right: ``sum()`` over floats is compensated from Python 3.12 on.
+        neighbors = node.neighbors
+        red_near = blue_near = 0.0
+        for _, s in neighbors:
+            red_near += s.red
+            blue_near += s.blue
+        red, blue, red_losses, blue_losses = self.combat.resolve(
+            state.red, state.blue, red_near, blue_near
         )
-        departures += self.movement.departures_for_side(
-            BLUE, state.gid, blue, red, neighbors, self._column_of
-        )
-        red -= sum(d.strength for d in departures if d.side == RED)
-        blue -= sum(d.strength for d in departures if d.side == BLUE)
-        return state.with_changes(
-            red=max(0.0, red),
-            blue=max(0.0, blue),
-            departures=tuple(departures),
-            destroyed_red=state.destroyed_red + red_losses,
-            destroyed_blue=state.destroyed_blue + blue_losses,
+
+        # The objective-march targets depend only on the topology: one
+        # computation per hex and app.
+        gid = state.gid
+        move = self.movement
+        targets = self._advance_targets.get(gid)
+        if targets is None:
+            gids = [v for v, _ in neighbors]
+            targets = self._advance_targets[gid] = tuple(
+                move.advance_target(side, gid, gids, self._column_of) for side in (RED, BLUE)
+            )
+        to_red = move.departure(RED, red, blue, neighbors, targets[0])
+        to_blue = move.departure(BLUE, blue, red, neighbors, targets[1])
+        departures = ()
+        if to_red is not None:
+            red -= to_red.strength
+            departures = (to_red,)
+        if to_blue is not None:
+            blue -= to_blue.strength
+            departures += (to_blue,)
+        return HexState(
+            gid,
+            max(0.0, red),
+            max(0.0, blue),
+            departures,
+            state.destroyed_red + red_losses,
+            state.destroyed_blue + blue_losses,
+            state.step,
         )
 
     # ------------------------------------------------------------------ #
@@ -152,12 +175,13 @@ class BattlefieldApp:
 
     def movement_round(self, node: NodeView, ctx: ComputeContext) -> HexState:
         state: HexState = node.value
+        gid = state.gid
         arrivals_red = 0.0
         arrivals_blue = 0.0
         count = 0
         for _, neighbor in node.neighbors:
             for dep in neighbor.departures:
-                if dep.target_gid != state.gid:
+                if dep.target_gid != gid:
                     continue
                 count += 1
                 if dep.side == RED:
@@ -165,11 +189,14 @@ class BattlefieldApp:
                 else:
                     arrivals_blue += dep.strength
         ctx.work(self.costs.move_base + self.costs.move_per_arrival * count)
-        return state.with_changes(
-            red=state.red + arrivals_red,
-            blue=state.blue + arrivals_blue,
-            departures=(),
-            step=state.step + 1,
+        return HexState(
+            gid,
+            state.red + arrivals_red,
+            state.blue + arrivals_blue,
+            (),
+            state.destroyed_red,
+            state.destroyed_blue,
+            state.step + 1,
         )
 
 

@@ -108,9 +108,9 @@ class HexState:
     def with_changes(self, **kwargs) -> "HexState":
         """Functional update: a new, validated state with the named fields
         replaced (an unknown name is ``__init__``'s ``TypeError``).  Spelled
-        out because every node update makes one: ``dataclasses.replace``
-        re-introspects the fields on each call, and going through
-        ``__dict__`` would cost every later attribute read its fast path."""
+        out rather than ``dataclasses.replace``, which re-introspects the
+        fields on each call.  The node functions call the constructor
+        positionally instead, which skips the keyword handling too."""
         pop = kwargs.pop
         return HexState(
             pop("gid", self.gid),
@@ -124,8 +124,13 @@ class HexState:
         )
 
     def departing(self, side: Side) -> float:
-        """Total strength of ``side`` currently marching out."""
-        return sum(d.strength for d in self.departures if d.side == side)
+        """Total strength of ``side`` currently marching out (folded left
+        to right: from 3.12 on, ``sum()`` over floats is compensated)."""
+        total = 0.0
+        for d in self.departures:
+            if d.side == side:
+                total += d.strength
+        return total
 
     @staticmethod
     def total_strengths(states: Iterable["HexState"]) -> tuple[float, float]:

@@ -130,7 +130,7 @@ def jacobi_step_reference(
         if not nbrs:
             out[gid] = values[gid]
             continue
-        mean = sum(values[v] for v in nbrs) / len(nbrs)
+        mean = reduce(operator.add, [values[v] for v in nbrs], 0) / len(nbrs)
         out[gid] = (1.0 - omega) * values[gid] + omega * mean
     return out
 
@@ -144,7 +144,7 @@ def residual(graph: Graph, values: Mapping[int, float], boundary: Mapping[int, f
         nbrs = graph.neighbors(gid)
         if not nbrs:
             continue
-        mean = sum(values[v] for v in nbrs) / len(nbrs)
+        mean = reduce(operator.add, [values[v] for v in nbrs], 0) / len(nbrs)
         worst = max(worst, abs(values[gid] - mean))
     return worst
 

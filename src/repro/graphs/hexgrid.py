@@ -82,8 +82,10 @@ class HexGrid:
         """Like :meth:`neighbor_cells` but keeping the direction index 0..5.
 
         Direction indices follow the offset tables' order (W, E, then the two
-        upper and two lower neighbours); the battlefield simulator uses them
-        for its per-direction ``destroyed`` bookkeeping.
+        upper and two lower neighbours), the index Figure 2's per-direction
+        ``destroyed[...]`` counters use.  The battlefield here keeps
+        aggregate counters per hex, so nothing in the package calls this;
+        the geometry tests do.
         """
         self._check(row, col)
         offsets = _ODD_ROW_OFFSETS if row % 2 else _EVEN_ROW_OFFSETS
