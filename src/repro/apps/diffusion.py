@@ -54,6 +54,9 @@ def make_jacobi_fn(
     """
     if not 0.0 < omega <= 1.0:
         raise ValueError(f"omega must be in (0, 1], got {omega}")
+    # Float pins, as ``jacobi_bulk`` writes them: an ``int`` pin would pack
+    # and price differently on the list store than on the SoA store.
+    boundary = {gid: float(value) for gid, value in boundary.items()}
 
     def jacobi_fn(node: NodeView, ctx: ComputeContext) -> float:
         ctx.work(grain)

@@ -244,7 +244,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             overlap_communication=args.overlap,
             rebalance_mode=args.rebalance_mode,
             checkpoint_period=args.checkpoint_period,
-            checkpoint_keep=args.checkpoint_keep,
             recovery_policy=args.recovery,
             integrity=args.integrity,
             activation=args.activation,
@@ -341,8 +340,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             print(
                 f"corruption    iter {event.iteration}: node {event.gid} "
-                f"on rank {event.owner} [{event.mode}] via {source}, "
-                f"latency {event.latency}"
+                f"on rank {event.owner} [{event.mode}] via {source}"
             )
     if args.phases:
         print("phase breakdown (mean per rank):")
@@ -458,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "rollback), full (digests + shadow-replica repair)")
     run.add_argument("--checkpoint-period", type=int, default=defaults["checkpoint_period"],
                      help="checkpoint every K iterations (0 = baseline only)")
-    run.add_argument("--checkpoint-keep", type=int, default=defaults["checkpoint_keep"],
-                     help="snapshots retained per rank (older ones pruned)")
     run.add_argument("--recovery", **choice("recovery_policy"),
                      help="crash recovery policy: rollback (restore everyone, "
                           "resurrect the dead rank) or shrink (continue on "

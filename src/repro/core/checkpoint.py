@@ -53,32 +53,24 @@ class Checkpoint:
 class Checkpointer:
     """Per-rank checkpoint schedule + storage.
 
+    Only the newest snapshot is kept: a rollback restores it, and a memory
+    flip is agreed on the iteration it fires, before any checkpoint could
+    hold the corrupted value.
+
     Args:
         period: Take a checkpoint after every ``period`` completed
             iterations (0 disables periodic checkpoints; the baseline taken
             via :meth:`take` at iteration 0 still allows restart-from-
             scratch recovery).
-        keep: Retain at most this many snapshots; older ones are pruned as
-            new ones arrive, so long runs with small periods hold bounded
-            memory.  Rollback always restores the newest snapshot; keeping
-            one spare guards against a checkpoint interrupted by the next
-            failure.  Must be >= 1.
     """
 
-    def __init__(self, period: int = 0, keep: int = 2) -> None:
+    def __init__(self, period: int = 0) -> None:
         if period < 0:
             raise ValueError(f"checkpoint period must be >= 0, got {period}")
-        if keep < 1:
-            raise ValueError(f"checkpoint keep must be >= 1, got {keep}")
         self.period = period
-        self.keep = keep
-        self.snapshots: list[Checkpoint] = []
+        #: The newest snapshot (None before the first take).
+        self.last: Checkpoint | None = None
         self.taken = 0
-
-    @property
-    def last(self) -> Checkpoint | None:
-        """The newest retained snapshot (None before the first take)."""
-        return self.snapshots[-1] if self.snapshots else None
 
     def due(self, iteration: int) -> bool:
         """Whether a periodic checkpoint is owed after ``iteration``."""
@@ -107,30 +99,9 @@ class Checkpointer:
             raise CheckpointError(
                 f"iteration-{iteration} checkpoint failed to serialize: {exc}"
             ) from exc
-        checkpoint = Checkpoint(iteration=iteration, payload=payload)
-        self.snapshots.append(checkpoint)
-        del self.snapshots[: -self.keep]
+        self.last = Checkpoint(iteration=iteration, payload=payload)
         self.taken += 1
-        return checkpoint
-
-    def discard_since(self, iteration: int) -> int:
-        """Drop every retained snapshot taken at or after ``iteration``.
-
-        Silent-corruption recovery needs this: a memory flip injected at the
-        start of iteration *j* taints every checkpoint taken at the end of
-        *j* or later (the corrupted value fed those sweeps), so rolling back
-        must fall through to an older retained snapshot -- which is why
-        ``keep > 1`` matters when detection can lag injection.
-
-        Returns:
-            The number of snapshots discarded.  :meth:`restore` afterwards
-            uses the newest *surviving* snapshot (and raises
-            :class:`CheckpointError` if none survived).
-        """
-        keep = [s for s in self.snapshots if s.iteration < iteration]
-        dropped = len(self.snapshots) - len(keep)
-        self.snapshots = keep
-        return dropped
+        return self.last
 
     def restore(self, store: NodeStore) -> tuple[int, dict[str, Any]]:
         """Rebuild ``store`` from the last checkpoint.

@@ -629,30 +629,22 @@ class Frontier:
         self._touch(self._position_of[touched])
 
     def capture(self, store: NodeStore) -> dict[str, Any]:
-        """Checkpoint payload: the active sets as plain sorted gid lists
-        (``None`` for a dense class)."""
+        """Checkpoint payload: each round's active sets, internal class
+        first, as plain sorted gid lists (``None`` for a dense class), and
+        the cumulative ``inner_sweeps``."""
         topo = self._bind(store)
         gids, spans = topo.gids, topo.spans
         active = [
             [None if dense[p] else sorted(gids[s][mask[s]].tolist()) for p, s in enumerate(spans)]
             for mask, dense in zip(self._masks, self._dense)
         ]
-        if self.inner_cap is None:
-            return {"dirty": [None if i is None else sorted(i + p) for i, p in active]}
-        return {
-            "boundary": [peripheral for _, peripheral in active],
-            "interior": [internal for internal, _ in active],
-            "inner_sweeps": self.inner_sweeps,
-        }
+        return {"active": active, "inner_sweeps": self.inner_sweeps}
 
     def restore(self, state: dict[str, Any], store: NodeStore) -> None:
         """Reinstate what a checkpoint captured over the restored ``store``
         (rollback path); gids it does not own are dropped."""
-        if "dirty" in state:  # both classes at once
-            active = [[dirty, dirty] for dirty in state["dirty"]]
-        else:
-            active = [list(parts) for parts in zip(state["interior"], state["boundary"])]
-            self.inner_sweeps = state["inner_sweeps"]
+        active = state["active"]
+        self.inner_sweeps = state["inner_sweeps"]
         self.reset_dense()
         self._bind(store)
         self._dense = np.array([[part is None for part in parts] for parts in active])

@@ -51,8 +51,6 @@ AT_LEAST: dict[str, int] = {
     "comm_rounds": 1,
     "max_migrations_per_pair": 1,
     "checkpoint_period": 0,
-    "checkpoint_keep": 1,
-    "integrity_period": 1,
     "hybrid_inner_cap": 1,
 }
 
@@ -186,9 +184,8 @@ class PlatformConfig:
             iterations (0 = off).  When a fault plan schedules crashes, a
             post-initialization baseline checkpoint is always taken, so
             recovery works even with periodic checkpoints disabled (it just
-            replays from iteration 1).
-        checkpoint_keep: Snapshots retained per rank (older ones pruned);
-            bounds checkpoint memory on long runs with small periods.
+            replays from iteration 1).  Each rank keeps only its newest
+            snapshot.
         recovery_policy: What to do when a crash fault fires:
             ``"rollback"`` (all ranks restore the last checkpoint and
             re-execute, the dead rank resurrected -- PR 1 behaviour) or
@@ -204,14 +201,6 @@ class PlatformConfig:
             or ``"full"`` (checksums + digests + shadow-replica surgical
             repair: a corrupted *boundary* node is re-fetched point-to-point
             from the neighbor rank that mirrors it, no rollback needed).
-        integrity_period: Exchange corruption claims collectively every
-            this many iterations (>= 1); digests are still refreshed and
-            diffed locally each iteration.  With 1 a flip is agreed on the
-            superstep it fires and boundary repair is exact; larger values
-            cheapen the exchange at the price of detection latency -- a
-            flip detected late
-            has contaminated downstream state, so recovery falls back to a
-            rollback past the injection point regardless of replicas.
         execution: Superstep structure: ``"bsp"`` (every sweep is globally
             synchronous -- the thesis's behaviour) or ``"hybrid"`` (the
             GraphHP split: each superstep first runs a *boundary phase*
@@ -270,10 +259,8 @@ class PlatformConfig:
     max_migrations_per_pair: int = 1
     rebalance_mode: str = CHOICES["rebalance_mode"][0]
     checkpoint_period: int = 0
-    checkpoint_keep: int = 2
     recovery_policy: str = CHOICES["recovery_policy"][0]
     integrity: str = CHOICES["integrity"][0]
-    integrity_period: int = 1
     store: str | None = None
     execution: str = CHOICES["execution"][0]
     hybrid_inner_cap: int = 32

@@ -15,16 +15,14 @@ PRs 1-2 made the platform robust to *fail-stop* faults; this module covers
 * **Shadow-node replicas.**  A *boundary* (peripheral) node's committed
   value is already mirrored on every neighbor rank at the start of an
   iteration -- the shadow exchange shipped exactly that value last sweep.
-  Those mirrors act as authoritative replicas: when the corruption is
-  caught before any sweep consumed it, the owner re-fetches the value
+  Those mirrors act as authoritative replicas: the corruption is caught
+  before any sweep consumed it, so the owner re-fetches the value
   point-to-point from the lowest-ranked replica holder and the run
   continues -- no rollback, no wasted work.
-* **Checkpoint rollback fallback.**  Interior nodes have no replica, and a
-  claim detected late (``integrity_period > 1``) has already contaminated
-  downstream state; both fall back to the PR-1 checkpoint machinery,
-  discarding snapshots taken since the injection so the restore point is
-  guaranteed clean (:meth:`~repro.core.checkpoint.Checkpointer.
-  discard_since`).
+* **Checkpoint rollback fallback.**  Interior nodes have no replica; their
+  corruption falls back to the PR-1 checkpoint machinery.  A flip is
+  agreed on the iteration it fires, before the next checkpoint is taken,
+  so the newest snapshot is always clean.
 
 All costs are priced in virtual time through the machine model's
 ``digest_time`` / ``repair_time`` terms plus the ordinary message costs of
@@ -99,10 +97,10 @@ class CorruptionClaim:
     Attributes:
         owner: Communicator-local rank owning the corrupted node.
         gid: Global id of the corrupted node.
-        flip_iteration: Iteration at whose start the owner first saw the
-            digest mismatch (== the injection iteration: committed values
-            cannot legitimately change between the reference digest and the
-            re-check).
+        flip_iteration: Iteration at whose start the owner saw the digest
+            mismatch (== the injection iteration: committed values cannot
+            legitimately change between the reference digest and the
+            re-check, and every check is exchanged).
         holders: Communicator-local ranks holding this node as a shadow
             (its replica set); empty for interior nodes.
     """
@@ -123,17 +121,13 @@ class IntegrityDecision:
     Attributes:
         iteration: Iteration at whose start the exchange ran.
         claims: All ranks' claims, in (owner, gid) order.
-        repair: True when every claim is surgically repairable: caught the
-            superstep it was injected (nothing consumed it yet), a replica
-            exists, and replica repair is enabled.
-        min_flip_iteration: Earliest injection among the claims -- the
-            rollback path must restore a checkpoint older than this.
+        repair: True when every claim is surgically repairable: a replica
+            exists and replica repair is enabled.
     """
 
     iteration: int
     claims: tuple[CorruptionClaim, ...]
     repair: bool
-    min_flip_iteration: int
 
 
 class IntegrityGuard:
@@ -144,26 +138,13 @@ class IntegrityGuard:
         store: The rank's node store.
         repair: Allow shadow-replica surgical repair (``integrity="full"``);
             otherwise every confirmed corruption rolls back.
-        period: Exchange claims every this many iterations (local digest
-            checks still run every iteration -- corruption must be observed
-            before the sweep overwrites the evidence).
     """
 
-    def __init__(
-        self,
-        comm: Communicator,
-        store: NodeStore,
-        repair: bool,
-        period: int = 1,
-    ) -> None:
+    def __init__(self, comm: Communicator, store: NodeStore, repair: bool) -> None:
         self.comm = comm
         self.store = store
         self.repair = repair
-        self.period = period
         self.reference: dict[int, int] = {}
-        #: gid -> iteration of the first local digest mismatch, not yet
-        #: resolved by a repair or rollback.
-        self.pending: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -173,13 +154,6 @@ class IntegrityGuard:
         """Point the guard at a new communicator/store (shrink recovery)."""
         self.comm = comm
         self.store = store
-        self.pending.clear()
-        self.refresh()
-
-    def reset_after_restore(self) -> None:
-        """Re-baseline after a checkpoint restore: the restored state is
-        clean, so outstanding claims and stale references are dropped."""
-        self.pending.clear()
         self.refresh()
 
     # ------------------------------------------------------------------ #
@@ -209,43 +183,37 @@ class IntegrityGuard:
     def check(self, iteration: int) -> IntegrityDecision | None:
         """Start-of-iteration integrity check.
 
-        Re-digests owned committed values against the reference (every
-        iteration), then -- on exchange iterations -- folds the pending
-        claims into a collective exchange and returns the common decision.
+        Re-digests owned committed values against the reference, folds this
+        iteration's mismatches into a collective exchange and returns the
+        common decision.
 
         Returns:
-            ``None`` when there is nothing to recover from (either no
-            exchange was due, or the exchange carried no claims); otherwise
-            the collective :class:`IntegrityDecision`.
+            ``None`` when the exchange carried no claims; otherwise the
+            collective :class:`IntegrityDecision`.
         """
         current, cost = self._digest_owned()
         self.comm.work(cost)
-        for gid, digest in current.items():
-            if gid in self.reference and digest != self.reference[gid]:
-                self.pending.setdefault(gid, iteration)
-        if self.period > 1 and (iteration - 1) % self.period != 0:
-            return None
+        reference = self.reference
+        corrupted = [
+            gid for gid, digest in current.items() if gid in reference and digest != reference[gid]
+        ]
         claims = [
             CorruptionClaim(
                 owner=self.comm.rank,
                 gid=gid,
-                flip_iteration=flip_iteration,
+                flip_iteration=iteration,
                 holders=self.store.shadow_procs(gid),
             )
-            for gid, flip_iteration in sorted(self.pending.items())
+            for gid in sorted(corrupted)
         ]
         gathered = self.comm.allgather(claims)
         flat = tuple(c for per_rank in gathered for c in per_rank)
         if not flat:
             return None
-        repair = self.repair and all(
-            c.flip_iteration == iteration and c.holders for c in flat
-        )
         return IntegrityDecision(
             iteration=iteration,
             claims=flat,
-            repair=repair,
-            min_flip_iteration=min(c.flip_iteration for c in flat),
+            repair=all(c.holders for c in flat) and self.repair,
         )
 
     # ------------------------------------------------------------------ #
@@ -260,8 +228,8 @@ class IntegrityGuard:
         Collective: replica holders send, owners receive and splice, and a
         trailing barrier re-aligns the clocks.  The shadow value a holder
         ships is the owner's own committed value as of the last shadow
-        exchange -- which, because repair only runs at latency 0, is exactly
-        the pre-flip value.
+        exchange -- which, because the flip is agreed on the iteration it
+        fires, is exactly the pre-flip value.
 
         Returns:
             Nodes repaired *on this rank* (as owner).
@@ -279,7 +247,6 @@ class IntegrityGuard:
                 self.store.set_value(gid, value)
                 comm.work(machine.repair_time(estimate_nbytes(value)))
                 self.reference[gid] = state_digest(value)
-                self.pending.pop(gid, None)
                 if fault_state is not None:
                     fault_state.count_repair(comm.rank)
                 repaired += 1

@@ -603,12 +603,6 @@ class NodeStore:
                 gid: (copy.deepcopy(value), copy.deepcopy(pending), version)
                 for gid, value, pending, version in self._record_states()
             },
-            # Both read by nothing, but a shrink recovery prices the dead
-            # rank's snapshot by its pickled length (``Checkpoint.nbytes``):
-            # the (always empty) list of halted nodes and the thesis's
-            # bucket count stay in it so those clocks do not move.
-            "halted": [],
-            "hash_table_length": 64,
         }
 
     def restore_state(self, state: dict[str, Any]) -> None:

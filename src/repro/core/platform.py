@@ -381,10 +381,10 @@ class _RankRun:
         # Hybrid execution supersedes the activation switch (it is
         # inherently change-driven).  Both thread one Frontier through the
         # supersteps; without one they keep the thesis's exact behaviour.
-        self.hybrid = config.execution == "hybrid"
+        hybrid = config.execution == "hybrid"
         self.frontier = (
-            Frontier(len(platform.node_fns), config.hybrid_inner_cap if self.hybrid else None)
-            if self.hybrid or config.activation == "sparse"
+            Frontier(len(platform.node_fns), config.hybrid_inner_cap if hybrid else None)
+            if hybrid or config.activation == "sparse"
             else None
         )
         self.bulk = platform.vectorized(comm.size)
@@ -403,7 +403,7 @@ class _RankRun:
         self.fault_state = comm.faults
         self.plan = plan = self.fault_state.plan if self.fault_state is not None else None
         self.has_crashes = plan is not None and bool(plan.crashes)
-        self.checkpointer = Checkpointer(config.checkpoint_period, keep=config.checkpoint_keep)
+        self.checkpointer = Checkpointer(config.checkpoint_period)
         self.recoveries = 0
         self.attempt = 0
         self.handled_crashes: set[tuple[int, int]] = set()
@@ -445,9 +445,7 @@ class _RankRun:
         self.phases.initialization = comm.Wtime() - t0
         self.buffers = CommBuffers(comm.size)
         if config.integrity in ("digest", "full"):
-            self.guard = IntegrityGuard(
-                comm, store, repair=config.integrity == "full", period=config.integrity_period
-            )
+            self.guard = IntegrityGuard(comm, store, repair=config.integrity == "full")
         self.checkpoint()
         self.refresh_digests()
         self.iteration = 1
@@ -540,7 +538,7 @@ class _RankRun:
         return True
 
     def _rollback(self) -> int:
-        """Restore the newest retained checkpoint (collective); returns the
+        """Restore the newest checkpoint (collective); returns the
         iteration to resume at."""
         comm, store = self.comm, self.store
         saved_iteration, extras = self.checkpointer.restore(store)
@@ -550,24 +548,21 @@ class _RankRun:
             # Reinstate the change frontier the checkpoint captured -- a
             # rollback must not resume with an empty frontier (nodes whose
             # pending changes were rolled back would never recompute).
-            self.frontier.restore(extras["hybrid" if self.hybrid else "delta"], store)
+            self.frontier.restore(extras["frontier"], store)
         if self.guard is not None:
-            self.guard.reset_after_restore()
+            self.guard.refresh()
         comm.barrier()
         return saved_iteration + 1
 
     def _loop_extras(self) -> dict[str, Any]:
-        """Rollback-sensitive loop state that lives outside the store.  The
-        frontier rides under the key of the mode it serves."""
+        """Rollback-sensitive loop state that lives outside the store."""
         frontier = self.frontier
-        active = frontier.capture(self.store) if frontier is not None else None
         return {
             "window_exec_time": self.window_exec_time,
             "migrations": list(self.migrations),
             "repartitions": self.repartitions,
             "node_compute": self.ctx.node_loads(),
-            "delta": None if self.hybrid else active,
-            "hybrid": active if self.hybrid else None,
+            "frontier": frontier.capture(self.store) if frontier is not None else None,
         }
 
     def _reinstate(self, extras: dict[str, Any]) -> None:
@@ -628,10 +623,8 @@ class _RankRun:
             self.repairs += len(decision.claims)
             resumed = iteration
         else:
-            # Interior node or late detection: checkpoints taken at or after
-            # the injection are contaminated, so discard them and roll back
-            # to the newest clean snapshot.
-            self.checkpointer.discard_since(decision.min_flip_iteration)
+            # An interior node (no replica) or repair disabled: the newest
+            # snapshot predates the flip, so roll back to it.
             resumed = self._rollback()
         event_cost = comm.Wtime() - t_ig
         self.phases.recovery += event_cost
@@ -642,8 +635,6 @@ class _RankRun:
                     iteration=iteration,
                     gid=claim.gid,
                     owner=comm.world_rank_of(claim.owner),
-                    flip_iteration=claim.flip_iteration,
-                    latency=iteration - claim.flip_iteration,
                     mode="repair" if decision.repair else "rollback",
                     replica=comm.world_rank_of(min(claim.holders)) if decision.repair else None,
                     cost=event_cost,

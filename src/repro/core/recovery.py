@@ -160,7 +160,7 @@ def shrink_reconfigure(
             assignment list is remapped into the new dense rank space).
         ctx: Compute context; its ``comm`` is left untouched (the platform
             swaps communicators after charging phase costs).
-        checkpointer: Holds this rank's own snapshots.
+        checkpointer: Holds this rank's newest snapshot.
         dead_locals: Comm-local ranks that died (all survivors agree).
 
     Returns:

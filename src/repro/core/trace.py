@@ -109,16 +109,12 @@ class IntegrityRecord:
 
     Attributes:
         rank: The *world* rank that recorded this copy.
-        iteration: 1-based iteration at whose start the corruption was
-            confirmed by the digest exchange.
+        iteration: 1-based iteration at whose start the flip fired and
+            the digest exchange confirmed it.
         gid: Global id of the corrupted node.
         owner: World rank that owned the corrupted node.
-        flip_iteration: Iteration at whose start the flip was injected.
-        latency: Supersteps between injection and the collective decision
-            (``iteration - flip_iteration``); 0 means the corruption was
-            caught before any sweep consumed it.
         mode: ``"repair"`` (surgical replica re-fetch, no rollback) or
-            ``"rollback"`` (checkpoint restore past the injection).
+            ``"rollback"`` (restore of the newest checkpoint).
         replica: World rank whose shadow copy supplied the repair value
             (None for rollbacks).
         cost: Virtual seconds this rank charged to the detection + recovery
@@ -132,8 +128,6 @@ class IntegrityRecord:
     iteration: int
     gid: int
     owner: int
-    flip_iteration: int
-    latency: int
     mode: str
     replica: int | None
     cost: float
@@ -379,9 +373,7 @@ class ExecutionTrace:
             )
             lines.append(
                 f"integrity @ iter {event.iteration} [{event.mode}]: "
-                f"node {event.gid} on rank {event.owner} "
-                f"(flipped @ iter {event.flip_iteration}, "
-                f"latency {event.latency}), {source}, "
+                f"node {event.gid} on rank {event.owner}, {source}, "
                 f"cost {event.cost * 1e3:.3f}ms"
             )
         for event in self.quiescence_events():

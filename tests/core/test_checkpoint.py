@@ -71,86 +71,15 @@ class TestCheckpointer:
         assert iteration == 2
         assert extras == {"window_exec_time": 1.5}
 
-    def test_retention_keeps_last_k(self):
-        graph = hex32()
-        store = make_store(graph, [0] * graph.num_nodes, lambda g: g)
-        ck = Checkpointer(period=1, keep=2)
-        for iteration in range(5):
-            ck.take(iteration, store)
-        assert ck.taken == 5
-        assert [c.iteration for c in ck.snapshots] == [3, 4]
-        assert ck.last.iteration == 4
-
-    def test_retention_default_is_two(self):
-        graph = hex32()
-        store = make_store(graph, [0] * graph.num_nodes, lambda g: g)
-        ck = Checkpointer(period=1)
-        for iteration in range(4):
-            ck.take(iteration, store)
-        assert len(ck.snapshots) == 2
-
     def test_retention_of_one(self):
         graph = hex32()
         store = make_store(graph, [0] * graph.num_nodes, lambda g: g)
-        ck = Checkpointer(period=1, keep=1)
+        ck = Checkpointer(period=1)
         ck.take(0, store)
         ck.take(1, store)
-        assert [c.iteration for c in ck.snapshots] == [1]
+        assert ck.last.iteration == 1
         iteration, _ = ck.restore(store)
         assert iteration == 1
-
-    def test_retention_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            Checkpointer(period=1, keep=0)
-
-
-class TestDiscardSince:
-    """``discard_since`` drops snapshots tainted by a corruption detected
-    late: everything taken at or after the flip iteration goes, and the
-    next restore falls back to the newest *retained* snapshot."""
-
-    def make_ck(self, iterations=(0, 5, 10), keep=2):
-        graph = hex32()
-        store = make_store(graph, [0] * graph.num_nodes, lambda g: g)
-        ck = Checkpointer(period=5, keep=keep)
-        for iteration in iterations:
-            set_pending(store, 1, float(iteration))
-            store.commit_owned()
-            ck.take(iteration, store)
-        return ck, store
-
-    def test_drops_tainted_and_restores_older(self):
-        ck, store = self.make_ck()
-        assert [c.iteration for c in ck.snapshots] == [5, 10]
-        assert ck.discard_since(8) == 1
-        assert [c.iteration for c in ck.snapshots] == [5]
-        iteration, _ = ck.restore(store)
-        assert iteration == 5
-        assert store.value_of(1) == 5.0
-
-    def test_boundary_is_inclusive(self):
-        # A snapshot taken AT the flip iteration already holds the corrupt
-        # value, so ``discard_since(5)`` must drop iteration 5 too.
-        ck, _ = self.make_ck()
-        assert ck.discard_since(5) == 2
-        assert ck.snapshots == []
-
-    def test_untainted_suffix_is_noop(self):
-        ck, _ = self.make_ck()
-        assert ck.discard_since(11) == 0
-        assert [c.iteration for c in ck.snapshots] == [5, 10]
-
-    def test_discarding_everything_makes_restore_fail_loudly(self):
-        ck, store = self.make_ck()
-        ck.discard_since(0)
-        assert ck.snapshots == []
-        with pytest.raises(CheckpointError):
-            ck.restore(store)
-
-    def test_last_tracks_surviving_newest(self):
-        ck, _ = self.make_ck()
-        ck.discard_since(8)
-        assert ck.last.iteration == 5
 
 
 class TestStoreRoundTrip:

@@ -71,12 +71,9 @@ class SetModel:
                     self._touch(store, v)
             charges.append((ITEM * (1 + len(store.graph.neighbors(gid)))).hex())
 
-    def capture(self, split, inner_sweeps):
-        lists = [[None if s is None else sorted(s) for s in pair] for pair in self.sets]
-        if not split:
-            return {"dirty": [None if i is None else sorted(i + p) for i, p in lists]}
-        boundary, interior = [p for _, p in lists], [i for i, _ in lists]
-        return {"boundary": boundary, "interior": interior, "inner_sweeps": inner_sweeps}
+    def capture(self, inner_sweeps):
+        active = [[None if s is None else sorted(s) for s in pair] for pair in self.sets]
+        return {"active": active, "inner_sweeps": inner_sweeps}
 
 
 class RecordingContext:
@@ -145,7 +142,7 @@ def test_frontier_matches_the_set_model(seed, num_nodes, nprocs, rounds, hybrid,
         elif op == "checkpoint":
             frontier.inner_sweeps += 1
             payload = frontier.capture(store)
-            assert payload == model.capture(hybrid, frontier.inner_sweeps)
+            assert payload == model.capture(frontier.inner_sweeps)
             # Plain data in, plain data out: a fresh frontier restored from
             # the pickled payload captures the same lists.
             frontier = Frontier(rounds, inner_cap=8 if hybrid else None)
@@ -182,12 +179,12 @@ def test_dense_class_discards_touches():
     owned = sorted(store.owned_gids())
     frontier.record_commit(store, owned, ctx)
     assert frontier.begin(store, 0, _PERIPHERAL) is None  # dense, touches dropped
-    assert frontier.capture(store)["boundary"] == [[]]
-    assert frontier.capture(store)["interior"] == [None]  # still dense
+    assert frontier.capture(store)["active"] == [[None, []]]  # internal still dense
     frontier.record_commit(store, owned, ctx)
-    assert frontier.capture(store)["boundary"] == [sorted(g for g, _ in store.peripherals())]
+    peripherals = sorted(g for g, _ in store.peripherals())
+    assert frontier.capture(store)["active"] == [[None, peripherals]]
     assert frontier.begin(store, 0, _INTERNAL) is None
-    assert frontier.capture(store)["interior"] == [[]]
+    assert frontier.capture(store)["active"] == [[[], peripherals]]
 
 
 def test_a_class_is_a_span_of_the_layout():
@@ -211,7 +208,8 @@ def test_restore_into_the_given_store():
     owned = sorted(store.owned_gids())
     foreign = next(gid for gid in store.graph.nodes() if not store.owns(gid))
     frontier = Frontier(2)
-    frontier.restore({"dirty": [sorted([owned[0], foreign]), None]}, store)
+    dirty = sorted([owned[0], foreign])
+    frontier.restore({"active": [[dirty, dirty], [None, None]], "inner_sweeps": 0}, store)
     classes = (_INTERNAL, _PERIPHERAL)
     assert sum((gids_of(store, frontier.begin(store, 0, p)) for p in classes), []) == [owned[0]]
     assert [frontier.begin(store, 1, p) for p in classes] == [None, None]

@@ -5,8 +5,8 @@ place.  What happens next depends on ``PlatformConfig.integrity``:
 
 * ``off``/``checksum`` -- nothing notices; the corruption propagates into
   the final answer (the control case these tests pin down),
-* ``digest`` -- the per-superstep digest check catches it and every rank
-  rolls back past the injection,
+* ``digest`` -- the per-superstep digest check catches it on the iteration
+  it fires and every rank rolls back to its newest checkpoint,
 * ``full`` -- a corrupted *boundary* node is instead re-fetched from the
   neighbor rank that already mirrors it as a shadow (surgical repair, no
   rollback); interior nodes still roll back.
@@ -39,16 +39,10 @@ def run_once(
     partition,
     integrity="off",
     faults=None,
-    integrity_period=1,
-    checkpoint_period=0,
-    checkpoint_keep=2,
 ):
     config = PlatformConfig(
         iterations=ITERATIONS,
         integrity=integrity,
-        integrity_period=integrity_period,
-        checkpoint_period=checkpoint_period,
-        checkpoint_keep=checkpoint_keep,
         track_trace=True,
     )
     platform = ICPlatform(graph, make_average_fn(1e-4), config=config)
@@ -109,7 +103,7 @@ class TestSurgicalRepair:
         assert event.mode == "repair"
         assert event.gid == gid
         assert event.owner == 1
-        assert event.latency == 0
+        assert event.iteration == 4  # agreed on the iteration it fired
         assert event.replica is not None and event.replica != 1
         assert event.resumed_iteration == event.iteration  # nothing redone
         # Every rank recorded the same collective event.
@@ -175,32 +169,6 @@ class TestRollbackFallback:
         assert result.repairs == 0
         assert result.recoveries == 1
 
-    def test_late_detection_forces_rollback(self, setup):
-        # integrity_period=2: the flip at iteration 4 is only *agreed on* at
-        # the iteration-5 exchange -- latency 1, downstream state already
-        # contaminated, so even a boundary node must roll back, past the
-        # (tainted) checkpoint taken at the end of iteration 4.
-        graph, partition = setup
-        gid = boundary_gid(graph, partition, rank=1)
-        clean = run_once(graph, partition)
-        result = run_once(
-            graph,
-            partition,
-            integrity="full",
-            integrity_period=2,
-            checkpoint_period=2,
-            faults=f"flip=1@4:{gid}",
-        )
-        assert result.values == clean.values
-        assert result.repairs == 0
-        assert result.recoveries == 1
-        (event,) = result.trace.integrity_events()
-        assert event.mode == "rollback"
-        assert event.latency == 1
-        # The iteration-4 checkpoint was discarded as tainted: the restore
-        # fell back to the older retained snapshot (iteration 2).
-        assert event.resumed_iteration == 3
-
 
 class TestConformance:
     @pytest.mark.parametrize("seed", range(5))
@@ -247,3 +215,80 @@ class TestConformance:
         )
         assert result.values == clean.values
         assert result.repairs + result.recoveries >= 1
+
+
+def fault_suite_plans(graph, partition):
+    """The flip plans of the fault suites, on this module's hex32 partition:
+    ``name -> (plan, config overrides)``.  Explicit nodes the suites name on
+    other graphs become a boundary or interior node of the same rank."""
+    b1 = boundary_gid(graph, partition, rank=1)
+    b2 = boundary_gid(graph, partition, rank=2)
+    i0 = interior_gid(graph, partition, rank=0)
+    plans = {
+        "boundary": (f"flip=1@4:{b1}", {}),
+        "lowest-owned": ("flip=2@3", {}),
+        "two-ranks": (f"flip=1@4:{b1},flip=2@4:{b2}", {}),
+        "interior": (f"flip=0@4:{i0}", {}),
+        "interior-checkpointed": (f"flip=0@4:{i0}", {"checkpoint_period": 3}),
+        "digest": (f"flip=1@4:{b1}", {"integrity": "digest"}),
+        "digest-checkpointed": (
+            f"seed=11,flip=1@4:{b1}", {"integrity": "digest", "checkpoint_period": 3}
+        ),
+        "flipmsg": (f"seed=11,flipmsg=0.05,flip=1@4:{b1}", {}),
+        "transport": (f"seed=4,flipmsg=0.25,flip=1@5:{b1},flip=2@3", {}),
+        "crash-rollback": (
+            "seed=7,delay=0.05,drop=0.02,flip=0@3,crash=1@6", {"checkpoint_period": 2}
+        ),
+        "crash-shrink": (
+            "seed=3,crash=2@5,flip=1@4,flipmsg=0.05",
+            {"checkpoint_period": 3, "recovery_policy": "shrink"},
+        ),
+    }
+    for seed in range(5):
+        plans[f"seed-{seed}"] = (f"seed={seed},flip={seed % NPROCS}@{2 + seed}", {})
+    for level in ("digest", "full"):
+        plans[f"ci-{level}"] = (
+            "seed=3,flip=1@4,flip=2@7",
+            {"integrity": level, "checkpoint_period": 3, "iterations": 12},
+        )
+    return plans
+
+
+PLAN_NAMES = list(
+    fault_suite_plans(hex32(), MetisLikePartitioner(seed=0).partition(hex32(), NPROCS))
+)
+
+
+class TestAgreedWhenItFires:
+    """The invariant that lets a rank keep only its newest checkpoint: every
+    corruption is agreed on at the start of the iteration its flip fires,
+    before that iteration's checkpoint is taken, so a rollback resumes at
+    the newest checkpoint's iteration + 1."""
+
+    @pytest.mark.parametrize("scheduler", ["event", "process"])
+    @pytest.mark.parametrize("name", PLAN_NAMES)
+    def test_every_flip_plan(self, setup, name, scheduler):
+        graph, partition = setup
+        text, overrides = fault_suite_plans(graph, partition)[name]
+        plan = FaultPlan.parse(text)
+        options = {"iterations": ITERATIONS, "integrity": "full", **overrides}
+        config = PlatformConfig(track_trace=True, **options)
+        result = ICPlatform(graph, make_average_fn(1e-4), config=config).run(
+            partition, faults=plan, scheduler=scheduler
+        )
+        events = result.trace.integrity_events()
+        assert result.fault_report.flips == len(plan.flips)  # every flip fired
+        assert sorted((e.owner, e.iteration) for e in events) == sorted(
+            (f.rank, f.iteration) for f in plan.flips
+        )
+        period = config.checkpoint_period
+        for e in events:
+            assert any(
+                (f.rank, f.iteration) == (e.owner, e.iteration) and f.node in (None, e.gid)
+                for f in plan.flips
+            )
+            if e.mode == "repair":
+                assert e.resumed_iteration == e.iteration
+            else:
+                newest = (e.iteration - 1) // period * period if period else 0
+                assert e.resumed_iteration == newest + 1

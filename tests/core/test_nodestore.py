@@ -389,8 +389,6 @@ class TestLayout:
             with pytest.raises(KeyError, match="rank 0 holds no data for node 6"):
                 call(6)
 
-    def test_snapshot_keeps_the_priced_keys(self, store_cls, path6):
-        """Read by nothing, priced by a shrink recovery's pickled length."""
+    def test_snapshot_holds_only_what_a_restore_reads(self, store_cls, path6):
         snapshot = store_cls(0, path6, [0, 0, 0, 1, 1, 1], float).capture_state()
-        assert list(snapshot) == ["rank", "assignment", "records", "halted", "hash_table_length"]
-        assert (snapshot["halted"], snapshot["hash_table_length"]) == ([], 64)
+        assert list(snapshot) == ["rank", "assignment", "records"]

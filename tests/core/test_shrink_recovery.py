@@ -212,61 +212,3 @@ class TestRedistributeLostNodes:
         p2 = redistribute_lost_nodes(g, a2, list(reversed(lost)), [0, 1])
         assert p1 == p2
         assert a1 == a2
-
-
-class TestRetentionWithIntegrity:
-    """Checkpointer retention (``keep``) interacting with recovery: a
-    late-detected memory flip taints the newest checkpoint, so the rollback
-    must restore the older *retained* snapshot -- and a crash later in the
-    same run must still shrink cleanly from a post-replay checkpoint."""
-
-    def test_rollback_to_older_snapshot_then_shrink(self, graph, partition):
-        # Timeline (period 3, keep 2, digest exchange every 2 iterations):
-        #   checkpoints 0, 3, 6 -> retained {3, 6}
-        #   flip at start of 6 -> checkpoint 6 is tainted
-        #   claims agreed at the iteration-7 exchange (latency 1) -> rollback
-        #   discard_since(6) leaves {3} -> restore 3, resume at 4
-        #   replay retakes 6 and 9; crash of rank 2 at 10 shrinks from 9.
-        clean = run(
-            graph, partition, "rollback", iterations=14, checkpoint_period=3
-        )
-        faulty = run(
-            graph,
-            partition,
-            "shrink",
-            FaultPlan.parse("seed=5,flip=1@6,crash=2@10"),
-            iterations=14,
-            checkpoint_period=3,
-            checkpoint_keep=2,
-            integrity="full",
-            integrity_period=2,
-        )
-        assert faulty.values == clean.values
-        assert faulty.repairs == 0
-        assert faulty.recoveries == 2  # one corruption rollback + one shrink
-        assert faulty.dead_ranks == (2,)
-        (event,) = faulty.trace.integrity_events()
-        assert event.mode == "rollback"
-        assert event.latency == 1
-        # The tainted iteration-6 snapshot was discarded: the restore came
-        # from the older retained snapshot (iteration 3).
-        assert event.resumed_iteration == 4
-
-    def test_keep_one_cannot_survive_late_detection(self, graph, partition):
-        """With ``keep=1`` the only retained snapshot IS the tainted one;
-        discarding it leaves nothing and the run fails loudly rather than
-        resuming from corrupt state."""
-        from repro.core import CheckpointError
-
-        with pytest.raises(CheckpointError):
-            run(
-                graph,
-                partition,
-                "rollback",
-                FaultPlan.parse("seed=5,flip=1@6"),
-                iterations=10,
-                checkpoint_period=3,
-                checkpoint_keep=1,
-                integrity="full",
-                integrity_period=2,
-            )

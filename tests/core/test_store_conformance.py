@@ -149,6 +149,22 @@ class TestFaultFree:
 
         assert_identical(run("object"), run("soa"))
 
+    def test_integer_pins(self):
+        """Integer pins (``hot=100, cold=0``): the node function returns
+        them as floats, as the bulk kernel writes them, so both stores pack
+        and price the same values."""
+        graph, boundary, init = hot_edge_plate(8, 8, hot=100, cold=0)
+        partition = MetisLikePartitioner(seed=0).partition(graph, 4)
+
+        def run(store):
+            config = PlatformConfig(iterations=5, track_trace=True)
+            fn = on_store(store, make_jacobi_fn(boundary))
+            return ICPlatform(graph, fn, init_value=init, config=config).run(partition)
+
+        obj, soa = run("object"), run("soa")
+        assert_identical(obj, soa)
+        assert {type(value) for value in obj.values.values()} == {float}
+
     def test_int_values_demote_then_grow(self):
         """Int gids (the default initial values) demote the soa store to
         object dtype at its first record; 84 records a rank then grow it

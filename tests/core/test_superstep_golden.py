@@ -29,7 +29,7 @@ The table was generated at the commit *before* the five ``sweep_*``
 pipelines were folded into one ``superstep`` and is committed unchanged.
 To regenerate (only when a change is *meant* to move virtual time)::
 
-    PYTHONPATH=src python tests/core/test_superstep_golden.py
+    PYTHONPATH=src python -m tests.core.test_superstep_golden
 """
 
 from __future__ import annotations

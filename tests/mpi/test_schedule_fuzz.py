@@ -176,7 +176,7 @@ class TestPlatformScheduleFuzz:
         assert report.flips == 1 and report.repairs == 1
         assert report.corrupted > 0 and report.retransmits == report.corrupted
         events = reference.trace.integrity_events()
-        assert [(e.gid, e.mode, e.latency) for e in events] == [(gid, "repair", 0)]
+        assert [(e.gid, e.mode, e.iteration) for e in events] == [(gid, "repair", 4)]
         for i in range(RUNS):
             fuzzed = run(faults=plan, seed=i)
             assert fuzzed.elapsed == reference.elapsed

@@ -161,14 +161,6 @@ class TestRun:
         assert excinfo.value.code == 2
         assert "teleport" in capsys.readouterr().err
 
-    def test_bad_checkpoint_keep_exits_2(self, hexfile, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--graph", str(hexfile), "--np", "2",
-                  "--iterations", "2", "--checkpoint-keep", "0"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--checkpoint-keep" in err and "0" in err
-
     @pytest.mark.parametrize(
         "flag, value",
         [
@@ -431,11 +423,11 @@ class TestFlagTable:
     def test_argument_count_does_not_grow(self):
         """The flag diet's ratchet (45 before the capability table)."""
         source = Path(build_parser.__code__.co_filename).read_text()
-        assert sum("add_argument" in line for line in source.splitlines()) <= 40
+        assert sum("add_argument" in line for line in source.splitlines()) <= 39
 
     def test_numeric_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["run", "--graph", "g.txt", "--np", "2"])
         config = PlatformConfig()
         for name in ("iterations", "lb_period", "lb_threshold", "checkpoint_period",
-                     "checkpoint_keep", "hybrid_inner_cap"):
+                     "hybrid_inner_cap"):
             assert getattr(args, name) == getattr(config, name), name
